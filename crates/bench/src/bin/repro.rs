@@ -17,8 +17,8 @@
 //! subcommand; `fig9` is validated by the integration test
 //! `payment_twelve_steps` instead of a measurement. Eight experiments are
 //! this reproduction's own: `skew` (adaptive repartitioning under a zipfian
-//! workload), `dispatch` (the executor message path, per-message vs
-//! batched), `commit` (sync vs group commit vs group+ELR durability across
+//! workload), `dispatch` (the executor message path, idle vs busy
+//! executors), `commit` (sync vs group commit vs group+ELR durability across
 //! log-stream counts), `recover` (serial vs parallel vs checkpoint
 //! replay over the partitioned WAL), `saturation` (offered load swept
 //! past saturation through the `dora-server` front-end, admission control

@@ -770,45 +770,39 @@ pub fn skew_with_summary(scale: &Scale) -> (Report, SkewSummary) {
     (report, summary)
 }
 
-/// One mode of the `dispatch` experiment: the fan-out workload driven with
-/// the executor message path either per-message or batched.
+/// One cell of the `dispatch` experiment: the fan-out workload driven by a
+/// given number of clients.
 #[derive(Debug, Clone)]
-pub struct DispatchMode {
-    /// Mode label ("per-message" / "batched").
-    pub label: &'static str,
+pub struct DispatchCell {
+    /// Client threads driving load.
+    pub clients: usize,
     /// Committed tps over the measured interval.
     pub tps: f64,
     /// Transactions committed.
     pub committed: u64,
-    /// Transactions aborted (per-message mode may abort deadlock victims —
-    /// its dispatches are not latched atomically).
+    /// Transactions aborted.
     pub aborted: u64,
     /// DORA actions executed.
     pub actions: u64,
-    /// Messages pushed to executor inboxes.
+    /// Of those, actions run by the dispatcher under a claim it took.
+    pub actions_inlined: u64,
+    /// Messages sent to executors.
     pub messages: u64,
-    /// Producer-side inbox lock acquisitions (one may carry many messages).
-    pub producer_batches: u64,
-    /// Consumer-side inbox lock acquisitions that yielded work.
+    /// Batches of messages run under a claim (by whichever thread held it).
     pub inbox_drains: u64,
 }
 
-impl DispatchMode {
-    /// Inbox-mutex acquisitions (producer + consumer side) per executed
-    /// action — the figure of merit: batching must push this well below the
-    /// per-message mode's ~2.
-    pub fn mutex_acquisitions_per_action(&self) -> f64 {
-        (self.producer_batches + self.inbox_drains) as f64 / self.actions.max(1) as f64
+impl DispatchCell {
+    /// Batches run per executed action: the lower, the more messages each
+    /// claim (and each wake-up, when a thread had to be woken) carried.
+    pub fn drains_per_action(&self) -> f64 {
+        self.inbox_drains as f64 / self.actions.max(1) as f64
     }
 
-    /// Average messages per producer-side push.
-    pub fn avg_producer_batch(&self) -> f64 {
-        self.messages as f64 / self.producer_batches.max(1) as f64
-    }
-
-    /// Average messages per consumer-side drain.
-    pub fn avg_drain_batch(&self) -> f64 {
-        self.messages as f64 / self.inbox_drains.max(1) as f64
+    /// Share of the actions run by their dispatcher instead of a woken
+    /// executor thread.
+    pub fn inlined_share(&self) -> f64 {
+        self.actions_inlined as f64 / self.actions.max(1) as f64
     }
 }
 
@@ -822,41 +816,38 @@ pub struct DispatchSummary {
     pub fanout: usize,
     /// Executors on the counters table.
     pub executors: usize,
-    /// Client threads driving load.
-    pub clients: usize,
     /// Measured interval length, in milliseconds.
     pub interval_ms: u64,
-    /// The measured modes, per-message first.
-    pub modes: Vec<DispatchMode>,
+    /// The measured cells, fewest clients first.
+    pub cells: Vec<DispatchCell>,
 }
 
 impl DispatchSummary {
     /// Renders the summary as a small JSON document (the workspace has no
     /// serde; the fields are all numbers, so hand-rolling is safe).
     pub fn to_json(&self) -> String {
-        let modes = self
-            .modes
+        let cells = self
+            .cells
             .iter()
-            .map(|mode| {
+            .map(|cell| {
                 format!(
                     concat!(
-                        "    {{\"label\": \"{}\", \"tps\": {:.1}, ",
+                        "    {{\"clients\": {}, \"tps\": {:.1}, ",
                         "\"committed\": {}, \"aborted\": {}, \"actions\": {}, ",
-                        "\"messages\": {}, \"producer_batches\": {}, ",
-                        "\"inbox_drains\": {}, \"mutex_acq_per_action\": {:.4}, ",
-                        "\"avg_producer_batch\": {:.3}, \"avg_drain_batch\": {:.3}}}"
+                        "\"actions_inlined\": {}, \"messages\": {}, ",
+                        "\"inbox_drains\": {}, \"drains_per_action\": {:.4}, ",
+                        "\"inlined_share\": {:.4}}}"
                     ),
-                    mode.label,
-                    mode.tps,
-                    mode.committed,
-                    mode.aborted,
-                    mode.actions,
-                    mode.messages,
-                    mode.producer_batches,
-                    mode.inbox_drains,
-                    mode.mutex_acquisitions_per_action(),
-                    mode.avg_producer_batch(),
-                    mode.avg_drain_batch(),
+                    cell.clients,
+                    cell.tps,
+                    cell.committed,
+                    cell.aborted,
+                    cell.actions,
+                    cell.actions_inlined,
+                    cell.messages,
+                    cell.inbox_drains,
+                    cell.drains_per_action(),
+                    cell.inlined_share(),
                 )
             })
             .collect::<Vec<_>>()
@@ -864,37 +855,33 @@ impl DispatchSummary {
         format!(
             concat!(
                 "{{\n  \"experiment\": \"dispatch\",\n  \"keys\": {},\n",
-                "  \"fanout\": {},\n  \"executors\": {},\n  \"clients\": {},\n",
-                "  \"interval_ms\": {},\n  \"modes\": [\n{}\n  ]\n}}\n"
+                "  \"fanout\": {},\n  \"executors\": {},\n",
+                "  \"interval_ms\": {},\n  \"cells\": [\n{}\n  ]\n}}\n"
             ),
-            self.keys, self.fanout, self.executors, self.clients, self.interval_ms, modes
+            self.keys, self.fanout, self.executors, self.interval_ms, cells
         )
     }
 }
 
-fn run_dispatch_mode(scale: &Scale, label: &'static str, batched: bool) -> DispatchMode {
+fn run_dispatch_cell(scale: &Scale, clients: usize) -> DispatchCell {
     let db = Database::new(scale.system_config());
     let workload = scale.fanout();
     workload.setup(&db).expect("setup fanout workload");
     let workload: Arc<dyn Workload> = Arc::new(workload);
 
-    let config = DoraConfig {
-        message_batching: batched,
-        ..DoraConfig::default()
-    };
     // High executor count: the fan-out workload's point is many partitions,
     // so it gets at least four executors even at quick scale.
     let executors = scale.executors_per_table.max(4);
     let execution = Arc::new(DoraExecution::new(Arc::new(DoraEngine::new(
         Arc::clone(&db),
-        config,
+        DoraConfig::default(),
     ))));
     execution
         .bind(Arc::clone(&workload), executors)
         .expect("bind fanout workload");
 
     let driver = ClientDriver::new(DriverConfig {
-        clients: scale.clients_for(100.0),
+        clients,
         duration: scale.duration,
         warmup: scale.warmup,
         hardware_contexts: scale.hardware_contexts,
@@ -905,82 +892,67 @@ fn run_dispatch_mode(scale: &Scale, label: &'static str, batched: bool) -> Dispa
     // The metric deltas cover exactly the measured interval; experiments run
     // sequentially, so the executor-path counters are attributable to this
     // engine.
-    DispatchMode {
-        label,
+    DispatchCell {
+        clients,
         tps: result.throughput_tps,
         committed: result.committed,
         aborted: result.aborted,
         actions: result.metrics.counter(CounterKind::ActionsExecuted),
+        actions_inlined: result.metrics.counter(CounterKind::ActionsInlined),
         messages: result.metrics.counter(CounterKind::DoraMessages),
-        producer_batches: result.metrics.counter(CounterKind::DispatchBatches),
         inbox_drains: result.metrics.counter(CounterKind::InboxDrains),
     }
 }
 
-/// The message-path experiment: the high-fan-out counters workload run with
-/// the executor message path per-message vs. batched. Not a paper figure —
-/// it quantifies the "additional inter-core communication" the appendix
-/// names as DORA's cost, and how far batching (amortized dispatch,
-/// drain-style dequeue) pushes it down. The mutex-acquisitions-per-action
-/// column is counter-derived, not sampled.
+/// The message-path experiment: the high-fan-out counters workload driven by
+/// one client and by a saturating number of clients — one cell on each side
+/// of the selection the claim protocol makes. Not a paper figure — it
+/// quantifies the "additional inter-core communication" the appendix names
+/// as DORA's cost: a lone client finds every executor idle and runs its
+/// actions itself (no thread is woken), many clients find them busy and
+/// queue. The columns are counter-derived, not sampled.
 pub fn dispatch(scale: &Scale) -> Report {
     dispatch_with_summary(scale).0
 }
 
 /// [`dispatch`], also returning the machine-readable summary.
 pub fn dispatch_with_summary(scale: &Scale) -> (Report, DispatchSummary) {
-    let modes = vec![
-        run_dispatch_mode(scale, "per-message", false),
-        run_dispatch_mode(scale, "batched", true),
+    let cells = vec![
+        run_dispatch_cell(scale, 1),
+        run_dispatch_cell(scale, scale.clients_for(100.0)),
     ];
     let summary = DispatchSummary {
         keys: scale.fanout_keys,
         fanout: scale.fanout_actions,
         executors: scale.executors_per_table.max(4),
-        clients: scale.clients_for(100.0),
         interval_ms: scale.duration.as_millis() as u64,
-        modes,
+        cells,
     };
 
-    let mut report = Report::new("Dispatch: executor message path, per-message vs batched");
+    let mut report = Report::new("Dispatch: executor message path, idle vs busy executors");
     report.line(format!(
-        "  {} keys, {} actions/txn, {} executors, {} clients, {} ms per interval",
-        summary.keys, summary.fanout, summary.executors, summary.clients, summary.interval_ms
+        "  {} keys, {} actions/txn, {} executors, {} ms per interval",
+        summary.keys, summary.fanout, summary.executors, summary.interval_ms
     ));
     report.blank();
     report.line(format!(
-        "  {:<12} {:>10} {:>8} {:>10} {:>12} {:>12} {:>12}",
-        "mode", "tps", "aborts", "actions", "locks/actn", "push batch", "drain batch"
+        "  {:>8} {:>10} {:>8} {:>10} {:>14} {:>14}",
+        "clients", "tps", "aborts", "actions", "drains/action", "inlined share"
     ));
-    for mode in &summary.modes {
+    for cell in &summary.cells {
         report.line(format!(
-            "  {:<12} {:>10.0} {:>8} {:>10} {:>12.3} {:>12.2} {:>12.2}",
-            mode.label,
-            mode.tps,
-            mode.aborted,
-            mode.actions,
-            mode.mutex_acquisitions_per_action(),
-            mode.avg_producer_batch(),
-            mode.avg_drain_batch(),
+            "  {:>8} {:>10.0} {:>8} {:>10} {:>14.3} {:>14.3}",
+            cell.clients,
+            cell.tps,
+            cell.aborted,
+            cell.actions,
+            cell.drains_per_action(),
+            cell.inlined_share(),
         ));
     }
     report.blank();
-    if let [before, after] = &summary.modes[..] {
-        report.kv(
-            "throughput batched/per-message",
-            format!("{:.2}x", after.tps / before.tps.max(1.0)),
-        );
-        report.kv(
-            "lock acquisitions per action",
-            format!(
-                "{:.3} -> {:.3}",
-                before.mutex_acquisitions_per_action(),
-                after.mutex_acquisitions_per_action()
-            ),
-        );
-    }
-    report.line("  (locks/actn = producer pushes + consumer drains per executed action;");
-    report.line("   per-message mode pays ~2, batching amortizes both sides)");
+    report.line("  (drains/action = batches run under a claim per executed action;");
+    report.line("   inlined share = actions run by their dispatcher, no thread woken)");
     (report, summary)
 }
 
@@ -1770,8 +1742,8 @@ fn run_saturation_point(
         gave_up: totals[3],
         shed: totals[4],
         tps: totals[1] as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: latency.percentile(0.50).as_micros() as u64,
-        p99_us: latency.percentile(0.99).as_micros() as u64,
+        p50_us: latency.percentile(50.0).as_micros() as u64,
+        p99_us: latency.percentile(99.0).as_micros() as u64,
     }
 }
 
@@ -2360,8 +2332,8 @@ fn run_chaos_point(
         timed_out: totals[5],
         failed: totals[6],
         goodput_tps: totals[1] as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: latency.percentile(0.50).as_micros() as u64,
-        p99_us: latency.percentile(0.99).as_micros() as u64,
+        p50_us: latency.percentile(50.0).as_micros() as u64,
+        p99_us: latency.percentile(99.0).as_micros() as u64,
         faults_injected: delta.counter(CounterKind::FaultsInjected),
         flush_retries: delta.counter(CounterKind::FlushRetries),
         durability_lost: delta.counter(CounterKind::DurabilityLost),
@@ -3646,37 +3618,36 @@ mod tests {
             keys: 64,
             fanout: 4,
             executors: 2,
-            clients: 3,
             interval_ms: 80,
-            modes: vec![
-                DispatchMode {
-                    label: "per-message",
+            cells: vec![
+                DispatchCell {
+                    clients: 1,
                     tps: 1000.0,
                     committed: 100,
                     aborted: 1,
                     actions: 400,
+                    actions_inlined: 400,
                     messages: 500,
-                    producer_batches: 500,
                     inbox_drains: 500,
                 },
-                DispatchMode {
-                    label: "batched",
+                DispatchCell {
+                    clients: 8,
                     tps: 2000.0,
                     committed: 200,
                     aborted: 0,
                     actions: 800,
+                    actions_inlined: 200,
                     messages: 1000,
-                    producer_batches: 250,
-                    inbox_drains: 125,
+                    inbox_drains: 100,
                 },
             ],
         };
         let json = summary.to_json();
         assert!(json.contains("\"experiment\": \"dispatch\""), "{json}");
-        assert!(json.contains("\"label\": \"per-message\""), "{json}");
-        assert!(json.contains("\"label\": \"batched\""), "{json}");
-        assert!(json.contains("\"mutex_acq_per_action\": 2.5000"), "{json}");
-        assert!(json.contains("\"avg_drain_batch\": 8.000"), "{json}");
+        assert!(json.contains("\"clients\": 1,"), "{json}");
+        assert!(json.contains("\"clients\": 8,"), "{json}");
+        assert!(json.contains("\"drains_per_action\": 1.2500"), "{json}");
+        assert!(json.contains("\"inlined_share\": 0.2500"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(
                 json.matches(open).count(),
@@ -3813,30 +3784,28 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_mode_derived_metrics() {
-        let mode = DispatchMode {
-            label: "batched",
+    fn dispatch_cell_derived_metrics() {
+        let cell = DispatchCell {
+            clients: 1,
             tps: 0.0,
             committed: 0,
             aborted: 0,
             actions: 100,
+            actions_inlined: 90,
             messages: 120,
-            producer_batches: 30,
             inbox_drains: 20,
         };
-        assert!((mode.mutex_acquisitions_per_action() - 0.5).abs() < 1e-9);
-        assert!((mode.avg_producer_batch() - 4.0).abs() < 1e-9);
-        assert!((mode.avg_drain_batch() - 6.0).abs() < 1e-9);
-        let zero = DispatchMode {
+        assert!((cell.drains_per_action() - 0.2).abs() < 1e-9);
+        assert!((cell.inlined_share() - 0.9).abs() < 1e-9);
+        let zero = DispatchCell {
             actions: 0,
-            messages: 0,
-            producer_batches: 0,
+            actions_inlined: 0,
             inbox_drains: 0,
-            ..mode
+            ..cell
         };
         // Degenerate runs must not divide by zero.
-        assert_eq!(zero.mutex_acquisitions_per_action(), 0.0);
-        assert_eq!(zero.avg_producer_batch(), 0.0);
+        assert_eq!(zero.drains_per_action(), 0.0);
+        assert_eq!(zero.inlined_share(), 0.0);
     }
 
     #[test]

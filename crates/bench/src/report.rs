@@ -92,7 +92,7 @@ pub fn txn_stats_table(report: &mut Report, stats: &dora_workloads::WorkloadStat
             row.counts.gave_up,
             100.0 * row.error_rate(),
             row.latency.mean().as_micros(),
-            row.latency.percentile(0.99).as_micros(),
+            row.latency.percentile(99.0).as_micros(),
         ));
     }
 }

@@ -25,20 +25,6 @@ pub struct DoraConfig {
     /// `adaptive.enabled` is set, binding a workload through the
     /// `ExecutionEngine` seam spawns the controller automatically.
     pub adaptive: AdaptiveConfig,
-    /// Batch the executor message path (default `true`): phase dispatch
-    /// groups a phase's actions per destination executor and pushes each
-    /// group under one inbox lock with one wake-up, and executors drain
-    /// their whole backlog per lock acquisition instead of popping one
-    /// message at a time.
-    ///
-    /// `false` restores the per-message path — one lock/unlock and one
-    /// condvar wake per message on both sides, and no atomic (all-queues
-    /// latched) phase submission, so concurrent multi-action transactions
-    /// may dispatch in inconsistent executor orders and occasionally abort
-    /// as deadlock victims (the hazard Section 4.2.3's latched submission
-    /// exists to prevent). It is a measurement baseline for the `dispatch`
-    /// benchmark, not a production setting.
-    pub message_batching: bool,
     /// Apply the bind-time static conflict analysis (default `true`): steps
     /// whose [`crate::conflict::ConflictMatrix`] template conflicts with
     /// nothing skip the local-lock-table probe entirely (counter
@@ -62,7 +48,6 @@ impl Default for DoraConfig {
             abort_monitor_min_samples: 100,
             rebalance_imbalance_ratio: 1.5,
             adaptive: AdaptiveConfig::default(),
-            message_batching: true,
             conflict_elision: true,
         }
     }

@@ -14,7 +14,7 @@ use dora_storage::Database;
 
 use crate::action::{Action, ActionContext, ActionSpec};
 use crate::config::DoraConfig;
-use crate::executor::{ExecutorShared, ExecutorWorker, InboxGuard, Message, ResizeBarrier};
+use crate::executor::{Claim, ExecutorShared, InboxGuard, Message, ResizeBarrier};
 use crate::flow::FlowGraph;
 use crate::routing::{RoutingRule, RoutingTable};
 use crate::txn::{DoraTxn, DoraTxnInner};
@@ -45,11 +45,6 @@ impl EngineInner {
         &self.db
     }
 
-    /// The engine configuration.
-    pub(crate) fn config(&self) -> &DoraConfig {
-        &self.config
-    }
-
     fn executors_for(&self, table: TableId) -> DbResult<Vec<Arc<ExecutorShared>>> {
         let executors = self.executors.read();
         executors
@@ -60,19 +55,22 @@ impl EngineInner {
     }
 
     fn executor(&self, table: TableId, index: usize) -> DbResult<Arc<ExecutorShared>> {
-        let executors = self.executors_for(table)?;
-        executors
-            .get(index)
+        self.executors
+            .read()
+            .get(table.0 as usize)
+            .and_then(|list| list.get(index))
             .cloned()
             .ok_or_else(|| DbError::NoSuchObject(format!("executor {index} of {table}")))
     }
 
     /// Dispatches one phase of a transaction: routes each action to its
-    /// executor and enqueues them *atomically* — the incoming queues of every
-    /// involved executor are latched (in a global executor order) before any
-    /// action is pushed, which is DORA's deadlock-avoidance rule for
-    /// transactions sharing a flow graph (Section 4.2.3). Secondary actions
-    /// (empty identifier) are executed directly by the calling thread
+    /// executor and submits them *atomically* — the inboxes of every involved
+    /// executor are latched (in a global executor order) before any action is
+    /// placed, which is DORA's deadlock-avoidance rule for transactions
+    /// sharing a flow graph (Section 4.2.3). Destinations found idle are
+    /// claimed and their batches run by the calling thread once the latches
+    /// are released; busy ones are pushed to. Secondary actions (empty
+    /// identifier) are executed directly by the calling thread
     /// (Section 4.2.2).
     pub(crate) fn dispatch_phase(self: &Arc<Self>, txn: &Arc<DoraTxnInner>, phase: usize) {
         let specs = {
@@ -108,20 +106,12 @@ impl EngineInner {
         }
 
         if !routed.is_empty() {
-            time_section(TimeCategory::EngineOverhead, || {
-                if self.config.message_batching {
-                    self.push_phase_batched(routed);
-                } else {
-                    // Per-message baseline: one lock/unlock and one wake per
-                    // action, pushes not latched together (see
-                    // `DoraConfig::message_batching`).
-                    for (executor, action) in routed {
-                        executor.enqueue(Message::Action(action));
-                        incr(CounterKind::DoraMessages);
-                        incr(CounterKind::DispatchBatches);
-                    }
-                }
-            });
+            // The section ends before the claimed batches run: their time
+            // is the actions', not the engine's.
+            let claims = time_section(TimeCategory::EngineOverhead, || self.push_phase(routed));
+            for claim in claims {
+                claim.run(self, true);
+            }
         }
 
         // Secondary actions run on this thread — the thread that submitted
@@ -150,14 +140,18 @@ impl EngineInner {
         }
     }
 
-    /// Pushes one phase's routed actions grouped per destination executor:
+    /// Submits one phase's routed actions grouped per destination executor:
     /// every destination inbox is latched in the global executor order before
-    /// any action is pushed (DORA's deadlock-avoidance rule for transactions
-    /// sharing a flow graph, Section 4.2.3), each destination's group lands
-    /// under that single lock acquisition, and each destination is woken
-    /// exactly once after its latch is released. Message counters are bumped
-    /// once per batch, not once per message.
-    fn push_phase_batched(&self, mut routed: Vec<(Arc<ExecutorShared>, Action)>) {
+    /// anything is placed (DORA's deadlock-avoidance rule for transactions
+    /// sharing a flow graph, Section 4.2.3). While all latches are held, each
+    /// destination is either claimed — it was idle, and its pending messages
+    /// plus this phase's actions become a batch the caller must run — or
+    /// pushed to; two transactions with the same flow graph therefore still
+    /// reach every shared executor in the same order. After the latches are
+    /// released only the destinations that were pushed to, are unclaimed and
+    /// have their resident thread asleep are woken. Message counters are
+    /// bumped once per batch, not once per message.
+    fn push_phase(&self, mut routed: Vec<(Arc<ExecutorShared>, Action)>) -> Vec<Claim> {
         // Stable sort: groups actions by destination while preserving each
         // destination's arrival order (per-source FIFO).
         routed.sort_by_key(|(executor, _)| (executor.table.0, executor.index));
@@ -170,25 +164,36 @@ impl EngineInner {
                 targets.push(Arc::clone(executor));
             }
         }
+        // Per destination: the claim taken, if it was idle, and whether a
+        // push asked for a wake. Declared before the latches so that an
+        // unwind drops the latches first: releasing a claim takes its latch.
+        let mut claims: Vec<Option<Claim>> = Vec::with_capacity(targets.len());
+        let mut wake = vec![false; targets.len()];
         let mut guards: Vec<InboxGuard<'_>> = targets
             .iter()
             .map(|executor| executor.lock_inbox())
             .collect();
+        claims.extend(guards.iter_mut().map(InboxGuard::try_claim));
         let messages = routed.len() as u64;
         let mut slot = 0usize;
         for (executor, action) in routed {
             if !Arc::ptr_eq(&targets[slot], &executor) {
                 slot += 1;
             }
-            guards[slot].push(Message::Action(action));
+            match &mut claims[slot] {
+                Some(claim) => claim.push(Message::Action(action)),
+                None => wake[slot] |= guards[slot].push(Message::Action(action)),
+            }
         }
         incr_by(CounterKind::DoraMessages, messages);
         incr_by(CounterKind::DispatchBatches, targets.len() as u64);
         drop(guards);
-        // Wake each destination once, after the latches are released.
-        for target in &targets {
-            target.notify();
+        for (target, wake) in targets.iter().zip(wake) {
+            if wake {
+                target.notify();
+            }
         }
+        claims.into_iter().flatten().collect()
     }
 
     fn route_spec(
@@ -313,7 +318,12 @@ impl EngineInner {
             }
             Ok(handle) => {
                 let early_released = handle.early_released();
-                if early_released {
+                // With group commit the hand-off to the flusher does not
+                // block, so it goes first and the device write overlaps the
+                // fan-out; a synchronous commit pays the device latency in
+                // `commit_async`, so local locks are released before it.
+                let fanout_first = early_released && !self.db.config().durability.group_commit;
+                if fanout_first {
                     self.commit_fanout(txn);
                 }
                 let engine = Arc::clone(self);
@@ -332,14 +342,20 @@ impl EngineInner {
                         Err(DbError::DurabilityLost)
                     });
                 });
+                if early_released && !fanout_first {
+                    self.commit_fanout(txn);
+                }
             }
         }
     }
 
     /// Commit fan-out: each involved executor receives exactly one
     /// `Completed` message, so every push is a batch of one — one lock
-    /// acquisition and one wake per destination, with the counters bumped
-    /// once for the whole fan-out.
+    /// acquisition per destination, with the counters bumped once for the
+    /// whole fan-out. A destination is woken only if it has actions parked
+    /// behind a local lock or a resize drain in progress; otherwise the
+    /// message is read at the executor's next claim, ahead of any later
+    /// action.
     fn commit_fanout(&self, txn: &Arc<DoraTxnInner>) {
         let involved: Vec<(TableId, usize)> = txn.involved.lock().iter().copied().collect();
         incr_by(CounterKind::DoraMessages, involved.len() as u64);
@@ -482,19 +498,17 @@ impl DoraEngine {
         let mut table_executors = Vec::with_capacity(executors);
         let mut new_workers = Vec::with_capacity(executors);
         for index in 0..executors {
-            let shared = Arc::new(ExecutorShared::new(table, index));
-            let worker = ExecutorWorker::new(Arc::clone(&shared), Arc::clone(&self.inner));
             // Round-robin executors (across all tables) over the partitioned
             // log streams, leaving stream 0 to unbound threads — the
-            // baseline engine and client dispatchers.
+            // baseline engine and secondary actions.
             let spawned = self.inner.executors_spawned.fetch_add(1, Ordering::Relaxed);
             let stream = self.inner.db.log_manager().executor_stream(spawned);
+            let shared = Arc::new(ExecutorShared::new(table, index, stream));
+            let resident = Arc::clone(&shared);
+            let engine = Arc::clone(&self.inner);
             let handle = std::thread::Builder::new()
                 .name(format!("dora-exec-{}-{}", table.0, index))
-                .spawn(move || {
-                    dora_storage::bind_executor_log_stream(stream);
-                    worker.run()
-                })
+                .spawn(move || resident.run_resident(&engine))
                 .map_err(|e| DbError::InvalidOperation(format!("spawn failed: {e}")))?;
             table_executors.push(shared);
             new_workers.push(handle);

@@ -1,17 +1,28 @@
-//! Executors: the worker threads DORA couples with data.
+//! Executors: the workers DORA couples with data.
 //!
 //! Each executor owns three structures (Section 4.1.3): a queue of incoming
-//! actions, a queue of completed transactions and a thread-local lock table.
+//! actions, a queue of completed transactions and a private lock table.
 //! Incoming work is served strictly in FIFO order; actions that conflict on
 //! the local lock table are parked and retried when a completed-transaction
 //! notification releases the blocking locks.
+//!
+//! An executor is a *role*, not a thread. The inbox mutex guards
+//! `(queue, claimed)`; the private structures sit behind the claim, and
+//! whoever holds it — a dispatcher that found the inbox idle
+//! (`InboxGuard::try_claim`), or the executor's resident thread
+//! (`ExecutorShared::run_resident`) once woken — runs the batch through the
+//! same code (`Claim::run`). A loaded executor is never found idle, so its
+//! resident thread holds claims back to back, as in the paper; a lightly
+//! loaded one is run by the threads that send it work, and nobody is woken.
+//! A `Completed` wakes the resident thread only if something waits for the
+//! locks it frees; otherwise it is read at the next claim.
 //!
 //! The executor also implements its side of the dataset-resize protocol
 //! (Appendix A.2.1): on a `StartResize` message it stops serving actions of
 //! *new* transactions until every transaction it already participates in has
 //! left the system, signals the resource manager, and on `FinishResize`
 //! re-dispatches the deferred actions through the (by then updated) routing
-//! table.
+//! table. Control messages are read by the resident thread only.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -21,6 +32,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use dora_common::prelude::*;
 use dora_metrics::{incr, time_section, CounterKind, TimeCategory};
+use dora_storage::StreamId;
 
 use crate::action::{Action, ActionContext};
 use crate::engine::EngineInner;
@@ -86,135 +98,105 @@ impl std::fmt::Debug for Message {
     }
 }
 
-/// A latched executor inbox: messages pushed through it become visible to
-/// the executor when the guard drops. The dispatcher holds guards on every
-/// destination of a phase before pushing any action, which is DORA's atomic
-/// phase submission (Section 4.2.3). The guard refreshes the lock-free depth
-/// mirror on release so [`ExecutorShared::queue_depth`] never touches the
-/// inbox mutex.
+impl Message {
+    /// `true` for the messages any claim holder may run. The control
+    /// messages (`StartResize` / `FinishResize` / `Shutdown`) are the resident
+    /// thread's alone: a dispatcher never claims an inbox that holds one.
+    fn is_work(&self) -> bool {
+        matches!(self, Message::Action(_) | Message::Completed(_))
+    }
+}
+
+/// How many times a dispatcher holding a claim goes back to the inbox for
+/// what arrived while it ran: enough for the later phases and the `Completed`
+/// of the transaction it is running to come back to it, never an open-ended
+/// stream of other clients' work. Past it the claim is handed to the
+/// resident thread.
+const DISPATCHER_REFILLS: usize = 4;
+
+/// What the inbox mutex guards.
+#[derive(Default)]
+struct Inbox {
+    queue: VecDeque<Message>,
+    /// Some thread — the resident one or a dispatcher — holds the executor
+    /// role and will look at the queue again before it lets go.
+    claimed: bool,
+    /// The resident thread is asleep on `available`; nobody else ever is, so
+    /// a notify with this unset would be a system call for nothing.
+    parked: bool,
+    /// The executor has parked waiters or a resize drain in progress, so a
+    /// `Completed` must be read now. Written at claim release; the state it
+    /// summarises only changes under a claim.
+    wake_on_completed: bool,
+}
+
+impl Inbox {
+    /// No control message is queued: a dispatcher may run all of it.
+    fn holds_only_work(&self) -> bool {
+        self.queue.iter().all(Message::is_work)
+    }
+}
+
+/// A latched executor inbox. The dispatcher holds guards on every
+/// destination of a phase before it claims or pushes anything, which is
+/// DORA's atomic phase submission (Section 4.2.3). The guard refreshes the
+/// lock-free depth mirror on release so [`ExecutorShared::queue_depth`] never
+/// touches the inbox mutex.
 pub(crate) struct InboxGuard<'a> {
-    depth: &'a AtomicUsize,
-    queue: MutexGuard<'a, VecDeque<Message>>,
+    executor: &'a Arc<ExecutorShared>,
+    inbox: MutexGuard<'a, Inbox>,
+    /// Messages a claim took out of the queue under this latch: still this
+    /// executor's backlog.
+    taken: usize,
 }
 
 impl InboxGuard<'_> {
-    /// Appends a message to the latched inbox.
-    pub(crate) fn push(&mut self, message: Message) {
-        self.queue.push_back(message);
+    /// Appends a message. Returns whether the resident thread must be woken
+    /// once the latch is released: never when the inbox is claimed (the
+    /// holder looks again before it lets go) and never for a `Completed`
+    /// nobody is waiting for (it is read at the next claim, ahead of any
+    /// later action).
+    #[must_use = "wake the executor when asked to"]
+    pub(crate) fn push(&mut self, message: Message) -> bool {
+        let lazy = matches!(message, Message::Completed(_)) && !self.inbox.wake_on_completed;
+        self.inbox.queue.push_back(message);
+        !self.inbox.claimed && self.inbox.parked && !lazy
+    }
+
+    /// Takes the executor role and the pending messages if the inbox is
+    /// unclaimed and holds nothing but work (the first messages of the
+    /// returned claim's batch — per-source FIFO).
+    pub(crate) fn try_claim(&mut self) -> Option<Claim> {
+        if self.inbox.claimed || !self.inbox.holds_only_work() {
+            return None;
+        }
+        Some(self.claim())
+    }
+
+    fn claim(&mut self) -> Claim {
+        self.inbox.claimed = true;
+        let batch = std::mem::take(&mut self.inbox.queue);
+        self.taken = batch.len();
+        Claim {
+            executor: Arc::clone(self.executor),
+            batch,
+            released: false,
+        }
     }
 }
 
 impl Drop for InboxGuard<'_> {
     fn drop(&mut self) {
-        self.depth.store(self.queue.len(), Ordering::Relaxed);
+        self.executor
+            .depth
+            .store(self.inbox.queue.len() + self.taken, Ordering::Relaxed);
     }
 }
 
-/// The shared (cross-thread) half of an executor: its identity and queue.
-pub(crate) struct ExecutorShared {
-    /// Table this executor serves.
-    pub table: TableId,
-    /// Index of this executor within the table's executor list.
-    pub index: usize,
-    queue: Mutex<VecDeque<Message>>,
-    available: Condvar,
-    /// Lock-free mirror of the inbox length, refreshed by whoever last held
-    /// the queue mutex. Lets monitoring threads (the adaptive controller's
-    /// sampler) read backlogs without contending with the hot path.
-    depth: AtomicUsize,
-    /// Number of actions served, read by the resource manager for load
-    /// balancing.
-    served: AtomicU64,
-}
-
-impl ExecutorShared {
-    pub(crate) fn new(table: TableId, index: usize) -> Self {
-        Self {
-            table,
-            index,
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            depth: AtomicUsize::new(0),
-            served: AtomicU64::new(0),
-        }
-    }
-
-    /// Enqueues a single message and wakes the executor.
-    pub(crate) fn enqueue(&self, message: Message) {
-        self.lock_inbox().push(message);
-        self.available.notify_one();
-    }
-
-    /// Latches the inbox for a batched push. Call [`Self::notify`] after the
-    /// guard drops to wake the executor.
-    pub(crate) fn lock_inbox(&self) -> InboxGuard<'_> {
-        InboxGuard {
-            depth: &self.depth,
-            queue: self.queue.lock(),
-        }
-    }
-
-    /// Wakes the executor after an external push through
-    /// [`Self::lock_inbox`].
-    pub(crate) fn notify(&self) {
-        self.available.notify_one();
-    }
-
-    /// Pops a single message, blocking while the inbox is empty — the
-    /// per-message consumer path (one lock acquisition per message), kept as
-    /// the measurement baseline for `message_batching: false`.
-    pub(crate) fn dequeue(&self) -> Message {
-        let mut queue = self.queue.lock();
-        loop {
-            if let Some(message) = queue.pop_front() {
-                self.depth.store(queue.len(), Ordering::Relaxed);
-                return message;
-            }
-            self.available.wait(&mut queue);
-        }
-    }
-
-    /// Drains the whole inbox into `batch` under a single lock acquisition,
-    /// blocking while the inbox is empty. `batch` must be empty on entry; the
-    /// buffers are *swapped*, so the batch's spare capacity becomes the new
-    /// inbox allocation and the two buffers ping-pong between producer and
-    /// consumer without ever reallocating in steady state.
-    pub(crate) fn dequeue_batch(&self, batch: &mut VecDeque<Message>) {
-        debug_assert!(batch.is_empty(), "drain target must start empty");
-        let mut queue = self.queue.lock();
-        while queue.is_empty() {
-            self.available.wait(&mut queue);
-        }
-        std::mem::swap(&mut *queue, batch);
-        self.depth.store(0, Ordering::Relaxed);
-    }
-
-    /// Number of actions this executor has served so far.
-    pub(crate) fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-
-    /// Current queue depth (diagnostics / load sampling). Reads the atomic
-    /// mirror — never the inbox mutex — so samplers cannot contend with the
-    /// message hot path.
-    pub(crate) fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-}
-
-/// An action parked on the local lock table, together with the wait edges
-/// it registered in the global deadlock detector — so that resolving this
-/// wait removes exactly these edges and no others (the same transaction may
-/// be parked at other executors at the same time).
-struct Parked {
-    action: Action,
-    waits_on: Vec<TxnId>,
-}
-
-/// The thread-private half of an executor.
-pub(crate) struct ExecutorWorker {
-    shared: Arc<ExecutorShared>,
-    engine: Arc<EngineInner>,
+/// The executor-private structures of Section 4.1.3, touched only by the
+/// thread that holds the claim.
+#[derive(Default)]
+struct ExecutorState {
     locks: LocalLockTable,
     /// Actions blocked on the local lock table, in arrival order.
     waiters: VecDeque<Parked>,
@@ -227,49 +209,216 @@ pub(crate) struct ExecutorWorker {
     awaiting_rule: bool,
 }
 
-impl ExecutorWorker {
-    pub(crate) fn new(shared: Arc<ExecutorShared>, engine: Arc<EngineInner>) -> Self {
+/// An executor: its identity, its inbox, and the state behind the claim.
+pub(crate) struct ExecutorShared {
+    /// Table this executor serves.
+    pub table: TableId,
+    /// Index of this executor within the table's executor list.
+    pub index: usize,
+    /// The log stream whoever runs as this executor appends to.
+    stream: StreamId,
+    inbox: Mutex<Inbox>,
+    available: Condvar,
+    /// Lock-free mirror of the backlog, refreshed by whoever last held the
+    /// inbox mutex. Lets monitoring threads (the adaptive controller's
+    /// sampler) read backlogs without contending with the hot path.
+    depth: AtomicUsize,
+    /// Number of actions served, read by the resource manager for load
+    /// balancing.
+    served: AtomicU64,
+    /// Locked only by the claim holder, so never contended: the mutex is
+    /// what lets the state change hands between threads in safe code.
+    state: Mutex<ExecutorState>,
+}
+
+impl ExecutorShared {
+    pub(crate) fn new(table: TableId, index: usize, stream: StreamId) -> Self {
         Self {
-            shared,
-            engine,
-            locks: LocalLockTable::new(),
-            waiters: VecDeque::new(),
-            deferred: Vec::new(),
-            draining: None,
-            awaiting_rule: false,
+            table,
+            index,
+            stream,
+            inbox: Mutex::new(Inbox::default()),
+            available: Condvar::new(),
+            depth: AtomicUsize::new(0),
+            served: AtomicU64::new(0),
+            state: Mutex::new(ExecutorState::default()),
         }
     }
 
-    /// The executor main loop: drain a batch of messages under one inbox
-    /// lock, then process it entirely thread-locally. Control messages
-    /// (`StartResize`/`FinishResize`/`Shutdown`) keep their FIFO position
-    /// relative to actions because the batch is processed in arrival order.
-    /// With `message_batching` off, every message is its own batch (one lock
-    /// acquisition per message — the measurement baseline).
-    pub(crate) fn run(mut self) {
-        let batched = self.engine.config().message_batching;
-        let mut batch = VecDeque::new();
+    /// Enqueues a single message, waking the resident thread if it has to
+    /// be the one to read it.
+    pub(crate) fn enqueue(self: &Arc<Self>, message: Message) {
+        if self.lock_inbox().push(message) {
+            self.notify();
+        }
+    }
+
+    /// Latches the inbox. Call [`Self::notify`] after the guard drops if a
+    /// push asked for it.
+    pub(crate) fn lock_inbox(self: &Arc<Self>) -> InboxGuard<'_> {
+        InboxGuard {
+            executor: self,
+            inbox: self.inbox.lock(),
+            taken: 0,
+        }
+    }
+
+    /// Wakes the resident thread.
+    pub(crate) fn notify(&self) {
+        self.available.notify_one();
+    }
+
+    /// The resident thread's loop: sleep until the inbox is unclaimed and
+    /// holds something, claim it, run until it is empty. Under load the
+    /// inbox is never empty at release and the thread holds its claims back
+    /// to back, which is the paper's executor; when dispatchers find the
+    /// executor idle they run its work themselves and this thread is left
+    /// asleep.
+    pub(crate) fn run_resident(self: &Arc<Self>, engine: &Arc<EngineInner>) {
         loop {
-            if batched {
-                self.shared.dequeue_batch(&mut batch);
-            } else {
-                batch.push_back(self.shared.dequeue());
-            }
-            incr(CounterKind::InboxDrains);
-            while let Some(message) = batch.pop_front() {
-                match message {
-                    Message::Shutdown => return,
-                    Message::Action(action) => self.handle_incoming(action),
-                    Message::Completed(txn) => self.handle_completed(txn),
-                    Message::StartResize(barrier) => {
-                        self.draining = Some(barrier);
-                        self.awaiting_rule = false;
-                        self.maybe_signal_drained();
-                    }
-                    Message::FinishResize => self.finish_resize(),
+            let claim = {
+                let mut guard = self.lock_inbox();
+                while guard.inbox.claimed || guard.inbox.queue.is_empty() {
+                    guard.inbox.parked = true;
+                    self.available.wait(&mut guard.inbox);
+                    guard.inbox.parked = false;
                 }
+                guard.claim()
+            };
+            if claim.run(engine, false) {
+                return;
             }
         }
+    }
+
+    /// Number of actions this executor has served so far.
+    pub(crate) fn served(&self) -> u64 {
+        self.served.load(Ordering::Relaxed)
+    }
+
+    /// Current backlog (diagnostics / load sampling). Reads the atomic
+    /// mirror — never the inbox mutex — so samplers cannot contend with the
+    /// message hot path.
+    pub(crate) fn queue_depth(&self) -> usize {
+        self.depth.load(Ordering::Relaxed)
+    }
+}
+
+/// The executor role, held: exactly one thread at a time runs an executor's
+/// messages against its private state. Dropping a claim that was not
+/// released (unwinding) puts the unread messages back at the head of the
+/// inbox and releases it, so a panic outside [`ExecutorWorker::execute`]'s
+/// supervision cannot wedge the executor.
+pub(crate) struct Claim {
+    executor: Arc<ExecutorShared>,
+    /// Messages to run, oldest first.
+    batch: VecDeque<Message>,
+    released: bool,
+}
+
+impl Claim {
+    /// Appends a message behind the ones taken from the inbox.
+    pub(crate) fn push(&mut self, message: Message) {
+        self.batch.push_back(message);
+    }
+
+    /// Runs the batch, then whatever arrived meanwhile — all of it for the
+    /// resident thread; for a dispatcher (`inline`) at most
+    /// [`DISPATCHER_REFILLS`] refills and never a control message — and
+    /// releases the claim. Returns `true` when `Shutdown` was read.
+    pub(crate) fn run(mut self, engine: &Arc<EngineInner>, inline: bool) -> bool {
+        let executor = Arc::clone(&self.executor);
+        dora_storage::with_executor_log_stream(executor.stream, || {
+            let mut worker = ExecutorWorker {
+                shared: &executor,
+                engine,
+                state: executor.state.lock(),
+                inline,
+            };
+            let mut refills = 0;
+            loop {
+                incr(CounterKind::InboxDrains);
+                while let Some(message) = self.batch.pop_front() {
+                    match message {
+                        Message::Shutdown => return true,
+                        Message::Action(action) => worker.handle_incoming(action),
+                        Message::Completed(txn) => worker.handle_completed(txn),
+                        Message::StartResize(barrier) => worker.start_resize(barrier),
+                        Message::FinishResize => worker.finish_resize(),
+                    }
+                }
+                let wake_on_completed =
+                    !worker.state.waiters.is_empty() || worker.state.draining.is_some();
+                let mut inbox = executor.inbox.lock();
+                let refill = !inbox.queue.is_empty()
+                    && (!inline || (refills < DISPATCHER_REFILLS && inbox.holds_only_work()));
+                if !refill {
+                    self.release(inbox, wake_on_completed);
+                    return false;
+                }
+                // Swapped, not taken: while a claim lasts the two buffers
+                // ping-pong between producers and consumer without
+                // reallocating.
+                std::mem::swap(&mut inbox.queue, &mut self.batch);
+                executor.depth.store(self.batch.len(), Ordering::Relaxed);
+                refills += 1;
+            }
+        })
+    }
+
+    /// Gives the role up. A non-empty inbox is handed to the resident thread
+    /// with a wake.
+    fn release(&mut self, mut inbox: MutexGuard<'_, Inbox>, wake_on_completed: bool) {
+        while let Some(message) = self.batch.pop_back() {
+            inbox.queue.push_front(message);
+        }
+        inbox.claimed = false;
+        inbox.wake_on_completed = wake_on_completed;
+        let wake = inbox.parked && !inbox.queue.is_empty();
+        self.executor
+            .depth
+            .store(inbox.queue.len(), Ordering::Relaxed);
+        drop(inbox);
+        if wake {
+            self.executor.notify();
+        }
+        self.released = true;
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if !self.released {
+            let executor = Arc::clone(&self.executor);
+            // What the state needs is unknown mid-unwind: wake on everything.
+            self.release(executor.inbox.lock(), true);
+        }
+    }
+}
+
+/// An action parked on the local lock table, together with the wait edges
+/// it registered in the global deadlock detector — so that resolving this
+/// wait removes exactly these edges and no others (the same transaction may
+/// be parked at other executors at the same time).
+struct Parked {
+    action: Action,
+    waits_on: Vec<TxnId>,
+}
+
+/// One thread running as an executor for the length of a claim.
+struct ExecutorWorker<'a> {
+    shared: &'a ExecutorShared,
+    engine: &'a Arc<EngineInner>,
+    state: MutexGuard<'a, ExecutorState>,
+    /// The claim is held by a dispatcher, not the resident thread.
+    inline: bool,
+}
+
+impl ExecutorWorker<'_> {
+    fn start_resize(&mut self, barrier: Arc<ResizeBarrier>) {
+        self.state.draining = Some(barrier);
+        self.state.awaiting_rule = false;
+        self.maybe_signal_drained();
     }
 
     fn handle_incoming(&mut self, action: Action) {
@@ -277,8 +426,8 @@ impl ExecutorWorker {
         // involved with are deferred; transactions that already hold local
         // locks here must keep making progress or the drain would never
         // complete.
-        if self.draining.is_some() && !self.locks.holds_any(action.txn.id()) {
-            self.deferred.push(action);
+        if self.state.draining.is_some() && !self.state.locks.holds_any(action.txn.id()) {
+            self.state.deferred.push(action);
             return;
         }
         self.handle_action(action);
@@ -287,6 +436,9 @@ impl ExecutorWorker {
     fn handle_action(&mut self, action: Action) {
         self.shared.served.fetch_add(1, Ordering::Relaxed);
         incr(CounterKind::ActionsExecuted);
+        if self.inline {
+            incr(CounterKind::ActionsInlined);
+        }
         if action.txn.is_aborted() {
             // The transaction was aborted by another action (e.g. invalid
             // input in TM1); executing this action would be wasted work, but
@@ -306,7 +458,13 @@ impl ExecutorWorker {
             self.execute(action);
             return;
         }
+        self.acquire_and_run(action);
+    }
+
+    /// Runs the action if its local lock is granted, parks it otherwise.
+    fn acquire_and_run(&mut self, action: Action) {
         match self
+            .state
             .locks
             .acquire(action.txn.id(), &action.identifier, action.mode)
         {
@@ -346,7 +504,7 @@ impl ExecutorWorker {
                 }
             }
         }
-        self.waiters.push_back(Parked {
+        self.state.waiters.push_back(Parked {
             action,
             waits_on: registered,
         });
@@ -355,8 +513,8 @@ impl ExecutorWorker {
     /// Executes an action body under supervision: a panic — injected by the
     /// chaos plan or a genuine bug — aborts and quarantines the owning
     /// transaction (undo via its log chain, local locks released, its RVP
-    /// still reported) instead of killing the executor thread. The executor
-    /// returns to its inbox either way.
+    /// still reported) instead of killing the thread that runs it. The
+    /// executor goes on with its batch either way.
     fn execute(&mut self, mut action: Action) {
         let body = action.body.take().expect("action body executed once");
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -394,7 +552,7 @@ impl ExecutorWorker {
 
     fn handle_completed(&mut self, txn: TxnId) {
         time_section(TimeCategory::EngineOverhead, || {
-            self.locks.release_txn(txn);
+            self.state.locks.release_txn(txn);
             self.engine.db().lock_manager().remove_external_wait(txn);
         });
         self.retry_waiters();
@@ -408,7 +566,7 @@ impl ExecutorWorker {
     /// and stale edges (or missing fresh ones) would blind the deadlock
     /// detector.
     fn retry_waiters(&mut self) {
-        let parked = std::mem::take(&mut self.waiters);
+        let parked = std::mem::take(&mut self.state.waiters);
         for Parked { action, waits_on } in parked {
             self.engine
                 .db()
@@ -419,29 +577,18 @@ impl ExecutorWorker {
                 self.finish_action(&action.txn, action.phase);
                 continue;
             }
-            match self
-                .locks
-                .acquire(action.txn.id(), &action.identifier, action.mode)
-            {
-                LocalAcquire::Granted => {
-                    action
-                        .txn
-                        .note_involved(self.shared.table, self.shared.index);
-                    self.execute(action);
-                }
-                LocalAcquire::Conflict(owners) => self.park(action, owners),
-            }
+            self.acquire_and_run(action);
         }
     }
 
     fn maybe_signal_drained(&mut self) {
-        if self.awaiting_rule {
+        if self.state.awaiting_rule {
             return;
         }
-        if let Some(barrier) = &self.draining {
-            if self.locks.is_empty() && self.waiters.is_empty() {
+        if let Some(barrier) = &self.state.draining {
+            if self.state.locks.is_empty() && self.state.waiters.is_empty() {
                 barrier.signal();
-                self.awaiting_rule = true;
+                self.state.awaiting_rule = true;
             }
         }
     }
@@ -450,9 +597,9 @@ impl ExecutorWorker {
     /// through the engine (they may now belong to a different executor) and
     /// resume normal service.
     fn finish_resize(&mut self) {
-        self.draining = None;
-        self.awaiting_rule = false;
-        let deferred = std::mem::take(&mut self.deferred);
+        self.state.draining = None;
+        self.state.awaiting_rule = false;
+        let deferred = std::mem::take(&mut self.state.deferred);
         for action in deferred {
             self.engine.redispatch(action);
         }
@@ -474,70 +621,99 @@ mod tests {
         waiter.join().unwrap();
     }
 
-    #[test]
-    fn executor_shared_queue_is_fifo() {
-        let shared = ExecutorShared::new(TableId(1), 0);
-        shared.enqueue(Message::Completed(TxnId(1)));
-        shared.enqueue(Message::Completed(TxnId(2)));
-        assert_eq!(shared.queue_depth(), 2);
-        match shared.dequeue() {
-            Message::Completed(txn) => assert_eq!(txn, TxnId(1)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match shared.dequeue() {
-            Message::Completed(txn) => assert_eq!(txn, TxnId(2)),
-            other => panic!("unexpected {other:?}"),
-        }
+    fn idle_executor() -> Arc<ExecutorShared> {
+        Arc::new(ExecutorShared::new(TableId(1), 0, StreamId(0)))
     }
 
-    #[test]
-    fn lock_inbox_then_notify_delivers_message() {
-        let shared = Arc::new(ExecutorShared::new(TableId(1), 0));
-        {
-            let mut inbox = shared.lock_inbox();
-            inbox.push(Message::Completed(TxnId(9)));
-        }
-        assert_eq!(shared.queue_depth(), 1, "guard drop must refresh depth");
-        shared.notify();
-        match shared.dequeue() {
-            Message::Completed(txn) => assert_eq!(txn, TxnId(9)),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(shared.queue_depth(), 0);
-    }
-
-    #[test]
-    fn dequeue_batch_drains_everything_in_fifo_order() {
-        let shared = ExecutorShared::new(TableId(1), 0);
-        for id in 1..=5 {
-            shared.enqueue(Message::Completed(TxnId(id)));
-        }
-        assert_eq!(shared.queue_depth(), 5);
-        let mut batch = VecDeque::new();
-        shared.dequeue_batch(&mut batch);
-        assert_eq!(shared.queue_depth(), 0);
-        let drained: Vec<TxnId> = batch
+    fn completed_ids(batch: &VecDeque<Message>) -> Vec<TxnId> {
+        batch
             .iter()
             .map(|message| match message {
                 Message::Completed(txn) => *txn,
                 other => panic!("unexpected {other:?}"),
             })
-            .collect();
-        assert_eq!(drained, (1..=5).map(TxnId).collect::<Vec<_>>());
+            .collect()
     }
 
     #[test]
-    fn dequeue_batch_blocks_until_work_arrives() {
-        let shared = Arc::new(ExecutorShared::new(TableId(1), 0));
-        let shared2 = Arc::clone(&shared);
-        let consumer = std::thread::spawn(move || {
-            let mut batch = VecDeque::new();
-            shared2.dequeue_batch(&mut batch);
-            batch.len()
-        });
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert!(!consumer.is_finished(), "must block on an empty inbox");
+    fn claim_takes_pending_messages_first_in_fifo_order() {
+        let shared = idle_executor();
+        for id in 1..=3 {
+            shared.enqueue(Message::Completed(TxnId(id)));
+        }
+        assert_eq!(shared.queue_depth(), 3);
+        let mut claim = shared.lock_inbox().try_claim().expect("idle inbox");
+        claim.push(Message::Completed(TxnId(4)));
+        assert_eq!(
+            completed_ids(&claim.batch),
+            (1..=4).map(TxnId).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            shared.queue_depth(),
+            3,
+            "messages a claim took are still backlog"
+        );
+    }
+
+    #[test]
+    fn a_claimed_inbox_is_pushed_to_and_never_woken() {
+        let shared = idle_executor();
+        let claim = shared.lock_inbox().try_claim().expect("idle inbox");
+        let mut inbox = shared.lock_inbox();
+        assert!(inbox.try_claim().is_none(), "one holder at a time");
+        assert!(!inbox.push(Message::Completed(TxnId(1))));
+        drop(inbox);
+        assert_eq!(shared.queue_depth(), 1);
+        drop(claim);
+    }
+
+    #[test]
+    fn dispatchers_leave_control_messages_to_the_resident_thread() {
+        let shared = idle_executor();
         shared.enqueue(Message::Completed(TxnId(1)));
-        assert_eq!(consumer.join().unwrap(), 1);
+        shared.enqueue(Message::FinishResize);
+        assert!(shared.lock_inbox().try_claim().is_none());
+        assert_eq!(shared.queue_depth(), 2, "nothing was consumed");
+    }
+
+    #[test]
+    fn an_unwinding_claim_puts_its_batch_back_and_releases() {
+        let shared = idle_executor();
+        shared.enqueue(Message::Completed(TxnId(1)));
+        shared.enqueue(Message::Completed(TxnId(2)));
+        let shared2 = Arc::clone(&shared);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _claim = shared2.lock_inbox().try_claim().expect("idle inbox");
+            shared2.enqueue(Message::Completed(TxnId(3)));
+            std::panic::panic_any(InjectedPanic);
+        }));
+        assert!(unwound.is_err());
+        let claim = shared
+            .lock_inbox()
+            .try_claim()
+            .expect("the panic released the claim");
+        assert_eq!(
+            completed_ids(&claim.batch),
+            vec![TxnId(1), TxnId(2), TxnId(3)],
+            "unread messages return to the head of the inbox"
+        );
+    }
+
+    #[test]
+    fn only_a_parked_resident_thread_is_woken_and_not_for_a_lazy_completed() {
+        let shared = idle_executor();
+        // Nobody is parked: no push asks for a wake.
+        assert!(!shared.lock_inbox().push(Message::FinishResize));
+        shared.lock_inbox().inbox.queue.clear();
+
+        shared.lock_inbox().inbox.parked = true;
+        assert!(
+            !shared.lock_inbox().push(Message::Completed(TxnId(1))),
+            "no waiter, no drain: the Completed is read at the next claim"
+        );
+        assert!(shared.lock_inbox().push(Message::FinishResize));
+
+        shared.lock_inbox().inbox.wake_on_completed = true;
+        assert!(shared.lock_inbox().push(Message::Completed(TxnId(2))));
     }
 }

@@ -21,8 +21,9 @@
 //!   templates, run once per workload at bind time: steps whose template
 //!   conflicts with nothing skip the local-lock-table probe entirely, and
 //!   high-abort programs are auto-derived as DORA-S serialized plans.
-//! * [`executor`] — executor threads with incoming and completed queues,
-//!   serving actions in FIFO order.
+//! * [`executor`] — executors with incoming and completed queues, serving
+//!   actions in FIFO order; a role held by whichever thread claimed the
+//!   inbox (the dispatcher that found it idle, or the resident thread).
 //! * [`engine`] — the [`DoraEngine`]: dispatching, atomic phase submission
 //!   (the deadlock-avoidance rule of Section 4.2.3), the terminal-RVP commit
 //!   protocol (steps 9–12 of Figure 9) and secondary-action handling

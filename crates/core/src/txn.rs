@@ -45,30 +45,46 @@ impl Rvp {
 /// finishes.
 #[derive(Debug, Default)]
 pub struct Completion {
-    state: Mutex<Option<DbResult<()>>>,
+    state: Mutex<CompletionState>,
     cond: Condvar,
 }
 
+#[derive(Debug, Default)]
+struct CompletionState {
+    outcome: Option<DbResult<()>>,
+    /// A client is parked on `cond`. A transaction that ran on its client's
+    /// own thread is often finished before the client waits; the notify (a
+    /// system call even with nobody waiting) is skipped then.
+    parked: bool,
+}
+
 impl Completion {
-    /// Publishes the outcome and wakes the waiting client.
+    /// Publishes the outcome and wakes the waiting client, if any.
     pub fn finish(&self, outcome: DbResult<()>) {
         let mut state = self.state.lock();
-        *state = Some(outcome);
-        self.cond.notify_all();
+        state.outcome = Some(outcome);
+        let wake = state.parked;
+        drop(state);
+        if wake {
+            self.cond.notify_all();
+        }
     }
 
     /// Blocks until the outcome is published.
     pub fn wait(&self) -> DbResult<()> {
         let mut state = self.state.lock();
-        while state.is_none() {
+        loop {
+            if let Some(outcome) = &state.outcome {
+                return outcome.clone();
+            }
+            state.parked = true;
             self.cond.wait(&mut state);
         }
-        state.clone().expect("checked above")
     }
 
     /// Non-blocking check (used by tests).
     pub fn try_get(&self) -> Option<DbResult<()>> {
-        self.state.lock().clone()
+        self.state.lock().outcome.clone()
     }
 }
 

@@ -50,14 +50,13 @@ pub enum CounterKind {
     /// repartitioning controller.
     RoutingResizes = 16,
     /// Producer-side executor-inbox pushes: one per lock acquisition on a
-    /// destination queue (a push may carry many messages when batching is
-    /// on). `DoraMessages / DispatchBatches` is the average producer batch
-    /// size.
+    /// destination queue (a push may carry many messages).
+    /// `DoraMessages / DispatchBatches` is the average producer batch size.
     DispatchBatches = 17,
-    /// Consumer-side executor-inbox drains: one per lock acquisition that
-    /// handed the executor work (the whole backlog when batching is on, a
-    /// single message otherwise). `DoraMessages / InboxDrains` is the
-    /// average drain batch size.
+    /// Consumer-side executor-inbox drains: one per batch of messages run
+    /// under a claim, whoever held it (the executor's resident thread or a
+    /// dispatcher). `DoraMessages / InboxDrains` is the average drain batch
+    /// size.
     InboxDrains = 18,
     /// Transactions that exhausted a conventional engine's deadlock-retry
     /// budget (the `GaveUp` outcome). Kept separate from [`TxnAborted`]
@@ -137,10 +136,15 @@ pub enum CounterKind {
     /// ran unrouted on the submitting thread. Declared-secondary steps are
     /// intentional and not counted.
     SecondaryFallbacks = 40,
+    /// Actions executed under a dispatcher-held claim: the dispatching
+    /// thread found the destination executor idle and ran the batch itself
+    /// instead of waking the executor's resident thread. A subset of
+    /// [`ActionsExecuted`](CounterKind::ActionsExecuted).
+    ActionsInlined = 41,
 }
 
 /// Number of [`CounterKind`] variants; sizes the per-thread arrays.
-pub const COUNTER_KIND_COUNT: usize = 41;
+pub const COUNTER_KIND_COUNT: usize = 42;
 
 /// All counters, in `repr` order.
 pub const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
@@ -185,6 +189,7 @@ pub const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
     CounterKind::SnapshotReads,
     CounterKind::LockProbesElided,
     CounterKind::SecondaryFallbacks,
+    CounterKind::ActionsInlined,
 ];
 
 impl CounterKind {
@@ -237,6 +242,7 @@ impl CounterKind {
             CounterKind::SnapshotReads => "snapshot-reads",
             CounterKind::LockProbesElided => "lock-probes-elided",
             CounterKind::SecondaryFallbacks => "secondary-fallbacks",
+            CounterKind::ActionsInlined => "actions-inlined",
         }
     }
 }

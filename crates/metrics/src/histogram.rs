@@ -258,6 +258,21 @@ mod tests {
         assert_eq!(a.max(), 8);
     }
 
+    /// Pins the argument's scale (0..=100): `percentile(0.99)` is close to
+    /// the minimum, which on a skewed sample lies below the mean.
+    #[test]
+    fn p99_of_a_skewed_sample_is_not_below_its_mean() {
+        let mut histogram = LatencyHistogram::new();
+        for _ in 0..980 {
+            histogram.record(Duration::from_micros(10));
+        }
+        for _ in 0..20 {
+            histogram.record(Duration::from_micros(5_000));
+        }
+        assert!(histogram.percentile(99.0) >= histogram.mean());
+        assert!(histogram.percentile(0.99) < histogram.mean());
+    }
+
     #[test]
     fn percentile_is_monotone() {
         let mut histogram = LatencyHistogram::new();

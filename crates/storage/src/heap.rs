@@ -109,20 +109,24 @@ impl HeapFile {
             let mut state = self.state.lock(TimeCategory::OtherContention);
             state.candidates.retain(|p| *p != page_id);
         }
-        // Allocate a new page.
+        // Allocate a new page. It is offered to other inserters only once
+        // this record is in it: offered first, they could fill it before
+        // this thread gets to it, and the refusal below would blame a small
+        // record for being larger than a page.
         let page_id = {
             let mut state = self.state.lock(TimeCategory::OtherContention);
             let id = PageId(state.page_count);
             state.page_count += 1;
-            state.candidates.push(id);
             id
         };
-        match self.try_insert_into(page_id, record, &mut on_insert)? {
-            Some(rid) => Ok(rid),
-            // A freshly allocated page refusing the record means the record
-            // is larger than a page.
-            None => Err(DbError::PageFull { table: self.table }),
-        }
+        let inserted = self.try_insert_into(page_id, record, &mut on_insert);
+        self.state
+            .lock(TimeCategory::OtherContention)
+            .candidates
+            .push(page_id);
+        // A page nobody else could reach refusing the record means the
+        // record is larger than a page.
+        inserted?.ok_or(DbError::PageFull { table: self.table })
     }
 
     fn try_insert_into(
@@ -382,6 +386,46 @@ mod tests {
         match heap.read(missing) {
             Err(DbError::InvalidRid { table, .. }) => assert_eq!(table, TableId(1)),
             other => panic!("expected InvalidRid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_new_page_is_offered_only_after_its_allocators_record_is_in() {
+        let heap = heap();
+        let mut offered_early = None;
+        let rid = heap
+            .insert_with(b"first", |rid| {
+                // Runs under the page latch, right after the record went in.
+                let state = heap.state.lock(TimeCategory::OtherContention);
+                offered_early = Some(state.candidates.contains(&rid.page));
+            })
+            .unwrap();
+        assert_eq!(offered_early, Some(false));
+        let state = heap.state.lock(TimeCategory::OtherContention);
+        assert!(state.candidates.contains(&rid.page), "offered afterwards");
+    }
+
+    /// Two records fill a page, so every other insert allocates one: a page
+    /// offered before its allocator used it is filled by the other threads
+    /// within a few hundred inserts, and the allocator's record is refused.
+    #[test]
+    fn concurrent_inserts_never_find_their_fresh_page_full() {
+        let store = Arc::new(PageStore::new());
+        let pool = Arc::new(BufferPool::new(store, 4096, 1024));
+        let heap = Arc::new(HeapFile::new(TableId(3), pool));
+        let record = [7u8; 400];
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let heap = Arc::clone(&heap);
+                std::thread::spawn(move || {
+                    for _ in 0..300 {
+                        heap.insert(&record).expect("a 400-byte record fits a page");
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
         }
     }
 

@@ -46,7 +46,7 @@ pub use db::{CommitHandle, Database, SecondaryEntry, TxnHandle};
 pub use latch::{Latch, LatchGuard};
 pub use lock::{LockId, LockManager, LockMode};
 pub use log::{
-    bind_executor_log_stream, bound_log_stream, Checkpoint, LogManager, LogRecord, LogRecordKind,
+    bound_log_stream, with_executor_log_stream, Checkpoint, LogManager, LogRecord, LogRecordKind,
     Lsn, StreamId, StreamStats,
 };
 pub use mvcc::{ChainRead, MvccStats, Snapshot, VersionStore};

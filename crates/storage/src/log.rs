@@ -3,8 +3,8 @@
 //!
 //! The log is sharded into [`DurabilityConfig::log_streams`] independent
 //! streams. Stream 0 serves unbound threads (baseline workers, clients and
-//! secondary actions); DORA executor threads bind to the remaining streams
-//! round-robin ([`bind_executor_log_stream`]). Each stream assigns its own
+//! secondary actions); DORA executors bind to the remaining streams
+//! round-robin ([`with_executor_log_stream`]). Each stream assigns its own
 //! dense, stream-local LSNs, buffers records in memory (the paper keeps the
 //! log on an in-memory file system), and runs its *own* group-commit
 //! flusher daemon with an independent adaptive window — so commit batching
@@ -74,13 +74,22 @@ thread_local! {
     static BOUND_STREAM: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Binds the calling thread to `stream`: every record it appends from now
-/// on goes to that stream (clamped to the stream count of whichever log it
-/// appends to). DORA executor threads call this once at spawn; unbound
-/// threads — baseline workers, clients, secondary actions — use stream 0,
-/// the dedicated baseline stream.
-pub fn bind_executor_log_stream(stream: StreamId) {
-    BOUND_STREAM.with(|bound| bound.set(Some(stream.0)));
+/// Runs `f` with the calling thread bound to `stream`, restoring the
+/// previous binding afterwards (unwinding included): every record `f`
+/// appends goes to that stream (clamped to the stream count of whichever log
+/// it appends to). A DORA executor is a role any thread may hold for the
+/// length of a batch, and whoever runs the batch appends to that executor's
+/// stream; unbound threads — baseline workers, clients, secondary actions —
+/// use stream 0, the dedicated baseline stream.
+pub fn with_executor_log_stream<R>(stream: StreamId, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            BOUND_STREAM.with(|bound| bound.set(self.0));
+        }
+    }
+    let _restore = Restore(BOUND_STREAM.with(|bound| bound.replace(Some(stream.0))));
+    f()
 }
 
 /// The stream the calling thread is bound to, if any.
@@ -187,6 +196,19 @@ struct FlusherQueue {
     /// When the oldest pending commit arrived (starts the group window).
     first_arrival: Option<Instant>,
     shutdown: bool,
+    /// The flusher is asleep on `work_cond`. Submitters notify only then:
+    /// std's futex condvar makes a system call per notify even with nobody
+    /// waiting, and a flusher inside a device write finds the queue anyway.
+    parked: bool,
+}
+
+/// The durable horizon mirror parked committers wait on.
+#[derive(Default)]
+struct DurableHorizon {
+    lsn: u64,
+    /// Committers currently parked on `durable_cond`; the flusher
+    /// broadcasts only when there are any.
+    waiters: usize,
 }
 
 /// State shared between one stream, its committers and its flusher daemon.
@@ -198,7 +220,7 @@ struct FlushCore {
     last_assigned: AtomicU64,
     /// Condvar ticket queue keyed by LSN: waiters park here until the
     /// mirror value reaches their LSN; the flusher broadcasts per group.
-    durable: Mutex<u64>,
+    durable: Mutex<DurableHorizon>,
     durable_cond: Condvar,
     /// Work queue for the flusher daemon.
     queue: Mutex<FlusherQueue>,
@@ -225,9 +247,11 @@ impl FlushCore {
     fn advance(&self, new_flushed: u64) {
         self.flushed_lsn.fetch_max(new_flushed, Ordering::AcqRel);
         let mut durable = self.durable.lock();
-        if new_flushed > *durable {
-            *durable = new_flushed;
-            self.durable_cond.notify_all();
+        if new_flushed > durable.lsn {
+            durable.lsn = new_flushed;
+            if durable.waiters > 0 {
+                self.durable_cond.notify_all();
+            }
         }
     }
 
@@ -309,7 +333,9 @@ impl FlushCore {
                         if queue.shutdown {
                             return;
                         }
+                        queue.parked = true;
                         self.work_cond.wait(&mut queue);
+                        queue.parked = false;
                         continue;
                     }
                     if queue.shutdown || window.is_zero() || queue.pending.len() >= max_group {
@@ -322,7 +348,9 @@ impl FlushCore {
                     }
                     // May wake early on new arrivals; the loop re-evaluates
                     // the group-size cutoff and the remaining window.
+                    queue.parked = true;
                     self.work_cond.wait_for(&mut queue, deadline - now);
+                    queue.parked = false;
                 }
                 queue.first_arrival = None;
                 std::mem::take(&mut queue.pending)
@@ -481,7 +509,7 @@ impl LogStream {
             core: Arc::new(FlushCore {
                 flushed_lsn: AtomicU64::new(0),
                 last_assigned: AtomicU64::new(0),
-                durable: Mutex::new(0),
+                durable: Mutex::new(DurableHorizon::default()),
                 durable_cond: Condvar::new(),
                 queue: Mutex::new(FlusherQueue::default()),
                 work_cond: Condvar::new(),
@@ -539,8 +567,11 @@ impl LogStream {
             queue.first_arrival = Some(Instant::now());
         }
         queue.pending.push(PendingCommit { lsn, callback });
+        let wake = queue.parked;
         drop(queue);
-        self.core.work_cond.notify_one();
+        if wake {
+            self.core.work_cond.notify_one();
+        }
     }
 
     /// Starts hardening `lsn` without blocking, where the mode allows it.
@@ -572,13 +603,15 @@ impl LogStream {
     fn wait_durable(&self, lsn: Lsn) -> bool {
         let mut durable = self.core.durable.lock();
         loop {
-            if *durable >= lsn.0 {
+            if durable.lsn >= lsn.0 {
                 return true;
             }
             if self.core.failed.load(Ordering::Acquire) {
                 return false;
             }
+            durable.waiters += 1;
             self.core.durable_cond.wait(&mut durable);
+            durable.waiters -= 1;
         }
     }
 
@@ -1552,13 +1585,15 @@ mod tests {
             .map(|s| {
                 let log = Arc::clone(&log);
                 std::thread::spawn(move || {
-                    bind_executor_log_stream(StreamId(s));
-                    assert_eq!(bound_log_stream(), Some(StreamId(s)));
-                    let (stream, _) = log.append(TxnId(s as u64 + 1), LogRecordKind::Begin);
-                    assert_eq!(stream, StreamId(s));
-                    let (stream, _) =
-                        log.append(TxnId(s as u64 + 1), insert_record(1, 0, s as u16, vec![1]));
-                    assert_eq!(stream, StreamId(s));
+                    with_executor_log_stream(StreamId(s), || {
+                        assert_eq!(bound_log_stream(), Some(StreamId(s)));
+                        let (stream, _) = log.append(TxnId(s as u64 + 1), LogRecordKind::Begin);
+                        assert_eq!(stream, StreamId(s));
+                        let (stream, _) =
+                            log.append(TxnId(s as u64 + 1), insert_record(1, 0, s as u16, vec![1]));
+                        assert_eq!(stream, StreamId(s));
+                    });
+                    assert_eq!(bound_log_stream(), None, "the binding is scoped");
                 })
             })
             .collect();
@@ -1580,8 +1615,9 @@ mod tests {
         log.append(TxnId(1), insert_record(1, 0, 0, vec![1]));
         let log2 = Arc::clone(&log);
         std::thread::spawn(move || {
-            bind_executor_log_stream(StreamId(1));
-            log2.append(TxnId(1), insert_record(1, 0, 1, vec![2]));
+            with_executor_log_stream(StreamId(1), || {
+                log2.append(TxnId(1), insert_record(1, 0, 1, vec![2]))
+            });
         })
         .join()
         .unwrap();

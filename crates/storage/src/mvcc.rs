@@ -104,11 +104,17 @@ impl VersionChain {
         self.versions.drain(..keep_from).count()
     }
 
-    /// `true` once the chain holds nothing but a single tombstone at or
-    /// below `bound`: no snapshot can ever see this row again, the whole
-    /// chain can go.
+    /// `true` once the chain holds nothing but a single *committed*
+    /// tombstone at or below `bound`: no snapshot can ever see this row
+    /// again, the whole chain can go. The ticket-0 "did not exist" base an
+    /// insert seeds is not one: until the inserter publishes, that base is
+    /// all that hides the slot's uncommitted heap bytes from snapshot scans
+    /// (a slot without a chain is trusted as primordial).
     fn is_dead(&self, bound: u64) -> bool {
-        self.versions.len() == 1 && self.versions[0].row.is_none() && self.versions[0].seq <= bound
+        let [only] = &self.versions[..] else {
+            return false;
+        };
+        only.row.is_none() && only.seq > 0 && only.seq <= bound
     }
 }
 
@@ -672,6 +678,26 @@ mod tests {
         store.publish(7, &[(table, r, None)]);
         store.gc_once();
         assert_eq!(store.stats().chains, 0);
+    }
+
+    /// An insert seeds a "did not exist" base under the page latch and
+    /// publishes at commit; a collection pass in between must not drop the
+    /// base, or snapshot scans would trust the slot's uncommitted heap bytes.
+    #[test]
+    fn gc_keeps_the_base_of_an_insert_in_flight() {
+        let store = Arc::new(VersionStore::new());
+        let table = TableId(0);
+        let r = rid(0, 0);
+        store.seed(table, r, None);
+        store.publish(1, &[]);
+        store.gc_once();
+        assert!(
+            matches!(store.read_at(table, r, 1), ChainRead::Invisible),
+            "the slot must not read as primordial while its insert is in flight"
+        );
+        store.publish(2, &[(table, r, bytes(9))]);
+        assert!(matches!(store.read_at(table, r, 1), ChainRead::Invisible));
+        assert!(matches!(store.read_at(table, r, 2), ChainRead::Visible(_)));
     }
 
     #[test]

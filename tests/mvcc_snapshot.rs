@@ -18,6 +18,8 @@
 //!   `recover_prefixes_into` replay cut at those horizons.
 //! * **Bounded history** — version chains are reclaimable once the snapshots
 //!   pinning them are gone.
+//! * **Keys outlive RIDs** — a snapshot pinned before a key was deleted and
+//!   re-inserted (at a new RID) still probes the original row.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +29,7 @@ use dora_repro::common::prelude::*;
 use dora_repro::dora::DoraConfig;
 use dora_repro::engine::{build_engine_with, ExecutionEngine};
 use dora_repro::metrics::{current_thread_snapshot, CounterKind};
-use dora_repro::storage::{Database, Snapshot};
+use dora_repro::storage::{ColumnDef, Database, Snapshot, TableSchema};
 use dora_repro::workloads::{TpcB, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -302,4 +304,53 @@ fn version_chains_are_reclaimed_after_the_last_snapshot_releases() {
         after.oldest_snapshot, None,
         "no snapshot may remain registered"
     );
+}
+
+/// A primary-key probe through a snapshot pinned before the key was deleted
+/// and re-inserted (new RID, new values) still finds the original row.
+#[test]
+fn snapshot_probe_survives_delete_then_reinsert() {
+    let db = Database::for_tests();
+    let table = db
+        .create_table(TableSchema::new(
+            "accounts",
+            vec![
+                ColumnDef::new("id", ValueType::Int),
+                ColumnDef::new("owner", ValueType::Text),
+                ColumnDef::new("balance", ValueType::Float),
+            ],
+            vec![0],
+        ))
+        .unwrap();
+    let account = |owner: &str, balance: f64| -> Row {
+        vec![
+            Value::Int(1),
+            Value::Text(owner.into()),
+            Value::Float(balance),
+        ]
+    };
+    let setup = db.begin();
+    db.insert(&setup, table, account("alice", 100.0), CcMode::Full)
+        .unwrap();
+    db.commit(&setup).unwrap();
+
+    let old = Arc::new(db.snapshot());
+
+    let deleter = db.begin();
+    db.delete_primary(&deleter, table, &Key::int(1), CcMode::Full)
+        .unwrap();
+    db.commit(&deleter).unwrap();
+    let inserter = db.begin();
+    db.insert(&inserter, table, account("alice-v2", 7.0), CcMode::Full)
+        .unwrap();
+    db.commit(&inserter).unwrap();
+
+    let reader = db.begin_snapshot(Arc::clone(&old));
+    let got = db
+        .probe_primary(&reader, table, &Key::int(1), false, CcMode::Full)
+        .unwrap();
+    db.commit(&reader).unwrap();
+    let (_, row) = got.expect("snapshot pinned before the delete must still see key 1");
+    assert_eq!(row[1], Value::Text("alice".into()));
+    assert_eq!(row[2], Value::Float(100.0));
 }

@@ -3,7 +3,8 @@
 //! double-apply work.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 use dora_repro::common::prelude::*;
 use dora_repro::dora::adaptive::balanced_rule;
@@ -107,6 +108,94 @@ fn rebalances_while_transactions_keep_running() {
     assert_eq!(
         sum as u64, total_executed,
         "no increment may be lost or applied twice across resizes"
+    );
+    engine.shutdown();
+}
+
+/// A resize started while dispatchers hold the executors' claims: the
+/// `StartResize` messages land behind the claims, the dispatchers leave them
+/// to the resident threads (they never consume a control message), and the
+/// drain completes once the transactions the dispatchers were running are
+/// done.
+#[test]
+fn resize_started_while_dispatchers_hold_claims_drains_and_finishes() {
+    let rows = 100i64;
+    let (db, table) = counters_db(rows);
+    let engine = Arc::new(DoraEngine::new(Arc::clone(&db), DoraConfig::for_tests()));
+    // Keys 1..=50 on executor 0, 51..=100 on executor 1.
+    engine.bind_table(table, 2, 1, rows).unwrap();
+
+    // Two dispatchers, each inside an action on its own executor, on its own
+    // thread: both claims are held until the barrier opens.
+    let inside = Arc::new(Barrier::new(3));
+    let proceed = Arc::new(Barrier::new(3));
+    let dispatchers: Vec<_> = [1i64, 60]
+        .into_iter()
+        .map(|id| {
+            let engine = Arc::clone(&engine);
+            let inside = Arc::clone(&inside);
+            let proceed = Arc::clone(&proceed);
+            std::thread::spawn(move || {
+                let mut graph = FlowGraph::new();
+                graph.push(ActionSpec::new(
+                    "held",
+                    table,
+                    Key::int(id),
+                    LocalMode::Exclusive,
+                    move |ctx| {
+                        inside.wait();
+                        proceed.wait();
+                        ctx.db
+                            .update_primary(ctx.txn, table, &Key::int(id), CcMode::None, |row| {
+                                row[1] = Value::Int(1);
+                                Ok(())
+                            })
+                    },
+                ));
+                engine.execute(graph)
+            })
+        })
+        .collect();
+    inside.wait();
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let resizer = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || {
+            let manager = ResourceManager::new(DoraConfig::for_tests());
+            let result = manager.rebalance(
+                &engine,
+                table,
+                RoutingRule::Range {
+                    boundaries: vec![20],
+                },
+            );
+            done_tx.send(result).unwrap();
+        })
+    };
+    // Both `StartResize` messages are queued behind the claims.
+    while engine.executor_queue_depths(table).unwrap() != [1, 1] {
+        std::thread::yield_now();
+    }
+    assert!(
+        done_rx.try_recv().is_err(),
+        "the drain waits for the transactions in flight"
+    );
+
+    proceed.wait();
+    done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the resize finished")
+        .unwrap();
+    resizer.join().unwrap();
+    for dispatcher in dispatchers {
+        dispatcher.join().unwrap().unwrap();
+    }
+    // Key 30 moved to executor 1 with the new rule.
+    engine.execute(bump(table, 30)).unwrap();
+    assert_eq!(
+        engine.routing().route(table, &Key::int(30)).unwrap(),
+        Some(1)
     );
     engine.shutdown();
 }
