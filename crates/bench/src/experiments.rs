@@ -973,13 +973,17 @@ pub struct CommitRow {
     pub tps: f64,
     /// Transactions committed.
     pub committed: u64,
-    /// Device writes the flusher daemon performed (0 in sync mode; the
-    /// whole run, warm-up included).
+    /// Device writes performed, by committers and flusher daemons alike
+    /// (the whole run, warm-up included).
     pub flush_groups: u64,
-    /// Mean commit records hardened per flusher device write.
+    /// Mean commit fences hardened per device write.
     pub mean_group: f64,
     /// Largest flush group observed.
     pub max_group: u64,
+    /// Share of the measured interval's device writes a committer performed
+    /// under the flush claim (`LeaderFlushes ÷ LogFlushes`): 1.000 when
+    /// every client blocks for its commit, as the closed-loop driver's do.
+    pub led_share: f64,
     /// Transactions whose locks were released before durability.
     pub elr_releases: u64,
     /// Mean client-visible commit wait, in microseconds.
@@ -1019,7 +1023,7 @@ impl CommitSummary {
                         "    {{\"engine\": \"{}\", \"mode\": \"{}\", ",
                         "\"flush_us\": {}, \"streams\": {}, \"tps\": {:.1}, \"committed\": {}, ",
                         "\"flush_groups\": {}, \"mean_group\": {:.3}, ",
-                        "\"max_group\": {}, \"elr_releases\": {}, ",
+                        "\"max_group\": {}, \"led_share\": {:.3}, \"elr_releases\": {}, ",
                         "\"commit_wait_us\": {:.1}, \"latency_us\": {:.1}}}"
                     ),
                     row.engine,
@@ -1031,6 +1035,7 @@ impl CommitSummary {
                     row.flush_groups,
                     row.mean_group,
                     row.max_group,
+                    row.led_share,
                     row.elr_releases,
                     row.commit_wait_us,
                     row.latency_us,
@@ -1115,6 +1120,8 @@ fn run_commit_cell(
         flush_groups: groups.count(),
         mean_group: groups.mean(),
         max_group: groups.max(),
+        led_share: result.metrics.counter(CounterKind::LeaderFlushes) as f64
+            / result.metrics.counter(CounterKind::LogFlushes).max(1) as f64,
         elr_releases: result.metrics.counter(CounterKind::ElrEarlyReleases),
         commit_wait_us: result.mean_commit_wait().as_nanos() as f64 / 1_000.0,
         latency_us: result.latency.mean().as_nanos() as f64 / 1_000.0,
@@ -1126,7 +1133,7 @@ fn run_commit_cell(
 /// lock release, across simulated log-device latencies, on both engines.
 /// Not a paper figure — it probes the Section 5.4 observation that the log
 /// becomes the next bottleneck once lock contention is gone, and quantifies
-/// how far the flusher daemon and ELR push it back.
+/// how far group commit and ELR push it back.
 pub fn commit(scale: &Scale) -> Report {
     commit_with_summary(scale).0
 }
@@ -1181,17 +1188,26 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
         report.blank();
         report.line(format!("  log-device latency {flush_us} us:"));
         report.line(format!(
-            "  {:<10} {:<10} {:>8} {:>10} {:>12} {:>10} {:>12} {:>12}",
-            "engine", "mode", "streams", "tps", "mean group", "elr", "commit(us)", "latency(us)"
+            "  {:<10} {:<10} {:>8} {:>10} {:>12} {:>10} {:>10} {:>12} {:>12}",
+            "engine",
+            "mode",
+            "streams",
+            "tps",
+            "mean group",
+            "led_share",
+            "elr",
+            "commit(us)",
+            "latency(us)"
         ));
         for row in summary.rows.iter().filter(|r| r.flush_us == flush_us) {
             report.line(format!(
-                "  {:<10} {:<10} {:>8} {:>10.0} {:>12.2} {:>10} {:>12.1} {:>12.1}",
+                "  {:<10} {:<10} {:>8} {:>10.0} {:>12.2} {:>10.3} {:>10} {:>12.1} {:>12.1}",
                 row.engine,
                 row.mode,
                 row.streams,
                 row.tps,
                 row.mean_group,
+                row.led_share,
                 row.elr_releases,
                 row.commit_wait_us,
                 row.latency_us,
@@ -1199,9 +1215,9 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
         }
     }
     report.blank();
-    report.line("  (mean group = commit records hardened per flusher device write;");
-    report.line("   sync mode has no flusher, so its group column reads 0;");
-    report.line("   streams = WAL partitions, each with its own flusher daemon)");
+    report.line("  (mean group = commit fences hardened per device write, whoever wrote;");
+    report.line("   led_share = writes a blocked committer performed itself ÷ all writes;");
+    report.line("   streams = WAL partitions, each with its own device and flush claim)");
     (report, summary)
 }
 
@@ -3673,9 +3689,10 @@ mod tests {
                     streams: 1,
                     tps: 1000.0,
                     committed: 100,
-                    flush_groups: 0,
-                    mean_group: 0.0,
-                    max_group: 0,
+                    flush_groups: 90,
+                    mean_group: 1.1,
+                    max_group: 2,
+                    led_share: 1.0,
                     elr_releases: 0,
                     commit_wait_us: 25.5,
                     latency_us: 120.0,
@@ -3690,6 +3707,7 @@ mod tests {
                     flush_groups: 40,
                     mean_group: 6.25,
                     max_group: 16,
+                    led_share: 0.975,
                     elr_releases: 250,
                     commit_wait_us: 80.0,
                     latency_us: 150.0,
@@ -3704,6 +3722,7 @@ mod tests {
         assert!(json.contains("\"mode\": \"sync\""), "{json}");
         assert!(json.contains("\"mode\": \"group+elr\""), "{json}");
         assert!(json.contains("\"mean_group\": 6.250"), "{json}");
+        assert!(json.contains("\"led_share\": 0.975"), "{json}");
         assert!(json.contains("\"elr_releases\": 250"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(

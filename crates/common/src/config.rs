@@ -137,19 +137,19 @@ impl SystemConfig {
     }
 }
 
-/// Commit-path durability knobs: asynchronous group commit and early lock
-/// release (ELR).
+/// Commit-path durability knobs: group commit and early lock release (ELR).
 ///
 /// The paper notes (Section 5.4) that once lock-manager contention is gone
 /// the log manager becomes the next bottleneck for write-heavy workloads.
 /// The standard fixes from the same research line are modelled here:
 ///
-/// * **Group commit** — a dedicated log-flusher daemon batches the commit
-///   records of concurrently committing transactions into one simulated
-///   device write. Committers park on an LSN-keyed ticket queue (or hand the
-///   flusher a completion callback) instead of driving the flush themselves,
-///   so log-device latency is paid once per *group*, not once per
-///   transaction.
+/// * **Group commit** — one simulated device write hardens every commit
+///   record appended before it starts, so log-device latency is paid once
+///   per *group*, not once per transaction. The committer that has to wait
+///   drives the write (leader); committers that arrive while it is in
+///   flight follow — the write covers them, or one of them leads the next.
+///   A log-flusher daemon exists only for commits nobody blocks on, which
+///   hand it a completion callback.
 /// * **Early lock release** — a transaction's locks (centralized and DORA
 ///   thread-local) are released as soon as its commit record is *in the log
 ///   buffer*, before it is durable. Dependent transactions draw strictly
@@ -158,24 +158,32 @@ impl SystemConfig {
 ///   sequence-dense prefix of fully fenced transactions — no "ELR ghosts".
 /// * **Partitioned log streams** — the log itself can be sharded into
 ///   independent streams (one per DORA executor plus a dedicated stream for
-///   the baseline/secondary path), each with its own buffer, flusher daemon
+///   the baseline/secondary path), each with its own buffer, flush claim
 ///   and simulated device, so commit batching parallelizes instead of
 ///   serializing behind one mutex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Run the dedicated log-flusher daemon (asynchronous group commit).
-    /// When `false`, committers drive the flush themselves under a mutex —
-    /// the synchronous baseline for A/B measurements.
+    /// Run a log-flusher daemon per stream for the commits nobody blocks on
+    /// (`commit_async`: DORA transactions submitted without a waiting
+    /// client, and all but one fence of a multi-stream commit wait). A
+    /// committer that blocks never uses it: it takes the stream's flush
+    /// claim and performs the device write itself, or follows the thread
+    /// that holds the claim — one path, whatever this says. When `false`
+    /// there is no daemon and a commit nobody blocks on is hardened by the
+    /// thread that submits it, before it returns — an executor then pays
+    /// the device latency under its claim, the synchronous baseline for A/B
+    /// measurements.
     pub group_commit: bool,
-    /// How long the flusher waits after the first pending commit of a group
-    /// for more commits to accumulate, in microseconds. Zero flushes each
-    /// batch as soon as the daemon wakes — groups then form *naturally*
+    /// How long whoever leads a device write — a committer or the daemon —
+    /// waits after taking the flush claim for more commits to accumulate,
+    /// in microseconds. Zero writes at once — groups then form *naturally*
     /// from the commits that arrive while earlier groups occupy the device,
     /// which adds no idle latency and is the right default; a positive
     /// window trades commit latency for larger groups on slow devices.
     pub group_window_micros: u64,
-    /// Commit records pending past which the flusher stops waiting out the
-    /// window and flushes immediately (bounds group latency under load).
+    /// Commits waiting on the stream (blocked committers plus queued
+    /// callbacks) past which the leader stops waiting out the window and
+    /// writes immediately (bounds group latency under load).
     pub max_group_size: usize,
     /// Release transaction locks at precommit (commit record appended)
     /// instead of after the record is durable. Off = strict two-phase
@@ -224,7 +232,8 @@ impl Default for DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Synchronous commit: caller-driven flush, locks held until durable.
+    /// Synchronous commit: no flusher daemon (every commit is hardened by
+    /// the thread that commits or submits it), locks held until durable.
     /// The measurement baseline the `repro commit` experiment compares
     /// against.
     pub fn sync_commit() -> Self {

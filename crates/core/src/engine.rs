@@ -283,19 +283,28 @@ impl EngineInner {
         }
     }
 
-    /// Terminal-RVP processing (steps 9–12 of Figure 9), rebuilt around
-    /// asynchronous group commit: the reporting executor *precommits*
-    /// (append commit record, apply deferred flags, optionally release
-    /// locks early) and hands the durable wait to the log-flusher daemon
-    /// with a completion callback — it never sleeps on log I/O and
-    /// immediately returns to its inbox. The client is woken from the
-    /// flusher once the commit's group hardens.
+    /// Terminal-RVP processing (steps 9–12 of Figure 9). The reporting
+    /// executor *precommits* (append commit record, apply deferred flags,
+    /// optionally release locks early) and never waits for the log itself —
+    /// it runs under an executor claim, and goes straight back to its
+    /// inbox. Who hardens the commit depends on whether a client is there
+    /// to do it:
+    ///
+    /// * the client blocks in [`DoraEngine::execute`]: the precommitted
+    ///   [`CommitHandle`](dora_storage::CommitHandle) is left on the
+    ///   transaction and the completion finished, and the client redeems it
+    ///   with `commit_wait` on its own thread, holding no claim — it leads
+    ///   or follows the device write, and no flusher thread is involved;
+    /// * nobody blocks ([`DoraEngine::submit`]): the handle goes to
+    ///   `commit_async`, and the completion is finished by whichever thread
+    ///   hardens the last fence.
     ///
     /// With early lock release the `Completed` fan-out (which frees the
     /// transaction's executor-local locks) also happens here, at precommit,
     /// shrinking local-lock hold times to the pre-durability window; with
-    /// ELR off it happens in the durability callback, preserving
-    /// commit-duration locking for A/B runs.
+    /// ELR off it happens once the commit is durable — from the waiting
+    /// client or the durability callback — preserving commit-duration
+    /// locking for A/B runs.
     pub(crate) fn finalize(self: &Arc<Self>, txn: &Arc<DoraTxnInner>) {
         if txn.is_aborted() {
             // Abort never leaks locks even if an undo step fails (the error
@@ -316,12 +325,19 @@ impl EngineInner {
                 self.commit_fanout(txn);
                 txn.completion.finish(Err(error));
             }
+            Ok(handle) if txn.client_waits => {
+                if handle.early_released() {
+                    self.commit_fanout(txn);
+                }
+                *txn.precommitted.lock() = Some(handle);
+                txn.completion.finish(Ok(()));
+            }
             Ok(handle) => {
                 let early_released = handle.early_released();
-                // With group commit the hand-off to the flusher does not
-                // block, so it goes first and the device write overlaps the
-                // fan-out; a synchronous commit pays the device latency in
-                // `commit_async`, so local locks are released before it.
+                // With a flusher daemon the hand-off does not block, so it
+                // goes first and the device write overlaps the fan-out;
+                // without one `commit_async` pays the device latency here,
+                // so local locks are released before it.
                 let fanout_first = early_released && !self.db.config().durability.group_commit;
                 if fanout_first {
                     self.commit_fanout(txn);
@@ -542,8 +558,13 @@ impl DoraEngine {
     }
 
     /// Submits a transaction flow graph and returns a handle without waiting
-    /// for completion.
+    /// for completion. Nobody is known to block on the commit, so the log's
+    /// flusher daemon hardens it and finishes the handle.
     pub fn submit(&self, graph: FlowGraph) -> DbResult<DoraTxn> {
+        self.start(graph, false)
+    }
+
+    fn start(&self, graph: FlowGraph, client_waits: bool) -> DbResult<DoraTxn> {
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return Err(DbError::ShuttingDown);
         }
@@ -554,7 +575,7 @@ impl DoraEngine {
             ));
         }
         let handle = self.inner.db.begin();
-        let txn = DoraTxnInner::new(handle, phases);
+        let txn = DoraTxnInner::new(handle, phases, client_waits);
         // Deliberately not counted as a DoraMessage: the client->engine
         // hand-off is a function call, not an inbox push, and the dispatch
         // metrics divide DoraMessages by the inbox-push/drain counters.
@@ -563,9 +584,24 @@ impl DoraEngine {
     }
 
     /// Submits a flow graph and blocks until the transaction commits or
-    /// aborts — the call every client (dispatcher) thread makes.
+    /// aborts — the call every client (dispatcher) thread makes. Submission
+    /// and wait are one call, so the terminal RVP knows a client is waiting
+    /// and leaves the durable half of the commit to it: once dispatch has
+    /// unwound every executor claim this thread took, it hardens the commit
+    /// itself ([`Database::commit_wait`]) and, with early lock release off,
+    /// performs the post-durable fan-out.
     pub fn execute(&self, graph: FlowGraph) -> DbResult<()> {
-        self.submit(graph)?.wait()
+        let txn = self.start(graph, true)?.inner;
+        txn.completion.wait()?;
+        let Some(handle) = txn.precommitted.lock().take() else {
+            return Ok(());
+        };
+        let early_released = handle.early_released();
+        let durable = self.inner.db.commit_wait(&txn.handle, handle);
+        if !early_released {
+            self.inner.commit_fanout(&txn);
+        }
+        durable
     }
 
     /// Actions served per executor of `table` (the load statistic the

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex};
 
 use dora_common::prelude::*;
-use dora_storage::TxnHandle;
+use dora_storage::{CommitHandle, TxnHandle};
 
 use crate::action::{ActionSpec, Scratch};
 
@@ -109,6 +109,12 @@ pub struct DoraTxnInner {
     pub involved: Mutex<HashSet<(TableId, usize)>>,
     /// Client completion signal.
     pub completion: Completion,
+    /// The submitting client blocks for the outcome in the same call that
+    /// submitted, so it is there to harden the commit on its own thread.
+    pub client_waits: bool,
+    /// Where the terminal RVP leaves the precommitted transaction for a
+    /// waiting client, before it finishes `completion`.
+    pub precommitted: Mutex<Option<CommitHandle>>,
 }
 
 impl std::fmt::Debug for DoraTxnInner {
@@ -123,7 +129,7 @@ impl std::fmt::Debug for DoraTxnInner {
 
 impl DoraTxnInner {
     /// Builds the per-transaction state from an instantiated flow graph.
-    pub fn new(handle: TxnHandle, phases: Vec<Vec<ActionSpec>>) -> Arc<Self> {
+    pub fn new(handle: TxnHandle, phases: Vec<Vec<ActionSpec>>, client_waits: bool) -> Arc<Self> {
         let rvps = phases.iter().map(|p| Rvp::new(p.len())).collect();
         let pending_phases = phases.into_iter().map(Some).collect();
         Arc::new(Self {
@@ -135,6 +141,8 @@ impl DoraTxnInner {
             abort_reason: Mutex::new(None),
             involved: Mutex::new(HashSet::new()),
             completion: Completion::default(),
+            client_waits,
+            precommitted: Mutex::new(None),
         })
     }
 
@@ -230,7 +238,7 @@ mod tests {
     #[test]
     fn abort_keeps_first_reason() {
         let db = Database::for_tests();
-        let txn = DoraTxnInner::new(db.begin(), vec![vec![spec(1)], vec![spec(2)]]);
+        let txn = DoraTxnInner::new(db.begin(), vec![vec![spec(1)], vec![spec(2)]], false);
         assert!(!txn.is_aborted());
         txn.mark_aborted(DbError::TxnAborted {
             txn: txn.id(),
@@ -250,7 +258,7 @@ mod tests {
     #[test]
     fn involved_executors_are_deduplicated() {
         let db = Database::for_tests();
-        let txn = DoraTxnInner::new(db.begin(), vec![vec![spec(1)]]);
+        let txn = DoraTxnInner::new(db.begin(), vec![vec![spec(1)]], false);
         txn.note_involved(TableId(1), 0);
         txn.note_involved(TableId(1), 0);
         txn.note_involved(TableId(2), 1);

@@ -32,7 +32,7 @@ pub enum CounterKind {
     LockWaits = 9,
     /// Log records appended.
     LogRecords = 10,
-    /// Log flushes performed.
+    /// Log-device writes performed, whoever performed them.
     LogFlushes = 11,
     /// Buffer-pool page hits.
     BufferHits = 12,
@@ -64,10 +64,11 @@ pub enum CounterKind {
     ///
     /// [`TxnAborted`]: CounterKind::TxnAborted
     TxnGaveUp = 19,
-    /// Flush groups hardened by the log-flusher daemon: one per simulated
-    /// device write that made at least one commit record durable.
-    /// `LogRecords`-independent; divide the commit count by this for the
-    /// mean flush-group size (the log manager also keeps a histogram).
+    /// Flush groups hardened: one per simulated device write, whoever
+    /// performed it (a committer leading its stream's write, or the
+    /// log-flusher daemon). `LogRecords`-independent; divide the
+    /// commit-fence count by this for the mean flush-group size (the log
+    /// manager also keeps a histogram).
     GroupCommits = 20,
     /// Transactions whose locks (centralized and DORA thread-local) were
     /// released at precommit, before their commit record was durable —
@@ -141,10 +142,16 @@ pub enum CounterKind {
     /// instead of waking the executor's resident thread. A subset of
     /// [`ActionsExecuted`](CounterKind::ActionsExecuted).
     ActionsInlined = 41,
+    /// Log-device writes performed by a committer under the stream's flush
+    /// claim — the thread that had to wait for the write did it, and no
+    /// thread was woken for it. A subset of
+    /// [`LogFlushes`](CounterKind::LogFlushes); the rest are the log-flusher
+    /// daemon's, on behalf of commits nobody blocks on.
+    LeaderFlushes = 42,
 }
 
 /// Number of [`CounterKind`] variants; sizes the per-thread arrays.
-pub const COUNTER_KIND_COUNT: usize = 42;
+pub const COUNTER_KIND_COUNT: usize = 43;
 
 /// All counters, in `repr` order.
 pub const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
@@ -190,6 +197,7 @@ pub const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
     CounterKind::LockProbesElided,
     CounterKind::SecondaryFallbacks,
     CounterKind::ActionsInlined,
+    CounterKind::LeaderFlushes,
 ];
 
 impl CounterKind {
@@ -243,6 +251,7 @@ impl CounterKind {
             CounterKind::LockProbesElided => "lock-probes-elided",
             CounterKind::SecondaryFallbacks => "secondary-fallbacks",
             CounterKind::ActionsInlined => "actions-inlined",
+            CounterKind::LeaderFlushes => "leader-flushes",
         }
     }
 }

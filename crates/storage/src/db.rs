@@ -430,12 +430,17 @@ impl Database {
         self.log.forget(txn.id());
     }
 
-    /// Second half of commit: blocks until every commit fence is durable
-    /// (parking on each stream's group-commit ticket queue, or driving the
-    /// flushes in synchronous mode), then releases locks if precommit did
-    /// not already. The wall-clock wait is charged to
-    /// [`TimeCategory::CommitWait`] so the driver can report commit latency
-    /// separately from execute latency.
+    /// Second half of commit: blocks until every commit fence is durable,
+    /// then releases locks if precommit did not already. The calling thread
+    /// drives the log itself ([`LogManager::flush_fences`]): it performs the
+    /// device write if nobody else is writing that stream, and otherwise
+    /// follows the thread that is — no flusher thread is woken for a commit
+    /// somebody waits on. Call it where a device write may run: not under a
+    /// latch, not while holding a DORA executor's claim. The wall-clock wait
+    /// is charged to [`TimeCategory::CommitWait`] so the driver can report
+    /// commit latency separately from execute latency.
+    ///
+    /// [`LogManager::flush_fences`]: crate::LogManager::flush_fences
     pub fn commit_wait(&self, txn: &TxnHandle, handle: CommitHandle) -> DbResult<()> {
         let mut durable = true;
         if !handle.fences.is_empty() {
@@ -462,16 +467,19 @@ impl Database {
         }
     }
 
-    /// Second half of commit, asynchronous: registers `on_durable` to fire
-    /// once every commit fence hardens, without blocking the caller. This is
-    /// the path DORA's terminal RVP uses so executor threads never sleep on
-    /// log I/O: the callback (running on whichever log-flusher thread
-    /// hardens the last fence) releases any remaining locks and notifies
-    /// the client.
+    /// Second half of commit for a transaction nobody blocks on: registers
+    /// `on_durable` to fire once every commit fence hardens, without
+    /// blocking the caller. DORA's terminal RVP uses it for transactions
+    /// submitted without a waiting client, so executor threads never sleep
+    /// on log I/O: the callback (running on whichever thread hardens the
+    /// last fence — a log-flusher daemon, or a committer whose own write
+    /// covered it) releases any remaining locks and notifies the client.
     ///
-    /// Read-only transactions, and synchronous-commit configurations (where
-    /// the caller must pay the device latency for the A/B comparison to
-    /// hold), complete inline on the calling thread.
+    /// Read-only transactions, and configurations without a flusher daemon
+    /// ([`DurabilityConfig::group_commit`] off: the caller drives the device
+    /// write), complete inline on the calling thread.
+    ///
+    /// [`DurabilityConfig::group_commit`]: dora_common::config::DurabilityConfig::group_commit
     pub fn commit_async(
         self: &Arc<Self>,
         txn: &TxnHandle,
@@ -511,8 +519,8 @@ impl Database {
     }
 
     /// Commits a transaction synchronously: [`Self::precommit`] followed by
-    /// [`Self::commit_wait`]. Under group commit the calling thread parks
-    /// until the flusher daemon hardens the group carrying this commit.
+    /// [`Self::commit_wait`], so the calling thread leads or follows the
+    /// device write that hardens this commit.
     pub fn commit(&self, txn: &TxnHandle) -> DbResult<()> {
         let handle = self.precommit(txn)?;
         self.commit_wait(txn, handle)

@@ -1,16 +1,15 @@
 //! ARIES-style write-ahead logging, partitioned into per-executor streams
-//! with asynchronous group commit.
+//! with leader/follower group commit.
 //!
 //! The log is sharded into [`DurabilityConfig::log_streams`] independent
 //! streams. Stream 0 serves unbound threads (baseline workers, clients and
 //! secondary actions); DORA executors bind to the remaining streams
 //! round-robin ([`with_executor_log_stream`]). Each stream assigns its own
 //! dense, stream-local LSNs, buffers records in memory (the paper keeps the
-//! log on an in-memory file system), and runs its *own* group-commit
-//! flusher daemon with an independent adaptive window — so commit batching
-//! parallelizes across streams instead of serializing behind one mutex
-//! (the log manager is the last centralized structure the paper calls out
-//! in Section 5.4).
+//! log on an in-memory file system), and forms its *own* commit groups on
+//! its own simulated device — so commit batching parallelizes across
+//! streams instead of serializing behind one mutex (the log manager is the
+//! last centralized structure the paper calls out in Section 5.4).
 //!
 //! Cross-stream ordering is recovered from a cheap global **commit
 //! sequence**: at precommit a transaction draws the next sequence number
@@ -28,20 +27,25 @@
 //! durable horizon — is that a crash can discard a fenced transaction
 //! whose concurrently-sequenced neighbour was torn.
 //!
-//! Two durability paths per stream, selected by
-//! [`DurabilityConfig::group_commit`]:
+//! One durability path per stream, and the thread that waits drives it. A
+//! stream's device takes one write at a time, and a write hardens everything
+//! appended before it starts, so the group forms by itself from whatever
+//! arrived during the previous write:
 //!
-//! * **Synchronous** — the committing thread drives the simulated device
-//!   write itself under the stream's flush mutex (with the usual
-//!   piggybacking fast path). Kept as the measurement baseline; composes
-//!   with `log_streams > 1` (per-stream caller-driven flush).
-//! * **Group commit** — a dedicated `log-flusher-N` daemon per stream
-//!   batches pending commit fences into one device write per group.
-//!   Committers either *park* on an LSN-keyed condvar ticket queue
-//!   ([`LogManager::flush`]) or hand the flusher a completion callback
-//!   ([`LogManager::submit_commit`], which fires once *every* touched
-//!   stream's fence is durable) — the path DORA executors use so they
-//!   never sleep on log I/O.
+//! * A committer that must **block** ([`LogManager::flush`],
+//!   [`LogManager::flush_fences`]) takes the stream's flush claim if it is
+//!   free and performs the device write itself — the *leader*; nobody is
+//!   woken to start the write and nobody to report it. One that finds the
+//!   claim held is a *follower*: it returns as soon as a leader's horizon
+//!   covers its LSN, and otherwise takes the claim when it frees
+//!   (yield-polling for about one device latency, then parking).
+//! * A commit **nobody blocks on** ([`LogManager::submit_commit`], which
+//!   fires a callback once *every* touched stream's fence is durable) is
+//!   queued for whoever hardens it next, and the stream's `log-flusher-N`
+//!   daemon — spawned by the first such commit — makes sure somebody does,
+//!   by the same leader/follower rule. With
+//!   [`DurabilityConfig::group_commit`] off there is no daemon and the
+//!   submitting thread drives the write before it returns.
 //!
 //! The log manager also takes **fuzzy checkpoints**
 //! ([`LogManager::maybe_checkpoint`]): the committed history is folded
@@ -51,7 +55,7 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -176,63 +180,148 @@ pub struct LogRecord {
     pub kind: LogRecordKind,
 }
 
-/// Completion callback fired by the flusher once a submitted commit record's
-/// fate is decided: `true` means durable, `false` means the stream's device
-/// writes failed past the retry budget and this commit can never harden
-/// (durability lost). Runs on the flusher thread; must not block on the log.
+/// Completion callback fired once a submitted commit fence's fate is decided:
+/// `true` means durable, `false` means the stream's device writes failed past
+/// the retry budget and this commit can never harden (durability lost). Runs
+/// on whichever thread hardens the fence — a committer leading the stream's
+/// device write, or the stream's daemon — or inline on the submitter when the
+/// fate is already known; must not block on the log.
 pub type DurableCallback = Box<dyn FnOnce(bool) + Send + 'static>;
 
-/// One commit record waiting for the flusher, with its optional completion
-/// callback (parked waiters use the condvar ticket queue instead).
+/// One commit fence nobody blocks on, waiting for its completion callback.
 struct PendingCommit {
     lsn: Lsn,
-    callback: Option<DurableCallback>,
+    callback: DurableCallback,
 }
 
-/// Flusher-side queue state, shared between the daemon and submitters.
+/// The callbacks of a stream, shared between submitters, leaders and the
+/// daemon.
 #[derive(Default)]
 struct FlusherQueue {
     pending: Vec<PendingCommit>,
-    /// When the oldest pending commit arrived (starts the group window).
-    first_arrival: Option<Instant>,
     shutdown: bool,
-    /// The flusher is asleep on `work_cond`. Submitters notify only then:
+    /// The daemon is asleep on `work_cond`. Submitters notify only then:
     /// std's futex condvar makes a system call per notify even with nobody
-    /// waiting, and a flusher inside a device write finds the queue anyway.
+    /// waiting, and a daemon that is awake looks at the queue again anyway.
     parked: bool,
 }
 
-/// The durable horizon mirror parked committers wait on.
-#[derive(Default)]
-struct DurableHorizon {
-    lsn: u64,
-    /// Committers currently parked on `durable_cond`; the flusher
-    /// broadcasts only when there are any.
-    waiters: usize,
+/// Runs a durability callback. The durability work for the callback's group is
+/// already done (horizon advanced, followers woken), so a panicking callback
+/// must not take the thread that hardened it down — a dead daemon would leave
+/// every later callback unanswered, and a committer would lose its own
+/// commit's outcome. Panics are swallowed, counted
+/// ([`CounterKind::CallbackPanics`]) and reported once per process.
+fn fire_callback(callback: DurableCallback, durable: bool) {
+    if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| callback(durable)))
+    {
+        incr(CounterKind::CallbackPanics);
+        static WARNED: AtomicBool = AtomicBool::new(false);
+        if !WARNED.swap(true, Ordering::Relaxed) {
+            eprintln!(
+                "log: durability callback panicked (counted as callback-panics, \
+                 reported once): {panic:?}"
+            );
+        }
+    }
 }
 
-/// State shared between one stream, its committers and its flusher daemon.
-struct FlushCore {
-    /// Highest LSN known durable (lock-free fast path).
+/// Deadline-polls for `duration` (see [`LogStream::device_write_once`] for
+/// why polling, not sleeping), yielding so other threads keep running.
+fn busy_wait(duration: Duration) {
+    if duration.is_zero() {
+        return;
+    }
+    let deadline = Instant::now() + duration;
+    while Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+}
+
+/// One stream's in-memory record buffer with a reclaimable prefix.
+///
+/// LSNs are stable identities, the buffer is not: fuzzy checkpoints may
+/// truncate an already-folded prefix, after which the record with LSN `n`
+/// lives at buffered index `n - 1 - base`. `base` counts the truncated
+/// records, so `total()` keeps reporting the full appended history and LSN
+/// assignment stays dense across reclamation.
+#[derive(Default)]
+struct StreamBuffer {
+    /// Records reclaimed (truncated) off the front at checkpoints.
+    base: u64,
+    /// The retained suffix, in LSN order.
+    buffered: Vec<LogRecord>,
+    /// Commit fences ever appended: read together with `total()` by whoever
+    /// starts a device write, so every fence is counted in exactly one group.
+    fences: u64,
+}
+
+impl StreamBuffer {
+    /// Total records ever appended to this stream (reclaimed + retained).
+    fn total(&self) -> u64 {
+        self.base + self.buffered.len() as u64
+    }
+
+    /// Buffered index of `lsn`. Panics (via slice indexing at the caller)
+    /// only if the record was reclaimed — which the checkpoint's live-
+    /// transaction floor rules out for every chain still walked.
+    fn index_of(&self, lsn: Lsn) -> usize {
+        debug_assert!(lsn.0 > self.base, "LSN {lsn:?} was reclaimed");
+        (lsn.0 - 1 - self.base) as usize
+    }
+
+    /// The retained records whose LSN is ≤ `cut` (everything retained when
+    /// `cut` is past the end).
+    fn retained_up_to(&self, cut: Lsn) -> &[LogRecord] {
+        let len = (cut.0.saturating_sub(self.base) as usize).min(self.buffered.len());
+        &self.buffered[..len]
+    }
+
+    /// The retained records whose LSN is > `low` (reclaimed records are
+    /// below every valid low-water mark, so clamping to the base is exact).
+    fn retained_after(&self, low: Lsn) -> &[LogRecord] {
+        let from = (low.0.saturating_sub(self.base) as usize).min(self.buffered.len());
+        &self.buffered[from..]
+    }
+}
+
+/// One partition of the log: its record buffer and LSN space, its durable
+/// horizon and flush claim, and the daemon that serves the callbacks nobody
+/// blocks on.
+///
+/// Like a DORA executor, the flusher is a role, not a thread. The stream has
+/// one device, so one write is in flight at a time, and whoever holds the
+/// `claimed` flag performs it ([`Self::write_group`]): a committer that must
+/// block for durability and finds the claim free (the *leader*), or the
+/// `log-flusher-N` daemon on behalf of queued callbacks. A committer that
+/// finds the claim held is a *follower*: the write in flight covers its LSN,
+/// or it leads the next one.
+struct LogStream {
+    id: StreamId,
+    /// This stream's records in LSN order, behind a reclaimable prefix
+    /// (LSNs are assigned under this mutex).
+    records: Mutex<StreamBuffer>,
+    /// Per-transaction backward chain heads, for this stream only.
+    last_lsn_per_txn: Mutex<HashMap<TxnId, Lsn>>,
+    /// Highest LSN known durable. Written by the claim holder only.
     flushed_lsn: AtomicU64,
-    /// Highest LSN ever assigned on this stream; a device write hardens
-    /// everything buffered, i.e. up to this point at write start.
-    last_assigned: AtomicU64,
-    /// Condvar ticket queue keyed by LSN: waiters park here until the
-    /// mirror value reaches their LSN; the flusher broadcasts per group.
-    durable: Mutex<DurableHorizon>,
+    /// The flush claim.
+    claimed: AtomicBool,
+    /// Commit fences counted into a flush group so far (claim holder only).
+    fences_hardened: AtomicU64,
+    /// Threads inside [`Self::flush`] — with the queued callbacks, the size
+    /// of the group forming behind the current write.
+    committers: AtomicUsize,
+    /// Followers asleep on `durable_cond`; the claim holder broadcasts at
+    /// release only when there are any.
+    parked: Mutex<usize>,
     durable_cond: Condvar,
-    /// Work queue for the flusher daemon.
     queue: Mutex<FlusherQueue>,
     work_cond: Condvar,
-    /// Commits the flusher has taken out of the queue but not yet resolved —
-    /// the watchdog's view of a group currently riding (or stuck in) a
-    /// device write.
-    inflight: AtomicU64,
     /// Simulated log-device latency per write.
     flush_latency: Duration,
     durability: DurabilityConfig,
-    /// Commit records hardened per device write.
+    /// Commit fences hardened per device write.
     group_sizes: Mutex<ValueHistogram>,
     /// The deterministic fault schedule device writes draw from.
     faults: Arc<FaultPlan>,
@@ -240,19 +329,60 @@ struct FlushCore {
     /// nothing on this stream will ever harden again, and every current and
     /// future durability wait resolves to "lost".
     failed: AtomicBool,
+    /// The `log-flusher-N` daemon, spawned lazily by the first callback
+    /// that has to queue and joined on drop.
+    flusher: Mutex<Option<JoinHandle<()>>>,
 }
 
-impl FlushCore {
-    /// Publishes a new durable horizon and wakes parked committers.
-    fn advance(&self, new_flushed: u64) {
-        self.flushed_lsn.fetch_max(new_flushed, Ordering::AcqRel);
-        let mut durable = self.durable.lock();
-        if new_flushed > durable.lsn {
-            durable.lsn = new_flushed;
-            if durable.waiters > 0 {
-                self.durable_cond.notify_all();
-            }
+impl LogStream {
+    fn new(
+        id: StreamId,
+        flush_latency_micros: u64,
+        durability: DurabilityConfig,
+        faults: Arc<FaultPlan>,
+    ) -> Self {
+        Self {
+            id,
+            records: Mutex::new(StreamBuffer::default()),
+            last_lsn_per_txn: Mutex::new(HashMap::new()),
+            flushed_lsn: AtomicU64::new(0),
+            claimed: AtomicBool::new(false),
+            fences_hardened: AtomicU64::new(0),
+            committers: AtomicUsize::new(0),
+            parked: Mutex::new(0),
+            durable_cond: Condvar::new(),
+            queue: Mutex::new(FlusherQueue::default()),
+            work_cond: Condvar::new(),
+            flush_latency: Duration::from_micros(flush_latency_micros),
+            durability,
+            group_sizes: Mutex::new(ValueHistogram::new()),
+            faults,
+            failed: AtomicBool::new(false),
+            flusher: Mutex::new(None),
         }
+    }
+
+    /// Appends a record for `txn`, returning its stream-local LSN.
+    fn append(&self, txn: TxnId, kind: LogRecordKind) -> Lsn {
+        let mut records = self.records.lock();
+        let lsn = Lsn(records.total() + 1);
+        if matches!(kind, LogRecordKind::Commit { .. }) {
+            records.fences += 1;
+        }
+        let prev_lsn = {
+            let mut last = self.last_lsn_per_txn.lock();
+            last.insert(txn, lsn).unwrap_or(Lsn(0))
+        };
+        records.buffered.push(LogRecord {
+            lsn,
+            stream: self.id,
+            txn,
+            prev_lsn,
+            kind,
+        });
+        drop(records);
+        incr(CounterKind::LogRecords);
+        lsn
     }
 
     /// Simulates the log-device write latency. Deadline-polling rather than
@@ -260,7 +390,7 @@ impl FlushCore {
     /// distort the microsecond-scale latencies we are simulating — but
     /// yielding inside the loop, because a device write is I/O, not
     /// compute: while one stream's write is in flight, other streams'
-    /// flushers and the executors feeding them must keep running even when
+    /// writers and the executors feeding them must keep running even when
     /// hardware contexts are scarce. On an idle core the yield returns
     /// immediately, preserving accuracy.
     ///
@@ -298,7 +428,7 @@ impl FlushCore {
             }
             incr(CounterKind::FlushRetries);
             // Exponential backoff, capped at 32x the base so a deep retry
-            // chain never parks the flusher for longer than the workload.
+            // chain never holds the claim for longer than the workload.
             let backoff = config
                 .retry_backoff_micros
                 .saturating_mul(1u64 << attempt.min(5));
@@ -307,382 +437,206 @@ impl FlushCore {
         }
     }
 
-    /// Declares this stream's durability permanently lost and wakes every
-    /// parked committer so they observe the failure instead of sleeping on a
-    /// horizon that will never advance.
-    fn fail(&self) {
-        self.failed.store(true, Ordering::Release);
-        let _durable = self.durable.lock();
-        self.durable_cond.notify_all();
+    fn try_claim(&self) -> bool {
+        !self.claimed.load(Ordering::Relaxed)
+            && self
+                .claimed
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
     }
 
-    /// The flusher daemon main loop: collect a group (waiting out the
-    /// configured window unless the group is already full), perform one
-    /// device write for the whole group, advance the durable horizon, wake
-    /// parked committers and fire completion callbacks. Each stream runs
-    /// its own copy, so groups on different streams form and harden in
-    /// parallel.
-    fn run_flusher(self: Arc<Self>) {
-        let window = Duration::from_micros(self.durability.group_window_micros);
-        let max_group = self.durability.max_group_size.max(1);
-        loop {
-            let batch = {
-                let mut queue = self.queue.lock();
-                loop {
-                    if queue.pending.is_empty() {
-                        if queue.shutdown {
-                            return;
-                        }
-                        queue.parked = true;
-                        self.work_cond.wait(&mut queue);
-                        queue.parked = false;
-                        continue;
-                    }
-                    if queue.shutdown || window.is_zero() || queue.pending.len() >= max_group {
-                        break;
-                    }
-                    let deadline = queue.first_arrival.unwrap_or_else(Instant::now) + window;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    // May wake early on new arrivals; the loop re-evaluates
-                    // the group-size cutoff and the remaining window.
-                    queue.parked = true;
-                    self.work_cond.wait_for(&mut queue, deadline - now);
-                    queue.parked = false;
-                }
-                queue.first_arrival = None;
-                std::mem::take(&mut queue.pending)
-            };
-            self.inflight.store(batch.len() as u64, Ordering::Release);
-            // A stream whose durability is already lost fast-fails every
-            // later group: no device writes, every callback hears `false`.
+    /// Blocks until this stream is durable up to (at least) `lsn`; `false`
+    /// means durability was lost for good before `lsn` hardened. The caller
+    /// drives the log itself: it takes the flush claim if it is free and
+    /// performs the device write (no wake in either direction); otherwise it
+    /// follows — it returns once a holder's horizon covers `lsn`, and takes
+    /// the claim when it frees, yield-polling for about one device latency
+    /// before it parks. `led` says the caller is a committer, not the daemon.
+    fn flush(&self, lsn: Lsn, led: bool) -> bool {
+        if self.flushed_lsn.load(Ordering::Acquire) >= lsn.0 {
+            return true;
+        }
+        self.committers.fetch_add(1, Ordering::Relaxed);
+        let poll_until = Instant::now() + self.flush_latency;
+        let durable = loop {
+            if self.flushed_lsn.load(Ordering::Acquire) >= lsn.0 {
+                break true;
+            }
             if self.failed.load(Ordering::Acquire) {
-                for commit in batch {
-                    if let Some(callback) = commit.callback {
-                        fire_callback(callback, false);
-                    }
+                break false;
+            }
+            if self.try_claim() {
+                self.write_group(lsn, led);
+            } else if Instant::now() < poll_until {
+                std::thread::yield_now();
+            } else {
+                self.park(lsn);
+            }
+        };
+        self.committers.fetch_sub(1, Ordering::Relaxed);
+        durable
+    }
+
+    /// Sleeps until the claim holder lets go. The conditions are re-read
+    /// under the mutex the holder takes, after it has published them, to
+    /// look for sleepers — so the wake-up cannot be lost.
+    fn park(&self, lsn: Lsn) {
+        let mut parked = self.parked.lock();
+        *parked += 1;
+        if self.flushed_lsn.load(Ordering::Acquire) < lsn.0
+            && self.claimed.load(Ordering::Acquire)
+            && !self.failed.load(Ordering::Acquire)
+        {
+            self.durable_cond.wait(&mut parked);
+        }
+        *parked -= 1;
+    }
+
+    /// One device write by the claim holder, for everything appended so far
+    /// (at least up to `target`): wait out the group window unless the group
+    /// is already full, write, publish the new durable horizon (or the
+    /// stream's failure), release the claim, wake parked followers, and fire
+    /// the queued callbacks the write decided.
+    fn write_group(&self, target: Lsn, led: bool) {
+        let window = Duration::from_micros(self.durability.group_window_micros);
+        if !window.is_zero() {
+            let deadline = Instant::now() + window;
+            let full = self.durability.max_group_size.max(1);
+            while self.committers.load(Ordering::Relaxed) + self.queue.lock().pending.len() < full {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
                 }
-                self.inflight.store(0, Ordering::Release);
-                continue;
+                std::thread::sleep((deadline - now).min(Duration::from_micros(200)));
             }
-            if self.faults.enabled() && self.faults.should_inject(FaultSite::FlusherStall) {
-                incr(CounterKind::FaultsInjected);
-                std::thread::sleep(Duration::from_micros(
-                    self.faults.config().flusher_stall_micros,
-                ));
-            }
-            // Everything appended up to this point rides this device write.
-            let horizon = self.last_assigned.load(Ordering::Acquire);
-            let target = batch.iter().map(|p| p.lsn.0).max().unwrap_or(0);
-            let start = Instant::now();
-            let wrote = self.device_write_with_retry();
-            record_time(TimeCategory::LogWait, start.elapsed());
-            if !wrote {
-                self.fail();
-                for commit in batch {
-                    if let Some(callback) = commit.callback {
-                        fire_callback(callback, false);
-                    }
-                }
-                self.inflight.store(0, Ordering::Release);
-                continue;
-            }
-            self.advance(horizon.max(target));
+        }
+        if self.faults.enabled() && self.faults.should_inject(FaultSite::FlusherStall) {
+            incr(CounterKind::FaultsInjected);
+            std::thread::sleep(Duration::from_micros(
+                self.faults.config().flusher_stall_micros,
+            ));
+        }
+        let (horizon, fences) = {
+            let records = self.records.lock();
+            (records.total().max(target.0), records.fences)
+        };
+        let start = Instant::now();
+        let wrote = self.device_write_with_retry();
+        record_time(TimeCategory::LogWait, start.elapsed());
+        if wrote {
             incr(CounterKind::LogFlushes);
             incr(CounterKind::GroupCommits);
-            self.group_sizes.lock().record(batch.len() as u64);
-            for commit in batch {
-                if let Some(callback) = commit.callback {
-                    fire_callback(callback, true);
-                }
+            if led {
+                incr(CounterKind::LeaderFlushes);
             }
-            self.inflight.store(0, Ordering::Release);
+            let counted = self.fences_hardened.swap(fences, Ordering::Relaxed);
+            self.group_sizes.lock().record(fences - counted);
+            self.flushed_lsn.fetch_max(horizon, Ordering::AcqRel);
+        } else {
+            self.failed.store(true, Ordering::Release);
         }
-    }
-}
-
-/// Runs a durability callback on the flusher thread. The durability work for
-/// the callback's group is already done (horizon advanced, parked waiters
-/// woken), so a panicking callback must not kill the daemon — every later
-/// commit would park forever on a dead flusher. Panics are swallowed,
-/// counted ([`CounterKind::CallbackPanics`]) and reported once per process.
-fn fire_callback(callback: DurableCallback, durable: bool) {
-    if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| callback(durable)))
-    {
-        incr(CounterKind::CallbackPanics);
-        static WARNED: AtomicBool = AtomicBool::new(false);
-        if !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "log-flusher: durability callback panicked (counted as callback-panics, \
-                 reported once): {panic:?}"
-            );
+        self.claimed.store(false, Ordering::Release);
+        if *self.parked.lock() > 0 {
+            self.durable_cond.notify_all();
         }
-    }
-}
-
-/// Deadline-polls for `duration` (see [`FlushCore::device_write_once`] for
-/// why polling, not sleeping), yielding so other threads keep running.
-fn busy_wait(duration: Duration) {
-    if duration.is_zero() {
-        return;
-    }
-    let deadline = Instant::now() + duration;
-    while Instant::now() < deadline {
-        std::thread::yield_now();
-    }
-}
-
-/// One stream's in-memory record buffer with a reclaimable prefix.
-///
-/// LSNs are stable identities, the buffer is not: fuzzy checkpoints may
-/// truncate an already-folded prefix, after which the record with LSN `n`
-/// lives at buffered index `n - 1 - base`. `base` counts the truncated
-/// records, so `total()` keeps reporting the full appended history and LSN
-/// assignment stays dense across reclamation.
-#[derive(Default)]
-struct StreamBuffer {
-    /// Records reclaimed (truncated) off the front at checkpoints.
-    base: u64,
-    /// The retained suffix, in LSN order.
-    buffered: Vec<LogRecord>,
-}
-
-impl StreamBuffer {
-    /// Total records ever appended to this stream (reclaimed + retained).
-    fn total(&self) -> u64 {
-        self.base + self.buffered.len() as u64
+        self.fire_decided();
     }
 
-    /// Buffered index of `lsn`. Panics (via slice indexing at the caller)
-    /// only if the record was reclaimed — which the checkpoint's live-
-    /// transaction floor rules out for every chain still walked.
-    fn index_of(&self, lsn: Lsn) -> usize {
-        debug_assert!(lsn.0 > self.base, "LSN {lsn:?} was reclaimed");
-        (lsn.0 - 1 - self.base) as usize
-    }
-
-    /// The retained records whose LSN is ≤ `cut` (everything retained when
-    /// `cut` is past the end).
-    fn retained_up_to(&self, cut: Lsn) -> &[LogRecord] {
-        let len = (cut.0.saturating_sub(self.base) as usize).min(self.buffered.len());
-        &self.buffered[..len]
-    }
-
-    /// The retained records whose LSN is > `low` (reclaimed records are
-    /// below every valid low-water mark, so clamping to the base is exact).
-    fn retained_after(&self, low: Lsn) -> &[LogRecord] {
-        let from = (low.0.saturating_sub(self.base) as usize).min(self.buffered.len());
-        &self.buffered[from..]
-    }
-}
-
-/// One partition of the log: its own record buffer, LSN space, flush mutex
-/// and flusher daemon.
-struct LogStream {
-    id: StreamId,
-    /// This stream's records in LSN order, behind a reclaimable prefix
-    /// (LSNs are assigned under this mutex).
-    records: Mutex<StreamBuffer>,
-    /// Per-transaction backward chain heads, for this stream only.
-    last_lsn_per_txn: Mutex<HashMap<TxnId, Lsn>>,
-    core: Arc<FlushCore>,
-    /// Serializes caller-driven device writes in synchronous mode.
-    flush_lock: Mutex<()>,
-    /// The `log-flusher-N` daemon, spawned lazily on the first group-commit
-    /// request and joined on drop.
-    flusher: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl LogStream {
-    fn new(
-        id: StreamId,
-        flush_latency_micros: u64,
-        durability: DurabilityConfig,
-        faults: Arc<FaultPlan>,
-    ) -> Self {
-        Self {
-            id,
-            records: Mutex::new(StreamBuffer::default()),
-            last_lsn_per_txn: Mutex::new(HashMap::new()),
-            core: Arc::new(FlushCore {
-                flushed_lsn: AtomicU64::new(0),
-                last_assigned: AtomicU64::new(0),
-                durable: Mutex::new(DurableHorizon::default()),
-                durable_cond: Condvar::new(),
-                queue: Mutex::new(FlusherQueue::default()),
-                work_cond: Condvar::new(),
-                inflight: AtomicU64::new(0),
-                flush_latency: Duration::from_micros(flush_latency_micros),
-                durability,
-                group_sizes: Mutex::new(ValueHistogram::new()),
-                faults,
-                failed: AtomicBool::new(false),
-            }),
-            flush_lock: Mutex::new(()),
-            flusher: Mutex::new(None),
-        }
-    }
-
-    /// Appends a record for `txn`, returning its stream-local LSN.
-    fn append(&self, txn: TxnId, kind: LogRecordKind) -> Lsn {
-        let mut records = self.records.lock();
-        let lsn = Lsn(records.total() + 1);
-        self.core.last_assigned.store(lsn.0, Ordering::Release);
-        let prev_lsn = {
-            let mut last = self.last_lsn_per_txn.lock();
-            last.insert(txn, lsn).unwrap_or(Lsn(0))
+    /// Fires every queued callback whose fate is known: its fence is under
+    /// the durable horizon, or the stream has failed.
+    fn fire_decided(&self) {
+        let failed = self.failed.load(Ordering::Acquire);
+        let flushed = self.flushed_lsn.load(Ordering::Acquire);
+        let decided: Vec<PendingCommit> = {
+            let mut queue = self.queue.lock();
+            queue
+                .pending
+                .extract_if(.., |commit| failed || commit.lsn.0 <= flushed)
+                .collect()
         };
-        records.buffered.push(LogRecord {
-            lsn,
-            stream: self.id,
-            txn,
-            prev_lsn,
-            kind,
-        });
-        drop(records);
-        incr(CounterKind::LogRecords);
-        lsn
-    }
-
-    fn ensure_flusher(&self) {
-        let mut flusher = self.flusher.lock();
-        if flusher.is_none() {
-            let core = Arc::clone(&self.core);
-            *flusher = Some(
-                std::thread::Builder::new()
-                    .name(format!("log-flusher-{}", self.id.0))
-                    .spawn(move || core.run_flusher())
-                    .expect("spawn log-flusher"),
-            );
+        for commit in decided {
+            fire_callback(commit.callback, commit.lsn.0 <= flushed);
         }
     }
 
-    /// Hands a pending commit to this stream's flusher daemon.
-    fn enqueue(&self, lsn: Lsn, callback: Option<DurableCallback>) {
-        self.ensure_flusher();
-        let mut queue = self.core.queue.lock();
-        if queue.first_arrival.is_none() {
-            queue.first_arrival = Some(Instant::now());
+    /// The daemon's loop: sleep until a callback is queued, then harden the
+    /// newest queued fence the way a committer would — lead the write, or
+    /// follow whoever holds the claim. It never runs for a commit somebody
+    /// blocks on.
+    fn run_flusher(self: Arc<Self>) {
+        loop {
+            let target = {
+                let mut queue = self.queue.lock();
+                loop {
+                    if let Some(newest) = queue.pending.iter().map(|commit| commit.lsn).max() {
+                        break newest;
+                    }
+                    if queue.shutdown {
+                        return;
+                    }
+                    queue.parked = true;
+                    self.work_cond.wait(&mut queue);
+                    queue.parked = false;
+                }
+            };
+            self.flush(target, false);
+            // A callback queued after a leader had looked at the queue,
+            // for a fence that leader's write covered, is still there.
+            self.fire_decided();
         }
+    }
+
+    /// Registers `callback` to fire once this stream is durable up to `lsn`
+    /// — or once that can never happen — without blocking the caller: the
+    /// fence is queued for whoever hardens it next, and the daemon is woken
+    /// to make sure somebody does. Already-durable LSNs and already-failed
+    /// streams complete inline on the calling thread, and so does every
+    /// commit when [`DurabilityConfig::group_commit`] is off (there is no
+    /// daemon: the caller drives the write).
+    fn submit_commit(self: &Arc<Self>, lsn: Lsn, callback: DurableCallback) {
+        if self.flushed_lsn.load(Ordering::Acquire) >= lsn.0 {
+            callback(true);
+            return;
+        }
+        if self.failed.load(Ordering::Acquire) {
+            callback(false);
+            return;
+        }
+        if !self.durability.group_commit {
+            let durable = self.flush(lsn, true);
+            callback(durable);
+            return;
+        }
+        {
+            let mut flusher = self.flusher.lock();
+            if flusher.is_none() {
+                let stream = Arc::clone(self);
+                *flusher = Some(
+                    std::thread::Builder::new()
+                        .name(format!("log-flusher-{}", self.id.0))
+                        .spawn(move || stream.run_flusher())
+                        .expect("spawn log-flusher"),
+                );
+            }
+        }
+        let mut queue = self.queue.lock();
         queue.pending.push(PendingCommit { lsn, callback });
         let wake = queue.parked;
         drop(queue);
         if wake {
-            self.core.work_cond.notify_one();
+            self.work_cond.notify_one();
         }
-    }
-
-    /// Starts hardening `lsn` without blocking, where the mode allows it.
-    /// Returns `(owes_wait, ok_so_far)`: in group-commit mode the request is
-    /// handed to the flusher daemon and the caller still owes a
-    /// [`Self::wait_durable`]; in synchronous mode the caller must drive the
-    /// device write itself, so this degenerates to a blocking
-    /// [`Self::flush`] whose success lands in `ok_so_far`. Multi-stream
-    /// commit waits use this to overlap the group windows of every touched
-    /// stream (max-of-latencies, not sum).
-    fn start_flush(&self, lsn: Lsn) -> (bool, bool) {
-        if self.core.flushed_lsn.load(Ordering::Acquire) >= lsn.0 {
-            return (false, true);
-        }
-        if self.core.failed.load(Ordering::Acquire) {
-            return (false, false);
-        }
-        if self.core.durability.group_commit {
-            self.enqueue(lsn, None);
-            return (true, true);
-        }
-        (false, self.flush(lsn))
-    }
-
-    /// Blocks until this stream's flusher reports durability up to `lsn`
-    /// (`true`), or until the stream's durability is lost for good
-    /// (`false`). Only meaningful after a [`Self::start_flush`] that said
-    /// the caller owes a wait.
-    fn wait_durable(&self, lsn: Lsn) -> bool {
-        let mut durable = self.core.durable.lock();
-        loop {
-            if durable.lsn >= lsn.0 {
-                return true;
-            }
-            if self.core.failed.load(Ordering::Acquire) {
-                return false;
-            }
-            durable.waiters += 1;
-            self.core.durable_cond.wait(&mut durable);
-            durable.waiters -= 1;
-        }
-    }
-
-    /// Blocks until this stream is durable up to (at least) `lsn`; `false`
-    /// means durability was lost for good before `lsn` hardened.
-    fn flush(&self, lsn: Lsn) -> bool {
-        if self.core.flushed_lsn.load(Ordering::Acquire) >= lsn.0 {
-            return true;
-        }
-        if self.core.failed.load(Ordering::Acquire) {
-            return false;
-        }
-        if self.core.durability.group_commit {
-            self.enqueue(lsn, None);
-            return self.wait_durable(lsn);
-        }
-        let start = Instant::now();
-        let _guard = self.flush_lock.lock();
-        if self.core.flushed_lsn.load(Ordering::Acquire) >= lsn.0 {
-            record_time(TimeCategory::LogWait, start.elapsed());
-            return true;
-        }
-        if self.core.failed.load(Ordering::Acquire) {
-            return false;
-        }
-        let horizon = self.core.last_assigned.load(Ordering::Acquire);
-        let wrote = self.core.device_write_with_retry();
-        if !wrote {
-            self.core.fail();
-            record_time(TimeCategory::LogWait, start.elapsed());
-            return false;
-        }
-        self.core.advance(horizon.max(lsn.0));
-        incr(CounterKind::LogFlushes);
-        record_time(TimeCategory::LogWait, start.elapsed());
-        true
-    }
-
-    /// Registers `callback` to fire once this stream is durable up to `lsn`
-    /// — or once that can never happen — without blocking the caller.
-    /// Already-durable LSNs, already-failed streams and synchronous mode
-    /// complete inline on the calling thread.
-    fn submit_commit(&self, lsn: Lsn, callback: DurableCallback) {
-        if self.core.flushed_lsn.load(Ordering::Acquire) >= lsn.0 {
-            callback(true);
-            return;
-        }
-        if self.core.failed.load(Ordering::Acquire) {
-            callback(false);
-            return;
-        }
-        if !self.core.durability.group_commit {
-            let durable = self.flush(lsn);
-            callback(durable);
-            return;
-        }
-        self.enqueue(lsn, Some(callback));
     }
 
     fn flushed_lsn(&self) -> Lsn {
-        Lsn(self.core.flushed_lsn.load(Ordering::Acquire))
+        Lsn(self.flushed_lsn.load(Ordering::Acquire))
     }
 
     fn shutdown(&self) {
         let handle = self.flusher.lock().take();
         if let Some(handle) = handle {
-            {
-                let mut queue = self.core.queue.lock();
-                queue.shutdown = true;
-            }
-            self.core.work_cond.notify_one();
+            self.queue.lock().shutdown = true;
+            self.work_cond.notify_one();
             // A durability callback can own the last reference to the
             // database, so this drop chain may run ON a flusher thread.
             // Joining yourself is a deadlock; detach instead — the thread
@@ -800,7 +754,7 @@ fn fold_row(slot: &mut Vec<LogRecord>, record: LogRecord) {
 
 /// The partitioned write-ahead log.
 pub struct LogManager {
-    streams: Vec<LogStream>,
+    streams: Vec<Arc<LogStream>>,
     /// Next global commit sequence − 1 (sequences are dense from 1).
     commit_seq: AtomicU64,
     /// Latest fuzzy checkpoint, if any.
@@ -851,34 +805,34 @@ impl LogManager {
     /// [`Self::with_durability`] plus a live fault schedule shared by every
     /// stream's simulated device. When the plan can fire under group
     /// commit, a `log-watchdog` thread is also spawned: it samples each
-    /// stream's flush horizon and, when a stream has pending commits but a
-    /// horizon that stopped advancing, re-nudges the flusher's work condvar
-    /// (and counts the nudge) — the safety net against a stalled or
-    /// wakeup-starved flusher wedging every committer behind it.
+    /// stream's flush horizon and, when a stream has a write claimed or
+    /// callbacks queued but a horizon that stopped advancing, re-nudges the
+    /// stream's condvars (and counts the nudge) — the safety net against a
+    /// stalled or wakeup-starved writer wedging every committer behind it.
     pub fn with_faults(
         flush_latency_micros: u64,
         durability: DurabilityConfig,
         faults: Arc<FaultPlan>,
     ) -> Self {
         let count = durability.log_streams.max(1);
-        let streams: Vec<LogStream> = (0..count)
+        let streams: Vec<Arc<LogStream>> = (0..count)
             .map(|s| {
-                LogStream::new(
+                Arc::new(LogStream::new(
                     StreamId(s),
                     durability.device_micros_for(s, flush_latency_micros),
                     durability.clone(),
                     Arc::clone(&faults),
-                )
+                ))
             })
             .collect();
         let watchdog_stop = Arc::new(AtomicBool::new(false));
         let watchdog = if faults.enabled() && durability.group_commit {
-            let cores: Vec<Arc<FlushCore>> = streams.iter().map(|s| Arc::clone(&s.core)).collect();
+            let watched = streams.clone();
             let stop = Arc::clone(&watchdog_stop);
             Some(
                 std::thread::Builder::new()
                     .name("log-watchdog".into())
-                    .spawn(move || run_watchdog(cores, stop))
+                    .spawn(move || run_watchdog(watched, stop))
                     .expect("spawn log-watchdog"),
             )
         } else {
@@ -906,7 +860,7 @@ impl LogManager {
     pub fn any_stream_failed(&self) -> bool {
         self.streams
             .iter()
-            .any(|s| s.core.failed.load(Ordering::Acquire))
+            .any(|s| s.failed.load(Ordering::Acquire))
     }
 
     /// The durability knobs this log runs with.
@@ -964,7 +918,7 @@ impl LogManager {
         streams.dedup();
         let mut fences = Vec::with_capacity(streams.len());
         for &stream in &streams {
-            let lsn = self.streams[stream.0 % self.streams.len()].append(
+            let lsn = self.stream(stream).append(
                 txn,
                 LogRecordKind::Commit {
                     seq,
@@ -979,54 +933,58 @@ impl LogManager {
         (seq, fences)
     }
 
+    fn stream(&self, stream: StreamId) -> &Arc<LogStream> {
+        &self.streams[stream.0 % self.streams.len()]
+    }
+
     /// Blocks until `stream` is durable up to (at least) `lsn`; `false`
     /// means the stream's durability was lost for good first.
     ///
-    /// Under group commit the calling thread enqueues the request and
-    /// *parks* on the stream's LSN-keyed ticket queue until its flusher
-    /// daemon hardens a covering group. In synchronous mode the caller
-    /// drives the device write itself under the stream's flush mutex;
-    /// threads that find their LSN already flushed return immediately (the
-    /// piggybacking fast path both modes share).
+    /// The calling thread drives the log: if nobody is writing the stream's
+    /// device it performs the write itself, for everything appended so far,
+    /// and wakes nobody on the way in or out; if somebody is, it follows —
+    /// that write covers `lsn`, or the caller leads the next one. Threads
+    /// that find their LSN already flushed return immediately.
     pub fn flush(&self, stream: StreamId, lsn: Lsn) -> bool {
-        self.streams[stream.0 % self.streams.len()].flush(lsn)
+        self.stream(stream).flush(lsn, true)
     }
 
-    /// Flushes every fence of a commit (the multi-stream commit wait).
-    /// Every touched stream's flush is *started* before any is waited on,
-    /// so a commit that fenced N streams pays the longest group window
-    /// once, not N windows back to back. Returns `false` if any touched
-    /// stream lost durability before its fence hardened — the commit is
-    /// then a ghost and must surface [`DbError::DurabilityLost`].
+    /// Flushes every fence of a commit (the multi-stream commit wait). The
+    /// caller leads one stream's write itself; the fences on the other
+    /// streams are first handed to those streams' daemons, so all the device
+    /// writes overlap and a commit that fenced N streams waits for the
+    /// slowest of them, not for N writes back to back. Returns `false` if
+    /// any touched stream lost durability before its fence hardened — the
+    /// commit is then a ghost and must surface [`DbError::DurabilityLost`].
     pub fn flush_fences(&self, fences: &[(StreamId, Lsn)]) -> bool {
-        let mut ok = true;
-        let mut waits: Vec<(usize, Lsn)> = Vec::new();
-        for &(stream, lsn) in fences {
-            let index = stream.0 % self.streams.len();
-            let (owes_wait, started_ok) = self.streams[index].start_flush(lsn);
-            ok &= started_ok;
-            if owes_wait {
-                waits.push((index, lsn));
-            }
+        let Some((&(own, own_lsn), others)) = fences.split_last() else {
+            return true;
+        };
+        for &(stream, lsn) in others {
+            self.stream(stream).submit_commit(lsn, Box::new(|_| {}));
         }
-        for (index, lsn) in waits {
-            ok &= self.streams[index].wait_durable(lsn);
+        let mut ok = self.stream(own).flush(own_lsn, true);
+        for &(stream, lsn) in others {
+            ok &= self.stream(stream).flush(lsn, true);
         }
         ok
     }
 
     /// Registers `callback` to fire once *every* fence in `fences` is
-    /// durable, without blocking the caller — the asynchronous commit path
-    /// DORA executors use. The callback runs on whichever stream's flusher
-    /// hardens the last fence (inline on the caller if all fences are
-    /// already durable, or in synchronous mode, where the caller must pay
-    /// the device latency itself for the A/B comparison to mean anything).
+    /// durable, without blocking the caller — the commit path of a
+    /// transaction nobody waits on ([`Database::commit_async`]). The
+    /// callback runs on whichever thread hardens the last fence: a stream's
+    /// daemon, a committer that led a write covering it, or the caller
+    /// itself if every fence is already durable or the configuration runs
+    /// no daemon.
+    ///
+    /// [`Database::commit_async`]: crate::Database::commit_async
     pub fn submit_commit(&self, fences: Vec<(StreamId, Lsn)>, callback: DurableCallback) {
         match fences.len() {
             0 => callback(true),
             1 => {
                 let (stream, lsn) = fences[0];
-                self.streams[stream.0 % self.streams.len()].submit_commit(lsn, callback);
+                self.stream(stream).submit_commit(lsn, callback);
             }
             count => {
                 let remaining = Arc::new(AtomicU64::new(count as u64));
@@ -1036,7 +994,7 @@ impl LogManager {
                     let remaining = Arc::clone(&remaining);
                     let all_durable = Arc::clone(&all_durable);
                     let shared = Arc::clone(&shared);
-                    self.streams[stream.0 % self.streams.len()].submit_commit(
+                    self.stream(stream).submit_commit(
                         lsn,
                         Box::new(move |durable| {
                             if !durable {
@@ -1056,15 +1014,16 @@ impl LogManager {
 
     /// Highest LSN known to be flushed on `stream`.
     pub fn flushed_lsn(&self, stream: StreamId) -> Lsn {
-        self.streams[stream.0 % self.streams.len()].flushed_lsn()
+        self.stream(stream).flushed_lsn()
     }
 
-    /// Flush-group sizes observed so far across all streams (commit records
-    /// hardened per device write). Empty in synchronous mode.
+    /// Flush-group sizes observed so far across all streams: commit fences
+    /// hardened per device write, whoever performed it. Every fence is
+    /// counted in exactly one group.
     pub fn flush_group_sizes(&self) -> ValueHistogram {
         let mut merged = ValueHistogram::new();
         for stream in &self.streams {
-            merged.merge(&stream.core.group_sizes.lock());
+            merged.merge(&stream.group_sizes.lock());
         }
         merged
     }
@@ -1081,7 +1040,8 @@ impl LogManager {
                     records: buffer.total() as usize,
                     reclaimed: buffer.base,
                     flushed_lsn: stream.flushed_lsn(),
-                    group_sizes: stream.core.group_sizes.lock().clone(),
+                    group_sizes: stream.group_sizes.lock().clone(),
+                    daemon_spawned: stream.flusher.lock().is_some(),
                 }
             })
             .collect()
@@ -1181,9 +1141,9 @@ impl LogManager {
     /// transactions' sequences.
     pub fn committed_changes_in_prefixes(&self, cuts: &[Lsn]) -> Vec<LogRecord> {
         // Analysis runs on borrowed records (holding every stream lock, in
-        // stream order — each flusher only ever locks its own stream, so no
-        // cycle) and clones only the replayable subset, keeping the serial
-        // prefix of parallel recovery short.
+        // stream order — whoever writes a stream's device only ever locks
+        // that stream, so no cycle) and clones only the replayable subset,
+        // keeping the serial prefix of parallel recovery short.
         let guards: Vec<_> = self
             .streams
             .iter()
@@ -1479,8 +1439,11 @@ pub struct StreamStats {
     pub reclaimed: u64,
     /// Durable horizon.
     pub flushed_lsn: Lsn,
-    /// Flush-group size histogram of this stream's flusher.
+    /// Flush-group size histogram of this stream's device writes.
     pub group_sizes: ValueHistogram,
+    /// Whether the stream's `log-flusher-N` daemon was ever needed (a
+    /// callback had to queue); blocking committers alone never spawn it.
+    pub daemon_spawned: bool,
 }
 
 impl Drop for LogManager {
@@ -1496,24 +1459,27 @@ impl Drop for LogManager {
 }
 
 /// The log watchdog main loop: detect streams whose flush horizon stopped
-/// advancing while commits are pending and nudge their flusher awake. A
-/// nudge is deliberately just a condvar broadcast — it cannot *unstick* a
-/// flusher sleeping inside an injected stall, but it recovers lost-wakeup
-/// shapes and, crucially, makes the stall observable
-/// ([`CounterKind::WatchdogNudges`]) instead of silent.
-fn run_watchdog(cores: Vec<Arc<FlushCore>>, stop: Arc<AtomicBool>) {
-    let mut last_horizon: Vec<u64> = vec![0; cores.len()];
+/// advancing while a write is claimed — by a committer or the daemon — or
+/// callbacks are queued, and nudge their sleepers awake. A free claim with an
+/// empty queue is an idle stream, never a stall. A nudge is deliberately just
+/// a condvar broadcast — it cannot *unstick* a writer sleeping inside an
+/// injected stall, but it recovers lost-wakeup shapes and, crucially, makes
+/// the stall observable ([`CounterKind::WatchdogNudges`]) instead of silent.
+fn run_watchdog(streams: Vec<Arc<LogStream>>, stop: Arc<AtomicBool>) {
+    let mut last_horizon: Vec<u64> = vec![0; streams.len()];
     while !stop.load(Ordering::Acquire) {
         std::thread::sleep(Duration::from_micros(500));
-        for (i, core) in cores.iter().enumerate() {
-            let horizon = core.flushed_lsn.load(Ordering::Acquire);
+        for (i, stream) in streams.iter().enumerate() {
+            let horizon = stream.flushed_lsn.load(Ordering::Acquire);
             let outstanding =
-                core.inflight.load(Ordering::Acquire) > 0 || !core.queue.lock().pending.is_empty();
+                stream.claimed.load(Ordering::Acquire) || !stream.queue.lock().pending.is_empty();
             let stalled =
-                horizon == last_horizon[i] && outstanding && !core.failed.load(Ordering::Acquire);
+                horizon == last_horizon[i] && outstanding && !stream.failed.load(Ordering::Acquire);
             if stalled {
                 incr(CounterKind::WatchdogNudges);
-                core.work_cond.notify_all();
+                stream.work_cond.notify_all();
+                let _parked = stream.parked.lock();
+                stream.durable_cond.notify_all();
             }
             last_horizon[i] = horizon;
         }

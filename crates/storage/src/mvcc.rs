@@ -407,19 +407,18 @@ impl VersionStore {
     }
 
     /// One collection pass: prunes every chain down to what the oldest live
-    /// snapshot can still see and drops dead chains and stale unlink notes.
-    /// Returns how many versions were reclaimed.
+    /// snapshot — or one that [`Self::snapshot_durable`] may pin next — can
+    /// still see, and drops dead chains and stale unlink notes. Returns how
+    /// many versions were reclaimed.
     pub fn gc_once(&self) -> u64 {
         // Holding the registry mutex while reading both bounds gives the
-        // same exclusion snapshot_at() relies on.
+        // same exclusion snapshot_at() relies on. The durable horizon is the
+        // lowest a new snapshot can pin (it never moves back), so it bounds
+        // the pass even while newer snapshots are live.
         let bound = {
             let snapshots = self.snapshots.lock();
-            snapshots
-                .keys()
-                .next()
-                .copied()
-                .unwrap_or_else(|| self.published_horizon())
-                .min(self.published_horizon())
+            let oldest = snapshots.keys().next().copied().unwrap_or(u64::MAX);
+            oldest.min(self.durable_horizon())
         };
         let mut reclaimed = 0u64;
         for shard in &self.shards {
@@ -660,6 +659,9 @@ mod tests {
         for seq in 5..=6 {
             store.publish(seq, &[(table, r, bytes(seq as u8))]);
         }
+        for seq in 1..=6 {
+            store.mark_durable(seq);
+        }
         // Oldest snapshot pins ticket 4: versions 0..=3 collapse to the one
         // at ticket 4; versions 5 and 6 must survive.
         let reclaimed = store.gc_once();
@@ -669,15 +671,54 @@ mod tests {
             ChainRead::Visible(b) if b.to_vec() == vec![4]
         ));
         drop(old);
-        // With no snapshots the bound is the published horizon: everything
-        // but the newest version goes.
+        // With no snapshots the bound is the durable horizon (here equal to
+        // the published one): everything but the newest version goes.
         store.gc_once();
         assert_eq!(store.stats().versions, 1);
 
         // A fully deleted row's chain disappears entirely once unreachable.
         store.publish(7, &[(table, r, None)]);
+        store.mark_durable(7);
         store.gc_once();
         assert_eq!(store.stats().chains, 0);
+    }
+
+    /// The durable horizon trails the published one by the commits still
+    /// waiting for their device write, and `snapshot_durable` pins it: a
+    /// collection pass must not prune below it, whether or not a (newer)
+    /// published snapshot is live at the time.
+    #[test]
+    fn gc_without_snapshots_keeps_what_a_durable_snapshot_needs() {
+        for published_snapshot_live in [false, true] {
+            let store = Arc::new(VersionStore::new());
+            let table = TableId(0);
+            let r = rid(0, 0);
+            store.seed(table, r, Some(&[0]));
+            for seq in 1..=8u64 {
+                let row = if seq == 5 || seq == 8 {
+                    r
+                } else {
+                    rid(1, seq as u16)
+                };
+                store.publish(seq, &[(table, row, bytes(seq as u8))]);
+            }
+            for seq in 1..=6 {
+                store.mark_durable(seq);
+            }
+            let live = published_snapshot_live.then(|| store.snapshot());
+            store.gc_once();
+            let durable = store.snapshot_durable();
+            assert_eq!(durable.horizon(), 6);
+            assert!(
+                matches!(
+                    store.read_at(table, r, durable.horizon()),
+                    ChainRead::Visible(b) if b.to_vec() == vec![5]
+                ),
+                "ticket 5 is what a durable snapshot at 6 reads \
+                 (published snapshot live: {published_snapshot_live})"
+            );
+            drop(live);
+        }
     }
 
     /// An insert seeds a "did not exist" base under the page latch and
@@ -708,6 +749,7 @@ mod tests {
         let key = Key::int(7);
         store.seed(table, r, Some(&[7]));
         store.publish(1, &[(table, r, None)]);
+        store.mark_durable(1);
         store.note_unlinked(table, key.clone(), r);
         assert_eq!(store.unlinked_rid(table, &key), Some(r));
         assert!(matches!(
