@@ -1243,6 +1243,8 @@ pub struct RecoverRow {
     pub parallel_ms: f64,
     /// Checkpoint snapshot + parallel delta replay, in milliseconds.
     pub checkpoint_ms: f64,
+    /// What building the midpoint checkpoint cost.
+    pub checkpoint_build: dora_storage::CheckpointStats,
 }
 
 impl RecoverRow {
@@ -1413,6 +1415,7 @@ fn run_recover_cell(scale: &Scale, streams: usize) -> RecoverRow {
         serial_ms,
         parallel_ms,
         checkpoint_ms,
+        checkpoint_build: log.checkpoint_stats(),
     }
 }
 
@@ -1470,6 +1473,21 @@ pub fn recover_with_summary(scale: &Scale) -> (Report, RecoverSummary) {
             row.speedup(),
             row.checkpoint_ms,
             row.parallel_tps(),
+        ));
+    }
+    report.blank();
+    for row in &summary.rows {
+        let build = &row.checkpoint_build;
+        report.line(format!(
+            "  checkpoint build, {} streams: {} build(s), last {:.2} ms (max {:.2}), {} records \
+             folded into {} rows, longest records-mutex hold {} us",
+            row.streams,
+            build.builds,
+            build.last_build.as_secs_f64() * 1e3,
+            build.max_build.as_secs_f64() * 1e3,
+            build.records_folded,
+            build.rows_held,
+            build.max_lock_hold.as_micros(),
         ));
     }
     report.blank();
@@ -3749,6 +3767,7 @@ mod tests {
                     serial_ms: 40.0,
                     parallel_ms: 40.0,
                     checkpoint_ms: 22.0,
+                    checkpoint_build: Default::default(),
                 },
                 RecoverRow {
                     streams: 4,
@@ -3759,6 +3778,7 @@ mod tests {
                     serial_ms: 40.0,
                     parallel_ms: 10.0,
                     checkpoint_ms: 6.0,
+                    checkpoint_build: Default::default(),
                 },
             ],
         };
@@ -3788,6 +3808,7 @@ mod tests {
             serial_ms: 0.0,
             parallel_ms: 0.0,
             checkpoint_ms: 0.0,
+            checkpoint_build: Default::default(),
         };
         assert_eq!(row.parallel_tps(), 0.0);
         assert_eq!(row.speedup(), 0.0);

@@ -198,14 +198,17 @@ pub struct DurabilityConfig {
     /// Log records appended between two fuzzy checkpoints. A checkpoint
     /// folds the committed history into a net-effect snapshot with
     /// per-stream low-water LSNs, so recovery replays only the delta since
-    /// the last checkpoint. `0` (the default) disables checkpointing.
+    /// the last checkpoint. Built by a background thread the committer that
+    /// crosses the interval wakes; no committer builds. `0` (the default)
+    /// disables checkpointing and the thread never exists.
     pub checkpoint_interval: u64,
-    /// Reclaim log space at each fuzzy checkpoint: truncate every stream's
-    /// folded prefix (up to its low-water mark, never past the first record
-    /// of a still-live transaction, whose undo chain must survive). On by
-    /// default — a no-op unless checkpoints actually run — but switched off
-    /// by harnesses that deliberately measure *full-history* replay after a
-    /// checkpoint was taken.
+    /// Reclaim log space at each fuzzy checkpoint: the builder *moves* every
+    /// stream's prefix below its low-water mark (which never passes the
+    /// first record of a still-live transaction, whose undo chain must
+    /// survive) out of the log instead of cloning it. On by default — a
+    /// no-op unless checkpoints actually run — but switched off by harnesses
+    /// that deliberately measure *full-history* replay after a checkpoint
+    /// was taken.
     pub reclaim_log_at_checkpoint: bool,
     /// Per-stream simulated device write latencies, in microseconds. Stream
     /// `s` uses `stream_flush_micros[s]` when present and falls back to the

@@ -10,12 +10,18 @@
 //! thread interleaving (interleaving only changes *which wall-clock operation*
 //! consumes draw `k`, never what draw `k` decides).
 //!
+//! Besides the drawn faults a plan offers **holds** ([`FaultPlan::hold`]): a
+//! test parks every thread that reaches a site until it lets go — a barrier at
+//! a point inside the system, for the interleavings a test has to force rather
+//! than hope for. A plan nobody holds pays one atomic load per site visit.
+//!
 //! The plan itself lives here in `dora-common` so every layer (storage's log
 //! device, the DORA executors, the serving front-end's tests) shares one
 //! schedule; the layers that consume decisions count them through
 //! `dora-metrics` at the call site.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Knobs for the deterministic fault injector. All rates are probabilities in
 /// `[0, 1]`; a rate of zero disables that site entirely (and draws nothing
@@ -78,6 +84,8 @@ impl FaultConfig {
             FaultSite::DeviceLatencySpike => self.device_spike_rate,
             FaultSite::FlusherStall => self.flusher_stall_rate,
             FaultSite::ExecutorPanic => self.executor_panic_rate,
+            // No knob: the site is only ever held ([`FaultPlan::hold`]).
+            FaultSite::CheckpointStall => 0.0,
         }
     }
 }
@@ -94,15 +102,19 @@ pub enum FaultSite {
     FlusherStall,
     /// An executor thread panics at an action boundary.
     ExecutorPanic,
+    /// A checkpoint build stalls right after its cut: the records are out of
+    /// the streams, the checkpoint that will hold them is not complete.
+    CheckpointStall,
 }
 
 impl FaultSite {
     /// Every fault site, in decision-stream order.
-    pub const ALL: [FaultSite; 4] = [
+    pub const ALL: [FaultSite; 5] = [
         FaultSite::DeviceWriteError,
         FaultSite::DeviceLatencySpike,
         FaultSite::FlusherStall,
         FaultSite::ExecutorPanic,
+        FaultSite::CheckpointStall,
     ];
 
     fn index(self) -> usize {
@@ -111,6 +123,7 @@ impl FaultSite {
             FaultSite::DeviceLatencySpike => 1,
             FaultSite::FlusherStall => 2,
             FaultSite::ExecutorPanic => 3,
+            FaultSite::CheckpointStall => 4,
         }
     }
 }
@@ -124,7 +137,12 @@ impl FaultSite {
 #[derive(Debug)]
 pub struct FaultPlan {
     config: FaultConfig,
-    draws: [AtomicU64; 4],
+    draws: [AtomicU64; FaultSite::ALL.len()],
+    /// Live [`FaultHold`]s per site.
+    holds: [AtomicUsize; FaultSite::ALL.len()],
+    /// Where threads that reached a held site sleep.
+    hold_lock: Mutex<()>,
+    released: Condvar,
 }
 
 impl FaultPlan {
@@ -132,12 +150,10 @@ impl FaultPlan {
     pub fn new(config: FaultConfig) -> Self {
         Self {
             config,
-            draws: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
+            draws: std::array::from_fn(|_| AtomicU64::new(0)),
+            holds: std::array::from_fn(|_| AtomicUsize::new(0)),
+            hold_lock: Mutex::new(()),
+            released: Condvar::new(),
         }
     }
 
@@ -189,6 +205,59 @@ impl FaultPlan {
     /// How many decisions `site`'s stream has consumed so far.
     pub fn draws(&self, site: FaultSite) -> u64 {
         self.draws[site.index()].load(Ordering::Relaxed)
+    }
+
+    /// Parks every thread that reaches `site` ([`Self::park_while_held`])
+    /// from now until the returned guard is dropped.
+    pub fn hold(self: &Arc<Self>, site: FaultSite) -> FaultHold {
+        self.holds[site.index()].fetch_add(1, Ordering::SeqCst);
+        FaultHold {
+            plan: Arc::clone(self),
+            site,
+        }
+    }
+
+    /// Called by the code at `site`: sleeps for as long as anybody holds the
+    /// site and says whether it had to. Costs one load when nobody does.
+    pub fn park_while_held(&self, site: FaultSite) -> bool {
+        let holds = &self.holds[site.index()];
+        if holds.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
+        // The mutex guards nothing, so a poisoned one is as good as new.
+        let mut guard = self
+            .hold_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        while holds.load(Ordering::SeqCst) > 0 {
+            guard = self
+                .released
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        true
+    }
+}
+
+/// A live hold on one site of a [`FaultPlan`]; dropping it releases the
+/// threads parked there.
+#[derive(Debug)]
+pub struct FaultHold {
+    plan: Arc<FaultPlan>,
+    site: FaultSite,
+}
+
+impl Drop for FaultHold {
+    fn drop(&mut self) {
+        // Under the mutex a parked thread re-checks the count with, so the
+        // notification cannot fall between its check and its wait.
+        let _guard = self
+            .plan
+            .hold_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.plan.holds[self.site.index()].fetch_sub(1, Ordering::SeqCst);
+        self.plan.released.notify_all();
     }
 }
 
@@ -276,6 +345,36 @@ mod tests {
             (hits - 0.25).abs() < 0.05,
             "empirical rate {hits} strays too far from 0.25"
         );
+    }
+
+    #[test]
+    fn a_held_site_parks_its_visitors_until_the_hold_is_dropped() {
+        let plan = Arc::new(FaultPlan::disabled());
+        assert!(!plan.park_while_held(FaultSite::CheckpointStall));
+        let hold = plan.hold(FaultSite::CheckpointStall);
+        assert!(
+            !plan.park_while_held(FaultSite::FlusherStall),
+            "holds are per site"
+        );
+        let (through_tx, through_rx) = std::sync::mpsc::channel();
+        let visitor = {
+            let plan = Arc::clone(&plan);
+            std::thread::spawn(move || {
+                plan.park_while_held(FaultSite::CheckpointStall);
+                through_tx.send(()).unwrap();
+            })
+        };
+        let patience = std::time::Duration::from_millis(50);
+        assert!(
+            through_rx.recv_timeout(patience).is_err(),
+            "the visitor got through a held site"
+        );
+        drop(hold);
+        through_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the visitor is released with the hold");
+        visitor.join().unwrap();
+        assert!(!plan.park_while_held(FaultSite::CheckpointStall));
     }
 
     #[test]

@@ -148,10 +148,16 @@ pub enum CounterKind {
     /// [`LogFlushes`](CounterKind::LogFlushes); the rest are the log-flusher
     /// daemon's, on behalf of commits nobody blocks on.
     LeaderFlushes = 42,
+    /// Microseconds spent building fuzzy checkpoints, on whichever thread
+    /// built them — background time, none of it on a commit path.
+    CheckpointBuildMicros = 43,
+    /// Microseconds a checkpoint build held a stream's `records` mutex (the
+    /// longest hold of each build) — the foreground stall a build can cause.
+    CheckpointLockHoldMicros = 44,
 }
 
 /// Number of [`CounterKind`] variants; sizes the per-thread arrays.
-pub const COUNTER_KIND_COUNT: usize = 43;
+pub const COUNTER_KIND_COUNT: usize = 45;
 
 /// All counters, in `repr` order.
 pub const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
@@ -198,6 +204,8 @@ pub const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
     CounterKind::SecondaryFallbacks,
     CounterKind::ActionsInlined,
     CounterKind::LeaderFlushes,
+    CounterKind::CheckpointBuildMicros,
+    CounterKind::CheckpointLockHoldMicros,
 ];
 
 impl CounterKind {
@@ -252,6 +260,8 @@ impl CounterKind {
             CounterKind::SecondaryFallbacks => "secondary-fallbacks",
             CounterKind::ActionsInlined => "actions-inlined",
             CounterKind::LeaderFlushes => "leader-flushes",
+            CounterKind::CheckpointBuildMicros => "checkpoint-build-micros",
+            CounterKind::CheckpointLockHoldMicros => "checkpoint-lock-hold-micros",
         }
     }
 }

@@ -1030,10 +1030,13 @@ impl Database {
     /// committed transactions into a fresh instance with the same schema.
     /// Used by tests to validate that the log captures committed state.
     ///
-    /// When a checkpoint has reclaimed log space, the truncated prefix only
-    /// exists folded inside the checkpoint, so recovery routes through it.
+    /// When checkpoints reclaim log space, the truncated prefix only exists
+    /// folded inside the checkpoint, so recovery routes through it — decided
+    /// by the configuration, not by looking whether anything has been
+    /// reclaimed yet: a background build may be moving records out of the
+    /// log at this very moment.
     pub fn recover_into(&self, fresh: &Database) -> DbResult<()> {
-        if self.log.reclaimed_records() > 0 {
+        if self.config.durability.reclaim_log_at_checkpoint {
             return self.recover_checkpoint_into(fresh, 1);
         }
         self.replay(fresh, self.log.committed_changes())
@@ -1060,8 +1063,8 @@ impl Database {
     /// into its worker's shard.
     pub fn recover_into_parallel(&self, fresh: &Database, workers: usize) -> DbResult<()> {
         let workers = workers.max(1);
-        if self.log.reclaimed_records() > 0 {
-            // The reclaimed prefix survives only inside the checkpoint.
+        if self.config.durability.reclaim_log_at_checkpoint {
+            // A reclaimed prefix survives only inside the checkpoint.
             return self.recover_checkpoint_into(fresh, workers);
         }
         if workers == 1 {
@@ -1104,16 +1107,20 @@ impl Database {
     /// checkpoint's net-effect rows, then replays only the log delta past
     /// the per-stream low-water marks (plus the undecided records the
     /// checkpoint carried forward), across `workers` threads — O(delta)
-    /// work, not O(history). Falls back to a full replay when no checkpoint
-    /// has been taken.
+    /// work, not O(history). With no checkpoint taken yet the delta is the
+    /// whole log. Safe beside a running build: checkpoint and delta are one
+    /// read ([`LogManager::checkpoint_and_tail`]).
     pub fn recover_checkpoint_into(&self, fresh: &Database, workers: usize) -> DbResult<()> {
-        let Some(checkpoint) = self.log.checkpoint_snapshot() else {
-            return self.replay_parallel(fresh, self.log.committed_changes(), workers);
+        let (checkpoint, tail) = self.log.checkpoint_and_tail();
+        let (mut candidates, horizon) = match checkpoint {
+            Some(checkpoint) => {
+                self.replay_parallel(fresh, checkpoint.rows_flat(), workers)?;
+                (checkpoint.pending().to_vec(), checkpoint.seq_horizon())
+            }
+            None => (Vec::new(), 0),
         };
-        self.replay_parallel(fresh, checkpoint.rows_flat(), workers)?;
-        let mut candidates = checkpoint.pending().to_vec();
-        candidates.extend(self.log.records_after(checkpoint.low_water()));
-        let delta = LogManager::redo_in_candidates(candidates, checkpoint.seq_horizon());
+        candidates.extend(tail);
+        let delta = LogManager::redo_in_candidates(candidates, horizon);
         self.replay_parallel(fresh, delta, workers)
     }
 

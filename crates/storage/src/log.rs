@@ -47,11 +47,36 @@
 //!   [`DurabilityConfig::group_commit`] off there is no daemon and the
 //!   submitting thread drives the write before it returns.
 //!
-//! The log manager also takes **fuzzy checkpoints**
-//! ([`LogManager::maybe_checkpoint`]): the committed history is folded
-//! into a net-effect snapshot per `(table, rid)` plus per-stream low-water
-//! LSNs, so recovery bulk-applies the snapshot and replays only the delta
-//! since the last checkpoint — O(delta), not O(history).
+//! The log manager also takes **fuzzy checkpoints**: the committed history
+//! is folded into a net-effect snapshot per `(table, rid)` plus per-stream
+//! low-water LSNs, so recovery bulk-applies the snapshot and replays only the
+//! delta since the last checkpoint — O(delta), not O(history). A checkpoint
+//! is background work:
+//!
+//! * *Who builds.* The precommit path ([`LogManager::maybe_checkpoint`])
+//!   compares a counter; the one committer per
+//!   [`DurabilityConfig::checkpoint_interval`] records that resets it wakes
+//!   the `log-checkpointer` thread (spawned at the first crossing, joined on
+//!   drop) and goes on. No committer ever builds.
+//!   [`LogManager::take_checkpoint`] runs the same body on its caller.
+//! * *The cut.* Each stream is cut at its **floor** — just below the first
+//!   buffered record of a transaction that has neither committed nor aborted,
+//!   whose undo chain must stay in the buffer — and the prefix below the floor
+//!   is *moved* out of the stream (`LogStream::cut`): the stream's `records`
+//!   mutex is held for O(live transactions + records past the floor), with no
+//!   allocation, no copy of the prefix and no drop under it. The floor is the
+//!   checkpoint's low-water mark, so log space is reclaimed by the cut itself.
+//!   Only [`DurabilityConfig::reclaim_log_at_checkpoint`] = `false` clones the
+//!   prefix instead and leaves the log whole.
+//! * *The fold.* The moved records and the previous checkpoint's undecided
+//!   ones are analysed, the committed data changes are ordered by commit
+//!   sequence with one stable sort and folded **into the previous checkpoint
+//!   in place**; the rest is dropped or carried. O(interval) work, whatever
+//!   the size of the database.
+//! * *Consistency.* The checkpoint mutex is held from before the first move
+//!   until the checkpoint is complete. Recovery reads checkpoint and log
+//!   under it ([`LogManager::checkpoint_and_tail`]) and therefore finds every
+//!   record in exactly one of the two.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -63,7 +88,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use dora_common::prelude::*;
-use dora_metrics::{incr, record_time, CounterKind, TimeCategory, ValueHistogram};
+use dora_metrics::{incr, incr_by, record_time, CounterKind, TimeCategory, ValueHistogram};
 
 /// Log sequence number, local to one stream (dense from 1 per stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -277,8 +302,11 @@ impl StreamBuffer {
         &self.buffered[..len]
     }
 
-    /// The retained records whose LSN is > `low` (reclaimed records are
-    /// below every valid low-water mark, so clamping to the base is exact).
+    /// The retained records whose LSN is > `low`. Clamping to the base is
+    /// exact for the *latest* checkpoint's low-water mark only — a build moves
+    /// the records between an older mark and the base into the checkpoint —
+    /// which is why recovery reads both under the checkpoint mutex
+    /// ([`LogManager::checkpoint_and_tail`]).
     fn retained_after(&self, low: Lsn) -> &[LogRecord] {
         let from = (low.0.saturating_sub(self.base) as usize).min(self.buffered.len());
         &self.buffered[from..]
@@ -632,6 +660,52 @@ impl LogStream {
         Lsn(self.flushed_lsn.load(Ordering::Acquire))
     }
 
+    /// The checkpoint cut of this stream: hands the builder the records in
+    /// `(low, floor]` and returns the floor with how long the `records` mutex
+    /// was held. The floor is the last record below the first buffered record
+    /// of any *live* transaction (one still in `last_lsn_per_txn`, i.e. not
+    /// yet committed or aborted), found by walking those few `prev_lsn`
+    /// chains — rollback walks the same chains through buffered indices, so
+    /// nothing a live transaction wrote may leave the buffer. With `reclaim`
+    /// the prefix is *moved* out: the tail is shifted into a buffer allocated
+    /// before the lock and the two are swapped, so the mutex covers O(tail)
+    /// moves and neither an allocation nor a drop. Without it the records
+    /// stay in the log and the builder gets clones.
+    fn cut(&self, low: Lsn, reclaim: bool) -> (Lsn, Vec<LogRecord>, Duration) {
+        // The replacement keeps the old capacity, so the appends of the next
+        // interval do not re-grow it under the mutex.
+        let capacity = if reclaim {
+            self.records.lock().buffered.capacity()
+        } else {
+            0
+        };
+        let mut kept = Vec::with_capacity(capacity);
+        let mut buffer = self.records.lock();
+        let locked = Instant::now();
+        let mut floor = buffer.total();
+        for &last in self.last_lsn_per_txn.lock().values() {
+            let mut first = last;
+            loop {
+                let prev = buffer.buffered[buffer.index_of(first)].prev_lsn;
+                if prev.0 == 0 {
+                    break;
+                }
+                first = prev;
+            }
+            floor = floor.min(first.0 - 1);
+        }
+        let at = (floor - buffer.base) as usize;
+        let moved = if reclaim {
+            kept.extend(buffer.buffered.drain(at..));
+            buffer.base = floor;
+            std::mem::replace(&mut buffer.buffered, kept)
+        } else {
+            buffer.buffered[(low.0 - buffer.base) as usize..at].to_vec()
+        };
+        drop(buffer);
+        (Lsn(floor), moved, locked.elapsed())
+    }
+
     fn shutdown(&self) {
         let handle = self.flusher.lock().take();
         if let Some(handle) = handle {
@@ -652,6 +726,9 @@ impl LogStream {
 /// into net-effect records per row, plus the records of transactions that
 /// were still undecided when the checkpoint was cut (carried forward so a
 /// fence landing after the low-water mark loses nothing).
+///
+/// `Clone` exists for the builder's [`Arc::make_mut`] alone: it copies the
+/// previous checkpoint only while a reader still holds it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Per-stream cut: this checkpoint covers records with LSN ≤
@@ -752,17 +829,166 @@ fn fold_row(slot: &mut Vec<LogRecord>, record: LogRecord) {
     }
 }
 
+/// Name of the thread that builds checkpoints in the background.
+pub const CHECKPOINTER_THREAD: &str = "log-checkpointer";
+
+/// What checkpointing has cost so far ([`LogManager::checkpoint_stats`]).
+#[derive(Debug, Clone, Default)]
+pub struct CheckpointStats {
+    /// Checkpoints built.
+    pub builds: u64,
+    /// Of those, the ones built on the `log-checkpointer` thread (the rest
+    /// are [`LogManager::take_checkpoint`] calls).
+    pub background_builds: u64,
+    /// Duration of the latest build.
+    pub last_build: Duration,
+    /// Duration of the longest build.
+    pub max_build: Duration,
+    /// Committed data changes folded into row slots, all builds.
+    pub records_folded: u64,
+    /// Rows with folded state in the latest checkpoint.
+    pub rows_held: usize,
+    /// The longest single hold of a stream's `records` mutex by a build.
+    pub max_lock_hold: Duration,
+}
+
+/// The builder thread's mailbox. One condvar serves both directions: the
+/// builder sleeps until `requested` passes `served`, and
+/// [`LogManager::checkpoint_snapshot`] until `served` catches up.
+#[derive(Default)]
+struct Wake {
+    /// Interval crossings so far.
+    requested: u64,
+    /// Crossings a finished build has answered.
+    served: u64,
+    shutdown: bool,
+}
+
+/// The checkpoint and everything its builder needs, shared between the
+/// [`LogManager`] and the `log-checkpointer` thread.
+struct Checkpointer {
+    streams: Vec<Arc<LogStream>>,
+    /// The latest checkpoint. Held for a whole build — from before the first
+    /// record leaves a stream until the checkpoint that holds it is complete
+    /// — which serialises builds and makes checkpoint + log one consistent
+    /// read for whoever holds it. No committer ever takes it.
+    current: Mutex<Option<Arc<Checkpoint>>>,
+    stats: Mutex<CheckpointStats>,
+    /// [`DurabilityConfig::reclaim_log_at_checkpoint`].
+    reclaim: bool,
+    faults: Arc<FaultPlan>,
+    wake: Mutex<Wake>,
+    wake_cond: Condvar,
+}
+
+impl Checkpointer {
+    /// The `log-checkpointer` thread: one build per batch of crossings.
+    fn run(&self) {
+        let mut wake = self.wake.lock();
+        loop {
+            if wake.shutdown {
+                return;
+            }
+            if wake.served == wake.requested {
+                self.wake_cond.wait(&mut wake);
+                continue;
+            }
+            let serving = wake.requested;
+            drop(wake);
+            self.build();
+            wake = self.wake.lock();
+            wake.served = serving;
+            self.wake_cond.notify_all();
+        }
+    }
+
+    /// Folds everything committed since the previous checkpoint into it, in
+    /// place. The cut is *fuzzy* — each stream is cut at its own floor
+    /// ([`LogStream::cut`]) when visited — which is safe because undecided
+    /// transactions' records are carried in `pending` and re-examined next
+    /// time. The work is O(interval): nothing is copied but the cut, and
+    /// every record dropped is dropped here, outside any stream's mutex.
+    fn build(&self) {
+        let started = Instant::now();
+        let mut current = self.current.lock();
+        let checkpoint = Arc::make_mut(current.get_or_insert_with(|| {
+            Arc::new(Checkpoint {
+                low_water: vec![Lsn(0); self.streams.len()],
+                seq_horizon: 0,
+                rows: HashMap::new(),
+                pending: Vec::new(),
+            })
+        }));
+        let mut chunks = vec![std::mem::take(&mut checkpoint.pending)];
+        let mut lock_hold = Duration::ZERO;
+        for (stream, low) in self.streams.iter().zip(&mut checkpoint.low_water) {
+            let (floor, records, held) = stream.cut(*low, self.reclaim);
+            *low = floor;
+            chunks.push(records);
+            lock_hold = lock_hold.max(held);
+        }
+        if self.faults.park_while_held(FaultSite::CheckpointStall) {
+            incr(CounterKind::FaultsInjected);
+        }
+        let analysis = LogManager::analyze(chunks.iter().flatten(), checkpoint.seq_horizon);
+        let mut committed: Vec<(u64, LogRecord)> = Vec::new();
+        for record in chunks.into_iter().flatten() {
+            if let Some(&seq) = analysis.committed.get(&record.txn) {
+                if record.kind.is_data_change() {
+                    committed.push((seq, record));
+                }
+            } else if !analysis.aborted.contains(&record.txn) {
+                checkpoint.pending.push(record);
+            }
+        }
+        // Commit-sequence order; stable, and the chunks are in log order per
+        // stream, so a transaction's records keep their log position.
+        committed.sort_by_key(|&(seq, _)| seq);
+        let folded = committed.len() as u64;
+        for (_, record) in committed {
+            let key = record.kind.row_key().expect("data record has a row");
+            let slot = checkpoint.rows.entry(key).or_default();
+            fold_row(slot, record);
+            if slot.is_empty() {
+                checkpoint.rows.remove(&key);
+            }
+        }
+        checkpoint.seq_horizon = analysis.horizon;
+        let rows_held = checkpoint.rows.len();
+        drop(current);
+
+        let build = started.elapsed();
+        incr(CounterKind::CheckpointsTaken);
+        incr_by(CounterKind::CheckpointBuildMicros, build.as_micros() as u64);
+        incr_by(
+            CounterKind::CheckpointLockHoldMicros,
+            lock_hold.as_micros() as u64,
+        );
+        let mut stats = self.stats.lock();
+        stats.builds += 1;
+        if std::thread::current().name() == Some(CHECKPOINTER_THREAD) {
+            stats.background_builds += 1;
+        }
+        stats.last_build = build;
+        stats.max_build = stats.max_build.max(build);
+        stats.records_folded += folded;
+        stats.rows_held = rows_held;
+        stats.max_lock_hold = stats.max_lock_hold.max(lock_hold);
+    }
+}
+
 /// The partitioned write-ahead log.
 pub struct LogManager {
     streams: Vec<Arc<LogStream>>,
     /// Next global commit sequence − 1 (sequences are dense from 1).
     commit_seq: AtomicU64,
-    /// Latest fuzzy checkpoint, if any.
-    checkpoint: Mutex<Option<Checkpoint>>,
-    /// Serializes checkpoint builds (committers `try_lock` so at most one
-    /// pays the build cost and the rest skip).
-    checkpoint_build: Mutex<()>,
-    /// Records appended since the last checkpoint.
+    /// The checkpoint, its builder's state and statistics — shared with the
+    /// `log-checkpointer` thread.
+    checkpointer: Arc<Checkpointer>,
+    /// The `log-checkpointer` thread, spawned by the first interval crossing
+    /// and joined on drop.
+    checkpointer_thread: Mutex<Option<JoinHandle<()>>>,
+    /// Records appended since the last interval crossing.
     records_since_checkpoint: AtomicU64,
     durability: DurabilityConfig,
     /// The deterministic fault schedule all streams draw from.
@@ -839,11 +1065,19 @@ impl LogManager {
             None
         };
         Self {
-            streams,
             commit_seq: AtomicU64::new(0),
-            checkpoint: Mutex::new(None),
-            checkpoint_build: Mutex::new(()),
+            checkpointer: Arc::new(Checkpointer {
+                streams: streams.clone(),
+                current: Mutex::new(None),
+                stats: Mutex::new(CheckpointStats::default()),
+                reclaim: durability.reclaim_log_at_checkpoint,
+                faults: Arc::clone(&faults),
+                wake: Mutex::new(Wake::default()),
+                wake_cond: Condvar::new(),
+            }),
+            checkpointer_thread: Mutex::new(None),
             records_since_checkpoint: AtomicU64::new(0),
+            streams,
             durability,
             faults,
             watchdog_stop,
@@ -1182,7 +1416,10 @@ impl LogManager {
 
     /// Scans `candidates` for commit fences and aborts, extending the dense
     /// sequence horizon upward from `base_horizon`.
-    fn analyze(candidates: &[&LogRecord], base_horizon: u64) -> Analysis {
+    fn analyze<'a>(
+        candidates: impl IntoIterator<Item = &'a LogRecord>,
+        base_horizon: u64,
+    ) -> Analysis {
         struct Fence {
             seq: u64,
             required: usize,
@@ -1190,7 +1427,7 @@ impl LogManager {
         }
         let mut fences: HashMap<TxnId, Fence> = HashMap::new();
         let mut aborted = HashSet::new();
-        for &record in candidates {
+        for record in candidates {
             match &record.kind {
                 LogRecordKind::Commit { seq, streams } => {
                     let fence = fences.entry(record.txn).or_insert(Fence {
@@ -1250,149 +1487,82 @@ impl LogManager {
         candidates: &[&'a LogRecord],
         base_horizon: u64,
     ) -> Vec<&'a LogRecord> {
-        let analysis = Self::analyze(candidates, base_horizon);
-        let mut by_txn: HashMap<TxnId, Vec<&LogRecord>> = HashMap::new();
-        for &record in candidates {
-            if analysis.committed.contains_key(&record.txn) && record.kind.is_data_change() {
-                by_txn.entry(record.txn).or_default().push(record);
-            }
-        }
-        let mut order: Vec<(u64, TxnId)> = analysis
-            .committed
+        let analysis = Self::analyze(candidates.iter().copied(), base_horizon);
+        let mut redo: Vec<(u64, &LogRecord)> = candidates
             .iter()
-            .map(|(txn, seq)| (*seq, *txn))
+            .filter(|record| record.kind.is_data_change())
+            .filter_map(|&record| Some((*analysis.committed.get(&record.txn)?, record)))
             .collect();
-        order.sort_unstable();
-        let mut out = Vec::new();
-        for (_, txn) in order {
-            out.extend(by_txn.remove(&txn).unwrap_or_default());
-        }
-        out
+        // Stable: a transaction's records keep their log order.
+        redo.sort_by_key(|&(seq, _)| seq);
+        redo.into_iter().map(|(_, record)| record).collect()
     }
 
-    /// Takes a fuzzy checkpoint if the configured record interval has
-    /// elapsed since the last one; at most one thread builds (others skip
-    /// past the `try_lock`). Called from the precommit path.
+    /// The precommit path's share of checkpointing: a counter compare, and
+    /// for the one committer per interval whose swap resets the counter, a
+    /// wake-up of the `log-checkpointer` thread (spawned here the first
+    /// time). No committer ever builds; with
+    /// [`DurabilityConfig::checkpoint_interval`] = 0 the thread never exists.
     pub fn maybe_checkpoint(&self) {
         let interval = self.durability.checkpoint_interval;
-        if interval == 0 || self.records_since_checkpoint.load(Ordering::Relaxed) < interval {
+        if interval == 0
+            || self.records_since_checkpoint.load(Ordering::Relaxed) < interval
+            || self.records_since_checkpoint.swap(0, Ordering::Relaxed) < interval
+        {
             return;
         }
-        if let Some(_guard) = self.checkpoint_build.try_lock() {
-            if self.records_since_checkpoint.load(Ordering::Relaxed) < interval {
-                return;
-            }
-            self.records_since_checkpoint.store(0, Ordering::Relaxed);
-            self.build_checkpoint();
+        let mut thread = self.checkpointer_thread.lock();
+        if thread.is_none() {
+            let checkpointer = Arc::clone(&self.checkpointer);
+            *thread = Some(
+                std::thread::Builder::new()
+                    .name(CHECKPOINTER_THREAD.into())
+                    .spawn(move || checkpointer.run())
+                    .expect("spawn log-checkpointer"),
+            );
         }
+        drop(thread);
+        self.checkpointer.wake.lock().requested += 1;
+        self.checkpointer.wake_cond.notify_all();
     }
 
-    /// Takes a fuzzy checkpoint now (benchmarks and tests).
+    /// Takes a fuzzy checkpoint now, on the calling thread: the synchronous
+    /// form of the body the `log-checkpointer` thread runs, serialised with
+    /// it by the checkpoint mutex (benchmarks and tests).
     pub fn take_checkpoint(&self) {
-        let _guard = self.checkpoint_build.lock();
         self.records_since_checkpoint.store(0, Ordering::Relaxed);
-        self.build_checkpoint();
+        self.checkpointer.build();
     }
 
-    /// Incrementally folds everything committed since the previous
-    /// checkpoint into the net-effect row snapshot. The cut is *fuzzy* —
-    /// each stream is cut at whatever length it has when visited — which is
-    /// safe because undecided transactions' records are carried in
-    /// `pending` and re-examined next time.
-    fn build_checkpoint(&self) {
-        let previous = self.checkpoint.lock().clone();
-        let (mut rows, base_horizon, previous_low, mut candidates) = match previous {
-            Some(cp) => (cp.rows, cp.seq_horizon, cp.low_water, cp.pending),
-            None => (
-                HashMap::new(),
-                0,
-                vec![Lsn(0); self.streams.len()],
-                Vec::new(),
-            ),
-        };
-        let mut cuts = Vec::with_capacity(self.streams.len());
-        for (s, stream) in self.streams.iter().enumerate() {
-            let records = stream.records.lock();
-            let cut = Lsn(records.total());
-            cuts.push(cut);
-            // The previous low-water mark is ≥ the reclaimed base (we only
-            // truncate up to an already-built checkpoint's cut), so the
-            // uncovered window is entirely retained.
-            let from = previous_low.get(s).copied().unwrap_or(Lsn(0));
-            candidates.extend_from_slice(records.retained_after(from));
+    /// The latest fuzzy checkpoint, if one has been taken — shared, not
+    /// copied. Waits for every build already requested by an interval
+    /// crossing (and for one in progress: the checkpoint mutex is held for a
+    /// whole build), so a caller that saw the crossing sees its checkpoint.
+    pub fn checkpoint_snapshot(&self) -> Option<Arc<Checkpoint>> {
+        let mut wake = self.checkpointer.wake.lock();
+        while wake.served < wake.requested {
+            self.checkpointer.wake_cond.wait(&mut wake);
         }
-        let analysis = {
-            let refs: Vec<&LogRecord> = candidates.iter().collect();
-            Self::analyze(&refs, base_horizon)
-        };
-        let mut by_txn: HashMap<TxnId, Vec<LogRecord>> = HashMap::new();
-        let mut pending = Vec::new();
-        for record in candidates {
-            if analysis.committed.contains_key(&record.txn) {
-                if record.kind.is_data_change() {
-                    by_txn.entry(record.txn).or_default().push(record);
-                }
-            } else if !analysis.aborted.contains(&record.txn) {
-                pending.push(record);
-            }
-        }
-        let mut order: Vec<(u64, TxnId)> = analysis
-            .committed
-            .iter()
-            .map(|(txn, seq)| (*seq, *txn))
-            .collect();
-        order.sort_unstable();
-        for (_, txn) in order {
-            for record in by_txn.remove(&txn).unwrap_or_default() {
-                let key = record.kind.row_key().expect("data record has a row");
-                fold_row(rows.entry(key).or_default(), record);
-            }
-        }
-        rows.retain(|_, slot| !slot.is_empty());
-        *self.checkpoint.lock() = Some(Checkpoint {
-            low_water: cuts.clone(),
-            seq_horizon: analysis.horizon,
-            rows,
-            pending,
-        });
-        incr(CounterKind::CheckpointsTaken);
-        if self.durability.reclaim_log_at_checkpoint {
-            self.reclaim_up_to(&cuts);
-        }
+        drop(wake);
+        self.checkpointer.current.lock().clone()
     }
 
-    /// Truncates each stream's buffered prefix up to its checkpoint cut,
-    /// but never past the first buffered record of a *live* transaction
-    /// (one still in `last_lsn_per_txn`, i.e. not yet committed or
-    /// aborted): rollback walks those chains through buffered indices.
-    /// Everything truncated is covered by the just-built checkpoint —
-    /// committed history lives in its folded rows, undecided transactions'
-    /// records ride its `pending` list — so recovery loses nothing.
-    fn reclaim_up_to(&self, cuts: &[Lsn]) {
-        for (s, stream) in self.streams.iter().enumerate() {
-            let mut buffer = stream.records.lock();
-            let live: HashSet<TxnId> = stream.last_lsn_per_txn.lock().keys().copied().collect();
-            let mut floor = cuts.get(s).copied().unwrap_or(Lsn(0)).0;
-            for record in buffer.buffered.iter() {
-                if record.lsn.0 > floor {
-                    break;
-                }
-                if live.contains(&record.txn) {
-                    floor = record.lsn.0 - 1;
-                    break;
-                }
-            }
-            let drain = floor.saturating_sub(buffer.base) as usize;
-            if drain > 0 {
-                buffer.buffered.drain(..drain);
-                buffer.base += drain as u64;
-            }
-        }
+    /// What recovery replays: the latest checkpoint and every record past its
+    /// low-water marks, read under the checkpoint mutex. A build moves
+    /// records from the log into the checkpoint while holding that mutex, so
+    /// no record is ever in neither — read one after the other without it and
+    /// an interval can be lost in between.
+    pub fn checkpoint_and_tail(&self) -> (Option<Arc<Checkpoint>>, Vec<LogRecord>) {
+        let current = self.checkpointer.current.lock();
+        let tail = self.records_after(current.as_deref().map_or(&[], Checkpoint::low_water));
+        (current.clone(), tail)
     }
 
-    /// The latest fuzzy checkpoint, if one has been taken.
-    pub fn checkpoint_snapshot(&self) -> Option<Checkpoint> {
-        self.checkpoint.lock().clone()
+    /// What checkpointing has cost so far: builds, their duration, and the
+    /// longest the builder held any stream's `records` mutex — the only
+    /// moment a build stands in a committer's way.
+    pub fn checkpoint_stats(&self) -> CheckpointStats {
+        self.checkpointer.stats.lock().clone()
     }
 
     /// Every record past the per-stream `low_water` marks, stream-major
@@ -1450,6 +1620,13 @@ impl Drop for LogManager {
     fn drop(&mut self) {
         self.watchdog_stop.store(true, Ordering::Release);
         if let Some(handle) = self.watchdog.lock().take() {
+            let _ = handle.join();
+        }
+        // The builder reads the streams: it goes before they shut down. It
+        // owns no reference to the database, so this is never a self-join.
+        if let Some(handle) = self.checkpointer_thread.lock().take() {
+            self.checkpointer.wake.lock().shutdown = true;
+            self.checkpointer.wake_cond.notify_all();
             let _ = handle.join();
         }
         for stream in &self.streams {
@@ -1866,7 +2043,9 @@ mod tests {
         log.take_checkpoint();
         let checkpoint = log.checkpoint_snapshot().expect("checkpoint taken");
         assert_eq!(checkpoint.seq_horizon(), 3);
-        assert_eq!(checkpoint.low_water(), &[Lsn(log.len() as u64)]);
+        // The cut is the reclaim floor: it stops below live txn 4's record
+        // (lsn 8), which stays in the log where its undo chain can reach it.
+        assert_eq!(checkpoint.low_water(), &[Lsn(log.len() as u64 - 1)]);
         // Insert+update folded to one insert of the final image; txn 3's
         // insert+delete cancelled out entirely.
         assert_eq!(checkpoint.row_count(), 1);
@@ -1876,12 +2055,13 @@ mod tests {
             LogRecordKind::Insert { after, .. } => assert_eq!(after, &vec![9]),
             other => panic!("expected folded insert, got {other:?}"),
         }
-        // Txn 4 is undecided: its record is carried, not lost.
-        assert!(checkpoint.pending().iter().any(|r| r.txn == TxnId(4)));
+        // Txn 4 is undecided: its record is past the cut, not lost.
+        assert!(checkpoint.pending().is_empty());
+        let tail = log.records_after(checkpoint.low_water());
+        assert!(tail.iter().any(|r| r.txn == TxnId(4)));
 
-        // Reclamation truncated the folded prefix — everything up to the
-        // cut except live txn 4's record (lsn 8), whose undo chain must
-        // stay walkable. LSNs and totals are unaffected.
+        // Reclamation moved the folded prefix out — everything up to the
+        // cut. LSNs and totals are unaffected.
         assert_eq!(log.reclaimed_records(), 7);
         assert_eq!(log.retained_records(), 1);
         assert_eq!(log.len(), 8, "len() reports the full appended history");
@@ -1892,7 +2072,7 @@ mod tests {
         assert!(log.committed_changes().is_empty());
 
         // Txn 4 commits after the checkpoint; the checkpoint's carried
-        // pending plus the post-low-water tail must yield its insert.
+        // pending (empty here) plus the post-low-water tail yield its insert.
         let (_, fences) = log.append_commit_fences(TxnId(4), &[StreamId(0)]);
         assert_eq!(fences.len(), 1);
         assert_eq!(fences[0].1, Lsn(9), "LSNs stay dense across reclamation");
