@@ -551,25 +551,33 @@ impl Tpcc {
                 Key::int(w_id),
                 LocalMode::Exclusive,
                 move |ctx| {
-                    for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
-                        let mut oldest: Option<i64> = None;
-                        ctx.db
-                            .scan_table(ctx.txn, tables.new_order, ctx.cc(), |_, row| {
-                                if row[0] == Value::Int(w_id) && row[1] == Value::Int(d_id) {
-                                    let o_id = row[2].as_int().unwrap_or(i64::MAX);
-                                    oldest =
-                                        Some(oldest.map_or(o_id, |current: i64| current.min(o_id)));
-                                }
-                            })?;
-                        if let Some(o_id) = oldest {
-                            ctx.db.delete_primary(
-                                ctx.txn,
-                                tables.new_order,
-                                &Key::int3(w_id, d_id, o_id),
-                                ctx.write_cc(),
-                            )?;
-                            ctx.scratch.put(&format!("deliver_{d_id}"), o_id);
-                        }
+                    // One pass over `new_order` finds the oldest order of
+                    // every district of the warehouse.
+                    let mut oldest = [None::<i64>; DISTRICTS_PER_WAREHOUSE as usize];
+                    ctx.db
+                        .scan_table(ctx.txn, tables.new_order, ctx.cc(), |_, row| {
+                            if row[0] != Value::Int(w_id) {
+                                return;
+                            }
+                            let (Ok(d_id), Ok(o_id)) = (row[1].as_int(), row[2].as_int()) else {
+                                return;
+                            };
+                            let district = usize::try_from(d_id - 1).ok();
+                            if let Some(slot) = district.and_then(|d| oldest.get_mut(d)) {
+                                *slot = Some(slot.map_or(o_id, |current| current.min(o_id)));
+                            }
+                        })?;
+                    for (d_id, o_id) in (1..).zip(oldest) {
+                        let Some(o_id) = o_id else {
+                            continue;
+                        };
+                        ctx.db.delete_primary(
+                            ctx.txn,
+                            tables.new_order,
+                            &Key::int3(w_id, d_id, o_id),
+                            ctx.write_cc(),
+                        )?;
+                        ctx.scratch.put(&format!("deliver_{d_id}"), o_id);
                     }
                     Ok(())
                 },
@@ -1332,9 +1340,55 @@ mod tests {
         engine.execute(program.compile_dora()).unwrap();
 
         let tables = workload.tables(&db).unwrap();
-        let check = db.begin();
         // The new-order entry was consumed by Delivery.
         assert_eq!(db.row_count(tables.new_order).unwrap(), 0);
+
+        // Districts whose oldest orders differ, and districts with nothing
+        // to deliver: district 1 holds orders 32 and 33, district 2 order 31,
+        // districts 3–10 none. One Delivery takes 32 and 31 and leaves 33.
+        for (d_id, c_id) in [(1, 6), (1, 7), (2, 8)] {
+            let program = workload
+                .new_order_program(&db, 1, d_id, c_id, items.clone())
+                .unwrap();
+            engine.execute(program.compile_dora()).unwrap();
+        }
+        let carrier_and_deliveries = |d_id: i64, o_id: i64, c_id: i64| {
+            let check = db.begin();
+            let probe = |table, key: Key| {
+                db.probe_primary(&check, table, &key, false, CcMode::Full)
+                    .unwrap()
+                    .unwrap()
+                    .1
+            };
+            let order = probe(tables.orders, Key::int3(1, d_id, o_id));
+            let customer = probe(tables.customer, Key::int3(1, d_id, c_id));
+            db.commit(&check).unwrap();
+            (order[4].clone(), customer[7].clone())
+        };
+        let program = workload.delivery_program(&db, 1, 8).unwrap();
+        engine.execute(program.compile_dora()).unwrap();
+        assert_eq!(db.row_count(tables.new_order).unwrap(), 1);
+        let delivered = (Value::Int(8), Value::Int(1));
+        assert_eq!(carrier_and_deliveries(1, 32, 6), delivered);
+        assert_eq!(carrier_and_deliveries(2, 31, 8), delivered);
+        let (carrier, deliveries) = carrier_and_deliveries(1, 33, 7);
+        assert_ne!(
+            carrier,
+            Value::Int(8),
+            "order 33 is not district 1's oldest"
+        );
+        assert_eq!(deliveries, Value::Int(0));
+        // The next Delivery finds one district with an order and nine without.
+        let program = workload.delivery_program(&db, 1, 9).unwrap();
+        engine.execute(program.compile_dora()).unwrap();
+        assert_eq!(db.row_count(tables.new_order).unwrap(), 0);
+        assert_eq!(
+            carrier_and_deliveries(1, 33, 7),
+            (Value::Int(9), Value::Int(1))
+        );
+        assert_eq!(carrier_and_deliveries(2, 31, 8), delivered);
+
+        let check = db.begin();
         // The customer received the delivery (delivery count bumped).
         let (_, customer) = db
             .probe_primary(
@@ -1347,10 +1401,10 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(customer[7], Value::Int(1));
-        // The new order added exactly its 5 lines on top of the loaded data.
+        // Each new order added exactly its 5 lines on top of the loaded data.
         assert_eq!(
             db.row_count(tables.order_line).unwrap(),
-            initial_order_lines + 5
+            initial_order_lines + 4 * 5
         );
         db.commit(&check).unwrap();
         engine.shutdown();
