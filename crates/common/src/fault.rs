@@ -85,7 +85,9 @@ impl FaultConfig {
             FaultSite::FlusherStall => self.flusher_stall_rate,
             FaultSite::ExecutorPanic => self.executor_panic_rate,
             // No knob: the site is only ever held ([`FaultPlan::hold`]).
-            FaultSite::CheckpointStall => 0.0,
+            FaultSite::CheckpointStall
+            | FaultSite::SnapshotReadGap
+            | FaultSite::SnapshotAdoption => 0.0,
         }
     }
 }
@@ -105,16 +107,24 @@ pub enum FaultSite {
     /// A checkpoint build stalls right after its cut: the records are out of
     /// the streams, the checkpoint that will hold them is not complete.
     CheckpointStall,
+    /// A snapshot point read stalls between reading the heap and asking the
+    /// version chains, the window a writer can seed and mutate the row in.
+    SnapshotReadGap,
+    /// The first snapshot of a versioning period stalls after starting the
+    /// period and before adopting the transactions in flight.
+    SnapshotAdoption,
 }
 
 impl FaultSite {
     /// Every fault site, in decision-stream order.
-    pub const ALL: [FaultSite; 5] = [
+    pub const ALL: [FaultSite; 7] = [
         FaultSite::DeviceWriteError,
         FaultSite::DeviceLatencySpike,
         FaultSite::FlusherStall,
         FaultSite::ExecutorPanic,
         FaultSite::CheckpointStall,
+        FaultSite::SnapshotReadGap,
+        FaultSite::SnapshotAdoption,
     ];
 
     fn index(self) -> usize {
@@ -124,6 +134,8 @@ impl FaultSite {
             FaultSite::FlusherStall => 2,
             FaultSite::ExecutorPanic => 3,
             FaultSite::CheckpointStall => 4,
+            FaultSite::SnapshotReadGap => 5,
+            FaultSite::SnapshotAdoption => 6,
         }
     }
 }
@@ -140,6 +152,8 @@ pub struct FaultPlan {
     draws: [AtomicU64; FaultSite::ALL.len()],
     /// Live [`FaultHold`]s per site.
     holds: [AtomicUsize; FaultSite::ALL.len()],
+    /// Threads asleep at each held site right now.
+    parked: [AtomicUsize; FaultSite::ALL.len()],
     /// Where threads that reached a held site sleep.
     hold_lock: Mutex<()>,
     released: Condvar,
@@ -152,6 +166,7 @@ impl FaultPlan {
             config,
             draws: std::array::from_fn(|_| AtomicU64::new(0)),
             holds: std::array::from_fn(|_| AtomicUsize::new(0)),
+            parked: std::array::from_fn(|_| AtomicUsize::new(0)),
             hold_lock: Mutex::new(()),
             released: Condvar::new(),
         }
@@ -229,13 +244,21 @@ impl FaultPlan {
             .hold_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        self.parked[site.index()].fetch_add(1, Ordering::SeqCst);
         while holds.load(Ordering::SeqCst) > 0 {
             guard = self
                 .released
                 .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        self.parked[site.index()].fetch_sub(1, Ordering::SeqCst);
         true
+    }
+
+    /// How many threads a hold on `site` has asleep right now: what a test
+    /// polls to know its victim has arrived.
+    pub fn parked(&self, site: FaultSite) -> usize {
+        self.parked[site.index()].load(Ordering::SeqCst)
     }
 }
 
@@ -374,6 +397,7 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(20))
             .expect("the visitor is released with the hold");
         visitor.join().unwrap();
+        assert_eq!(plan.parked(FaultSite::CheckpointStall), 0);
         assert!(!plan.park_while_held(FaultSite::CheckpointStall));
     }
 

@@ -16,7 +16,7 @@
 //! it only changes isolation responsibilities, exactly as in the paper.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -30,7 +30,7 @@ use crate::catalog::{Catalog, IndexSpec, TableSchema};
 use crate::heap::{HeapFile, PageOp};
 use crate::lock::{LockId, LockManager, LockMode};
 use crate::log::{LogManager, LogRecord, LogRecordKind, Lsn, StreamId};
-use crate::mvcc::{ChainRead, MvccStats, Snapshot, VersionStore};
+use crate::mvcc::{ChainRead, MvccStats, RowWrite, Snapshot, SnapshotBound, VersionStore};
 use crate::txn::{TxnManager, TxnState, TxnStatus};
 
 /// An entry returned by a secondary-index probe: the record's RID plus the
@@ -38,9 +38,9 @@ use crate::txn::{TxnManager, TxnState, TxnStatus};
 /// (Section 4.2.2).
 pub type SecondaryEntry = IndexEntry;
 
-/// A row version a transaction will install at its commit ticket:
-/// `(table, rid, after-image)`; `None` = delete.
-type PendingVersion = (TableId, Rid, Option<Bytes>);
+/// Told every read-write commit's transaction id and commit ticket
+/// ([`Database::observe_commits`]).
+type CommitObserver = Box<dyn Fn(TxnId, u64) + Send + Sync>;
 
 /// A handle to a running transaction. Cheap to clone; under DORA the same
 /// transaction is touched from several executor threads.
@@ -50,9 +50,6 @@ pub struct TxnHandle {
     /// Secondary-index entries whose `deleted` flag must be set after commit
     /// (the paper's deferred flagging of deleted records).
     deferred_flags: Arc<parking_lot::Mutex<Vec<(IndexId, Key, Rid)>>>,
-    /// Row versions this transaction will install at its commit ticket.
-    /// Published by precommit, discarded on abort.
-    pending_versions: Arc<parking_lot::Mutex<Vec<PendingVersion>>>,
     /// Heap slots this transaction deleted. The slots stay reserved (no
     /// insert may reuse them) until the commit is decided: precommit frees
     /// them, abort restores the records into them. This is what makes
@@ -137,8 +134,9 @@ pub struct Database {
     secondaries: RwLock<Vec<Arc<BTreeIndex>>>,
     locks: LockManager,
     log: LogManager,
-    txns: TxnManager,
+    txns: Arc<TxnManager>,
     versions: Arc<VersionStore>,
+    commit_observer: OnceLock<CommitObserver>,
 }
 
 impl std::fmt::Debug for Database {
@@ -163,6 +161,8 @@ impl Database {
             config.buffer_pool_pages,
             config.page_size,
         ));
+        let txns = Arc::new(TxnManager::new());
+        let faults = Arc::new(FaultPlan::new(config.faults.clone()));
         Arc::new(Self {
             catalog: Catalog::new(),
             pool,
@@ -174,10 +174,11 @@ impl Database {
             log: LogManager::with_faults(
                 config.log_flush_micros,
                 config.durability.clone(),
-                Arc::new(FaultPlan::new(config.faults.clone())),
+                Arc::clone(&faults),
             ),
-            txns: TxnManager::new(),
-            versions: Arc::new(VersionStore::new()),
+            versions: Arc::new(VersionStore::over(Arc::clone(&txns), faults)),
+            txns,
+            commit_observer: OnceLock::new(),
             config,
         })
     }
@@ -281,7 +282,6 @@ impl Database {
         TxnHandle {
             state,
             deferred_flags: Arc::new(parking_lot::Mutex::new(Vec::new())),
-            pending_versions: Arc::new(parking_lot::Mutex::new(Vec::new())),
             pending_frees: Arc::new(parking_lot::Mutex::new(Vec::new())),
             snapshot: None,
         }
@@ -297,25 +297,33 @@ impl Database {
         TxnHandle {
             state,
             deferred_flags: Arc::new(parking_lot::Mutex::new(Vec::new())),
-            pending_versions: Arc::new(parking_lot::Mutex::new(Vec::new())),
             pending_frees: Arc::new(parking_lot::Mutex::new(Vec::new())),
             snapshot: Some(snapshot),
         }
     }
 
-    /// Pins a [`Snapshot`] at the current published commit-ticket horizon
-    /// and makes sure the background version-chain collector is running.
+    /// Pins a [`Snapshot`] at the current published commit-ticket horizon.
+    /// Row versions are kept only while a snapshot is open: the first one
+    /// adopts the transactions in flight (it never waits for one to finish)
+    /// and the last one to drop turns versioning off again.
     pub fn snapshot(&self) -> Snapshot {
-        self.versions.start_gc();
-        self.versions.snapshot()
+        self.versions.open(SnapshotBound::Published)
     }
 
     /// Pins a [`Snapshot`] at the *durable* horizon: everything it sees is
     /// committed and hardened, so early-lock-release ghost commits (applied
-    /// in memory, durability lost) are provably excluded.
+    /// in memory, durability lost) are provably excluded. Does not wait for
+    /// the log device.
     pub fn snapshot_durable(&self) -> Snapshot {
-        self.versions.start_gc();
-        self.versions.snapshot_durable()
+        self.versions.open(SnapshotBound::Durable)
+    }
+
+    /// Test hook, a first instalment of the history checker: `observer` is
+    /// told the transaction id and commit ticket of every read-write commit,
+    /// on the committing thread, right after the ticket is drawn. Only the
+    /// first observer registered is kept.
+    pub fn observe_commits(&self, observer: impl Fn(TxnId, u64) + Send + Sync + 'static) {
+        let _ = self.commit_observer.set(Box::new(observer));
     }
 
     /// The multi-version store (version chains, horizons, GC).
@@ -378,14 +386,17 @@ impl Database {
             for &(stream, lsn) in &fences {
                 txn.state.note_lsn(stream, lsn);
             }
-            // Install this transaction's row versions at its commit ticket
+            if let Some(observer) = self.commit_observer.get() {
+                observer(txn.id(), seq);
+            }
+            // Publish this transaction's row writes at its commit ticket
             // *immediately* after the ticket is drawn — before deferred
             // index flags, before any early lock release and before
             // anything here can fail — so the published watermark stays
-            // dense and a dependent writer (who can only run once our locks
-            // drop) always publishes after us.
-            let pending = std::mem::take(&mut *txn.pending_versions.lock());
-            self.versions.publish(seq, &pending);
+            // dense (a snapshot opener waits on it) and a dependent writer
+            // (who can only run once our locks drop) always publishes after
+            // us.
+            self.versions.publish_writes(seq, &txn.state.writes);
             (Some(seq), fences)
         } else {
             (None, Vec::new())
@@ -560,9 +571,9 @@ impl Database {
         // Undone deletes were restored in place; their slot reservations are
         // consumed by the restore, so there is nothing left to free.
         txn.pending_frees.lock().clear();
-        // Never-published versions die with the abort; the seeded base
-        // versions (pre-images) stay — they describe committed state.
-        txn.pending_versions.lock().clear();
+        // Only now that every change is undone: a snapshot opener that
+        // finds the list empty trusts the heap bytes of these rows.
+        txn.state.writes.lock().clear();
         // A transaction that never logged a change has nothing to mark
         // aborted either — read-only aborts stay off the log entirely.
         if txn.state.has_logged() {
@@ -689,12 +700,25 @@ impl Database {
         }
         let bytes = Value::encode_row(&row);
         let heap = self.heap(table)?;
-        // The chain is seeded with a "not yet born" base while the page
-        // write latch is still held, so no snapshot reader can see the raw
-        // uncommitted bytes before the chain says they are invisible.
-        let rid = time_section(TimeCategory::Work, || {
-            heap.insert_with(&bytes, |rid| self.versions.seed(table, rid, None))
-        })?;
+        // While a snapshot is open the chain is seeded with a "not yet born"
+        // base under the page write latch, so no snapshot reader can see the
+        // raw uncommitted bytes before the chain says they are invisible.
+        let rid = {
+            let mut writes = txn.state.writes.lock();
+            let rid = time_section(TimeCategory::Work, || {
+                heap.insert_with(&bytes, |rid| {
+                    self.versions.seed_write(&writes, table, rid, None, None)
+                })
+            })?;
+            writes.push(RowWrite {
+                table,
+                rid,
+                before: None,
+                after: Some(bytes.clone()),
+                unlinked: None,
+            });
+            rid
+        };
         // Lock the freshly allocated RID (slot) so that a concurrent delete's
         // rollback cannot collide with this insert.
         if cc != CcMode::None {
@@ -715,7 +739,9 @@ impl Database {
         if let Err(err) = index_result {
             // A concurrent insert won the uniqueness race: give the heap slot
             // back so nothing leaks, then surface the error.
+            let mut writes = txn.state.writes.lock();
             let _ = heap.delete(rid);
+            writes.retract(table, rid);
             return Err(err);
         }
         self.log_change(
@@ -726,7 +752,6 @@ impl Database {
                 after: bytes.to_vec(),
             },
         );
-        txn.pending_versions.lock().push((table, rid, Some(bytes)));
         Ok(rid)
     }
 
@@ -825,15 +850,28 @@ impl Database {
         }
         let heap = self.heap(table)?;
         let before = time_section(TimeCategory::Work, || heap.read(rid))?;
-        // Seed the chain base with the committed pre-image before the heap
-        // bytes change, so a snapshot reader racing this update either sees
-        // no chain (heap bytes still the old image) or a chain whose base is
-        // that same old image.
-        self.versions.seed(table, rid, Some(&before));
         let mut row = Value::decode_row(&before)?;
         f(&mut row)?;
         let after = Value::encode_row(&row);
-        time_section(TimeCategory::Work, || heap.update(rid, &after))?;
+        {
+            // While a snapshot is open, seed the chain base with the
+            // committed pre-image before the heap bytes change, so a snapshot
+            // reader racing this update either sees no chain (heap bytes
+            // still the old image) or a chain whose base is that same old
+            // image. Heap change and list entry are one step to a snapshot
+            // opener, which locks the list to adopt what is in flight.
+            let mut writes = txn.state.writes.lock();
+            self.versions
+                .seed_write(&writes, table, rid, Some(&before), None);
+            time_section(TimeCategory::Work, || heap.update(rid, &after))?;
+            writes.push(RowWrite {
+                table,
+                rid,
+                before: Some(before.clone()),
+                after: Some(after.clone()),
+                unlinked: None,
+            });
+        }
         self.log_change(
             txn,
             LogRecordKind::Update {
@@ -843,7 +881,6 @@ impl Database {
                 after: after.to_vec(),
             },
         );
-        txn.pending_versions.lock().push((table, rid, Some(after)));
         Ok(())
     }
 
@@ -900,19 +937,29 @@ impl Database {
         let heap = self.heap(table)?;
         let before = time_section(TimeCategory::Work, || heap.read(rid))?;
         let row = Value::decode_row(&before)?;
-        // As in update: capture the committed pre-image before the slot goes
-        // away so snapshot readers keep a consistent view of the row.
-        self.versions.seed(table, rid, Some(&before));
-        // A *reserving* delete: the slot is not offered for reuse until this
-        // transaction's commit is decided (freed in precommit, restored by
-        // abort). A plain delete here would let a concurrent insert occupy
-        // the slot and make our rollback impossible.
-        time_section(TimeCategory::Work, || heap.delete_pending(rid))?;
+        {
+            // As in update: while a snapshot is open, capture the committed
+            // pre-image before the slot goes away, and — the primary entry is
+            // about to go physically — leave a breadcrumb so live snapshots
+            // can still resolve this key to its chain.
+            let mut writes = txn.state.writes.lock();
+            self.versions
+                .seed_write(&writes, table, rid, Some(&before), Some(key));
+            // A *reserving* delete: the slot is not offered for reuse until
+            // this transaction's commit is decided (freed in precommit,
+            // restored by abort). A plain delete here would let a concurrent
+            // insert occupy the slot and make our rollback impossible.
+            time_section(TimeCategory::Work, || heap.delete_pending(rid))?;
+            writes.push(RowWrite {
+                table,
+                rid,
+                before: Some(before.clone()),
+                after: None,
+                unlinked: Some(key.clone()),
+            });
+        }
         txn.pending_frees.lock().push((table, rid));
         primary.remove(key, rid)?;
-        // The primary entry is gone physically; leave a breadcrumb so live
-        // snapshots can still resolve this key to its chain.
-        self.versions.note_unlinked(table, key.clone(), rid);
         for index_meta in self.catalog.secondary_indexes_of(table) {
             let secondary_key = index_meta.spec.key_of(&row);
             if cc == CcMode::Full {
@@ -931,7 +978,6 @@ impl Database {
                 before: before.to_vec(),
             },
         );
-        txn.pending_versions.lock().push((table, rid, None));
         Ok(())
     }
 
@@ -1379,19 +1425,12 @@ impl Database {
                 None => return Ok(None),
             },
         };
-        let row = match snapshot.store().read_at(table, rid, snapshot.horizon()) {
-            ChainRead::Primordial => {
-                // No writer ever touched this row since load/recovery: the
-                // heap bytes are the committed image.
-                match time_section(TimeCategory::Work, || self.heap(table)?.read(rid)) {
-                    Ok(bytes) => Value::decode_row(&bytes)?,
-                    // The slot vanished between index probe and heap read;
-                    // to this snapshot the key simply does not exist.
-                    Err(_) => return Ok(None),
-                }
-            }
-            ChainRead::Invisible => return Ok(None),
-            ChainRead::Visible(bytes) => Value::decode_row(&bytes)?,
+        let row = match self.snapshot_bytes(snapshot, table, rid) {
+            Ok(Some(bytes)) => Value::decode_row(&bytes)?,
+            // Invisible at the horizon — or primordial and the slot vanished
+            // between index probe and heap read; to this snapshot the key
+            // simply does not exist.
+            Ok(None) | Err(_) => return Ok(None),
         };
         // Guard against RID slot reuse: the chain may describe a different
         // key that later recycled this slot.
@@ -1404,16 +1443,34 @@ impl Database {
     /// Resolves a RID read against a snapshot horizon.
     fn snapshot_read_rid(&self, snapshot: &Snapshot, table: TableId, rid: Rid) -> DbResult<Row> {
         incr(CounterKind::SnapshotReads);
-        match snapshot.store().read_at(table, rid, snapshot.horizon()) {
-            ChainRead::Primordial => {
-                let bytes = time_section(TimeCategory::Work, || self.heap(table)?.read(rid))?;
-                Value::decode_row(&bytes)
-            }
-            ChainRead::Invisible => Err(DbError::NotFound {
+        match self.snapshot_bytes(snapshot, table, rid)? {
+            Some(bytes) => Value::decode_row(&bytes),
+            None => Err(DbError::NotFound {
                 table,
                 detail: format!("rid {rid:?} invisible at snapshot horizon"),
             }),
-            ChainRead::Visible(bytes) => Value::decode_row(&bytes),
+        }
+    }
+
+    /// The bytes of `rid` at the snapshot's horizon, `None` if it shows no
+    /// row there. Heap first, chain second: a row without a chain holds
+    /// committed bytes *until* a writer seeds its chain and only then mutates
+    /// it, so bytes read before a chain lookup that still finds nothing are
+    /// the committed ones — while the other order lets a writer seed and
+    /// mutate between the two reads and hands out its uncommitted bytes. (A
+    /// scan is safe either way: it asks the chains under the page latch.)
+    fn snapshot_bytes(
+        &self,
+        snapshot: &Snapshot,
+        table: TableId,
+        rid: Rid,
+    ) -> DbResult<Option<Bytes>> {
+        let heap_bytes = time_section(TimeCategory::Work, || self.heap(table)?.read(rid));
+        self.faults().park_while_held(FaultSite::SnapshotReadGap);
+        match snapshot.store().read_at(table, rid, snapshot.horizon()) {
+            ChainRead::Primordial => heap_bytes.map(Some),
+            ChainRead::Invisible => Ok(None),
+            ChainRead::Visible(bytes) => Ok(Some(bytes)),
         }
     }
 

@@ -544,6 +544,8 @@ impl LogStream {
                 self.faults.config().flusher_stall_micros,
             ));
         }
+        // A test holding the site keeps everything appended so far undurable.
+        self.faults.park_while_held(FaultSite::FlusherStall);
         let (horizon, fences) = {
             let records = self.records.lock();
             (records.total().max(target.0), records.fences)

@@ -19,6 +19,7 @@ use dora_metrics::{incr, CounterKind};
 
 use crate::lock::HeldLocks;
 use crate::log::{Lsn, StreamId};
+use crate::mvcc::WriteList;
 
 /// Lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +49,10 @@ pub struct TxnState {
     /// record (the `Begin` record is written lazily just before it, so
     /// read-only transactions generate zero log traffic).
     begin_logged: AtomicBool,
+    /// The row writes so far. Each write changes the heap and pushes its
+    /// entry under this mutex; commit hands the list to the version store,
+    /// abort clears it once every change is undone.
+    pub(crate) writes: Mutex<WriteList>,
 }
 
 impl TxnState {
@@ -58,6 +63,7 @@ impl TxnState {
             held: Mutex::new(HeldLocks::new()),
             touched: Mutex::new(Vec::new()),
             begin_logged: AtomicBool::new(false),
+            writes: Mutex::new(WriteList::default()),
         }
     }
 
@@ -121,7 +127,17 @@ impl TxnState {
 /// Allocates transaction ids and tracks active transactions.
 pub struct TxnManager {
     next_id: AtomicU64,
-    active: Mutex<HashMap<TxnId, Arc<TxnState>>>,
+    active: Mutex<Active>,
+}
+
+#[derive(Default)]
+struct Active {
+    txns: HashMap<TxnId, Arc<TxnState>>,
+    /// The row-versioning period transactions are born into; 0 while no
+    /// snapshot is open. It lives under the mutex `begin` and `finish` take
+    /// anyway, so "which transactions began before versioning came on" is
+    /// this map at the moment of the flip.
+    versioning: u64,
 }
 
 impl std::fmt::Debug for TxnManager {
@@ -143,7 +159,7 @@ impl TxnManager {
     pub fn new() -> Self {
         Self {
             next_id: AtomicU64::new(1),
-            active: Mutex::new(HashMap::new()),
+            active: Mutex::new(Active::default()),
         }
     }
 
@@ -151,14 +167,36 @@ impl TxnManager {
     pub fn begin(&self) -> Arc<TxnState> {
         let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let state = Arc::new(TxnState::new(id));
-        self.active.lock().insert(id, Arc::clone(&state));
+        let mut active = self.active.lock();
+        state.writes.lock().born_in(active.versioning);
+        active.txns.insert(id, Arc::clone(&state));
         state
+    }
+
+    /// Starts row-versioning period `period`: from here on transactions are
+    /// born into it. Runs `swap` before any of them can begin and returns its
+    /// result with the transactions in flight, which began under the old
+    /// regime.
+    pub(crate) fn start_versioning<R>(
+        &self,
+        period: u64,
+        swap: impl FnOnce() -> R,
+    ) -> (Vec<Arc<TxnState>>, R) {
+        let mut active = self.active.lock();
+        active.versioning = period;
+        let swapped = swap();
+        (active.txns.values().cloned().collect(), swapped)
+    }
+
+    /// Ends the row-versioning period: transactions are born unversioned.
+    pub(crate) fn stop_versioning(&self) {
+        self.active.lock().versioning = 0;
     }
 
     /// Marks a transaction finished and forgets it.
     pub fn finish(&self, txn: &TxnState, status: TxnStatus) {
         txn.set_status(status);
-        self.active.lock().remove(&txn.id);
+        self.active.lock().txns.remove(&txn.id);
         match status {
             TxnStatus::Committed => incr(CounterKind::TxnCommitted),
             TxnStatus::Aborted => incr(CounterKind::TxnAborted),
@@ -168,12 +206,12 @@ impl TxnManager {
 
     /// Number of transactions currently active.
     pub fn active_count(&self) -> usize {
-        self.active.lock().len()
+        self.active.lock().txns.len()
     }
 
     /// Looks up an active transaction by id.
     pub fn get(&self, id: TxnId) -> Option<Arc<TxnState>> {
-        self.active.lock().get(&id).cloned()
+        self.active.lock().txns.get(&id).cloned()
     }
 }
 
