@@ -962,7 +962,7 @@ pub fn dispatch_with_summary(scale: &Scale) -> (Report, DispatchSummary) {
 pub struct CommitRow {
     /// Engine label ("Baseline" / "DORA").
     pub engine: &'static str,
-    /// Commit-mode label ("sync" / "group" / "group+elr").
+    /// Commit-mode label ("group" / "group+elr").
     pub mode: &'static str,
     /// Simulated log-device latency in microseconds.
     pub flush_us: u64,
@@ -1067,11 +1067,11 @@ impl CommitSummary {
     }
 }
 
-/// The three commit modes the durability experiment compares.
-fn commit_modes() -> [(&'static str, dora_common::DurabilityConfig); 3] {
+/// The two commit modes the durability experiment compares: locks held until
+/// durable, and released at precommit.
+fn commit_modes() -> [(&'static str, dora_common::DurabilityConfig); 2] {
     use dora_common::DurabilityConfig;
     [
-        ("sync", DurabilityConfig::sync_commit()),
         ("group", DurabilityConfig::group_commit_only()),
         ("group+elr", DurabilityConfig::default()),
     ]
@@ -1129,11 +1129,11 @@ fn run_commit_cell(
 }
 
 /// The durability experiment: TPC-B (one log record stream per transfer)
-/// under synchronous commit vs. group commit vs. group commit with early
-/// lock release, across simulated log-device latencies, on both engines.
-/// Not a paper figure — it probes the Section 5.4 observation that the log
-/// becomes the next bottleneck once lock contention is gone, and quantifies
-/// how far group commit and ELR push it back.
+/// under group commit with and without early lock release, across simulated
+/// log-device latencies and log-stream counts, on both engines. Not a paper
+/// figure — it probes the Section 5.4 observation that the log becomes the
+/// next bottleneck once lock contention is gone, and quantifies how far ELR
+/// pushes it back.
 pub fn commit(scale: &Scale) -> Report {
     commit_with_summary(scale).0
 }
@@ -1159,17 +1159,6 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
             }
         }
     }
-    // The partitioned log must not regress the synchronous baseline: sync
-    // commit flushes every touched stream from the committing thread itself,
-    // so it stays a valid A/B point at every stream count.
-    for row in rows.iter().filter(|r| r.mode == "sync") {
-        assert!(
-            row.committed > 0,
-            "{} sync commit produced no transactions with {} log streams",
-            row.engine,
-            row.streams
-        );
-    }
     let summary = CommitSummary {
         branches: scale.tpcb_branches,
         clients: scale.clients_for(100.0),
@@ -1179,7 +1168,7 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
         rows,
     };
 
-    let mut report = Report::new("Commit: sync vs group commit vs group+ELR (TPC-B)");
+    let mut report = Report::new("Commit: group commit vs group+ELR (TPC-B)");
     report.line(format!(
         "  {} branches, {} clients, {} ms per interval",
         summary.branches, summary.clients, summary.interval_ms
@@ -1221,48 +1210,43 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
     (report, summary)
 }
 
-/// One cell of the `recover` experiment: one log-stream count, measured
-/// three ways (serial replay, parallel replay, checkpoint + delta).
+/// One cell of the `recover` experiment: one log-stream count, the one
+/// recovery path timed on the same history with and without a checkpoint.
 #[derive(Debug, Clone)]
 pub struct RecoverRow {
     /// Log streams the WAL was partitioned into while the workload ran.
     pub streams: usize,
-    /// Replay worker threads (= the stream count, so the axis reads as
-    /// "recovery parallelism bought by partitioning the log").
-    pub workers: usize,
     /// Committed transactions reconstructed by replay.
     pub txns: usize,
     /// Total log records across all streams.
     pub records: usize,
-    /// Records past the checkpoint's low-water marks (what checkpoint
-    /// recovery replays instead of the whole log).
+    /// What recovery reads past the midpoint checkpoint: its carried
+    /// records plus the log tail past its low-water marks.
     pub delta_records: usize,
-    /// Single-threaded full-log replay, in milliseconds.
-    pub serial_ms: f64,
-    /// Parallel full-log replay with `workers` threads, in milliseconds.
-    pub parallel_ms: f64,
-    /// Checkpoint snapshot + parallel delta replay, in milliseconds.
+    /// Recovery of the log that was never checkpointed, in milliseconds.
+    pub full_ms: f64,
+    /// Recovery of the log checkpointed at its midpoint, in milliseconds.
     pub checkpoint_ms: f64,
     /// What building the midpoint checkpoint cost.
     pub checkpoint_build: dora_storage::CheckpointStats,
 }
 
 impl RecoverRow {
-    /// Committed transactions replayed per second by the parallel path.
-    pub fn parallel_tps(&self) -> f64 {
-        if self.parallel_ms <= 0.0 {
+    /// Committed transactions replayed per second from the whole log.
+    pub fn replay_tps(&self) -> f64 {
+        if self.full_ms <= 0.0 {
             0.0
         } else {
-            self.txns as f64 * 1_000.0 / self.parallel_ms
+            self.txns as f64 * 1_000.0 / self.full_ms
         }
     }
 
-    /// Serial-over-parallel replay time ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ms <= 0.0 {
+    /// Whole-log over checkpointed recovery time.
+    pub fn checkpoint_speedup(&self) -> f64 {
+        if self.checkpoint_ms <= 0.0 {
             0.0
         } else {
-            self.serial_ms / self.parallel_ms
+            self.full_ms / self.checkpoint_ms
         }
     }
 }
@@ -1291,22 +1275,19 @@ impl RecoverSummary {
             .map(|row| {
                 format!(
                     concat!(
-                        "    {{\"streams\": {}, \"workers\": {}, \"txns\": {}, ",
+                        "    {{\"streams\": {}, \"txns\": {}, ",
                         "\"records\": {}, \"delta_records\": {}, ",
-                        "\"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, ",
-                        "\"checkpoint_ms\": {:.3}, \"parallel_tps\": {:.1}, ",
-                        "\"speedup\": {:.3}}}"
+                        "\"full_ms\": {:.3}, \"checkpoint_ms\": {:.3}, ",
+                        "\"replay_tps\": {:.1}, \"checkpoint_speedup\": {:.3}}}"
                     ),
                     row.streams,
-                    row.workers,
                     row.txns,
                     row.records,
                     row.delta_records,
-                    row.serial_ms,
-                    row.parallel_ms,
+                    row.full_ms,
                     row.checkpoint_ms,
-                    row.parallel_tps(),
-                    row.speedup(),
+                    row.replay_tps(),
+                    row.checkpoint_speedup(),
                 )
             })
             .collect::<Vec<_>>()
@@ -1328,53 +1309,50 @@ impl RecoverSummary {
     }
 }
 
-fn run_recover_cell(scale: &Scale, streams: usize) -> RecoverRow {
+/// Runs `scale.recover_txns` TPC-B transactions through DORA on `streams`
+/// log streams — the same seed every time — taking a checkpoint at the
+/// midpoint if `checkpoint` is set.
+fn logged_tpcb(
+    scale: &Scale,
+    workload: &Arc<dyn Workload>,
+    streams: usize,
+    checkpoint: bool,
+) -> Arc<Database> {
     // Replay speed is the subject; a simulated device latency would only
-    // slow the logging phase down. Reclamation is off because the serial
-    // and parallel rows deliberately measure *full-history* replay against
-    // the checkpoint path — the cells must all see the same intact log.
+    // slow the logging phase down.
     let config = dora_common::SystemConfig {
         log_flush_micros: 0,
-        durability: dora_common::DurabilityConfig {
-            reclaim_log_at_checkpoint: false,
-            ..dora_common::DurabilityConfig::default()
-        }
-        .with_log_streams(streams),
+        durability: dora_common::DurabilityConfig::default().with_log_streams(streams),
         ..scale.system_config()
     };
     let db = Database::new(config);
-    let workload: Arc<dyn Workload> = Arc::new(scale.tpcb());
     workload.setup(&db).expect("setup TPC-B");
     // DORA drives the log so the appends genuinely spread across the
     // executor-owned streams; at one stream this degenerates to the classic
     // serial WAL and serves as the baseline row.
     let engine = build_engine(SystemUnderTest::Dora, Arc::clone(&db));
     engine
-        .bind(Arc::clone(&workload), scale.executors_per_table)
+        .bind(Arc::clone(workload), scale.executors_per_table)
         .expect("bind TPC-B");
-
-    // First half of the transactions, then a fuzzy checkpoint, then the
-    // second half — so checkpoint recovery has a real snapshot *and* a real
-    // delta to replay.
     let mut rng = SmallRng::seed_from_u64(0x5EC0_4E41 + streams as u64);
-    let half = scale.recover_txns / 2;
-    for _ in 0..half {
-        let _ = engine.execute_one(&mut rng);
-    }
-    db.log_manager().take_checkpoint();
-    for _ in half..scale.recover_txns {
+    for ran in 0..scale.recover_txns {
+        if checkpoint && ran == scale.recover_txns / 2 {
+            db.log_manager().take_checkpoint();
+        }
         let _ = engine.execute_one(&mut rng);
     }
     engine.shutdown();
+    db
+}
 
-    let log = db.log_manager();
-    let records = log.len();
-    let txns: std::collections::HashSet<TxnId> =
-        log.committed_changes().iter().map(|r| r.txn).collect();
-    let delta_records = log
-        .checkpoint_snapshot()
-        .map(|cp| cp.pending().len() + log.records_after(cp.low_water()).len())
-        .unwrap_or(records);
+fn run_recover_cell(scale: &Scale, streams: usize) -> RecoverRow {
+    let workload: Arc<dyn Workload> = Arc::new(scale.tpcb());
+    let whole = logged_tpcb(scale, &workload, streams, false);
+    let checkpointed = logged_tpcb(scale, &workload, streams, true);
+    let log = checkpointed.log_manager();
+    let delta_records = log.checkpoint_snapshot().map_or(0, |cp| {
+        cp.pending().len() + log.records_after(cp.low_water()).len()
+    });
 
     let fresh_replica = || {
         let fresh = Database::new(scale.system_config());
@@ -1382,49 +1360,36 @@ fn run_recover_cell(scale: &Scale, streams: usize) -> RecoverRow {
         workload.load(&fresh).expect("replica load");
         fresh
     };
-    // Two passes per path, keeping the faster one: the first replay after
+    // Two passes per log, keeping the faster one: the first replay after
     // the logging phase pays one-off allocator and cache warm-up that would
-    // otherwise be billed to whichever path happens to run first.
-    let time_ms = |replay: &dyn Fn(&Database)| {
+    // otherwise be billed to whichever log happens to replay first.
+    let time_ms = |db: &Database| {
         (0..2)
             .map(|_| {
                 let replica = fresh_replica();
                 let start = Instant::now();
-                replay(&replica);
+                db.recover_into(&replica).expect("recovery");
                 start.elapsed().as_secs_f64() * 1_000.0
             })
             .fold(f64::INFINITY, f64::min)
     };
-    let workers = streams.max(1);
-    let serial_ms = time_ms(&|replica| db.recover_into(replica).expect("serial replay"));
-    let parallel_ms = time_ms(&|replica| {
-        db.recover_into_parallel(replica, workers)
-            .expect("parallel replay")
-    });
-    let checkpoint_ms = time_ms(&|replica| {
-        db.recover_checkpoint_into(replica, workers)
-            .expect("checkpoint replay")
-    });
 
     RecoverRow {
         streams,
-        workers,
-        txns: txns.len(),
-        records,
+        txns: whole.log_manager().redo(None).expect("redo").seq_horizon as usize,
+        records: whole.log_manager().len(),
         delta_records,
-        serial_ms,
-        parallel_ms,
-        checkpoint_ms,
+        full_ms: time_ms(&whole),
+        checkpoint_ms: time_ms(&checkpointed),
         checkpoint_build: log.checkpoint_stats(),
     }
 }
 
 /// The recovery experiment: log a fixed TPC-B transaction count per
-/// log-stream count, then measure serial replay vs. parallel replay (one
-/// worker per stream) vs. fuzzy-checkpoint + delta replay. Not a paper
-/// figure — it quantifies what partitioning the WAL buys at restart: replay
-/// parallelism that scales with the stream count, and a checkpoint delta
-/// that shrinks the work regardless of parallelism.
+/// log-stream count, then time the one recovery path on that log and on the
+/// same history checkpointed at its midpoint. Not a paper figure — it
+/// quantifies restart cost over a partitioned WAL: page-sharded replay, and
+/// a checkpoint that leaves only the tail past it to replay.
 pub fn recover(scale: &Scale) -> Report {
     recover_with_summary(scale).0
 }
@@ -1443,36 +1408,27 @@ pub fn recover_with_summary(scale: &Scale) -> (Report, RecoverSummary) {
         rows,
     };
 
-    let mut report = Report::new("Recover: parallel log replay over a partitioned WAL (TPC-B)");
+    let mut report = Report::new("Recover: one recovery path over a partitioned WAL (TPC-B)");
     report.line(format!(
-        "  {} branches, {} transactions per cell, checkpoint at the midpoint",
+        "  {} branches, {} transactions per cell, with and without a checkpoint at the midpoint",
         summary.branches, summary.txns_per_cell
     ));
     report.blank();
     report.line(format!(
-        "  {:>8} {:>8} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>12}",
-        "streams",
-        "workers",
-        "txns",
-        "records",
-        "serial(ms)",
-        "parallel(ms)",
-        "speedup",
-        "ckpt(ms)",
-        "replay-tps"
+        "  {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>12}",
+        "streams", "txns", "records", "delta", "full(ms)", "ckpt(ms)", "speedup", "replay-tps"
     ));
     for row in &summary.rows {
         report.line(format!(
-            "  {:>8} {:>8} {:>8} {:>8} {:>11.2} {:>13.2} {:>8.2}x {:>9.2} {:>12.0}",
+            "  {:>8} {:>8} {:>8} {:>8} {:>9.2} {:>9.2} {:>8.2}x {:>12.0}",
             row.streams,
-            row.workers,
             row.txns,
             row.records,
-            row.serial_ms,
-            row.parallel_ms,
-            row.speedup(),
+            row.delta_records,
+            row.full_ms,
             row.checkpoint_ms,
-            row.parallel_tps(),
+            row.checkpoint_speedup(),
+            row.replay_tps(),
         ));
     }
     report.blank();
@@ -1491,8 +1447,9 @@ pub fn recover_with_summary(scale: &Scale) -> (Report, RecoverSummary) {
         ));
     }
     report.blank();
-    report.line("  (parallel replay shards committed records by page across one worker");
-    report.line("   per stream; ckpt = checkpoint snapshot + parallel delta replay)");
+    report.line("  (full = the log never checkpointed; ckpt = the same history checkpointed");
+    report.line("   at its midpoint, so recovery replays the checkpoint plus the tail past it;");
+    report.line("   replay shards records by page across as many workers as they keep busy)");
     (report, summary)
 }
 
@@ -3702,7 +3659,7 @@ mod tests {
             rows: vec![
                 CommitRow {
                     engine: "Baseline",
-                    mode: "sync",
+                    mode: "group",
                     flush_us: 15,
                     streams: 1,
                     tps: 1000.0,
@@ -3737,7 +3694,7 @@ mod tests {
         assert!(json.contains("\"flush_points\": [15,60]"), "{json}");
         assert!(json.contains("\"stream_points\": [1,4]"), "{json}");
         assert!(json.contains("\"streams\": 4"), "{json}");
-        assert!(json.contains("\"mode\": \"sync\""), "{json}");
+        assert!(json.contains("\"mode\": \"group\""), "{json}");
         assert!(json.contains("\"mode\": \"group+elr\""), "{json}");
         assert!(json.contains("\"mean_group\": 6.250"), "{json}");
         assert!(json.contains("\"led_share\": 0.975"), "{json}");
@@ -3753,40 +3710,34 @@ mod tests {
 
     #[test]
     fn recover_summary_renders_valid_json_shape() {
+        let row = RecoverRow {
+            streams: 1,
+            txns: 3_000,
+            records: 12_000,
+            delta_records: 6_000,
+            full_ms: 40.0,
+            checkpoint_ms: 22.0,
+            checkpoint_build: Default::default(),
+        };
         let summary = RecoverSummary {
             branches: 8,
             txns_per_cell: 3_000,
             stream_points: vec![1, 4],
             rows: vec![
-                RecoverRow {
-                    streams: 1,
-                    workers: 1,
-                    txns: 3_000,
-                    records: 12_000,
-                    delta_records: 6_000,
-                    serial_ms: 40.0,
-                    parallel_ms: 40.0,
-                    checkpoint_ms: 22.0,
-                    checkpoint_build: Default::default(),
-                },
+                row.clone(),
                 RecoverRow {
                     streams: 4,
-                    workers: 4,
-                    txns: 3_000,
-                    records: 12_000,
-                    delta_records: 6_000,
-                    serial_ms: 40.0,
-                    parallel_ms: 10.0,
-                    checkpoint_ms: 6.0,
-                    checkpoint_build: Default::default(),
+                    full_ms: 10.0,
+                    checkpoint_ms: 4.0,
+                    ..row
                 },
             ],
         };
         let json = summary.to_json();
         assert!(json.contains("\"experiment\": \"recover\""), "{json}");
         assert!(json.contains("\"stream_points\": [1,4]"), "{json}");
-        assert!(json.contains("\"speedup\": 4.000"), "{json}");
-        assert!(json.contains("\"parallel_tps\": 300000.0"), "{json}");
+        assert!(json.contains("\"checkpoint_speedup\": 2.500"), "{json}");
+        assert!(json.contains("\"replay_tps\": 300000.0"), "{json}");
         assert!(json.contains("\"delta_records\": 6000"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(
@@ -3801,17 +3752,15 @@ mod tests {
     fn recover_row_derived_metrics_guard_zero_time() {
         let row = RecoverRow {
             streams: 2,
-            workers: 2,
             txns: 100,
             records: 400,
             delta_records: 0,
-            serial_ms: 0.0,
-            parallel_ms: 0.0,
+            full_ms: 0.0,
             checkpoint_ms: 0.0,
             checkpoint_build: Default::default(),
         };
-        assert_eq!(row.parallel_tps(), 0.0);
-        assert_eq!(row.speedup(), 0.0);
+        assert_eq!(row.replay_tps(), 0.0);
+        assert_eq!(row.checkpoint_speedup(), 0.0);
     }
 
     #[test]

@@ -64,9 +64,6 @@ impl CcMode {
 /// tests finish quickly; the benchmark harness overrides them.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// Number of worker threads the baseline engine uses / number of client
-    /// threads generating load.
-    pub worker_threads: usize,
     /// Number of hardware contexts the "machine" is assumed to have; offered
     /// CPU load is reported relative to this (the paper's x-axes).
     pub hardware_contexts: usize,
@@ -79,9 +76,6 @@ pub struct SystemConfig {
     /// memcpy + fsync-to-tmpfs cost and creates the group-commit pressure the
     /// paper mentions for TPC-C NewOrder/Payment.
     pub log_flush_micros: u64,
-    /// Upper bound on spin iterations before a latch acquisition starts
-    /// yielding the CPU (preemption-resistant MCS-style behaviour).
-    pub latch_spin_limit: u32,
     /// Whether the lock manager runs deadlock detection on conflict.
     pub deadlock_detection: bool,
     /// Maximum number of retries for transactions aborted by deadlocks.
@@ -96,12 +90,10 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         Self {
-            worker_threads: 4,
             hardware_contexts: num_cpus(),
             buffer_pool_pages: 4096,
             page_size: 8192,
             log_flush_micros: 0,
-            latch_spin_limit: 64,
             deadlock_detection: true,
             max_retries: 10,
             durability: DurabilityConfig::default(),
@@ -114,7 +106,6 @@ impl SystemConfig {
     /// Configuration for quick unit tests: tiny buffer pool, no log latency.
     pub fn for_tests() -> Self {
         Self {
-            worker_threads: 2,
             buffer_pool_pages: 256,
             ..Self::default()
         }
@@ -137,11 +128,13 @@ impl SystemConfig {
     }
 }
 
-/// Commit-path durability knobs: group commit and early lock release (ELR).
+/// Commit-path durability knobs: group commit, early lock release (ELR), log
+/// partitioning and checkpoints.
 ///
 /// The paper notes (Section 5.4) that once lock-manager contention is gone
 /// the log manager becomes the next bottleneck for write-heavy workloads.
-/// The standard fixes from the same research line are modelled here:
+/// The standard fixes from the same research line are modelled here, each as
+/// the one path the log always takes — the knobs only size it:
 ///
 /// * **Group commit** — one simulated device write hardens every commit
 ///   record appended before it starts, so log-device latency is paid once
@@ -161,19 +154,11 @@ impl SystemConfig {
 ///   the baseline/secondary path), each with its own buffer, flush claim
 ///   and simulated device, so commit batching parallelizes instead of
 ///   serializing behind one mutex.
+/// * **Fuzzy checkpoints** — the committed history is folded into a
+///   net-effect snapshot and moved out of the log, so log space is reclaimed
+///   and recovery replays the snapshot plus the tail past it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Run a log-flusher daemon per stream for the commits nobody blocks on
-    /// (`commit_async`: DORA transactions submitted without a waiting
-    /// client, and all but one fence of a multi-stream commit wait). A
-    /// committer that blocks never uses it: it takes the stream's flush
-    /// claim and performs the device write itself, or follows the thread
-    /// that holds the claim — one path, whatever this says. When `false`
-    /// there is no daemon and a commit nobody blocks on is hardened by the
-    /// thread that submits it, before it returns — an executor then pays
-    /// the device latency under its claim, the synchronous baseline for A/B
-    /// measurements.
-    pub group_commit: bool,
     /// How long whoever leads a device write — a committer or the daemon —
     /// waits after taking the flush claim for more commits to accumulate,
     /// in microseconds. Zero writes at once — groups then form *naturally*
@@ -200,55 +185,27 @@ pub struct DurabilityConfig {
     /// per-stream low-water LSNs, so recovery replays only the delta since
     /// the last checkpoint. Built by a background thread the committer that
     /// crosses the interval wakes; no committer builds. `0` (the default)
-    /// disables checkpointing and the thread never exists.
+    /// disables checkpointing and the thread never exists. The builder
+    /// *moves* each stream's prefix below its low-water mark out of the log,
+    /// so a checkpoint also reclaims log space; recovery starts from it.
     pub checkpoint_interval: u64,
-    /// Reclaim log space at each fuzzy checkpoint: the builder *moves* every
-    /// stream's prefix below its low-water mark (which never passes the
-    /// first record of a still-live transaction, whose undo chain must
-    /// survive) out of the log instead of cloning it. On by default — a
-    /// no-op unless checkpoints actually run — but switched off by harnesses
-    /// that deliberately measure *full-history* replay after a checkpoint
-    /// was taken.
-    pub reclaim_log_at_checkpoint: bool,
-    /// Per-stream simulated device write latencies, in microseconds. Stream
-    /// `s` uses `stream_flush_micros[s]` when present and falls back to the
-    /// system-wide `log_flush_micros` otherwise, so a heterogeneous log
-    /// farm (one fast NVMe stream, several slow SATA streams) can be
-    /// modelled without giving up the single shared default. Empty (the
-    /// default) keeps every stream on the shared value.
-    pub stream_flush_micros: Vec<u64>,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
         Self {
-            group_commit: true,
             group_window_micros: 0,
             max_group_size: 64,
             early_lock_release: true,
             log_streams: 1,
             checkpoint_interval: 0,
-            reclaim_log_at_checkpoint: true,
-            stream_flush_micros: Vec::new(),
         }
     }
 }
 
 impl DurabilityConfig {
-    /// Synchronous commit: no flusher daemon (every commit is hardened by
-    /// the thread that commits or submits it), locks held until durable.
-    /// The measurement baseline the `repro commit` experiment compares
-    /// against.
-    pub fn sync_commit() -> Self {
-        Self {
-            group_commit: false,
-            early_lock_release: false,
-            ..Self::default()
-        }
-    }
-
-    /// Group commit with locks held until durable (isolates the batching
-    /// win from the lock-hold-time win in A/B runs).
+    /// Group commit with locks held until durable: early lock release off,
+    /// the A/B baseline for the lock-hold-time win.
     pub fn group_commit_only() -> Self {
         Self {
             early_lock_release: false,
@@ -263,25 +220,6 @@ impl DurabilityConfig {
             log_streams: streams.max(1),
             ..self
         }
-    }
-
-    /// This configuration with per-stream device write latencies. Stream `s`
-    /// takes `micros[s]`; streams past the end of the slice keep the shared
-    /// system-wide latency.
-    pub fn with_stream_device_micros(self, micros: Vec<u64>) -> Self {
-        Self {
-            stream_flush_micros: micros,
-            ..self
-        }
-    }
-
-    /// Device write latency for stream `index`: the per-stream override when
-    /// one is configured, the shared `default_micros` otherwise.
-    pub fn device_micros_for(&self, index: usize, default_micros: u64) -> u64 {
-        self.stream_flush_micros
-            .get(index)
-            .copied()
-            .unwrap_or(default_micros)
     }
 }
 
@@ -391,44 +329,21 @@ mod tests {
     #[test]
     fn durability_defaults_and_ab_presets() {
         let config = DurabilityConfig::default();
-        assert!(config.group_commit);
         assert!(config.early_lock_release);
         assert!(config.max_group_size >= 1);
         assert_eq!(config.log_streams, 1, "single stream is the default");
         assert_eq!(config.checkpoint_interval, 0, "checkpointing is opt-in");
-        assert!(
-            config.reclaim_log_at_checkpoint,
-            "reclamation rides checkpoints by default"
-        );
-        let sync = DurabilityConfig::sync_commit();
-        assert!(!sync.group_commit && !sync.early_lock_release);
-        let group = DurabilityConfig::group_commit_only();
-        assert!(group.group_commit && !group.early_lock_release);
+        assert!(!DurabilityConfig::group_commit_only().early_lock_release);
         assert_eq!(SystemConfig::default().durability, config);
-        // Sync commit composes with multiple streams (per-stream
-        // caller-driven flush), keeping the A/B baseline available on the
-        // stream-count axis.
-        let sharded_sync = DurabilityConfig::sync_commit().with_log_streams(4);
-        assert!(!sharded_sync.group_commit);
-        assert_eq!(sharded_sync.log_streams, 4);
+        // The ELR-off preset composes with multiple streams, keeping the A/B
+        // baseline available on the stream-count axis.
+        let sharded = DurabilityConfig::group_commit_only().with_log_streams(4);
+        assert!(!sharded.early_lock_release);
+        assert_eq!(sharded.log_streams, 4);
         assert_eq!(
             DurabilityConfig::default().with_log_streams(0).log_streams,
             1,
             "stream counts clamp to at least one"
-        );
-        assert!(
-            config.stream_flush_micros.is_empty(),
-            "per-stream device latencies are opt-in"
-        );
-        let mixed = DurabilityConfig::default()
-            .with_log_streams(3)
-            .with_stream_device_micros(vec![5, 80]);
-        assert_eq!(mixed.device_micros_for(0, 25), 5);
-        assert_eq!(mixed.device_micros_for(1, 25), 80);
-        assert_eq!(
-            mixed.device_micros_for(2, 25),
-            25,
-            "streams past the override slice keep the shared default"
         );
     }
 

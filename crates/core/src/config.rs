@@ -5,25 +5,16 @@ use dora_common::config::AdaptiveConfig;
 /// Tuning parameters for a [`crate::DoraEngine`].
 #[derive(Debug, Clone)]
 pub struct DoraConfig {
-    /// Default number of executors created per bound table when the caller
-    /// does not specify one. The paper's resource manager varies this with
-    /// table size, request rate and available hardware; the benchmark harness
-    /// sizes it explicitly per workload.
-    pub default_executors_per_table: usize,
-    /// Abort-rate threshold (0..=1) above which the resource manager
-    /// recommends switching a transaction type from its parallel flow graph
-    /// to a serialized one (Appendix A.4 / Figure 11).
+    /// Predicted abort rate (0..=1) above which bind-time conflict analysis
+    /// derives a transaction type's serialized flow graph instead of its
+    /// parallel one (Appendix A.4 / Figure 11).
     pub serialize_abort_threshold: f64,
-    /// Minimum number of observed transactions before the abort-rate monitor
-    /// makes a recommendation.
-    pub abort_monitor_min_samples: u64,
-    /// Load-imbalance ratio (busiest executor / average) above which the
-    /// resource manager rebalances a table's routing rule (Appendix A.2.1).
-    pub rebalance_imbalance_ratio: f64,
     /// Knobs for the adaptive skew-aware repartitioning controller
     /// ([`crate::AdaptiveController`]). Disabled by default; when
     /// `adaptive.enabled` is set, binding a workload through the
-    /// `ExecutionEngine` seam spawns the controller automatically.
+    /// `ExecutionEngine` seam spawns the controller automatically. Its
+    /// `imbalance_threshold` is also the ratio the one-shot
+    /// [`crate::ResourceManager::rebalance_if_skewed`] compares against.
     pub adaptive: AdaptiveConfig,
     /// Apply the bind-time static conflict analysis (default `true`): steps
     /// whose [`crate::conflict::ConflictMatrix`] template conflicts with
@@ -43,10 +34,7 @@ pub struct DoraConfig {
 impl Default for DoraConfig {
     fn default() -> Self {
         Self {
-            default_executors_per_table: 4,
             serialize_abort_threshold: 0.1,
-            abort_monitor_min_samples: 100,
-            rebalance_imbalance_ratio: 1.5,
             adaptive: AdaptiveConfig::default(),
             conflict_elision: true,
         }
@@ -54,14 +42,10 @@ impl Default for DoraConfig {
 }
 
 impl DoraConfig {
-    /// Configuration suitable for unit tests: few executors, eager
-    /// rebalancing decisions.
+    /// Configuration for unit tests (the defaults: every knob is already
+    /// test-sized).
     pub fn for_tests() -> Self {
-        Self {
-            default_executors_per_table: 2,
-            abort_monitor_min_samples: 10,
-            ..Self::default()
-        }
+        Self::default()
     }
 }
 
@@ -72,8 +56,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let config = DoraConfig::default();
-        assert!(config.default_executors_per_table >= 1);
         assert!(config.serialize_abort_threshold > 0.0 && config.serialize_abort_threshold < 1.0);
-        assert!(config.rebalance_imbalance_ratio > 1.0);
+        assert!(config.adaptive.imbalance_threshold > 1.0);
     }
 }

@@ -334,14 +334,8 @@ impl EngineInner {
             }
             Ok(handle) => {
                 let early_released = handle.early_released();
-                // With a flusher daemon the hand-off does not block, so it
-                // goes first and the device write overlaps the fan-out;
-                // without one `commit_async` pays the device latency here,
-                // so local locks are released before it.
-                let fanout_first = early_released && !self.db.config().durability.group_commit;
-                if fanout_first {
-                    self.commit_fanout(txn);
-                }
+                // The hand-off to the flusher daemon does not block, so it
+                // goes first and the device write overlaps the fan-out.
                 let engine = Arc::clone(self);
                 let txn2 = Arc::clone(txn);
                 self.db.commit_async(&txn.handle, handle, move |durable| {
@@ -358,7 +352,7 @@ impl EngineInner {
                         Err(DbError::DurabilityLost)
                     });
                 });
-                if early_released && !fanout_first {
+                if early_released {
                     self.commit_fanout(txn);
                 }
             }

@@ -63,6 +63,6 @@ pub use engine::DoraEngine;
 pub use flow::FlowGraph;
 pub use locallock::LocalLockTable;
 pub use program::{OnDuplicate, OnMissing, PreparedProgram, Step, StepCtx, TxnProgram};
-pub use resource::{AbortRateMonitor, ResourceManager};
+pub use resource::ResourceManager;
 pub use routing::{RoutingRule, RoutingTable};
 pub use txn::DoraTxn;

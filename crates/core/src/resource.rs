@@ -1,22 +1,15 @@
-//! The DORA resource manager.
+//! The DORA resource manager: load balancing (Sections 4.1.1, A.2.1).
 //!
-//! The paper's resource manager (Sections 4.1.1, A.2.1, A.4) has two jobs:
+//! It monitors the load of each executor and, when the assignment becomes
+//! disproportional, modifies the table's routing rule. Changing a rule uses
+//! the drain protocol: the affected executors stop serving actions of new
+//! transactions until their in-flight transactions leave the system, then the
+//! rule is swapped and deferred actions are re-dispatched under the new rule.
 //!
-//! 1. **Load balancing**: it monitors the load of each executor and, when the
-//!    assignment becomes disproportional, modifies the table's routing rule.
-//!    Changing a rule uses the drain protocol: the affected executors stop
-//!    serving actions of new transactions until their in-flight transactions
-//!    leave the system, then the rule is swapped and deferred actions are
-//!    re-dispatched under the new rule.
-//! 2. **Abort-rate monitoring**: for transactions with non-negligible abort
-//!    rates, running their actions in parallel wastes work; the resource
-//!    manager tracks abort rates per transaction type and recommends the
-//!    serialized flow graph once the rate crosses a threshold (the DORA-S
-//!    plan of Figure 11).
-
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
+//! The paper's other job for it — choosing the serialized DORA-S flow graph
+//! for transaction types with high abort rates (Appendix A.4) — is decided at
+//! bind time from the programs themselves by
+//! [`ConflictMatrix`](crate::conflict::ConflictMatrix).
 
 use dora_common::prelude::*;
 use dora_metrics::{incr, CounterKind};
@@ -26,59 +19,9 @@ use crate::config::DoraConfig;
 use crate::engine::DoraEngine;
 use crate::routing::RoutingRule;
 
-/// Tracks commit/abort outcomes per transaction type and recommends when to
-/// switch to a serialized flow graph.
-#[derive(Debug, Default)]
-pub struct AbortRateMonitor {
-    stats: Mutex<HashMap<&'static str, (u64, u64)>>,
-}
-
-impl AbortRateMonitor {
-    /// Creates an empty monitor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the outcome of one transaction of the given type.
-    pub fn record(&self, txn_type: &'static str, aborted: bool) {
-        let mut stats = self.stats.lock();
-        let entry = stats.entry(txn_type).or_insert((0, 0));
-        entry.0 += 1;
-        if aborted {
-            entry.1 += 1;
-        }
-    }
-
-    /// Observed abort rate (0..=1) for the transaction type.
-    pub fn abort_rate(&self, txn_type: &'static str) -> f64 {
-        let stats = self.stats.lock();
-        match stats.get(txn_type) {
-            Some((total, aborted)) if *total > 0 => *aborted as f64 / *total as f64,
-            _ => 0.0,
-        }
-    }
-
-    /// Number of observations for the transaction type.
-    pub fn samples(&self, txn_type: &'static str) -> u64 {
-        self.stats
-            .lock()
-            .get(txn_type)
-            .map(|(total, _)| *total)
-            .unwrap_or(0)
-    }
-
-    /// `true` once the abort rate is high enough (and enough samples exist)
-    /// that the serialized plan is the better choice (Appendix A.4).
-    pub fn should_serialize(&self, txn_type: &'static str, config: &DoraConfig) -> bool {
-        self.samples(txn_type) >= config.abort_monitor_min_samples
-            && self.abort_rate(txn_type) >= config.serialize_abort_threshold
-    }
-}
-
 /// Runtime manager for routing rules and execution plans.
 pub struct ResourceManager {
     config: DoraConfig,
-    monitor: AbortRateMonitor,
 }
 
 impl std::fmt::Debug for ResourceManager {
@@ -90,15 +33,7 @@ impl std::fmt::Debug for ResourceManager {
 impl ResourceManager {
     /// Creates a resource manager with the given configuration.
     pub fn new(config: DoraConfig) -> Self {
-        Self {
-            config,
-            monitor: AbortRateMonitor::new(),
-        }
-    }
-
-    /// The abort-rate monitor.
-    pub fn monitor(&self) -> &AbortRateMonitor {
-        &self.monitor
+        Self { config }
     }
 
     /// The configuration.
@@ -133,8 +68,10 @@ impl ResourceManager {
     }
 
     /// Checks the per-executor load of `table` and, if the busiest executor
-    /// exceeds the average by the configured imbalance ratio, computes and
-    /// installs a rebalanced rule. Returns `true` when a rebalance happened.
+    /// exceeds the average by the adaptive controller's
+    /// [`imbalance_threshold`](dora_common::config::AdaptiveConfig::imbalance_threshold),
+    /// computes and installs a rebalanced rule. Returns `true` when a
+    /// rebalance happened.
     ///
     /// The rule is synthesized by [`balanced_rule`] — the same equal-load
     /// quantile splitter the adaptive controller uses, so the one-shot and
@@ -157,7 +94,7 @@ impl ResourceManager {
         }
         let average = total as f64 / loads.len() as f64;
         let busiest = *loads.iter().max().expect("non-empty") as f64;
-        if busiest / average < self.config.rebalance_imbalance_ratio {
+        if busiest / average < self.config.adaptive.imbalance_threshold {
             return Ok(false);
         }
         let Some(current) = engine.routing().rule(table) else {
@@ -183,37 +120,6 @@ mod tests {
     use crate::flow::FlowGraph;
     use dora_storage::{ColumnDef, Database, TableSchema};
     use std::sync::Arc;
-
-    #[test]
-    fn abort_rate_monitor_recommends_serialization() {
-        let config = DoraConfig {
-            abort_monitor_min_samples: 10,
-            serialize_abort_threshold: 0.2,
-            ..DoraConfig::default()
-        };
-        let monitor = AbortRateMonitor::new();
-        for i in 0..20 {
-            monitor.record("tm1-upd-sub-data", i % 3 == 0);
-        }
-        assert_eq!(monitor.samples("tm1-upd-sub-data"), 20);
-        assert!(monitor.abort_rate("tm1-upd-sub-data") > 0.2);
-        assert!(monitor.should_serialize("tm1-upd-sub-data", &config));
-        assert!(!monitor.should_serialize("unknown", &config));
-    }
-
-    #[test]
-    fn abort_rate_requires_minimum_samples() {
-        let config = DoraConfig {
-            abort_monitor_min_samples: 100,
-            ..DoraConfig::default()
-        };
-        let monitor = AbortRateMonitor::new();
-        for _ in 0..10 {
-            monitor.record("rare", true);
-        }
-        assert_eq!(monitor.abort_rate("rare"), 1.0);
-        assert!(!monitor.should_serialize("rare", &config));
-    }
 
     fn counters_engine() -> (Arc<Database>, TableId, DoraEngine) {
         let db = Database::for_tests();

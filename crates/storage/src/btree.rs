@@ -150,17 +150,19 @@ impl BTreeIndex {
         Self::insert_under_root(&mut root, key, entry, self.unique)
     }
 
-    /// Inserts a batch of entries under a single root-lock acquisition —
-    /// the parallel-recovery fast path. Equivalent to calling
-    /// [`Self::insert`] for each pair in order, but replay workers stop
-    /// hammering the tree lock once per record.
-    pub fn insert_many(&self, entries: &[(Key, IndexEntry)]) -> DbResult<()> {
+    /// Inserts a batch of replayed entries under a single root-lock
+    /// acquisition, so recovery does not take the tree lock once per record.
+    /// There is no uniqueness check: the entries come from a committed
+    /// history, and recovery replays page by page, so a key that moved to
+    /// another page may be re-inserted before the entry it replaced is
+    /// removed.
+    pub fn insert_replayed(&self, entries: &[(Key, IndexEntry)]) -> DbResult<()> {
         if entries.is_empty() {
             return Ok(());
         }
         let mut root = self.root.write();
         for (key, entry) in entries {
-            Self::insert_under_root(&mut root, key, entry.clone(), self.unique)?;
+            Self::insert_under_root(&mut root, key, entry.clone(), false)?;
         }
         Ok(())
     }

@@ -38,6 +38,10 @@ use crate::txn::{TxnManager, TxnState, TxnStatus};
 /// (Section 4.2.2).
 pub type SecondaryEntry = IndexEntry;
 
+/// Replay records each recovery worker must have before one more is worth a
+/// thread spawn (a page run applies a record in about a microsecond).
+const RECORDS_PER_REPLAY_WORKER: usize = 4_096;
+
 /// Told every read-write commit's transaction id and commit ticket
 /// ([`Database::observe_commits`]).
 type CommitObserver = Box<dyn Fn(TxnId, u64) + Send + Sync>;
@@ -486,11 +490,7 @@ impl Database {
     /// last fence — a log-flusher daemon, or a committer whose own write
     /// covered it) releases any remaining locks and notifies the client.
     ///
-    /// Read-only transactions, and configurations without a flusher daemon
-    /// ([`DurabilityConfig::group_commit`] off: the caller drives the device
-    /// write), complete inline on the calling thread.
-    ///
-    /// [`DurabilityConfig::group_commit`]: dora_common::config::DurabilityConfig::group_commit
+    /// Read-only transactions complete inline on the calling thread.
     pub fn commit_async(
         self: &Arc<Self>,
         txn: &TxnHandle,
@@ -1072,128 +1072,55 @@ impl Database {
         self.pool.flush_all();
     }
 
-    /// Rebuilds a database from this database's log, replaying the changes of
-    /// committed transactions into a fresh instance with the same schema.
-    /// Used by tests to validate that the log captures committed state.
-    ///
-    /// When checkpoints reclaim log space, the truncated prefix only exists
-    /// folded inside the checkpoint, so recovery routes through it — decided
-    /// by the configuration, not by looking whether anything has been
-    /// reclaimed yet: a background build may be moving records out of the
-    /// log at this very moment.
+    /// Rebuilds a database from this database's checkpoint and log into
+    /// `fresh`, a database with the same schema and loader rows: everything
+    /// recovered ([`LogManager::redo`]) is replayed, whether or not a
+    /// checkpoint has been taken. Safe beside a running checkpoint build.
     pub fn recover_into(&self, fresh: &Database) -> DbResult<()> {
-        if self.config.durability.reclaim_log_at_checkpoint {
-            return self.recover_checkpoint_into(fresh, 1);
-        }
-        self.replay(fresh, self.log.committed_changes())
+        self.recover(fresh, None)
     }
 
-    /// [`Self::recover_into`] restricted to a per-stream torn prefix: stream
-    /// `i` keeps only records with LSN ≤ `cuts[i]` (streams past the end of
+    /// [`Self::recover_into`] behind a per-stream torn prefix: stream `i`
+    /// keeps only records with LSN ≤ `cuts[i]` (streams past the end of
     /// `cuts` keep everything) — what recovery would reconstruct if each
     /// stream's tail past its cut were lost in a crash. Only the maximal
     /// commit-sequence-dense prefix of *fully fenced* transactions is
     /// replayed; the crash-consistency property tests use this to show that
     /// early lock release plus log partitioning leaves no torn transactions
-    /// or ghosts behind any combination of flush horizons.
+    /// or ghosts behind any combination of flush horizons. A cut below a
+    /// stream's checkpoint low-water mark is
+    /// [`DbError::InvalidOperation`]: that history is folded away.
     pub fn recover_prefixes_into(&self, fresh: &Database, cuts: &[Lsn]) -> DbResult<()> {
-        self.replay(fresh, self.log.committed_changes_in_prefixes(cuts))
+        self.recover(fresh, Some(cuts))
     }
 
-    /// [`Self::recover_into`] with the redo phase parallelized across
-    /// `workers` threads. Records are partitioned by page (stable hash of
-    /// `(table, page)`), which preserves per-row replay order — the only
-    /// order redo needs, since the commit sequence already ordered each
-    /// row's writers and a row never moves between pages. Log analysis runs
-    /// on borrowed records and each record is cloned exactly once, straight
-    /// into its worker's shard.
-    pub fn recover_into_parallel(&self, fresh: &Database, workers: usize) -> DbResult<()> {
-        let workers = workers.max(1);
-        if self.config.durability.reclaim_log_at_checkpoint {
-            // A reclaimed prefix survives only inside the checkpoint.
-            return self.recover_checkpoint_into(fresh, workers);
-        }
+    /// The one recovery body: analysis once, then redo sharded by page
+    /// (stable hash of `(table, page)`), which preserves per-row replay order
+    /// — the only order redo needs, since the commit sequence already ordered
+    /// each row's writers and a row never moves between pages (a key that
+    /// does is why [`BTreeIndex::insert_replayed`] checks no uniqueness) —
+    /// across as many workers as the host has cores and the records keep
+    /// busy.
+    fn recover(&self, fresh: &Database, cuts: Option<&[Lsn]>) -> DbResult<()> {
+        let records = self.log.redo(cuts)?.records;
+        let workers = std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(records.len() / RECORDS_PER_REPLAY_WORKER)
+            .max(1);
         if workers == 1 {
-            return self.recover_into(fresh);
-        }
-        self.log.with_redo_refs(|records| {
-            let mut shards: Vec<Vec<LogRecord>> = (0..workers).map(|_| Vec::new()).collect();
-            for &record in records {
-                shards[Self::replay_shard_of(record, workers)].push(record.clone());
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| scope.spawn(move || Self::replay_shard(fresh, shard)))
-                    .collect();
-                for handle in handles {
-                    handle.join().expect("replay worker panicked")?;
-                }
-                Ok(())
-            })
-        })
-    }
-
-    /// Which replay worker (out of `workers`) a record belongs to: a stable
-    /// hash of `(table, page)`, so every record of a page — and therefore
-    /// of a row — lands on the same worker.
-    fn replay_shard_of(record: &LogRecord, workers: usize) -> usize {
-        match record.kind.row_key() {
-            Some((table, rid)) => {
-                use std::hash::{Hash, Hasher};
-                let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                (table, rid.page).hash(&mut hasher);
-                (hasher.finish() % workers as u64) as usize
-            }
-            None => 0,
-        }
-    }
-
-    /// Recovery from the last fuzzy checkpoint: bulk-applies the
-    /// checkpoint's net-effect rows, then replays only the log delta past
-    /// the per-stream low-water marks (plus the undecided records the
-    /// checkpoint carried forward), across `workers` threads — O(delta)
-    /// work, not O(history). With no checkpoint taken yet the delta is the
-    /// whole log. Safe beside a running build: checkpoint and delta are one
-    /// read ([`LogManager::checkpoint_and_tail`]).
-    pub fn recover_checkpoint_into(&self, fresh: &Database, workers: usize) -> DbResult<()> {
-        let (checkpoint, tail) = self.log.checkpoint_and_tail();
-        let (mut candidates, horizon) = match checkpoint {
-            Some(checkpoint) => {
-                self.replay_parallel(fresh, checkpoint.rows_flat(), workers)?;
-                (checkpoint.pending().to_vec(), checkpoint.seq_horizon())
-            }
-            None => (Vec::new(), 0),
-        };
-        candidates.extend(tail);
-        let delta = LogManager::redo_in_candidates(candidates, horizon);
-        self.replay_parallel(fresh, delta, workers)
-    }
-
-    fn replay(&self, fresh: &Database, records: Vec<LogRecord>) -> DbResult<()> {
-        for record in records {
-            Self::apply_record(fresh, record)?;
-        }
-        Ok(())
-    }
-
-    /// Applies `records` through `workers` threads, sharding by page so each
-    /// row's records are applied by one worker in their original order (a
-    /// row never moves between pages) and no two workers ever contend on a
-    /// page latch.
-    fn replay_parallel(
-        &self,
-        fresh: &Database,
-        records: Vec<LogRecord>,
-        workers: usize,
-    ) -> DbResult<()> {
-        let workers = workers.max(1);
-        if workers == 1 || records.len() < 2 {
-            return self.replay(fresh, records);
+            return Self::replay_shard(fresh, records);
         }
         let mut shards: Vec<Vec<LogRecord>> = (0..workers).map(|_| Vec::new()).collect();
         for record in records {
-            let shard = Self::replay_shard_of(&record, workers);
+            let shard = match record.kind.row_key() {
+                Some((table, rid)) => {
+                    use std::hash::{Hash, Hasher};
+                    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                    (table, rid.page).hash(&mut hasher);
+                    (hasher.finish() % workers as u64) as usize
+                }
+                None => 0,
+            };
             shards[shard].push(record);
         }
         std::thread::scope(|scope| {
@@ -1208,7 +1135,7 @@ impl Database {
         })
     }
 
-    /// One parallel-replay worker: applies its shard page run by page run.
+    /// One replay worker: applies its shard page run by page run.
     /// The stable sort gathers each page's records together while keeping
     /// the original commit-sequence order within every page — the only
     /// order redo needs, since a row never moves between pages — so each
@@ -1272,17 +1199,16 @@ impl Database {
                 match &record.kind {
                     LogRecordKind::Insert { rid, after, .. } => {
                         let row = Value::decode_row(after)?;
-                        let primary_key = meta.schema.primary_key_of(&row);
-                        fresh.primary(table)?.insert(
-                            &primary_key,
-                            IndexEntry::new(*rid, meta.schema.routing_key_of(&row)),
-                        )?;
+                        let entry = IndexEntry::new(*rid, meta.schema.routing_key_of(&row));
+                        fresh.primary(table)?.insert_replayed(&[(
+                            meta.schema.primary_key_of(&row),
+                            entry.clone(),
+                        )])?;
                         for index_meta in &secondaries {
-                            let key = index_meta.spec.key_of(&row);
-                            fresh.secondary(index_meta.id)?.insert(
-                                &key,
-                                IndexEntry::new(*rid, meta.schema.routing_key_of(&row)),
-                            )?;
+                            fresh.secondary(index_meta.id)?.insert_replayed(&[(
+                                index_meta.spec.key_of(&row),
+                                entry.clone(),
+                            )])?;
                         }
                     }
                     LogRecordKind::Delete { rid, before, .. } => {
@@ -1320,52 +1246,12 @@ impl Database {
             }
         }
         if !primary_batch.is_empty() {
-            fresh.primary(table)?.insert_many(&primary_batch)?;
+            fresh.primary(table)?.insert_replayed(&primary_batch)?;
         }
         for (index_meta, batch) in secondaries.iter().zip(&secondary_batches) {
             if !batch.is_empty() {
-                fresh.secondary(index_meta.id)?.insert_many(batch)?;
+                fresh.secondary(index_meta.id)?.insert_replayed(batch)?;
             }
-        }
-        Ok(())
-    }
-
-    fn apply_record(fresh: &Database, record: LogRecord) -> DbResult<()> {
-        match record.kind {
-            LogRecordKind::Insert { table, rid, after } => {
-                let row = Value::decode_row(&after)?;
-                let meta = fresh.catalog.table(table)?;
-                let heap = fresh.heap(table)?;
-                heap.insert_at(rid, &after)?;
-                let primary_key = meta.schema.primary_key_of(&row);
-                fresh.primary(table)?.insert(
-                    &primary_key,
-                    IndexEntry::new(rid, meta.schema.routing_key_of(&row)),
-                )?;
-                for index_meta in fresh.catalog.secondary_indexes_of(table) {
-                    let key = index_meta.spec.key_of(&row);
-                    fresh
-                        .secondary(index_meta.id)?
-                        .insert(&key, IndexEntry::new(rid, meta.schema.routing_key_of(&row)))?;
-                }
-            }
-            LogRecordKind::Update {
-                table, rid, after, ..
-            } => {
-                fresh.heap(table)?.update(rid, &after)?;
-            }
-            LogRecordKind::Delete { table, rid, before } => {
-                let row = Value::decode_row(&before)?;
-                let meta = fresh.catalog.table(table)?;
-                fresh.heap(table)?.delete(rid)?;
-                let primary_key = meta.schema.primary_key_of(&row);
-                let _ = fresh.primary(table)?.remove(&primary_key, rid);
-                for index_meta in fresh.catalog.secondary_indexes_of(table) {
-                    let key = index_meta.spec.key_of(&row);
-                    let _ = fresh.secondary(index_meta.id)?.remove(&key, rid);
-                }
-            }
-            _ => {}
         }
         Ok(())
     }
@@ -1932,25 +1818,20 @@ mod tests {
 
     #[test]
     fn without_elr_locks_are_held_until_durable() {
-        for durability in [
-            DurabilityConfig::sync_commit(),
-            DurabilityConfig::group_commit_only(),
-        ] {
-            let (db, table) = accounts_db_with(durability);
-            let txn = db.begin();
-            db.insert(&txn, table, account_row(1, "alice", 1.0), CcMode::Full)
-                .unwrap();
-            let handle = db.precommit(&txn).unwrap();
-            assert!(!handle.early_released());
-            assert!(
-                txn.held_lock_count() > 0,
-                "without ELR, locks outlive precommit"
-            );
-            assert_eq!(txn.status(), TxnStatus::Active);
-            db.commit_wait(&txn, handle).unwrap();
-            assert_eq!(txn.held_lock_count(), 0);
-            assert_eq!(txn.status(), TxnStatus::Committed);
-        }
+        let (db, table) = accounts_db_with(DurabilityConfig::group_commit_only());
+        let txn = db.begin();
+        db.insert(&txn, table, account_row(1, "alice", 1.0), CcMode::Full)
+            .unwrap();
+        let handle = db.precommit(&txn).unwrap();
+        assert!(!handle.early_released());
+        assert!(
+            txn.held_lock_count() > 0,
+            "without ELR, locks outlive precommit"
+        );
+        assert_eq!(txn.status(), TxnStatus::Active);
+        db.commit_wait(&txn, handle).unwrap();
+        assert_eq!(txn.held_lock_count(), 0);
+        assert_eq!(txn.status(), TxnStatus::Committed);
     }
 
     #[test]
@@ -2010,7 +1891,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_replays_committed_changes() {
+    fn recovery_replays_only_committed_transactions() {
         let (db, table) = accounts_db();
         let txn = db.begin();
         db.insert(&txn, table, account_row(1, "alice", 10.0), CcMode::Full)
@@ -2045,6 +1926,49 @@ mod tests {
             .is_none());
         fresh.commit(&check).unwrap();
         assert_eq!(fresh.row_count(table).unwrap(), 2);
+    }
+
+    /// Replay runs page by page, so a key deleted on one page and inserted
+    /// again on an earlier one is re-inserted before the replay removes its
+    /// old entry: the unique index must take it.
+    #[test]
+    fn recovery_replays_a_key_that_moved_to_an_earlier_page() {
+        // Two rows per page.
+        let wide = |id: i64| account_row(id, &"x".repeat(3_000), 0.0);
+        let (db, table) = accounts_db();
+        let txn = db.begin();
+        let rids: Vec<Rid> = (1..=4)
+            .map(|id| db.insert(&txn, table, wide(id), CcMode::Full).unwrap())
+            .collect();
+        db.commit(&txn).unwrap();
+        // Free a slot on row 3's page, then one on row 1's: an insert tries
+        // the most recently freed page first.
+        for id in [3, 1] {
+            let txn = db.begin();
+            db.delete_primary(&txn, table, &Key::int(id), CcMode::Full)
+                .unwrap();
+            db.commit(&txn).unwrap();
+        }
+        let txn = db.begin();
+        let moved = db.insert(&txn, table, wide(3), CcMode::Full).unwrap();
+        db.commit(&txn).unwrap();
+        assert!(
+            moved.page < rids[2].page,
+            "row 3 moved from {:?} to {moved:?}",
+            rids[2]
+        );
+
+        let (fresh, _) = accounts_db();
+        db.recover_into(&fresh).unwrap();
+        let check = fresh.begin();
+        for (id, present) in [(1, false), (2, true), (3, true), (4, true)] {
+            let found = fresh
+                .probe_primary(&check, table, &Key::int(id), false, CcMode::Full)
+                .unwrap();
+            assert_eq!(found.is_some(), present, "row {id}");
+        }
+        fresh.commit(&check).unwrap();
+        assert_eq!(fresh.row_count(table).unwrap(), 3);
     }
 
     #[test]

@@ -245,8 +245,8 @@ impl HeapFile {
     }
 
     /// Applies a run of slot-level redo operations to one page under a
-    /// single pin and one page-latch acquisition — the parallel-recovery
-    /// fast path. Replay shards records by page, so a page's whole history
+    /// single pin and one page-latch acquisition — how recovery applies
+    /// redo. Replay shards records by page, so a page's whole history
     /// arrives as one run; applying it in one shot amortizes the buffer-pool
     /// lookup and keeps replay workers from ever touching a shared latch
     /// per record.

@@ -47,7 +47,7 @@ pub use latch::{Latch, LatchGuard};
 pub use lock::{LockId, LockManager, LockMode};
 pub use log::{
     bound_log_stream, with_executor_log_stream, Checkpoint, CheckpointStats, LogManager, LogRecord,
-    LogRecordKind, Lsn, StreamId, StreamStats, CHECKPOINTER_THREAD,
+    LogRecordKind, Lsn, Redo, StreamId, StreamStats, CHECKPOINTER_THREAD,
 };
 pub use mvcc::{ChainRead, MvccStats, Snapshot, VersionStore};
 pub use txn::{TxnManager, TxnStatus};

@@ -16,10 +16,10 @@
 //! (while its locks are still held, so dependents always draw larger
 //! numbers) and appends a **commit fence** carrying that sequence and the
 //! full list of streams it touched to *every* one of those streams.
-//! Recovery ([`LogManager::committed_changes_in_prefixes`]) treats a
-//! transaction as committed iff all of its streams contain the fence
-//! *and* every smaller sequence number is also fully fenced within the
-//! surviving prefixes (the maximal sequence-dense prefix). The density
+//! Recovery ([`LogManager::redo`]) treats a transaction as committed iff all
+//! of its streams contain the fence *and* every smaller sequence number is
+//! also fully fenced within the surviving prefixes (the maximal
+//! sequence-dense prefix). The density
 //! requirement is what makes early lock release safe across streams: a
 //! dependent's after-images never replay without the transaction it read
 //! from. The flip side — shared with every multi-log design that
@@ -43,15 +43,15 @@
 //!   fires a callback once *every* touched stream's fence is durable) is
 //!   queued for whoever hardens it next, and the stream's `log-flusher-N`
 //!   daemon — spawned by the first such commit — makes sure somebody does,
-//!   by the same leader/follower rule. With
-//!   [`DurabilityConfig::group_commit`] off there is no daemon and the
-//!   submitting thread drives the write before it returns.
+//!   by the same leader/follower rule.
 //!
 //! The log manager also takes **fuzzy checkpoints**: the committed history
 //! is folded into a net-effect snapshot per `(table, rid)` plus per-stream
-//! low-water LSNs, so recovery bulk-applies the snapshot and replays only the
-//! delta since the last checkpoint — O(delta), not O(history). A checkpoint
-//! is background work:
+//! low-water LSNs, and moved out of the log. Recovery ([`LogManager::redo`])
+//! therefore always starts from the latest checkpoint, bulk-applies it and
+//! replays only the tail past it — O(tail), not O(history) — and a cut
+//! below a low-water mark asks for records that no longer exist. A
+//! checkpoint is background work:
 //!
 //! * *Who builds.* The precommit path ([`LogManager::maybe_checkpoint`])
 //!   compares a counter; the one committer per
@@ -66,8 +66,6 @@
 //!   mutex is held for O(live transactions + records past the floor), with no
 //!   allocation, no copy of the prefix and no drop under it. The floor is the
 //!   checkpoint's low-water mark, so log space is reclaimed by the cut itself.
-//!   Only [`DurabilityConfig::reclaim_log_at_checkpoint`] = `false` clones the
-//!   prefix instead and leaves the log whole.
 //! * *The fold.* The moved records and the previous checkpoint's undecided
 //!   ones are analysed, the committed data changes are ordered by commit
 //!   sequence with one stable sort and folded **into the previous checkpoint
@@ -75,8 +73,7 @@
 //!   the size of the database.
 //! * *Consistency.* The checkpoint mutex is held from before the first move
 //!   until the checkpoint is complete. Recovery reads checkpoint and log
-//!   under it ([`LogManager::checkpoint_and_tail`]) and therefore finds every
-//!   record in exactly one of the two.
+//!   under it and therefore finds every record in exactly one of the two.
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -295,21 +292,15 @@ impl StreamBuffer {
         (lsn.0 - 1 - self.base) as usize
     }
 
-    /// The retained records whose LSN is ≤ `cut` (everything retained when
-    /// `cut` is past the end).
-    fn retained_up_to(&self, cut: Lsn) -> &[LogRecord] {
-        let len = (cut.0.saturating_sub(self.base) as usize).min(self.buffered.len());
-        &self.buffered[..len]
-    }
-
-    /// The retained records whose LSN is > `low`. Clamping to the base is
-    /// exact for the *latest* checkpoint's low-water mark only — a build moves
-    /// the records between an older mark and the base into the checkpoint —
-    /// which is why recovery reads both under the checkpoint mutex
-    /// ([`LogManager::checkpoint_and_tail`]).
-    fn retained_after(&self, low: Lsn) -> &[LogRecord] {
-        let from = (low.0.saturating_sub(self.base) as usize).min(self.buffered.len());
-        &self.buffered[from..]
+    /// The retained records with `low` < LSN ≤ `cut` (`low` ≤ `cut`).
+    /// Clamping to the base
+    /// is exact for the *latest* checkpoint's low-water mark only — a build
+    /// moves the records between an older mark and the base into the
+    /// checkpoint — which is why recovery reads both under the checkpoint
+    /// mutex.
+    fn between(&self, low: Lsn, cut: Lsn) -> &[LogRecord] {
+        let index = |lsn: Lsn| (lsn.0.saturating_sub(self.base) as usize).min(self.buffered.len());
+        &self.buffered[index(low)..index(cut)]
     }
 }
 
@@ -620,9 +611,7 @@ impl LogStream {
     /// — or once that can never happen — without blocking the caller: the
     /// fence is queued for whoever hardens it next, and the daemon is woken
     /// to make sure somebody does. Already-durable LSNs and already-failed
-    /// streams complete inline on the calling thread, and so does every
-    /// commit when [`DurabilityConfig::group_commit`] is off (there is no
-    /// daemon: the caller drives the write).
+    /// streams complete inline on the calling thread.
     fn submit_commit(self: &Arc<Self>, lsn: Lsn, callback: DurableCallback) {
         if self.flushed_lsn.load(Ordering::Acquire) >= lsn.0 {
             callback(true);
@@ -630,11 +619,6 @@ impl LogStream {
         }
         if self.failed.load(Ordering::Acquire) {
             callback(false);
-            return;
-        }
-        if !self.durability.group_commit {
-            let durable = self.flush(lsn, true);
-            callback(durable);
             return;
         }
         {
@@ -662,26 +646,20 @@ impl LogStream {
         Lsn(self.flushed_lsn.load(Ordering::Acquire))
     }
 
-    /// The checkpoint cut of this stream: hands the builder the records in
-    /// `(low, floor]` and returns the floor with how long the `records` mutex
-    /// was held. The floor is the last record below the first buffered record
-    /// of any *live* transaction (one still in `last_lsn_per_txn`, i.e. not
-    /// yet committed or aborted), found by walking those few `prev_lsn`
-    /// chains — rollback walks the same chains through buffered indices, so
-    /// nothing a live transaction wrote may leave the buffer. With `reclaim`
-    /// the prefix is *moved* out: the tail is shifted into a buffer allocated
-    /// before the lock and the two are swapped, so the mutex covers O(tail)
-    /// moves and neither an allocation nor a drop. Without it the records
-    /// stay in the log and the builder gets clones.
-    fn cut(&self, low: Lsn, reclaim: bool) -> (Lsn, Vec<LogRecord>, Duration) {
+    /// The checkpoint cut of this stream: *moves* the records below the
+    /// floor out of the log and hands them to the builder, with the floor and
+    /// how long the `records` mutex was held. The floor is the last record
+    /// below the first buffered record of any *live* transaction (one still
+    /// in `last_lsn_per_txn`, i.e. not yet committed or aborted), found by
+    /// walking those few `prev_lsn` chains — rollback walks the same chains
+    /// through buffered indices, so nothing a live transaction wrote may
+    /// leave the buffer. The tail is shifted into a buffer allocated before
+    /// the lock and the two are swapped, so the mutex covers O(tail) moves
+    /// and neither an allocation nor a drop.
+    fn cut(&self) -> (Lsn, Vec<LogRecord>, Duration) {
         // The replacement keeps the old capacity, so the appends of the next
         // interval do not re-grow it under the mutex.
-        let capacity = if reclaim {
-            self.records.lock().buffered.capacity()
-        } else {
-            0
-        };
-        let mut kept = Vec::with_capacity(capacity);
+        let mut kept = Vec::with_capacity(self.records.lock().buffered.capacity());
         let mut buffer = self.records.lock();
         let locked = Instant::now();
         let mut floor = buffer.total();
@@ -697,13 +675,9 @@ impl LogStream {
             floor = floor.min(first.0 - 1);
         }
         let at = (floor - buffer.base) as usize;
-        let moved = if reclaim {
-            kept.extend(buffer.buffered.drain(at..));
-            buffer.base = floor;
-            std::mem::replace(&mut buffer.buffered, kept)
-        } else {
-            buffer.buffered[(low.0 - buffer.base) as usize..at].to_vec()
-        };
+        kept.extend(buffer.buffered.drain(at..));
+        buffer.base = floor;
+        let moved = std::mem::replace(&mut buffer.buffered, kept);
         drop(buffer);
         (Lsn(floor), moved, locked.elapsed())
     }
@@ -766,19 +740,21 @@ impl Checkpoint {
     pub fn pending(&self) -> &[LogRecord] {
         &self.pending
     }
+}
 
-    /// The folded rows as a replayable record list, sorted by row so
-    /// recovery output is deterministic. Net effects of different rows
-    /// commute, so recovery may also apply them sharded in parallel.
-    pub fn rows_flat(&self) -> Vec<LogRecord> {
-        let mut keys: Vec<(TableId, Rid)> = self.rows.keys().copied().collect();
-        keys.sort_unstable();
-        let mut out = Vec::new();
-        for key in keys {
-            out.extend(self.rows[&key].iter().cloned());
-        }
-        out
-    }
+/// What recovery replays ([`LogManager::redo`]).
+#[derive(Debug)]
+pub struct Redo {
+    /// The records to apply to a freshly loaded database, in an order that is
+    /// correct for every row: the checkpoint's net-effect rows first, then
+    /// the data changes of each recovered transaction past it, grouped per
+    /// transaction in commit-sequence order. Different rows commute, so the
+    /// records may be applied sharded by page.
+    pub records: Vec<LogRecord>,
+    /// Commit sequences `1..=seq_horizon` are what the records rebuild: the
+    /// checkpoint's horizon extended over the dense run of fully fenced
+    /// transactions past it.
+    pub seq_horizon: u64,
 }
 
 /// Result of scanning a candidate record set for commit fences: which
@@ -876,8 +852,6 @@ struct Checkpointer {
     /// read for whoever holds it. No committer ever takes it.
     current: Mutex<Option<Arc<Checkpoint>>>,
     stats: Mutex<CheckpointStats>,
-    /// [`DurabilityConfig::reclaim_log_at_checkpoint`].
-    reclaim: bool,
     faults: Arc<FaultPlan>,
     wake: Mutex<Wake>,
     wake_cond: Condvar,
@@ -924,7 +898,7 @@ impl Checkpointer {
         let mut chunks = vec![std::mem::take(&mut checkpoint.pending)];
         let mut lock_hold = Duration::ZERO;
         for (stream, low) in self.streams.iter().zip(&mut checkpoint.low_water) {
-            let (floor, records, held) = stream.cut(*low, self.reclaim);
+            let (floor, records, held) = stream.cut();
             *low = floor;
             chunks.push(records);
             lock_hold = lock_hold.max(held);
@@ -1007,7 +981,6 @@ impl std::fmt::Debug for LogManager {
         f.debug_struct("LogManager")
             .field("streams", &self.streams.len())
             .field("commit_seq", &self.commit_seq.load(Ordering::Relaxed))
-            .field("group_commit", &self.durability.group_commit)
             .finish()
     }
 }
@@ -1031,12 +1004,12 @@ impl LogManager {
     }
 
     /// [`Self::with_durability`] plus a live fault schedule shared by every
-    /// stream's simulated device. When the plan can fire under group
-    /// commit, a `log-watchdog` thread is also spawned: it samples each
-    /// stream's flush horizon and, when a stream has a write claimed or
-    /// callbacks queued but a horizon that stopped advancing, re-nudges the
-    /// stream's condvars (and counts the nudge) — the safety net against a
-    /// stalled or wakeup-starved writer wedging every committer behind it.
+    /// stream's simulated device. When the plan can fire, a `log-watchdog`
+    /// thread is also spawned: it samples each stream's flush horizon and,
+    /// when a stream has a write claimed or callbacks queued but a horizon
+    /// that stopped advancing, re-nudges the stream's condvars (and counts
+    /// the nudge) — the safety net against a stalled or wakeup-starved
+    /// writer wedging every committer behind it.
     pub fn with_faults(
         flush_latency_micros: u64,
         durability: DurabilityConfig,
@@ -1047,14 +1020,14 @@ impl LogManager {
             .map(|s| {
                 Arc::new(LogStream::new(
                     StreamId(s),
-                    durability.device_micros_for(s, flush_latency_micros),
+                    flush_latency_micros,
                     durability.clone(),
                     Arc::clone(&faults),
                 ))
             })
             .collect();
         let watchdog_stop = Arc::new(AtomicBool::new(false));
-        let watchdog = if faults.enabled() && durability.group_commit {
+        let watchdog = if faults.enabled() {
             let watched = streams.clone();
             let stop = Arc::clone(&watchdog_stop);
             Some(
@@ -1072,7 +1045,6 @@ impl LogManager {
                 streams: streams.clone(),
                 current: Mutex::new(None),
                 stats: Mutex::new(CheckpointStats::default()),
-                reclaim: durability.reclaim_log_at_checkpoint,
                 faults: Arc::clone(&faults),
                 wake: Mutex::new(Wake::default()),
                 wake_cond: Condvar::new(),
@@ -1211,8 +1183,7 @@ impl LogManager {
     /// transaction nobody waits on ([`Database::commit_async`]). The
     /// callback runs on whichever thread hardens the last fence: a stream's
     /// daemon, a committer that led a write covering it, or the caller
-    /// itself if every fence is already durable or the configuration runs
-    /// no daemon.
+    /// itself if every fence is already durable.
     ///
     /// [`Database::commit_async`]: crate::Database::commit_async
     pub fn submit_commit(&self, fences: Vec<(StreamId, Lsn)>, callback: DurableCallback) {
@@ -1348,74 +1319,6 @@ impl LogManager {
         chain
     }
 
-    /// Analysis + redo view of the whole log: the data-change records of
-    /// every recoverable transaction, in replay order. Recovery applies
-    /// these to an empty database to reconstruct committed state.
-    ///
-    /// Sees only the *retained* records: once a checkpoint has reclaimed a
-    /// prefix ([`Self::reclaimed_records`] > 0) the dense commit-sequence
-    /// analysis finds a hole at the truncation point and this view goes
-    /// empty — callers must recover from the checkpoint instead (the folded
-    /// rows carry exactly the truncated history).
-    pub fn committed_changes(&self) -> Vec<LogRecord> {
-        let cuts = self.stream_lens();
-        self.committed_changes_in_prefixes(&cuts)
-    }
-
-    /// [`Self::committed_changes`] restricted to per-stream prefixes: what
-    /// recovery would see if each stream `s` lost every record past
-    /// `cuts[s]` in a crash (missing entries mean "whole stream"). A
-    /// transaction contributes iff *all* its commit fences lie inside the
-    /// cuts **and** every smaller commit sequence is also fully fenced —
-    /// the maximal sequence-dense prefix. A transaction whose locks were
-    /// released early but whose fences were torn, and every transaction
-    /// sequenced after it, is correctly treated as never having happened.
-    ///
-    /// Records are returned grouped by transaction in commit-sequence
-    /// order; replaying them sequentially (or sharded by row) rebuilds the
-    /// exact committed state, because lock release orders dependent
-    /// transactions' sequences.
-    pub fn committed_changes_in_prefixes(&self, cuts: &[Lsn]) -> Vec<LogRecord> {
-        // Analysis runs on borrowed records (holding every stream lock, in
-        // stream order — whoever writes a stream's device only ever locks
-        // that stream, so no cycle) and clones only the replayable subset,
-        // keeping the serial prefix of parallel recovery short.
-        let guards: Vec<_> = self
-            .streams
-            .iter()
-            .map(|stream| stream.records.lock())
-            .collect();
-        let mut candidates: Vec<&LogRecord> = Vec::new();
-        for (s, buffer) in guards.iter().enumerate() {
-            let cut = cuts.get(s).copied().unwrap_or(Lsn(u64::MAX));
-            candidates.extend(buffer.retained_up_to(cut).iter());
-        }
-        Self::redo_in_candidate_refs(&candidates, 0)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Runs `f` over the replayable redo records (the same set
-    /// [`Self::committed_changes`] returns) without cloning them: the
-    /// records stay borrowed from the stream buffers, which remain locked
-    /// for the duration of the call. Parallel recovery hands the slice to
-    /// its workers and lets each clone only its own shard, keeping the
-    /// serial analysis prefix of recovery as short as possible.
-    pub fn with_redo_refs<R>(&self, f: impl FnOnce(&[&LogRecord]) -> R) -> R {
-        let guards: Vec<_> = self
-            .streams
-            .iter()
-            .map(|stream| stream.records.lock())
-            .collect();
-        let mut candidates: Vec<&LogRecord> = Vec::new();
-        for buffer in guards.iter() {
-            candidates.extend(buffer.buffered.iter());
-        }
-        let redo = Self::redo_in_candidate_refs(&candidates, 0);
-        f(&redo)
-    }
-
     /// Scans `candidates` for commit fences and aborts, extending the dense
     /// sequence horizon upward from `base_horizon`.
     fn analyze<'a>(
@@ -1468,36 +1371,69 @@ impl LogManager {
         }
     }
 
-    /// The replayable records among `candidates`: data changes of
-    /// transactions fully fenced with sequence in the dense range starting
-    /// past `base_horizon`, grouped per transaction in sequence order.
-    /// `candidates` must preserve per-stream append order (stream-major
-    /// concatenation does).
-    pub(crate) fn redo_in_candidates(
-        candidates: Vec<LogRecord>,
-        base_horizon: u64,
-    ) -> Vec<LogRecord> {
-        let refs: Vec<&LogRecord> = candidates.iter().collect();
-        Self::redo_in_candidate_refs(&refs, base_horizon)
-            .into_iter()
-            .cloned()
-            .collect()
-    }
-
-    /// Borrowed-record core of [`Self::redo_in_candidates`].
-    fn redo_in_candidate_refs<'a>(
-        candidates: &[&'a LogRecord],
-        base_horizon: u64,
-    ) -> Vec<&'a LogRecord> {
-        let analysis = Self::analyze(candidates.iter().copied(), base_horizon);
-        let mut redo: Vec<(u64, &LogRecord)> = candidates
+    /// What recovery replays — the one analysis behind
+    /// [`Database::recover_into`] and `recover_prefixes_into`: the latest
+    /// checkpoint's net-effect rows plus the data changes of every
+    /// transaction recovered from its carried records and the log tail past
+    /// its low-water marks — with each stream cut at `cuts[s]` if given
+    /// (what survives a crash that lost everything past the cut; streams
+    /// past the end of `cuts` keep everything). A transaction is recovered
+    /// iff all its commit fences survive and every smaller sequence is also
+    /// recovered. Checkpoint and log are read once, under the checkpoint
+    /// mutex, so a concurrent build can move no record out of sight; only
+    /// the replayed records are cloned.
+    ///
+    /// A cut below a stream's low-water mark is an error: the records between
+    /// the cut and the mark exist only folded into the checkpoint, so the
+    /// state at that cut can no longer be rebuilt.
+    ///
+    /// [`Database::recover_into`]: crate::Database::recover_into
+    pub fn redo(&self, cuts: Option<&[Lsn]>) -> DbResult<Redo> {
+        let current = self.checkpointer.current.lock();
+        let checkpoint = current.as_deref();
+        // Every stream lock, in stream order: whoever writes a stream's
+        // device only ever locks that stream, so no cycle.
+        let buffers: Vec<_> = self
+            .streams
             .iter()
+            .map(|stream| stream.records.lock())
+            .collect();
+        let mut candidates: Vec<&LogRecord> =
+            checkpoint.map_or_else(Vec::new, |checkpoint| checkpoint.pending.iter().collect());
+        for (s, buffer) in buffers.iter().enumerate() {
+            let low = checkpoint.map_or(Lsn(0), |checkpoint| checkpoint.low_water[s]);
+            let cut = cuts
+                .and_then(|cuts| cuts.get(s))
+                .copied()
+                .unwrap_or(Lsn(u64::MAX));
+            if cut < low {
+                return Err(DbError::InvalidOperation(format!(
+                    "cut {} of stream {s} is below its low-water mark {}: the records \
+                     between are folded into the checkpoint",
+                    cut.0, low.0
+                )));
+            }
+            candidates.extend(buffer.between(low, cut));
+        }
+        let analysis = Self::analyze(
+            candidates.iter().copied(),
+            checkpoint.map_or(0, Checkpoint::seq_horizon),
+        );
+        let mut tail: Vec<(u64, &LogRecord)> = candidates
+            .into_iter()
             .filter(|record| record.kind.is_data_change())
-            .filter_map(|&record| Some((*analysis.committed.get(&record.txn)?, record)))
+            .filter_map(|record| Some((*analysis.committed.get(&record.txn)?, record)))
             .collect();
         // Stable: a transaction's records keep their log order.
-        redo.sort_by_key(|&(seq, _)| seq);
-        redo.into_iter().map(|(_, record)| record).collect()
+        tail.sort_by_key(|&(seq, _)| seq);
+        let mut records: Vec<LogRecord> = checkpoint.map_or_else(Vec::new, |checkpoint| {
+            checkpoint.rows.values().flatten().cloned().collect()
+        });
+        records.extend(tail.into_iter().map(|(_, record)| record.clone()));
+        Ok(Redo {
+            records,
+            seq_horizon: analysis.horizon,
+        })
     }
 
     /// The precommit path's share of checkpointing: a counter compare, and
@@ -1549,17 +1485,6 @@ impl LogManager {
         self.checkpointer.current.lock().clone()
     }
 
-    /// What recovery replays: the latest checkpoint and every record past its
-    /// low-water marks, read under the checkpoint mutex. A build moves
-    /// records from the log into the checkpoint while holding that mutex, so
-    /// no record is ever in neither — read one after the other without it and
-    /// an interval can be lost in between.
-    pub fn checkpoint_and_tail(&self) -> (Option<Arc<Checkpoint>>, Vec<LogRecord>) {
-        let current = self.checkpointer.current.lock();
-        let tail = self.records_after(current.as_deref().map_or(&[], Checkpoint::low_water));
-        (current.clone(), tail)
-    }
-
     /// What checkpointing has cost so far: builds, their duration, and the
     /// longest the builder held any stream's `records` mutex — the only
     /// moment a build stands in a committer's way.
@@ -1568,14 +1493,14 @@ impl LogManager {
     }
 
     /// Every record past the per-stream `low_water` marks, stream-major
-    /// (per-stream append order preserved): the delta checkpoint recovery
-    /// re-analyzes and replays.
+    /// (per-stream append order preserved): the tail recovery analyses past
+    /// a checkpoint.
     pub fn records_after(&self, low_water: &[Lsn]) -> Vec<LogRecord> {
         let mut out = Vec::new();
         for (s, stream) in self.streams.iter().enumerate() {
             let records = stream.records.lock();
             let from = low_water.get(s).copied().unwrap_or(Lsn(0));
-            out.extend_from_slice(records.retained_after(from));
+            out.extend_from_slice(records.between(from, Lsn(u64::MAX)));
         }
         out
     }
@@ -1787,26 +1712,26 @@ mod tests {
         );
     }
 
+    /// The records recovery would replay behind `cuts`.
+    fn redo(log: &LogManager, cuts: Option<&[Lsn]>) -> Vec<LogRecord> {
+        log.redo(cuts).unwrap().records
+    }
+
     #[test]
     fn flush_advances_flushed_lsn() {
         for streams in [1usize, 2] {
-            for durability in [
-                streams_config(streams),
-                DurabilityConfig::sync_commit().with_log_streams(streams),
-            ] {
-                let log = LogManager::with_durability(0, durability);
-                let (stream, lsn) = log.append(TxnId(1), LogRecordKind::Begin);
-                assert!(log.flushed_lsn(stream) < lsn);
-                log.flush(stream, lsn);
-                assert!(log.flushed_lsn(stream) >= lsn);
-                // Second flush of the same LSN is a no-op (piggyback path).
-                log.flush(stream, lsn);
-            }
+            let log = LogManager::with_durability(0, streams_config(streams));
+            let (stream, lsn) = log.append(TxnId(1), LogRecordKind::Begin);
+            assert!(log.flushed_lsn(stream) < lsn);
+            log.flush(stream, lsn);
+            assert!(log.flushed_lsn(stream) >= lsn);
+            // Second flush of the same LSN is a no-op (piggyback path).
+            log.flush(stream, lsn);
         }
     }
 
     #[test]
-    fn committed_changes_exclude_uncommitted_and_aborted() {
+    fn redo_excludes_uncommitted_and_aborted() {
         let log = LogManager::new(0);
         log.append(TxnId(1), LogRecordKind::Begin);
         log.append(TxnId(1), insert_record(1, 0, 0, vec![1]));
@@ -1819,9 +1744,10 @@ mod tests {
         log.append(TxnId(3), LogRecordKind::Begin);
         log.append(TxnId(3), insert_record(1, 0, 2, vec![3]));
 
-        let committed = log.committed_changes();
-        assert_eq!(committed.len(), 1);
-        assert_eq!(committed[0].txn, TxnId(1));
+        let committed = log.redo(None).unwrap();
+        assert_eq!(committed.seq_horizon, 1);
+        assert_eq!(committed.records.len(), 1);
+        assert_eq!(committed.records[0].txn, TxnId(1));
     }
 
     #[test]
@@ -1841,7 +1767,7 @@ mod tests {
         // Cut stream 1 to zero: txn 1's second fence is torn. Txn 1 must
         // not replay — and neither may txn 2, whose sequence sits past the
         // hole (it could depend on txn 1 via early lock release).
-        let torn = log.committed_changes_in_prefixes(&[Lsn(4), Lsn(0)]);
+        let torn = redo(&log, Some(&[Lsn(4), Lsn(0)]));
         assert!(
             torn.is_empty(),
             "a torn fence and everything sequenced after it must vanish"
@@ -1849,7 +1775,7 @@ mod tests {
 
         // With both streams intact, both transactions replay, ordered by
         // commit sequence.
-        let full = log.committed_changes();
+        let full = redo(&log, None);
         assert_eq!(full.len(), 2);
         assert_eq!(full[0].txn, TxnId(1));
         assert_eq!(full[1].txn, TxnId(2));
@@ -1865,43 +1791,19 @@ mod tests {
         // Crash right after txn 1's fence: txn 2's insert is in the prefix
         // but its fence is not — it must not be replayed.
         let commit1 = fences1[0].1;
-        let prefix = log.committed_changes_in_prefixes(&[commit1]);
+        let prefix = redo(&log, Some(&[commit1]));
         assert_eq!(prefix.len(), 1);
         assert_eq!(prefix[0].txn, TxnId(1));
-        assert_eq!(log.committed_changes().len(), 2);
+        assert_eq!(redo(&log, None).len(), 2);
     }
 
     #[test]
     fn simulated_flush_latency_is_applied() {
-        for durability in [DurabilityConfig::default(), DurabilityConfig::sync_commit()] {
-            let log = LogManager::with_durability(200, durability);
-            let (stream, lsn) = log.append(TxnId(1), LogRecordKind::Begin);
-            let start = Instant::now();
-            log.flush(stream, lsn);
-            assert!(start.elapsed() >= Duration::from_micros(200));
-        }
-    }
-
-    #[test]
-    fn per_stream_device_latency_overrides_shared_default() {
-        // Stream 0 simulates a fast device (50us), stream 1 falls back to
-        // the shared 400us default; synchronous commit makes the caller
-        // drive the device write so the latency is observable directly.
-        let durability = DurabilityConfig::sync_commit()
-            .with_log_streams(2)
-            .with_stream_device_micros(vec![50]);
-        let log = LogManager::with_durability(400, durability);
-        log.append(TxnId(1), insert_record(1, 0, 0, vec![1]));
-        let (_, fences) = log.append_commit_fences(TxnId(1), &[StreamId(0), StreamId(1)]);
-        let fast = Instant::now();
-        assert!(log.flush(fences[0].0, fences[0].1));
-        let fast = fast.elapsed();
-        let slow = Instant::now();
-        assert!(log.flush(fences[1].0, fences[1].1));
-        let slow = slow.elapsed();
-        assert!(fast >= Duration::from_micros(50));
-        assert!(slow >= Duration::from_micros(400));
-        assert!(slow > fast, "override stream must be faster than default");
+        let log = LogManager::new(200);
+        let (stream, lsn) = log.append(TxnId(1), LogRecordKind::Begin);
+        let start = Instant::now();
+        log.flush(stream, lsn);
+        assert!(start.elapsed() >= Duration::from_micros(200));
     }
 
     #[test]
@@ -2049,9 +1951,10 @@ mod tests {
         // (lsn 8), which stays in the log where its undo chain can reach it.
         assert_eq!(checkpoint.low_water(), &[Lsn(log.len() as u64 - 1)]);
         // Insert+update folded to one insert of the final image; txn 3's
-        // insert+delete cancelled out entirely.
+        // insert+delete cancelled out entirely. Recovery replays exactly that
+        // (txn 4 has not committed).
         assert_eq!(checkpoint.row_count(), 1);
-        let rows = checkpoint.rows_flat();
+        let rows = redo(&log, None);
         assert_eq!(rows.len(), 1);
         match &rows[0].kind {
             LogRecordKind::Insert { after, .. } => assert_eq!(after, &vec![9]),
@@ -2069,38 +1972,26 @@ mod tests {
         assert_eq!(log.len(), 8, "len() reports the full appended history");
         let undo = log.records_for_undo(TxnId(4));
         assert_eq!(undo.len(), 1, "live undo chain survives reclamation");
-        // Full-log analysis now sees a sequence hole where the prefix was;
-        // recovery must come from the checkpoint instead.
-        assert!(log.committed_changes().is_empty());
+        // A cut below the low-water mark asks for records that now exist
+        // only folded into the checkpoint.
+        assert!(matches!(
+            log.redo(Some(&[Lsn(6)])),
+            Err(DbError::InvalidOperation(_))
+        ));
 
-        // Txn 4 commits after the checkpoint; the checkpoint's carried
-        // pending (empty here) plus the post-low-water tail yield its insert.
+        // Txn 4 commits after the checkpoint: the folded row, then its
+        // insert from the tail past the low-water mark — unless the crash
+        // cut sits right at the mark.
         let (_, fences) = log.append_commit_fences(TxnId(4), &[StreamId(0)]);
         assert_eq!(fences.len(), 1);
         assert_eq!(fences[0].1, Lsn(9), "LSNs stay dense across reclamation");
-        let mut candidates = checkpoint.pending().to_vec();
-        candidates.extend(log.records_after(checkpoint.low_water()));
-        let delta = LogManager::redo_in_candidates(candidates, checkpoint.seq_horizon());
-        assert_eq!(delta.len(), 1);
-        assert_eq!(delta[0].txn, TxnId(4));
-    }
-
-    #[test]
-    fn reclamation_can_be_opted_out_for_full_replay_harnesses() {
-        let durability = DurabilityConfig {
-            reclaim_log_at_checkpoint: false,
-            ..DurabilityConfig::default()
-        };
-        let log = LogManager::with_durability(0, durability);
-        log.append(TxnId(1), insert_record(1, 0, 0, vec![1]));
-        log.append_commit_fences(TxnId(1), &[StreamId(0)]);
-        log.forget(TxnId(1));
-        log.take_checkpoint();
-        assert!(log.checkpoint_snapshot().is_some());
-        assert_eq!(log.reclaimed_records(), 0, "opt-out keeps the history");
-        assert_eq!(log.retained_records(), 2);
-        // The full-history replay view is still intact.
-        assert_eq!(log.committed_changes().len(), 1);
+        let replayed = log.redo(None).unwrap();
+        assert_eq!(replayed.seq_horizon, 4);
+        assert_eq!(replayed.records.len(), 2);
+        assert_eq!(replayed.records[1].txn, TxnId(4));
+        let at_the_mark = log.redo(Some(checkpoint.low_water())).unwrap();
+        assert_eq!(at_the_mark.seq_horizon, 3);
+        assert_eq!(at_the_mark.records.len(), 1);
     }
 
     #[test]

@@ -27,11 +27,10 @@ const ACCOUNTS: i64 = 50;
 const INTERVAL: u64 = 500;
 const TPCB_TABLES: [&str; 4] = ["branch", "teller", "account", "history_b"];
 
-fn checkpointing(streams: usize, reclaim: bool) -> SystemConfig {
+fn checkpointing(streams: usize) -> SystemConfig {
     SystemConfig {
         durability: DurabilityConfig {
             checkpoint_interval: INTERVAL,
-            reclaim_log_at_checkpoint: reclaim,
             ..DurabilityConfig::default().with_log_streams(streams)
         },
         ..SystemConfig::for_tests()
@@ -170,7 +169,7 @@ fn checkpoints_under_load_are_built_in_the_background_and_recover_the_live_state
     for kind in EngineKind::ALL {
         for (clients, streams) in [(1, 1), (4, 1), (16, 1), (1, 3), (4, 3), (16, 3)] {
             let context = format!("{} / {clients} clients / {streams} streams", kind.label());
-            let engine = tpcb_engine(kind, checkpointing(streams, true));
+            let engine = tpcb_engine(kind, checkpointing(streams));
             let per_client = 3_200 / clients;
             let committed = run_clients(&engine, clients, move |ran| ran == per_client);
             engine.shutdown();
@@ -211,7 +210,7 @@ fn checkpoints_under_load_are_built_in_the_background_and_recover_the_live_state
 #[test]
 fn recovery_beside_a_running_build_never_misses_a_record() {
     for kind in EngineKind::ALL {
-        let engine = tpcb_engine(kind, checkpointing(3, true));
+        let engine = tpcb_engine(kind, checkpointing(3));
         let done = Arc::new(AtomicBool::new(false));
         let recoverer = {
             let db = Arc::clone(engine.db());
@@ -230,7 +229,7 @@ fn recovery_beside_a_running_build_never_misses_a_record() {
                 while recoveries < 25 || db.log_manager().checkpoint_stats().builds < 10 {
                     assert!(start.elapsed() < DEADLINE, "recoverer: still running");
                     let (fresh, _) = loaded_tpcb(SystemConfig::for_tests());
-                    db.recover_checkpoint_into(&fresh, 1).unwrap();
+                    db.recover_into(&fresh).unwrap();
                     assert_money_conserved(&fresh, &format!("recovery {recoveries}"));
                     recoveries += 1;
                 }
@@ -251,7 +250,7 @@ fn recovery_beside_a_running_build_never_misses_a_record() {
 /// durably, and the builder never held a stream's `records` mutex for 5 ms.
 #[test]
 fn commits_proceed_while_the_builder_is_parked_after_its_cut() {
-    let engine = tpcb_engine(EngineKind::Dora, checkpointing(1, true));
+    let engine = tpcb_engine(EngineKind::Dora, checkpointing(1));
     let db = Arc::clone(engine.db());
     let log = db.log_manager();
     let hold = db.faults().hold(FaultSite::CheckpointStall);
@@ -391,38 +390,12 @@ fn transactions_live_across_the_cut_roll_back_or_commit_later() {
     );
 }
 
-/// (e) With `reclaim_log_at_checkpoint = false` the builder gets clones: the
-/// log keeps every record, full replay still works, and the checkpoint route
-/// recovers the same state.
-#[test]
-fn without_reclamation_the_log_keeps_every_record() {
-    let engine = tpcb_engine(EngineKind::Dora, checkpointing(3, false));
-    let committed = run_clients(&engine, 4, |ran| ran == 300);
-    engine.shutdown();
-    let db = engine.db();
-    let log = db.log_manager();
-    assert!(log.checkpoint_snapshot().is_some());
-    assert!(log.checkpoint_stats().builds >= 3);
-    assert_eq!(log.reclaimed_records(), 0);
-    assert_eq!(log.retained_records(), log.len());
-    assert_eq!(
-        log.committed_changes().len() as u64,
-        4 * committed,
-        "three updates and one insert per commit"
-    );
-    let full = recovered_tpcb(db);
-    assert_same_rows(db, &full, &TPCB_TABLES, "full replay");
-    let (from_checkpoint, _) = loaded_tpcb(SystemConfig::for_tests());
-    db.recover_checkpoint_into(&from_checkpoint, 2).unwrap();
-    assert_same_rows(db, &from_checkpoint, &TPCB_TABLES, "checkpoint + delta");
-}
-
-/// (f) `take_checkpoint()` is the same body on the caller's thread: racing
+/// (e) `take_checkpoint()` is the same body on the caller's thread: racing
 /// the background builder it serialises on the checkpoint mutex, and every
 /// record still ends up in exactly one place.
 #[test]
 fn take_checkpoint_serialises_with_the_background_build() {
-    let engine = tpcb_engine(EngineKind::Dora, checkpointing(3, true));
+    let engine = tpcb_engine(EngineKind::Dora, checkpointing(3));
     let done = Arc::new(AtomicBool::new(false));
     let manual = {
         let db = Arc::clone(engine.db());
@@ -462,7 +435,7 @@ fn take_checkpoint_serialises_with_the_background_build() {
 /// once it can.
 #[test]
 fn dropping_the_database_mid_build_joins_the_builder() {
-    let engine = tpcb_engine(EngineKind::Baseline, checkpointing(1, true));
+    let engine = tpcb_engine(EngineKind::Baseline, checkpointing(1));
     let hold = engine.db().faults().hold(FaultSite::CheckpointStall);
     let mut rng = SmallRng::seed_from_u64(11);
     wait_until("the first cut", || {

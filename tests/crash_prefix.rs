@@ -20,9 +20,12 @@
 //!   number, and recovery stops at the first gap in the fenced sequence.
 //!
 //! Exercised for both execution engines with group commit, ELR and multiple
-//! log streams enabled; a final section checks that fuzzy-checkpoint
-//! recovery reconstructs the same state as a full log replay.
+//! log streams enabled, on a log that was never checkpointed and on one whose
+//! checkpoint moved the history below its low-water marks out of the log:
+//! there every cut at or above those marks recovers the fenced set, the
+//! whole log recovers the live database, and a cut below them is refused.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dora_repro::common::prelude::*;
@@ -37,6 +40,7 @@ const BRANCHES: i64 = 3;
 const ACCOUNTS: i64 = 40;
 const TXNS: usize = 120;
 const STREAMS: usize = 3;
+const TPCB_TABLES: [&str; 4] = ["branch", "teller", "account", "history_b"];
 
 fn async_elr_config() -> SystemConfig {
     SystemConfig {
@@ -44,12 +48,7 @@ fn async_elr_config() -> SystemConfig {
         // commits genuinely spend time in the not-yet-durable window.
         log_flush_micros: 20,
         durability: DurabilityConfig {
-            group_commit: true,
             early_lock_release: true,
-            // These tests cut arbitrary per-stream prefixes and compare
-            // checkpoint recovery against genuine full-history replay, so
-            // the log must keep every record even after a checkpoint.
-            reclaim_log_at_checkpoint: false,
             ..DurabilityConfig::default()
         }
         .with_log_streams(STREAMS),
@@ -57,17 +56,25 @@ fn async_elr_config() -> SystemConfig {
     }
 }
 
-/// Runs the TPC-B workload on the given engine and returns the loaded
-/// database (whose log the prefixes are cut from).
-fn run_workload(kind: EngineKind, seed: u64) -> Arc<Database> {
+/// Runs `TXNS` TPC-B transactions on the given engine — taking a checkpoint
+/// (which reclaims the prefix it folds) after `checkpoint_after` of them, if
+/// set — and returns the quiesced database whose log the prefixes are cut
+/// from. Every client waits for its commit, so every commit is durable.
+fn run_workload(kind: EngineKind, seed: u64, checkpoint_after: Option<usize>) -> Arc<Database> {
     let db = Database::new(async_elr_config());
     let workload = TpcB::with_accounts(BRANCHES, ACCOUNTS);
     workload.setup(&db).unwrap();
     let mut rng = SmallRng::seed_from_u64(seed);
+    let checkpoint = |ran: usize| {
+        if checkpoint_after == Some(ran) {
+            db.log_manager().take_checkpoint();
+        }
+    };
     match kind {
         EngineKind::Baseline => {
             let engine = BaselineEngine::new(Arc::clone(&db));
-            for _ in 0..TXNS {
+            for ran in 0..TXNS {
+                checkpoint(ran);
                 let program = workload.next_program(&db, &mut rng).unwrap();
                 let _ = engine.execute_program(program);
             }
@@ -75,7 +82,8 @@ fn run_workload(kind: EngineKind, seed: u64) -> Arc<Database> {
         EngineKind::Dora => {
             let engine = DoraEngine::new(Arc::clone(&db), DoraConfig::for_tests());
             workload.bind_dora(&engine, 2).unwrap();
-            for _ in 0..TXNS {
+            for ran in 0..TXNS {
+                checkpoint(ran);
                 let program = workload.next_program(&db, &mut rng).unwrap();
                 let _ = engine.execute(program.compile_dora());
             }
@@ -107,23 +115,80 @@ fn balance_total(db: &Database, table: &str, column: usize) -> f64 {
     total
 }
 
+fn sorted_rows(db: &Database, table: &str) -> Vec<Vec<u8>> {
+    let id = db.table_id(table).unwrap();
+    let txn = db.begin();
+    let mut rows = Vec::new();
+    db.scan_table(&txn, id, CcMode::Full, |_, row| {
+        rows.push(Value::encode_row(row).to_vec());
+    })
+    .unwrap();
+    db.commit(&txn).unwrap();
+    rows.sort_unstable();
+    rows
+}
+
+fn assert_same_rows(live: &Database, recovered: &Database, context: &str) {
+    for table in TPCB_TABLES {
+        assert!(
+            sorted_rows(live, table) == sorted_rows(recovered, table),
+            "{context}: table {table} differs between the live and the recovered database"
+        );
+    }
+}
+
+/// The test's own account of what recovery behind `cuts` must rebuild,
+/// independent of the recovery code: commit sequences `1..=horizon`, the
+/// horizon starting at the checkpoint's and extended over every sequence
+/// whose fences all lie in the checkpoint's carried records or inside the
+/// cuts, up to the first gap.
+fn fenced_horizon(db: &Database, cuts: &[Lsn]) -> u64 {
+    let log = db.log_manager();
+    let checkpoint = log.checkpoint_snapshot();
+    let mut records = checkpoint
+        .as_ref()
+        .map_or_else(Vec::new, |checkpoint| checkpoint.pending().to_vec());
+    for (retained, &cut) in log.records_snapshot().into_iter().zip(cuts) {
+        records.extend(retained.into_iter().filter(|record| record.lsn <= cut));
+    }
+    let mut fences: HashMap<TxnId, (u64, usize, usize)> = HashMap::new();
+    for record in &records {
+        if let LogRecordKind::Commit { seq, streams } = &record.kind {
+            fences
+                .entry(record.txn)
+                .or_insert((*seq, streams.len(), 0))
+                .2 += 1;
+        }
+    }
+    let mut fenced: Vec<u64> = fences
+        .values()
+        .filter(|(_, required, seen)| seen >= required)
+        .map(|&(seq, _, _)| seq)
+        .collect();
+    fenced.sort_unstable();
+    let mut horizon = checkpoint.map_or(0, |checkpoint| checkpoint.seq_horizon());
+    for seq in fenced {
+        if seq == horizon + 1 {
+            horizon = seq;
+        } else if seq > horizon + 1 {
+            break;
+        }
+    }
+    horizon
+}
+
 /// Replays the log up to the per-stream cuts into a fresh replica and checks
-/// the two crash invariants: the replayed transaction set equals what the
-/// log manager reports committed inside the cuts (one history row per TPC-B
-/// transaction), and money is conserved across branches/tellers/accounts.
+/// the two crash invariants: the replayed transaction set is the fenced set
+/// inside the cuts (one history row per TPC-B transaction), and money is
+/// conserved across branches/tellers/accounts.
 fn check_cuts(kind: EngineKind, db: &Database, cuts: &[Lsn]) {
     let fresh = fresh_replica();
     db.recover_prefixes_into(&fresh, cuts).unwrap();
 
     let history = fresh.table_id("history_b").unwrap();
-    let committed_txns = {
-        let prefix = db.log_manager().committed_changes_in_prefixes(cuts);
-        let set: std::collections::HashSet<TxnId> = prefix.iter().map(|r| r.txn).collect();
-        set.len()
-    };
     assert_eq!(
-        fresh.row_count(history).unwrap(),
-        committed_txns,
+        fresh.row_count(history).unwrap() as u64,
+        fenced_horizon(db, cuts),
         "{}: cuts {cuts:?} replayed a torn or ghost transaction",
         kind.label()
     );
@@ -144,7 +209,7 @@ fn check_cuts(kind: EngineKind, db: &Database, cuts: &[Lsn]) {
 #[test]
 fn any_torn_multi_stream_prefix_recovers_exactly_the_fenced_set() {
     for kind in EngineKind::ALL {
-        let db = run_workload(kind, 0xC0FFEE + kind as u64);
+        let db = run_workload(kind, 0xC0FFEE + kind as u64, None);
         let log = db.log_manager();
         let streams = log.records_snapshot();
         assert_eq!(streams.len(), STREAMS);
@@ -164,7 +229,7 @@ fn any_torn_multi_stream_prefix_recovers_exactly_the_fenced_set() {
         // data record on that stream.
         let mut fences = 0usize;
         for records in &streams {
-            let fence_lsn: std::collections::HashMap<TxnId, Lsn> = records
+            let fence_lsn: HashMap<TxnId, Lsn> = records
                 .iter()
                 .filter(|r| matches!(r.kind, LogRecordKind::Commit { .. }))
                 .map(|r| (r.txn, r.lsn))
@@ -210,75 +275,74 @@ fn any_torn_multi_stream_prefix_recovers_exactly_the_fenced_set() {
             check_cuts(kind, &db, &cuts);
         }
 
-        // Sanity: replaying the full cuts equals recover_into, which equals
-        // the parallel replay path.
+        // Replaying the full cuts and `recover_into` both rebuild the live
+        // database, which is quiesced and durable.
         let via_prefix = fresh_replica();
         db.recover_prefixes_into(&via_prefix, &full).unwrap();
+        assert_same_rows(&db, &via_prefix, &format!("{}: full cuts", kind.label()));
         let via_full = fresh_replica();
         db.recover_into(&via_full).unwrap();
-        let via_parallel = fresh_replica();
-        db.recover_into_parallel(&via_parallel, 4).unwrap();
-        let history = via_full.table_id("history_b").unwrap();
-        assert_eq!(
-            via_prefix.row_count(history).unwrap(),
-            via_full.row_count(history).unwrap()
-        );
-        assert_eq!(
-            via_parallel.row_count(history).unwrap(),
-            via_full.row_count(history).unwrap()
-        );
-        assert!(
-            (balance_total(&via_parallel, "account", 2) - balance_total(&via_full, "account", 2))
-                .abs()
-                < 1e-6
-        );
+        assert_same_rows(&db, &via_full, &format!("{}: recover_into", kind.label()));
     }
 }
 
+/// A checkpoint taken halfway reclaims the prefix it folds, so the first
+/// half of the history exists only inside the checkpoint: recovery behind
+/// any cut at or above the low-water marks must start from it, and a cut
+/// below them asks for records that are gone — an error, not an empty
+/// database.
 #[test]
-fn checkpoint_recovery_matches_full_replay() {
+fn a_checkpointed_log_recovers_the_fenced_set_behind_every_cut_above_low_water() {
     for kind in EngineKind::ALL {
-        let db = run_workload(kind, 0xFEED + kind as u64);
-        // Take the checkpoint after the fact (the workload ran with
-        // checkpointing disabled) so the delta past the low-water marks is
-        // empty and the snapshot alone must reconstruct the state; then run
-        // more work on top to exercise checkpoint + delta replay.
-        db.log_manager().take_checkpoint();
-        let checkpoint = db
-            .log_manager()
-            .checkpoint_snapshot()
-            .expect("checkpoint was just taken");
-        assert!(checkpoint.row_count() > 0);
-
-        let workload = TpcB::with_accounts(BRANCHES, ACCOUNTS);
-        let engine = BaselineEngine::new(Arc::clone(&db));
-        let mut rng = SmallRng::seed_from_u64(0xD17A + kind as u64);
-        for _ in 0..TXNS / 2 {
-            let program = workload.next_program(&db, &mut rng).unwrap();
-            let _ = engine.execute_program(program);
-        }
-
-        let via_checkpoint = fresh_replica();
-        db.recover_checkpoint_into(&via_checkpoint, 4).unwrap();
-        let via_full = fresh_replica();
-        db.recover_into(&via_full).unwrap();
-
-        let history = via_full.table_id("history_b").unwrap();
-        assert_eq!(
-            via_checkpoint.row_count(history).unwrap(),
-            via_full.row_count(history).unwrap(),
-            "{}: checkpoint recovery diverged from full replay",
+        let db = run_workload(kind, 0xFEED + kind as u64, Some(TXNS / 2));
+        let log = db.log_manager();
+        let checkpoint = log.checkpoint_snapshot().expect("a checkpoint was taken");
+        assert!(
+            checkpoint.row_count() > 0 && log.reclaimed_records() > 0,
+            "{}: the checkpoint folded and reclaimed the first half",
             kind.label()
         );
-        for (table, column) in [("branch", 1), ("teller", 2), ("account", 2)] {
+        let low = checkpoint.low_water().to_vec();
+        let full = log.stream_lens();
+
+        let via_prefix = fresh_replica();
+        db.recover_prefixes_into(&via_prefix, &full).unwrap();
+        assert_same_rows(&db, &via_prefix, &format!("{}: full cuts", kind.label()));
+        let via_full = fresh_replica();
+        db.recover_into(&via_full).unwrap();
+        assert_same_rows(&db, &via_full, &format!("{}: recover_into", kind.label()));
+
+        check_cuts(kind, &db, &low);
+        check_cuts(kind, &db, &full);
+        for victim in 0..STREAMS {
+            for cut in [low[victim], Lsn((low[victim].0 + full[victim].0) / 2)] {
+                let mut cuts = full.clone();
+                cuts[victim] = cut;
+                check_cuts(kind, &db, &cuts);
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0x10_3A7E ^ kind as u64);
+        for _ in 0..16 {
+            let cuts: Vec<Lsn> = low
+                .iter()
+                .zip(&full)
+                .map(|(low, full)| Lsn(rng.random_range(low.0..=full.0)))
+                .collect();
+            check_cuts(kind, &db, &cuts);
+        }
+
+        let mut refused = 0;
+        for victim in (0..STREAMS).filter(|&stream| low[stream].0 > 0) {
+            let mut cuts = full.clone();
+            cuts[victim] = Lsn(low[victim].0 - 1);
+            let result = db.recover_prefixes_into(&fresh_replica(), &cuts);
             assert!(
-                (balance_total(&via_checkpoint, table, column)
-                    - balance_total(&via_full, table, column))
-                .abs()
-                    < 1e-6,
-                "{}: {table} totals diverged after checkpoint recovery",
+                matches!(result, Err(DbError::InvalidOperation(_))),
+                "{}: cuts {cuts:?} below the low-water marks {low:?} gave {result:?}",
                 kind.label()
             );
+            refused += 1;
         }
+        assert!(refused > 0, "{}: no stream was reclaimed", kind.label());
     }
 }

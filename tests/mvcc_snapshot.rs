@@ -218,9 +218,7 @@ fn durable_snapshots_never_observe_elr_ghosts() {
         // not-yet-durable window the ghosts would hide in.
         log_flush_micros: 50,
         durability: DurabilityConfig {
-            group_commit: true,
             early_lock_release: true,
-            reclaim_log_at_checkpoint: false,
             ..DurabilityConfig::default()
         }
         .with_log_streams(3),
