@@ -11,9 +11,14 @@
 //!   uncommitted deletes stay visible until the deleting transaction commits
 //!   and flags the entry outside any transaction).
 //!
-//! The leaf-split path garbage-collects flagged-deleted entries before
+//! Keys leave a leaf two ways. [`BTreeIndex::remove`] drops a key the moment
+//! it empties the key's bucket, so a primary index that loses rows from one
+//! end (TPC-C's `new_order`, whose oldest orders Delivery deletes) keeps no
+//! dead keys for later range reads to walk past. Flagged-deleted entries stay
+//! until the leaf would split: the split path garbage-collects them before
 //! deciding whether a split is really needed, as the paper suggests for
-//! update-intensive workloads.
+//! update-intensive workloads. Nothing merges leaves, so a leaf may be
+//! underfull or empty.
 //!
 //! Concurrency: the tree is protected by a single readers-writer latch. This
 //! is coarser than a production latch-crabbing scheme but preserves what the
@@ -301,9 +306,10 @@ impl BTreeIndex {
         }
     }
 
-    /// Physically removes the entry for `rid` under `key`. Used by the
-    /// conventional engine (which relies on row locks for isolation) and by
-    /// rollback.
+    /// Physically removes the entry for `rid` under `key`, and the key itself
+    /// once its bucket is empty. Used by primary-key deletes, by the
+    /// conventional engine's secondary-index deletes (which rely on row locks
+    /// for isolation) and by rollback.
     pub fn remove(&self, key: &Key, rid: Rid) -> DbResult<()> {
         let mut root = self.root.write();
         Self::modify_bucket(&mut root, key, |bucket| {
@@ -330,6 +336,8 @@ impl BTreeIndex {
         })
     }
 
+    /// Applies `f` to the bucket under `key`; a bucket `f` leaves empty takes
+    /// its key out of the leaf with it.
     fn modify_bucket(
         node: &mut Node,
         key: &Key,
@@ -339,6 +347,10 @@ impl BTreeIndex {
             Node::Leaf { keys, values } => match keys.binary_search(key) {
                 Ok(pos) => {
                     if f(&mut values[pos]) {
+                        if values[pos].is_empty() {
+                            keys.remove(pos);
+                            values.remove(pos);
+                        }
                         Ok(())
                     } else {
                         Err(DbError::NotFound {
@@ -362,42 +374,62 @@ impl BTreeIndex {
         }
     }
 
-    /// Range scan: collects live entries for keys in `range`, in key order.
-    pub fn range(&self, range: &KeyRange) -> Vec<(Key, IndexEntry)> {
-        let root = self.root.read();
+    /// Range read: the live entries of keys in `range`, in key order, at most
+    /// `limit` of them.
+    pub fn range(&self, range: &KeyRange, limit: usize) -> Vec<(Key, IndexEntry)> {
         let mut out = Vec::new();
-        Self::collect_range(root.as_ref(), range, &mut out);
+        if limit > 0 {
+            let root = self.root.read();
+            Self::walk_range(root.as_ref(), range, limit, &mut out);
+        }
         out
     }
 
-    fn collect_range(node: &Node, range: &KeyRange, out: &mut Vec<(Key, IndexEntry)>) {
+    /// Appends the live entries of `range` under `node` to `out`. Descends
+    /// only into children that can hold keys in the range, starts each leaf
+    /// at the low bound by binary search, and returns `true` once the walk is
+    /// over: a key at or past the high bound was reached, or `out` is full.
+    fn walk_range(
+        node: &Node,
+        range: &KeyRange,
+        limit: usize,
+        out: &mut Vec<(Key, IndexEntry)>,
+    ) -> bool {
+        let past_high = |key: &Key| range.high.as_ref().is_some_and(|high| key >= high);
         match node {
             Node::Leaf { keys, values } => {
-                for (key, bucket) in keys.iter().zip(values.iter()) {
-                    if range.contains(key) {
-                        for entry in bucket.iter().filter(|e| !e.deleted) {
-                            out.push((key.clone(), entry.clone()));
+                let start = range
+                    .low
+                    .as_ref()
+                    .map_or(0, |low| keys.partition_point(|key| key < low));
+                for (key, bucket) in keys[start..].iter().zip(&values[start..]) {
+                    if past_high(key) {
+                        return true;
+                    }
+                    for entry in bucket.iter().filter(|e| !e.deleted) {
+                        out.push((key.clone(), entry.clone()));
+                        if out.len() == limit {
+                            return true;
                         }
                     }
                 }
+                false
             }
-            Node::Internal { children, keys } => {
-                // Visit only children whose key range can intersect.
-                for (i, child) in children.iter().enumerate() {
-                    let lower_separator = if i == 0 { None } else { Some(&keys[i - 1]) };
-                    let upper_separator = keys.get(i);
-                    let below = match (&range.high, lower_separator) {
-                        (Some(high), Some(low_sep)) => high <= low_sep,
-                        _ => false,
-                    };
-                    let above = match (&range.low, upper_separator) {
-                        (Some(low), Some(high_sep)) => low > high_sep,
-                        _ => false,
-                    };
-                    if !below && !above {
-                        Self::collect_range(child, range, out);
+            Node::Internal { keys, children } => {
+                // Child `i` holds the keys in `[keys[i - 1], keys[i])`.
+                let first = range
+                    .low
+                    .as_ref()
+                    .map_or(0, |low| keys.partition_point(|separator| separator <= low));
+                for (i, child) in children.iter().enumerate().skip(first) {
+                    if i > 0 && past_high(&keys[i - 1]) {
+                        return true;
+                    }
+                    if Self::walk_range(child, range, limit, out) {
+                        return true;
                     }
                 }
+                false
             }
         }
     }
@@ -539,7 +571,7 @@ mod tests {
                 .unwrap();
         }
         let range = KeyRange::new(Some(Key::int(100)), Some(Key::int(110)));
-        let hits = index.range(&range);
+        let hits = index.range(&range, usize::MAX);
         assert_eq!(hits.len(), 10);
         assert_eq!(hits[0].0, Key::int(100));
         assert_eq!(hits[9].0, Key::int(109));
@@ -547,6 +579,49 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+        let first_three: Vec<_> = index.range(&range, 3).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(first_three, keys[..3]);
+        assert!(index.range(&range, 0).is_empty());
+    }
+
+    /// Every key stored in a leaf, whether its bucket holds live entries,
+    /// flagged ones or none.
+    fn stored_keys(index: &BTreeIndex) -> usize {
+        fn walk(node: &Node) -> usize {
+            match node {
+                Node::Leaf { keys, .. } => keys.len(),
+                Node::Internal { children, .. } => children.iter().map(|c| walk(c)).sum(),
+            }
+        }
+        walk(index.root.read().as_ref())
+    }
+
+    #[test]
+    fn remove_forgets_a_key_whose_bucket_it_empties() {
+        let index = BTreeIndex::new(true);
+        for i in 1..=1000i64 {
+            index
+                .insert(&Key::int(i), entry(0, (i % 100) as u16))
+                .unwrap();
+        }
+        for i in 1..=999i64 {
+            index
+                .remove(&Key::int(i), Rid::new(0, (i % 100) as u16))
+                .unwrap();
+        }
+        assert_eq!(
+            stored_keys(&index),
+            1,
+            "emptied keys must leave their leaves"
+        );
+        let from_below = KeyRange::new(Some(Key::int(0)), None);
+        let hits = index.range(&from_below, 1);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].0, Key::int(1000));
+        // The emptied leaves still route: keys come back where they were.
+        index.insert(&Key::int(5), entry(1, 5)).unwrap();
+        assert_eq!(index.get(&Key::int(5))[0].rid, Rid::new(1, 5));
+        assert_eq!(index.range(&KeyRange::all(), usize::MAX).len(), 2);
     }
 
     #[test]
@@ -586,7 +661,7 @@ mod tests {
             }
         }
         let range = KeyRange::new(Some(Key::int(3)), Some(Key::int(4)));
-        let hits = index.range(&range);
+        let hits = index.range(&range, usize::MAX);
         assert_eq!(hits.len(), 10, "all districts of warehouse 3");
         assert!(hits.iter().all(|(k, _)| k.leading_int() == Some(3)));
     }

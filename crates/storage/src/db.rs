@@ -1034,6 +1034,75 @@ impl Database {
         })
     }
 
+    /// Reads the rows whose primary keys fall in `range` (`[low, high)`), in
+    /// key order, at most `limit` of them.
+    ///
+    /// What keeps other transactions' inserts and deletes out of the range
+    /// depends on `cc`. [`CcMode::Full`] and [`CcMode::RowOnly`] take the
+    /// table `S` lock that [`Self::scan_table`] takes. [`CcMode::None`]
+    /// relies on a DORA executor's local lock. That lock is on a key prefix
+    /// holding the table's routing fields, so both bounds must carry equal
+    /// values in that prefix; otherwise the call fails with
+    /// [`DbError::InvalidOperation`]. A snapshot transaction filters and
+    /// sorts a snapshot scan, which costs time linear in the table.
+    pub fn range_primary(
+        &self,
+        txn: &TxnHandle,
+        table: TableId,
+        range: &KeyRange,
+        limit: usize,
+        cc: CcMode,
+    ) -> DbResult<Vec<(Rid, Row)>> {
+        self.ensure_active(txn)?;
+        if let Some(snapshot) = txn.snapshot() {
+            return self.snapshot_range(snapshot, table, range, limit);
+        }
+        if cc == CcMode::None {
+            self.ensure_one_route(table, range)?;
+        } else {
+            self.lock_table(txn, table, LockMode::S, cc)?;
+        }
+        let primary = self.primary(table)?;
+        let heap = self.heap(table)?;
+        time_section(TimeCategory::Work, || {
+            primary
+                .range(range, limit)
+                .into_iter()
+                .map(|(_, entry)| Ok((entry.rid, Value::decode_row(&heap.read(entry.rid)?)?)))
+                .collect()
+        })
+    }
+
+    /// Fails unless every key in `range` carries the same routing-field
+    /// values: both bounds must be present and agree on the primary-key
+    /// prefix that ends at the last routing field.
+    fn ensure_one_route(&self, table: TableId, range: &KeyRange) -> DbResult<()> {
+        let schema = self.catalog.table(table)?.schema;
+        let prefix = schema.routing_fields.iter().try_fold(0, |prefix, field| {
+            let at = schema
+                .primary_key
+                .iter()
+                .position(|column| column == field)?;
+            Some(prefix.max(at + 1))
+        });
+        let one_route = match (prefix, &range.low, &range.high) {
+            (Some(prefix), Some(low), Some(high)) => {
+                low.len() >= prefix
+                    && high.len() >= prefix
+                    && low.values()[..prefix] == high.values()[..prefix]
+            }
+            _ => false,
+        };
+        if one_route {
+            Ok(())
+        } else {
+            Err(DbError::InvalidOperation(format!(
+                "an unlocked range read of {} must fix its routing fields",
+                schema.name
+            )))
+        }
+    }
+
     // ----- bulk loading ------------------------------------------------------
 
     /// Loads a row outside any transaction: no locks, no logging. Used by the
@@ -1403,6 +1472,32 @@ impl Database {
         }
         incr_by(CounterKind::SnapshotReads, rows);
         Ok(())
+    }
+
+    /// A primary-key range read as of a snapshot horizon: the snapshot scan
+    /// filtered by `range`, sorted by key and cut at `limit`. The index alone
+    /// cannot answer it, since a key deleted after the horizon has left it.
+    fn snapshot_range(
+        &self,
+        snapshot: &Snapshot,
+        table: TableId,
+        range: &KeyRange,
+        limit: usize,
+    ) -> DbResult<Vec<(Rid, Row)>> {
+        let schema = self.catalog.table(table)?.schema;
+        let mut rows = Vec::new();
+        self.snapshot_scan(snapshot, table, &mut |rid, row| {
+            let key = schema.primary_key_of(row);
+            if range.contains(&key) {
+                rows.push((key, rid, row.clone()));
+            }
+        })?;
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(rows
+            .into_iter()
+            .take(limit)
+            .map(|(_, rid, row)| (rid, row))
+            .collect())
     }
 }
 
@@ -2157,5 +2252,163 @@ mod tests {
             .unwrap();
         assert_eq!(count, 1, "the aborted insert must not appear in a scan");
         db.commit(&reader).unwrap();
+    }
+
+    /// `lines(w, o, amount)` keyed by `(w, o)` and routed on `w`, holding
+    /// orders 1..=10 of warehouses 1 and 2, loaded newest first.
+    fn lines_db() -> (Arc<Database>, TableId) {
+        let db = Database::for_tests();
+        let table = db
+            .create_table(TableSchema::new(
+                "lines",
+                vec![
+                    ColumnDef::new("w", ValueType::Int),
+                    ColumnDef::new("o", ValueType::Int),
+                    ColumnDef::new("amount", ValueType::Float),
+                ],
+                vec![0, 1],
+            ))
+            .unwrap();
+        let txn = db.begin();
+        for w in 1..=2 {
+            for o in (1..=10).rev() {
+                db.insert(&txn, table, line_row(w, o), CcMode::Full)
+                    .unwrap();
+            }
+        }
+        db.commit(&txn).unwrap();
+        (db, table)
+    }
+
+    fn line_row(w: i64, o: i64) -> Row {
+        vec![Value::Int(w), Value::Int(o), Value::Float(o as f64)]
+    }
+
+    fn orders_of(rows: &[(Rid, Row)]) -> Vec<(i64, i64)> {
+        rows.iter()
+            .map(|(_, row)| (row[0].as_int().unwrap(), row[1].as_int().unwrap()))
+            .collect()
+    }
+
+    fn w_range(w: i64, from: i64, to: i64) -> KeyRange {
+        KeyRange::new(Some(Key::int2(w, from)), Some(Key::int2(w, to)))
+    }
+
+    #[test]
+    fn range_primary_reads_a_half_open_window_in_key_order_up_to_limit() {
+        let (db, table) = lines_db();
+        let txn = db.begin();
+        let all = db
+            .range_primary(&txn, table, &w_range(1, 3, 8), usize::MAX, CcMode::Full)
+            .unwrap();
+        assert_eq!(orders_of(&all), (3..8).map(|o| (1, o)).collect::<Vec<_>>());
+        let first_two = db
+            .range_primary(&txn, table, &w_range(1, 3, 8), 2, CcMode::Full)
+            .unwrap();
+        assert_eq!(orders_of(&first_two), vec![(1, 3), (1, 4)]);
+        // The RIDs are the rows' own.
+        for (rid, row) in &all {
+            assert_eq!(
+                db.read_rid(&txn, table, *rid, false, CcMode::Full).unwrap(),
+                *row
+            );
+        }
+        db.commit(&txn).unwrap();
+    }
+
+    #[test]
+    fn range_primary_skips_a_row_its_own_transaction_deleted() {
+        let (db, table) = lines_db();
+        let txn = db.begin();
+        db.delete_primary(&txn, table, &Key::int2(1, 4), CcMode::RowOnly)
+            .unwrap();
+        let rows = db
+            .range_primary(&txn, table, &w_range(1, 3, 7), usize::MAX, CcMode::None)
+            .unwrap();
+        assert_eq!(orders_of(&rows), vec![(1, 3), (1, 5), (1, 6)]);
+        db.commit(&txn).unwrap();
+    }
+
+    #[test]
+    fn range_primary_under_full_holds_the_table_s_lock() {
+        let (db, table) = lines_db();
+        let txn = db.begin();
+        db.range_primary(&txn, table, &w_range(1, 1, 3), usize::MAX, CcMode::Full)
+            .unwrap();
+        assert_eq!(txn.held_lock_count(), 2, "database IS and table S");
+        assert_eq!(
+            txn.state.held.lock().mode(&LockId::Table(table)),
+            Some(LockMode::S)
+        );
+        db.commit(&txn).unwrap();
+    }
+
+    #[test]
+    fn range_primary_under_none_must_fix_the_routing_fields() {
+        let (db, table) = lines_db();
+        let txn = db.begin();
+        let rows = db
+            .range_primary(&txn, table, &w_range(2, 9, 100), usize::MAX, CcMode::None)
+            .unwrap();
+        assert_eq!(orders_of(&rows), vec![(2, 9), (2, 10)]);
+        assert_eq!(txn.held_lock_count(), 0);
+        let crossing = [
+            KeyRange::new(Some(Key::int2(1, 9)), Some(Key::int2(2, 2))),
+            KeyRange::new(Some(Key::int2(1, 9)), None),
+            KeyRange::new(None, Some(Key::int2(1, 2))),
+            KeyRange::all(),
+        ];
+        for range in &crossing {
+            assert!(
+                matches!(
+                    db.range_primary(&txn, table, range, usize::MAX, CcMode::None),
+                    Err(DbError::InvalidOperation(_))
+                ),
+                "{range:?}"
+            );
+        }
+        db.commit(&txn).unwrap();
+    }
+
+    #[test]
+    fn snapshot_range_matches_the_locked_range_as_of_its_horizon() {
+        let (db, table) = lines_db();
+        let range = w_range(1, 0, 100);
+        let locked = |limit| {
+            let txn = db.begin();
+            let rows = db
+                .range_primary(&txn, table, &range, limit, CcMode::Full)
+                .unwrap();
+            db.commit(&txn).unwrap();
+            rows
+        };
+        let snapshot = Arc::new(db.snapshot());
+        let reader = db.begin_snapshot(Arc::clone(&snapshot));
+        for limit in [3, usize::MAX] {
+            assert_eq!(
+                db.range_primary(&reader, table, &range, limit, CcMode::None)
+                    .unwrap(),
+                locked(limit)
+            );
+        }
+
+        let writer = db.begin();
+        db.delete_primary(&writer, table, &Key::int2(1, 5), CcMode::Full)
+            .unwrap();
+        db.insert(&writer, table, line_row(1, 50), CcMode::Full)
+            .unwrap();
+        db.commit(&writer).unwrap();
+
+        let seen = db
+            .range_primary(&reader, table, &range, usize::MAX, CcMode::None)
+            .unwrap();
+        assert_eq!(
+            orders_of(&seen),
+            (1..=10).map(|o| (1, o)).collect::<Vec<_>>()
+        );
+        assert_eq!(reader.held_lock_count(), 0);
+        db.commit(&reader).unwrap();
+        let now = orders_of(&locked(usize::MAX));
+        assert!(now.contains(&(1, 50)) && !now.contains(&(1, 5)));
     }
 }

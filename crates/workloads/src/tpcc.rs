@@ -221,6 +221,24 @@ impl Tpcc {
         }
     }
 
+    /// The order lines of orders `from..to` of district `(w_id, d_id)`, in
+    /// key order: one primary-key range read, routed on the warehouse.
+    fn order_lines(
+        tables: &TpccTables,
+        ctx: &StepCtx<'_>,
+        w_id: i64,
+        d_id: i64,
+        from: i64,
+        to: i64,
+    ) -> DbResult<Vec<(Rid, Row)>> {
+        let orders = KeyRange::new(
+            Some(Key::int3(w_id, d_id, from)),
+            Some(Key::int3(w_id, d_id, to)),
+        );
+        ctx.db
+            .range_primary(ctx.txn, tables.order_line, &orders, usize::MAX, ctx.cc())
+    }
+
     // ----- Payment -----------------------------------------------------------
 
     /// The Payment transaction, defined once — exactly Figure 4: phase one
@@ -366,20 +384,7 @@ impl Tpcc {
                 LocalMode::Shared,
                 move |ctx| {
                     let o_id = ctx.scratch.get_int("o_id")?;
-                    let mut line_number = 1;
-                    while ctx
-                        .db
-                        .probe_primary(
-                            ctx.txn,
-                            tables.order_line,
-                            &Key::from_values([w_id, d_id, o_id, line_number]),
-                            false,
-                            ctx.cc(),
-                        )?
-                        .is_some()
-                    {
-                        line_number += 1;
-                    }
+                    Self::order_lines(&tables, ctx, w_id, d_id, o_id, o_id + 1)?;
                     Ok(())
                 },
             ))
@@ -551,26 +556,21 @@ impl Tpcc {
                 Key::int(w_id),
                 LocalMode::Exclusive,
                 move |ctx| {
-                    // One pass over `new_order` finds the oldest order of
-                    // every district of the warehouse.
-                    let mut oldest = [None::<i64>; DISTRICTS_PER_WAREHOUSE as usize];
-                    ctx.db
-                        .scan_table(ctx.txn, tables.new_order, ctx.cc(), |_, row| {
-                            if row[0] != Value::Int(w_id) {
-                                return;
-                            }
-                            let (Ok(d_id), Ok(o_id)) = (row[1].as_int(), row[2].as_int()) else {
-                                return;
-                            };
-                            let district = usize::try_from(d_id - 1).ok();
-                            if let Some(slot) = district.and_then(|d| oldest.get_mut(d)) {
-                                *slot = Some(slot.map_or(o_id, |current| current.min(o_id)));
-                            }
-                        })?;
-                    for (d_id, o_id) in (1..).zip(oldest) {
-                        let Some(o_id) = o_id else {
+                    for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
+                        // The district's oldest order is the first key of
+                        // its `new_order` range.
+                        let district = KeyRange::new(
+                            Some(Key::int2(w_id, d_id)),
+                            Some(Key::int2(w_id, d_id + 1)),
+                        );
+                        let Some((_, oldest)) = ctx
+                            .db
+                            .range_primary(ctx.txn, tables.new_order, &district, 1, ctx.cc())?
+                            .pop()
+                        else {
                             continue;
                         };
+                        let o_id = oldest[2].as_int()?;
                         ctx.db.delete_primary(
                             ctx.txn,
                             tables.new_order,
@@ -609,20 +609,12 @@ impl Tpcc {
                         ctx.scratch.put(&format!("customer_{d_id}"), c_id);
                         // Sum the order lines while we are here (the same
                         // warehouse executor owns them under the same routing
-                        // field, but they belong to another table; keep the
-                        // sum simple by reading through the order_line
-                        // primary key).
+                        // field, but they belong to another table).
                         let mut amount = 0.0;
-                        let mut line_number = 1;
-                        while let Some((_, row)) = ctx.db.probe_primary(
-                            ctx.txn,
-                            tables.order_line,
-                            &Key::from_values([w_id, d_id, o_id, line_number]),
-                            false,
-                            ctx.cc(),
-                        )? {
-                            amount += row[6].as_float()?;
-                            line_number += 1;
+                        for (_, line) in
+                            Self::order_lines(&tables, ctx, w_id, d_id, o_id, o_id + 1)?
+                        {
+                            amount += line[6].as_float()?;
                         }
                         ctx.scratch.put(&format!("amount_{d_id}"), amount);
                     }
@@ -696,20 +688,18 @@ impl Tpcc {
                 LocalMode::Shared,
                 move |ctx| {
                     let next_o_id = ctx.scratch.get_int("next_o_id")?;
-                    let mut item_ids = Vec::new();
-                    for o_id in (next_o_id - 20).max(0)..next_o_id {
-                        let mut line_number = 1;
-                        while let Some((_, row)) = ctx.db.probe_primary(
-                            ctx.txn,
-                            tables.order_line,
-                            &Key::from_values([w_id, d_id, o_id, line_number]),
-                            false,
-                            ctx.cc(),
-                        )? {
-                            item_ids.push(row[4].as_int()?);
-                            line_number += 1;
-                        }
-                    }
+                    let lines = Self::order_lines(
+                        &tables,
+                        ctx,
+                        w_id,
+                        d_id,
+                        (next_o_id - 20).max(0),
+                        next_o_id,
+                    )?;
+                    let mut item_ids = lines
+                        .iter()
+                        .map(|(_, line)| line[4].as_int())
+                        .collect::<DbResult<Vec<_>>>()?;
                     item_ids.sort_unstable();
                     item_ids.dedup();
                     ctx.scratch.put("distinct_items", item_ids.len() as i64);

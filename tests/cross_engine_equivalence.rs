@@ -13,7 +13,7 @@ use dora_repro::common::prelude::*;
 use dora_repro::dora::DoraConfig;
 use dora_repro::engine::{build_engine_with, ExecutionEngine};
 use dora_repro::storage::Database;
-use dora_repro::workloads::{AnalyticalScan, TpcB, Workload};
+use dora_repro::workloads::{AnalyticalScan, TpcB, Tpcc, Workload, WorkloadStats};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -79,6 +79,124 @@ fn tpcb_same_seed_same_state_across_all_engines() {
                     history, *ref_history,
                     "{base} and {this} appended different history row counts"
                 );
+            }
+        }
+    }
+}
+
+/// Every row of `table_name`, sorted (heap order differs between engines).
+fn sorted_rows(db: &Database, table_name: &str) -> Vec<Row> {
+    let table = db.table_id(table_name).unwrap();
+    let txn = db.begin();
+    let mut rows = Vec::new();
+    db.scan_table(&txn, table, CcMode::Full, |_, row| rows.push(row.clone()))
+        .unwrap();
+    db.commit(&txn).unwrap();
+    rows.sort();
+    rows
+}
+
+/// TPC-C consistency conditions 1 (W_YTD = Σ D_YTD) and 2 (D_NEXT_O_ID − 1
+/// = max O_ID = max NO_O_ID of the district, the latter while it has any).
+fn assert_tpcc_consistent(db: &Database, label: &str) {
+    use std::collections::BTreeMap;
+    let int = |value: &Value| value.as_int().unwrap();
+    let mut district_ytd: BTreeMap<i64, f64> = BTreeMap::new();
+    for row in sorted_rows(db, "district") {
+        *district_ytd.entry(int(&row[0])).or_default() += row[3].as_float().unwrap();
+    }
+    for row in sorted_rows(db, "warehouse") {
+        let (w, ytd) = (int(&row[0]), row[2].as_float().unwrap());
+        assert!(
+            (ytd - district_ytd[&w]).abs() < 1e-3,
+            "{label}: condition 1 fails for warehouse {w}: {ytd} vs {}",
+            district_ytd[&w]
+        );
+    }
+    let max_per_district = |table: &str, column: usize| {
+        let mut max: BTreeMap<(i64, i64), i64> = BTreeMap::new();
+        for row in sorted_rows(db, table) {
+            let slot = max.entry((int(&row[0]), int(&row[1]))).or_default();
+            *slot = (*slot).max(int(&row[column]));
+        }
+        max
+    };
+    let max_order = max_per_district("orders", 2);
+    let max_new_order = max_per_district("new_order", 2);
+    for row in sorted_rows(db, "district") {
+        let district = (int(&row[0]), int(&row[1]));
+        let last = int(&row[4]) - 1;
+        assert_eq!(
+            max_order.get(&district),
+            Some(&last),
+            "{label}: condition 2 (orders) fails for {district:?}"
+        );
+        if let Some(max) = max_new_order.get(&district) {
+            assert_eq!(
+                *max, last,
+                "{label}: condition 2 (new_order) fails for {district:?}"
+            );
+        }
+    }
+}
+
+/// Delivery, OrderStatus and StockLevel find their rows with primary-key
+/// range reads: under table `S` locks on the conventional engine, under an
+/// executor's local lock on DORA. How rows are found must not change which
+/// rows: the same seeded single-client mix leaves identical tables behind on
+/// every engine (`history_c` aside — its key holds the engine's txn id).
+#[test]
+fn tpcc_same_seed_same_state_across_all_engines() {
+    const TABLES: [&str; 6] = [
+        "new_order",
+        "orders",
+        "order_line",
+        "customer",
+        "district",
+        "stock",
+    ];
+    let mut reference: Option<(EngineKind, Vec<Vec<Row>>)> = None;
+    for kind in EngineKind::ALL {
+        let db = Database::for_tests();
+        let workload: Arc<dyn Workload> = Arc::new(Tpcc::with_scale(2, 30, 100));
+        workload.setup(&db).unwrap();
+        let stats = WorkloadStats::for_workload(workload.as_ref());
+        let engine = build_engine_with(kind, db, DoraConfig::for_tests());
+        engine.bind(workload, 2).unwrap();
+        let mut rng = SmallRng::seed_from_u64(2026);
+        for _ in 0..2_000 {
+            engine.execute_one_timed(&mut rng, &stats);
+        }
+        engine.shutdown();
+        let label = kind.label();
+        for txn_type in [Tpcc::DELIVERY, Tpcc::STOCK_LEVEL, Tpcc::ORDER_STATUS] {
+            let counts = stats.outcome_counts(txn_type);
+            assert!(
+                counts.committed > 20 && counts.gave_up == 0,
+                "{label}: {txn_type} {counts:?}"
+            );
+        }
+
+        let db = engine.db();
+        assert_tpcc_consistent(db, label);
+        let state: Vec<Vec<Row>> = TABLES.iter().map(|table| sorted_rows(db, table)).collect();
+        let delivered = state[1]
+            .iter()
+            .filter(|order| order[2].as_int().unwrap() > 30 && order[4] != Value::Int(0))
+            .count();
+        assert!(delivered > 0, "{label}: no new order was delivered");
+        match &reference {
+            None => reference = Some((kind, state)),
+            Some((ref_kind, ref_state)) => {
+                for ((table, rows), ref_rows) in TABLES.iter().zip(&state).zip(ref_state) {
+                    assert!(
+                        rows == ref_rows,
+                        "{table} diverged: {} has {} rows, {label} {}",
+                        ref_kind.label(),
+                        ref_rows.len(),
+                        rows.len()
+                    );
+                }
             }
         }
     }
