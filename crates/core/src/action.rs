@@ -5,7 +5,8 @@
 //! *identifier* is the set of routing-field values of the records it intends
 //! to touch; an action whose identifier is empty is a *secondary action*
 //! (Section 4.2.2) and is executed by the thread submitting the phase rather
-//! than by an executor.
+//! than by an executor — as is a *probe-free* action
+//! ([`ActionSpec::elide_probe`]), which no executor needs to serialize.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -108,9 +109,14 @@ pub struct ActionSpec {
     /// fields — usually a workload bug the engine warns about at dispatch.
     pub declared_secondary: bool,
     /// `true` when the bind-time conflict matrix proved this step's template
-    /// conflicts with nothing in the workload: the executor skips the
-    /// local-lock-table probe entirely (counter `LockProbesElided`). Set by
-    /// `TxnProgram::with_conflicts`, never by hand.
+    /// conflicts with nothing in the workload, so no executor has anything
+    /// to serialize it against: like a secondary action it is never routed
+    /// or queued, and its body runs on the thread that dispatches its phase,
+    /// after that phase's claimed batches, with no local-lock-table probe
+    /// (counter `LockProbesElided`, one per body run). It still reports to
+    /// its phase's RVP. Set by `TxnProgram::with_conflicts`; setting it by
+    /// hand asserts the same proof, whose soundness argument is in
+    /// [`crate::conflict`].
     pub elide_probe: bool,
 }
 
@@ -179,8 +185,7 @@ pub(crate) struct Action {
     pub mode: LocalMode,
     pub phase: usize,
     pub label: &'static str,
-    pub body: Option<ActionBody>,
-    pub elide_probe: bool,
+    pub body: ActionBody,
 }
 
 impl std::fmt::Debug for Action {

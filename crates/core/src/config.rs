@@ -18,8 +18,9 @@ pub struct DoraConfig {
     pub adaptive: AdaptiveConfig,
     /// Apply the bind-time static conflict analysis (default `true`): steps
     /// whose [`crate::conflict::ConflictMatrix`] template conflicts with
-    /// nothing skip the local-lock-table probe entirely (counter
-    /// `LockProbesElided`), and programs whose predicted abort rate exceeds
+    /// nothing skip the local-lock-table probe and their executor entirely,
+    /// running on the dispatching thread (counter `LockProbesElided`), and
+    /// programs whose predicted abort rate exceeds
     /// [`serialize_abort_threshold`](Self::serialize_abort_threshold) are
     /// auto-derived as DORA-S serialized plans (Figure 11) instead of
     /// relying on a hand-set `serialized(true)`.

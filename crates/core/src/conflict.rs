@@ -10,8 +10,10 @@
 //! pairwise once per workload at `bind` time — never per transaction — and
 //! the resulting [`ConflictMatrix`] is threaded through
 //! [`TxnProgram::with_conflicts`](crate::program::TxnProgram::with_conflicts)
-//! so compilation marks probe-free steps and executors skip the acquire call
-//! entirely (counter `LockProbesElided`).
+//! so compilation marks probe-free steps, which skip the acquire call
+//! entirely (counter `LockProbesElided`) — and with it the executor: a
+//! probe-free action is never routed or queued, and runs on the thread that
+//! dispatches its phase, like a secondary action.
 //!
 //! A template describes a step's *declared* data effects: the table, the
 //! route key expression (constant / parameter / per-transaction-unique
@@ -42,6 +44,17 @@
 //! overlapping accessor of the table unless both sides declare full
 //! primary-key templates that are provably disjoint (e.g. a key position
 //! carrying the transaction id).
+//!
+//! **Why a probe-free step may bypass its executor.** An executor runs one
+//! action at a time, so a step that still went through it would also be
+//! ordered against every other action of its dataset. None of the three
+//! arguments leans on that ordering: disjoint routes never touch the same
+//! records, two read-only steps commute whenever they run, and column
+//! dismissal rests on row mutations being atomic under the storage layer's
+//! page latches and on rollbacks restoring the full pre-image — both hold
+//! for two threads as much as for one. So a probe-free body may run on any
+//! thread at the same time as an executor's actions on the same dataset,
+//! and it runs on the thread that dispatches its phase.
 //!
 //! Secondary (unrouted) templates take part only in the *coverage report*:
 //! they acquire no local locks today, so they neither elide nor block

@@ -12,7 +12,7 @@ use dora_common::prelude::*;
 use dora_metrics::{incr, incr_by, time_section, CounterKind, TimeCategory};
 use dora_storage::Database;
 
-use crate::action::{Action, ActionContext, ActionSpec};
+use crate::action::{Action, ActionBody, ActionContext, ActionSpec};
 use crate::config::DoraConfig;
 use crate::executor::{Claim, ExecutorShared, InboxGuard, Message, ResizeBarrier};
 use crate::flow::FlowGraph;
@@ -69,9 +69,10 @@ impl EngineInner {
     /// placed, which is DORA's deadlock-avoidance rule for transactions
     /// sharing a flow graph (Section 4.2.3). Destinations found idle are
     /// claimed and their batches run by the calling thread once the latches
-    /// are released; busy ones are pushed to. Secondary actions (empty
-    /// identifier) are executed directly by the calling thread
-    /// (Section 4.2.2).
+    /// are released; busy ones are pushed to. Actions no executor has to
+    /// serialize — secondary ones (empty identifier, Section 4.2.2) and
+    /// probe-free ones ([`ActionSpec::elide_probe`]) — are never routed:
+    /// the calling thread runs them after the claimed batches.
     pub(crate) fn dispatch_phase(self: &Arc<Self>, txn: &Arc<DoraTxnInner>, phase: usize) {
         let specs = {
             let mut pending = txn.pending_phases.lock();
@@ -80,18 +81,18 @@ impl EngineInner {
                 None => return,
             }
         };
-        let mut secondary = Vec::new();
+        let mut unrouted = Vec::new();
         let mut routed: Vec<(Arc<ExecutorShared>, Action)> = Vec::new();
         for spec in specs {
-            if spec.is_secondary() {
-                if !spec.declared_secondary {
-                    // Undeclared fallback: a routed step whose identifier
-                    // carried no routing fields. Counted on every dispatch so
-                    // benchmarks can see the rate; warned once per step.
-                    incr(CounterKind::SecondaryFallbacks);
-                    self.warn_undeclared_secondary(spec.table, spec.label);
-                }
-                secondary.push(spec);
+            if spec.is_secondary() && !spec.declared_secondary {
+                // Undeclared fallback: a routed step whose identifier
+                // carried no routing fields. Counted on every dispatch so
+                // benchmarks can see the rate; warned once per step.
+                incr(CounterKind::SecondaryFallbacks);
+                self.warn_undeclared_secondary(spec.table, spec.label);
+            }
+            if spec.is_secondary() || spec.elide_probe {
+                unrouted.push(spec);
                 continue;
             }
             match self.route_spec(txn, phase, spec) {
@@ -116,9 +117,11 @@ impl EngineInner {
 
         // Secondary actions run on this thread — the thread that submitted
         // the phase — using the routing fields stored in the secondary index
-        // leaves to reach the right records (Section 4.2.2).
-        for spec in secondary {
-            self.execute_secondary(txn, phase, spec);
+        // leaves to reach the right records (Section 4.2.2). Probe-free ones
+        // join them: the conflict matrix proved no action of the workload
+        // conflicts with them, so there is nothing for an executor to order.
+        for spec in unrouted {
+            self.execute_unrouted(txn, phase, spec);
         }
     }
 
@@ -214,8 +217,7 @@ impl EngineInner {
             mode: spec.mode,
             phase,
             label: spec.label,
-            body: Some(spec.body),
-            elide_probe: spec.elide_probe,
+            body: spec.body,
         };
         Ok((executor, action))
     }
@@ -249,26 +251,52 @@ impl EngineInner {
         }
     }
 
-    fn execute_secondary(
-        self: &Arc<Self>,
-        txn: &Arc<DoraTxnInner>,
-        phase: usize,
-        spec: ActionSpec,
-    ) {
+    /// Runs a secondary or probe-free action on the calling thread and
+    /// reports it to its RVP. No local lock is taken, so the transaction is
+    /// not noted as involved: nothing needs releasing here at completion.
+    fn execute_unrouted(self: &Arc<Self>, txn: &Arc<DoraTxnInner>, phase: usize, spec: ActionSpec) {
         incr(CounterKind::ActionsExecuted);
-        if !txn.is_aborted() {
-            let context = ActionContext {
+        if txn.is_aborted() {
+            incr(CounterKind::WastedActions);
+        } else {
+            if spec.elide_probe {
+                incr(CounterKind::LockProbesElided);
+            }
+            self.run_body(txn, spec.body);
+        }
+        self.report_and_advance(txn, phase);
+    }
+
+    /// Runs one action body under supervision, whichever thread runs it —
+    /// an executor's claim holder or the thread dispatching a phase: a
+    /// panic, injected by the chaos plan or a genuine bug, aborts and
+    /// quarantines the owning transaction instead of unwinding through the
+    /// runner. The caller reports the action to its RVP either way, so the
+    /// phase converges and finalize releases the transaction's local locks.
+    pub(crate) fn run_body(&self, txn: &DoraTxnInner, body: ActionBody) {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let faults = self.db.faults();
+            if faults.enabled() && faults.should_inject(FaultSite::ExecutorPanic) {
+                incr(CounterKind::FaultsInjected);
+                std::panic::panic_any(InjectedPanic);
+            }
+            body(&ActionContext {
                 db: &self.db,
                 txn: &txn.handle,
                 scratch: &txn.scratch,
-            };
-            if let Err(error) = (spec.body)(&context) {
-                txn.mark_aborted(error);
+            })
+        }));
+        match outcome {
+            Ok(Ok(())) => {}
+            Ok(Err(error)) => txn.mark_aborted(error),
+            Err(_payload) => {
+                incr(CounterKind::ExecutorPanicsRecovered);
+                txn.mark_aborted(DbError::TxnAborted {
+                    txn: txn.id(),
+                    reason: "action panicked; quarantined by supervision".into(),
+                });
             }
-        } else {
-            incr(CounterKind::WastedActions);
         }
-        self.report_and_advance(txn, phase);
     }
 
     /// Reports one action completion to the phase RVP, advancing the

@@ -4,7 +4,10 @@
 //! actions, a queue of completed transactions and a private lock table.
 //! Incoming work is served strictly in FIFO order; actions that conflict on
 //! the local lock table are parked and retried when a completed-transaction
-//! notification releases the blocking locks.
+//! notification releases the blocking locks. Only actions that probe the
+//! lock table arrive here: secondary and probe-free actions, which no
+//! executor needs to serialize, run on the thread that dispatches their
+//! phase.
 //!
 //! An executor is a *role*, not a thread. The inbox mutex guards
 //! `(queue, claimed)`; the private structures sit behind the claim, and
@@ -34,7 +37,7 @@ use dora_common::prelude::*;
 use dora_metrics::{incr, time_section, CounterKind, TimeCategory};
 use dora_storage::StreamId;
 
-use crate::action::{Action, ActionContext};
+use crate::action::Action;
 use crate::engine::EngineInner;
 use crate::locallock::{LocalAcquire, LocalLockTable};
 use crate::txn::DoraTxnInner;
@@ -447,17 +450,6 @@ impl ExecutorWorker<'_> {
             self.finish_action(&action.txn, action.phase);
             return;
         }
-        if action.elide_probe {
-            // The bind-time conflict matrix proved this step's template
-            // conflicts with nothing in the workload: no lock to take, no
-            // waiter to become, nothing to release at completion — skip the
-            // local lock table entirely and run. `note_involved` is also
-            // skipped on purpose: involvement only drives the Completed
-            // fan-out that releases local locks, and this action holds none.
-            incr(CounterKind::LockProbesElided);
-            self.execute(action);
-            return;
-        }
         self.acquire_and_run(action);
     }
 
@@ -510,38 +502,15 @@ impl ExecutorWorker<'_> {
         });
     }
 
-    /// Executes an action body under supervision: a panic — injected by the
-    /// chaos plan or a genuine bug — aborts and quarantines the owning
-    /// transaction (undo via its log chain, local locks released, its RVP
-    /// still reported) instead of killing the thread that runs it. The
-    /// executor goes on with its batch either way.
-    fn execute(&mut self, mut action: Action) {
-        let body = action.body.take().expect("action body executed once");
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let faults = self.engine.db().faults();
-            if faults.enabled() && faults.should_inject(FaultSite::ExecutorPanic) {
-                incr(CounterKind::FaultsInjected);
-                std::panic::panic_any(InjectedPanic);
-            }
-            let context = ActionContext {
-                db: self.engine.db(),
-                txn: &action.txn.handle,
-                scratch: &action.txn.scratch,
-            };
-            body(&context)
-        }));
-        match outcome {
-            Ok(Ok(())) => {}
-            Ok(Err(error)) => action.txn.mark_aborted(error),
-            Err(_payload) => {
-                incr(CounterKind::ExecutorPanicsRecovered);
-                action.txn.mark_aborted(DbError::TxnAborted {
-                    txn: action.txn.id(),
-                    reason: "action panicked; quarantined by executor supervision".into(),
-                });
-            }
-        }
-        self.finish_action(&action.txn, action.phase);
+    /// Executes an action body under supervision
+    /// ([`EngineInner::run_body`]) and reports it to its RVP: a panic aborts
+    /// only the owning transaction, and the executor goes on with its batch.
+    fn execute(&mut self, action: Action) {
+        let Action {
+            txn, phase, body, ..
+        } = action;
+        self.engine.run_body(&txn, body);
+        self.finish_action(&txn, phase);
     }
 
     /// Reports an action to its phase RVP and, if this report zeroed the RVP,

@@ -16,9 +16,10 @@
 //!
 //! Even this lightweight probe can be skipped entirely: when the bind-time
 //! conflict analysis ([`crate::conflict`]) proves a step's template conflicts
-//! with nothing in the workload, the executor runs the action without ever
-//! touching this table (counter `LockProbesElided`). Probes that do land here
-//! therefore belong to steps the solver could not dismiss.
+//! with nothing in the workload, the action never reaches an executor: the
+//! thread dispatching its phase runs it without touching this table
+//! (counter `LockProbesElided`). Probes that do land here therefore belong to
+//! steps the solver could not dismiss.
 
 use std::collections::HashMap;
 

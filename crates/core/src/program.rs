@@ -200,8 +200,8 @@ pub struct Step {
     /// warning).
     declared_secondary: bool,
     /// `true` when the bind-time conflict matrix proved this step's template
-    /// conflicts with nothing in the workload, so the executor may skip the
-    /// local-lock-table probe. Set only by
+    /// conflicts with nothing in the workload, so it skips the local-lock
+    /// table and its executor and runs on the dispatching thread. Set only by
     /// [`TxnProgram::with_conflicts`], never by the constructors.
     elide_probe: bool,
 }
@@ -520,8 +520,9 @@ impl TxnProgram {
 
     /// Applies a bind-time [`ConflictMatrix`](crate::conflict::ConflictMatrix)
     /// to this program before compilation: steps the matrix proved
-    /// conflict-free are marked probe-free (their executors skip the
-    /// local-lock-table acquire, counter `LockProbesElided`), and a program
+    /// conflict-free are marked probe-free (they run on the thread that
+    /// dispatches their phase, with no local-lock-table acquire, counter
+    /// `LockProbesElided`), and a program
     /// the matrix flags as high-abort is switched to the DORA-S serialized
     /// plan (Figure 11) unless the author already hand-set
     /// [`serialized`](Self::serialized).

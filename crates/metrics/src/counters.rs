@@ -102,8 +102,10 @@ pub enum CounterKind {
     /// device writes failed past the retry budget. With early lock release
     /// these are ghost commits — applied in memory, never durable.
     DurabilityLost = 29,
-    /// Executor-thread panics caught by supervision: the owning transaction
-    /// was aborted and quarantined while the executor kept draining.
+    /// Action-body panics caught by supervision, whichever thread ran the
+    /// body (an executor's claim holder or the thread dispatching the
+    /// phase): the owning transaction was aborted and quarantined while the
+    /// thread went on.
     ExecutorPanicsRecovered = 30,
     /// Submissions that exceeded their admission deadline while queued.
     TxnTimedOut = 31,
@@ -130,7 +132,9 @@ pub enum CounterKind {
     SnapshotReads = 38,
     /// Local-lock-table probes skipped entirely because the bind-time
     /// conflict matrix proved the step's template conflicts with nothing in
-    /// the workload (static conflict analysis / probe elision).
+    /// the workload (static conflict analysis / probe elision): one per
+    /// probe-free body run, on the thread that dispatched its phase, and
+    /// none for a wasted action of an aborted transaction.
     LockProbesElided = 39,
     /// Actions dispatched as *undeclared* secondary fallbacks: their step
     /// carried no routing key the bound routing fields could cover, so they
