@@ -426,13 +426,9 @@ pub fn fig10(scale: &Scale) -> Report {
         driver.run(move |client, rng| {
             let (w_id, d_id, c_w_id, c_d_id, selector, amount) = tpcc.payment_inputs(rng);
             trace.record(client, ((w_id - 1) * 10 + (d_id - 1)) as usize);
-            match tpcc
-                .payment_program(baseline.db(), w_id, d_id, c_w_id, c_d_id, selector, amount)
-                .and_then(|program| baseline.execute_program(program))
-            {
-                Ok(outcome) => outcome.into(),
-                Err(_) => dora_engine::TxnOutcome::Aborted,
-            }
+            tpcc.payment_program(baseline.db(), w_id, d_id, c_w_id, c_d_id, selector, amount)
+                .and_then(|program| baseline.execute(program.compile_baseline()))
+                .unwrap_or(dora_engine::TxnOutcome::Aborted)
         });
     }
 
@@ -2925,7 +2921,7 @@ pub struct ConflictWorkloadResult {
     pub auto_serialized: usize,
     /// Steps the routing fields cannot cover (bind-time coverage report).
     pub coverage_gaps: usize,
-    /// The engine's bind-time conflict report (elision-on bind).
+    /// The conflict report a DORA bind prints for this workload.
     pub report: String,
     /// The measured cells, elision off then on.
     pub cells: Vec<ConflictCell>,
@@ -3029,13 +3025,8 @@ impl ConflictsSummary {
     }
 }
 
-/// Runs one `conflicts` cell and, when elision is on, captures the engine's
-/// bind-time conflict report.
-fn run_conflicts_cell(
-    scale: &Scale,
-    workload: &'static str,
-    elision: bool,
-) -> (ConflictCell, Option<String>) {
+/// Runs one `conflicts` cell.
+fn run_conflicts_cell(scale: &Scale, workload: &'static str, elision: bool) -> ConflictCell {
     let config = DoraConfig {
         conflict_elision: elision,
         ..DoraConfig::default()
@@ -3044,13 +3035,12 @@ fn run_conflicts_cell(
         "TM1" => prepare_with_config(scale.tm1(), scale, SystemUnderTest::Dora, config),
         _ => prepare_with_config(scale.tpcc(), scale, SystemUnderTest::Dora, config),
     };
-    let bind_report = prepared.engine.conflict_report();
     let result = run_clients(&prepared, scale, scale.clients_for(100.0));
     prepared.shutdown();
     let committed = result.committed.max(1) as f64;
     let local_locks = result.metrics.counter(CounterKind::DoraLocalLock);
     let elided = result.metrics.counter(CounterKind::LockProbesElided);
-    let cell = ConflictCell {
+    ConflictCell {
         elision,
         tps: result.throughput_tps,
         committed: result.committed,
@@ -3059,8 +3049,7 @@ fn run_conflicts_cell(
         secondary_fallbacks: result.metrics.counter(CounterKind::SecondaryFallbacks),
         locks_per_txn: local_locks as f64 / committed,
         elided_per_txn: elided as f64 / committed,
-    };
-    (cell, bind_report)
+    }
 }
 
 /// The `conflicts` experiment: for TM1 and TPC-C (full mixes), run DORA at
@@ -3080,15 +3069,9 @@ pub fn conflicts_with_summary(scale: &Scale) -> (Report, ConflictsSummary) {
     let clients = scale.clients_for(100.0);
     let mut workloads = Vec::new();
     for workload in ["TM1", "TPC-C"] {
-        let mut cells = Vec::new();
-        let mut bind_report = String::new();
-        for elision in [false, true] {
-            let (cell, report) = run_conflicts_cell(scale, workload, elision);
-            cells.push(cell);
-            if let Some(text) = report {
-                bind_report = text;
-            }
-        }
+        let cells = [false, true]
+            .map(|elision| run_conflicts_cell(scale, workload, elision))
+            .to_vec();
         // Static matrix facts, recomputed from the declared templates so the
         // summary does not depend on which engine instance survived.
         let db = Database::new(scale.system_config());
@@ -3114,7 +3097,12 @@ pub fn conflicts_with_summary(scale: &Scale) -> (Report, ConflictsSummary) {
             conflicting_pairs: matrix.conflict_pair_count(),
             auto_serialized: matrix.serialized_count(),
             coverage_gaps: matrix.coverage_gaps().len(),
-            report: bind_report,
+            report: matrix.report(&|table| {
+                db.catalog()
+                    .table(table)
+                    .map(|meta| meta.schema.name.clone())
+                    .unwrap_or_else(|_| table.to_string())
+            }),
             cells,
         });
     }

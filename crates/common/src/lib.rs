@@ -23,7 +23,7 @@ pub use error::{DbError, DbResult};
 pub use fault::{silence_injected_panics, FaultConfig, FaultPlan, FaultSite, InjectedPanic};
 pub use ids::{IndexId, PageId, Rid, SlotId, TableId, TxnId};
 pub use key::{Key, KeyRange};
-pub use outcome::{BaselineOutcome, TxnOutcome};
+pub use outcome::TxnOutcome;
 pub use value::{Row, Value, ValueType};
 
 /// Convenience prelude re-exporting the types almost every module needs.
@@ -35,6 +35,6 @@ pub mod prelude {
     };
     pub use crate::ids::{IndexId, PageId, Rid, SlotId, TableId, TxnId};
     pub use crate::key::{Key, KeyRange};
-    pub use crate::outcome::{BaselineOutcome, TxnOutcome};
+    pub use crate::outcome::TxnOutcome;
     pub use crate::value::{Row, Value, ValueType};
 }

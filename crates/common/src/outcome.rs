@@ -11,11 +11,14 @@
 pub enum TxnOutcome {
     /// Committed.
     Committed,
-    /// Aborted for a workload reason (invalid input) or any error.
+    /// Aborted for a workload reason (e.g. TM1's invalid input) and not
+    /// retried. An engine reports every other failure as an error; only
+    /// callers that fold errors away (the load driver) count one here.
     Aborted,
-    /// A conventional engine exhausted its deadlock-retry budget. Kept
-    /// distinct from [`Aborted`](Self::Aborted): a workload abort is expected
-    /// input behaviour, retry exhaustion is a contention signal.
+    /// Every attempt ended as a deadlock victim, so the engine exhausted its
+    /// deadlock-retry budget. Kept distinct from [`Aborted`](Self::Aborted):
+    /// a workload abort is expected input behaviour, retry exhaustion is a
+    /// contention signal.
     GaveUp,
 }
 
@@ -26,47 +29,12 @@ impl TxnOutcome {
     }
 }
 
-/// Outcome of running one transaction body to completion on a conventional
-/// (thread-to-transaction) engine, which retries deadlock victims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BaselineOutcome {
-    /// The transaction committed.
-    Committed,
-    /// The transaction aborted for a workload reason (e.g. TM1 invalid
-    /// input) and was *not* retried.
-    Aborted,
-    /// The transaction hit the retry limit (repeated deadlocks).
-    GaveUp,
-}
-
-impl From<BaselineOutcome> for TxnOutcome {
-    fn from(outcome: BaselineOutcome) -> Self {
-        match outcome {
-            BaselineOutcome::Committed => TxnOutcome::Committed,
-            BaselineOutcome::Aborted => TxnOutcome::Aborted,
-            BaselineOutcome::GaveUp => TxnOutcome::GaveUp,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn baseline_outcomes_map_one_to_one() {
-        assert_eq!(
-            TxnOutcome::from(BaselineOutcome::Committed),
-            TxnOutcome::Committed
-        );
-        assert_eq!(
-            TxnOutcome::from(BaselineOutcome::Aborted),
-            TxnOutcome::Aborted
-        );
-        assert_eq!(
-            TxnOutcome::from(BaselineOutcome::GaveUp),
-            TxnOutcome::GaveUp
-        );
+    fn only_a_commit_is_a_success() {
         assert!(!TxnOutcome::Committed.is_failure());
         assert!(TxnOutcome::Aborted.is_failure());
         assert!(TxnOutcome::GaveUp.is_failure());

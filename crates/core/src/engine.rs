@@ -528,6 +528,19 @@ impl DoraEngine {
         }
         // Make sure the table exists.
         self.inner.db.catalog().table(table)?;
+        // Check and spawn under the registry lock: a rejected bind, or one
+        // racing another bind of the same table, must spawn nothing, or its
+        // executors would park forever holding the engine alive.
+        let mut registry = self.inner.executors.write();
+        let slot = table.0 as usize;
+        if registry.len() <= slot {
+            registry.resize_with(slot + 1, Vec::new);
+        }
+        if !registry[slot].is_empty() {
+            return Err(DbError::InvalidOperation(format!(
+                "{table} is already bound"
+            )));
+        }
         // A fresh bind warns anew about steps that cannot be routed.
         self.inner
             .warned_secondary
@@ -544,25 +557,28 @@ impl DoraEngine {
             let shared = Arc::new(ExecutorShared::new(table, index, stream));
             let resident = Arc::clone(&shared);
             let engine = Arc::clone(&self.inner);
-            let handle = std::thread::Builder::new()
+            match std::thread::Builder::new()
                 .name(format!("dora-exec-{}-{}", table.0, index))
                 .spawn(move || resident.run_resident(&engine))
-                .map_err(|e| DbError::InvalidOperation(format!("spawn failed: {e}")))?;
-            table_executors.push(shared);
-            new_workers.push(handle);
-        }
-        {
-            let mut registry = self.inner.executors.write();
-            if registry.len() <= table.0 as usize {
-                registry.resize_with(table.0 as usize + 1, Vec::new);
+            {
+                Ok(handle) => {
+                    table_executors.push(shared);
+                    new_workers.push(handle);
+                }
+                Err(e) => {
+                    drop(registry);
+                    for executor in &table_executors {
+                        executor.enqueue(Message::Shutdown);
+                    }
+                    for handle in new_workers {
+                        let _ = handle.join();
+                    }
+                    return Err(DbError::InvalidOperation(format!("spawn failed: {e}")));
+                }
             }
-            if !registry[table.0 as usize].is_empty() {
-                return Err(DbError::InvalidOperation(format!(
-                    "{table} is already bound"
-                )));
-            }
-            registry[table.0 as usize] = table_executors;
         }
+        registry[slot] = table_executors;
+        drop(registry);
         self.inner.routing.set_rule(table, rule);
         self.workers.lock().extend(new_workers);
         Ok(())
@@ -786,6 +802,21 @@ mod tests {
             },
         ));
         graph
+    }
+
+    #[test]
+    fn a_rejected_rebind_spawns_no_executor() {
+        let (db, table) = counters_db();
+        let weak = Arc::downgrade(&db);
+        let engine = DoraEngine::new(db, DoraConfig::for_tests());
+        engine.bind_table(table, 2, 1, 100).unwrap();
+        assert!(engine.bind_table(table, 2, 1, 100).is_err());
+        engine.shutdown();
+        drop(engine);
+        assert!(
+            weak.upgrade().is_none(),
+            "a rejected bind left executors holding the database"
+        );
     }
 
     #[test]

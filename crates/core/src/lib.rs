@@ -28,6 +28,9 @@
 //!   (the deadlock-avoidance rule of Section 4.2.3), the terminal-RVP commit
 //!   protocol (steps 9–12 of Figure 9) and secondary-action handling
 //!   (Section 4.2.2).
+//! * [`retry`] — the deadlock-retry policy both engines run their attempts
+//!   through: victims are re-run, workload aborts and retry exhaustion
+//!   become outcomes, every other error is returned.
 //! * [`adaptive`] — adaptive skew-aware repartitioning: a skew detector over
 //!   sampled executor load and a background controller that synthesizes
 //!   rebalanced routing rules and drives the dataset-resize drain protocol
@@ -49,6 +52,7 @@ pub mod flow;
 pub mod locallock;
 pub mod program;
 pub mod resource;
+pub mod retry;
 pub mod routing;
 pub mod txn;
 
@@ -64,5 +68,6 @@ pub use flow::FlowGraph;
 pub use locallock::LocalLockTable;
 pub use program::{OnDuplicate, OnMissing, PreparedProgram, Step, StepCtx, TxnProgram};
 pub use resource::ResourceManager;
+pub use retry::retry_deadlocks;
 pub use routing::{RoutingRule, RoutingTable};
 pub use txn::DoraTxn;

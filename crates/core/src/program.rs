@@ -22,6 +22,11 @@
 //!   where every access goes through the centralized lock manager
 //!   ([`CcMode::Full`]).
 //!
+//! Both are thin wrappers over [`TxnProgram::prepare`]: the one lowering lives
+//! on [`PreparedProgram`] ([`PreparedProgram::flow_graph`] and the sequential
+//! step loop [`PreparedProgram::run_baseline`], which snapshot reads reuse),
+//! and a prepared program is what the engines execute.
+//!
 //! Step bodies never name a [`CcMode`] themselves; they ask the [`StepCtx`]
 //! ([`StepCtx::cc`] for probes/updates, [`StepCtx::write_cc`] for
 //! inserts/deletes), which is how one closure serves both architectures.
@@ -562,37 +567,7 @@ impl TxnProgram {
     /// [`serialized`](Self::serialized) program), secondary steps as
     /// secondary actions.
     pub fn compile_dora(self) -> FlowGraph {
-        let serial = self.serial;
-        let mut graph = FlowGraph::new();
-        for phase in self.phases {
-            if phase.is_empty() {
-                continue;
-            }
-            let actions = phase.into_iter().map(Self::lower_step).collect();
-            graph = graph.phase_with(actions);
-        }
-        if serial {
-            graph.serialized()
-        } else {
-            graph
-        }
-    }
-
-    fn lower_step(step: Step) -> ActionSpec {
-        let body = step.body;
-        let run = move |actx: &crate::action::ActionContext<'_>| {
-            let ctx = StepCtx::new(actx.db, actx.txn, actx.scratch, Backend::Dora);
-            body(&ctx)
-        };
-        if step.route.is_empty() {
-            let mut spec = ActionSpec::secondary(step.label, step.table, run);
-            spec.declared_secondary = step.declared_secondary;
-            spec
-        } else {
-            let mut spec = ActionSpec::new(step.label, step.table, step.route, step.mode, run);
-            spec.elide_probe = step.elide_probe;
-            spec
-        }
+        self.prepare().flow_graph()
     }
 
     /// Lowers the program to a sequential transaction body for the
@@ -601,15 +576,8 @@ impl TxnProgram {
     /// repeatedly (the baseline retries deadlock victims); each call gets a
     /// fresh scratchpad.
     pub fn compile_baseline(self) -> impl Fn(&Database, &TxnHandle) -> DbResult<()> + Send + Sync {
-        let steps: Vec<Step> = self.phases.into_iter().flatten().collect();
-        move |db, txn| {
-            let scratch = Scratch::new();
-            let ctx = StepCtx::new(db, txn, &scratch, Backend::Baseline);
-            for step in &steps {
-                (step.body)(&ctx)?;
-            }
-            Ok(())
-        }
+        let prepared = self.prepare();
+        move |db, txn| prepared.run_baseline(db, txn)
     }
 
     /// Compiles the program once into a [`PreparedProgram`] handle that can
@@ -723,10 +691,10 @@ impl PreparedProgram {
     pub fn run_baseline(&self, db: &Database, txn: &TxnHandle) -> DbResult<()> {
         let scratch = Scratch::new();
         let ctx = StepCtx::new(db, txn, &scratch, Backend::Baseline);
-        for step in self.phases.iter().flatten() {
-            (step.body)(&ctx)?;
-        }
-        Ok(())
+        self.phases
+            .iter()
+            .flatten()
+            .try_for_each(|step| (step.body)(&ctx))
     }
 
     /// `true` if every step declares [`LocalMode::Shared`] — the program
@@ -755,15 +723,7 @@ impl PreparedProgram {
             )));
         }
         let txn = db.begin_snapshot(Arc::clone(snapshot));
-        let scratch = Scratch::new();
-        let result = {
-            let ctx = StepCtx::new(db, &txn, &scratch, Backend::Baseline);
-            self.phases
-                .iter()
-                .flatten()
-                .try_for_each(|step| (step.body)(&ctx))
-        };
-        match result {
+        match self.run_baseline(db, &txn) {
             Ok(()) => db.commit(&txn),
             Err(err) => {
                 let _ = db.abort(&txn);

@@ -3,16 +3,16 @@
 //! Each client (worker) thread executes whole transactions against the
 //! storage manager with full centralized concurrency control — the
 //! uncoordinated access pattern whose lock-manager contention Section 3 of
-//! the paper dissects. Deadlock victims are retried, mirroring how OLTP
-//! systems resubmit aborted transactions.
+//! the paper dissects. Deadlock victims are retried by
+//! [`dora_core::retry_deadlocks`], the policy DORA's adapter runs too.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dora_common::prelude::*;
+use dora_core::retry_deadlocks;
 use dora_metrics::{incr, CounterKind};
 use dora_storage::{Database, TxnHandle};
-
-pub use dora_common::outcome::BaselineOutcome;
+use dora_workloads::Workload;
 
 /// The conventional execution engine.
 ///
@@ -23,17 +23,15 @@ pub use dora_common::outcome::BaselineOutcome;
 #[derive(Clone)]
 pub struct BaselineEngine {
     db: Arc<Database>,
-    max_retries: usize,
     /// Workload bound through [`crate::exec::ExecutionEngine::bind`]; in an
     /// `Arc` so clones share the binding, in a `OnceLock` so the per-txn
     /// read path stays lock-free.
-    bound: Arc<std::sync::OnceLock<Arc<dyn dora_workloads::Workload>>>,
+    pub(crate) bound: Arc<OnceLock<Arc<dyn Workload>>>,
 }
 
 impl std::fmt::Debug for BaselineEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BaselineEngine")
-            .field("max_retries", &self.max_retries)
             .field("bound", &self.bound.get().map(|w| w.name()))
             .finish_non_exhaustive()
     }
@@ -42,16 +40,10 @@ impl std::fmt::Debug for BaselineEngine {
 impl BaselineEngine {
     /// Creates a baseline engine over `db`.
     pub fn new(db: Arc<Database>) -> Self {
-        let max_retries = db.config().max_retries;
         Self {
             db,
-            max_retries,
-            bound: Arc::new(std::sync::OnceLock::new()),
+            bound: Arc::new(OnceLock::new()),
         }
-    }
-
-    pub(crate) fn bound(&self) -> &std::sync::OnceLock<Arc<dyn dora_workloads::Workload>> {
-        &self.bound
     }
 
     /// The underlying storage manager.
@@ -60,7 +52,7 @@ impl BaselineEngine {
     }
 
     /// Executes `body` as one transaction with full concurrency control,
-    /// retrying deadlock victims up to the configured limit.
+    /// retrying deadlock victims up to `SystemConfig::max_retries` times.
     ///
     /// The commit rides the same durability path as DORA's: under group
     /// commit the worker thread *parks* on the log's LSN-keyed ticket queue
@@ -69,21 +61,20 @@ impl BaselineEngine {
     /// Figure-style engine comparisons stay apples-to-apples across commit
     /// modes.
     ///
-    /// Returns `Committed` if a (possibly retried) attempt committed,
-    /// `Aborted` if the body requested an abort for workload reasons, and
-    /// `GaveUp` if every retry ended in a deadlock (counted under
-    /// `CounterKind::TxnGaveUp` so retry exhaustion stays visible).
-    pub fn execute<F>(&self, body: F) -> DbResult<BaselineOutcome>
+    /// The outcome follows [`retry_deadlocks`]: `Committed`, `Aborted` for a
+    /// workload abort, `GaveUp` when every attempt was a deadlock victim, and
+    /// `Err` for any other failure.
+    pub fn execute<F>(&self, body: F) -> DbResult<TxnOutcome>
     where
         F: Fn(&Database, &TxnHandle) -> DbResult<()>,
     {
-        for _attempt in 0..=self.max_retries {
+        retry_deadlocks(self.db.config().max_retries, || {
             let txn = self.db.begin();
             // Worker supervision, symmetric to the DORA executors': a panic
             // in the transaction body — injected by the chaos plan or a
             // genuine bug — aborts this transaction instead of killing the
             // worker thread.
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let faults = self.db.faults();
                 if faults.enabled() && faults.should_inject(FaultSite::ExecutorPanic) {
                     incr(CounterKind::FaultsInjected);
@@ -98,43 +89,14 @@ impl BaselineEngine {
                     reason: "transaction body panicked; quarantined by worker supervision".into(),
                 })
             });
-            match attempt {
-                Ok(()) => {
-                    self.db.commit(&txn)?;
-                    return Ok(BaselineOutcome::Committed);
-                }
-                Err(DbError::Deadlock { .. }) => {
+            match result {
+                Ok(()) => self.db.commit(&txn),
+                Err(err) => {
                     self.db.abort(&txn)?;
-                    // Retry the transaction from scratch.
-                    continue;
-                }
-                Err(DbError::TxnAborted { .. }) => {
-                    self.db.abort(&txn)?;
-                    return Ok(BaselineOutcome::Aborted);
-                }
-                Err(other) => {
-                    self.db.abort(&txn)?;
-                    return Err(other);
+                    Err(err)
                 }
             }
-        }
-        incr(CounterKind::TxnGaveUp);
-        Ok(BaselineOutcome::GaveUp)
-    }
-
-    /// Compiles `program` for this engine and runs it to completion.
-    pub fn execute_program(&self, program: dora_core::TxnProgram) -> DbResult<BaselineOutcome> {
-        self.execute(program.compile_baseline())
-    }
-
-    /// Runs one instance of a prepared program (compile-once/execute-many:
-    /// the handle's shared step list is executed directly, no per-call
-    /// lowering).
-    pub fn execute_prepared(
-        &self,
-        prepared: &dora_core::PreparedProgram,
-    ) -> DbResult<BaselineOutcome> {
-        self.execute(|db, txn| prepared.run_baseline(db, txn))
+        })
     }
 }
 
@@ -174,7 +136,7 @@ mod tests {
                 })
             })
             .unwrap();
-        assert_eq!(outcome, BaselineOutcome::Committed);
+        assert_eq!(outcome, TxnOutcome::Committed);
         let check = db.begin();
         let (_, row) = db
             .probe_primary(&check, table, &Key::int(1), false, CcMode::Full)
@@ -200,7 +162,7 @@ mod tests {
                 })
             })
             .unwrap();
-        assert_eq!(outcome, BaselineOutcome::Aborted);
+        assert_eq!(outcome, TxnOutcome::Aborted);
         let check = db.begin();
         let (_, row) = db
             .probe_primary(&check, table, &Key::int(1), false, CcMode::Full)
@@ -230,7 +192,7 @@ mod tests {
                                 })
                             })
                             .unwrap();
-                        assert_eq!(outcome, BaselineOutcome::Committed);
+                        assert_eq!(outcome, TxnOutcome::Committed);
                     }
                 })
             })
@@ -261,7 +223,7 @@ mod tests {
                 std::panic::panic_any(InjectedPanic)
             })
             .unwrap();
-        assert_eq!(outcome, BaselineOutcome::Aborted);
+        assert_eq!(outcome, TxnOutcome::Aborted);
         // The partial update rolled back and the same engine keeps serving.
         let check = engine
             .execute(|db, txn| {
@@ -272,7 +234,7 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        assert_eq!(check, BaselineOutcome::Committed);
+        assert_eq!(check, TxnOutcome::Committed);
     }
 
     #[test]

@@ -4,9 +4,16 @@
 //! thread-to-transaction (the Baseline) and data-oriented thread-to-data
 //! (DORA) — over the same storage manager and the same workloads.
 //! [`ExecutionEngine`] is the single seam through which the load driver, the
-//! benchmark harness, the equivalence tests and the examples drive either
-//! one: bind a [`Workload`], then repeatedly execute transactions drawn from
-//! its mix.
+//! benchmark harness, the server, the equivalence tests and the examples
+//! drive either one: bind a [`Workload`], [`prepare`](ExecutionEngine::prepare)
+//! a program, then [`execute_prepared_checked`](ExecutionEngine::execute_prepared_checked)
+//! it. That is the one way a transaction runs; [`execute_one`](ExecutionEngine::execute_one)
+//! only draws the program from the bound workload's mix first.
+//!
+//! Both engines answer one client contract: a deadlock victim is retried
+//! inside the call by [`dora_core::retry_deadlocks`], a workload abort is
+//! `Ok(Aborted)`, retry exhaustion is `Ok(GaveUp)`, and every other failure
+//! (e.g. [`DbError::DurabilityLost`]) is an `Err` that was not retried.
 //!
 //! Adding a third architecture (e.g. a physiologically-partitioned or
 //! HTAP-style engine) requires implementing this trait and registering a
@@ -21,110 +28,103 @@ use rand::rngs::SmallRng;
 
 use dora_common::prelude::*;
 use dora_core::{
-    AdaptiveController, ConflictMatrix, DoraConfig, DoraEngine, PreparedProgram, TxnProgram,
+    retry_deadlocks, AdaptiveController, ConflictMatrix, DoraConfig, DoraEngine, PreparedProgram,
+    TxnProgram,
 };
 use dora_storage::{Database, Snapshot};
 use dora_workloads::{Workload, WorkloadStats};
 
 use crate::baseline::BaselineEngine;
 
+const ALREADY_BOUND: &str = "workload already bound to this engine";
+
 /// One execution architecture bound to one workload.
 ///
 /// Implementations hold whatever per-architecture state they need (executor
-/// threads, routing tables, retry policy); callers see only:
+/// threads, routing tables, a conflict matrix); callers see only:
 /// *setup* — [`bind`](Self::bind) a workload once, *execute* —
-/// [`execute_one`](Self::execute_one) transaction from the bound workload's
-/// mix, and *teardown* — [`shutdown`](Self::shutdown).
+/// [`prepare`](Self::prepare) and
+/// [`execute_prepared_checked`](Self::execute_prepared_checked), and
+/// *teardown* — [`shutdown`](Self::shutdown).
 pub trait ExecutionEngine: Send + Sync {
     /// Which registered architecture this is.
     fn kind(&self) -> EngineKind;
-
-    /// Label matching the paper's figures ("Baseline", "DORA").
-    fn name(&self) -> &'static str {
-        self.kind().label()
-    }
 
     /// The underlying storage manager.
     fn db(&self) -> &Arc<Database>;
 
     /// Binds `workload` to this engine: whatever per-architecture setup the
     /// workload needs (DORA binds tables to executors; the baseline has no
-    /// setup). Must be called exactly once, before `execute_one`.
+    /// setup). Must be called exactly once, before `execute_one`; a second
+    /// call is rejected before it has any side effect.
     fn bind(&self, workload: Arc<dyn Workload>, executors_per_table: usize) -> DbResult<()>;
 
-    /// Runs one transaction drawn from the bound workload's mix.
+    /// The workload [`bind`](Self::bind) installed, if any.
+    fn workload(&self) -> Option<&Arc<dyn Workload>>;
+
+    /// Runs one transaction drawn from the bound workload's mix: draw,
+    /// [`prepare`](Self::prepare), then
+    /// [`execute_prepared_checked`](Self::execute_prepared_checked). Every
+    /// error folds into `Aborted`.
     ///
     /// # Panics
     /// Panics if no workload has been bound.
-    fn execute_one(&self, rng: &mut SmallRng) -> TxnOutcome;
+    fn execute_one(&self, rng: &mut SmallRng) -> TxnOutcome {
+        let workload = self.workload().expect("no workload bound");
+        workload
+            .next_program(self.db(), rng)
+            .and_then(|program| self.prepare(program))
+            .and_then(|prepared| self.execute_prepared_checked(&prepared))
+            .unwrap_or(TxnOutcome::Aborted)
+    }
 
     /// Like [`execute_one`](Self::execute_one), but also times the
-    /// transaction and tallies its outcome under its transaction-type label
-    /// in `stats` — the feed for the per-type summary tables (commits,
-    /// aborts, gave-up, error rate, response times) the benchmark reports
-    /// print. The default runs untimed and records nothing; both registered
-    /// architectures override it.
+    /// transaction (prepare and execute) and tallies its outcome under its
+    /// transaction-type label in `stats` — the feed for the per-type summary
+    /// tables (commits, aborts, gave-up, error rate, response times) the
+    /// benchmark reports print.
+    ///
+    /// # Panics
+    /// Panics if no workload has been bound.
     fn execute_one_timed(&self, rng: &mut SmallRng, stats: &WorkloadStats) -> TxnOutcome {
-        let _ = stats;
-        self.execute_one(rng)
+        let workload = self.workload().expect("no workload bound");
+        let Ok(program) = workload.next_program(self.db(), rng) else {
+            return TxnOutcome::Aborted;
+        };
+        let label = program.name();
+        let start = Instant::now();
+        let outcome = self
+            .prepare(program)
+            .and_then(|prepared| self.execute_prepared_checked(&prepared))
+            .unwrap_or(TxnOutcome::Aborted);
+        stats.record_timed(label, outcome, start.elapsed());
+        outcome
     }
 
     /// Compiles `program` once into a reusable [`PreparedProgram`] handle —
     /// the compile-once/execute-many seam servers hold on to. The default
-    /// just lowers; an architecture may also validate (e.g. that every
-    /// routed table is bound).
+    /// just lowers; an architecture may also stamp it (DORA marks the steps
+    /// its conflict analysis proved probe-free).
     fn prepare(&self, program: TxnProgram) -> DbResult<PreparedProgram> {
         Ok(program.prepare())
     }
 
-    /// Executes one instance of a prepared program, surfacing the terminal
-    /// error instead of folding every failure into an outcome. The serving
-    /// front-end uses this to tell a retryable abort apart from a
-    /// non-retryable failure such as [`DbError::DurabilityLost`] (a ghost
-    /// commit must never be re-run). Unlike [`execute_one`](Self::execute_one)
-    /// this needs no bound workload: the program *is* the work.
+    /// Executes one instance of a prepared program to its end. This needs no
+    /// bound workload: the program *is* the work.
+    ///
+    /// The contract is the same on every engine: deadlock victims are
+    /// retried inside the call (up to `SystemConfig::max_retries` times),
+    /// and the result is `Ok(Committed)`, `Ok(Aborted)` for a workload
+    /// abort, `Ok(GaveUp)` when every attempt was a victim, or the `Err`
+    /// that ended the one attempt it was not safe to re-run — such as
+    /// [`DbError::DurabilityLost`] (a ghost commit must never be re-run).
     fn execute_prepared_checked(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome>;
-
-    /// Outcome-folding convenience over
-    /// [`execute_prepared_checked`](Self::execute_prepared_checked): every
-    /// error becomes `Aborted`. Kept for callers that never need to
-    /// distinguish failure modes (the load driver, the equivalence tests).
-    fn execute_prepared(&self, prepared: &PreparedProgram) -> TxnOutcome {
-        match self.execute_prepared_checked(prepared) {
-            Ok(outcome) => outcome,
-            Err(_) => TxnOutcome::Aborted,
-        }
-    }
-
-    /// Checked compile-per-call path: prepares `program` and executes it
-    /// once, surfacing terminal errors like the prepared variant.
-    fn execute_program_checked(&self, program: TxnProgram) -> DbResult<TxnOutcome> {
-        let prepared = self.prepare(program)?;
-        self.execute_prepared_checked(&prepared)
-    }
-
-    /// Compile-per-call convenience: prepares `program` and executes it
-    /// once. Source-compatible with the pre-prepared-handle API; hot paths
-    /// should [`prepare`](Self::prepare) once instead.
-    fn execute_program(&self, program: TxnProgram) -> TxnOutcome {
-        match self.execute_program_checked(program) {
-            Ok(outcome) => outcome,
-            Err(_) => TxnOutcome::Aborted,
-        }
-    }
-
-    /// Pins a [`Snapshot`] at the current published commit-ticket horizon.
-    /// Engine-agnostic: snapshots live in the storage manager, below the
-    /// execution architecture, so both registered engines share this.
-    fn snapshot(&self) -> Snapshot {
-        self.db().snapshot()
-    }
 
     /// Executes a read-only prepared program against an already-pinned
     /// [`Snapshot`] — the HTAP scan path. The program runs on the calling
     /// thread with no DORA routing, no local-lock-table probes, and no
     /// centralized lock manager involvement; several scans may share one
-    /// snapshot to amortize the pin.
+    /// snapshot to amortize the pin. Programs with write steps are rejected.
     fn execute_on_snapshot(
         &self,
         prepared: &PreparedProgram,
@@ -134,30 +134,17 @@ pub trait ExecutionEngine: Send + Sync {
         Ok(TxnOutcome::Committed)
     }
 
-    /// Pins a fresh snapshot and executes a read-only prepared program on
-    /// it. Rejects programs with write steps.
-    fn execute_snapshot_checked(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome> {
-        let snapshot = Arc::new(self.snapshot());
-        self.execute_on_snapshot(prepared, &snapshot)
-    }
-
-    /// The bind-time conflict-analysis report (probe-free steps,
-    /// auto-serialized programs, routing coverage), when the architecture ran
-    /// one. `None` for architectures without conflict analysis or when the
-    /// bound workload declares no templates.
-    fn conflict_report(&self) -> Option<String> {
-        None
-    }
-
     /// Stops any engine-owned threads. Idempotent; the default is a no-op.
     fn shutdown(&self) {}
 }
 
-impl BaselineEngine {
-    fn bound_workload(&self) -> &Arc<dyn Workload> {
-        self.bound()
-            .get()
-            .expect("BaselineEngine: no workload bound")
+impl dyn ExecutionEngine {
+    /// Pins a [`Snapshot`] at the current published commit-ticket horizon,
+    /// for [`ExecutionEngine::execute_on_snapshot`]. Not a trait method:
+    /// snapshots live in the storage manager, below the execution
+    /// architecture, so no engine can answer differently.
+    pub fn snapshot(&self) -> Snapshot {
+        self.db().snapshot()
     }
 }
 
@@ -173,42 +160,17 @@ impl ExecutionEngine for BaselineEngine {
     fn bind(&self, workload: Arc<dyn Workload>, _executors_per_table: usize) -> DbResult<()> {
         // The conventional engine needs no per-workload setup: any thread may
         // touch any record, which is the whole point of the architecture.
-        self.bound()
+        self.bound
             .set(workload)
-            .map_err(|_| DbError::InvalidOperation("workload already bound to this engine".into()))
+            .map_err(|_| DbError::InvalidOperation(ALREADY_BOUND.into()))
     }
 
-    fn execute_one(&self, rng: &mut SmallRng) -> TxnOutcome {
-        // Generic dispatch: draw the next declarative program from the bound
-        // workload's mix and run its sequential (baseline) compilation on
-        // the calling thread, retrying deadlock victims.
-        let workload = self.bound_workload().clone();
-        match workload
-            .next_program(self.db(), rng)
-            .and_then(|program| BaselineEngine::execute_program(self, program))
-        {
-            Ok(outcome) => outcome.into(),
-            Err(_) => TxnOutcome::Aborted,
-        }
-    }
-
-    fn execute_one_timed(&self, rng: &mut SmallRng, stats: &WorkloadStats) -> TxnOutcome {
-        let workload = self.bound_workload().clone();
-        let Ok(program) = workload.next_program(self.db(), rng) else {
-            return TxnOutcome::Aborted;
-        };
-        let label = program.name();
-        let start = Instant::now();
-        let outcome = match BaselineEngine::execute_program(self, program) {
-            Ok(outcome) => outcome.into(),
-            Err(_) => TxnOutcome::Aborted,
-        };
-        stats.record_timed(label, outcome, start.elapsed());
-        outcome
+    fn workload(&self) -> Option<&Arc<dyn Workload>> {
+        self.bound.get()
     }
 
     fn execute_prepared_checked(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome> {
-        BaselineEngine::execute_prepared(self, prepared).map(TxnOutcome::from)
+        self.execute(|db, txn| prepared.run_baseline(db, txn))
     }
 }
 
@@ -224,9 +186,9 @@ pub struct DoraExecution {
     adaptive: Mutex<Option<AdaptiveController>>,
     /// The workload's conflict matrix, computed once at bind time when
     /// `DoraConfig::conflict_elision` is set and the workload declares step
-    /// templates. Every program the mix produces is stamped against it
-    /// before compilation (probe-free steps, DORA-S auto-serialization).
-    conflicts: OnceLock<Arc<ConflictMatrix>>,
+    /// templates. [`ExecutionEngine::prepare`] stamps every program against
+    /// it (probe-free steps, DORA-S auto-serialization).
+    conflicts: OnceLock<ConflictMatrix>,
 }
 
 impl DoraExecution {
@@ -237,21 +199,6 @@ impl DoraExecution {
             bound: OnceLock::new(),
             adaptive: Mutex::new(None),
             conflicts: OnceLock::new(),
-        }
-    }
-
-    /// The bind-time conflict matrix, when one was computed.
-    pub fn conflict_matrix(&self) -> Option<&Arc<ConflictMatrix>> {
-        self.conflicts.get()
-    }
-
-    /// Stamps `program` against the bind-time conflict matrix: marks
-    /// probe-free steps and auto-serializes high-abort programs. A no-op when
-    /// no matrix was computed or the program's name is unknown to it.
-    fn with_conflicts(&self, program: TxnProgram) -> TxnProgram {
-        match self.conflicts.get() {
-            Some(matrix) => program.with_conflicts(matrix),
-            None => program,
         }
     }
 
@@ -282,6 +229,10 @@ impl ExecutionEngine for DoraExecution {
     }
 
     fn bind(&self, workload: Arc<dyn Workload>, executors_per_table: usize) -> DbResult<()> {
+        // Reject a second workload before `bind_dora` spawns any executor.
+        if self.bound.get().is_some() {
+            return Err(DbError::InvalidOperation(ALREADY_BOUND.into()));
+        }
         workload.bind_dora(&self.engine, executors_per_table)?;
         // Static conflict analysis, once per workload (DIBS-style): compare
         // every pair of declared step templates and record which steps can
@@ -304,12 +255,12 @@ impl ExecutionEngine for DoraExecution {
                         .unwrap_or_else(|_| table.to_string())
                 });
                 eprintln!("{report}");
-                let _ = self.conflicts.set(Arc::new(matrix));
+                let _ = self.conflicts.set(matrix);
             }
         }
-        self.bound.set(workload).map_err(|_| {
-            DbError::InvalidOperation("workload already bound to this engine".into())
-        })?;
+        self.bound
+            .set(workload)
+            .map_err(|_| DbError::InvalidOperation(ALREADY_BOUND.into()))?;
         let adaptive_config = self.engine.config().adaptive.clone();
         if adaptive_config.enabled {
             *self.adaptive.lock() = Some(AdaptiveController::spawn(
@@ -320,71 +271,28 @@ impl ExecutionEngine for DoraExecution {
         Ok(())
     }
 
-    fn execute_one(&self, rng: &mut SmallRng) -> TxnOutcome {
-        // Generic dispatch: the same program the baseline would run, lowered
-        // to a transaction flow graph and submitted to the executors.
-        let workload = self
-            .bound
-            .get()
-            .expect("DoraExecution: no workload bound")
-            .clone();
-        match workload
-            .next_program(self.engine.db(), rng)
-            .and_then(|program| {
-                self.engine
-                    .execute(self.with_conflicts(program).compile_dora())
-            }) {
-            Ok(()) => TxnOutcome::Committed,
-            Err(_) => TxnOutcome::Aborted,
-        }
-    }
-
-    fn execute_one_timed(&self, rng: &mut SmallRng, stats: &WorkloadStats) -> TxnOutcome {
-        let workload = self
-            .bound
-            .get()
-            .expect("DoraExecution: no workload bound")
-            .clone();
-        let Ok(program) = workload.next_program(self.engine.db(), rng) else {
-            return TxnOutcome::Aborted;
-        };
-        let label = program.name();
-        let start = Instant::now();
-        let outcome = match self
-            .engine
-            .execute(self.with_conflicts(program).compile_dora())
-        {
-            Ok(()) => TxnOutcome::Committed,
-            Err(_) => TxnOutcome::Aborted,
-        };
-        stats.record_timed(label, outcome, start.elapsed());
-        outcome
+    fn workload(&self) -> Option<&Arc<dyn Workload>> {
+        self.bound.get()
     }
 
     fn prepare(&self, program: TxnProgram) -> DbResult<PreparedProgram> {
-        // Stamp conflict-analysis results *before* preparing: the prepared
-        // handle shares its steps behind an `Arc`, so this is the last point
-        // the program is mutable.
-        Ok(self.with_conflicts(program).prepare())
-    }
-
-    fn conflict_report(&self) -> Option<String> {
-        let matrix = self.conflicts.get()?;
-        let db = self.engine.db();
-        Some(matrix.report(&|table| {
-            db.catalog()
-                .table(table)
-                .map(|meta| meta.schema.name.clone())
-                .unwrap_or_else(|_| table.to_string())
-        }))
+        // Stamp the bind-time conflict matrix (probe-free steps, DORA-S
+        // auto-serialization) *before* preparing: the prepared handle shares
+        // its steps behind an `Arc`, so this is the last point the program is
+        // mutable.
+        Ok(match self.conflicts.get() {
+            Some(matrix) => program.with_conflicts(matrix),
+            None => program,
+        }
+        .prepare())
     }
 
     fn execute_prepared_checked(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome> {
-        // The prepared handle re-materializes only the per-instance action
-        // shells; the step bodies are shared behind the handle's `Arc`.
-        self.engine
-            .execute(prepared.flow_graph())
-            .map(|()| TxnOutcome::Committed)
+        // Each attempt re-materializes only the per-instance action shells;
+        // the step bodies are shared behind the handle's `Arc`.
+        retry_deadlocks(self.engine.db().config().max_retries, || {
+            self.engine.execute(prepared.flow_graph())
+        })
     }
 
     fn shutdown(&self) {
@@ -439,7 +347,6 @@ mod tests {
         for kind in EngineKind::ALL {
             let engine = bound_engine(kind);
             assert_eq!(engine.kind(), kind);
-            assert_eq!(engine.name(), kind.label());
             let mut rng = SmallRng::seed_from_u64(3);
             let mut committed = 0;
             for _ in 0..20 {
@@ -447,7 +354,7 @@ mod tests {
                     committed += 1;
                 }
             }
-            assert!(committed > 0, "{} committed nothing", engine.name());
+            assert!(committed > 0, "{} committed nothing", kind.label());
             engine.shutdown();
         }
     }
@@ -455,29 +362,20 @@ mod tests {
     #[test]
     fn every_registered_engine_executes_prepared_programs() {
         for kind in EngineKind::ALL {
-            let db = Database::for_tests();
+            let engine = bound_engine(kind);
+            let db = Arc::clone(engine.db());
             let workload = TpcB::with_accounts(2, 20);
-            workload.setup(&db).unwrap();
-            let engine = build_engine_with(kind, Arc::clone(&db), DoraConfig::for_tests());
-            // DORA needs its executors even for prepared execution.
-            let arc_workload: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(2, 20));
-            engine.bind(arc_workload, 2).unwrap();
             // Prepare once, execute many: the same parameterized transfer.
             let program = workload.account_update_program(&db, 1, 1, 1, 10.0).unwrap();
             let prepared = engine.prepare(program).unwrap();
             for _ in 0..5 {
                 assert_eq!(
-                    engine.execute_prepared(&prepared),
+                    engine.execute_prepared_checked(&prepared).unwrap(),
                     TxnOutcome::Committed,
                     "{} failed a prepared execution",
-                    engine.name()
+                    kind.label()
                 );
             }
-            // Compile-per-call wrapper stays available on the same engine.
-            let once = workload
-                .account_update_program(&db, 1, 2, 11, -5.0)
-                .unwrap();
-            assert_eq!(engine.execute_program(once), TxnOutcome::Committed);
             engine.shutdown();
         }
     }
@@ -492,43 +390,8 @@ mod tests {
                 engine.execute_one_timed(&mut rng, &stats);
             }
             let row = stats.type_stats(TpcB::ACCOUNT_UPDATE);
-            assert_eq!(row.total(), 10, "{}: every run tallied", engine.name());
-            assert_eq!(
-                row.latency.count(),
-                10,
-                "{}: every run timed",
-                engine.name()
-            );
-            engine.shutdown();
-        }
-    }
-
-    #[test]
-    fn checked_execution_surfaces_outcomes_for_every_engine() {
-        for kind in EngineKind::ALL {
-            let db = Database::for_tests();
-            let workload = TpcB::with_accounts(2, 20);
-            workload.setup(&db).unwrap();
-            let engine = build_engine_with(kind, Arc::clone(&db), DoraConfig::for_tests());
-            let arc_workload: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(2, 20));
-            engine.bind(arc_workload, 2).unwrap();
-            let program = workload.account_update_program(&db, 1, 1, 1, 10.0).unwrap();
-            let prepared = engine.prepare(program).unwrap();
-            assert_eq!(
-                engine.execute_prepared_checked(&prepared).unwrap(),
-                TxnOutcome::Committed,
-                "{}: checked prepared path",
-                engine.name()
-            );
-            let once = workload
-                .account_update_program(&db, 1, 2, 11, -5.0)
-                .unwrap();
-            assert_eq!(
-                engine.execute_program_checked(once).unwrap(),
-                TxnOutcome::Committed,
-                "{}: checked compile-per-call path",
-                engine.name()
-            );
+            assert_eq!(row.total(), 10, "{}: every run tallied", kind.label());
+            assert_eq!(row.latency.count(), 10, "{}: every run timed", kind.label());
             engine.shutdown();
         }
     }
@@ -541,9 +404,32 @@ mod tests {
             assert!(
                 engine.bind(other, 2).is_err(),
                 "{} allowed a second bind",
-                engine.name()
+                kind.label()
             );
             engine.shutdown();
+        }
+    }
+
+    /// A rejected second bind must not leave anything behind: no executor
+    /// thread parked forever holding the engine, and so the database, alive.
+    #[test]
+    fn a_rejected_rebind_leaks_nothing() {
+        for kind in EngineKind::ALL {
+            for rebind in [false, true] {
+                let engine = bound_engine(kind);
+                let db = Arc::downgrade(engine.db());
+                if rebind {
+                    let other: Arc<dyn Workload> = Arc::new(TpcB::with_accounts(2, 20));
+                    assert!(engine.bind(other, 2).is_err());
+                }
+                engine.shutdown();
+                drop(engine);
+                assert!(
+                    db.upgrade().is_none(),
+                    "{}: db leaked (rebind: {rebind})",
+                    kind.label()
+                );
+            }
         }
     }
 
@@ -563,6 +449,7 @@ mod tests {
         for kind in EngineKind::ALL {
             let engine = bound_engine(kind);
             let table = engine.db().table_id("account").unwrap();
+            let snapshot = Arc::new(engine.snapshot());
 
             let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let sink = Arc::clone(&seen);
@@ -580,10 +467,10 @@ mod tests {
             let prepared = program.prepare();
             assert!(prepared.is_read_only());
             assert_eq!(
-                engine.execute_snapshot_checked(&prepared).unwrap(),
+                engine.execute_on_snapshot(&prepared, &snapshot).unwrap(),
                 TxnOutcome::Committed,
                 "{}: snapshot execution",
-                engine.name()
+                kind.label()
             );
             assert_eq!(seen.lock().len(), 1);
 
@@ -599,9 +486,9 @@ mod tests {
             let prepared = writer.prepare();
             assert!(!prepared.is_read_only());
             assert!(
-                engine.execute_snapshot_checked(&prepared).is_err(),
+                engine.execute_on_snapshot(&prepared, &snapshot).is_err(),
                 "{}: write program must be rejected",
-                engine.name()
+                kind.label()
             );
             engine.shutdown();
         }

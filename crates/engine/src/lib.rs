@@ -4,12 +4,14 @@
 //! experiment.
 //!
 //! * [`exec`] — the [`ExecutionEngine`] trait and the engine registry:
-//!   bind a workload, execute transactions from its mix, shut down. The
+//!   bind a workload, prepare a program, execute it, shut down. The
 //!   baseline implements it directly; [`exec::DoraExecution`] adapts the
-//!   DORA engine from `dora-core`.
+//!   DORA engine from `dora-core`. Both retry deadlock victims inside the
+//!   call through `dora_core::retry_deadlocks`, so a client sees one
+//!   contract whichever engine it drives.
 //! * [`baseline`] — executes whole transactions on the calling thread with
-//!   full centralized concurrency control, retrying deadlock victims, exactly
-//!   like a worker thread of Shore-MT would.
+//!   full centralized concurrency control, exactly like a worker thread of
+//!   Shore-MT would.
 //! * [`driver`] — a closed-loop multi-client load driver that runs any
 //!   [`ExecutionEngine`] (or raw job closure) for a fixed duration on a
 //!   configurable number of client threads and reports throughput, latency,
@@ -24,6 +26,6 @@ pub mod driver;
 pub mod exec;
 
 pub use admission::{find_peak, AdmissionController, AdmissionDecision, PeakResult};
-pub use baseline::{BaselineEngine, BaselineOutcome};
+pub use baseline::BaselineEngine;
 pub use driver::{ClientDriver, DriverConfig, RunResult, StopLatch, TxnOutcome};
 pub use exec::{build_engine, build_engine_with, DoraExecution, ExecutionEngine};

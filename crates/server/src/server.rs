@@ -274,28 +274,31 @@ impl ServerCore {
     }
 
     fn execute(&self, statement: &Statement, params: &Params) -> SubmitOutcome {
-        let result = match &*statement.kind {
+        let built;
+        let prepared = match &*statement.kind {
+            StatementKind::Prepared(prepared) => prepared,
+            // Per-binding build (routing keys are baked in at build time),
+            // then the engine's prepare. Eligibility for the snapshot path is
+            // decided per build: the program only exists once the parameters
+            // are bound.
+            StatementKind::Template(build) => {
+                match build(self.engine.db(), params).and_then(|p| self.engine.prepare(p)) {
+                    Ok(prepared) => {
+                        built = prepared;
+                        &built
+                    }
+                    Err(_) => return SubmitOutcome::Aborted,
+                }
+            }
+        };
+        let result = if self.snapshot_reads && prepared.is_read_only() {
             // Read-only statements skip both engines entirely: they run on
             // this thread against a freshly pinned snapshot, with no DORA
             // routing and no lock-manager traffic.
-            StatementKind::Prepared(prepared) if self.snapshot_reads && prepared.is_read_only() => {
-                self.engine.execute_snapshot_checked(prepared)
-            }
-            // Compile-once/execute-many: the shared step list behind the
-            // handle runs directly, no per-call lowering.
-            StatementKind::Prepared(prepared) => self.engine.execute_prepared_checked(prepared),
-            // Per-binding build (routing keys are baked in at build time),
-            // then the engine's prepare-and-run path. Eligibility for the
-            // snapshot path is decided per build: the program only exists
-            // once the parameters are bound.
-            StatementKind::Template(build) => match build(self.engine.db(), params) {
-                Ok(program) if self.snapshot_reads && program.is_read_only() => self
-                    .engine
-                    .prepare(program)
-                    .and_then(|prepared| self.engine.execute_snapshot_checked(&prepared)),
-                Ok(program) => self.engine.execute_program_checked(program),
-                Err(_) => return SubmitOutcome::Aborted,
-            },
+            let snapshot = Arc::new(self.engine.snapshot());
+            self.engine.execute_on_snapshot(prepared, &snapshot)
+        } else {
+            self.engine.execute_prepared_checked(prepared)
         };
         match result {
             Ok(outcome) => outcome.into(),
@@ -330,7 +333,7 @@ pub struct Server {
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
-            .field("engine", &self.core.engine.name())
+            .field("engine", &self.core.engine.kind().label())
             .field("active", &self.core.gate.active())
             .field("queued", &self.core.gate.queued())
             .field("closed", &self.core.closed.load(Ordering::Relaxed))
@@ -401,14 +404,6 @@ impl Server {
     /// The serving architecture.
     pub fn engine_kind(&self) -> EngineKind {
         self.core.engine.kind()
-    }
-
-    /// The bind-time conflict-analysis report for the served workload
-    /// (probe-free steps, auto-serialized programs, routing coverage).
-    /// `None` when the architecture runs no conflict analysis or the
-    /// workload declares no step templates.
-    pub fn conflict_report(&self) -> Option<String> {
-        self.core.engine.conflict_report()
     }
 
     /// Transactions currently executing.

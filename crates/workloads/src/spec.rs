@@ -3,9 +3,9 @@
 //! A workload is a schema, a loader and a *mix* of transactions, each defined
 //! exactly once as a declarative [`TxnProgram`] (see
 //! `dora_core::program`). [`Workload::next_program`] draws one transaction
-//! from the mix; the execution engines compile it for their architecture
-//! (`compile_baseline` for the conventional engine, `compile_dora` for
-//! DORA), so no workload ever writes a transaction body twice.
+//! from the mix; the execution engines prepare it once and run it on their
+//! architecture (sequentially for the conventional engine, as a flow graph
+//! for DORA), so no workload ever writes a transaction body twice.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -214,38 +214,23 @@ impl WorkloadStats {
     }
 }
 
-/// Test support: compiles `program` for the conventional engine and runs it
-/// to completion with the same begin/commit/abort-and-retry loop as
-/// `dora_engine::BaselineEngine` (which lives above this crate in the
-/// dependency graph and therefore cannot be used here).
+/// Test support: runs `program` on the conventional engine's sequential
+/// plan under [`dora_core::retry_deadlocks`], the policy `dora_engine::BaselineEngine`
+/// runs too (that engine lives above this crate in the dependency graph and
+/// therefore cannot be used here).
 #[cfg(test)]
-pub(crate) fn run_baseline_once(
-    db: &Arc<Database>,
-    program: TxnProgram,
-) -> DbResult<BaselineOutcome> {
-    let body = program.compile_baseline();
-    for _attempt in 0..=db.config().max_retries {
+pub(crate) fn run_baseline_once(db: &Arc<Database>, program: TxnProgram) -> DbResult<TxnOutcome> {
+    let prepared = program.prepare();
+    dora_core::retry_deadlocks(db.config().max_retries, || {
         let txn = db.begin();
-        match body(db, &txn) {
-            Ok(()) => {
-                db.commit(&txn)?;
-                return Ok(BaselineOutcome::Committed);
-            }
-            Err(DbError::Deadlock { .. }) => {
+        match prepared.run_baseline(db, &txn) {
+            Ok(()) => db.commit(&txn),
+            Err(err) => {
                 db.abort(&txn)?;
-                continue;
-            }
-            Err(DbError::TxnAborted { .. }) => {
-                db.abort(&txn)?;
-                return Ok(BaselineOutcome::Aborted);
-            }
-            Err(other) => {
-                db.abort(&txn)?;
-                return Err(other);
+                Err(err)
             }
         }
-    }
-    Ok(BaselineOutcome::GaveUp)
+    })
 }
 
 /// Test support: draws the next transaction of `workload` and runs it on the
@@ -256,13 +241,10 @@ pub(crate) fn run_baseline_mix(
     db: &Arc<Database>,
     rng: &mut SmallRng,
 ) -> TxnOutcome {
-    match workload
+    workload
         .next_program(db, rng)
         .and_then(|program| run_baseline_once(db, program))
-    {
-        Ok(outcome) => outcome.into(),
-        Err(_) => TxnOutcome::Aborted,
-    }
+        .unwrap_or(TxnOutcome::Aborted)
 }
 
 /// Test support: draws the next transaction of `workload` and executes its

@@ -730,7 +730,7 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 run_baseline_once(&db_base, program).unwrap(),
-                BaselineOutcome::Committed
+                TxnOutcome::Committed
             );
             let program = workload_dora
                 .update_location_program(&db_dora, s_id, location)

@@ -1254,7 +1254,7 @@ mod tests {
                 .unwrap();
             assert_eq!(
                 run_baseline_once(&db_base, program).unwrap(),
-                BaselineOutcome::Committed
+                TxnOutcome::Committed
             );
             let program = workload_dora
                 .payment_program(
@@ -1409,7 +1409,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             run_baseline_once(&db, program).unwrap(),
-            BaselineOutcome::Aborted
+            TxnOutcome::Aborted
         );
 
         let engine = DoraEngine::new(Arc::clone(&db), DoraConfig::for_tests());
@@ -1446,7 +1446,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             run_baseline_once(&db, program).unwrap(),
-            BaselineOutcome::Committed
+            TxnOutcome::Committed
         );
     }
 

@@ -40,7 +40,7 @@ fn main() {
     let result = driver.run_engine(Arc::clone(&engine));
     println!(
         "{} executed {} account updates ({:.0} tps)",
-        engine.name(),
+        engine.kind().label(),
         result.committed,
         result.throughput_tps
     );

@@ -73,7 +73,9 @@ fn main() {
     let program = workload
         .payment_program(&db, 2, 2, 2, 2, CustomerSelector::ById(3), 15.0)
         .expect("program");
-    baseline.execute_program(program).expect("baseline payment");
+    baseline
+        .execute(program.compile_baseline())
+        .expect("baseline payment");
     println!("executed one Payment under the conventional engine");
 
     let check = db.begin();

@@ -41,7 +41,7 @@ fn main() {
         let (row, higher, local) = result.locks_per_100_txns();
         println!(
             "{:<9} {:>8.0} tps | aborts {:>5.1}% (gave up {}) | locks/100txn: row {:.0} higher {:.0} local {:.0}",
-            format!("{}:", engine.name()),
+            format!("{}:", engine.kind().label()),
             result.throughput_tps,
             100.0 * result.abort_rate(),
             result.gave_up,

@@ -155,7 +155,7 @@ fn baseline_deadlocks_are_detected_and_retried() {
                         .unwrap();
                     assert_ne!(
                         outcome,
-                        dora_repro::engine::baseline::BaselineOutcome::Aborted,
+                        TxnOutcome::Aborted,
                         "deadlock victims are retried, not surfaced as workload aborts"
                     );
                 }

@@ -76,7 +76,7 @@ fn run_workload(kind: EngineKind, seed: u64, checkpoint_after: Option<usize>) ->
             for ran in 0..TXNS {
                 checkpoint(ran);
                 let program = workload.next_program(&db, &mut rng).unwrap();
-                let _ = engine.execute_program(program);
+                let _ = engine.execute(program.compile_baseline());
             }
         }
         EngineKind::Dora => {

@@ -244,7 +244,8 @@ fn snapshot_and_locked_paths_agree_on_read_only_programs() {
             let prepared = engine.prepare(program).unwrap();
             assert!(prepared.is_read_only(), "{label}: scan must be read-only");
             let outcome = if snapshot_path {
-                engine.execute_snapshot_checked(&prepared).unwrap()
+                let snapshot = Arc::new(engine.snapshot());
+                engine.execute_on_snapshot(&prepared, &snapshot).unwrap()
             } else {
                 engine.execute_prepared_checked(&prepared).unwrap()
             };
