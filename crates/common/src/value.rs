@@ -4,8 +4,14 @@
 //! [`Value`] carries its own compact serialization (`encode`/`decode`)
 //! built on the `bytes` crate. The encoding is not meant to be portable; it
 //! only has to round-trip within one process, like Shore-MT's record format.
+//!
+//! The codec copies nothing it does not return. [`Value::decode_row`] reads
+//! a borrowed `&[u8]` (the storage manager hands it the record in place,
+//! under the page latch), so decoding a row costs the row's `Vec` plus one
+//! `String` per text value. [`Value::encode_row`] sizes its buffer
+//! exactly, so encoding costs one allocation.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -84,7 +90,7 @@ impl Value {
 
     /// Serializes the value into `buf` using a one-byte type tag followed by
     /// the payload.
-    pub fn encode(&self, buf: &mut BytesMut) {
+    pub fn encode(&self, buf: &mut impl BufMut) {
         match self {
             Value::Int(v) => {
                 buf.put_u8(0);
@@ -102,8 +108,18 @@ impl Value {
         }
     }
 
-    /// Deserializes one value from `buf`, advancing it.
-    pub fn decode(buf: &mut Bytes) -> DbResult<Value> {
+    /// Bytes [`Self::encode`] writes for this value.
+    fn encoded_len(&self) -> usize {
+        match self {
+            Value::Int(_) | Value::Float(_) => 1 + 8,
+            Value::Text(v) => 1 + 4 + v.len(),
+        }
+    }
+
+    /// Deserializes one value from the front of `buf`, advancing it past
+    /// the value. Borrows nothing: only a text payload is copied, into the
+    /// value's own `String`.
+    pub fn decode(buf: &mut &[u8]) -> DbResult<Value> {
         if buf.remaining() < 1 {
             return Err(DbError::Corruption(
                 "truncated value: missing type tag".into(),
@@ -131,35 +147,44 @@ impl Value {
                 if buf.remaining() < len {
                     return Err(DbError::Corruption("truncated text payload".into()));
                 }
-                let raw = buf.split_to(len);
-                let text = String::from_utf8(raw.to_vec())
+                let (raw, rest) = buf.split_at(len);
+                let text = std::str::from_utf8(raw)
                     .map_err(|_| DbError::Corruption("text value is not valid UTF-8".into()))?;
-                Ok(Value::Text(text))
+                *buf = rest;
+                Ok(Value::Text(text.to_owned()))
             }
             other => Err(DbError::Corruption(format!("unknown value tag {other}"))),
         }
     }
 
-    /// Serializes a whole row (a length-prefixed sequence of values).
-    pub fn encode_row(row: &[Value]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + row.len() * 12);
+    /// Serializes a whole row (a length-prefixed sequence of values) into
+    /// an exactly sized `Vec`: the one allocation a row image costs. The
+    /// write path moves it into the log record it describes.
+    pub fn encode_row(row: &[Value]) -> Vec<u8> {
+        let len = 2 + row.iter().map(Value::encoded_len).sum::<usize>();
+        let mut buf = Vec::with_capacity(len);
         buf.put_u16_le(row.len() as u16);
         for value in row {
             value.encode(&mut buf);
         }
-        buf.freeze()
+        debug_assert_eq!(buf.len(), len);
+        buf
     }
 
-    /// Deserializes a whole row previously produced by [`Value::encode_row`].
-    pub fn decode_row(bytes: &[u8]) -> DbResult<Row> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 2 {
+    /// Deserializes a whole row previously produced by [`Value::encode_row`],
+    /// straight from `bytes` (typically a record still on its latched page):
+    /// it allocates the row and one `String` per text value, nothing else.
+    /// Malformed input is [`DbError::Corruption`], never a panic.
+    pub fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
+        if bytes.remaining() < 2 {
             return Err(DbError::Corruption("truncated row header".into()));
         }
-        let count = buf.get_u16_le() as usize;
-        let mut row = Vec::with_capacity(count);
+        let count = bytes.get_u16_le() as usize;
+        // The smallest value (an empty text) takes 5 bytes, so a corrupt
+        // count cannot reserve more than the input could hold.
+        let mut row = Vec::with_capacity(count.min(bytes.len() / 5));
         for _ in 0..count {
-            row.push(Value::decode(&mut buf)?);
+            row.push(Value::decode(&mut bytes)?);
         }
         Ok(row)
     }

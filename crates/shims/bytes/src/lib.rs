@@ -24,9 +24,14 @@ impl Bytes {
         Self::default()
     }
 
-    /// Copies `slice` into a new `Bytes`.
+    /// Copies `slice` into a new `Bytes`: one allocation, the shared
+    /// storage itself.
     pub fn copy_from_slice(slice: &[u8]) -> Self {
-        Self::from(slice.to_vec())
+        Self {
+            data: Arc::from(slice),
+            start: 0,
+            end: slice.len(),
+        }
     }
 
     /// Length of the view in bytes.
@@ -135,7 +140,8 @@ impl BytesMut {
         self.data.is_empty()
     }
 
-    /// Converts the buffer into an immutable [`Bytes`].
+    /// Converts the buffer into an immutable [`Bytes`]: one allocation for
+    /// the shared storage, and the buffer's own is freed.
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
@@ -208,6 +214,21 @@ pub trait Buf {
     /// Reads a little-endian `f64`.
     fn get_f64_le(&mut self) -> f64 {
         f64::from_bits(self.get_u64_le())
+    }
+}
+
+impl Buf for &[u8] {
+    fn remaining(&self) -> usize {
+        self.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.len(), "advance out of bounds");
+        *self = &self[cnt..];
     }
 }
 
@@ -319,6 +340,26 @@ mod tests {
         let bytes = Bytes::copy_from_slice(b"shared");
         let clone = bytes.clone();
         assert_eq!(bytes, clone);
+    }
+
+    #[test]
+    fn copies_and_freezes_equal_their_input() {
+        for input in [&b""[..], b"x", b"a longer run of bytes \x00\xff"] {
+            assert_eq!(Bytes::copy_from_slice(input).as_ref(), input);
+            let mut buf = BytesMut::new();
+            buf.put_slice(input);
+            assert_eq!(buf.freeze().as_ref(), input);
+        }
+    }
+
+    #[test]
+    fn a_slice_is_a_cursor() {
+        let data = [1u8, 0, 2, 0, 0, 0];
+        let mut cursor = &data[..];
+        assert_eq!(cursor.get_u16_le(), 1);
+        assert_eq!(cursor.remaining(), 4);
+        assert_eq!(cursor.get_u32_le(), 2);
+        assert!(cursor.is_empty());
     }
 
     #[test]

@@ -260,39 +260,35 @@ impl BTreeIndex {
     /// Returns the live entries stored under `key` (ignoring flagged-deleted
     /// ones).
     pub fn get(&self, key: &Key) -> Vec<IndexEntry> {
-        let root = self.root.read();
-        let mut node = root.as_ref();
-        loop {
-            match node {
-                Node::Leaf { keys, values } => {
-                    return match keys.binary_search(key) {
-                        Ok(pos) => values[pos].iter().filter(|e| !e.deleted).cloned().collect(),
-                        Err(_) => Vec::new(),
-                    };
-                }
-                Node::Internal { keys, children } => {
-                    let child_index = match keys.binary_search(key) {
-                        Ok(pos) => pos + 1,
-                        Err(pos) => pos,
-                    };
-                    node = &children[child_index];
-                }
-            }
-        }
+        self.with_bucket(key, |bucket| {
+            bucket.iter().filter(|e| !e.deleted).cloned().collect()
+        })
+    }
+
+    /// The first live entry under `key`: a unique-key probe, which needs one
+    /// entry and allocates nothing to find it.
+    pub fn get_first(&self, key: &Key) -> Option<IndexEntry> {
+        self.with_bucket(key, |bucket| bucket.iter().find(|e| !e.deleted).cloned())
     }
 
     /// Returns every entry stored under `key`, including flagged-deleted
     /// ones. DORA's secondary-action handling needs to see flagged entries so
     /// a transaction can notice that the record "was, or is being, deleted".
     pub fn get_with_deleted(&self, key: &Key) -> Vec<IndexEntry> {
+        self.with_bucket(key, <[IndexEntry]>::to_vec)
+    }
+
+    /// Applies `f` to the bucket under `key` (empty if the key is absent),
+    /// under the tree's read latch.
+    fn with_bucket<R>(&self, key: &Key, f: impl FnOnce(&[IndexEntry]) -> R) -> R {
         let root = self.root.read();
         let mut node = root.as_ref();
         loop {
             match node {
                 Node::Leaf { keys, values } => {
                     return match keys.binary_search(key) {
-                        Ok(pos) => values[pos].clone(),
-                        Err(_) => Vec::new(),
+                        Ok(pos) => f(&values[pos]),
+                        Err(_) => f(&[]),
                     };
                 }
                 Node::Internal { keys, children } => {
@@ -378,22 +374,33 @@ impl BTreeIndex {
     /// `limit` of them.
     pub fn range(&self, range: &KeyRange, limit: usize) -> Vec<(Key, IndexEntry)> {
         let mut out = Vec::new();
-        if limit > 0 {
-            let root = self.root.read();
-            Self::walk_range(root.as_ref(), range, limit, &mut out);
-        }
+        self.range_with(range, limit, |key, entry| {
+            out.push((key.clone(), entry.clone()))
+        });
         out
     }
 
-    /// Appends the live entries of `range` under `node` to `out`. Descends
-    /// only into children that can hold keys in the range, starts each leaf
-    /// at the low bound by binary search, and returns `true` once the walk is
-    /// over: a key at or past the high bound was reached, or `out` is full.
+    /// [`Self::range`] without the copies: hands each entry to `f` in place,
+    /// under the tree's read latch, so a caller that needs only the RIDs
+    /// clones no key.
+    pub fn range_with(&self, range: &KeyRange, limit: usize, mut f: impl FnMut(&Key, &IndexEntry)) {
+        if limit > 0 {
+            let root = self.root.read();
+            let mut left = limit;
+            Self::walk_range(root.as_ref(), range, &mut left, &mut f);
+        }
+    }
+
+    /// Hands the live entries of `range` under `node` to `f` while `left`
+    /// lasts. Descends only into children that can hold keys in the range,
+    /// starts each leaf at the low bound by binary search, and returns `true`
+    /// once the walk is over: a key at or past the high bound was reached, or
+    /// `left` ran out.
     fn walk_range(
         node: &Node,
         range: &KeyRange,
-        limit: usize,
-        out: &mut Vec<(Key, IndexEntry)>,
+        left: &mut usize,
+        f: &mut impl FnMut(&Key, &IndexEntry),
     ) -> bool {
         let past_high = |key: &Key| range.high.as_ref().is_some_and(|high| key >= high);
         match node {
@@ -407,8 +414,9 @@ impl BTreeIndex {
                         return true;
                     }
                     for entry in bucket.iter().filter(|e| !e.deleted) {
-                        out.push((key.clone(), entry.clone()));
-                        if out.len() == limit {
+                        f(key, entry);
+                        *left -= 1;
+                        if *left == 0 {
                             return true;
                         }
                     }
@@ -425,7 +433,7 @@ impl BTreeIndex {
                     if i > 0 && past_high(&keys[i - 1]) {
                         return true;
                     }
-                    if Self::walk_range(child, range, limit, out) {
+                    if Self::walk_range(child, range, left, f) {
                         return true;
                     }
                 }
@@ -536,6 +544,7 @@ mod tests {
             .set_deleted_flag(&Key::int2(1, 10), Rid::new(0, 1), true)
             .unwrap();
         assert!(index.get(&Key::int2(1, 10)).is_empty());
+        assert_eq!(index.get_first(&Key::int2(1, 10)), None);
         let with_deleted = index.get_with_deleted(&Key::int2(1, 10));
         assert_eq!(with_deleted.len(), 1);
         assert!(with_deleted[0].deleted);
@@ -547,7 +556,15 @@ mod tests {
             .set_deleted_flag(&Key::int(9), Rid::new(0, 1), true)
             .unwrap();
         unique.insert(&Key::int(9), entry(0, 2)).unwrap();
+        assert_eq!(unique.get_first(&Key::int(9)), Some(entry(0, 2)));
         assert_eq!(unique.get(&Key::int(9)).len(), 1);
+        // A single-entry probe skips a flagged entry ahead of a live one.
+        index.insert(&Key::int(7), entry(0, 3)).unwrap();
+        index.insert(&Key::int(7), entry(0, 4)).unwrap();
+        index
+            .set_deleted_flag(&Key::int(7), Rid::new(0, 3), true)
+            .unwrap();
+        assert_eq!(index.get_first(&Key::int(7)), Some(entry(0, 4)));
     }
 
     #[test]

@@ -5,8 +5,16 @@
 //! The catalog is the bridge: it records column names/types, the primary-key
 //! columns, the secondary indexes, and — for DORA — which columns are the
 //! table's *routing fields* (Section 4.1.1).
+//!
+//! Metadata is immutable once published and shared: [`Catalog::table`] and
+//! [`Catalog::index`] hand out an `Arc` (a reference-count bump, no
+//! allocation), and a table's metadata carries that of its secondary
+//! indexes, so the per-row write path looks the catalog up once. Creating an index
+//! publishes a new [`TableMeta`] for its table; holders of the old one keep
+//! a consistent, older view.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -142,8 +150,8 @@ pub struct TableMeta {
     pub id: TableId,
     /// The schema as provided at creation time.
     pub schema: TableSchema,
-    /// Secondary indexes defined over the table.
-    pub secondary_indexes: Vec<IndexId>,
+    /// Secondary indexes defined over the table, in creation order.
+    pub secondary_indexes: Vec<Arc<IndexMeta>>,
 }
 
 /// Catalog metadata for one index.
@@ -163,8 +171,8 @@ pub struct Catalog {
 
 #[derive(Debug, Default)]
 struct CatalogInner {
-    tables: Vec<TableMeta>,
-    indexes: Vec<IndexMeta>,
+    tables: Vec<Arc<TableMeta>>,
+    indexes: Vec<Arc<IndexMeta>>,
     table_names: HashMap<String, TableId>,
     index_names: HashMap<String, IndexId>,
 }
@@ -186,11 +194,11 @@ impl Catalog {
         }
         let id = TableId(inner.tables.len() as u32);
         inner.table_names.insert(schema.name.clone(), id);
-        inner.tables.push(TableMeta {
+        inner.tables.push(Arc::new(TableMeta {
             id,
             schema,
             secondary_indexes: Vec::new(),
-        });
+        }));
         Ok(id)
     }
 
@@ -209,13 +217,16 @@ impl Catalog {
         }
         let id = IndexId(inner.indexes.len() as u32);
         inner.index_names.insert(spec.name.clone(), id);
-        inner.indexes.push(IndexMeta { id, spec });
-        inner.tables[table_idx].secondary_indexes.push(id);
+        let index = Arc::new(IndexMeta { id, spec });
+        inner.indexes.push(Arc::clone(&index));
+        let mut table = TableMeta::clone(&inner.tables[table_idx]);
+        table.secondary_indexes.push(index);
+        inner.tables[table_idx] = Arc::new(table);
         Ok(id)
     }
 
     /// Table metadata by id.
-    pub fn table(&self, id: TableId) -> DbResult<TableMeta> {
+    pub fn table(&self, id: TableId) -> DbResult<Arc<TableMeta>> {
         self.inner
             .read()
             .tables
@@ -235,7 +246,7 @@ impl Catalog {
     }
 
     /// Index metadata by id.
-    pub fn index(&self, id: IndexId) -> DbResult<IndexMeta> {
+    pub fn index(&self, id: IndexId) -> DbResult<Arc<IndexMeta>> {
         self.inner
             .read()
             .indexes
@@ -255,23 +266,8 @@ impl Catalog {
     }
 
     /// All tables currently defined.
-    pub fn tables(&self) -> Vec<TableMeta> {
+    pub fn tables(&self) -> Vec<Arc<TableMeta>> {
         self.inner.read().tables.clone()
-    }
-
-    /// All secondary indexes defined over `table`.
-    pub fn secondary_indexes_of(&self, table: TableId) -> Vec<IndexMeta> {
-        let inner = self.inner.read();
-        inner
-            .tables
-            .get(table.0 as usize)
-            .map(|t| {
-                t.secondary_indexes
-                    .iter()
-                    .filter_map(|id| inner.indexes.get(id.0 as usize).cloned())
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// Number of tables.
@@ -353,8 +349,15 @@ mod tests {
             .unwrap();
         assert_eq!(catalog.table_id("customer").unwrap(), table);
         assert_eq!(catalog.index_id("customer_by_name").unwrap(), index);
-        assert_eq!(catalog.secondary_indexes_of(table).len(), 1);
-        assert_eq!(catalog.table(table).unwrap().schema.name, "customer");
+        let meta = catalog.table(table).unwrap();
+        assert_eq!(meta.schema.name, "customer");
+        assert_eq!(meta.secondary_indexes.len(), 1);
+        assert!(Arc::ptr_eq(
+            &meta.secondary_indexes[0],
+            &catalog.index(index).unwrap()
+        ));
+        // Lookups share the published metadata instead of copying it.
+        assert!(Arc::ptr_eq(&meta, &catalog.table(table).unwrap()));
     }
 
     #[test]

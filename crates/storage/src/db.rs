@@ -596,7 +596,7 @@ impl Database {
         heap.delete(rid)?;
         let primary_key = meta.schema.primary_key_of(&row);
         let _ = self.primary(table)?.remove(&primary_key, rid);
-        for index_meta in self.catalog.secondary_indexes_of(table) {
+        for index_meta in &meta.secondary_indexes {
             let key = index_meta.spec.key_of(&row);
             let _ = self.secondary(index_meta.id)?.remove(&key, rid);
         }
@@ -613,7 +613,7 @@ impl Database {
             &primary_key,
             IndexEntry::new(rid, meta.schema.routing_key_of(&row)),
         )?;
-        for index_meta in self.catalog.secondary_indexes_of(table) {
+        for index_meta in &meta.secondary_indexes {
             let key = index_meta.spec.key_of(&row);
             let index = self.secondary(index_meta.id)?;
             // The baseline removes secondary entries physically; DORA leaves
@@ -692,13 +692,13 @@ impl Database {
         }
         let primary_key = meta.schema.primary_key_of(&row);
         let primary = self.primary(table)?;
-        if !primary.get(&primary_key).is_empty() {
+        if primary.get_first(&primary_key).is_some() {
             return Err(DbError::DuplicateKey {
                 table,
                 detail: format!("{primary_key}"),
             });
         }
-        let bytes = Value::encode_row(&row);
+        let image = Value::encode_row(&row);
         let heap = self.heap(table)?;
         // While a snapshot is open the chain is seeded with a "not yet born"
         // base under the page write latch, so no snapshot reader can see the
@@ -706,7 +706,7 @@ impl Database {
         let rid = {
             let mut writes = txn.state.writes.lock();
             let rid = time_section(TimeCategory::Work, || {
-                heap.insert_with(&bytes, |rid| {
+                heap.insert_with(&image, |rid| {
                     self.versions.seed_write(&writes, table, rid, None, None)
                 })
             })?;
@@ -714,7 +714,7 @@ impl Database {
                 table,
                 rid,
                 before: None,
-                after: Some(bytes.clone()),
+                after: Some(Bytes::copy_from_slice(&image)),
                 unlinked: None,
             });
             rid
@@ -729,7 +729,7 @@ impl Database {
                 &primary_key,
                 IndexEntry::new(rid, meta.schema.routing_key_of(&row)),
             )?;
-            for index_meta in self.catalog.secondary_indexes_of(table) {
+            for index_meta in &meta.secondary_indexes {
                 let key = index_meta.spec.key_of(&row);
                 self.secondary(index_meta.id)?
                     .insert(&key, IndexEntry::new(rid, meta.schema.routing_key_of(&row)))?;
@@ -749,7 +749,7 @@ impl Database {
             LogRecordKind::Insert {
                 table,
                 rid,
-                after: bytes.to_vec(),
+                after: image,
             },
         );
         Ok(rid)
@@ -774,9 +774,29 @@ impl Database {
             }
             return self.snapshot_probe(snapshot, table, key);
         }
+        let Some(rid) = self.probe_rid(txn, table, key, for_update, cc)? else {
+            return Ok(None);
+        };
+        let heap = self.heap(table)?;
+        let row = time_section(TimeCategory::Work, || {
+            heap.read_with(rid, Value::decode_row)
+        })?;
+        Ok(Some((rid, row)))
+    }
+
+    /// The index half of a primary-key probe: the key's RID, with the locks
+    /// `cc` asks for taken.
+    fn probe_rid(
+        &self,
+        txn: &TxnHandle,
+        table: TableId,
+        key: &Key,
+        for_update: bool,
+        cc: CcMode,
+    ) -> DbResult<Option<Rid>> {
         let primary = self.primary(table)?;
-        let entries = time_section(TimeCategory::Work, || primary.get(key));
-        let Some(entry) = entries.first() else {
+        let entry = time_section(TimeCategory::Work, || primary.get_first(key));
+        let Some(entry) = entry else {
             // Still touch the table intention lock: a conventional engine
             // acquires it before discovering the key is absent.
             if cc == CcMode::Full {
@@ -797,10 +817,7 @@ impl Database {
         if cc == CcMode::Full {
             self.lock_record(txn, table, entry.rid, mode, cc)?;
         }
-        let heap = self.heap(table)?;
-        let bytes = time_section(TimeCategory::Work, || heap.read(entry.rid))?;
-        let row = Value::decode_row(&bytes)?;
-        Ok(Some((entry.rid, row)))
+        Ok(Some(entry.rid))
     }
 
     /// Reads a record by RID.
@@ -826,8 +843,9 @@ impl Database {
             self.lock_record(txn, table, rid, mode, cc)?;
         }
         let heap = self.heap(table)?;
-        let bytes = time_section(TimeCategory::Work, || heap.read(rid))?;
-        Value::decode_row(&bytes)
+        time_section(TimeCategory::Work, || {
+            heap.read_with(rid, Value::decode_row)
+        })
     }
 
     /// Updates the record at `rid` in place via `f`.
@@ -849,11 +867,15 @@ impl Database {
             self.lock_record(txn, table, rid, LockMode::X, cc)?;
         }
         let heap = self.heap(table)?;
-        let before = time_section(TimeCategory::Work, || heap.read(rid))?;
-        let mut row = Value::decode_row(&before)?;
+        let (before, mut row) = time_section(TimeCategory::Work, || {
+            heap.read_with(rid, |record| {
+                Ok((record.to_vec(), Value::decode_row(record)?))
+            })
+        })?;
         f(&mut row)?;
         let after = Value::encode_row(&row);
         {
+            let before_image = Bytes::copy_from_slice(&before);
             // While a snapshot is open, seed the chain base with the
             // committed pre-image before the heap bytes change, so a snapshot
             // reader racing this update either sees no chain (heap bytes
@@ -862,13 +884,13 @@ impl Database {
             // opener, which locks the list to adopt what is in flight.
             let mut writes = txn.state.writes.lock();
             self.versions
-                .seed_write(&writes, table, rid, Some(&before), None);
+                .seed_write(&writes, table, rid, Some(&before_image), None);
             time_section(TimeCategory::Work, || heap.update(rid, &after))?;
             writes.push(RowWrite {
                 table,
                 rid,
-                before: Some(before.clone()),
-                after: Some(after.clone()),
+                before: Some(before_image),
+                after: Some(Bytes::copy_from_slice(&after)),
                 unlinked: None,
             });
         }
@@ -877,15 +899,16 @@ impl Database {
             LogRecordKind::Update {
                 table,
                 rid,
-                before: before.to_vec(),
-                after: after.to_vec(),
+                before,
+                after,
             },
         );
         Ok(())
     }
 
-    /// Probes by primary key and updates the found record. Convenience
-    /// wrapper combining [`Self::probe_primary`] and [`Self::update_rid`].
+    /// Probes by primary key and updates the found record: the locking of
+    /// [`Self::probe_primary`] with `for_update`, then [`Self::update_rid`].
+    /// The row is decoded once, by the update.
     pub fn update_primary(
         &self,
         txn: &TxnHandle,
@@ -894,7 +917,9 @@ impl Database {
         cc: CcMode,
         f: impl FnOnce(&mut Row) -> DbResult<()>,
     ) -> DbResult<()> {
-        let Some((rid, _)) = self.probe_primary(txn, table, key, true, cc)? else {
+        self.ensure_active(txn)?;
+        self.ensure_writable(txn)?;
+        let Some(rid) = self.probe_rid(txn, table, key, true, cc)? else {
             return Err(DbError::NotFound {
                 table,
                 detail: format!("{key}"),
@@ -919,14 +944,13 @@ impl Database {
         self.ensure_active(txn)?;
         self.ensure_writable(txn)?;
         let primary = self.primary(table)?;
-        let entries = time_section(TimeCategory::Work, || primary.get(key));
-        let Some(entry) = entries.first() else {
+        let entry = time_section(TimeCategory::Work, || primary.get_first(key));
+        let Some(IndexEntry { rid, .. }) = entry else {
             return Err(DbError::NotFound {
                 table,
                 detail: format!("{key}"),
             });
         };
-        let rid = entry.rid;
         // Deletes always lock the RID through the centralized manager, even
         // under DORA (Section 4.2.1).
         if cc == CcMode::None {
@@ -934,17 +958,27 @@ impl Database {
         } else {
             self.lock_record(txn, table, rid, LockMode::X, cc)?;
         }
+        let meta = self.catalog.table(table)?;
         let heap = self.heap(table)?;
-        let before = time_section(TimeCategory::Work, || heap.read(rid))?;
-        let row = Value::decode_row(&before)?;
+        let before = time_section(TimeCategory::Work, || {
+            heap.read_with(rid, |record| Ok(record.to_vec()))
+        })?;
+        // Only the secondary keys need the row, and they need it before
+        // anything changes: a corrupt image must fail the delete whole.
+        let row = if meta.secondary_indexes.is_empty() {
+            Row::new()
+        } else {
+            Value::decode_row(&before)?
+        };
         {
+            let before_image = Bytes::copy_from_slice(&before);
             // As in update: while a snapshot is open, capture the committed
             // pre-image before the slot goes away, and — the primary entry is
             // about to go physically — leave a breadcrumb so live snapshots
             // can still resolve this key to its chain.
             let mut writes = txn.state.writes.lock();
             self.versions
-                .seed_write(&writes, table, rid, Some(&before), Some(key));
+                .seed_write(&writes, table, rid, Some(&before_image), Some(key));
             // A *reserving* delete: the slot is not offered for reuse until
             // this transaction's commit is decided (freed in precommit,
             // restored by abort). A plain delete here would let a concurrent
@@ -953,14 +987,14 @@ impl Database {
             writes.push(RowWrite {
                 table,
                 rid,
-                before: Some(before.clone()),
+                before: Some(before_image),
                 after: None,
                 unlinked: Some(key.clone()),
             });
         }
         txn.pending_frees.lock().push((table, rid));
         primary.remove(key, rid)?;
-        for index_meta in self.catalog.secondary_indexes_of(table) {
+        for index_meta in &meta.secondary_indexes {
             let secondary_key = index_meta.spec.key_of(&row);
             if cc == CcMode::Full {
                 let _ = self.secondary(index_meta.id)?.remove(&secondary_key, rid);
@@ -970,14 +1004,7 @@ impl Database {
                     .push((index_meta.id, secondary_key, rid));
             }
         }
-        self.log_change(
-            txn,
-            LogRecordKind::Delete {
-                table,
-                rid,
-                before: before.to_vec(),
-            },
-        );
+        self.log_change(txn, LogRecordKind::Delete { table, rid, before });
         Ok(())
     }
 
@@ -1001,9 +1028,9 @@ impl Database {
                 secondary.get_with_deleted(key)
             }));
         }
-        let meta = self.catalog.index(index)?;
         if cc == CcMode::Full {
-            self.lock_table(txn, meta.spec.table, LockMode::IS, cc)?;
+            let table = self.catalog.index(index)?.spec.table;
+            self.lock_table(txn, table, LockMode::IS, cc)?;
         }
         let secondary = self.secondary(index)?;
         Ok(time_section(TimeCategory::Work, || secondary.get(key)))
@@ -1065,11 +1092,13 @@ impl Database {
         let primary = self.primary(table)?;
         let heap = self.heap(table)?;
         time_section(TimeCategory::Work, || {
-            primary
-                .range(range, limit)
-                .into_iter()
-                .map(|(_, entry)| Ok((entry.rid, Value::decode_row(&heap.read(entry.rid)?)?)))
-                .collect()
+            let mut rids = Vec::new();
+            primary.range_with(range, limit, |_, entry| rids.push(entry.rid));
+            let mut rows = Vec::with_capacity(rids.len());
+            for rid in rids {
+                rows.push((rid, heap.read_with(rid, Value::decode_row)?));
+            }
+            Ok(rows)
         })
     }
 
@@ -1077,7 +1106,8 @@ impl Database {
     /// values: both bounds must be present and agree on the primary-key
     /// prefix that ends at the last routing field.
     fn ensure_one_route(&self, table: TableId, range: &KeyRange) -> DbResult<()> {
-        let schema = self.catalog.table(table)?.schema;
+        let meta = self.catalog.table(table)?;
+        let schema = &meta.schema;
         let prefix = schema.routing_fields.iter().try_fold(0, |prefix, field| {
             let at = schema
                 .primary_key
@@ -1111,15 +1141,13 @@ impl Database {
     pub fn load_row(&self, table: TableId, row: Row) -> DbResult<Rid> {
         let meta = self.catalog.table(table)?;
         meta.schema.validate(&row)?;
-        let bytes = Value::encode_row(&row);
-        let heap = self.heap(table)?;
-        let rid = heap.insert(&bytes)?;
+        let rid = self.heap(table)?.insert(&Value::encode_row(&row))?;
         let primary_key = meta.schema.primary_key_of(&row);
         self.primary(table)?.insert(
             &primary_key,
             IndexEntry::new(rid, meta.schema.routing_key_of(&row)),
         )?;
-        for index_meta in self.catalog.secondary_indexes_of(table) {
+        for index_meta in &meta.secondary_indexes {
             let key = index_meta.spec.key_of(&row);
             self.secondary(index_meta.id)?
                 .insert(&key, IndexEntry::new(rid, meta.schema.routing_key_of(&row)))?;
@@ -1259,7 +1287,7 @@ impl Database {
         fresh.heap(table)?.apply_page_ops(page, &ops)?;
 
         let meta = fresh.catalog.table(table)?;
-        let secondaries = fresh.catalog.secondary_indexes_of(table);
+        let secondaries = &meta.secondary_indexes;
         let ordered = records
             .iter()
             .any(|record| matches!(record.kind, LogRecordKind::Delete { .. }));
@@ -1273,7 +1301,7 @@ impl Database {
                             meta.schema.primary_key_of(&row),
                             entry.clone(),
                         )])?;
-                        for index_meta in &secondaries {
+                        for index_meta in secondaries {
                             fresh.secondary(index_meta.id)?.insert_replayed(&[(
                                 index_meta.spec.key_of(&row),
                                 entry.clone(),
@@ -1284,7 +1312,7 @@ impl Database {
                         let row = Value::decode_row(before)?;
                         let primary_key = meta.schema.primary_key_of(&row);
                         let _ = fresh.primary(table)?.remove(&primary_key, *rid);
-                        for index_meta in &secondaries {
+                        for index_meta in secondaries {
                             let key = index_meta.spec.key_of(&row);
                             let _ = fresh.secondary(index_meta.id)?.remove(&key, *rid);
                         }
@@ -1370,8 +1398,7 @@ impl Database {
         incr(CounterKind::SnapshotReads);
         let meta = self.catalog.table(table)?;
         let primary = self.primary(table)?;
-        let entries = time_section(TimeCategory::Work, || primary.get(key));
-        let rid = match entries.first() {
+        let rid = match time_section(TimeCategory::Work, || primary.get_first(key)) {
             Some(entry) => entry.rid,
             // The entry may have been removed physically by a committer after
             // our horizon; the version store keeps a note of where it lived.
@@ -1380,8 +1407,9 @@ impl Database {
                 None => return Ok(None),
             },
         };
-        let row = match self.snapshot_bytes(snapshot, table, rid) {
-            Ok(Some(bytes)) => Value::decode_row(&bytes)?,
+        let row = match self.snapshot_row(snapshot, table, rid) {
+            Ok(Some(row)) => row,
+            Err(corrupt @ DbError::Corruption(_)) => return Err(corrupt),
             // Invisible at the horizon — or primordial and the slot vanished
             // between index probe and heap read; to this snapshot the key
             // simply does not exist.
@@ -1398,8 +1426,8 @@ impl Database {
     /// Resolves a RID read against a snapshot horizon.
     fn snapshot_read_rid(&self, snapshot: &Snapshot, table: TableId, rid: Rid) -> DbResult<Row> {
         incr(CounterKind::SnapshotReads);
-        match self.snapshot_bytes(snapshot, table, rid)? {
-            Some(bytes) => Value::decode_row(&bytes),
+        match self.snapshot_row(snapshot, table, rid)? {
+            Some(row) => Ok(row),
             None => Err(DbError::NotFound {
                 table,
                 detail: format!("rid {rid:?} invisible at snapshot horizon"),
@@ -1407,25 +1435,24 @@ impl Database {
         }
     }
 
-    /// The bytes of `rid` at the snapshot's horizon, `None` if it shows no
+    /// The row at `rid` as of the snapshot's horizon, `None` if it shows no
     /// row there. Heap first, chain second: a row without a chain holds
     /// committed bytes *until* a writer seeds its chain and only then mutates
-    /// it, so bytes read before a chain lookup that still finds nothing are
-    /// the committed ones — while the other order lets a writer seed and
+    /// it, so a row decoded before a chain lookup that still finds nothing is
+    /// the committed one — while the other order lets a writer seed and
     /// mutate between the two reads and hands out its uncommitted bytes. (A
     /// scan is safe either way: it asks the chains under the page latch.)
-    fn snapshot_bytes(
-        &self,
-        snapshot: &Snapshot,
-        table: TableId,
-        rid: Rid,
-    ) -> DbResult<Option<Bytes>> {
-        let heap_bytes = time_section(TimeCategory::Work, || self.heap(table)?.read(rid));
+    /// The heap record is decoded in place, before the chain is asked; for a
+    /// chained row that decode goes unused.
+    fn snapshot_row(&self, snapshot: &Snapshot, table: TableId, rid: Rid) -> DbResult<Option<Row>> {
+        let heap_row = time_section(TimeCategory::Work, || {
+            self.heap(table)?.read_with(rid, Value::decode_row)
+        });
         self.faults().park_while_held(FaultSite::SnapshotReadGap);
         match snapshot.store().read_at(table, rid, snapshot.horizon()) {
-            ChainRead::Primordial => heap_bytes.map(Some),
+            ChainRead::Primordial => heap_row.map(Some),
             ChainRead::Invisible => Ok(None),
-            ChainRead::Visible(bytes) => Ok(Some(bytes)),
+            ChainRead::Visible(bytes) => Value::decode_row(&bytes).map(Some),
         }
     }
 
@@ -1484,10 +1511,10 @@ impl Database {
         range: &KeyRange,
         limit: usize,
     ) -> DbResult<Vec<(Rid, Row)>> {
-        let schema = self.catalog.table(table)?.schema;
+        let meta = self.catalog.table(table)?;
         let mut rows = Vec::new();
         self.snapshot_scan(snapshot, table, &mut |rid, row| {
-            let key = schema.primary_key_of(row);
+            let key = meta.schema.primary_key_of(row);
             if range.contains(&key) {
                 rows.push((key, rid, row.clone()));
             }

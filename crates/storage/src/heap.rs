@@ -3,6 +3,11 @@
 //! A heap file tracks which pages exist for the table and which still have
 //! free space, and hands out RIDs on insert. All page access goes through the
 //! buffer pool; per-page `RwLock`s act as page latches.
+//!
+//! Reads hand the record to the caller in place, under the page's read
+//! latch ([`HeapFile::read_with`], [`HeapFile::scan`]), so the row codec
+//! decodes straight from the page. [`HeapFile::read`] is the owned-copy
+//! wrapper for callers that keep the bytes.
 
 use std::sync::Arc;
 
@@ -97,11 +102,14 @@ impl HeapFile {
         let mut on_insert = Some(on_insert);
         // Try candidate pages with space first, newest candidates last so
         // inserts cluster.
-        let candidates: Vec<PageId> = {
+        let mut candidates = [None; 4];
+        {
             let state = self.state.lock(TimeCategory::OtherContention);
-            state.candidates.iter().rev().take(4).cloned().collect()
-        };
-        for page_id in candidates {
+            for (slot, page_id) in candidates.iter_mut().zip(state.candidates.iter().rev()) {
+                *slot = Some(*page_id);
+            }
+        }
+        for page_id in candidates.into_iter().flatten() {
             if let Some(rid) = self.try_insert_into(page_id, record, &mut on_insert)? {
                 return Ok(rid);
             }
@@ -154,14 +162,22 @@ impl HeapFile {
         Ok(Some(rid))
     }
 
-    /// Reads the record at `rid`.
-    pub fn read(&self, rid: Rid) -> DbResult<Bytes> {
+    /// Hands the record at `rid` to `f` in place, under the page's read
+    /// latch, and returns what `f` made of it. Every single-record read
+    /// goes through here; callers decode the bytes instead of copying them
+    /// out.
+    pub fn read_with<R>(&self, rid: Rid, f: impl FnOnce(&[u8]) -> DbResult<R>) -> DbResult<R> {
         let pinned = self.pool.pin(PageKey {
             table: self.table,
             page: rid.page,
         })?;
         let page = pinned.page.read();
-        page.read(rid.slot).map_err(|e| self.tag(e))
+        f(page.read(rid.slot).map_err(|e| self.tag(e))?)
+    }
+
+    /// An owned copy of the record at `rid`.
+    pub fn read(&self, rid: Rid) -> DbResult<Bytes> {
+        self.read_with(rid, |record| Ok(Bytes::copy_from_slice(record)))
     }
 
     /// Overwrites the record at `rid`.
@@ -295,8 +311,8 @@ impl HeapFile {
         Ok(page.is_live(rid.slot))
     }
 
-    /// Full scan: calls `f` for every live record. Used by table scans and by
-    /// consistency checks in tests.
+    /// Full scan: calls `f` for every live record, in place under the page's
+    /// read latch. Used by table scans and by consistency checks in tests.
     pub fn scan(&self, mut f: impl FnMut(Rid, &[u8])) -> DbResult<()> {
         let page_count = self.page_count();
         for page_number in 0..page_count {
@@ -307,13 +323,13 @@ impl HeapFile {
             })?;
             let page = pinned.page.read();
             for slot in page.live_slots() {
-                let bytes = page.read(slot).map_err(|e| self.tag(e))?;
+                let record = page.read(slot).map_err(|e| self.tag(e))?;
                 f(
                     Rid {
                         page: page_id,
                         slot,
                     },
-                    &bytes,
+                    record,
                 );
             }
         }

@@ -181,7 +181,18 @@ struct LockRequest {
     /// Mode the request wants (differs from `granted_mode` during upgrades).
     wanted_mode: LockMode,
     granted: bool,
-    signal: Arc<GrantSignal>,
+    /// The cell the requester sleeps on: made for each wait (a fresh
+    /// request that blocks, or an upgrade that does), `None` for a request
+    /// granted on arrival, which nobody ever wakes.
+    signal: Option<Arc<GrantSignal>>,
+}
+
+impl LockRequest {
+    fn notify(&self, outcome: GrantOutcome) {
+        if let Some(signal) = &self.signal {
+            signal.notify(outcome);
+        }
+    }
 }
 
 /// State behind a lock head's latch.
@@ -230,7 +241,7 @@ impl LockHeadInner {
                     .all(|r| wanted.compatible(r.granted_mode));
                 if compatible {
                     self.requests[i].granted_mode = wanted;
-                    self.requests[i].signal.notify(GrantOutcome::Granted);
+                    self.requests[i].notify(GrantOutcome::Granted);
                 }
             }
         }
@@ -252,7 +263,7 @@ impl LockHeadInner {
                 }
                 self.requests[i].granted = true;
                 self.requests[i].granted_mode = wanted;
-                self.requests[i].signal.notify(GrantOutcome::Granted);
+                self.requests[i].notify(GrantOutcome::Granted);
             }
         }
     }
@@ -443,9 +454,11 @@ impl LockManager {
                 self.count_acquisition(id);
                 return Ok(());
             }
-            // Must wait for the conversion.
+            // Must wait for the conversion, on a cell of its own: one left
+            // from an earlier wait already says `Granted`.
+            let signal = Arc::new(GrantSignal::default());
             inner.requests[pos].wanted_mode = wanted;
-            let signal = Arc::clone(&inner.requests[pos].signal);
+            inner.requests[pos].signal = Some(Arc::clone(&signal));
             let blockers = inner.conflicting_txns(wanted, txn);
             drop(inner);
             self.block_on(txn, held, id, wanted, &head, signal, blockers, &mut timer)?;
@@ -466,7 +479,7 @@ impl LockManager {
                 granted_mode: wanted,
                 wanted_mode: wanted,
                 granted: true,
-                signal: Arc::new(GrantSignal::default()),
+                signal: None,
             });
             held.note(id, wanted);
             self.count_acquisition(id);
@@ -479,7 +492,7 @@ impl LockManager {
             granted_mode: wanted,
             wanted_mode: wanted,
             granted: false,
-            signal: Arc::clone(&signal),
+            signal: Some(Arc::clone(&signal)),
         });
         let blockers = inner.conflicting_txns(wanted, txn);
         drop(inner);
@@ -505,7 +518,7 @@ impl LockManager {
         self.add_waits(txn, &blockers);
         if self.deadlock_detection && self.creates_cycle(txn) {
             self.remove_waits(txn, &blockers);
-            self.cancel_request(head, txn, id);
+            self.cancel_request(head, txn, id, held);
             incr(CounterKind::DeadlockVictim);
             return Err(DbError::Deadlock { victim: txn });
         }
@@ -521,12 +534,12 @@ impl LockManager {
                 Ok(())
             }
             GrantOutcome::Deadlock => {
-                self.cancel_request(head, txn, id);
+                self.cancel_request(head, txn, id, held);
                 incr(CounterKind::DeadlockVictim);
                 Err(DbError::Deadlock { victim: txn })
             }
             GrantOutcome::Timeout => {
-                self.cancel_request(head, txn, id);
+                self.cancel_request(head, txn, id, held);
                 incr(CounterKind::DeadlockVictim);
                 Err(DbError::Deadlock { victim: txn })
             }
@@ -535,8 +548,9 @@ impl LockManager {
 
     /// Removes a pending (never granted) request after a deadlock or timeout.
     /// If the request was granted concurrently with the decision to give up,
-    /// it is released instead so no lock leaks.
-    fn cancel_request(&self, head: &Arc<LockHead>, txn: TxnId, _id: LockId) {
+    /// it is released instead so no lock leaks: `held`, the transaction's
+    /// ledger, never learned of it, so the abort would not release it.
+    fn cancel_request(&self, head: &Arc<LockHead>, txn: TxnId, id: LockId, held: &HeldLocks) {
         let mut inner = head.inner.lock(TimeCategory::LockMgrAcquireContention);
         if let Some(pos) = inner.requests.iter().position(|r| r.txn == txn) {
             let was_upgrade = inner.requests[pos].granted
@@ -545,12 +559,11 @@ impl LockManager {
                 // Keep the originally granted mode; just forget the upgrade.
                 let granted_mode = inner.requests[pos].granted_mode;
                 inner.requests[pos].wanted_mode = granted_mode;
-            } else if !inner.requests[pos].granted {
+            } else if !inner.requests[pos].granted || held.mode(&id).is_none() {
                 inner.requests.remove(pos);
             } else {
-                // Granted between timeout and cancellation: leave it held; the
-                // caller will release it with the rest of the transaction's
-                // locks at abort.
+                // An upgrade granted between timeout and cancellation: the
+                // ledger has the lock, so the abort releases it.
             }
             inner.grant_pending();
         }
@@ -584,7 +597,7 @@ impl LockManager {
                 if !request.granted {
                     // A pending request released at abort: wake it so the
                     // waiter (if any) does not hang; it will observe deadlock.
-                    request.signal.notify(GrantOutcome::Deadlock);
+                    request.notify(GrantOutcome::Deadlock);
                 }
             }
             inner.grant_pending();
@@ -898,6 +911,91 @@ mod tests {
             .unwrap();
         assert_eq!(held.mode(&id), Some(LockMode::X));
         manager.release_all(TxnId(1), held);
+    }
+
+    /// A request that waited once and is later upgraded must wait again
+    /// while another holder is incompatible: the upgrade sleeps on a cell
+    /// of its own, not on the one that already said `Granted`.
+    #[test]
+    fn an_upgrade_after_a_granted_wait_waits_for_the_other_holder() {
+        let manager = manager();
+        let id = LockId::record(TableId(1), Rid::new(2, 2));
+        let mut held1 = HeldLocks::new();
+        manager
+            .acquire(TxnId(1), &mut held1, id, LockMode::X)
+            .unwrap();
+        let manager_clone = Arc::clone(&manager);
+        let reader = std::thread::spawn(move || {
+            let mut held2 = HeldLocks::new();
+            manager_clone
+                .acquire(TxnId(2), &mut held2, id, LockMode::S)
+                .unwrap();
+            held2
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        manager.release_all(TxnId(1), held1);
+        let mut held2 = reader.join().unwrap();
+        let mut held3 = HeldLocks::new();
+        manager
+            .acquire(TxnId(3), &mut held3, id, LockMode::S)
+            .unwrap();
+
+        let upgraded = Arc::new(AtomicBool::new(false));
+        let upgraded_clone = Arc::clone(&upgraded);
+        let manager_clone = Arc::clone(&manager);
+        let upgrader = std::thread::spawn(move || {
+            manager_clone
+                .acquire(TxnId(2), &mut held2, id, LockMode::X)
+                .unwrap();
+            upgraded_clone.store(true, Ordering::SeqCst);
+            manager_clone.release_all(TxnId(2), held2);
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(
+            !upgraded.load(Ordering::SeqCst),
+            "the upgrade to X was granted beside another S holder"
+        );
+        manager.release_all(TxnId(3), held3);
+        upgrader.join().unwrap();
+        assert!(upgraded.load(Ordering::SeqCst));
+    }
+
+    /// A waiter that gives up (deadlock victim or timeout) just after the
+    /// sweep granted its request must not keep the lock: its ledger never
+    /// learned of it, so its abort cannot release it, and every later
+    /// request would stall until its own timeout.
+    #[test]
+    fn a_request_granted_as_its_waiter_gives_up_is_released() {
+        let manager =
+            Arc::new(LockManager::new(true).with_wait_timeout(Duration::from_millis(200)));
+        let id = LockId::record(TableId(1), Rid::new(3, 3));
+        let mut held1 = HeldLocks::new();
+        manager
+            .acquire(TxnId(1), &mut held1, id, LockMode::X)
+            .unwrap();
+        // T2 queues behind T1, as `acquire` does before it sleeps.
+        let head = manager.head_for(id);
+        head.inner
+            .lock(TimeCategory::LockMgrAcquireContention)
+            .requests
+            .push(LockRequest {
+                txn: TxnId(2),
+                granted_mode: LockMode::X,
+                wanted_mode: LockMode::X,
+                granted: false,
+                signal: Some(Arc::new(GrantSignal::default())),
+            });
+        // T1's release grants it; T2 has already decided to give up.
+        manager.release_all(TxnId(1), held1);
+        let held2 = HeldLocks::new();
+        manager.cancel_request(&head, TxnId(2), id, &held2);
+        manager.release_all(TxnId(2), held2);
+
+        let mut held3 = HeldLocks::new();
+        manager
+            .acquire(TxnId(3), &mut held3, id, LockMode::X)
+            .expect("nobody holds the lock");
+        manager.release_all(TxnId(3), held3);
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! compaction, which is what lets the lock manager lock RIDs and lets
 //! secondary indexes store RIDs in their leaves.
 
-use bytes::Bytes;
-
 use dora_common::prelude::*;
 
 /// Per-slot metadata in the slot directory.
@@ -144,8 +142,9 @@ impl Page {
         }
     }
 
-    /// Reads the record in `slot`.
-    pub fn read(&self, slot: SlotId) -> DbResult<Bytes> {
+    /// The record in `slot`, in place: valid while the page is borrowed, so
+    /// a caller holding the page latch can decode it without a copy.
+    pub fn read(&self, slot: SlotId) -> DbResult<&[u8]> {
         let entry = self.slot(slot)?;
         if !entry.live {
             return Err(DbError::InvalidRid {
@@ -158,7 +157,7 @@ impl Page {
         }
         let start = entry.offset as usize;
         let end = start + entry.len as usize;
-        Ok(Bytes::copy_from_slice(&self.data[start..end]))
+        Ok(&self.data[start..end])
     }
 
     /// Overwrites the record in `slot` with `record`, in place when it fits
@@ -361,7 +360,7 @@ mod tests {
     fn insert_read_roundtrip() {
         let mut p = page();
         let slot = p.insert(b"hello").unwrap();
-        assert_eq!(p.read(slot).unwrap().as_ref(), b"hello");
+        assert_eq!(p.read(slot).unwrap(), b"hello");
         assert_eq!(p.live_count(), 1);
         assert!(p.is_dirty());
     }
@@ -373,7 +372,7 @@ mod tests {
         let b = p.insert(b"bbbb").unwrap();
         p.delete(a).unwrap();
         assert!(p.read(a).is_err());
-        assert_eq!(p.read(b).unwrap().as_ref(), b"bbbb");
+        assert_eq!(p.read(b).unwrap(), b"bbbb");
         // The freed slot id is reused by the next insert.
         let c = p.insert(b"cccc").unwrap();
         assert_eq!(c, a);
@@ -404,7 +403,7 @@ mod tests {
         // The deleter aborted: insert_at restores the record at its original
         // slot and consumes the reservation.
         p.insert_at(victim, b"victim").unwrap();
-        assert_eq!(p.read(victim).unwrap().as_ref(), b"victim");
+        assert_eq!(p.read(victim).unwrap(), b"victim");
         // Releasing a live slot is refused.
         assert!(p.release(victim).is_err());
     }
@@ -414,11 +413,11 @@ mod tests {
         let mut p = page();
         let slot = p.insert(b"0123456789").unwrap();
         p.update(slot, b"short").unwrap();
-        assert_eq!(p.read(slot).unwrap().as_ref(), b"short");
+        assert_eq!(p.read(slot).unwrap(), b"short");
         p.update(slot, b"a considerably longer record payload")
             .unwrap();
         assert_eq!(
-            p.read(slot).unwrap().as_ref(),
+            p.read(slot).unwrap(),
             b"a considerably longer record payload"
         );
     }
@@ -448,9 +447,9 @@ mod tests {
         // 96 bytes are reclaimable but not contiguous; this insert forces a
         // compaction and must succeed.
         let slot = p.insert(&[2u8; 80]).unwrap();
-        assert_eq!(p.read(slot).unwrap().as_ref(), &[2u8; 80][..]);
-        assert_eq!(p.read(slots[1]).unwrap().as_ref(), &[1u8; 48][..]);
-        assert_eq!(p.read(slots[3]).unwrap().as_ref(), &[1u8; 48][..]);
+        assert_eq!(p.read(slot).unwrap(), &[2u8; 80][..]);
+        assert_eq!(p.read(slots[1]).unwrap(), &[1u8; 48][..]);
+        assert_eq!(p.read(slots[3]).unwrap(), &[1u8; 48][..]);
     }
 
     #[test]
@@ -460,7 +459,7 @@ mod tests {
         p.insert(b"second").unwrap();
         p.delete(a).unwrap();
         p.insert_at(a, b"restored").unwrap();
-        assert_eq!(p.read(a).unwrap().as_ref(), b"restored");
+        assert_eq!(p.read(a).unwrap(), b"restored");
         // Occupied slots are refused.
         assert!(p.insert_at(a, b"again").is_err());
     }

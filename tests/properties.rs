@@ -255,31 +255,90 @@ fn btree_matches_model() {
     }
 }
 
+/// A random row: ints, floats (never NaN, which is unequal to itself under
+/// `Eq`) and text drawn from all of Unicode as well as ASCII, so payloads mix
+/// one- to four-byte UTF-8 sequences.
+fn random_row(rng: &mut SmallRng) -> Row {
+    let mut row: Row = Vec::new();
+    for _ in 0..rng.random_range(0usize..6) {
+        row.push(Value::Int(rng.random_range(i64::MIN..=i64::MAX)));
+    }
+    for _ in 0..rng.random_range(0usize..4) {
+        let f = f64::from_bits(rng.random_range(0u64..=u64::MAX));
+        if !f.is_nan() {
+            row.push(Value::Float(f));
+        }
+    }
+    for _ in 0..rng.random_range(0usize..4) {
+        let len = rng.random_range(0usize..24);
+        let text: String = (0..len)
+            .map(|_| {
+                if rng.random_range(0u8..2) == 0 {
+                    return char::from(rng.random_range(32u8..127));
+                }
+                loop {
+                    // Surrogate code points are not chars; draw again.
+                    if let Some(c) = char::from_u32(rng.random_range(0u32..0x11_0000)) {
+                        return c;
+                    }
+                }
+            })
+            .collect();
+        row.push(Value::Text(text));
+    }
+    row
+}
+
 /// Row encode/decode round-trips arbitrary rows.
 #[test]
 fn row_codec_roundtrip() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xA500 + case);
-        let mut row: Row = Vec::new();
-        for _ in 0..rng.random_range(0usize..6) {
-            row.push(Value::Int(rng.random_range(i64::MIN..=i64::MAX)));
-        }
-        for _ in 0..rng.random_range(0usize..4) {
-            // f64 from random bits, skipping NaN (NaN != NaN under Eq-by-cmp).
-            let f = f64::from_bits(rng.random_range(0u64..=u64::MAX));
-            if !f.is_nan() {
-                row.push(Value::Float(f));
-            }
-        }
-        for _ in 0..rng.random_range(0usize..4) {
-            let len = rng.random_range(0usize..24);
-            let text: String = (0..len)
-                .map(|_| char::from(rng.random_range(32u8..127)))
-                .collect();
-            row.push(Value::Text(text));
-        }
+        let row = random_row(&mut rng);
         let decoded = Value::decode_row(&Value::encode_row(&row)).unwrap();
         assert_eq!(decoded, row, "case {case}: row did not round-trip");
+    }
+}
+
+fn is_corruption(result: DbResult<Row>) -> bool {
+    matches!(result, Err(DbError::Corruption(_)))
+}
+
+/// The row decoder reads records straight off pages, so malformed bytes must
+/// come back as `Corruption`, never as a panic or a row: every strict prefix
+/// of an encoded row, an unknown type tag, and a text payload that is not
+/// UTF-8. Arbitrary bytes may decode or not, but never panic.
+#[test]
+fn row_decoder_rejects_malformed_input() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0xA580 + case);
+        let row = random_row(&mut rng);
+        let bytes = Value::encode_row(&row).to_vec();
+        for cut in 0..bytes.len() {
+            assert!(
+                is_corruption(Value::decode_row(&bytes[..cut])),
+                "case {case}: prefix of {cut}/{} bytes decoded",
+                bytes.len()
+            );
+        }
+        if !row.is_empty() {
+            // Byte 2 is the first value's tag; 0, 1 and 2 are the known ones.
+            let mut unknown = bytes.clone();
+            unknown[2] = rng.random_range(3u8..=255);
+            assert!(is_corruption(Value::decode_row(&unknown)), "case {case}");
+        }
+        let text = format!("x{}", rng.random_range(0u32..1_000));
+        let mut invalid = Value::encode_row(&[Value::Text(text)]).to_vec();
+        // Header (2), tag (1), length (4): then the payload. 0xFF never
+        // occurs in UTF-8.
+        let at = rng.random_range(7..invalid.len());
+        invalid[at] = 0xFF;
+        assert!(is_corruption(Value::decode_row(&invalid)), "case {case}");
+
+        let garbage: Vec<u8> = (0..rng.random_range(0usize..64))
+            .map(|_| rng.random_range(0u8..=255))
+            .collect();
+        let _ = Value::decode_row(&garbage);
     }
 }
 
