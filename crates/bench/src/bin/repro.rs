@@ -18,9 +18,9 @@
 //! `payment_twelve_steps` instead of a measurement. Eight experiments are
 //! this reproduction's own: `skew` (adaptive repartitioning under a zipfian
 //! workload), `dispatch` (the executor message path, idle vs busy
-//! executors), `commit` (group commit with and without ELR across log-stream
-//! counts), `recover` (the one recovery path over the partitioned WAL, with
-//! and without a checkpoint), `saturation` (offered load swept
+//! executors), `commit` (group commit with and without ELR across log-device
+//! latencies), `recover` (the one recovery path, with and without a
+//! checkpoint), `saturation` (offered load swept
 //! past saturation through the `dora-server` front-end, admission control
 //! on/off) and `chaos` (goodput under a seeded deterministic fault
 //! schedule — log-device errors, latency spikes, flusher stalls, executor

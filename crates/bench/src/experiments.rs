@@ -962,9 +962,6 @@ pub struct CommitRow {
     pub mode: &'static str,
     /// Simulated log-device latency in microseconds.
     pub flush_us: u64,
-    /// Log streams the WAL was partitioned into (1 = the classic single
-    /// serial log).
-    pub streams: usize,
     /// Committed tps over the measured interval.
     pub tps: f64,
     /// Transactions committed.
@@ -972,7 +969,7 @@ pub struct CommitRow {
     /// Device writes performed, by committers and flusher daemons alike
     /// (the whole run, warm-up included).
     pub flush_groups: u64,
-    /// Mean commit fences hardened per device write.
+    /// Mean commit records hardened per device write.
     pub mean_group: f64,
     /// Largest flush group observed.
     pub max_group: u64,
@@ -1000,9 +997,7 @@ pub struct CommitSummary {
     pub interval_ms: u64,
     /// The swept simulated device latencies, in microseconds.
     pub flush_points: Vec<u64>,
-    /// The swept log-stream counts (the partitioned-WAL axis).
-    pub stream_points: Vec<usize>,
-    /// One row per engine × mode × device latency × stream count.
+    /// One row per engine × mode × device latency.
     pub rows: Vec<CommitRow>,
 }
 
@@ -1017,7 +1012,7 @@ impl CommitSummary {
                 format!(
                     concat!(
                         "    {{\"engine\": \"{}\", \"mode\": \"{}\", ",
-                        "\"flush_us\": {}, \"streams\": {}, \"tps\": {:.1}, \"committed\": {}, ",
+                        "\"flush_us\": {}, \"tps\": {:.1}, \"committed\": {}, ",
                         "\"flush_groups\": {}, \"mean_group\": {:.3}, ",
                         "\"max_group\": {}, \"led_share\": {:.3}, \"elr_releases\": {}, ",
                         "\"commit_wait_us\": {:.1}, \"latency_us\": {:.1}}}"
@@ -1025,7 +1020,6 @@ impl CommitSummary {
                     row.engine,
                     row.mode,
                     row.flush_us,
-                    row.streams,
                     row.tps,
                     row.committed,
                     row.flush_groups,
@@ -1045,20 +1039,14 @@ impl CommitSummary {
             .map(|p| p.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        let stream_points = self
-            .stream_points
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
         format!(
             concat!(
                 "{{\n  \"experiment\": \"commit\",\n  \"branches\": {},\n",
                 "  \"clients\": {},\n  \"interval_ms\": {},\n",
-                "  \"flush_points\": [{}],\n  \"stream_points\": [{}],\n",
+                "  \"flush_points\": [{}],\n",
                 "  \"rows\": [\n{}\n  ]\n}}\n"
             ),
-            self.branches, self.clients, self.interval_ms, points, stream_points, rows
+            self.branches, self.clients, self.interval_ms, points, rows
         )
     }
 }
@@ -1079,11 +1067,10 @@ fn run_commit_cell(
     mode: &'static str,
     durability: dora_common::DurabilityConfig,
     flush_us: u64,
-    streams: usize,
 ) -> CommitRow {
     let config = dora_common::SystemConfig {
         log_flush_micros: flush_us,
-        durability: durability.with_log_streams(streams),
+        durability,
         ..scale.system_config()
     };
     let db = Database::new(config);
@@ -1110,7 +1097,6 @@ fn run_commit_cell(
         engine: system.label(),
         mode,
         flush_us,
-        streams,
         tps: result.throughput_tps,
         committed: result.committed,
         flush_groups: groups.count(),
@@ -1124,9 +1110,9 @@ fn run_commit_cell(
     }
 }
 
-/// The durability experiment: TPC-B (one log record stream per transfer)
+/// The durability experiment: TPC-B (one commit record per transfer)
 /// under group commit with and without early lock release, across simulated
-/// log-device latencies and log-stream counts, on both engines. Not a paper
+/// log-device latencies, on both engines. Not a paper
 /// figure — it probes the Section 5.4 observation that the log becomes the
 /// next bottleneck once lock contention is gone, and quantifies how far ELR
 /// pushes it back.
@@ -1137,21 +1123,11 @@ pub fn commit(scale: &Scale) -> Report {
 /// [`commit`], also returning the machine-readable summary.
 pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
     let flush_points = scale.commit_flush_points();
-    let stream_points = scale.log_stream_points.clone();
     let mut rows = Vec::new();
     for &flush_us in &flush_points {
         for system in SystemUnderTest::ALL {
             for (mode, durability) in commit_modes() {
-                for &streams in &stream_points {
-                    rows.push(run_commit_cell(
-                        scale,
-                        system,
-                        mode,
-                        durability.clone(),
-                        flush_us,
-                        streams,
-                    ));
-                }
+                rows.push(run_commit_cell(scale, system, mode, durability, flush_us));
             }
         }
     }
@@ -1160,7 +1136,6 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
         clients: scale.clients_for(100.0),
         interval_ms: scale.duration.as_millis() as u64,
         flush_points,
-        stream_points,
         rows,
     };
 
@@ -1173,23 +1148,14 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
         report.blank();
         report.line(format!("  log-device latency {flush_us} us:"));
         report.line(format!(
-            "  {:<10} {:<10} {:>8} {:>10} {:>12} {:>10} {:>10} {:>12} {:>12}",
-            "engine",
-            "mode",
-            "streams",
-            "tps",
-            "mean group",
-            "led_share",
-            "elr",
-            "commit(us)",
-            "latency(us)"
+            "  {:<10} {:<10} {:>10} {:>12} {:>10} {:>10} {:>12} {:>12}",
+            "engine", "mode", "tps", "mean group", "led_share", "elr", "commit(us)", "latency(us)"
         ));
         for row in summary.rows.iter().filter(|r| r.flush_us == flush_us) {
             report.line(format!(
-                "  {:<10} {:<10} {:>8} {:>10.0} {:>12.2} {:>10.3} {:>10} {:>12.1} {:>12.1}",
+                "  {:<10} {:<10} {:>10.0} {:>12.2} {:>10.3} {:>10} {:>12.1} {:>12.1}",
                 row.engine,
                 row.mode,
-                row.streams,
                 row.tps,
                 row.mean_group,
                 row.led_share,
@@ -1200,24 +1166,21 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
         }
     }
     report.blank();
-    report.line("  (mean group = commit fences hardened per device write, whoever wrote;");
-    report.line("   led_share = writes a blocked committer performed itself ÷ all writes;");
-    report.line("   streams = WAL partitions, each with its own device and flush claim)");
+    report.line("  (mean group = commit records hardened per device write, whoever wrote;");
+    report.line("   led_share = writes a blocked committer performed itself ÷ all writes)");
     (report, summary)
 }
 
-/// One cell of the `recover` experiment: one log-stream count, the one
-/// recovery path timed on the same history with and without a checkpoint.
+/// What the `recover` experiment measured: the one recovery path timed on
+/// the same history with and without a checkpoint.
 #[derive(Debug, Clone)]
 pub struct RecoverRow {
-    /// Log streams the WAL was partitioned into while the workload ran.
-    pub streams: usize,
     /// Committed transactions reconstructed by replay.
     pub txns: usize,
-    /// Total log records across all streams.
+    /// Total log records.
     pub records: usize,
     /// What recovery reads past the midpoint checkpoint: its carried
-    /// records plus the log tail past its low-water marks.
+    /// records plus the log tail past its low-water mark.
     pub delta_records: usize,
     /// Recovery of the log that was never checkpointed, in milliseconds.
     pub full_ms: f64,
@@ -1253,84 +1216,55 @@ impl RecoverRow {
 pub struct RecoverSummary {
     /// TPC-B branches generating the log.
     pub branches: i64,
-    /// Transactions logged per cell before measuring replay.
-    pub txns_per_cell: usize,
-    /// The swept log-stream counts.
-    pub stream_points: Vec<usize>,
-    /// One row per stream count.
-    pub rows: Vec<RecoverRow>,
+    /// Transactions logged before measuring replay.
+    pub txns_logged: usize,
+    /// The measurements.
+    pub row: RecoverRow,
 }
 
 impl RecoverSummary {
     /// Renders the summary as a small JSON document (the workspace has no
     /// serde; the fields are all numbers, so hand-rolling is safe).
     pub fn to_json(&self) -> String {
-        let rows = self
-            .rows
-            .iter()
-            .map(|row| {
-                format!(
-                    concat!(
-                        "    {{\"streams\": {}, \"txns\": {}, ",
-                        "\"records\": {}, \"delta_records\": {}, ",
-                        "\"full_ms\": {:.3}, \"checkpoint_ms\": {:.3}, ",
-                        "\"replay_tps\": {:.1}, \"checkpoint_speedup\": {:.3}}}"
-                    ),
-                    row.streams,
-                    row.txns,
-                    row.records,
-                    row.delta_records,
-                    row.full_ms,
-                    row.checkpoint_ms,
-                    row.replay_tps(),
-                    row.checkpoint_speedup(),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let points = self
-            .stream_points
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
+        let row = &self.row;
         format!(
             concat!(
                 "{{\n  \"experiment\": \"recover\",\n  \"branches\": {},\n",
-                "  \"txns_per_cell\": {},\n  \"stream_points\": [{}],\n",
-                "  \"rows\": [\n{}\n  ]\n}}\n"
+                "  \"txns_logged\": {},\n  \"txns\": {},\n",
+                "  \"records\": {},\n  \"delta_records\": {},\n",
+                "  \"full_ms\": {:.3},\n  \"checkpoint_ms\": {:.3},\n",
+                "  \"replay_tps\": {:.1},\n  \"checkpoint_speedup\": {:.3}\n}}\n"
             ),
-            self.branches, self.txns_per_cell, points, rows
+            self.branches,
+            self.txns_logged,
+            row.txns,
+            row.records,
+            row.delta_records,
+            row.full_ms,
+            row.checkpoint_ms,
+            row.replay_tps(),
+            row.checkpoint_speedup(),
         )
     }
 }
 
-/// Runs `scale.recover_txns` TPC-B transactions through DORA on `streams`
-/// log streams — the same seed every time — taking a checkpoint at the
-/// midpoint if `checkpoint` is set.
-fn logged_tpcb(
-    scale: &Scale,
-    workload: &Arc<dyn Workload>,
-    streams: usize,
-    checkpoint: bool,
-) -> Arc<Database> {
+/// Runs `scale.recover_txns` TPC-B transactions through DORA — the same
+/// seed every time — taking a checkpoint at the midpoint if `checkpoint` is
+/// set.
+fn logged_tpcb(scale: &Scale, workload: &Arc<dyn Workload>, checkpoint: bool) -> Arc<Database> {
     // Replay speed is the subject; a simulated device latency would only
     // slow the logging phase down.
     let config = dora_common::SystemConfig {
         log_flush_micros: 0,
-        durability: dora_common::DurabilityConfig::default().with_log_streams(streams),
         ..scale.system_config()
     };
     let db = Database::new(config);
     workload.setup(&db).expect("setup TPC-B");
-    // DORA drives the log so the appends genuinely spread across the
-    // executor-owned streams; at one stream this degenerates to the classic
-    // serial WAL and serves as the baseline row.
     let engine = build_engine(SystemUnderTest::Dora, Arc::clone(&db));
     engine
         .bind(Arc::clone(workload), scale.executors_per_table)
         .expect("bind TPC-B");
-    let mut rng = SmallRng::seed_from_u64(0x5EC0_4E41 + streams as u64);
+    let mut rng = SmallRng::seed_from_u64(0x5EC0_4E42);
     for ran in 0..scale.recover_txns {
         if checkpoint && ran == scale.recover_txns / 2 {
             db.log_manager().take_checkpoint();
@@ -1341,10 +1275,10 @@ fn logged_tpcb(
     db
 }
 
-fn run_recover_cell(scale: &Scale, streams: usize) -> RecoverRow {
+fn run_recover_cell(scale: &Scale) -> RecoverRow {
     let workload: Arc<dyn Workload> = Arc::new(scale.tpcb());
-    let whole = logged_tpcb(scale, &workload, streams, false);
-    let checkpointed = logged_tpcb(scale, &workload, streams, true);
+    let whole = logged_tpcb(scale, &workload, false);
+    let checkpointed = logged_tpcb(scale, &workload, true);
     let log = checkpointed.log_manager();
     let delta_records = log.checkpoint_snapshot().map_or(0, |cp| {
         cp.pending().len() + log.records_after(cp.low_water()).len()
@@ -1371,7 +1305,6 @@ fn run_recover_cell(scale: &Scale, streams: usize) -> RecoverRow {
     };
 
     RecoverRow {
-        streams,
         txns: whole.log_manager().redo(None).expect("redo").seq_horizon as usize,
         records: whole.log_manager().len(),
         delta_records,
@@ -1381,67 +1314,56 @@ fn run_recover_cell(scale: &Scale, streams: usize) -> RecoverRow {
     }
 }
 
-/// The recovery experiment: log a fixed TPC-B transaction count per
-/// log-stream count, then time the one recovery path on that log and on the
-/// same history checkpointed at its midpoint. Not a paper figure — it
-/// quantifies restart cost over a partitioned WAL: page-sharded replay, and
-/// a checkpoint that leaves only the tail past it to replay.
+/// The recovery experiment: log a fixed TPC-B transaction count, then time
+/// the one recovery path on that log and on the same history checkpointed at
+/// its midpoint. Not a paper figure — it quantifies restart cost:
+/// page-sharded replay, and a checkpoint that leaves only the tail past it
+/// to replay.
 pub fn recover(scale: &Scale) -> Report {
     recover_with_summary(scale).0
 }
 
 /// [`recover`], also returning the machine-readable summary.
 pub fn recover_with_summary(scale: &Scale) -> (Report, RecoverSummary) {
-    let stream_points = scale.log_stream_points.clone();
-    let rows: Vec<RecoverRow> = stream_points
-        .iter()
-        .map(|&streams| run_recover_cell(scale, streams))
-        .collect();
     let summary = RecoverSummary {
         branches: scale.tpcb_branches,
-        txns_per_cell: scale.recover_txns,
-        stream_points,
-        rows,
+        txns_logged: scale.recover_txns,
+        row: run_recover_cell(scale),
     };
 
-    let mut report = Report::new("Recover: one recovery path over a partitioned WAL (TPC-B)");
+    let mut report = Report::new("Recover: the one recovery path (TPC-B)");
     report.line(format!(
-        "  {} branches, {} transactions per cell, with and without a checkpoint at the midpoint",
-        summary.branches, summary.txns_per_cell
+        "  {} branches, {} transactions, with and without a checkpoint at the midpoint",
+        summary.branches, summary.txns_logged
     ));
     report.blank();
     report.line(format!(
-        "  {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>12}",
-        "streams", "txns", "records", "delta", "full(ms)", "ckpt(ms)", "speedup", "replay-tps"
+        "  {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>12}",
+        "txns", "records", "delta", "full(ms)", "ckpt(ms)", "speedup", "replay-tps"
     ));
-    for row in &summary.rows {
-        report.line(format!(
-            "  {:>8} {:>8} {:>8} {:>8} {:>9.2} {:>9.2} {:>8.2}x {:>12.0}",
-            row.streams,
-            row.txns,
-            row.records,
-            row.delta_records,
-            row.full_ms,
-            row.checkpoint_ms,
-            row.checkpoint_speedup(),
-            row.replay_tps(),
-        ));
-    }
+    let row = &summary.row;
+    report.line(format!(
+        "  {:>8} {:>8} {:>8} {:>9.2} {:>9.2} {:>8.2}x {:>12.0}",
+        row.txns,
+        row.records,
+        row.delta_records,
+        row.full_ms,
+        row.checkpoint_ms,
+        row.checkpoint_speedup(),
+        row.replay_tps(),
+    ));
     report.blank();
-    for row in &summary.rows {
-        let build = &row.checkpoint_build;
-        report.line(format!(
-            "  checkpoint build, {} streams: {} build(s), last {:.2} ms (max {:.2}), {} records \
-             folded into {} rows, longest records-mutex hold {} us",
-            row.streams,
-            build.builds,
-            build.last_build.as_secs_f64() * 1e3,
-            build.max_build.as_secs_f64() * 1e3,
-            build.records_folded,
-            build.rows_held,
-            build.max_lock_hold.as_micros(),
-        ));
-    }
+    let build = &row.checkpoint_build;
+    report.line(format!(
+        "  checkpoint build: {} build(s), last {:.2} ms (max {:.2}), {} records folded into \
+         {} rows, longest records-mutex hold {} us",
+        build.builds,
+        build.last_build.as_secs_f64() * 1e3,
+        build.max_build.as_secs_f64() * 1e3,
+        build.records_folded,
+        build.rows_held,
+        build.max_lock_hold.as_micros(),
+    ));
     report.blank();
     report.line("  (full = the log never checkpointed; ckpt = the same history checkpointed");
     report.line("   at its midpoint, so recovery replays the checkpoint plus the tail past it;");
@@ -1878,10 +1800,10 @@ pub const CHAOS_SEED: u64 = 0xC4A0_5D07;
 /// (they are per-batch / per-action sites, which fire against far larger
 /// populations). Spike and stall magnitudes are pinned to moderate values
 /// (a few device-write times, not milliseconds) so the measured gap is the
-/// *healing policy* — dead streams vs. retried writes — rather than the
+/// *healing policy* — a dead log vs. retried writes — rather than the
 /// injected latency itself, which taxes healed and unhealed series alike.
 /// `healing` toggles the storage half of self-healing: with it off, the
-/// first failed device write kills its stream for good.
+/// first failed device write kills the log for good.
 fn chaos_fault_config(rate: f64, healing: bool) -> FaultConfig {
     FaultConfig {
         seed: CHAOS_SEED,
@@ -1897,12 +1819,9 @@ fn chaos_fault_config(rate: f64, healing: bool) -> FaultConfig {
 }
 
 /// Storage configuration of one chaos cell: the scale's baseline config
-/// with the WAL sharded (so a single failed stream is a partial outage,
-/// not a total one) and the cell's fault plan installed.
+/// with the cell's fault plan installed.
 fn chaos_system_config(scale: &Scale, rate: f64, healing: bool) -> SystemConfig {
-    let streams = scale.log_stream_points.last().copied().unwrap_or(1);
     SystemConfig {
-        durability: DurabilityConfig::default().with_log_streams(streams),
         faults: chaos_fault_config(rate, healing),
         ..scale.system_config()
     }
@@ -1931,7 +1850,7 @@ pub struct ChaosPoint {
     /// ... that expired in the admission queue.
     pub timed_out: u64,
     /// ... that committed in memory but lost durability for good (ghost
-    /// commits on a permanently failed log stream — never safe to retry).
+    /// commits on a permanently failed log — never safe to retry).
     pub failed: u64,
     /// Durably committed transactions per second: goodput, not throughput.
     pub goodput_tps: f64,
@@ -2014,8 +1933,6 @@ pub struct ChaosSummary {
     pub clients: usize,
     /// TPC-B branches.
     pub branches: i64,
-    /// Log streams the WAL is sharded into.
-    pub log_streams: usize,
     /// The fault plan's seed.
     pub seed: u64,
     /// Fault rates swept (first entry is the fault-free 0.0).
@@ -2098,14 +2015,13 @@ impl ChaosSummary {
             concat!(
                 "{{\n  \"experiment\": \"chaos\",\n  \"interval_ms\": {},\n",
                 "  \"clients\": {},\n  \"branches\": {},\n",
-                "  \"log_streams\": {},\n  \"seed\": {},\n",
+                "  \"seed\": {},\n",
                 "  \"deterministic\": {},\n  \"fault_points\": [{}],\n",
                 "  \"series\": [\n{}\n  ]\n}}\n"
             ),
             self.interval_ms,
             self.clients,
             self.branches,
-            self.log_streams,
             self.seed,
             self.deterministic,
             fault_points,
@@ -2140,7 +2056,7 @@ fn chaos_balances_agree(db: &Database) -> bool {
 /// Post-run consistency of one chaos cell: the live database conserves
 /// money (panic-quarantined and aborted transactions rolled back fully),
 /// and replaying whatever survived in the log into a fresh replica does
-/// too — even when chaos permanently failed a stream mid-run, recovery
+/// too — even when chaos permanently failed the log mid-run, recovery
 /// must reconstruct a consistent (possibly shorter) history.
 fn chaos_consistency_check(db: &Database, scale: &Scale) -> bool {
     if !chaos_balances_agree(db) {
@@ -2334,8 +2250,8 @@ fn run_chaos_point(
 /// The chaos experiment: TPC-B through the serving front-end while a
 /// seeded fault plan injects log-device errors, latency spikes, flusher
 /// stalls and executor panics, for {Baseline, DORA} × self-healing
-/// {off, on}. With healing off, the first failed device write kills its
-/// log stream and aborted work is never re-offered; with healing on, the
+/// {off, on}. With healing off, the first failed device write kills the
+/// log and aborted work is never re-offered; with healing on, the
 /// flushers retry with capped backoff, supervision quarantines panicked
 /// transactions, and sessions retry aborts under a submit deadline —
 /// goodput should hold near the fault-free level at moderate fault rates
@@ -2377,7 +2293,6 @@ pub fn chaos_with_summary(scale: &Scale) -> (Report, ChaosSummary) {
         interval_ms: scale.duration.as_millis() as u64,
         clients: scale.clients_for(100.0),
         branches: scale.tpcb_branches,
-        log_streams: scale.log_stream_points.last().copied().unwrap_or(1),
         seed: CHAOS_SEED,
         fault_points,
         deterministic,
@@ -2388,8 +2303,8 @@ pub fn chaos_with_summary(scale: &Scale) -> (Report, ChaosSummary) {
         "Chaos: goodput under injected faults, self-healing on/off (TPC-B via dora-server)",
     );
     report.line(format!(
-        "  {} clients, {} log streams, fault seed {:#x}, {} ms per cell",
-        summary.clients, summary.log_streams, summary.seed, summary.interval_ms
+        "  {} clients, fault seed {:#x}, {} ms per cell",
+        summary.clients, summary.seed, summary.interval_ms
     ));
     report.kv(
         "deterministic schedule",
@@ -2432,7 +2347,7 @@ pub fn chaos_with_summary(scale: &Scale) -> (Report, ChaosSummary) {
     txn_stats_table(&mut report, &stats);
     report.blank();
     report.line("  (retain = goodput vs the series' own fault-free cell; failed =");
-    report.line("   ghost commits on a dead log stream; ok = live state and log");
+    report.line("   ghost commits on a dead log; ok = live state and log");
     report.line("   replay both conserve money after the run)");
     (report, summary)
 }
@@ -3253,7 +3168,6 @@ mod tests {
             fanout_keys: 64,
             fanout_actions: 4,
             htap_scan_interval: Duration::from_millis(5),
-            log_stream_points: vec![1, 2],
             recover_txns: 120,
         }
     }
@@ -3531,7 +3445,6 @@ mod tests {
             interval_ms: 80,
             clients: 4,
             branches: 2,
-            log_streams: 2,
             seed: CHAOS_SEED,
             fault_points: vec![0.0, 0.02],
             deterministic: true,
@@ -3643,13 +3556,11 @@ mod tests {
             clients: 4,
             interval_ms: 80,
             flush_points: vec![15, 60],
-            stream_points: vec![1, 4],
             rows: vec![
                 CommitRow {
                     engine: "Baseline",
                     mode: "group",
                     flush_us: 15,
-                    streams: 1,
                     tps: 1000.0,
                     committed: 100,
                     flush_groups: 90,
@@ -3664,7 +3575,6 @@ mod tests {
                     engine: "DORA",
                     mode: "group+elr",
                     flush_us: 60,
-                    streams: 4,
                     tps: 2500.0,
                     committed: 250,
                     flush_groups: 40,
@@ -3680,8 +3590,8 @@ mod tests {
         let json = summary.to_json();
         assert!(json.contains("\"experiment\": \"commit\""), "{json}");
         assert!(json.contains("\"flush_points\": [15,60]"), "{json}");
-        assert!(json.contains("\"stream_points\": [1,4]"), "{json}");
-        assert!(json.contains("\"streams\": 4"), "{json}");
+        assert!(json.contains("\"flush_us\": 60, \"tps\": 2500.0"), "{json}");
+        assert!(!json.contains("streams"), "{json}");
         assert!(json.contains("\"mode\": \"group\""), "{json}");
         assert!(json.contains("\"mode\": \"group+elr\""), "{json}");
         assert!(json.contains("\"mean_group\": 6.250"), "{json}");
@@ -3698,32 +3608,21 @@ mod tests {
 
     #[test]
     fn recover_summary_renders_valid_json_shape() {
-        let row = RecoverRow {
-            streams: 1,
-            txns: 3_000,
-            records: 12_000,
-            delta_records: 6_000,
-            full_ms: 40.0,
-            checkpoint_ms: 22.0,
-            checkpoint_build: Default::default(),
-        };
         let summary = RecoverSummary {
             branches: 8,
-            txns_per_cell: 3_000,
-            stream_points: vec![1, 4],
-            rows: vec![
-                row.clone(),
-                RecoverRow {
-                    streams: 4,
-                    full_ms: 10.0,
-                    checkpoint_ms: 4.0,
-                    ..row
-                },
-            ],
+            txns_logged: 3_000,
+            row: RecoverRow {
+                txns: 3_000,
+                records: 12_000,
+                delta_records: 6_000,
+                full_ms: 10.0,
+                checkpoint_ms: 4.0,
+                checkpoint_build: Default::default(),
+            },
         };
         let json = summary.to_json();
         assert!(json.contains("\"experiment\": \"recover\""), "{json}");
-        assert!(json.contains("\"stream_points\": [1,4]"), "{json}");
+        assert!(!json.contains("streams"), "{json}");
         assert!(json.contains("\"checkpoint_speedup\": 2.500"), "{json}");
         assert!(json.contains("\"replay_tps\": 300000.0"), "{json}");
         assert!(json.contains("\"delta_records\": 6000"), "{json}");
@@ -3739,7 +3638,6 @@ mod tests {
     #[test]
     fn recover_row_derived_metrics_guard_zero_time() {
         let row = RecoverRow {
-            streams: 2,
             txns: 100,
             records: 400,
             delta_records: 0,

@@ -59,10 +59,6 @@ pub struct Scale {
     /// OLTP-interference measurement isolates lock/latch effects instead of
     /// raw CPU oversubscription on small hosts.
     pub htap_scan_interval: Duration,
-    /// Log-stream counts swept by the `commit` and `recover` durability
-    /// experiments (the partitioned-WAL axis). Always starts at 1 so every
-    /// multi-stream row has its single-stream baseline in the same matrix.
-    pub log_stream_points: Vec<usize>,
     /// Transactions logged before the `recover` experiment measures replay.
     pub recover_txns: usize,
 }
@@ -93,7 +89,6 @@ impl Scale {
             fanout_keys: 4_096,
             fanout_actions: 8,
             htap_scan_interval: Duration::from_millis(50),
-            log_stream_points: vec![1, 4],
             recover_txns: 3_000,
         }
     }
@@ -119,7 +114,6 @@ impl Scale {
             fanout_keys: 65_536,
             fanout_actions: 8,
             htap_scan_interval: Duration::from_millis(200),
-            log_stream_points: vec![1, 2, 4, 8],
             recover_txns: 30_000,
         }
     }
@@ -379,7 +373,6 @@ mod tests {
             fanout_keys: 64,
             fanout_actions: 4,
             htap_scan_interval: Duration::from_millis(5),
-            log_stream_points: vec![1, 2],
             recover_txns: 120,
         }
     }

@@ -128,65 +128,42 @@ impl SystemConfig {
     }
 }
 
-/// Commit-path durability knobs: group commit, early lock release (ELR), log
-/// partitioning and checkpoints.
+/// Commit-path durability knobs: early lock release (ELR) and checkpoints.
 ///
 /// The paper notes (Section 5.4) that once lock-manager contention is gone
 /// the log manager becomes the next bottleneck for write-heavy workloads.
 /// The standard fixes from the same research line are modelled here, each as
 /// the one path the log always takes — the knobs only size it:
 ///
-/// * **Group commit** — one simulated device write hardens every commit
-///   record appended before it starts, so log-device latency is paid once
-///   per *group*, not once per transaction. The committer that has to wait
-///   drives the write (leader); committers that arrive while it is in
-///   flight follow — the write covers them, or one of them leads the next.
-///   A log-flusher daemon exists only for commits nobody blocks on, which
-///   hand it a completion callback.
+/// * **Group commit** (always on, no knob) — one simulated device write
+///   hardens every commit record appended to the one log before it starts,
+///   so log-device latency is paid once per *group*, not once per
+///   transaction. The committer that has to wait drives the write (leader);
+///   committers that arrive while it is in flight follow — the write covers
+///   them, or one of them leads the next. A log-flusher daemon exists only
+///   for commits nobody blocks on, which hand it a completion callback.
 /// * **Early lock release** — a transaction's locks (centralized and DORA
 ///   thread-local) are released as soon as its commit record is *in the log
-///   buffer*, before it is durable. Dependent transactions draw strictly
-///   larger commit sequence numbers (the sequence is taken while the
-///   writer's locks are still held), and recovery only replays a
-///   sequence-dense prefix of fully fenced transactions — no "ELR ghosts".
-/// * **Partitioned log streams** — the log itself can be sharded into
-///   independent streams (one per DORA executor plus a dedicated stream for
-///   the baseline/secondary path), each with its own buffer, flush claim
-///   and simulated device, so commit batching parallelizes instead of
-///   serializing behind one mutex.
+///   buffer*, before it is durable. The record is appended while the locks
+///   are still held, so a dependent transaction commits at a larger LSN,
+///   and recovery behind a crash replays exactly the commit records that
+///   survived — no "ELR ghosts".
 /// * **Fuzzy checkpoints** — the committed history is folded into a
 ///   net-effect snapshot and moved out of the log, so log space is reclaimed
 ///   and recovery replays the snapshot plus the tail past it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// How long whoever leads a device write — a committer or the daemon —
-    /// waits after taking the flush claim for more commits to accumulate,
-    /// in microseconds. Zero writes at once — groups then form *naturally*
-    /// from the commits that arrive while earlier groups occupy the device,
-    /// which adds no idle latency and is the right default; a positive
-    /// window trades commit latency for larger groups on slow devices.
-    pub group_window_micros: u64,
-    /// Commits waiting on the stream (blocked committers plus queued
-    /// callbacks) past which the leader stops waiting out the window and
-    /// writes immediately (bounds group latency under load).
-    pub max_group_size: usize,
     /// Release transaction locks at precommit (commit record appended)
     /// instead of after the record is durable. Off = strict two-phase
     /// commit-duration locking, kept as the A/B baseline.
     pub early_lock_release: bool,
-    /// Number of independent log streams the write-ahead log is sharded
-    /// into. Stream 0 serves unbound threads (baseline workers, clients,
-    /// secondary actions); DORA executor threads are spread round-robin over
-    /// the remaining streams. `1` (the default) reproduces the classic
-    /// single-log behaviour exactly.
-    pub log_streams: usize,
     /// Log records appended between two fuzzy checkpoints. A checkpoint
-    /// folds the committed history into a net-effect snapshot with
-    /// per-stream low-water LSNs, so recovery replays only the delta since
+    /// folds the committed history into a net-effect snapshot with a
+    /// low-water LSN, so recovery replays only the delta since
     /// the last checkpoint. Built by a background thread the committer that
     /// crosses the interval wakes; no committer builds. `0` (the default)
     /// disables checkpointing and the thread never exists. The builder
-    /// *moves* each stream's prefix below its low-water mark out of the log,
+    /// *moves* the prefix below its low-water mark out of the log,
     /// so a checkpoint also reclaims log space; recovery starts from it.
     pub checkpoint_interval: u64,
 }
@@ -194,10 +171,7 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         Self {
-            group_window_micros: 0,
-            max_group_size: 64,
             early_lock_release: true,
-            log_streams: 1,
             checkpoint_interval: 0,
         }
     }
@@ -210,15 +184,6 @@ impl DurabilityConfig {
         Self {
             early_lock_release: false,
             ..Self::default()
-        }
-    }
-
-    /// This configuration with the log sharded into `streams` streams (the
-    /// other knobs untouched), for sweeping the stream-count axis.
-    pub fn with_log_streams(self, streams: usize) -> Self {
-        Self {
-            log_streams: streams.max(1),
-            ..self
         }
     }
 }
@@ -330,21 +295,9 @@ mod tests {
     fn durability_defaults_and_ab_presets() {
         let config = DurabilityConfig::default();
         assert!(config.early_lock_release);
-        assert!(config.max_group_size >= 1);
-        assert_eq!(config.log_streams, 1, "single stream is the default");
         assert_eq!(config.checkpoint_interval, 0, "checkpointing is opt-in");
         assert!(!DurabilityConfig::group_commit_only().early_lock_release);
         assert_eq!(SystemConfig::default().durability, config);
-        // The ELR-off preset composes with multiple streams, keeping the A/B
-        // baseline available on the stream-count axis.
-        let sharded = DurabilityConfig::group_commit_only().with_log_streams(4);
-        assert!(!sharded.early_lock_release);
-        assert_eq!(sharded.log_streams, 4);
-        assert_eq!(
-            DurabilityConfig::default().with_log_streams(0).log_streams,
-            1,
-            "stream counts clamp to at least one"
-        );
     }
 
     #[test]

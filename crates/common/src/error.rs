@@ -39,8 +39,8 @@ pub enum DbError {
     InvalidOperation(String),
     /// The engine is shutting down and no longer accepts work.
     ShuttingDown,
-    /// The transaction's commit record can never become durable: its log
-    /// stream's device writes failed past the retry budget. With early lock
+    /// The transaction's commit record can never become durable: the log
+    /// device's writes failed past the retry budget. With early lock
     /// release the transaction's effects may already be applied in memory
     /// (a "ghost commit"), so this is **not** retryable — re-running it
     /// could apply it twice.
@@ -74,7 +74,7 @@ impl fmt::Display for DbError {
             DbError::InvalidOperation(msg) => write!(f, "invalid operation: {msg}"),
             DbError::ShuttingDown => write!(f, "engine is shutting down"),
             DbError::DurabilityLost => {
-                write!(f, "durability lost: log stream failed past retry budget")
+                write!(f, "durability lost: log failed past retry budget")
             }
         }
     }

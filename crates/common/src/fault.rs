@@ -44,8 +44,8 @@ pub struct FaultConfig {
     /// Probability that an executor panics at an action boundary.
     pub executor_panic_rate: f64,
     /// How many times a flusher retries a failed device write before
-    /// declaring the stream's durability lost for good. `0` disables the
-    /// self-healing retry path: the first failed write kills the stream.
+    /// declaring the log's durability lost for good. `0` disables the
+    /// self-healing retry path: the first failed write kills the log.
     pub max_write_retries: u32,
     /// Base of the capped exponential backoff between write retries, in
     /// microseconds (doubled per attempt, capped at 32x the base).
@@ -105,7 +105,7 @@ pub enum FaultSite {
     /// An executor thread panics at an action boundary.
     ExecutorPanic,
     /// A checkpoint build stalls right after its cut: the records are out of
-    /// the streams, the checkpoint that will hold them is not complete.
+    /// the log, the checkpoint that will hold them is not complete.
     CheckpointStall,
     /// A snapshot point read stalls between reading the heap and asking the
     /// version chains, the window a writer can seed and mutate the row in.

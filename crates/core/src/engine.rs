@@ -2,7 +2,7 @@
 //! graphs, and the terminal-RVP commit protocol.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -28,9 +28,6 @@ pub(crate) struct EngineInner {
     /// Routing-key domain `[low, high]` per table, recorded at bind time so
     /// the adaptive repartitioner knows the span it may redistribute.
     domains: RwLock<Vec<Option<(i64, i64)>>>,
-    /// Total executor threads spawned, across all tables — the index used to
-    /// round-robin executors over the partitioned log streams.
-    executors_spawned: AtomicUsize,
     /// `(table, label)` pairs already flagged for silently falling back to
     /// the secondary path (routed step with an empty identifier). Reset for
     /// a table each time it is bound, so every bind gets one warning per
@@ -325,7 +322,7 @@ impl EngineInner {
     ///   or follows the device write, and no flusher thread is involved;
     /// * nobody blocks ([`DoraEngine::submit`]): the handle goes to
     ///   `commit_async`, and the completion is finished by whichever thread
-    ///   hardens the last fence.
+    ///   hardens the commit record.
     ///
     /// With early lock release the `Completed` fan-out (which frees the
     /// transaction's executor-local locks) also happens here, at precommit,
@@ -370,7 +367,7 @@ impl EngineInner {
                     if !early_released {
                         engine.commit_fanout(&txn2);
                     }
-                    // A commit whose log stream died past its retry budget
+                    // A commit whose log died past its retry budget
                     // was applied in memory (ghost commit) but never
                     // hardened; the client must hear the distinct,
                     // non-retryable outcome.
@@ -463,7 +460,6 @@ impl DoraEngine {
                 routing: RoutingTable::new(),
                 executors: RwLock::new(Vec::new()),
                 domains: RwLock::new(Vec::new()),
-                executors_spawned: AtomicUsize::new(0),
                 warned_secondary: Mutex::new(HashSet::new()),
                 shutting_down: AtomicBool::new(false),
             }),
@@ -549,12 +545,7 @@ impl DoraEngine {
         let mut table_executors = Vec::with_capacity(executors);
         let mut new_workers = Vec::with_capacity(executors);
         for index in 0..executors {
-            // Round-robin executors (across all tables) over the partitioned
-            // log streams, leaving stream 0 to unbound threads — the
-            // baseline engine and secondary actions.
-            let spawned = self.inner.executors_spawned.fetch_add(1, Ordering::Relaxed);
-            let stream = self.inner.db.log_manager().executor_stream(spawned);
-            let shared = Arc::new(ExecutorShared::new(table, index, stream));
+            let shared = Arc::new(ExecutorShared::new(table, index));
             let resident = Arc::clone(&shared);
             let engine = Arc::clone(&self.inner);
             match std::thread::Builder::new()

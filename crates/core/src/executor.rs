@@ -35,7 +35,6 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use dora_common::prelude::*;
 use dora_metrics::{incr, time_section, CounterKind, TimeCategory};
-use dora_storage::StreamId;
 
 use crate::action::Action;
 use crate::engine::EngineInner;
@@ -218,8 +217,6 @@ pub(crate) struct ExecutorShared {
     pub table: TableId,
     /// Index of this executor within the table's executor list.
     pub index: usize,
-    /// The log stream whoever runs as this executor appends to.
-    stream: StreamId,
     inbox: Mutex<Inbox>,
     available: Condvar,
     /// Lock-free mirror of the backlog, refreshed by whoever last held the
@@ -235,11 +232,10 @@ pub(crate) struct ExecutorShared {
 }
 
 impl ExecutorShared {
-    pub(crate) fn new(table: TableId, index: usize, stream: StreamId) -> Self {
+    pub(crate) fn new(table: TableId, index: usize) -> Self {
         Self {
             table,
             index,
-            stream,
             inbox: Mutex::new(Inbox::default()),
             available: Condvar::new(),
             depth: AtomicUsize::new(0),
@@ -331,42 +327,40 @@ impl Claim {
     /// releases the claim. Returns `true` when `Shutdown` was read.
     pub(crate) fn run(mut self, engine: &Arc<EngineInner>, inline: bool) -> bool {
         let executor = Arc::clone(&self.executor);
-        dora_storage::with_executor_log_stream(executor.stream, || {
-            let mut worker = ExecutorWorker {
-                shared: &executor,
-                engine,
-                state: executor.state.lock(),
-                inline,
-            };
-            let mut refills = 0;
-            loop {
-                incr(CounterKind::InboxDrains);
-                while let Some(message) = self.batch.pop_front() {
-                    match message {
-                        Message::Shutdown => return true,
-                        Message::Action(action) => worker.handle_incoming(action),
-                        Message::Completed(txn) => worker.handle_completed(txn),
-                        Message::StartResize(barrier) => worker.start_resize(barrier),
-                        Message::FinishResize => worker.finish_resize(),
-                    }
+        let mut worker = ExecutorWorker {
+            shared: &executor,
+            engine,
+            state: executor.state.lock(),
+            inline,
+        };
+        let mut refills = 0;
+        loop {
+            incr(CounterKind::InboxDrains);
+            while let Some(message) = self.batch.pop_front() {
+                match message {
+                    Message::Shutdown => return true,
+                    Message::Action(action) => worker.handle_incoming(action),
+                    Message::Completed(txn) => worker.handle_completed(txn),
+                    Message::StartResize(barrier) => worker.start_resize(barrier),
+                    Message::FinishResize => worker.finish_resize(),
                 }
-                let wake_on_completed =
-                    !worker.state.waiters.is_empty() || worker.state.draining.is_some();
-                let mut inbox = executor.inbox.lock();
-                let refill = !inbox.queue.is_empty()
-                    && (!inline || (refills < DISPATCHER_REFILLS && inbox.holds_only_work()));
-                if !refill {
-                    self.release(inbox, wake_on_completed);
-                    return false;
-                }
-                // Swapped, not taken: while a claim lasts the two buffers
-                // ping-pong between producers and consumer without
-                // reallocating.
-                std::mem::swap(&mut inbox.queue, &mut self.batch);
-                executor.depth.store(self.batch.len(), Ordering::Relaxed);
-                refills += 1;
             }
-        })
+            let wake_on_completed =
+                !worker.state.waiters.is_empty() || worker.state.draining.is_some();
+            let mut inbox = executor.inbox.lock();
+            let refill = !inbox.queue.is_empty()
+                && (!inline || (refills < DISPATCHER_REFILLS && inbox.holds_only_work()));
+            if !refill {
+                self.release(inbox, wake_on_completed);
+                return false;
+            }
+            // Swapped, not taken: while a claim lasts the two buffers
+            // ping-pong between producers and consumer without
+            // reallocating.
+            std::mem::swap(&mut inbox.queue, &mut self.batch);
+            executor.depth.store(self.batch.len(), Ordering::Relaxed);
+            refills += 1;
+        }
     }
 
     /// Gives the role up. A non-empty inbox is handed to the resident thread
@@ -591,7 +585,7 @@ mod tests {
     }
 
     fn idle_executor() -> Arc<ExecutorShared> {
-        Arc::new(ExecutorShared::new(TableId(1), 0, StreamId(0)))
+        Arc::new(ExecutorShared::new(TableId(1), 0))
     }
 
     fn completed_ids(batch: &VecDeque<Message>) -> Vec<TxnId> {

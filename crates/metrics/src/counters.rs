@@ -65,9 +65,9 @@ pub enum CounterKind {
     /// [`TxnAborted`]: CounterKind::TxnAborted
     TxnGaveUp = 19,
     /// Flush groups hardened: one per simulated device write, whoever
-    /// performed it (a committer leading its stream's write, or the
+    /// performed it (a committer leading the log's write, or the
     /// log-flusher daemon). `LogRecords`-independent; divide the
-    /// commit-fence count by this for the mean flush-group size (the log
+    /// commit-record count by this for the mean flush-group size (the log
     /// manager also keeps a histogram).
     GroupCommits = 20,
     /// Transactions whose locks (centralized and DORA thread-local) were
@@ -75,12 +75,11 @@ pub enum CounterKind {
     /// early lock release in action.
     ElrEarlyReleases = 21,
     /// Fuzzy checkpoints taken by the log manager (each folds the committed
-    /// history into a net-effect snapshot and advances the per-stream
-    /// low-water marks that bound recovery replay).
+    /// history into a net-effect snapshot and advances the low-water mark
+    /// that bounds recovery replay).
     CheckpointsTaken = 22,
-    /// Commit-fence records appended. With a partitioned log a transaction
-    /// writes one fence to *every* stream it touched, so this exceeds
-    /// `TxnCommitted` exactly by the cross-stream fan-out.
+    /// Commit records appended: one per transaction that wrote anything
+    /// (read-only commits append none).
     CommitFences = 23,
     /// Transactions rejected outright by the admission controller (load
     /// shedding at saturation): never executed, reported to the client as
@@ -98,8 +97,8 @@ pub enum CounterKind {
     /// Log-device writes retried by a flusher after a transient failure
     /// (the self-healing capped-backoff path).
     FlushRetries = 28,
-    /// Commits whose durability was lost for good: their log stream's
-    /// device writes failed past the retry budget. With early lock release
+    /// Commits whose durability was lost for good: the log device's writes
+    /// failed past the retry budget. With early lock release
     /// these are ghost commits — applied in memory, never durable.
     DurabilityLost = 29,
     /// Action-body panics caught by supervision, whichever thread ran the
@@ -114,7 +113,7 @@ pub enum CounterKind {
     /// Durability-callback panics swallowed (and survived) by a log flusher.
     CallbackPanics = 33,
     /// Stalled-flusher nudges issued by the log watchdog after it observed a
-    /// stream's flush horizon stop advancing with work pending.
+    /// the log's flush horizon stop advancing with work pending.
     WatchdogNudges = 34,
     /// Row versions installed in the multi-version store (one per committed
     /// write, plus the copy-on-write base version seeded the first time a
@@ -146,7 +145,7 @@ pub enum CounterKind {
     /// instead of waking the executor's resident thread. A subset of
     /// [`ActionsExecuted`](CounterKind::ActionsExecuted).
     ActionsInlined = 41,
-    /// Log-device writes performed by a committer under the stream's flush
+    /// Log-device writes performed by a committer under the log's flush
     /// claim — the thread that had to wait for the write did it, and no
     /// thread was woken for it. A subset of
     /// [`LogFlushes`](CounterKind::LogFlushes); the rest are the log-flusher
@@ -155,7 +154,7 @@ pub enum CounterKind {
     /// Microseconds spent building fuzzy checkpoints, on whichever thread
     /// built them — background time, none of it on a commit path.
     CheckpointBuildMicros = 43,
-    /// Microseconds a checkpoint build held a stream's `records` mutex (the
+    /// Microseconds a checkpoint build held the log's `records` mutex (the
     /// longest hold of each build) — the foreground stall a build can cause.
     CheckpointLockHoldMicros = 44,
 }

@@ -146,8 +146,7 @@ impl ValueHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Merges another histogram into this one (used to combine per-stream
-    /// recorders into a whole-log view).
+    /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &ValueHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;

@@ -38,7 +38,7 @@ pub enum SubmitOutcome {
     /// queue; it never executed and is safe to retry later.
     TimedOut,
     /// The transaction executed but its commit can never become durable:
-    /// its log stream's device failed past the retry budget
+    /// the log device failed past the retry budget
     /// ([`DbError::DurabilityLost`]). With early lock release its effects
     /// may already be applied in memory (a ghost commit), so clients must
     /// **not** resubmit — re-running could apply it twice.

@@ -29,7 +29,7 @@ use crate::buffer::{BufferPool, PageStore};
 use crate::catalog::{Catalog, IndexSpec, TableSchema};
 use crate::heap::{HeapFile, PageOp};
 use crate::lock::{LockId, LockManager, LockMode};
-use crate::log::{LogManager, LogRecord, LogRecordKind, Lsn, StreamId};
+use crate::log::{LogManager, LogRecord, LogRecordKind, Lsn};
 use crate::mvcc::{ChainRead, MvccStats, RowWrite, Snapshot, SnapshotBound, VersionStore};
 use crate::txn::{TxnManager, TxnState, TxnStatus};
 
@@ -97,28 +97,26 @@ impl TxnHandle {
     }
 }
 
-/// The outcome of a successful [`Database::precommit`]: the commit-fence
-/// positions on every log stream the transaction touched (empty for
-/// read-only transactions) and whether its locks were already released
-/// early. Redeemed exactly once, with [`Database::commit_wait`] or
-/// [`Database::commit_async`].
+/// The outcome of a successful [`Database::precommit`]: where the commit
+/// record landed (nowhere for read-only transactions) and whether the
+/// transaction's locks were already released early. Redeemed exactly once,
+/// with [`Database::commit_wait`] or [`Database::commit_async`].
 #[derive(Debug)]
 #[must_use = "a precommitted transaction must be completed with commit_wait or commit_async"]
 pub struct CommitHandle {
-    fences: Vec<(StreamId, Lsn)>,
+    /// The commit ticket drawn at precommit and the commit record's LSN
+    /// (`None` for read-only commits). The durable watermark clock is
+    /// advanced with the ticket once the record hardens.
+    commit: Option<(u64, Lsn)>,
     early_released: bool,
-    /// The commit ticket drawn at precommit (None for read-only commits);
-    /// the durable watermark clock is advanced with it once every fence
-    /// hardens.
-    seq: Option<u64>,
 }
 
 impl CommitHandle {
-    /// The commit-fence LSN on each touched stream (empty for read-only
-    /// transactions, which have nothing to make durable). The transaction is
-    /// durable once *every* fence is flushed.
-    pub fn fences(&self) -> &[(StreamId, Lsn)] {
-        &self.fences
+    /// The commit record's LSN (`None` for read-only transactions, which
+    /// have nothing to make durable). The transaction is durable once the
+    /// log is flushed up to it.
+    pub fn commit_lsn(&self) -> Option<Lsn> {
+        self.commit.map(|(_, lsn)| lsn)
     }
 
     /// `true` if precommit released the transaction's locks early (ELR).
@@ -347,26 +345,23 @@ impl Database {
         if txn.state.claim_begin_record() {
             self.log.append(txn.id(), LogRecordKind::Begin);
         }
-        let (stream, lsn) = self.log.append(txn.id(), kind);
-        txn.state.note_lsn(stream, lsn);
+        self.log.append(txn.id(), kind);
     }
 
-    /// First half of commit: appends a commit-fence record to *every* log
-    /// stream the transaction touched, applies deferred secondary-index
-    /// delete flags, and — when [`DurabilityConfig::early_lock_release`] is
-    /// on — releases the transaction's centralized locks and marks it
-    /// committed *before* the fences are durable. The returned
-    /// [`CommitHandle`] is redeemed with [`Self::commit_wait`] (block until
-    /// every fence is durable) or [`Self::commit_async`] (completion
-    /// callback once the last fence hardens).
+    /// First half of commit: appends the transaction's commit record,
+    /// applies deferred secondary-index delete flags, and — when
+    /// [`DurabilityConfig::early_lock_release`] is on — releases the
+    /// transaction's centralized locks and marks it committed *before* the
+    /// record is durable. The returned [`CommitHandle`] is redeemed with
+    /// [`Self::commit_wait`] (block until the record is durable) or
+    /// [`Self::commit_async`] (completion callback once it hardens).
     ///
     /// After a successful precommit the transaction's outcome is decided:
     /// it must not be aborted, only waited on. Safety of the early release
-    /// rests on the global commit sequence stamped into the fences while the
-    /// locks are still held: any dependent transaction fences *after* this
-    /// one, and recovery only replays a sequence-dense prefix of fully
-    /// fenced transactions, so no recovered state can contain a dependent
-    /// without this transaction.
+    /// rests on the commit record being appended while the locks are still
+    /// held: any dependent transaction commits at a larger LSN, and recovery
+    /// behind a cut replays exactly the commit records inside it, so no
+    /// recovered state can contain a dependent without this transaction.
     ///
     /// [`DurabilityConfig::early_lock_release`]: dora_common::config::DurabilityConfig::early_lock_release
     pub fn precommit(&self, txn: &TxnHandle) -> DbResult<CommitHandle> {
@@ -377,19 +372,9 @@ impl Database {
             )));
         }
         // Read-only transactions have nothing to make durable: skip the
-        // commit fences and the log flush, as real engines do. `touched` is
-        // only advanced by data-change records.
-        let (seq, fences) = if txn.state.has_writes() {
-            let touched: Vec<StreamId> = txn
-                .state
-                .touched_streams()
-                .into_iter()
-                .map(|(stream, _)| stream)
-                .collect();
-            let (seq, fences) = self.log.append_commit_fences(txn.id(), &touched);
-            for &(stream, lsn) in &fences {
-                txn.state.note_lsn(stream, lsn);
-            }
+        // commit record and the log flush, as real engines do.
+        let commit = if txn.state.has_writes() {
+            let (seq, lsn) = self.log.append_commit(txn.id());
             if let Some(observer) = self.commit_observer.get() {
                 observer(txn.id(), seq);
             }
@@ -401,9 +386,9 @@ impl Database {
             // (who can only run once our locks drop) always publishes after
             // us.
             self.versions.publish_writes(seq, &txn.state.writes);
-            (Some(seq), fences)
+            Some((seq, lsn))
         } else {
-            (None, Vec::new())
+            None
         };
         // The paper: "once the deleting transaction commits, it goes back and
         // sets the flag for each index entry of a deleted record outside of
@@ -425,15 +410,14 @@ impl Database {
         let early_released = self.config.durability.early_lock_release;
         if early_released {
             self.finish_commit(txn);
-            if !fences.is_empty() {
+            if commit.is_some() {
                 incr(CounterKind::ElrEarlyReleases);
             }
         }
         self.log.maybe_checkpoint();
         Ok(CommitHandle {
-            fences,
+            commit,
             early_released,
-            seq,
         })
     }
 
@@ -445,24 +429,21 @@ impl Database {
         self.log.forget(txn.id());
     }
 
-    /// Second half of commit: blocks until every commit fence is durable,
+    /// Second half of commit: blocks until the commit record is durable,
     /// then releases locks if precommit did not already. The calling thread
-    /// drives the log itself ([`LogManager::flush_fences`]): it performs the
-    /// device write if nobody else is writing that stream, and otherwise
-    /// follows the thread that is — no flusher thread is woken for a commit
-    /// somebody waits on. Call it where a device write may run: not under a
-    /// latch, not while holding a DORA executor's claim. The wall-clock wait
+    /// drives the log itself ([`LogManager::flush`]): it performs the device
+    /// write if nobody else is writing, and otherwise follows the thread
+    /// that is — no flusher thread is woken for a commit somebody waits on.
+    /// Call it where a device write may run: not under a latch, not while
+    /// holding a DORA executor's claim. The wall-clock wait
     /// is charged to [`TimeCategory::CommitWait`] so the driver can report
     /// commit latency separately from execute latency.
     ///
-    /// [`LogManager::flush_fences`]: crate::LogManager::flush_fences
+    /// [`LogManager::flush`]: crate::LogManager::flush
     pub fn commit_wait(&self, txn: &TxnHandle, handle: CommitHandle) -> DbResult<()> {
-        let mut durable = true;
-        if !handle.fences.is_empty() {
-            durable = time_section(TimeCategory::CommitWait, || {
-                self.log.flush_fences(&handle.fences)
-            });
-        }
+        let durable = handle
+            .commit
+            .is_none_or(|(_, lsn)| time_section(TimeCategory::CommitWait, || self.log.flush(lsn)));
         // Locks are released either way: the transaction is finished, its
         // fate (durable commit or ghost) decided. On lost durability the
         // effects may already be applied in memory, so the caller gets the
@@ -472,7 +453,7 @@ impl Database {
             self.finish_commit(txn);
         }
         if durable {
-            if let Some(seq) = handle.seq {
+            if let Some((seq, _)) = handle.commit {
                 self.versions.mark_durable(seq);
             }
             Ok(())
@@ -483,11 +464,11 @@ impl Database {
     }
 
     /// Second half of commit for a transaction nobody blocks on: registers
-    /// `on_durable` to fire once every commit fence hardens, without
+    /// `on_durable` to fire once the commit record hardens, without
     /// blocking the caller. DORA's terminal RVP uses it for transactions
     /// submitted without a waiting client, so executor threads never sleep
     /// on log I/O: the callback (running on whichever thread hardens the
-    /// last fence — a log-flusher daemon, or a committer whose own write
+    /// record — the log-flusher daemon, or a committer whose own write
     /// covered it) releases any remaining locks and notifies the client.
     ///
     /// Read-only transactions complete inline on the calling thread.
@@ -497,20 +478,19 @@ impl Database {
         handle: CommitHandle,
         on_durable: impl FnOnce(bool) + Send + 'static,
     ) {
-        if handle.fences.is_empty() {
+        let Some((seq, lsn)) = handle.commit else {
             if !handle.early_released {
                 self.finish_commit(txn);
             }
             on_durable(true);
             return;
-        }
+        };
         let db = Arc::clone(self);
         let txn = txn.clone();
         let early_released = handle.early_released;
-        let seq = handle.seq;
         let start = std::time::Instant::now();
         self.log.submit_commit(
-            handle.fences,
+            lsn,
             Box::new(move |durable| {
                 // Locks are released even when durability was lost: the
                 // transaction's fate is decided (ghost commit), holding its
@@ -518,10 +498,10 @@ impl Database {
                 if !early_released {
                     db.finish_commit(&txn);
                 }
-                match (durable, seq) {
-                    (true, Some(seq)) => db.versions.mark_durable(seq),
-                    (false, _) => incr(CounterKind::DurabilityLost),
-                    _ => {}
+                if durable {
+                    db.versions.mark_durable(seq);
+                } else {
+                    incr(CounterKind::DurabilityLost);
                 }
                 record_time(TimeCategory::CommitWait, start.elapsed());
                 on_durable(durable);
@@ -576,7 +556,7 @@ impl Database {
         txn.state.writes.lock().clear();
         // A transaction that never logged a change has nothing to mark
         // aborted either — read-only aborts stay off the log entirely.
-        if txn.state.has_logged() {
+        if txn.state.has_writes() {
             self.log.append(txn.id(), LogRecordKind::Abort);
         }
         let held = std::mem::take(&mut *txn.state.held.lock());
@@ -1177,18 +1157,16 @@ impl Database {
         self.recover(fresh, None)
     }
 
-    /// [`Self::recover_into`] behind a per-stream torn prefix: stream `i`
-    /// keeps only records with LSN ≤ `cuts[i]` (streams past the end of
-    /// `cuts` keep everything) — what recovery would reconstruct if each
-    /// stream's tail past its cut were lost in a crash. Only the maximal
-    /// commit-sequence-dense prefix of *fully fenced* transactions is
-    /// replayed; the crash-consistency property tests use this to show that
-    /// early lock release plus log partitioning leaves no torn transactions
-    /// or ghosts behind any combination of flush horizons. A cut below a
-    /// stream's checkpoint low-water mark is
-    /// [`DbError::InvalidOperation`]: that history is folded away.
-    pub fn recover_prefixes_into(&self, fresh: &Database, cuts: &[Lsn]) -> DbResult<()> {
-        self.recover(fresh, Some(cuts))
+    /// [`Self::recover_into`] behind a torn log: only records with LSN ≤
+    /// `cut` survive — what recovery would reconstruct if the log's tail
+    /// past the cut were lost in a crash. Exactly the transactions whose
+    /// commit record lies inside the cut are replayed; the crash-consistency
+    /// property tests use this to show that early lock release leaves no
+    /// torn transactions or ghosts behind any flush horizon. A cut below the
+    /// checkpoint's low-water mark is [`DbError::InvalidOperation`]: that
+    /// history is folded away.
+    pub fn recover_prefix_into(&self, fresh: &Database, cut: Lsn) -> DbResult<()> {
+        self.recover(fresh, Some(cut))
     }
 
     /// The one recovery body: analysis once, then redo sharded by page
@@ -1198,8 +1176,8 @@ impl Database {
     /// does is why [`BTreeIndex::insert_replayed`] checks no uniqueness) —
     /// across as many workers as the host has cores and the records keep
     /// busy.
-    fn recover(&self, fresh: &Database, cuts: Option<&[Lsn]>) -> DbResult<()> {
-        let records = self.log.redo(cuts)?.records;
+    fn recover(&self, fresh: &Database, cut: Option<Lsn>) -> DbResult<()> {
+        let records = self.log.redo(cut)?.records;
         let workers = std::thread::available_parallelism()
             .map_or(1, usize::from)
             .min(records.len() / RECORDS_PER_REPLAY_WORKER)
@@ -1908,22 +1886,20 @@ mod tests {
 
     #[test]
     fn elr_releases_locks_at_precommit_before_durability() {
-        // A huge group window keeps the flusher from hardening anything
-        // until we actually wait, so the pre-durable state is observable.
-        let (db, table) = accounts_db_with(DurabilityConfig {
-            group_window_micros: 200_000,
-            ..DurabilityConfig::default()
-        });
+        // Holding the flusher site keeps any device write from hardening
+        // anything until the hold drops, so the pre-durable state is
+        // observable.
+        let (db, table) = accounts_db_with(DurabilityConfig::default());
+        let hold = db.faults().hold(FaultSite::FlusherStall);
         let txn = db.begin();
         db.insert(&txn, table, account_row(1, "alice", 1.0), CcMode::Full)
             .unwrap();
         assert!(txn.held_lock_count() > 0);
         let handle = db.precommit(&txn).unwrap();
         assert!(handle.early_released());
-        let &(stream, lsn) = handle
-            .fences()
-            .first()
-            .expect("data change must log a commit fence");
+        let lsn = handle
+            .commit_lsn()
+            .expect("data change must log a commit record");
         assert_eq!(
             txn.held_lock_count(),
             0,
@@ -1931,11 +1907,12 @@ mod tests {
         );
         assert_eq!(txn.status(), TxnStatus::Committed);
         assert!(
-            db.log_manager().flushed_lsn(stream) < lsn,
-            "commit fence must not be durable yet"
+            db.log_manager().flushed_lsn() < lsn,
+            "commit record must not be durable yet"
         );
+        drop(hold);
         db.commit_wait(&txn, handle).unwrap();
-        assert!(db.log_manager().flushed_lsn(stream) >= lsn);
+        assert!(db.log_manager().flushed_lsn() >= lsn);
     }
 
     #[test]
@@ -1963,16 +1940,13 @@ mod tests {
         db.insert(&txn, table, account_row(1, "alice", 1.0), CcMode::Full)
             .unwrap();
         let handle = db.precommit(&txn).unwrap();
-        let fences = handle.fences().to_vec();
-        assert!(!fences.is_empty());
+        let lsn = handle.commit_lsn().expect("a write logs a commit record");
         let done = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
         let done2 = Arc::clone(&done);
         let db2 = Arc::clone(&db);
         db.commit_async(&txn, handle, move |durable| {
             assert!(durable, "no faults configured, so the commit hardens");
-            for &(stream, lsn) in &fences {
-                assert!(db2.log_manager().flushed_lsn(stream) >= lsn);
-            }
+            assert!(db2.log_manager().flushed_lsn() >= lsn);
             let mut flag = done2.0.lock();
             *flag = true;
             done2.1.notify_all();

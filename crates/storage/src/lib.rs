@@ -46,8 +46,8 @@ pub use db::{CommitHandle, Database, SecondaryEntry, TxnHandle};
 pub use latch::{Latch, LatchGuard};
 pub use lock::{LockId, LockManager, LockMode};
 pub use log::{
-    bound_log_stream, with_executor_log_stream, Checkpoint, CheckpointStats, LogManager, LogRecord,
-    LogRecordKind, Lsn, Redo, StreamId, StreamStats, CHECKPOINTER_THREAD,
+    Checkpoint, CheckpointStats, LogManager, LogRecord, LogRecordKind, Lsn, Redo, StreamId,
+    CHECKPOINTER_THREAD,
 };
 pub use mvcc::{ChainRead, MvccStats, Snapshot, VersionStore};
 pub use txn::{TxnManager, TxnStatus};

@@ -1,9 +1,9 @@
 //! Multi-version storage: version chains, snapshot horizons and the
 //! version-chain garbage collector — kept only while somebody can read them.
 //!
-//! A [`Snapshot`] captures a horizon on the *global commit-order ticket*
-//! sequence — the one the fence protocol already mints while a writer's locks
-//! are still held, so version order equals commit order by construction — and
+//! A [`Snapshot`] captures a horizon on the *commit-order ticket* sequence —
+//! the one each commit record carries, drawn while a writer's locks are
+//! still held, so version order equals commit order by construction — and
 //! serves reads from the version chains plus the untouched heap, with no
 //! centralized lock manager, no DORA routing and no local-lock-table probes on
 //! the read path.
@@ -77,7 +77,7 @@
 //! * `published` — a ticket enters a snapshot's world only once *every*
 //!   ticket below it has been published, closing the race where a ticket has
 //!   been drawn but its writes are not in the chains yet.
-//! * `durable` — advanced only when a commit's fences actually hardened.
+//! * `durable` — advanced only when a commit's record actually hardened.
 //!   [`VersionStore::durable_horizon`] therefore provably excludes ELR
 //!   ghost commits (applied in memory, never durable): a ghost never
 //!   advances the clock, so neither it nor anything after it on that clock
@@ -584,7 +584,7 @@ impl VersionStore {
         }
     }
 
-    /// Marks `seq` durable (its commit fences all hardened). Lost commits
+    /// Marks `seq` durable (its commit record hardened). Lost commits
     /// are never marked, so the durable horizon stalls below the first
     /// ghost — exactly the conservative bound [`Self::durable_horizon`]
     /// promises.

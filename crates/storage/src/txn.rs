@@ -2,11 +2,10 @@
 //!
 //! The transaction manager allocates transaction ids and tracks per
 //! transaction state: status, the ledger of centralized locks held (released
-//! at commit/abort), and the last LSN written on each log stream the
-//! transaction touched (the points every stream must be fenced and flushed
-//! to at commit). A transaction's state is shared behind an `Arc`
-//! because under DORA a single transaction's actions execute on several
-//! executor threads.
+//! at commit/abort), whether the transaction has logged a change (commit then
+//! appends and flushes a commit record) and its row writes. A transaction's
+//! state is shared behind an `Arc` because under DORA a single transaction's
+//! actions execute on several executor threads.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,7 +17,6 @@ use dora_common::prelude::*;
 use dora_metrics::{incr, CounterKind};
 
 use crate::lock::HeldLocks;
-use crate::log::{Lsn, StreamId};
 use crate::mvcc::WriteList;
 
 /// Lifecycle state of a transaction.
@@ -41,10 +39,6 @@ pub struct TxnState {
     /// Centralized locks held; the lock manager's release path consumes this
     /// at commit/abort.
     pub(crate) held: Mutex<HeldLocks>,
-    /// Last LSN written by this transaction on each log stream it touched
-    /// (commit must fence and flush every one of them). Small vector: a
-    /// transaction rarely spans more than a few executors.
-    touched: Mutex<Vec<(StreamId, Lsn)>>,
     /// Set by whichever thread appends the transaction's first data-change
     /// record (the `Begin` record is written lazily just before it, so
     /// read-only transactions generate zero log traffic).
@@ -61,7 +55,6 @@ impl TxnState {
             id,
             status: Mutex::new(TxnStatus::Active),
             held: Mutex::new(HeldLocks::new()),
-            touched: Mutex::new(Vec::new()),
             begin_logged: AtomicBool::new(false),
             writes: Mutex::new(WriteList::default()),
         }
@@ -77,28 +70,10 @@ impl TxnState {
         self.status() == TxnStatus::Active
     }
 
-    /// Records a newly written LSN on `stream`.
-    pub fn note_lsn(&self, stream: StreamId, lsn: Lsn) {
-        let mut touched = self.touched.lock();
-        match touched.iter_mut().find(|(s, _)| *s == stream) {
-            Some((_, last)) => {
-                if lsn > *last {
-                    *last = lsn;
-                }
-            }
-            None => touched.push((stream, lsn)),
-        }
-    }
-
-    /// The streams this transaction wrote, with the last LSN on each.
-    pub fn touched_streams(&self) -> Vec<(StreamId, Lsn)> {
-        self.touched.lock().clone()
-    }
-
-    /// `true` once the transaction has written any data-change record
-    /// (commit must then fence and flush its streams).
+    /// `true` once the transaction has logged any data-change record
+    /// (commit must then append and flush a commit record).
     pub fn has_writes(&self) -> bool {
-        !self.touched.lock().is_empty()
+        self.begin_logged.load(Ordering::Acquire)
     }
 
     /// Number of centralized locks currently held (diagnostics / tests).
@@ -116,11 +91,6 @@ impl TxnState {
     /// record, hence the atomic swap.
     pub(crate) fn claim_begin_record(&self) -> bool {
         !self.begin_logged.swap(true, Ordering::AcqRel)
-    }
-
-    /// `true` once any log record has been appended for this transaction.
-    pub(crate) fn has_logged(&self) -> bool {
-        self.begin_logged.load(Ordering::Acquire)
     }
 }
 
@@ -247,20 +217,5 @@ mod tests {
         }
         let unique: std::collections::HashSet<_> = all.iter().copied().collect();
         assert_eq!(unique.len(), all.len());
-    }
-
-    #[test]
-    fn touched_streams_track_per_stream_maxima() {
-        let manager = TxnManager::new();
-        let txn = manager.begin();
-        assert!(!txn.has_writes());
-        txn.note_lsn(StreamId(0), Lsn(5));
-        txn.note_lsn(StreamId(0), Lsn(3));
-        txn.note_lsn(StreamId(2), Lsn(9));
-        txn.note_lsn(StreamId(0), Lsn(7));
-        assert!(txn.has_writes());
-        let mut touched = txn.touched_streams();
-        touched.sort_unstable();
-        assert_eq!(touched, vec![(StreamId(0), Lsn(7)), (StreamId(2), Lsn(9))]);
     }
 }

@@ -1,8 +1,8 @@
 //! Checkpoints are background work: a committer that crosses the interval
-//! wakes the `log-checkpointer` thread and goes on; the builder moves each
-//! stream's prefix below its floor out of the log, folds it into the previous
-//! checkpoint in place, and holds the checkpoint mutex from the first move
-//! until the checkpoint is complete — so whatever a recovery reads under that
+//! wakes the `log-checkpointer` thread and goes on; the builder moves the
+//! log's prefix below its floor out of the log, folds it into the previous
+//! checkpoint in place, and holds the checkpoint mutex from the move until
+//! the checkpoint is complete — so whatever a recovery reads under that
 //! mutex has every record in exactly one of the two places.
 //!
 //! Every wait has a 20 s deadline, so a lost wake-up fails instead of hanging.
@@ -27,11 +27,11 @@ const ACCOUNTS: i64 = 50;
 const INTERVAL: u64 = 500;
 const TPCB_TABLES: [&str; 4] = ["branch", "teller", "account", "history_b"];
 
-fn checkpointing(streams: usize) -> SystemConfig {
+fn checkpointing() -> SystemConfig {
     SystemConfig {
         durability: DurabilityConfig {
             checkpoint_interval: INTERVAL,
-            ..DurabilityConfig::default().with_log_streams(streams)
+            ..DurabilityConfig::default()
         },
         ..SystemConfig::for_tests()
     }
@@ -167,9 +167,9 @@ fn recovered_tpcb(db: &Database) -> Arc<Database> {
 #[test]
 fn checkpoints_under_load_are_built_in_the_background_and_recover_the_live_state() {
     for kind in EngineKind::ALL {
-        for (clients, streams) in [(1, 1), (4, 1), (16, 1), (1, 3), (4, 3), (16, 3)] {
-            let context = format!("{} / {clients} clients / {streams} streams", kind.label());
-            let engine = tpcb_engine(kind, checkpointing(streams));
+        for clients in [1, 4, 16] {
+            let context = format!("{} / {clients} clients", kind.label());
+            let engine = tpcb_engine(kind, checkpointing());
             let per_client = 3_200 / clients;
             let committed = run_clients(&engine, clients, move |ran| ran == per_client);
             engine.shutdown();
@@ -192,7 +192,7 @@ fn checkpoints_under_load_are_built_in_the_background_and_recover_the_live_state
                 dora_repro::storage::CHECKPOINTER_THREAD
             );
             assert!(log.reclaimed_records() > 0, "{context}: nothing reclaimed");
-            assert_eq!(checkpoint.low_water().len(), streams);
+            assert_eq!(checkpoint.low_water().0, log.reclaimed_records());
             assert_money_conserved(db, &context);
             assert_eq!(
                 db.row_count(db.table_id("history_b").unwrap()).unwrap() as u64,
@@ -210,7 +210,7 @@ fn checkpoints_under_load_are_built_in_the_background_and_recover_the_live_state
 #[test]
 fn recovery_beside_a_running_build_never_misses_a_record() {
     for kind in EngineKind::ALL {
-        let engine = tpcb_engine(kind, checkpointing(3));
+        let engine = tpcb_engine(kind, checkpointing());
         let done = Arc::new(AtomicBool::new(false));
         let recoverer = {
             let db = Arc::clone(engine.db());
@@ -247,10 +247,10 @@ fn recovery_beside_a_running_build_never_misses_a_record() {
 
 /// (c) Commits proceed during a build: with the builder parked right after
 /// its cut (a hold on `FaultSite::CheckpointStall`), 200 transactions commit
-/// durably, and the builder never held a stream's `records` mutex for 5 ms.
+/// durably, and the builder never held the log's `records` mutex for 5 ms.
 #[test]
 fn commits_proceed_while_the_builder_is_parked_after_its_cut() {
-    let engine = tpcb_engine(EngineKind::Dora, checkpointing(1));
+    let engine = tpcb_engine(EngineKind::Dora, checkpointing());
     let db = Arc::clone(engine.db());
     let log = db.log_manager();
     let hold = db.faults().hold(FaultSite::CheckpointStall);
@@ -264,12 +264,11 @@ fn commits_proceed_while_the_builder_is_parked_after_its_cut() {
         assert_eq!(engine.execute_one(&mut rng), TxnOutcome::Committed);
     }
     assert_eq!(log.checkpoint_stats().builds, 0, "the builder is parked");
-    for stats in log.stream_stats() {
-        assert_eq!(
-            stats.flushed_lsn.0, stats.records as u64,
-            "every commit hardened"
-        );
-    }
+    assert_eq!(
+        log.flushed_lsn().0,
+        log.len() as u64,
+        "every commit hardened"
+    );
     drop(hold);
     let checkpoint = within_deadline("the parked build", {
         let db = Arc::clone(&db);
@@ -344,7 +343,7 @@ fn transactions_live_across_the_cut_roll_back_or_commit_later() {
     let appended = log.len() as u64;
     log.take_checkpoint();
     let checkpoint = log.checkpoint_snapshot().unwrap();
-    let cut = checkpoint.low_water()[0].0;
+    let cut = checkpoint.low_water().0;
     assert!(
         cut < appended && log.reclaimed_records() == cut,
         "the cut ({cut} of {appended}) is the reclaim floor"
@@ -395,7 +394,7 @@ fn transactions_live_across_the_cut_roll_back_or_commit_later() {
 /// record still ends up in exactly one place.
 #[test]
 fn take_checkpoint_serialises_with_the_background_build() {
-    let engine = tpcb_engine(EngineKind::Dora, checkpointing(3));
+    let engine = tpcb_engine(EngineKind::Dora, checkpointing());
     let done = Arc::new(AtomicBool::new(false));
     let manual = {
         let db = Arc::clone(engine.db());
@@ -435,7 +434,7 @@ fn take_checkpoint_serialises_with_the_background_build() {
 /// once it can.
 #[test]
 fn dropping_the_database_mid_build_joins_the_builder() {
-    let engine = tpcb_engine(EngineKind::Baseline, checkpointing(1));
+    let engine = tpcb_engine(EngineKind::Baseline, checkpointing());
     let hold = engine.db().faults().hold(FaultSite::CheckpointStall);
     let mut rng = SmallRng::seed_from_u64(11);
     wait_until("the first cut", || {

@@ -9,7 +9,6 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dora_repro::common::config::{DurabilityConfig, SystemConfig};
 use dora_repro::common::prelude::*;
 use dora_repro::dora::{ActionSpec, DoraConfig, DoraEngine, DoraTxn, FlowGraph, LocalMode};
 use dora_repro::metrics::{current_thread_snapshot, CounterKind};
@@ -407,41 +406,6 @@ fn shutdown_with_a_claim_in_flight_joins_every_thread() {
         .unwrap()
         .expect("the in-flight transaction commits");
     assert_eq!(counter_value(&db, table, 1), 1);
-}
-
-/// A dispatcher running as executor E appends to E's log stream, not to
-/// stream 0 (the unbound threads' stream) — otherwise a lightly loaded
-/// system would funnel every record through one stream.
-#[test]
-fn inline_actions_append_to_their_executors_log_stream() {
-    let db = Database::new(SystemConfig {
-        durability: DurabilityConfig::default().with_log_streams(3),
-        ..SystemConfig::for_tests()
-    });
-    let table = counters_table(&db, 100);
-    let engine = DoraEngine::new(Arc::clone(&db), DoraConfig::default());
-    // Executor 0 (keys 1..=50) binds stream 1, executor 1 stream 2.
-    engine.bind_table(table, 2, 1, 100).unwrap();
-
-    let mark = current_thread_snapshot();
-    for id in [1, 60, 2, 70] {
-        engine.execute(apply_graph(table, id, |n| n + 1)).unwrap();
-    }
-    let (executed, inlined) = own_actions_since(&mark);
-    assert_eq!((executed, inlined), (4, 4), "this thread ran every action");
-    let records: Vec<usize> = db
-        .log_manager()
-        .stream_stats()
-        .iter()
-        .map(|stats| stats.records)
-        .collect();
-    assert_eq!(records.len(), 3);
-    assert_eq!(records[0], 0, "nothing on the unbound stream: {records:?}");
-    assert!(
-        records[1] > 0 && records[2] > 0,
-        "each executor's records are on its own stream: {records:?}"
-    );
-    engine.shutdown();
 }
 
 /// The batching counters stay consistent with the message counts: every

@@ -1,29 +1,32 @@
 //! Crash consistency under asynchronous group commit with early lock
-//! release on a *partitioned* log: replaying any combination of per-stream
-//! torn prefixes yields exactly the maximal commit-sequence-dense prefix of
-//! fully fenced transactions — no torn transactions, no ELR ghosts.
+//! release: replaying the log behind any cut rebuilds, on top of the
+//! checkpoint, exactly the transactions whose commit record lies inside the
+//! cut — no torn transactions, no ELR ghosts, no commit lost.
 //!
-//! Three failure shapes must be impossible behind every set of per-stream
-//! flush horizons:
+//! Four failure shapes must be impossible behind every cut:
 //!
 //! * **Torn transactions** — a replayed transaction missing some of its data
-//!   records. Impossible because a commit fence is appended to a stream only
-//!   after all of the transaction's data records on that stream, and a
-//!   transaction replays only when *every* touched stream holds its fence.
+//!   records. Impossible because a transaction's commit record is its last
+//!   record, so a cut that holds it holds all of its data.
 //! * **ELR ghosts** — effects of a transaction whose locks were released
-//!   early but whose fences missed the prefixes. Impossible because recovery
-//!   replays only fully fenced transactions.
+//!   early but whose commit record missed the cut. Impossible because
+//!   recovery replays only transactions whose commit record survived.
 //! * **Dependency inversions** — a dependent transaction surviving a crash
-//!   that tore the transaction it read from (its after-images embed the
-//!   writer's effects). Impossible because the commit sequence is assigned
-//!   while locks are held, so a dependent always carries a higher sequence
-//!   number, and recovery stops at the first gap in the fenced sequence.
+//!   that lost the transaction it read from (its after-images embed the
+//!   writer's effects). Impossible because the commit record is appended
+//!   while the locks are held, so a dependent always commits at a larger
+//!   LSN.
+//! * **Lost commits** — a transaction whose commit record (and so its
+//!   acknowledged flush) lies inside the cut, yet is not recovered.
+//!   Impossible because the commit sequence is drawn under the mutex that
+//!   assigns the record's LSN, so every prefix of the log is
+//!   sequence-dense.
 //!
-//! Exercised for both execution engines with group commit, ELR and multiple
-//! log streams enabled, on a log that was never checkpointed and on one whose
-//! checkpoint moved the history below its low-water marks out of the log:
-//! there every cut at or above those marks recovers the fenced set, the
-//! whole log recovers the live database, and a cut below them is refused.
+//! Exercised for both execution engines with group commit and ELR enabled,
+//! on a log that was never checkpointed and on one whose checkpoint moved
+//! the history below its low-water mark out of the log: there every cut at
+//! or above that mark recovers the committed set, the whole log recovers the
+//! live database, and a cut below it is refused.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,7 +42,6 @@ use rand::{Rng, SeedableRng};
 const BRANCHES: i64 = 3;
 const ACCOUNTS: i64 = 40;
 const TXNS: usize = 120;
-const STREAMS: usize = 3;
 const TPCB_TABLES: [&str; 4] = ["branch", "teller", "account", "history_b"];
 
 fn async_elr_config() -> SystemConfig {
@@ -50,8 +52,7 @@ fn async_elr_config() -> SystemConfig {
         durability: DurabilityConfig {
             early_lock_release: true,
             ..DurabilityConfig::default()
-        }
-        .with_log_streams(STREAMS),
+        },
         ..SystemConfig::for_tests()
     }
 }
@@ -137,59 +138,48 @@ fn assert_same_rows(live: &Database, recovered: &Database, context: &str) {
     }
 }
 
-/// The test's own account of what recovery behind `cuts` must rebuild,
-/// independent of the recovery code: commit sequences `1..=horizon`, the
-/// horizon starting at the checkpoint's and extended over every sequence
-/// whose fences all lie in the checkpoint's carried records or inside the
-/// cuts, up to the first gap.
-fn fenced_horizon(db: &Database, cuts: &[Lsn]) -> u64 {
+/// The test's own account of what recovery behind `cut` must rebuild,
+/// independent of the recovery code: the transactions the checkpoint folded
+/// (every commit record at or below its low-water mark) plus every commit
+/// record past the mark and inside the cut. Also checks that commit
+/// sequences increase with LSN, which is what makes that set a dense run.
+fn committed_within(db: &Database, cut: Lsn) -> u64 {
     let log = db.log_manager();
-    let checkpoint = log.checkpoint_snapshot();
-    let mut records = checkpoint
-        .as_ref()
-        .map_or_else(Vec::new, |checkpoint| checkpoint.pending().to_vec());
-    for (retained, &cut) in log.records_snapshot().into_iter().zip(cuts) {
-        records.extend(retained.into_iter().filter(|record| record.lsn <= cut));
-    }
-    let mut fences: HashMap<TxnId, (u64, usize, usize)> = HashMap::new();
-    for record in &records {
-        if let LogRecordKind::Commit { seq, streams } = &record.kind {
-            fences
-                .entry(record.txn)
-                .or_insert((*seq, streams.len(), 0))
-                .2 += 1;
+    let folded = log
+        .checkpoint_snapshot()
+        .map_or(0, |checkpoint| checkpoint.seq_horizon());
+    let mut inside = 0;
+    for record in log.records_snapshot() {
+        if let LogRecordKind::Commit { seq } = record.kind {
+            assert_eq!(
+                seq,
+                folded + inside + 1,
+                "{}: commit record at {:?} out of sequence order",
+                record.txn,
+                record.lsn
+            );
+            if record.lsn > cut {
+                break;
+            }
+            inside += 1;
         }
     }
-    let mut fenced: Vec<u64> = fences
-        .values()
-        .filter(|(_, required, seen)| seen >= required)
-        .map(|&(seq, _, _)| seq)
-        .collect();
-    fenced.sort_unstable();
-    let mut horizon = checkpoint.map_or(0, |checkpoint| checkpoint.seq_horizon());
-    for seq in fenced {
-        if seq == horizon + 1 {
-            horizon = seq;
-        } else if seq > horizon + 1 {
-            break;
-        }
-    }
-    horizon
+    folded + inside
 }
 
-/// Replays the log up to the per-stream cuts into a fresh replica and checks
-/// the two crash invariants: the replayed transaction set is the fenced set
-/// inside the cuts (one history row per TPC-B transaction), and money is
+/// Replays the log up to `cut` into a fresh replica and checks the two
+/// crash invariants: the replayed transaction set is the committed set
+/// inside the cut (one history row per TPC-B transaction), and money is
 /// conserved across branches/tellers/accounts.
-fn check_cuts(kind: EngineKind, db: &Database, cuts: &[Lsn]) {
+fn check_cut(kind: EngineKind, db: &Database, cut: Lsn) {
     let fresh = fresh_replica();
-    db.recover_prefixes_into(&fresh, cuts).unwrap();
+    db.recover_prefix_into(&fresh, cut).unwrap();
 
     let history = fresh.table_id("history_b").unwrap();
     assert_eq!(
         fresh.row_count(history).unwrap() as u64,
-        fenced_horizon(db, cuts),
-        "{}: cuts {cuts:?} replayed a torn or ghost transaction",
+        committed_within(db, cut),
+        "{}: cut {cut:?} replayed a torn or ghost transaction, or lost a commit",
         kind.label()
     );
 
@@ -201,85 +191,69 @@ fn check_cuts(kind: EngineKind, db: &Database, cuts: &[Lsn]) {
     let accounts = balance_total(&fresh, "account", 2);
     assert!(
         (branches - tellers).abs() < 1e-6 && (tellers - accounts).abs() < 1e-6,
-        "{}: cuts {cuts:?} broke balance consistency: {branches} {tellers} {accounts}",
+        "{}: cut {cut:?} broke balance consistency: {branches} {tellers} {accounts}",
         kind.label()
     );
 }
 
 #[test]
-fn any_torn_multi_stream_prefix_recovers_exactly_the_fenced_set() {
+fn any_log_prefix_recovers_exactly_the_commits_inside_it() {
     for kind in EngineKind::ALL {
         let db = run_workload(kind, 0xC0FFEE + kind as u64, None);
         let log = db.log_manager();
-        let streams = log.records_snapshot();
-        assert_eq!(streams.len(), STREAMS);
-        assert!(!log.is_empty(), "{}: workload must log", kind.label());
-        let lens: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-        if kind == EngineKind::Dora {
-            assert!(
-                streams.iter().filter(|s| !s.is_empty()).count() > 1,
-                "{}: executors must spread appends over several streams, got {lens:?}",
-                kind.label()
-            );
-        }
+        let records = log.records_snapshot();
+        assert!(!records.is_empty(), "{}: workload must log", kind.label());
+        let full = Lsn(log.len() as u64);
 
-        // Structural no-torn-transactions invariant, per stream: a
-        // transaction's commit fence on a stream is its highest LSN there,
-        // so cut membership of the fence implies cut membership of every
-        // data record on that stream.
-        let mut fences = 0usize;
-        for records in &streams {
-            let fence_lsn: HashMap<TxnId, Lsn> = records
-                .iter()
-                .filter(|r| matches!(r.kind, LogRecordKind::Commit { .. }))
-                .map(|r| (r.txn, r.lsn))
-                .collect();
-            fences += fence_lsn.len();
-            for record in records {
-                if let Some(&fence) = fence_lsn.get(&record.txn) {
-                    assert!(
-                        record.lsn <= fence,
-                        "{}: record {:?} of {} past its fence {:?}",
-                        kind.label(),
-                        record.lsn,
-                        record.txn,
-                        fence
-                    );
-                }
+        // Structural no-torn-transactions invariant: a transaction's commit
+        // record is its highest LSN, so cut membership of the commit record
+        // implies cut membership of every data record.
+        let commit_lsn: HashMap<TxnId, Lsn> = records
+            .iter()
+            .filter(|record| matches!(record.kind, LogRecordKind::Commit { .. }))
+            .map(|record| (record.txn, record.lsn))
+            .collect();
+        for record in &records {
+            if let Some(&commit) = commit_lsn.get(&record.txn) {
+                assert!(
+                    record.lsn <= commit,
+                    "{}: record {:?} of {} past its commit record {commit:?}",
+                    kind.label(),
+                    record.lsn,
+                    record.txn,
+                );
             }
         }
         assert!(
-            fences >= TXNS / 2,
-            "{}: too few commit fences recorded ({fences})",
-            kind.label()
+            commit_lsn.len() >= TXNS / 2,
+            "{}: too few commit records ({})",
+            kind.label(),
+            commit_lsn.len()
         );
 
-        // Structured probes: nothing flushed, everything flushed, and every
-        // single-stream-torn shape (one stream cut to zero / to half, the
-        // rest intact) — the crashes that expose cross-stream tearing.
-        let full: Vec<Lsn> = lens.iter().map(|&n| Lsn(n)).collect();
-        check_cuts(kind, &db, &[Lsn(0); STREAMS]);
-        check_cuts(kind, &db, &full);
-        for victim in 0..STREAMS {
-            for fraction in [0u64, 2, 3] {
-                let mut cuts = full.clone();
-                cuts[victim] = Lsn(lens[victim].checked_div(fraction).unwrap_or(0));
-                check_cuts(kind, &db, &cuts);
-            }
+        // Structured probes: nothing flushed, everything flushed, and a cut
+        // right at and right below a sample of commit records — the record
+        // decides its transaction.
+        check_cut(kind, &db, Lsn(0));
+        check_cut(kind, &db, full);
+        let mut commits: Vec<Lsn> = commit_lsn.values().copied().collect();
+        commits.sort_unstable();
+        for &commit in commits.iter().step_by(10) {
+            check_cut(kind, &db, commit);
+            check_cut(kind, &db, Lsn(commit.0 - 1));
         }
 
-        // Arbitrary torn prefixes: every stream cut independently at random.
+        // Arbitrary crash points.
         let mut rng = SmallRng::seed_from_u64(0xBAD5EED ^ kind as u64);
         for _ in 0..24 {
-            let cuts: Vec<Lsn> = lens.iter().map(|&n| Lsn(rng.random_range(0..=n))).collect();
-            check_cuts(kind, &db, &cuts);
+            check_cut(kind, &db, Lsn(rng.random_range(0..=full.0)));
         }
 
-        // Replaying the full cuts and `recover_into` both rebuild the live
+        // Replaying the full log and `recover_into` both rebuild the live
         // database, which is quiesced and durable.
         let via_prefix = fresh_replica();
-        db.recover_prefixes_into(&via_prefix, &full).unwrap();
-        assert_same_rows(&db, &via_prefix, &format!("{}: full cuts", kind.label()));
+        db.recover_prefix_into(&via_prefix, full).unwrap();
+        assert_same_rows(&db, &via_prefix, &format!("{}: full cut", kind.label()));
         let via_full = fresh_replica();
         db.recover_into(&via_full).unwrap();
         assert_same_rows(&db, &via_full, &format!("{}: recover_into", kind.label()));
@@ -288,8 +262,8 @@ fn any_torn_multi_stream_prefix_recovers_exactly_the_fenced_set() {
 
 /// A checkpoint taken halfway reclaims the prefix it folds, so the first
 /// half of the history exists only inside the checkpoint: recovery behind
-/// any cut at or above the low-water marks must start from it, and a cut
-/// below them asks for records that are gone — an error, not an empty
+/// any cut at or above the low-water mark must start from it, and a cut
+/// below it asks for records that are gone — an error, not an empty
 /// database.
 #[test]
 fn a_checkpointed_log_recovers_the_fenced_set_behind_every_cut_above_low_water() {
@@ -302,47 +276,31 @@ fn a_checkpointed_log_recovers_the_fenced_set_behind_every_cut_above_low_water()
             "{}: the checkpoint folded and reclaimed the first half",
             kind.label()
         );
-        let low = checkpoint.low_water().to_vec();
-        let full = log.stream_lens();
+        let low = checkpoint.low_water();
+        let full = Lsn(log.len() as u64);
 
         let via_prefix = fresh_replica();
-        db.recover_prefixes_into(&via_prefix, &full).unwrap();
-        assert_same_rows(&db, &via_prefix, &format!("{}: full cuts", kind.label()));
+        db.recover_prefix_into(&via_prefix, full).unwrap();
+        assert_same_rows(&db, &via_prefix, &format!("{}: full cut", kind.label()));
         let via_full = fresh_replica();
         db.recover_into(&via_full).unwrap();
         assert_same_rows(&db, &via_full, &format!("{}: recover_into", kind.label()));
 
-        check_cuts(kind, &db, &low);
-        check_cuts(kind, &db, &full);
-        for victim in 0..STREAMS {
-            for cut in [low[victim], Lsn((low[victim].0 + full[victim].0) / 2)] {
-                let mut cuts = full.clone();
-                cuts[victim] = cut;
-                check_cuts(kind, &db, &cuts);
-            }
-        }
+        check_cut(kind, &db, low);
+        check_cut(kind, &db, Lsn((low.0 + full.0) / 2));
+        check_cut(kind, &db, full);
         let mut rng = SmallRng::seed_from_u64(0x10_3A7E ^ kind as u64);
         for _ in 0..16 {
-            let cuts: Vec<Lsn> = low
-                .iter()
-                .zip(&full)
-                .map(|(low, full)| Lsn(rng.random_range(low.0..=full.0)))
-                .collect();
-            check_cuts(kind, &db, &cuts);
+            check_cut(kind, &db, Lsn(rng.random_range(low.0..=full.0)));
         }
 
-        let mut refused = 0;
-        for victim in (0..STREAMS).filter(|&stream| low[stream].0 > 0) {
-            let mut cuts = full.clone();
-            cuts[victim] = Lsn(low[victim].0 - 1);
-            let result = db.recover_prefixes_into(&fresh_replica(), &cuts);
-            assert!(
-                matches!(result, Err(DbError::InvalidOperation(_))),
-                "{}: cuts {cuts:?} below the low-water marks {low:?} gave {result:?}",
-                kind.label()
-            );
-            refused += 1;
-        }
-        assert!(refused > 0, "{}: no stream was reclaimed", kind.label());
+        assert!(low.0 > 0, "{}: nothing was reclaimed", kind.label());
+        let below = Lsn(low.0 - 1);
+        let result = db.recover_prefix_into(&fresh_replica(), below);
+        assert!(
+            matches!(result, Err(DbError::InvalidOperation(_))),
+            "{}: cut {below:?} below the low-water mark {low:?} gave {result:?}",
+            kind.label()
+        );
     }
 }

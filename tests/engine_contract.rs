@@ -235,7 +235,7 @@ fn both_sides_of_a_real_deadlock_commit() {
     }
 }
 
-/// Every device write fails and none is retried, so the log stream is dead
+/// Every device write fails and none is retried, so the log is dead
 /// at the first commit: the error surfaces, and the transaction body ran
 /// exactly once (a commit whose durability is unknown must never be re-run).
 #[test]
@@ -269,7 +269,7 @@ fn a_dead_log_stream_is_an_error_and_is_never_retried() {
             kind.label()
         );
         assert_eq!(runs.load(Ordering::SeqCst), 1, "{}", kind.label());
-        assert!(engine.db().log_manager().any_stream_failed());
+        assert!(engine.db().log_manager().failed());
         engine.shutdown();
     }
 }

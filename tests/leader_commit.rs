@@ -1,7 +1,7 @@
 //! Leader/follower group commit: the flusher is a role, held by whichever
-//! thread took the stream's flush claim. A committer that blocks for
+//! thread took the log's flush claim. A committer that blocks for
 //! durability performs the device write itself when the claim is free and
-//! follows the holder when it is not; the `log-flusher-N` daemon exists only
+//! follows the holder when it is not; the `log-flusher` daemon exists only
 //! for commits nobody blocks on. Whoever writes, every commit hardens exactly
 //! once, a failed write reaches everybody waiting on it, and no device write
 //! runs under an executor claim.
@@ -17,9 +17,7 @@ use dora_repro::common::prelude::*;
 use dora_repro::dora::{ActionSpec, DoraConfig, DoraEngine, DoraTxn, FlowGraph, LocalMode};
 use dora_repro::engine::BaselineEngine;
 use dora_repro::metrics::{current_thread_snapshot, CounterKind, Snapshot};
-use dora_repro::storage::{
-    with_executor_log_stream, ColumnDef, Database, LogRecordKind, StreamId, TableSchema,
-};
+use dora_repro::storage::{ColumnDef, Database, TableSchema};
 
 const DEADLINE: Duration = Duration::from_secs(20);
 
@@ -99,6 +97,15 @@ fn within_deadline<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send +
     result
 }
 
+/// Polls `condition` until it holds, failing the test at the deadline.
+fn wait_until(what: &str, condition: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !condition() {
+        assert!(start.elapsed() < DEADLINE, "{what}: never happened");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn wait_within_deadline(txn: &DoraTxn, what: &str) -> DbResult<()> {
     let start = Instant::now();
     while !txn.is_done() {
@@ -119,27 +126,22 @@ fn own_flushes_since(mark: &Snapshot) -> (u64, u64) {
     )
 }
 
-fn daemons_spawned(db: &Database) -> usize {
-    db.log_manager()
-        .stream_stats()
-        .iter()
-        .filter(|stream| stream.daemon_spawned)
-        .count()
+fn daemon_spawned(db: &Database) -> bool {
+    db.log_manager().flusher_spawned()
 }
 
 fn assert_everything_is_durable(db: &Database) {
-    for stats in db.log_manager().stream_stats() {
-        assert_eq!(
-            stats.flushed_lsn.0, stats.records as u64,
-            "{:?}: the last commit fence hardened",
-            stats.stream
-        );
-    }
+    let log = db.log_manager();
+    assert_eq!(
+        log.flushed_lsn().0,
+        log.len() as u64,
+        "the last commit record hardened"
+    );
 }
 
 /// A lone blocking committer — on either engine — finds the claim free every
 /// time: it performs every device write itself (`led_share` = 1), nobody is
-/// woken, and no `log-flusher-*` thread is ever spawned.
+/// woken, and no `log-flusher` thread is ever spawned.
 #[test]
 fn a_lone_blocking_committer_leads_every_write_and_no_daemon_exists() {
     let commits = 25u64;
@@ -171,7 +173,7 @@ fn a_lone_blocking_committer_leads_every_write_and_no_daemon_exists() {
             let (flushes, led) = own_flushes_since(&mark);
             assert_everything_is_durable(&db);
             assert_eq!(db.log_manager().flush_group_sizes().total(), commits);
-            (flushes, led, daemons_spawned(&db))
+            (flushes, led, daemon_spawned(&db))
         });
         assert_eq!(
             flushes,
@@ -180,12 +182,12 @@ fn a_lone_blocking_committer_leads_every_write_and_no_daemon_exists() {
             engine_kind.label()
         );
         assert_eq!(led, flushes, "{}: led_share = 1", engine_kind.label());
-        assert_eq!(daemons, 0, "{}: nobody queued", engine_kind.label());
+        assert!(!daemons, "{}: nobody queued", engine_kind.label());
     }
 }
 
-/// N committers on one stream: whoever finds the claim free writes for
-/// everybody whose fence is in the log by then. Every commit hardens and is
+/// N committers on one log: whoever finds the claim free writes for
+/// everybody whose commit record is in the log by then. Every commit hardens and is
 /// counted in exactly one group, there are never more writes than commits,
 /// every write was led by a committer, and the log replays to every commit.
 #[test]
@@ -233,7 +235,7 @@ fn concurrent_committers_harden_every_commit_exactly_once() {
             "{committers} committers: {flushes} writes for {commits} commits"
         );
         assert_eq!(led, flushes, "blocking committers led every write");
-        assert_eq!(daemons_spawned(&db), 0);
+        assert!(!daemon_spawned(&db));
         assert_everything_is_durable(&db);
         assert_eq!(
             db.log_manager().redo(None).unwrap().records.len() as u64,
@@ -243,18 +245,14 @@ fn concurrent_committers_harden_every_commit_exactly_once() {
     }
 }
 
-/// A follower whose fence the leader's horizon covers performs no write. The
-/// leader is held before its write until the group is full (window of 10 s,
-/// group of 2), so the second committer's fence is in the log before the one
-/// write starts — whichever of the two took the claim.
+/// A follower whose commit record the leader's horizon covers performs no
+/// write. The leader is held under the claim before its write until the
+/// second committer's commit record is in the log, so the one write covers
+/// both — whichever of the two took the claim.
 #[test]
 fn a_follower_the_leaders_horizon_covers_performs_no_write() {
-    let durability = DurabilityConfig {
-        group_window_micros: 10_000_000,
-        max_group_size: 2,
-        ..DurabilityConfig::default()
-    };
-    let (db, table) = counters_db(config(100, durability), 2);
+    let (db, table) = counters_db(config(100, DurabilityConfig::default()), 2);
+    let hold = db.faults().hold(FaultSite::FlusherStall);
     let workers: Vec<_> = [1i64, 2]
         .into_iter()
         .map(|id| {
@@ -266,6 +264,11 @@ fn a_follower_the_leaders_horizon_covers_performs_no_write() {
             })
         })
         .collect();
+    // Begin, update and commit record per committer.
+    wait_until("both commits logged and the leader held", || {
+        db.log_manager().len() == 6 && db.faults().parked(FaultSite::FlusherStall) == 1
+    });
+    drop(hold);
     let flushes: Vec<u64> = workers
         .into_iter()
         .map(|worker| within_deadline("grouped commit", move || worker.join().unwrap()))
@@ -326,7 +329,7 @@ fn a_second_client_executes_while_the_first_is_inside_its_device_write() {
         second_ran.duration_since(first_ran),
         first_durable.duration_since(first_ran),
     );
-    assert_eq!(daemons_spawned(&db), 0, "both clients drove the log");
+    assert!(!daemon_spawned(&db), "both clients drove the log");
     assert_everything_is_durable(&db);
     engine.shutdown();
 }
@@ -381,7 +384,7 @@ fn without_elr_the_client_releases_local_locks_after_its_own_write() {
     engine.shutdown();
 }
 
-/// `submit` returns before anybody waits, so the commit goes to the stream's
+/// `submit` returns before anybody waits, so the commit goes to the log's
 /// daemon: the submitting thread performs no device write, the daemon is
 /// spawned, and a later `wait()` sees the commit durable.
 #[test]
@@ -397,19 +400,19 @@ fn a_submitted_transaction_completes_through_the_daemon() {
         (0, 0),
         "the submitter never writes"
     );
-    assert_eq!(daemons_spawned(&db), 1);
+    assert!(daemon_spawned(&db));
     assert_everything_is_durable(&db);
-    // A blocking client on the same stream still leads its own write.
+    // A blocking client on the same log still leads its own write.
     engine.execute(bump_graph(table, 2, || {})).unwrap();
     assert_eq!(own_flushes_since(&mark), (1, 1));
     engine.shutdown();
 }
 
 /// A failed write (every device write errors, no retries) reaches everybody
-/// waiting on the stream: the committer that led it, a follower parked behind
+/// waiting on the log: the committer that led it, a follower parked behind
 /// it, and a callback queued with the daemon. The leader is held under the
-/// claim for 150 ms before its write, long past the follower's 1 ms of
-/// polling.
+/// claim before its write until the other two commits are in the log, long
+/// past the follower's 1 ms of polling.
 #[test]
 fn a_failed_write_surfaces_durability_lost_to_leader_followers_and_callbacks() {
     let system = SystemConfig {
@@ -418,28 +421,29 @@ fn a_failed_write_surfaces_durability_lost_to_leader_followers_and_callbacks() {
             max_write_retries: 0,
             ..FaultConfig::default()
         },
-        ..config(
-            1_000,
-            DurabilityConfig {
-                group_window_micros: 150_000,
-                ..DurabilityConfig::default()
-            },
-        )
+        ..config(1_000, DurabilityConfig::default())
     };
     let (db, table) = counters_db(system, 3);
     let engine = Arc::new(DoraEngine::new(Arc::clone(&db), DoraConfig::default()));
     engine.bind_table(table, 1, 1, 3).unwrap();
 
+    let hold = db.faults().hold(FaultSite::FlusherStall);
     let leader = {
         let engine = Arc::clone(&engine);
         std::thread::spawn(move || engine.execute(bump_graph(table, 1, || {})))
     };
-    std::thread::sleep(Duration::from_millis(20));
+    wait_until("the leader held under the claim", || {
+        db.faults().parked(FaultSite::FlusherStall) == 1
+    });
     let follower = {
         let db = Arc::clone(&db);
         std::thread::spawn(move || commit_bump(&db, table, 2))
     };
     let queued = engine.submit(bump_graph(table, 3, || {})).unwrap();
+    // Begin, update and commit record per transaction.
+    wait_until("all three commits logged", || db.log_manager().len() == 9);
+    std::thread::sleep(Duration::from_millis(20));
+    drop(hold);
 
     for (who, outcome) in [
         (
@@ -454,59 +458,13 @@ fn a_failed_write_surfaces_durability_lost_to_leader_followers_and_callbacks() {
     ] {
         assert!(
             matches!(outcome, Err(DbError::DurabilityLost)),
-            "{who}: a commit on a dead stream must not look durable, got {outcome:?}"
+            "{who}: a commit on a dead log must not look durable, got {outcome:?}"
         );
     }
-    assert!(db.log_manager().any_stream_failed());
+    assert!(db.log_manager().failed());
     assert!(
         matches!(commit_bump(&db, table, 2), Err(DbError::DurabilityLost)),
         "later commits fail fast"
     );
     engine.shutdown();
-}
-
-/// A commit that fenced three streams waits for the slowest device, not for
-/// three writes back to back: the committer leads one stream itself and the
-/// other two are started by their daemons first.
-#[test]
-fn a_multi_stream_commit_waits_for_the_slowest_stream_not_the_sum() {
-    let device = Duration::from_millis(50);
-    let (db, table) = counters_db(
-        config(
-            device.as_micros() as u64,
-            DurabilityConfig::default().with_log_streams(3),
-        ),
-        3,
-    );
-    let elapsed = within_deadline("multi-stream commit", move || {
-        let txn = db.begin();
-        for stream in 0..3 {
-            with_executor_log_stream(StreamId(stream), || {
-                bump(&db, &txn, table, 1 + stream as i64, CcMode::Full)
-            });
-        }
-        let handle = db.precommit(&txn).unwrap();
-        assert_eq!(handle.fences().len(), 3, "one fence per touched stream");
-        let start = Instant::now();
-        db.commit_wait(&txn, handle).unwrap();
-        let elapsed = start.elapsed();
-        assert_everything_is_durable(&db);
-        let fences = db
-            .log_manager()
-            .records_snapshot()
-            .iter()
-            .flatten()
-            .filter(|record| matches!(record.kind, LogRecordKind::Commit { .. }))
-            .count();
-        assert_eq!(fences, 3);
-        elapsed
-    });
-    assert!(
-        elapsed >= device,
-        "every stream paid its device: {elapsed:?}"
-    );
-    assert!(
-        elapsed < device * 5 / 2,
-        "three 50 ms writes overlapped would take ~50 ms, back to back 150 ms: {elapsed:?}"
-    );
 }

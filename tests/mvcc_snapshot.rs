@@ -14,8 +14,8 @@
 //!   counters.
 //! * **No ELR ghosts** — with asynchronous group commit and early lock
 //!   release, a *durable* snapshot never shows a transaction that a crash at
-//!   the current flush horizons would lose: everything it shows survives a
-//!   `recover_prefixes_into` replay cut at those horizons.
+//!   the current flush horizon would lose: everything it shows survives a
+//!   `recover_prefix_into` replay cut at that horizon.
 //! * **Bounded history** — version chains are reclaimable once the snapshots
 //!   pinning them are gone.
 //! * **Keys outlive RIDs** — a snapshot pinned before a key was deleted and
@@ -210,7 +210,7 @@ fn snapshots_stay_consistent_and_repeatable_under_concurrent_writers() {
 
 /// With asynchronous group commit and early lock release, *durable*
 /// snapshots never show ELR ghosts: every transaction visible through one
-/// survives a crash cut at per-stream flush horizons captured afterwards.
+/// survives a crash cut at the flush horizon captured afterwards.
 #[test]
 fn durable_snapshots_never_observe_elr_ghosts() {
     let config = SystemConfig {
@@ -220,8 +220,7 @@ fn durable_snapshots_never_observe_elr_ghosts() {
         durability: DurabilityConfig {
             early_lock_release: true,
             ..DurabilityConfig::default()
-        }
-        .with_log_streams(3),
+        },
         ..SystemConfig::for_tests()
     };
     for kind in EngineKind::ALL {
@@ -231,23 +230,18 @@ fn durable_snapshots_never_observe_elr_ghosts() {
 
         for probe in 0..8 {
             // Order matters: pin the durable horizon first, then capture the
-            // flush horizons — the cut can only be *ahead* of whatever made
+            // flush horizon — the cut can only be *ahead* of whatever made
             // the snapshot's transactions durable, never behind.
             let snapshot = Arc::new(db.snapshot_durable());
             let view = view_at(&db, &snapshot);
             assert_consistent(label, probe, &view);
-            let cuts: Vec<_> = (0..db.log_manager().stream_count())
-                .map(|stream| {
-                    db.log_manager()
-                        .flushed_lsn(dora_repro::storage::log::StreamId(stream))
-                })
-                .collect();
+            let cut = db.log_manager().flushed_lsn();
 
             let replica = Database::new(config.clone());
             let workload = TpcB::with_accounts(BRANCHES, ACCOUNTS);
             workload.create_schema(&replica).unwrap();
             workload.load(&replica).unwrap();
-            db.recover_prefixes_into(&replica, &cuts).unwrap();
+            db.recover_prefix_into(&replica, cut).unwrap();
 
             let history = replica.table_id("history_b").unwrap();
             let mut recovered = HashSet::new();
@@ -263,7 +257,7 @@ fn durable_snapshots_never_observe_elr_ghosts() {
                 assert!(
                     recovered.contains(tid),
                     "{label} probe {probe}: durable snapshot showed transaction {tid}, \
-                     which a crash at cuts {cuts:?} loses — an ELR ghost"
+                     which a crash at cut {cut:?} loses — an ELR ghost"
                 );
             }
         }

@@ -221,9 +221,8 @@ fn a_miss_allocates_nothing() {
 /// One `update_primary` hit under DORA's `CcMode::None`: the pre-image
 /// copied off the page for the log record (1) and decoded beside it
 /// (1 + text), the after image (1), both images shared with the version
-/// store (2), and the transaction's first write-list and log-stream entries
-/// (2).
-const UPDATE_NONE: u64 = 1 + (1 + TEXT_COLUMNS) + 1 + 2 + 2;
+/// store (2), and the transaction's first write-list entry (1).
+const UPDATE_NONE: u64 = 1 + (1 + TEXT_COLUMNS) + 1 + 2 + 1;
 
 /// What the conventional engine's `CcMode::Full` adds: three lock heads
 /// (database, table, record), each an `Arc` and a request list, and the
@@ -231,11 +230,17 @@ const UPDATE_NONE: u64 = 1 + (1 + TEXT_COLUMNS) + 1 + 2 + 2;
 const LOCKS_FULL: u64 = 3 * 2 + 2;
 
 /// One `insert` under DORA's `CcMode::RowOnly`: the image (1) and its copy
-/// shared with the version store (1), the first write-list and log-stream
-/// entries (2), the record lock (head, request list and ledger: 4), the
-/// primary index's entry list (1), and the secondary key's text, built once
-/// and stored once, with its entry list (3).
-const INSERT_ROW_ONLY: u64 = 1 + 1 + 2 + 4 + 1 + 3;
+/// shared with the version store (1), the first write-list entry (1), the
+/// record lock (head, request list and ledger: 4), the primary index's entry
+/// list (1), and the secondary key's text, built once and stored once, with
+/// its entry list (3).
+const INSERT_ROW_ONLY: u64 = 1 + 1 + 1 + 4 + 1 + 3;
+
+/// `precommit` of a one-write transaction under `CcMode::None`: nothing. The
+/// commit record is pushed onto the log's buffer, whose growth steps the
+/// fewest-of-several count skips, and the sequence, the LSN and the handle
+/// that carries them are plain values.
+const PRECOMMIT_ONE_WRITE: u64 = 0;
 
 #[test]
 fn update_primary_stays_within_its_budget() {
@@ -273,4 +278,25 @@ fn insert_stays_within_its_budget() {
         });
         assert_eq!(calls, budget, "insert under {cc:?}");
     }
+}
+
+#[test]
+fn precommit_of_one_write_stays_within_its_budget() {
+    let f = fixture();
+    // Committed, not aborted: each repetition updates the same row again.
+    let calls = (0..8)
+        .map(|_| {
+            let txn = f.db.begin();
+            f.db.update_primary(&txn, f.table, &Key::int2(1, 9), CcMode::None, |row| {
+                row[2] = Value::Float(4.5);
+                Ok(())
+            })
+            .unwrap();
+            let (calls, handle) = allocations(|| f.db.precommit(&txn).unwrap());
+            f.db.commit_wait(&txn, handle).unwrap();
+            calls
+        })
+        .min()
+        .unwrap();
+    assert_eq!(calls, PRECOMMIT_ONE_WRITE, "precommit of one write");
 }

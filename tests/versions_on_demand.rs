@@ -814,7 +814,7 @@ fn a_durable_snapshot_excludes_undurable_commits_it_never_saw_versioned() {
     }
 }
 
-/// (c), the stream that has failed for good: its ghost commit is in the heap
+/// (c), the log that has failed for good: its ghost commit is in the heap
 /// for ever and durable never. Every durable snapshot, whenever it is opened,
 /// must read around it and around everything committed on top of it.
 #[test]
