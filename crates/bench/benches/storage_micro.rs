@@ -30,6 +30,38 @@ fn btree_probe(c: &mut Criterion) {
     });
 }
 
+/// 120 000 order-line-shaped keys, `(warehouse, district, order, line)`:
+/// four Int columns, past `Key::INLINE_LEN`, probed from a prebuilt list so
+/// the loop times the index, not building the key.
+fn btree_probe_four_columns(c: &mut Criterion) {
+    let index = BTreeIndex::new(true);
+    let keys: Vec<Key> = (0..120_000i64)
+        .map(|i| {
+            Key::from_values([
+                i / 30_000 + 1,
+                i / 3_000 % 10 + 1,
+                i / 10 % 300 + 1,
+                i % 10 + 1,
+            ])
+        })
+        .collect();
+    for (i, key) in keys.iter().enumerate() {
+        index
+            .insert(
+                key,
+                IndexEntry::new(Rid::new((i / 100) as u32, (i % 100) as u16), Key::empty()),
+            )
+            .unwrap();
+    }
+    let mut probe = 0usize;
+    c.bench_function("storage/btree_probe_120k_four_columns", |b| {
+        b.iter(|| {
+            probe = (probe * 48271 + 1) % keys.len();
+            black_box(index.get_first(&keys[probe]));
+        })
+    });
+}
+
 fn heap_insert_and_read(c: &mut Criterion) {
     let db = Database::for_tests();
     let table = db
@@ -111,6 +143,6 @@ fn configure() -> Criterion {
 criterion_group! {
     name = benches;
     config = configure();
-    targets = btree_probe, heap_insert_and_read
+    targets = btree_probe, btree_probe_four_columns, heap_insert_and_read
 }
 criterion_main!(benches);

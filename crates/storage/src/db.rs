@@ -26,7 +26,7 @@ use dora_metrics::{incr, incr_by, record_time, time_section, CounterKind, TimeCa
 
 use crate::btree::{BTreeIndex, IndexEntry};
 use crate::buffer::{BufferPool, PageStore};
-use crate::catalog::{Catalog, IndexSpec, TableSchema};
+use crate::catalog::{Catalog, IndexSpec, TableMeta, TableSchema};
 use crate::heap::{HeapFile, PageOp};
 use crate::lock::{LockId, LockManager, LockMode};
 use crate::log::{LogManager, LogRecord, LogRecordKind, Lsn};
@@ -233,10 +233,11 @@ impl Database {
     /// Creates a secondary index over an existing (typically still empty)
     /// table.
     pub fn create_index(&self, spec: IndexSpec) -> DbResult<IndexId> {
+        let unique = spec.unique;
         let id = self.catalog.add_index(spec)?;
         let mut secondaries = self.secondaries.write();
         debug_assert_eq!(secondaries.len(), id.0 as usize);
-        secondaries.push(Arc::new(BTreeIndex::new(false)));
+        secondaries.push(Arc::new(BTreeIndex::new(unique)));
         Ok(id)
     }
 
@@ -672,7 +673,7 @@ impl Database {
         }
         let primary_key = meta.schema.primary_key_of(&row);
         let primary = self.primary(table)?;
-        if primary.get_first(&primary_key).is_some() {
+        if primary.get_rid(&primary_key).is_some() {
             return Err(DbError::DuplicateKey {
                 table,
                 detail: format!("{primary_key}"),
@@ -704,21 +705,13 @@ impl Database {
         if cc != CcMode::None {
             self.lock_record(txn, table, rid, LockMode::X, CcMode::RowOnly)?;
         }
-        let index_result = time_section(TimeCategory::Work, || -> DbResult<()> {
-            primary.insert(
-                &primary_key,
-                IndexEntry::new(rid, meta.schema.routing_key_of(&row)),
-            )?;
-            for index_meta in &meta.secondary_indexes {
-                let key = index_meta.spec.key_of(&row);
-                self.secondary(index_meta.id)?
-                    .insert(&key, IndexEntry::new(rid, meta.schema.routing_key_of(&row)))?;
-            }
-            Ok(())
+        let index_result = time_section(TimeCategory::Work, || {
+            self.insert_index_entries(&meta, &primary, &primary_key, &row, rid)
         });
         if let Err(err) = index_result {
-            // A concurrent insert won the uniqueness race: give the heap slot
-            // back so nothing leaks, then surface the error.
+            // A duplicate in a unique secondary index, or a concurrent insert
+            // that won the primary key's race: give the heap slot back so
+            // nothing leaks, then surface the error.
             let mut writes = txn.state.writes.lock();
             let _ = heap.delete(rid);
             writes.retract(table, rid);
@@ -775,8 +768,8 @@ impl Database {
         cc: CcMode,
     ) -> DbResult<Option<Rid>> {
         let primary = self.primary(table)?;
-        let entry = time_section(TimeCategory::Work, || primary.get_first(key));
-        let Some(entry) = entry else {
+        let rid = time_section(TimeCategory::Work, || primary.get_rid(key));
+        let Some(rid) = rid else {
             // Still touch the table intention lock: a conventional engine
             // acquires it before discovering the key is absent.
             if cc == CcMode::Full {
@@ -795,9 +788,9 @@ impl Database {
         };
         let mode = if for_update { LockMode::X } else { LockMode::S };
         if cc == CcMode::Full {
-            self.lock_record(txn, table, entry.rid, mode, cc)?;
+            self.lock_record(txn, table, rid, mode, cc)?;
         }
-        Ok(Some(entry.rid))
+        Ok(Some(rid))
     }
 
     /// Reads a record by RID.
@@ -924,8 +917,8 @@ impl Database {
         self.ensure_active(txn)?;
         self.ensure_writable(txn)?;
         let primary = self.primary(table)?;
-        let entry = time_section(TimeCategory::Work, || primary.get_first(key));
-        let Some(IndexEntry { rid, .. }) = entry else {
+        let rid = time_section(TimeCategory::Work, || primary.get_rid(key));
+        let Some(rid) = rid else {
             return Err(DbError::NotFound {
                 table,
                 detail: format!("{key}"),
@@ -1073,7 +1066,7 @@ impl Database {
         let heap = self.heap(table)?;
         time_section(TimeCategory::Work, || {
             let mut rids = Vec::new();
-            primary.range_with(range, limit, |_, entry| rids.push(entry.rid));
+            primary.range_rids(range, limit, |rid| rids.push(rid));
             let mut rows = Vec::with_capacity(rids.len());
             for rid in rids {
                 rows.push((rid, heap.read_with(rid, Value::decode_row)?));
@@ -1121,18 +1114,58 @@ impl Database {
     pub fn load_row(&self, table: TableId, row: Row) -> DbResult<Rid> {
         let meta = self.catalog.table(table)?;
         meta.schema.validate(&row)?;
-        let rid = self.heap(table)?.insert(&Value::encode_row(&row))?;
+        let heap = self.heap(table)?;
+        let rid = heap.insert(&Value::encode_row(&row))?;
         let primary_key = meta.schema.primary_key_of(&row);
-        self.primary(table)?.insert(
-            &primary_key,
-            IndexEntry::new(rid, meta.schema.routing_key_of(&row)),
-        )?;
-        for index_meta in &meta.secondary_indexes {
-            let key = index_meta.spec.key_of(&row);
-            self.secondary(index_meta.id)?
-                .insert(&key, IndexEntry::new(rid, meta.schema.routing_key_of(&row)))?;
+        let primary = self.primary(table)?;
+        if let Err(err) = self.insert_index_entries(&meta, &primary, &primary_key, &row, rid) {
+            let _ = heap.delete(rid);
+            return Err(err);
         }
         Ok(rid)
+    }
+
+    /// Enters the row at `rid` into its table's primary index and every
+    /// secondary index. If one insert fails (a duplicate key in a unique
+    /// index), the entries already made are removed again, so a rejected
+    /// row leaves no entry behind, and the error names the row's table.
+    fn insert_index_entries(
+        &self,
+        meta: &TableMeta,
+        primary: &BTreeIndex,
+        primary_key: &Key,
+        row: &Row,
+        rid: Rid,
+    ) -> DbResult<()> {
+        let in_table = |err| match err {
+            DbError::DuplicateKey { detail, .. } => DbError::DuplicateKey {
+                table: meta.id,
+                detail,
+            },
+            other => other,
+        };
+        let routing = meta.schema.routing_key_of(row);
+        primary
+            .insert(primary_key, IndexEntry::new(rid, routing.clone()))
+            .map_err(in_table)?;
+        for (done, index_meta) in meta.secondary_indexes.iter().enumerate() {
+            let inserted = self.secondary(index_meta.id).and_then(|index| {
+                index.insert(
+                    &index_meta.spec.key_of(row),
+                    IndexEntry::new(rid, routing.clone()),
+                )
+            });
+            if let Err(err) = inserted {
+                let _ = primary.remove(primary_key, rid);
+                for earlier in &meta.secondary_indexes[..done] {
+                    if let Ok(index) = self.secondary(earlier.id) {
+                        let _ = index.remove(&earlier.spec.key_of(row), rid);
+                    }
+                }
+                return Err(in_table(err));
+            }
+        }
+        Ok(())
     }
 
     /// Number of live rows in a table (diagnostics and tests; not
@@ -1376,8 +1409,8 @@ impl Database {
         incr(CounterKind::SnapshotReads);
         let meta = self.catalog.table(table)?;
         let primary = self.primary(table)?;
-        let rid = match time_section(TimeCategory::Work, || primary.get_first(key)) {
-            Some(entry) => entry.rid,
+        let rid = match time_section(TimeCategory::Work, || primary.get_rid(key)) {
+            Some(rid) => rid,
             // The entry may have been removed physically by a committer after
             // our horizon; the version store keeps a note of where it lived.
             None => match snapshot.store().unlinked_rid(table, key) {
@@ -1533,6 +1566,89 @@ mod tests {
             Value::Text(owner.into()),
             Value::Float(balance),
         ]
+    }
+
+    /// `accounts` behind another table, so its id is not `TableId(0)`, with
+    /// a unique secondary index on `owner`.
+    fn accounts_with_unique_owner() -> (Arc<Database>, TableId, IndexId) {
+        let db = Database::for_tests();
+        db.create_table(TableSchema::new(
+            "other",
+            vec![ColumnDef::new("id", ValueType::Int)],
+            vec![0],
+        ))
+        .unwrap();
+        let table = db
+            .create_table(TableSchema::new(
+                "accounts",
+                vec![
+                    ColumnDef::new("id", ValueType::Int),
+                    ColumnDef::new("owner", ValueType::Text),
+                    ColumnDef::new("balance", ValueType::Float),
+                ],
+                vec![0],
+            ))
+            .unwrap();
+        let by_owner = db
+            .create_index(IndexSpec {
+                name: "accounts_by_owner".into(),
+                table,
+                key_columns: vec![1],
+                unique: true,
+            })
+            .unwrap();
+        (db, table, by_owner)
+    }
+
+    #[test]
+    fn a_unique_secondary_rejects_a_duplicate_and_keeps_no_entry_of_it() {
+        let (db, table, by_owner) = accounts_with_unique_owner();
+        let txn = db.begin();
+        db.insert(&txn, table, account_row(1, "alice", 1.0), CcMode::Full)
+            .unwrap();
+        let duplicate = db.insert(&txn, table, account_row(2, "alice", 2.0), CcMode::Full);
+        assert!(
+            matches!(duplicate, Err(DbError::DuplicateKey { table: t, .. }) if t == table),
+            "a second `alice` must be a duplicate in `accounts`: {duplicate:?}"
+        );
+        // The rejected row left no primary entry behind: its key is free.
+        let probe = db.probe_primary(&txn, table, &Key::int(2), false, CcMode::Full);
+        assert!(matches!(probe, Ok(None)), "{probe:?}");
+        db.insert(&txn, table, account_row(2, "bob", 2.0), CcMode::Full)
+            .unwrap();
+        db.commit(&txn).unwrap();
+
+        let txn = db.begin();
+        let owner = |name: &str| Key::from_values([name]);
+        let alice = db
+            .probe_secondary(&txn, by_owner, &owner("alice"), CcMode::Full)
+            .unwrap();
+        assert_eq!(alice.len(), 1);
+        let (_, row) = db
+            .probe_primary(&txn, table, &Key::int(2), false, CcMode::Full)
+            .unwrap()
+            .expect("the re-inserted key");
+        assert_eq!(row, account_row(2, "bob", 2.0));
+        db.commit(&txn).unwrap();
+    }
+
+    #[test]
+    fn a_rejected_bulk_load_row_leaves_no_entry_or_row() {
+        let (db, table, _) = accounts_with_unique_owner();
+        db.load_row(table, account_row(1, "alice", 1.0)).unwrap();
+        let duplicate = db.load_row(table, account_row(2, "alice", 2.0));
+        assert!(
+            matches!(duplicate, Err(DbError::DuplicateKey { table: t, .. }) if t == table),
+            "{duplicate:?}"
+        );
+        assert_eq!(db.row_count(table).unwrap(), 1);
+        db.load_row(table, account_row(2, "bob", 2.0)).unwrap();
+        let txn = db.begin();
+        let hit = db
+            .probe_primary(&txn, table, &Key::int(2), false, CcMode::Full)
+            .unwrap();
+        assert_eq!(hit.map(|(_, row)| row), Some(account_row(2, "bob", 2.0)));
+        db.commit(&txn).unwrap();
     }
 
     #[test]

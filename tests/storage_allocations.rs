@@ -17,6 +17,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use dora_repro::common::prelude::*;
+use dora_repro::storage::btree::{BTreeIndex, IndexEntry};
 use dora_repro::storage::{ColumnDef, Database, IndexSpec, TableSchema, TxnHandle};
 
 struct CountingAllocator;
@@ -231,10 +232,10 @@ const LOCKS_FULL: u64 = 3 * 2 + 2;
 
 /// One `insert` under DORA's `CcMode::RowOnly`: the image (1) and its copy
 /// shared with the version store (1), the first write-list entry (1), the
-/// record lock (head, request list and ledger: 4), the primary index's entry
-/// list (1), and the secondary key's text, built once and stored once, with
-/// its entry list (3).
-const INSERT_ROW_ONLY: u64 = 1 + 1 + 1 + 4 + 1 + 3;
+/// record lock (head, request list and ledger: 4), and the secondary key's
+/// text, built once (1). Entering the keys costs nothing: each index stores a
+/// key as normalized bytes in its leaf, with the first entry inline.
+const INSERT_ROW_ONLY: u64 = 1 + 1 + 1 + 4 + 1;
 
 /// `precommit` of a one-write transaction under `CcMode::None`: nothing. The
 /// commit record is pushed onto the log's buffer, whose growth steps the
@@ -299,4 +300,36 @@ fn precommit_of_one_write_stays_within_its_budget() {
         .min()
         .unwrap();
     assert_eq!(calls, PRECOMMIT_ONE_WRITE, "precommit of one write");
+}
+
+#[test]
+fn index_probes_and_an_insert_into_a_leaf_with_room_allocate_nothing() {
+    // One- and four-column keys in one index; the keys are built before
+    // counting (a four-column `Key` is itself a heap vector).
+    let index = BTreeIndex::new(true);
+    let one = Key::int;
+    let four = |i: i64| Key::from_values([1, i / 100, i % 100, 7]);
+    let entry = |i: i64| IndexEntry::new(Rid::new(i as u32, 0), Key::int(1));
+    for i in 0..2_000 {
+        index.insert(&one(i), entry(i)).unwrap();
+        index.insert(&four(i), entry(i)).unwrap();
+    }
+    for (shape, key) in [("one-column", one(1_234)), ("four-column", four(1_234))] {
+        let (calls, hit) = allocations(|| index.get_first(&key));
+        assert_eq!(hit, Some(entry(1_234)));
+        assert_eq!(calls, 0, "get_first of a {shape} key");
+    }
+    let absent = four(99_999);
+    let (calls, miss) = allocations(|| index.get_first(&absent));
+    assert_eq!((calls, miss), (0, None), "get_first miss");
+
+    // Removing a key leaves its leaf room for one; putting it back is a
+    // unique insert that neither splits nor allocates.
+    for key in [one(777), four(777)] {
+        index.remove(&key, Rid::new(777, 0)).unwrap();
+        let fresh = entry(777);
+        let (calls, inserted) = allocations(|| index.insert(&key, fresh));
+        inserted.unwrap();
+        assert_eq!(calls, 0, "unique insert of {key} into a leaf with room");
+    }
 }
