@@ -1879,13 +1879,6 @@ pub struct ChaosPoint {
     pub consistent: bool,
 }
 
-impl ChaosPoint {
-    /// Fraction of submissions that ended as unrecoverable ghost commits.
-    pub fn failure_rate(&self) -> f64 {
-        self.failed as f64 / self.submitted.max(1) as f64
-    }
-}
-
 /// One system × self-healing series of the `chaos` experiment. The first
 /// point is always the fault-free baseline the retention is computed
 /// against.

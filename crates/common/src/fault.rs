@@ -21,7 +21,9 @@
 //! `dora-metrics` at the call site.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
+
+use parking_lot::{Condvar, Mutex};
 
 /// Knobs for the deterministic fault injector. All rates are probabilities in
 /// `[0, 1]`; a rate of zero disables that site entirely (and draws nothing
@@ -239,17 +241,10 @@ impl FaultPlan {
         if holds.load(Ordering::SeqCst) == 0 {
             return false;
         }
-        // The mutex guards nothing, so a poisoned one is as good as new.
-        let mut guard = self
-            .hold_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut guard = self.hold_lock.lock();
         self.parked[site.index()].fetch_add(1, Ordering::SeqCst);
         while holds.load(Ordering::SeqCst) > 0 {
-            guard = self
-                .released
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
+            self.released.wait(&mut guard);
         }
         self.parked[site.index()].fetch_sub(1, Ordering::SeqCst);
         true
@@ -274,11 +269,7 @@ impl Drop for FaultHold {
     fn drop(&mut self) {
         // Under the mutex a parked thread re-checks the count with, so the
         // notification cannot fall between its check and its wait.
-        let _guard = self
-            .plan
-            .hold_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _guard = self.plan.hold_lock.lock();
         self.plan.holds[self.site.index()].fetch_sub(1, Ordering::SeqCst);
         self.plan.released.notify_all();
     }

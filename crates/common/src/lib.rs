@@ -16,6 +16,7 @@ pub mod fault;
 pub mod ids;
 pub mod key;
 pub mod outcome;
+pub mod sync;
 pub mod value;
 
 pub use config::{AdaptiveConfig, CcMode, DurabilityConfig, EngineKind, SystemConfig};

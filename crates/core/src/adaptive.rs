@@ -28,10 +28,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use dora_common::config::AdaptiveConfig;
 use dora_common::prelude::*;
+use dora_common::sync::OneShot;
 use dora_metrics::{LoadMonitor, LoadSample};
 
 use crate::engine::DoraEngine;
@@ -210,8 +211,7 @@ impl SkewDetector {
 }
 
 struct ControllerShared {
-    stopped: Mutex<bool>,
-    wake: Condvar,
+    stopped: OneShot<()>,
     resizes: AtomicU64,
 }
 
@@ -241,8 +241,7 @@ impl AdaptiveController {
     /// bound after the controller starts are picked up automatically.
     pub fn spawn(engine: Arc<DoraEngine>, config: AdaptiveConfig) -> Self {
         let shared = Arc::new(ControllerShared {
-            stopped: Mutex::new(false),
-            wake: Condvar::new(),
+            stopped: OneShot::new(),
             resizes: AtomicU64::new(0),
         });
         let thread_shared = Arc::clone(&shared);
@@ -260,16 +259,11 @@ impl AdaptiveController {
         let manager = ResourceManager::new(engine.config().clone());
         let mut detectors: HashMap<TableId, SkewDetector> = HashMap::new();
         loop {
-            {
-                // Sleep on the condvar so `stop()` wakes the controller
-                // immediately instead of waiting out the sample interval.
-                let mut stopped = shared.stopped.lock();
-                if !*stopped {
-                    shared.wake.wait_for(&mut stopped, config.sample_interval);
-                }
-                if *stopped {
-                    return;
-                }
+            // Sleep on the stop signal so `stop()` wakes the controller
+            // immediately instead of waiting out the sample interval.
+            let next_sample = Instant::now() + config.sample_interval;
+            if shared.stopped.wait_until(next_sample).is_some() {
+                return;
             }
             if engine.is_shutting_down() {
                 return;
@@ -311,11 +305,7 @@ impl AdaptiveController {
     /// Stops the controller and joins its thread. Idempotent; any resize in
     /// progress completes first.
     pub fn stop(&self) {
-        {
-            let mut stopped = self.shared.stopped.lock();
-            *stopped = true;
-            self.shared.wake.notify_all();
-        }
+        self.shared.stopped.set(());
         if let Some(handle) = self.thread.lock().take() {
             let _ = handle.join();
         }

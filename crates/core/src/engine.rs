@@ -9,12 +9,13 @@ use std::thread::JoinHandle;
 use parking_lot::{Mutex, RwLock};
 
 use dora_common::prelude::*;
+use dora_common::sync::OneShot;
 use dora_metrics::{incr, incr_by, time_section, CounterKind, TimeCategory};
 use dora_storage::Database;
 
 use crate::action::{Action, ActionBody, ActionContext, ActionSpec};
 use crate::config::DoraConfig;
-use crate::executor::{Claim, ExecutorShared, InboxGuard, Message, ResizeBarrier};
+use crate::executor::{Claim, ExecutorShared, InboxGuard, Message};
 use crate::flow::FlowGraph;
 use crate::routing::{RoutingRule, RoutingTable};
 use crate::txn::{DoraTxn, DoraTxnInner};
@@ -341,21 +342,21 @@ impl EngineInner {
                 reason: "aborted".into(),
             }));
             self.commit_fanout(txn);
-            txn.completion.finish(result);
+            txn.completion.set(result);
             return;
         }
         match self.db.precommit(&txn.handle) {
             Err(error) => {
                 let _ = self.db.abort(&txn.handle);
                 self.commit_fanout(txn);
-                txn.completion.finish(Err(error));
+                txn.completion.set(Err(error));
             }
             Ok(handle) if txn.client_waits => {
                 if handle.early_released() {
                     self.commit_fanout(txn);
                 }
                 *txn.precommitted.lock() = Some(handle);
-                txn.completion.finish(Ok(()));
+                txn.completion.set(Ok(()));
             }
             Ok(handle) => {
                 let early_released = handle.early_released();
@@ -371,7 +372,7 @@ impl EngineInner {
                     // was applied in memory (ghost commit) but never
                     // hardened; the client must hear the distinct,
                     // non-retryable outcome.
-                    txn2.completion.finish(if durable {
+                    txn2.completion.set(if durable {
                         Ok(())
                     } else {
                         Err(DbError::DurabilityLost)
@@ -575,17 +576,6 @@ impl DoraEngine {
         Ok(())
     }
 
-    /// Binds every table in the catalog with `executors` executors each,
-    /// using an even range rule over `[key_low, key_high]`. Convenience for
-    /// workloads whose tables all route on the same domain (e.g. the
-    /// warehouse id).
-    pub fn bind_all_tables(&self, executors: usize, key_low: i64, key_high: i64) -> DbResult<()> {
-        for table in self.inner.db.catalog().tables() {
-            self.bind_table(table.id, executors, key_low, key_high)?;
-        }
-        Ok(())
-    }
-
     /// Submits a transaction flow graph and returns a handle without waiting
     /// for completion. Nobody is known to block on the commit, so the log's
     /// flusher daemon hardens it and finishes the handle.
@@ -655,18 +645,6 @@ impl DoraEngine {
             .collect())
     }
 
-    /// The routing-key domain `[low, high]` recorded when `table` was bound
-    /// through [`Self::bind_table`] (`None` for tables bound with an explicit
-    /// rule, whose domain the engine does not know).
-    pub fn table_domain(&self, table: TableId) -> Option<(i64, i64)> {
-        self.inner
-            .domains
-            .read()
-            .get(table.0 as usize)
-            .copied()
-            .flatten()
-    }
-
     /// Tables eligible for adaptive repartitioning: bound with a [`Range`]
     /// rule over a known key domain and served by at least two executors.
     ///
@@ -706,11 +684,11 @@ impl DoraEngine {
     /// (stop serving actions of new transactions until its in-flight
     /// transactions complete). Returns the barriers to wait on. Used by the
     /// resource manager; see [`crate::ResourceManager::rebalance`].
-    pub(crate) fn start_drain(&self, table: TableId) -> DbResult<Vec<Arc<ResizeBarrier>>> {
+    pub(crate) fn start_drain(&self, table: TableId) -> DbResult<Vec<Arc<OneShot<()>>>> {
         let executors = self.inner.executors_for(table)?;
         let mut barriers = Vec::with_capacity(executors.len());
         for executor in &executors {
-            let barrier = Arc::new(ResizeBarrier::new());
+            let barrier = Arc::new(OneShot::new());
             executor.enqueue(Message::StartResize(Arc::clone(&barrier)));
             barriers.push(barrier);
         }

@@ -34,42 +34,13 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use dora_common::prelude::*;
+use dora_common::sync::OneShot;
 use dora_metrics::{incr, time_section, CounterKind, TimeCategory};
 
 use crate::action::Action;
 use crate::engine::EngineInner;
 use crate::locallock::{LocalAcquire, LocalLockTable};
 use crate::txn::DoraTxnInner;
-
-/// Barrier used by the resource manager to wait for an executor to drain
-/// during a routing-rule change.
-#[derive(Debug, Default)]
-pub struct ResizeBarrier {
-    drained: Mutex<bool>,
-    cond: Condvar,
-}
-
-impl ResizeBarrier {
-    /// Creates a fresh barrier.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the executor as drained and wakes the resource manager.
-    pub fn signal(&self) {
-        let mut drained = self.drained.lock();
-        *drained = true;
-        self.cond.notify_all();
-    }
-
-    /// Blocks until the executor has drained.
-    pub fn wait(&self) {
-        let mut drained = self.drained.lock();
-        while !*drained {
-            self.cond.wait(&mut drained);
-        }
-    }
-}
 
 /// Messages an executor can receive on its incoming queue.
 pub(crate) enum Message {
@@ -79,8 +50,8 @@ pub(crate) enum Message {
     /// release its local locks and retry blocked actions (steps 10–12 of
     /// Figure 9).
     Completed(TxnId),
-    /// Begin the dataset-resize drain protocol.
-    StartResize(Arc<ResizeBarrier>),
+    /// Begin the dataset-resize drain protocol; set the signal once drained.
+    StartResize(Arc<OneShot<()>>),
     /// The routing rule has been updated; re-dispatch deferred actions and
     /// resume normal service.
     FinishResize,
@@ -123,9 +94,6 @@ struct Inbox {
     /// Some thread — the resident one or a dispatcher — holds the executor
     /// role and will look at the queue again before it lets go.
     claimed: bool,
-    /// The resident thread is asleep on `available`; nobody else ever is, so
-    /// a notify with this unset would be a system call for nothing.
-    parked: bool,
     /// The executor has parked waiters or a resize drain in progress, so a
     /// `Completed` must be read now. Written at claim release; the state it
     /// summarises only changes under a claim.
@@ -157,12 +125,13 @@ impl InboxGuard<'_> {
     /// once the latch is released: never when the inbox is claimed (the
     /// holder looks again before it lets go) and never for a `Completed`
     /// nobody is waiting for (it is read at the next claim, ahead of any
-    /// later action).
+    /// later action). A wake asked for while the resident thread is awake
+    /// costs one load: the condvar skips a notify nobody sleeps on.
     #[must_use = "wake the executor when asked to"]
     pub(crate) fn push(&mut self, message: Message) -> bool {
         let lazy = matches!(message, Message::Completed(_)) && !self.inbox.wake_on_completed;
         self.inbox.queue.push_back(message);
-        !self.inbox.claimed && self.inbox.parked && !lazy
+        !self.inbox.claimed && !lazy
     }
 
     /// Takes the executor role and the pending messages if the inbox is
@@ -204,8 +173,8 @@ struct ExecutorState {
     waiters: VecDeque<Parked>,
     /// Actions deferred while a dataset resize is draining.
     deferred: Vec<Action>,
-    /// Barrier to signal once drained (while a resize is in progress).
-    draining: Option<Arc<ResizeBarrier>>,
+    /// Signal to set once drained (while a resize is in progress).
+    draining: Option<Arc<OneShot<()>>>,
     /// Set after the drain barrier has been signalled but before
     /// `FinishResize` arrives.
     awaiting_rule: bool,
@@ -278,9 +247,7 @@ impl ExecutorShared {
             let claim = {
                 let mut guard = self.lock_inbox();
                 while guard.inbox.claimed || guard.inbox.queue.is_empty() {
-                    guard.inbox.parked = true;
                     self.available.wait(&mut guard.inbox);
-                    guard.inbox.parked = false;
                 }
                 guard.claim()
             };
@@ -371,7 +338,7 @@ impl Claim {
         }
         inbox.claimed = false;
         inbox.wake_on_completed = wake_on_completed;
-        let wake = inbox.parked && !inbox.queue.is_empty();
+        let wake = !inbox.queue.is_empty();
         self.executor
             .depth
             .store(inbox.queue.len(), Ordering::Relaxed);
@@ -412,7 +379,7 @@ struct ExecutorWorker<'a> {
 }
 
 impl ExecutorWorker<'_> {
-    fn start_resize(&mut self, barrier: Arc<ResizeBarrier>) {
+    fn start_resize(&mut self, barrier: Arc<OneShot<()>>) {
         self.state.draining = Some(barrier);
         self.state.awaiting_rule = false;
         self.maybe_signal_drained();
@@ -550,7 +517,7 @@ impl ExecutorWorker<'_> {
         }
         if let Some(barrier) = &self.state.draining {
             if self.state.locks.is_empty() && self.state.waiters.is_empty() {
-                barrier.signal();
+                barrier.set(());
                 self.state.awaiting_rule = true;
             }
         }
@@ -572,17 +539,6 @@ impl ExecutorWorker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resize_barrier_blocks_until_signal() {
-        let barrier = Arc::new(ResizeBarrier::new());
-        let barrier2 = Arc::clone(&barrier);
-        let waiter = std::thread::spawn(move || barrier2.wait());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        assert!(!waiter.is_finished());
-        barrier.signal();
-        waiter.join().unwrap();
-    }
 
     fn idle_executor() -> Arc<ExecutorShared> {
         Arc::new(ExecutorShared::new(TableId(1), 0))
@@ -663,13 +619,8 @@ mod tests {
     }
 
     #[test]
-    fn only_a_parked_resident_thread_is_woken_and_not_for_a_lazy_completed() {
+    fn a_lazy_completed_asks_for_no_wake() {
         let shared = idle_executor();
-        // Nobody is parked: no push asks for a wake.
-        assert!(!shared.lock_inbox().push(Message::FinishResize));
-        shared.lock_inbox().inbox.queue.clear();
-
-        shared.lock_inbox().inbox.parked = true;
         assert!(
             !shared.lock_inbox().push(Message::Completed(TxnId(1))),
             "no waiter, no drain: the Completed is read at the next claim"

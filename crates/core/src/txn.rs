@@ -5,9 +5,10 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use dora_common::prelude::*;
+use dora_common::sync::OneShot;
 use dora_storage::{CommitHandle, TxnHandle};
 
 use crate::action::{ActionSpec, Scratch};
@@ -41,53 +42,6 @@ impl Rvp {
     }
 }
 
-/// Signal on which the submitting client blocks until the transaction
-/// finishes.
-#[derive(Debug, Default)]
-pub struct Completion {
-    state: Mutex<CompletionState>,
-    cond: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct CompletionState {
-    outcome: Option<DbResult<()>>,
-    /// A client is parked on `cond`. A transaction that ran on its client's
-    /// own thread is often finished before the client waits; the notify (a
-    /// system call even with nobody waiting) is skipped then.
-    parked: bool,
-}
-
-impl Completion {
-    /// Publishes the outcome and wakes the waiting client, if any.
-    pub fn finish(&self, outcome: DbResult<()>) {
-        let mut state = self.state.lock();
-        state.outcome = Some(outcome);
-        let wake = state.parked;
-        drop(state);
-        if wake {
-            self.cond.notify_all();
-        }
-    }
-
-    /// Blocks until the outcome is published.
-    pub fn wait(&self) -> DbResult<()> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(outcome) = &state.outcome {
-                return outcome.clone();
-            }
-            state.parked = true;
-            self.cond.wait(&mut state);
-        }
-    }
-
-    /// Non-blocking check (used by tests).
-    pub fn try_get(&self) -> Option<DbResult<()>> {
-        self.state.lock().outcome.clone()
-    }
-}
-
 /// Internal, shared state of one DORA transaction.
 pub struct DoraTxnInner {
     /// The storage-level transaction.
@@ -107,8 +61,8 @@ pub struct DoraTxnInner {
     /// Executors (table, executor index) that executed at least one action
     /// and therefore hold local locks to be released at completion.
     pub involved: Mutex<HashSet<(TableId, usize)>>,
-    /// Client completion signal.
-    pub completion: Completion,
+    /// The outcome the submitting client blocks on.
+    pub completion: OneShot<DbResult<()>>,
     /// The submitting client blocks for the outcome in the same call that
     /// submitted, so it is there to harden the commit on its own thread.
     pub client_waits: bool,
@@ -140,7 +94,7 @@ impl DoraTxnInner {
             aborted: AtomicBool::new(false),
             abort_reason: Mutex::new(None),
             involved: Mutex::new(HashSet::new()),
-            completion: Completion::default(),
+            completion: OneShot::new(),
             client_waits,
             precommitted: Mutex::new(None),
         })
@@ -199,7 +153,7 @@ impl DoraTxn {
 
     /// `true` if the outcome is already known.
     pub fn is_done(&self) -> bool {
-        self.inner.completion.try_get().is_some()
+        self.inner.completion.get().is_some()
     }
 }
 
@@ -226,13 +180,19 @@ mod tests {
 
     #[test]
     fn completion_wakes_waiter() {
-        let completion = Arc::new(Completion::default());
-        let completion2 = Arc::clone(&completion);
-        let waiter = std::thread::spawn(move || completion2.wait());
+        let db = Database::for_tests();
+        let txn = DoraTxn {
+            inner: DoraTxnInner::new(db.begin(), vec![vec![spec(1)]], true),
+        };
+        let waiter = {
+            let txn = txn.clone();
+            std::thread::spawn(move || txn.wait())
+        };
         std::thread::sleep(std::time::Duration::from_millis(10));
-        completion.finish(Ok(()));
+        assert!(!txn.is_done());
+        txn.inner.completion.set(Ok(()));
         assert!(waiter.join().unwrap().is_ok());
-        assert!(completion.try_get().is_some());
+        assert!(txn.is_done());
     }
 
     #[test]

@@ -16,10 +16,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use dora_common::sync::OneShot;
 use dora_metrics::{global, CounterKind, LatencyHistogram, Snapshot, TimeBreakdown, TimeCategory};
 
 use crate::exec::ExecutionEngine;
@@ -152,67 +153,18 @@ impl RunResult {
     }
 }
 
-/// A one-way completion latch coordinating a driver run.
-///
-/// Client threads read the cheap atomic flag once per transaction; the
-/// coordinating thread *sleeps on the condvar* for the warm-up and measured
-/// intervals instead of sleep-polling in fixed slices, so it wakes the
-/// moment the run completes early (e.g. every client thread exited) rather
-/// than burning the rest of the interval driving nothing.
-#[derive(Debug, Default)]
-pub struct StopLatch {
-    tripped: AtomicBool,
-    state: Mutex<bool>,
-    cond: Condvar,
-}
-
-impl StopLatch {
-    /// Creates an untripped latch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Trips the latch and wakes every waiter. Idempotent.
-    pub fn trip(&self) {
-        let mut done = self.state.lock();
-        *done = true;
-        self.tripped.store(true, Ordering::Release);
-        self.cond.notify_all();
-    }
-
-    /// Cheap check for the client hot path.
-    pub fn is_tripped(&self) -> bool {
-        self.tripped.load(Ordering::Acquire)
-    }
-
-    /// Blocks until the latch trips or `timeout` elapses; returns `true` if
-    /// the latch tripped.
-    pub fn wait_for(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut done = self.state.lock();
-        while !*done {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.cond.wait_for(&mut done, deadline - now);
-        }
-        true
-    }
-}
-
 /// Drop guard run by every client thread: the last client to exit — whether
 /// normally or by unwinding out of a panicked job — trips the latch so the
 /// coordinator stops waiting on a run nobody is driving.
 struct ClientExit {
     active: Arc<AtomicUsize>,
-    latch: Arc<StopLatch>,
+    latch: Arc<OneShot<()>>,
 }
 
 impl Drop for ClientExit {
     fn drop(&mut self) {
         if self.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.latch.trip();
+            self.latch.set(());
         }
     }
 }
@@ -259,7 +211,7 @@ impl ClientDriver {
     {
         let job = Arc::new(job);
         let recording = Arc::new(AtomicBool::new(false));
-        let latch = Arc::new(StopLatch::new());
+        let latch = Arc::new(OneShot::new());
         let active = Arc::new(AtomicUsize::new(self.config.clients));
         let committed = Arc::new(AtomicU64::new(0));
         let aborted = Arc::new(AtomicU64::new(0));
@@ -285,7 +237,7 @@ impl ClientDriver {
                         };
                         let mut rng = SmallRng::seed_from_u64(0x5EED_0000 + client as u64);
                         let mut local_latency = LatencyHistogram::new();
-                        while !latch.is_tripped() {
+                        while latch.get().is_none() {
                             let start = Instant::now();
                             let outcome = job(client, &mut rng);
                             if recording.load(Ordering::Relaxed) {
@@ -310,21 +262,21 @@ impl ClientDriver {
             .collect();
 
         // The coordinator parks on the latch for the warm-up and measured
-        // intervals; if every client exits early the wait returns
-        // immediately instead of sleeping out the schedule.
-        latch.wait_for(self.config.warmup);
+        // intervals instead of sleep-polling; if every client exits early the
+        // wait returns at once rather than sleeping out the schedule.
+        latch.wait_until(Instant::now() + self.config.warmup);
         let metrics_before = global().snapshot();
         let cpu_before = process_cpu_time();
         let started = Instant::now();
         recording.store(true, Ordering::SeqCst);
 
-        latch.wait_for(self.config.duration);
+        latch.wait_until(Instant::now() + self.config.duration);
 
         recording.store(false, Ordering::SeqCst);
         let elapsed = started.elapsed();
         let metrics_after = global().snapshot();
         let cpu_after = process_cpu_time();
-        latch.trip();
+        latch.set(());
         for handle in handles {
             let _ = handle.join();
         }
@@ -397,20 +349,6 @@ impl ClientDriver {
     }
 }
 
-/// Convenience: the share of the measured interval that client threads spent
-/// blocked rather than running, derived from the metric categories that
-/// correspond to sleeping (logical lock waits, DORA local waits, commit
-/// waits). `CommitWait` — not `LogWait` — is the client-side stall: in
-/// synchronous mode it *contains* the device time, and under group commit
-/// the device time moves to the flusher daemon while clients park.
-pub fn blocked_fraction(metrics: &Snapshot, clients: usize, elapsed: Duration) -> f64 {
-    let blocked = metrics.nanos(TimeCategory::LockWait)
-        + metrics.nanos(TimeCategory::DoraLocalWait)
-        + metrics.nanos(TimeCategory::CommitWait);
-    let capacity = elapsed.as_nanos() as f64 * clients.max(1) as f64;
-    (blocked as f64 / capacity).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,21 +399,6 @@ mod tests {
             "coordinator must not sleep out the full schedule"
         );
         assert_eq!(result.committed, 0);
-    }
-
-    #[test]
-    fn stop_latch_trips_waiters_and_is_idempotent() {
-        let latch = Arc::new(StopLatch::new());
-        assert!(!latch.is_tripped());
-        assert!(!latch.wait_for(Duration::from_millis(5)), "timeout path");
-        let latch2 = Arc::clone(&latch);
-        let waiter = std::thread::spawn(move || latch2.wait_for(Duration::from_secs(30)));
-        std::thread::sleep(Duration::from_millis(10));
-        latch.trip();
-        latch.trip();
-        assert!(waiter.join().unwrap(), "waiter must observe the trip");
-        assert!(latch.is_tripped());
-        assert!(latch.wait_for(Duration::from_millis(1)));
     }
 
     #[test]

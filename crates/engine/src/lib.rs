@@ -27,5 +27,5 @@ pub mod exec;
 
 pub use admission::{find_peak, AdmissionController, AdmissionDecision, PeakResult};
 pub use baseline::BaselineEngine;
-pub use driver::{ClientDriver, DriverConfig, RunResult, StopLatch, TxnOutcome};
+pub use driver::{ClientDriver, DriverConfig, RunResult, TxnOutcome};
 pub use exec::{build_engine, build_engine_with, DoraExecution, ExecutionEngine};

@@ -71,11 +71,6 @@ impl SubmitOutcome {
         self == SubmitOutcome::TimedOut
     }
 
-    /// `true` only for [`Failed`](Self::Failed).
-    pub fn is_failed(self) -> bool {
-        self == SubmitOutcome::Failed
-    }
-
     /// `true` for outcomes a client may safely resubmit: the transaction
     /// either never executed ([`Shed`](Self::Shed),
     /// [`TimedOut`](Self::TimedOut)) or aborted cleanly

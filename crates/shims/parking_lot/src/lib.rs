@@ -16,17 +16,51 @@
 //! guaranteed by the transactional machinery itself (undo via the per-txn
 //! log chain), which is strictly stronger than poisoning's "taint everything
 //! the panicking thread could see" heuristic. The audit rule for the
-//! workspace: every shared-state lock goes through this shim (no raw
-//! `std::sync::Mutex`/`RwLock` outside it), so there is no poisoned-lock
-//! `unwrap()` to get wrong. `poisoned_lock_recovers` below pins the recovery
-//! behavior.
+//! workspace: every shared-state lock and condvar goes through this shim (no
+//! raw `std::sync::{Mutex, Condvar, RwLock}` in any crate's `src/`, which CI
+//! checks), so there is no poisoned-lock `unwrap()` to get wrong.
+//! `poisoned_lock_recovers` below pins the recovery behavior.
+//!
+//! **No wake-up for nothing.** `std`'s futex condvar makes a system call
+//! on every notify, sleeper or not; the real `parking_lot` skips a notify
+//! nobody waits for, and so does this [`Condvar`]: it counts its sleepers,
+//! and `notify_one`/`notify_all` return at once while the count is 0. A
+//! waiter adds itself to the count while it still holds the guard, before
+//! `std`'s wait releases the mutex, and takes itself off after the wait
+//! returns. That is safe for every caller that keeps the standard condvar
+//! discipline:
+//!
+//! * a notifier changes the waited-for predicate under the condvar's mutex,
+//!   *or* locks and releases that mutex after the change and before it
+//!   notifies (the *lock touch*, for predicates held in atomics written
+//!   outside the mutex);
+//! * a waiter checks the predicate under the mutex and waits without
+//!   releasing it in between.
+//!
+//! Why that is enough: the notifier's critical section (the change, or the
+//! touch) is ordered with the waiter's check by the mutex. If it comes
+//! first, the waiter sees the change and never sleeps. If it comes second,
+//! the waiter was counted before it released the mutex, so the notifier —
+//! which loads the count after it has held the mutex — sees a sleeper and
+//! notifies; `std`'s wait reads its futex word before it releases the mutex
+//! and sleeps only if the word is unchanged, so a notify that lands between
+//! the release and the sleep is not lost either. A notifier that publishes
+//! outside the mutex and skips the touch, or that loads the count before it
+//! publishes, can lose a wake-up, and so can a waiter counted only after it
+//! released the mutex. The interleaving explorer in this crate's tests
+//! (`explore.rs`) finds all three and finds none for the rule above.
+//! Callers that keep the rule need no "parked" flag of their own.
 //!
 //! Only the API surface the workspace actually calls is provided; extend it
 //! here if new call sites need more.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
+
+#[cfg(test)]
+mod explore;
 
 /// A mutual exclusion primitive (non-poisoning `lock()` API).
 #[derive(Default)]
@@ -122,10 +156,16 @@ impl WaitTimeoutResult {
     }
 }
 
-/// A condition variable usable with this module's [`Mutex`].
+/// A condition variable usable with this module's [`Mutex`]. A notify with
+/// no thread asleep on it costs one atomic load (see the crate doc for the
+/// rule a notifier keeps).
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
+    /// Threads inside `wait`/`wait_for`. Written while the waiter holds the
+    /// mutex, so the mutex orders it with every notifier's critical section;
+    /// the atomic ordering itself can be relaxed.
+    sleepers: AtomicUsize,
 }
 
 impl Condvar {
@@ -133,16 +173,19 @@ impl Condvar {
     pub const fn new() -> Self {
         Self {
             inner: std::sync::Condvar::new(),
+            sleepers: AtomicUsize::new(0),
         }
     }
 
     /// Blocks until notified, releasing the guarded mutex while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let std_guard = guard.inner.take().expect("guard present");
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
         let reacquired = self
             .inner
             .wait(std_guard)
             .unwrap_or_else(|e| e.into_inner());
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(reacquired);
     }
 
@@ -153,27 +196,30 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let std_guard = guard.inner.take().expect("guard present");
-        let (reacquired, result) = match self.inner.wait_timeout(std_guard, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        let (reacquired, result) = self
+            .inner
+            .wait_timeout(std_guard, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
         guard.inner = Some(reacquired);
         WaitTimeoutResult {
             timed_out: result.timed_out(),
         }
     }
 
-    /// Wakes one waiting thread.
+    /// Wakes one waiting thread, if there is one.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wakes all waiting threads.
+    /// Wakes all waiting threads, if there are any.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -309,6 +355,61 @@ mod tests {
         *lock.lock() = true;
         cvar.notify_all();
         waiter.join().unwrap();
+    }
+
+    #[test]
+    fn a_notify_with_no_sleeper_leaves_the_count_at_zero() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.sleepers.load(Ordering::Relaxed), 0);
+        let mut guard = m.lock();
+        cv.wait_for(&mut guard, Duration::from_millis(1));
+        assert_eq!(
+            cv.sleepers.load(Ordering::Relaxed),
+            0,
+            "a timed-out wait uncounts"
+        );
+    }
+
+    #[test]
+    fn ping_pong_hands_a_token_back_and_forth_without_losing_a_wake() {
+        const ROUNDS: u64 = 100_000;
+        // Whose turn it is: player `p` moves on the rounds with `round % 2 == p`.
+        let pair = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let players: Vec<_> = (0..2)
+            .map(|player| {
+                let pair = Arc::clone(&pair);
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    let (round, cv) = &*pair;
+                    let mut round = round.lock();
+                    while *round < ROUNDS {
+                        if *round % 2 == player {
+                            *round += 1;
+                            cv.notify_one();
+                        } else {
+                            cv.wait(&mut round);
+                        }
+                    }
+                    drop(round);
+                    let _ = done_tx.send(());
+                })
+            })
+            .collect();
+        // A watchdog, not a join: a lost wake-up fails the test, not hangs it.
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a lost wake-up stalled the ping-pong");
+        }
+        for player in players {
+            player.join().unwrap();
+        }
+        assert_eq!(*pair.0.lock(), ROUNDS);
+        assert_eq!(pair.1.sleepers.load(Ordering::Relaxed), 0);
     }
 
     #[test]

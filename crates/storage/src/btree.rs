@@ -826,11 +826,6 @@ impl BTreeIndex {
         }
     }
 
-    /// Whether the index enforces key uniqueness.
-    pub fn is_unique(&self) -> bool {
-        self.unique
-    }
-
     /// Inserts an entry under `key`.
     pub fn insert(&self, key: &Key, entry: IndexEntry) -> DbResult<()> {
         let normalized = key.normalize();

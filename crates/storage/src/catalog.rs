@@ -74,19 +74,6 @@ impl TableSchema {
         self
     }
 
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Index of the column called `name`.
-    pub fn column_index(&self, name: &str) -> DbResult<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.name == name)
-            .ok_or_else(|| DbError::NoSuchObject(format!("{}.{}", self.name, name)))
-    }
-
     /// Extracts the primary key of a row. Allocation-free for keys of up to
     /// [`Key::INLINE_LEN`] columns.
     pub fn primary_key_of(&self, row: &Row) -> Key {

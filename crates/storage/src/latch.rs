@@ -107,11 +107,6 @@ impl<T> Latch<T> {
         }
     }
 
-    /// Returns whether the latch is currently held (racy; diagnostics only).
-    pub fn is_locked(&self) -> bool {
-        self.locked.load(Ordering::Relaxed)
-    }
-
     /// Consumes the latch and returns the protected value.
     pub fn into_inner(self) -> T {
         self.data.into_inner()

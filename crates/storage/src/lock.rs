@@ -22,11 +22,12 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use dora_common::prelude::*;
+use dora_common::sync::OneShot;
 use dora_metrics::{incr, CounterKind, TimeCategory, TimerGuard};
 
 use crate::latch::Latch;
@@ -147,31 +148,6 @@ enum GrantOutcome {
     Timeout,
 }
 
-/// Shared wait/notify cell for one pending request.
-#[derive(Debug, Default)]
-struct GrantSignal {
-    state: Mutex<Option<GrantOutcome>>,
-    cond: Condvar,
-}
-
-impl GrantSignal {
-    fn notify(&self, outcome: GrantOutcome) {
-        let mut state = self.state.lock();
-        *state = Some(outcome);
-        self.cond.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) -> GrantOutcome {
-        let mut state = self.state.lock();
-        while state.is_none() {
-            if self.cond.wait_for(&mut state, timeout).timed_out() && state.is_none() {
-                return GrantOutcome::Timeout;
-            }
-        }
-        state.expect("checked above")
-    }
-}
-
 /// One entry in a lock head's request list.
 #[derive(Debug)]
 struct LockRequest {
@@ -183,14 +159,17 @@ struct LockRequest {
     granted: bool,
     /// The cell the requester sleeps on: made for each wait (a fresh
     /// request that blocks, or an upgrade that does), `None` for a request
-    /// granted on arrival, which nobody ever wakes.
-    signal: Option<Arc<GrantSignal>>,
+    /// granted on arrival, which nobody ever wakes. Each cell is set at most
+    /// once: a grant flips `granted` (or settles the upgrade's mode) and a
+    /// pending request is removed before it is told `Deadlock`, so no later
+    /// sweep reaches it again.
+    signal: Option<Arc<OneShot<GrantOutcome>>>,
 }
 
 impl LockRequest {
     fn notify(&self, outcome: GrantOutcome) {
         if let Some(signal) = &self.signal {
-            signal.notify(outcome);
+            signal.set(outcome);
         }
     }
 }
@@ -456,7 +435,7 @@ impl LockManager {
             }
             // Must wait for the conversion, on a cell of its own: one left
             // from an earlier wait already says `Granted`.
-            let signal = Arc::new(GrantSignal::default());
+            let signal = Arc::new(OneShot::new());
             inner.requests[pos].wanted_mode = wanted;
             inner.requests[pos].signal = Some(Arc::clone(&signal));
             let blockers = inner.conflicting_txns(wanted, txn);
@@ -486,7 +465,7 @@ impl LockManager {
             return Ok(());
         }
         // Must block.
-        let signal = Arc::new(GrantSignal::default());
+        let signal = Arc::new(OneShot::new());
         inner.requests.push(LockRequest {
             txn,
             granted_mode: wanted,
@@ -510,7 +489,7 @@ impl LockManager {
         id: LockId,
         wanted: LockMode,
         head: &Arc<LockHead>,
-        signal: Arc<GrantSignal>,
+        signal: Arc<OneShot<GrantOutcome>>,
         blockers: Vec<TxnId>,
         timer: &mut TimerGuard,
     ) -> DbResult<()> {
@@ -523,7 +502,9 @@ impl LockManager {
             return Err(DbError::Deadlock { victim: txn });
         }
         timer.switch(TimeCategory::LockWait);
-        let outcome = signal.wait(self.wait_timeout);
+        let outcome = signal
+            .wait_until(Instant::now() + self.wait_timeout)
+            .unwrap_or(GrantOutcome::Timeout);
         timer.switch(TimeCategory::LockMgrAcquire);
         // Drop exactly the edges this wait registered; a concurrent action of
         // the same transaction parked on a DORA local lock keeps its edges.
@@ -983,7 +964,7 @@ mod tests {
                 granted_mode: LockMode::X,
                 wanted_mode: LockMode::X,
                 granted: false,
-                signal: Some(Arc::new(GrantSignal::default())),
+                signal: Some(Arc::new(OneShot::new())),
             });
         // T1's release grants it; T2 has already decided to give up.
         manager.release_all(TxnId(1), held1);

@@ -182,10 +182,6 @@ struct PendingCommit {
 struct FlusherQueue {
     pending: Vec<PendingCommit>,
     shutdown: bool,
-    /// The daemon is asleep on `work_cond`. Submitters notify only then:
-    /// std's futex condvar makes a system call per notify even with nobody
-    /// waiting, and a daemon that is awake looks at the queue again anyway.
-    parked: bool,
 }
 
 /// Runs a durability callback. The durability work for the callback's group is
@@ -288,9 +284,11 @@ struct LogCore {
     claimed: AtomicBool,
     /// Commit records counted into a flush group so far (claim holder only).
     commits_hardened: AtomicU64,
-    /// Followers asleep on `durable_cond`; the claim holder broadcasts at
-    /// release only when there are any.
-    parked: Mutex<usize>,
+    /// What followers sleep on `durable_cond` with. Their conditions
+    /// (`flushed_lsn`, `claimed`, `failed`) are atomics written outside it,
+    /// so whoever changes one locks and releases it before notifying — else
+    /// a follower between its check and its sleep misses the wake-up.
+    followers: Mutex<()>,
     durable_cond: Condvar,
     queue: Mutex<FlusherQueue>,
     work_cond: Condvar,
@@ -317,7 +315,7 @@ impl LogCore {
             flushed_lsn: AtomicU64::new(0),
             claimed: AtomicBool::new(false),
             commits_hardened: AtomicU64::new(0),
-            parked: Mutex::new(0),
+            followers: Mutex::new(()),
             durable_cond: Condvar::new(),
             queue: Mutex::new(FlusherQueue::default()),
             work_cond: Condvar::new(),
@@ -434,18 +432,16 @@ impl LogCore {
     }
 
     /// Sleeps until the claim holder lets go. The conditions are re-read
-    /// under the mutex the holder takes, after it has published them, to
-    /// look for sleepers — so the wake-up cannot be lost.
+    /// under the mutex the holder touches after it has published them and
+    /// before it notifies, so the wake-up cannot be lost.
     fn park(&self, lsn: Lsn) {
-        let mut parked = self.parked.lock();
-        *parked += 1;
+        let mut followers = self.followers.lock();
         if self.flushed_lsn.load(Ordering::Acquire) < lsn.0
             && self.claimed.load(Ordering::Acquire)
             && !self.failed.load(Ordering::Acquire)
         {
-            self.durable_cond.wait(&mut parked);
+            self.durable_cond.wait(&mut followers);
         }
-        *parked -= 1;
     }
 
     /// One device write by the claim holder, for everything appended so far
@@ -481,9 +477,8 @@ impl LogCore {
             self.failed.store(true, Ordering::Release);
         }
         self.claimed.store(false, Ordering::Release);
-        if *self.parked.lock() > 0 {
-            self.durable_cond.notify_all();
-        }
+        drop(self.followers.lock());
+        self.durable_cond.notify_all();
         self.fire_decided();
     }
 
@@ -519,9 +514,7 @@ impl LogCore {
                     if queue.shutdown {
                         return;
                     }
-                    queue.parked = true;
                     self.work_cond.wait(&mut queue);
-                    queue.parked = false;
                 }
             };
             self.flush(target, false);
@@ -557,13 +550,11 @@ impl LogCore {
                 );
             }
         }
-        let mut queue = self.queue.lock();
-        queue.pending.push(PendingCommit { lsn, callback });
-        let wake = queue.parked;
-        drop(queue);
-        if wake {
-            self.work_cond.notify_one();
-        }
+        self.queue
+            .lock()
+            .pending
+            .push(PendingCommit { lsn, callback });
+        self.work_cond.notify_one();
     }
 
     /// The checkpoint cut: *moves* the records below the floor out of the log
@@ -1303,7 +1294,7 @@ fn run_watchdog(log: Arc<LogCore>, stop: Arc<AtomicBool>) {
         if horizon == last_horizon && outstanding && !log.failed.load(Ordering::Acquire) {
             incr(CounterKind::WatchdogNudges);
             log.work_cond.notify_all();
-            let _parked = log.parked.lock();
+            drop(log.followers.lock());
             log.durable_cond.notify_all();
         }
         last_horizon = horizon;

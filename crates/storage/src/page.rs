@@ -73,11 +73,6 @@ impl Page {
         self.slots.iter().filter(|s| s.live).count()
     }
 
-    /// Number of slots (live or dead) on the page.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Whether the page has been modified since the last write-back.
     pub fn is_dirty(&self) -> bool {
         self.dirty

@@ -724,10 +724,12 @@ fn ticket_prefix_across_transitions(early_lock_release: bool, log_flush_micros: 
             );
             horizons.push(snapshot.horizon());
             drop(snapshot);
-            allowed.fetch_add(50, Ordering::Relaxed);
             // Let the transactions in flight at the next open be ones that
-            // began beside no snapshot.
+            // began beside no snapshot. Read before the writers are let
+            // on: read after, it can already equal `allowed`, and the wait
+            // for eight more could never end.
             let begun = started.load(Ordering::Relaxed);
+            allowed.fetch_add(50, Ordering::Relaxed);
             wait_until("writers begin beside no snapshot", || {
                 started.load(Ordering::Relaxed) >= begun + 8
             });
