@@ -4,12 +4,16 @@
 //!   benchmark workload draws (label plus the routed shape of its DORA flow
 //!   graph) hash to a committed digest, so a change to how programs are built
 //!   cannot silently change which transactions run.
+//! * The conflict stamp is pinned the same way: the same draws, stamped with
+//!   the workload's bind-time conflict matrix, mark the same steps
+//!   probe-free and the same programs DORA-S.
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use dora_repro::dora::{ConflictMatrix, DoraConfig};
 use dora_repro::storage::Database;
 use dora_repro::workloads::{Tm1, TpcB, Tpcc, Workload};
 
@@ -23,13 +27,20 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-fn draw_digest(workload: &dyn Workload) -> u64 {
+fn draw_digest(workload: &dyn Workload, stamped: bool) -> u64 {
     let db = Database::for_tests();
     workload.setup(&db).unwrap();
+    let matrix = ConflictMatrix::analyze(
+        &workload.conflict_templates(&db).unwrap(),
+        DoraConfig::default().serialize_abort_threshold,
+    );
     let mut rng = SmallRng::seed_from_u64(SEED);
     let mut hash = 0xcbf2_9ce4_8422_2325;
     for _ in 0..DRAWS {
-        let program = workload.next_program(&db, &mut rng).unwrap();
+        let mut program = workload.next_program(&db, &mut rng).unwrap();
+        if stamped {
+            program = program.with_conflicts(&matrix);
+        }
         let line = format!(
             "{} {:?}\n",
             program.name(),
@@ -57,7 +68,7 @@ fn the_first_draws_of_every_workload_match_their_digest() {
     ];
     let mut drift = Vec::new();
     for (name, workload, expected) in &workloads {
-        let digest = draw_digest(workload.as_ref());
+        let digest = draw_digest(workload.as_ref(), false);
         if digest != *expected {
             drift.push(format!(
                 "{name}: digest {digest:#018x}, pinned {expected:#018x}"
@@ -67,6 +78,32 @@ fn the_first_draws_of_every_workload_match_their_digest() {
     assert!(
         drift.is_empty(),
         "the drawn transactions changed:\n{}",
+        drift.join("\n")
+    );
+}
+
+#[test]
+fn stamped_draws_mark_the_same_probe_free_steps_and_serial_plans() {
+    let workloads: [(&str, Arc<dyn Workload>, u64); 2] = [
+        ("tm1", Arc::new(Tm1::new(1_000)), 0xd3cdd9c53bfee930),
+        (
+            "tpcc",
+            Arc::new(Tpcc::with_scale(2, 30, 200)),
+            0x13f04bbe3d411b67,
+        ),
+    ];
+    let mut drift = Vec::new();
+    for (name, workload, expected) in &workloads {
+        let digest = draw_digest(workload.as_ref(), true);
+        if digest != *expected {
+            drift.push(format!(
+                "{name}: digest {digest:#018x}, pinned {expected:#018x}"
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "the conflict stamp changed:\n{}",
         drift.join("\n")
     );
 }
