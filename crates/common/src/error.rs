@@ -1,5 +1,6 @@
 //! Error types shared by every layer of the system.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::ids::{Rid, TableId, TxnId};
@@ -16,8 +17,12 @@ pub enum DbError {
     /// deadlock; the transaction holding `victim` must abort.
     Deadlock { victim: TxnId },
     /// The transaction was aborted (explicitly, by deadlock resolution, or by
-    /// workload logic such as TM1's invalid-input aborts).
-    TxnAborted { txn: TxnId, reason: String },
+    /// workload logic such as TM1's invalid-input aborts). A workload's
+    /// reasons are string literals, so reporting one allocates nothing.
+    TxnAborted {
+        txn: TxnId,
+        reason: Cow<'static, str>,
+    },
     /// A record that was expected to exist was not found.
     NotFound { table: TableId, detail: String },
     /// A uniqueness constraint (primary key) was violated.

@@ -14,6 +14,7 @@ pub mod config;
 pub mod error;
 pub mod fault;
 pub mod ids;
+pub mod inline;
 pub mod key;
 pub mod outcome;
 pub mod sync;
@@ -23,6 +24,7 @@ pub use config::{AdaptiveConfig, CcMode, DurabilityConfig, EngineKind, SystemCon
 pub use error::{DbError, DbResult};
 pub use fault::{silence_injected_panics, FaultConfig, FaultPlan, FaultSite, InjectedPanic};
 pub use ids::{IndexId, PageId, Rid, SlotId, TableId, TxnId};
+pub use inline::InlineVec;
 pub use key::{Key, KeyRange};
 pub use outcome::TxnOutcome;
 pub use value::{Row, Value, ValueType};

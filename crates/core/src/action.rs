@@ -8,13 +8,15 @@
 //! than by an executor — as is a *probe-free* action
 //! ([`ActionSpec::elide_probe`]), which no executor needs to serialize.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use dora_common::prelude::*;
+use dora_common::InlineVec;
 use dora_storage::{Database, TxnHandle};
+
+use crate::program::Step;
 
 /// Mode of a DORA thread-local lock. The local lock tables only know shared
 /// and exclusive (Section 4.1.3).
@@ -34,12 +36,20 @@ impl LocalMode {
     }
 }
 
+/// Scratchpad entries stored in place: a NewOrder's order id and its
+/// fifteen item prices fit.
+const SCRATCH_INLINE: usize = 16;
+
 /// Per-transaction scratchpad used to pass data between actions of different
 /// phases (the "shared objects across actions of the same transaction used to
 /// transfer data between actions with data dependencies").
+///
+/// An entry is named by a string literal and an index (`("price", 3)`), so
+/// storing one allocates nothing beyond a `Text` value, and the first
+/// entries live in the scratchpad itself.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    values: Mutex<HashMap<String, Value>>,
+    values: Mutex<InlineVec<((&'static str, usize), Value), SCRATCH_INLINE>>,
 }
 
 impl Scratch {
@@ -49,28 +59,65 @@ impl Scratch {
     }
 
     /// Stores `value` under `name`, replacing any previous value.
-    pub fn put(&self, name: &str, value: impl Into<Value>) {
-        self.values.lock().insert(name.to_string(), value.into());
+    pub fn put(&self, name: &'static str, value: impl Into<Value>) {
+        self.put_at(name, 0, value);
+    }
+
+    /// Stores `value` under entry `index` of `name`, replacing any previous
+    /// value.
+    pub fn put_at(&self, name: &'static str, index: usize, value: impl Into<Value>) {
+        let value = value.into();
+        let mut values = self.values.lock();
+        let position = values
+            .iter()
+            .position(|(slot, _)| slot.1 == index && slot.0 == name);
+        match position.and_then(|position| values.get_mut(position)) {
+            Some((_, old)) => *old = value,
+            None => values.push(((name, index), value)),
+        }
     }
 
     /// Reads the value stored under `name`.
     pub fn get(&self, name: &str) -> Option<Value> {
-        self.values.lock().get(name).cloned()
+        self.get_at(name, 0)
+    }
+
+    /// Reads the value stored under entry `index` of `name`.
+    pub fn get_at(&self, name: &str, index: usize) -> Option<Value> {
+        self.values
+            .lock()
+            .iter()
+            .find(|(slot, _)| slot.1 == index && slot.0 == name)
+            .map(|(_, value)| value.clone())
     }
 
     /// Reads an integer stored under `name`, failing if absent or non-int.
     pub fn get_int(&self, name: &str) -> DbResult<i64> {
-        self.get(name)
-            .ok_or_else(|| DbError::InvalidOperation(format!("scratch value {name} missing")))?
+        self.get_int_at(name, 0)
+    }
+
+    /// Reads an integer stored under entry `index` of `name`.
+    pub fn get_int_at(&self, name: &str, index: usize) -> DbResult<i64> {
+        self.get_at(name, index)
+            .ok_or_else(|| missing(name, index))?
             .as_int()
     }
 
     /// Reads a float stored under `name`, failing if absent or non-numeric.
     pub fn get_float(&self, name: &str) -> DbResult<f64> {
-        self.get(name)
-            .ok_or_else(|| DbError::InvalidOperation(format!("scratch value {name} missing")))?
+        self.get_float_at(name, 0)
+    }
+
+    /// Reads a float stored under entry `index` of `name`.
+    pub fn get_float_at(&self, name: &str, index: usize) -> DbResult<f64> {
+        self.get_at(name, index)
+            .ok_or_else(|| missing(name, index))?
             .as_float()
     }
+}
+
+fn missing(name: &str, index: usize) -> DbError {
+    DbError::InvalidOperation(format!("scratch value {name}[{index}] missing"))
 }
 
 /// Everything an action body may touch while it runs on an executor.
@@ -86,10 +133,11 @@ pub struct ActionContext<'a> {
 /// The closure type of an action body.
 pub type ActionBody = Box<dyn FnOnce(&ActionContext<'_>) -> DbResult<()> + Send + 'static>;
 
-/// A declarative description of one action inside a transaction flow graph.
+/// A hand-built action for a [`FlowGraph`](crate::FlowGraph): a one-shot
+/// body plus what routes it.
 ///
-/// `ActionSpec`s are cheap to build per transaction instance; the engine
-/// turns them into runnable actions when the owning phase is dispatched.
+/// [`FlowGraph::push`](crate::FlowGraph::push) lowers it into a program
+/// step, so a hand-built graph runs exactly like a compiled program.
 pub struct ActionSpec {
     /// Table whose records the action touches.
     pub table: TableId,
@@ -114,9 +162,9 @@ pub struct ActionSpec {
     /// or queued, and its body runs on the thread that dispatches its phase,
     /// after that phase's claimed batches, with no local-lock-table probe
     /// (counter `LockProbesElided`, one per body run). It still reports to
-    /// its phase's RVP. Set by `TxnProgram::with_conflicts`; setting it by
-    /// hand asserts the same proof, whose soundness argument is in
-    /// [`crate::conflict`].
+    /// its phase's RVP. `TxnProgram::with_conflicts` marks program steps
+    /// the same way; setting it by hand asserts the same proof, whose
+    /// soundness argument is in [`crate::conflict`].
     pub elide_probe: bool,
 }
 
@@ -175,17 +223,48 @@ impl ActionSpec {
     pub fn is_secondary(&self) -> bool {
         self.identifier.is_empty()
     }
+
+    /// The program step that runs this action: its one-shot body is kept
+    /// until the step first runs (a flow graph runs once).
+    pub(crate) fn into_step(self) -> Step {
+        let ActionSpec {
+            table,
+            identifier,
+            mode,
+            body,
+            label,
+            declared_secondary,
+            elide_probe,
+        } = self;
+        let body = Mutex::new(Some(body));
+        Step::custom(label, table, identifier, mode, move |ctx| {
+            // Bind the guard first: the body must run with the cell unlocked.
+            let once = body.lock().take();
+            match once {
+                Some(body) => body(&ActionContext {
+                    db: ctx.db,
+                    txn: ctx.txn,
+                    scratch: ctx.scratch,
+                }),
+                None => Err(DbError::InvalidOperation(format!(
+                    "action `{label}` ran a second time"
+                ))),
+            }
+        })
+        .declare_secondary(declared_secondary)
+        .assert_probe_free(elide_probe)
+    }
 }
 
-/// A runnable action: an [`ActionSpec`] bound to its transaction instance.
+/// A runnable action: one step of a transaction's program, routed.
 pub(crate) struct Action {
     pub txn: Arc<crate::txn::DoraTxnInner>,
     pub table: TableId,
     pub identifier: Key,
     pub mode: LocalMode,
     pub phase: usize,
-    pub label: &'static str,
-    pub body: ActionBody,
+    /// The step of the transaction's program the action runs.
+    pub step: usize,
 }
 
 impl std::fmt::Debug for Action {
@@ -195,7 +274,7 @@ impl std::fmt::Debug for Action {
             .field("identifier", &self.identifier)
             .field("mode", &self.mode)
             .field("phase", &self.phase)
-            .field("label", &self.label)
+            .field("step", &self.step)
             .finish()
     }
 }
@@ -222,6 +301,21 @@ mod tests {
         assert_eq!(scratch.get_float("amount").unwrap(), 12.5);
         assert_eq!(scratch.get("name").unwrap(), Value::Text("SMITH".into()));
         assert!(scratch.get_int("missing").is_err());
+    }
+
+    #[test]
+    fn indexed_entries_spill_past_the_inline_capacity_and_are_replaced() {
+        let scratch = Scratch::new();
+        for index in 0..40 {
+            scratch.put_at("item", index, index as i64);
+        }
+        scratch.put_at("item", 3, 99i64);
+        scratch.put("item", -1i64);
+        assert_eq!(scratch.get_int_at("item", 3).unwrap(), 99);
+        assert_eq!(scratch.get_int_at("item", 39).unwrap(), 39);
+        assert_eq!(scratch.get_int("item").unwrap(), -1);
+        assert!(scratch.get_int_at("item", 40).is_err());
+        assert!(scratch.get_at("other", 3).is_none());
     }
 
     #[test]

@@ -231,6 +231,21 @@ impl StepTemplate {
         self.table
     }
 
+    /// What the step does.
+    pub fn kind(&self) -> TemplateKind {
+        self.kind
+    }
+
+    /// The route key expression.
+    pub fn route(&self) -> &[KeyAtom] {
+        &self.route
+    }
+
+    /// The declared full primary-key expression, if any.
+    pub fn full_key_atoms(&self) -> Option<&[KeyAtom]> {
+        self.full_key.as_deref()
+    }
+
     /// `true` for unrouted templates.
     pub fn is_secondary(&self) -> bool {
         self.kind == TemplateKind::Secondary
@@ -334,6 +349,8 @@ type StepId = (&'static str, &'static str);
 
 #[derive(Debug, Clone)]
 pub struct ConflictMatrix {
+    /// Identifies this analysis run: the key of the stamps programs cache.
+    id: u64,
     programs: HashSet<&'static str>,
     elide: HashSet<StepId>,
     serialize: HashSet<&'static str>,
@@ -399,6 +416,7 @@ impl ConflictMatrix {
         }
 
         ConflictMatrix {
+            id: crate::program::next_matrix_id(),
             programs: programs.iter().map(|p| p.name).collect(),
             elide,
             serialize,
@@ -408,6 +426,11 @@ impl ConflictMatrix {
             routed_templates,
             total_templates: steps.len(),
         }
+    }
+
+    /// This analysis run's id, unique in the process.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// `true` if the matrix has a declaration for this program name.

@@ -13,12 +13,31 @@ use dora_common::sync::OneShot;
 use dora_metrics::{incr, incr_by, time_section, CounterKind, TimeCategory};
 use dora_storage::Database;
 
-use crate::action::{Action, ActionBody, ActionContext, ActionSpec};
+use dora_common::InlineVec;
+
+use crate::action::Action;
 use crate::config::DoraConfig;
 use crate::executor::{Claim, ExecutorShared, InboxGuard, Message};
 use crate::flow::FlowGraph;
+use crate::program::{Backend, StepCtx};
 use crate::routing::{RoutingRule, RoutingTable};
 use crate::txn::{DoraTxn, DoraTxnInner};
+
+/// Actions, destinations and claims of one phase kept on the stack: a TPC-C
+/// NewOrder's first phase routes 17 actions, every other phase fewer.
+const PHASE_INLINE: usize = 16;
+
+/// One phase's routed actions, each beside its destination executor.
+type Routed = InlineVec<(Arc<ExecutorShared>, Action), PHASE_INLINE>;
+
+/// One destination of a phase while its inbox is latched. The latch is
+/// declared first, so it is released before the claim on an unwind.
+struct Destination<'a> {
+    guard: InboxGuard<'a>,
+    claim: Option<Claim>,
+    /// A push asked for the resident thread to be woken.
+    wake: bool,
+}
 
 /// Engine-internal shared state (referenced by every executor thread).
 pub(crate) struct EngineInner {
@@ -69,31 +88,47 @@ impl EngineInner {
     /// claimed and their batches run by the calling thread once the latches
     /// are released; busy ones are pushed to. Actions no executor has to
     /// serialize — secondary ones (empty identifier, Section 4.2.2) and
-    /// probe-free ones ([`ActionSpec::elide_probe`]) — are never routed:
-    /// the calling thread runs them after the claimed batches.
+    /// probe-free ones ([`ActionSpec::elide_probe`](crate::ActionSpec)) — are
+    /// never routed: the calling thread runs them after the claimed batches.
+    ///
+    /// An action is the index of its program step plus its bound routing
+    /// identifier; the phase's bookkeeping lives on the stack.
     pub(crate) fn dispatch_phase(self: &Arc<Self>, txn: &Arc<DoraTxnInner>, phase: usize) {
-        let specs = {
-            let mut pending = txn.pending_phases.lock();
-            match pending.get_mut(phase).and_then(Option::take) {
-                Some(specs) => specs,
-                None => return,
-            }
-        };
-        let mut unrouted = Vec::new();
-        let mut routed: Vec<(Arc<ExecutorShared>, Action)> = Vec::new();
-        for spec in specs {
-            if spec.is_secondary() && !spec.declared_secondary {
+        let mut unrouted: InlineVec<(usize, bool), PHASE_INLINE> = InlineVec::new();
+        let mut routed: Routed = InlineVec::new();
+        for index in txn.phase_steps(phase) {
+            let Some(step) = txn.program.steps().get(index) else {
+                continue; // a phase's range lies inside the step list
+            };
+            let identifier = match step.route().bind(txn.program.params()) {
+                Ok(identifier) => identifier,
+                Err(error) => {
+                    txn.mark_aborted(error);
+                    self.report_and_advance(txn, phase);
+                    continue;
+                }
+            };
+            if identifier.is_empty() && !step.is_declared_secondary() {
                 // Undeclared fallback: a routed step whose identifier
                 // carried no routing fields. Counted on every dispatch so
                 // benchmarks can see the rate; warned once per step.
                 incr(CounterKind::SecondaryFallbacks);
-                self.warn_undeclared_secondary(spec.table, spec.label);
+                self.warn_undeclared_secondary(step.table(), step.label());
             }
-            if spec.is_secondary() || spec.elide_probe {
-                unrouted.push(spec);
+            let probe_free = txn.program.is_probe_free(index);
+            if identifier.is_empty() || probe_free {
+                unrouted.push((index, probe_free));
                 continue;
             }
-            match self.route_spec(txn, phase, spec) {
+            let action = Action {
+                txn: Arc::clone(txn),
+                table: step.table(),
+                identifier,
+                mode: step.mode(),
+                phase,
+                step: index,
+            };
+            match self.route(action) {
                 Ok(pair) => routed.push(pair),
                 Err(error) => {
                     // Routing failures abort the transaction; the action is
@@ -118,8 +153,8 @@ impl EngineInner {
         // leaves to reach the right records (Section 4.2.2). Probe-free ones
         // join them: the conflict matrix proved no action of the workload
         // conflicts with them, so there is nothing for an executor to order.
-        for spec in unrouted {
-            self.execute_unrouted(txn, phase, spec);
+        for (index, probe_free) in unrouted {
+            self.execute_unrouted(txn, phase, index, probe_free);
         }
     }
 
@@ -152,72 +187,76 @@ impl EngineInner {
     /// released only the destinations that were pushed to, are unclaimed and
     /// have their resident thread asleep are woken. Message counters are
     /// bumped once per batch, not once per message.
-    fn push_phase(&self, mut routed: Vec<(Arc<ExecutorShared>, Action)>) -> Vec<Claim> {
+    fn push_phase(&self, mut routed: Routed) -> InlineVec<Claim, PHASE_INLINE> {
         // Stable sort: groups actions by destination while preserving each
         // destination's arrival order (per-source FIFO).
         routed.sort_by_key(|(executor, _)| (executor.table.0, executor.index));
-        let mut targets: Vec<Arc<ExecutorShared>> = Vec::with_capacity(routed.len());
-        for (executor, _) in &routed {
-            if targets
-                .last()
-                .is_none_or(|last| !Arc::ptr_eq(last, executor))
-            {
+        let mut targets: InlineVec<Arc<ExecutorShared>, PHASE_INLINE> = InlineVec::new();
+        for (executor, _) in routed.iter() {
+            let last = targets.len().checked_sub(1).and_then(|i| targets.get(i));
+            if last.is_none_or(|last| !Arc::ptr_eq(last, executor)) {
                 targets.push(Arc::clone(executor));
             }
         }
-        // Per destination: the claim taken, if it was idle, and whether a
-        // push asked for a wake. Declared before the latches so that an
-        // unwind drops the latches first: releasing a claim takes its latch.
-        let mut claims: Vec<Option<Claim>> = Vec::with_capacity(targets.len());
-        let mut wake = vec![false; targets.len()];
-        let mut guards: Vec<InboxGuard<'_>> = targets
+        // Declared before the destinations so that an unwind drops the
+        // latches first: releasing a claim takes its latch.
+        let mut claims = InlineVec::new();
+        let mut dests: InlineVec<Destination<'_>, PHASE_INLINE> = targets
             .iter()
-            .map(|executor| executor.lock_inbox())
+            .map(|executor| {
+                let mut guard = executor.lock_inbox();
+                let claim = guard.try_claim();
+                Destination {
+                    guard,
+                    claim,
+                    wake: false,
+                }
+            })
             .collect();
-        claims.extend(guards.iter_mut().map(InboxGuard::try_claim));
         let messages = routed.len() as u64;
+        // `routed` is sorted like `targets`, so its actions walk the
+        // destinations in order.
         let mut slot = 0usize;
         for (executor, action) in routed {
-            if !Arc::ptr_eq(&targets[slot], &executor) {
+            if targets
+                .get(slot)
+                .is_some_and(|target| !Arc::ptr_eq(target, &executor))
+            {
                 slot += 1;
             }
-            match &mut claims[slot] {
+            // Every action's executor is one of `targets`, so the slot
+            // exists; the `else` arm is unreachable.
+            let Some(dest) = dests.get_mut(slot) else {
+                continue;
+            };
+            match &mut dest.claim {
                 Some(claim) => claim.push(Message::Action(action)),
-                None => wake[slot] |= guards[slot].push(Message::Action(action)),
+                None => dest.wake |= dest.guard.push(Message::Action(action)),
             }
         }
         incr_by(CounterKind::DoraMessages, messages);
         incr_by(CounterKind::DispatchBatches, targets.len() as u64);
-        drop(guards);
-        for (target, wake) in targets.iter().zip(wake) {
+        let mut wakes: InlineVec<bool, PHASE_INLINE> = InlineVec::new();
+        for Destination { guard, claim, wake } in dests {
+            drop(guard);
+            claims.extend(claim);
+            wakes.push(wake);
+        }
+        for (target, wake) in targets.iter().zip(wakes) {
             if wake {
                 target.notify();
             }
         }
-        claims.into_iter().flatten().collect()
+        claims
     }
 
-    fn route_spec(
-        &self,
-        txn: &Arc<DoraTxnInner>,
-        phase: usize,
-        spec: ActionSpec,
-    ) -> DbResult<(Arc<ExecutorShared>, Action)> {
+    /// The executor `action` routes to, paired with it.
+    fn route(&self, action: Action) -> DbResult<(Arc<ExecutorShared>, Action)> {
         let index = self
             .routing
-            .route(spec.table, &spec.identifier)?
+            .route(action.table, &action.identifier)?
             .ok_or_else(|| DbError::InvalidOperation("unroutable non-secondary action".into()))?;
-        let executor = self.executor(spec.table, index)?;
-        let action = Action {
-            txn: Arc::clone(txn),
-            table: spec.table,
-            identifier: spec.identifier,
-            mode: spec.mode,
-            phase,
-            label: spec.label,
-            body: spec.body,
-        };
-        Ok((executor, action))
+        Ok((self.executor(action.table, index)?, action))
     }
 
     /// Re-routes an action after a routing-rule change (used by the resize
@@ -252,37 +291,47 @@ impl EngineInner {
     /// Runs a secondary or probe-free action on the calling thread and
     /// reports it to its RVP. No local lock is taken, so the transaction is
     /// not noted as involved: nothing needs releasing here at completion.
-    fn execute_unrouted(self: &Arc<Self>, txn: &Arc<DoraTxnInner>, phase: usize, spec: ActionSpec) {
+    fn execute_unrouted(
+        self: &Arc<Self>,
+        txn: &Arc<DoraTxnInner>,
+        phase: usize,
+        step: usize,
+        probe_free: bool,
+    ) {
         incr(CounterKind::ActionsExecuted);
         if txn.is_aborted() {
             incr(CounterKind::WastedActions);
         } else {
-            if spec.elide_probe {
+            if probe_free {
                 incr(CounterKind::LockProbesElided);
             }
-            self.run_body(txn, spec.body);
+            self.run_body(txn, step);
         }
         self.report_and_advance(txn, phase);
     }
 
-    /// Runs one action body under supervision, whichever thread runs it —
-    /// an executor's claim holder or the thread dispatching a phase: a
-    /// panic, injected by the chaos plan or a genuine bug, aborts and
-    /// quarantines the owning transaction instead of unwinding through the
-    /// runner. The caller reports the action to its RVP either way, so the
-    /// phase converges and finalize releases the transaction's local locks.
-    pub(crate) fn run_body(&self, txn: &DoraTxnInner, body: ActionBody) {
+    /// Runs the body of program step `step` under supervision, whichever
+    /// thread runs it — an executor's claim holder or the thread dispatching
+    /// a phase: a panic, injected by the chaos plan or a genuine bug, aborts
+    /// and quarantines the owning transaction instead of unwinding through
+    /// the runner. The caller reports the action to its RVP either way, so
+    /// the phase converges and finalize releases the transaction's local
+    /// locks.
+    pub(crate) fn run_body(&self, txn: &DoraTxnInner, step: usize) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let faults = self.db.faults();
             if faults.enabled() && faults.should_inject(FaultSite::ExecutorPanic) {
                 incr(CounterKind::FaultsInjected);
                 std::panic::panic_any(InjectedPanic);
             }
-            body(&ActionContext {
-                db: &self.db,
-                txn: &txn.handle,
-                scratch: &txn.scratch,
-            })
+            let ctx = StepCtx::new(
+                &self.db,
+                &txn.handle,
+                &txn.scratch,
+                txn.program.params(),
+                Backend::Dora,
+            );
+            txn.program.run_step(step, &ctx)
         }));
         match outcome {
             Ok(Ok(())) => {}
@@ -300,8 +349,9 @@ impl EngineInner {
     /// Reports one action completion to the phase RVP, advancing the
     /// transaction when the RVP reaches zero.
     pub(crate) fn report_and_advance(self: &Arc<Self>, txn: &Arc<DoraTxnInner>, phase: usize) {
-        if txn.rvps[phase].report() {
+        if txn.rvp.report() {
             if phase + 1 < txn.phase_count() && !txn.is_aborted() {
+                txn.rvp.arm(txn.phase_steps(phase + 1).len());
                 self.dispatch_phase(txn, phase + 1);
             } else {
                 self.finalize(txn);
@@ -337,7 +387,7 @@ impl EngineInner {
             // reports the undo failure, cleanup has already happened); the
             // client sees the original abort reason either way.
             let _ = self.db.abort(&txn.handle);
-            let result = Err(txn.abort_reason().unwrap_or(DbError::TxnAborted {
+            let result = Err(txn.take_abort_reason().unwrap_or(DbError::TxnAborted {
                 txn: txn.id(),
                 reason: "aborted".into(),
             }));
@@ -393,7 +443,7 @@ impl EngineInner {
     /// message is read at the executor's next claim, ahead of any later
     /// action.
     fn commit_fanout(&self, txn: &Arc<DoraTxnInner>) {
-        let involved: Vec<(TableId, usize)> = txn.involved.lock().iter().copied().collect();
+        let involved = txn.involved();
         incr_by(CounterKind::DoraMessages, involved.len() as u64);
         incr_by(CounterKind::DispatchBatches, involved.len() as u64);
         for (table, index) in involved {
@@ -587,14 +637,14 @@ impl DoraEngine {
         if self.inner.shutting_down.load(Ordering::Acquire) {
             return Err(DbError::ShuttingDown);
         }
-        let phases = graph.into_phases();
-        if phases.is_empty() {
+        let program = graph.into_program();
+        if program.dora_phase_count() == 0 {
             return Err(DbError::InvalidOperation(
                 "empty transaction flow graph".into(),
             ));
         }
         let handle = self.inner.db.begin();
-        let txn = DoraTxnInner::new(handle, phases, client_waits);
+        let txn = DoraTxnInner::new(handle, program, client_waits);
         // Deliberately not counted as a DoraMessage: the client->engine
         // hand-off is a function call, not an inbox push, and the dispatch
         // metrics divide DoraMessages by the inbox-push/drain counters.
@@ -732,7 +782,7 @@ impl Drop for DoraEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::LocalMode;
+    use crate::action::{ActionSpec, LocalMode};
     use dora_storage::{ColumnDef, TableSchema};
 
     fn counters_db() -> (Arc<Database>, TableId) {

@@ -468,9 +468,9 @@ impl ExecutorWorker<'_> {
     /// only the owning transaction, and the executor goes on with its batch.
     fn execute(&mut self, action: Action) {
         let Action {
-            txn, phase, body, ..
+            txn, phase, step, ..
         } = action;
-        self.engine.run_body(&txn, body);
+        self.engine.run_body(&txn, step);
         self.finish_action(&txn, phase);
     }
 

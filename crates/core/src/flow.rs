@@ -9,28 +9,51 @@
 //! The TPC-C Payment graph of Figure 4, for example, has two phases:
 //! `[R+U(Warehouse), R+U(District), R+U(Customer)] → RVP1 → [I(History)] →
 //! RVP2 (terminal)`.
+//!
+//! The graph of a [`TxnProgram`] is the program itself: a phase is a range
+//! of its steps and an action names its step, so building a transaction's
+//! graph copies nothing.
 
 use crate::action::ActionSpec;
+use crate::program::TxnProgram;
 
-/// A declarative transaction flow graph: an ordered list of phases, each a
-/// list of [`ActionSpec`]s. Workload code builds one per transaction
-/// instance and hands it to [`crate::DoraEngine::execute`].
-#[derive(Debug, Default)]
+/// A transaction flow graph: the program DORA runs, seen as phases of
+/// actions. A compiled program *is* its graph
+/// ([`TxnProgram::compile_dora`]); a graph built by hand from
+/// [`ActionSpec`]s lowers each one into a program step as it is pushed.
+/// Hand it to [`crate::DoraEngine::execute`].
+#[derive(Debug)]
 pub struct FlowGraph {
-    phases: Vec<Vec<ActionSpec>>,
+    program: TxnProgram,
+}
+
+impl Default for FlowGraph {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FlowGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        Self::default()
+        Self::from_program(TxnProgram::new("flow-graph"))
+    }
+
+    /// The graph of `program`.
+    pub(crate) fn from_program(program: TxnProgram) -> Self {
+        Self { program }
+    }
+
+    /// The program the graph runs.
+    pub(crate) fn into_program(self) -> TxnProgram {
+        self.program
     }
 
     /// Opens a new phase; subsequent [`push`](Self::push)es land in it.
-    /// Phases left empty are dropped at instantiation, so an extra
-    /// `begin_phase` is harmless rather than an error.
+    /// Phases left empty are dropped, so an extra `begin_phase` is harmless
+    /// rather than an error.
     pub fn begin_phase(&mut self) -> &mut Self {
-        self.phases.push(Vec::new());
+        self.program.push_rvp();
         self
     }
 
@@ -39,56 +62,46 @@ impl FlowGraph {
     /// caller-supplied phase number — together with
     /// [`begin_phase`](Self::begin_phase) and
     /// [`phase_with`](Self::phase_with) this is the whole construction
-    /// surface, and it is what [`crate::TxnProgram::compile_dora`] lowers
-    /// programs through.
+    /// surface.
     pub fn push(&mut self, action: ActionSpec) -> &mut Self {
-        if self.phases.is_empty() {
-            self.phases.push(Vec::new());
-        }
-        self.phases
-            .last_mut()
-            .expect("just ensured a phase exists")
-            .push(action);
+        self.program.push_step(action.into_step());
         self
     }
 
     /// Chaining convenience: appends a phase containing exactly the given
     /// actions.
     pub fn phase_with(mut self, actions: Vec<ActionSpec>) -> Self {
-        self.phases.push(actions);
+        self.begin_phase();
+        for action in actions {
+            self.push(action);
+        }
         self
     }
 
-    /// Inserts an empty rendezvous point after every action, fully
-    /// serializing the graph: phase boundaries are exactly what the resource
-    /// manager adds when it decides a transaction with a high abort rate
-    /// should run serially (Appendix A.4, the DORA-S plan of Figure 11).
+    /// Puts every action in its own phase, fully serializing the graph:
+    /// phase boundaries are exactly what the resource manager adds when it
+    /// decides a transaction with a high abort rate should run serially
+    /// (Appendix A.4, the DORA-S plan of Figure 11).
     pub fn serialized(self) -> Self {
-        let mut serial = FlowGraph::new();
-        for phase in self.phases {
-            for action in phase {
-                serial.phases.push(vec![action]);
-            }
-        }
-        serial
+        Self::from_program(self.program.serialized(true))
     }
 
     /// Number of phases.
     pub fn phase_count(&self) -> usize {
-        self.phases.len()
+        self.program.dora_phase_count()
     }
 
     /// Number of actions in `phase`.
     pub fn actions_in(&self, phase: usize) -> usize {
-        self.phases.get(phase).map(Vec::len).unwrap_or(0)
+        self.program.dora_phase(phase).len()
     }
 
     /// Total number of actions across all phases.
     pub fn action_count(&self) -> usize {
-        self.phases.iter().map(Vec::len).sum()
+        self.program.step_count()
     }
 
-    /// `true` if the graph has no phases or only empty phases.
+    /// `true` if the graph has no actions.
     pub fn is_empty(&self) -> bool {
         self.action_count() == 0
     }
@@ -97,30 +110,26 @@ impl FlowGraph {
     /// `"label(identifier)"` entry per action. Used by the harness to print
     /// Figure 4-style graph descriptions and by diagnostics.
     pub fn describe(&self) -> Vec<Vec<String>> {
-        self.phases
-            .iter()
+        let program = &self.program;
+        (0..program.dora_phase_count())
             .map(|phase| {
-                phase
-                    .iter()
-                    .map(|action| {
-                        if action.is_secondary() {
-                            format!("{}[secondary]", action.label)
-                        } else if action.elide_probe {
-                            format!("{}{}[probe-free]", action.label, action.identifier)
+                program
+                    .dora_phase(phase)
+                    .filter_map(|index| Some((index, program.steps().get(index)?)))
+                    .map(|(index, step)| {
+                        // A route that cannot be bound routes nowhere.
+                        let identifier = step.route().bind(program.params()).unwrap_or_default();
+                        if identifier.is_empty() {
+                            format!("{}[secondary]", step.label())
+                        } else if program.is_probe_free(index) {
+                            format!("{}{}[probe-free]", step.label(), identifier)
                         } else {
-                            format!("{}{}", action.label, action.identifier)
+                            format!("{}{}", step.label(), identifier)
                         }
                     })
                     .collect()
             })
             .collect()
-    }
-
-    /// Consumes the graph, returning its phases. Used by the engine when it
-    /// instantiates the transaction.
-    pub(crate) fn into_phases(self) -> Vec<Vec<ActionSpec>> {
-        // Empty phases would deadlock the RVP counting; drop them defensively.
-        self.phases.into_iter().filter(|p| !p.is_empty()).collect()
     }
 }
 
@@ -174,9 +183,9 @@ mod tests {
         graph.begin_phase();
         graph.begin_phase().push(action("only", 1));
         graph.begin_phase();
-        let phases = graph.into_phases();
-        assert_eq!(phases.len(), 1);
-        assert_eq!(phases[0].len(), 1);
+        assert_eq!(graph.phase_count(), 1);
+        assert_eq!(graph.actions_in(0), 1);
+        assert_eq!(graph.describe(), vec![vec![format!("only{}", Key::int(1))]]);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   organized in a *transaction flow graph* whose phases are separated by
 //!   *rendezvous points* (Section 4.1.2).
 //! * [`program`] — declarative transaction programs ([`TxnProgram`]): one
-//!   definition per transaction, compiled to a DORA flow graph
-//!   (`compile_dora`) or to a sequential baseline closure
-//!   (`compile_baseline`), so workloads never write a transaction twice.
+//!   plan per transaction type, built once and bound to each transaction's
+//!   parameters, run as a DORA flow graph (`compile_dora`) or as a
+//!   sequential baseline closure (`compile_baseline`), so workloads never
+//!   write a transaction twice.
 //! * [`locallock`] — each executor's thread-local lock table with
 //!   shared/exclusive modes and key-prefix conflict semantics
 //!   (Section 4.1.3).
@@ -66,7 +67,10 @@ pub use conflict::{
 pub use engine::DoraEngine;
 pub use flow::FlowGraph;
 pub use locallock::LocalLockTable;
-pub use program::{OnDuplicate, OnMissing, PreparedProgram, Step, StepCtx, TxnProgram};
+pub use program::{
+    OnDuplicate, OnMissing, Param, Params, PreparedProgram, Shape, Step, StepCtx, StepKind,
+    TxnProgram,
+};
 pub use resource::ResourceManager;
 pub use retry::retry_deadlocks;
 pub use routing::{RoutingRule, RoutingTable};

@@ -1,31 +1,41 @@
-//! Declarative transaction programs: one definition, two execution plans.
+//! Declarative transaction programs: one plan per transaction type, bound
+//! per call.
 //!
 //! The paper's central artifact is the transaction flow graph (Section
-//! 4.1.2): a transaction is *one* logical definition that the system
+//! 4.1.2) of a transaction *type*: one logical definition that the system
 //! decomposes into actions and rendezvous points. [`TxnProgram`] makes that
-//! single definition explicit — an ordered list of typed steps
-//! ([`Step::read`], [`Step::update`], [`Step::insert`], [`Step::delete`],
-//! plus [`Step::secondary`] for unroutable work and [`Step::custom`] as the
+//! definition explicit — an ordered list of typed steps ([`Step::read`],
+//! [`Step::update`], [`Step::insert`], [`Step::delete`], plus
+//! [`Step::secondary`] for unroutable work and [`Step::custom`] as the
 //! escape hatch), with [`TxnProgram::rvp`] marking the phase boundaries.
 //!
-//! Two compilers consume a program:
+//! A program is a shared *plan* plus the *parameters* of one transaction.
+//! The plan (steps, phases, step bodies) is built once per transaction type
+//! and cached by the workload; a step's route and key are [`Shape`]s over
+//! parameter slots ([`Param`]), and a step body reads the parameters through
+//! [`StepCtx::int`] / [`StepCtx::float`]. Drawing a transaction is then
+//! [`TxnProgram::bind`]: a reference-count bump and a few integers, with no
+//! step, closure or box rebuilt. A program built ad hoc from concrete
+//! [`Key`]s is a plan with no parameters — the same representation.
 //!
-//! * [`TxnProgram::compile_dora`] lowers the steps to a [`FlowGraph`]: each
-//!   phase becomes a set of concurrent [`ActionSpec`]s, probes and in-place
-//!   updates run without centralized concurrency control ([`CcMode::None`] —
-//!   the executor's local lock table serializes conflicts), and record
+//! One program runs on either architecture:
+//!
+//! * [`TxnProgram::compile_dora`] gives the DORA [`FlowGraph`]: each phase
+//!   becomes a set of concurrent actions, probes and in-place updates run
+//!   without centralized concurrency control ([`CcMode::None`] — the
+//!   executor's local lock table serializes conflicts), and record
 //!   inserts/deletes take centralized row locks ([`CcMode::RowOnly`],
-//!   Section 4.2.1). A program marked [`TxnProgram::serialized`] compiles to
-//!   the one-action-per-phase DORA-S plan of Appendix A.4.
-//! * [`TxnProgram::compile_baseline`] lowers the *same* steps to a
-//!   sequential closure for the conventional thread-to-transaction engine,
-//!   where every access goes through the centralized lock manager
-//!   ([`CcMode::Full`]).
+//!   Section 4.2.1). A program marked [`TxnProgram::serialized`] runs as the
+//!   one-action-per-phase DORA-S plan of Appendix A.4. Each action refers to
+//!   its plan step; nothing is copied.
+//! * [`TxnProgram::compile_baseline`] runs the *same* steps sequentially on
+//!   the conventional thread-to-transaction engine, where every access goes
+//!   through the centralized lock manager ([`CcMode::Full`]).
 //!
-//! Both are thin wrappers over [`TxnProgram::prepare`]: the one lowering lives
-//! on [`PreparedProgram`] ([`PreparedProgram::flow_graph`] and the sequential
-//! step loop [`PreparedProgram::run_baseline`], which snapshot reads reuse),
-//! and a prepared program is what the engines execute.
+//! [`TxnProgram::prepare`] wraps a program into the [`PreparedProgram`] the
+//! engines execute. DORA stamps it first with its bind-time conflict matrix
+//! ([`TxnProgram::with_conflicts`]: probe-free steps, DORA-S); the stamp is
+//! computed once per plan and matrix and shared by every later binding.
 //!
 //! Step bodies never name a [`CcMode`] themselves; they ask the [`StepCtx`]
 //! ([`StepCtx::cc`] for probes/updates, [`StepCtx::write_cc`] for
@@ -33,7 +43,7 @@
 //!
 //! ```
 //! use dora_common::prelude::*;
-//! use dora_core::{DoraConfig, DoraEngine, OnMissing, TxnProgram};
+//! use dora_core::{DoraConfig, DoraEngine, OnMissing, Param, Params, Shape, TxnProgram};
 //! use dora_storage::{ColumnDef, Database, TableSchema};
 //!
 //! let db = Database::for_tests();
@@ -46,29 +56,28 @@
 //!     .unwrap();
 //! db.load_row(table, vec![Value::Int(1), Value::Int(0)]).unwrap();
 //!
-//! // One definition: bump counter 1, then (next phase) read it back.
-//! let program = || {
-//!     TxnProgram::new("bump-and-check")
-//!         .update("bump", table, Key::int(1), Key::int(1), OnMissing::Error, |_ctx, row| {
-//!             let n = row[1].as_int()?;
-//!             row[1] = Value::Int(n + 1);
-//!             Ok(())
-//!         })
-//!         .rvp()
-//!         .read("check", table, Key::int(1), Key::int(1), OnMissing::Abort("gone"), |_ctx, row| {
-//!             assert!(row[1].as_int()? >= 1);
-//!             Ok(())
-//!         })
-//! };
+//! // One plan: bump counter `id`, then (next phase) read it back.
+//! const ID: Param = Param::new(0, "id");
+//! let plan = TxnProgram::new("bump-and-check")
+//!     .update("bump", table, ID, ID, OnMissing::Error, |_ctx, row| {
+//!         let n = row[1].as_int()?;
+//!         row[1] = Value::Int(n + 1);
+//!         Ok(())
+//!     })
+//!     .rvp()
+//!     .read("check", table, ID, ID, OnMissing::Abort("gone"), |_ctx, row| {
+//!         assert!(row[1].as_int()? >= 1);
+//!         Ok(())
+//!     });
 //!
-//! // Compiled for the conventional engine: a sequential closure.
-//! let body = program().compile_baseline();
+//! // Bound for one transaction and run on the conventional engine.
+//! let body = plan.bind(Params::of([1])).compile_baseline();
 //! let txn = db.begin();
 //! body(&db, &txn).unwrap();
 //! db.commit(&txn).unwrap();
 //!
-//! // The same definition compiled for DORA: a two-phase flow graph.
-//! let graph = program().compile_dora();
+//! // The same plan as a two-phase DORA flow graph.
+//! let graph = plan.bind(Params::of([1])).compile_dora();
 //! assert_eq!(graph.phase_count(), 2);
 //! let engine = DoraEngine::new(db, DoraConfig::for_tests());
 //! engine.bind_table(table, 2, 1, 100).unwrap();
@@ -76,24 +85,193 @@
 //! engine.shutdown();
 //! ```
 
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use dora_common::prelude::*;
+use dora_common::InlineVec;
 use dora_storage::{Database, Snapshot, TxnHandle};
 
-use crate::action::{ActionSpec, LocalMode, Scratch};
+use crate::action::{LocalMode, Scratch};
+use crate::conflict::{ConflictMatrix, KeyAtom};
 use crate::flow::FlowGraph;
 
 /// Which execution architecture a compiled step is running under. Not public:
 /// step bodies observe it only through the [`StepCtx`] accessors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
+pub(crate) enum Backend {
     /// Conventional thread-to-transaction execution: full centralized
     /// concurrency control.
     Baseline,
     /// DORA thread-to-data execution: conflicts on routed records are
     /// serialized by the executor's local lock table.
     Dora,
+}
+
+/// A parameter slot of a plan: its position in the [`Params`] a transaction
+/// binds, and a name (reports and the conflict templates' key atoms).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Param {
+    index: usize,
+    name: &'static str,
+}
+
+impl Param {
+    /// The slot at `index`, called `name`.
+    pub const fn new(index: usize, name: &'static str) -> Self {
+        Self { index, name }
+    }
+
+    /// The slot's name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+/// Slots stored in place; a transaction with more (a TPC-C NewOrder's item
+/// list) spills into one heap buffer.
+const PARAMS_INLINE: usize = 8;
+
+/// The parameters of one transaction: integers in slot order. A float is
+/// stored as its bit pattern ([`Params::with_float`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Params(InlineVec<i64, PARAMS_INLINE>);
+
+impl Params {
+    /// No parameters.
+    pub const fn new() -> Self {
+        Self(InlineVec::new())
+    }
+
+    /// The given integers, slot 0 first.
+    pub fn of<const N: usize>(values: [i64; N]) -> Self {
+        values.into_iter().collect()
+    }
+
+    /// Appends an integer slot.
+    pub fn push(&mut self, value: i64) {
+        self.0.push(value);
+    }
+
+    /// Appends a float slot.
+    pub fn push_float(&mut self, value: f64) {
+        self.0.push(value.to_bits() as i64);
+    }
+
+    /// These parameters with an integer slot appended.
+    pub fn with(mut self, value: i64) -> Self {
+        self.push(value);
+        self
+    }
+
+    /// These parameters with a float slot appended.
+    pub fn with_float(mut self, value: f64) -> Self {
+        self.push_float(value);
+        self
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` when there are no slots.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The integer in `param`'s slot.
+    pub fn int(&self, param: Param) -> DbResult<i64> {
+        self.0.get(param.index).copied().ok_or_else(|| {
+            DbError::InvalidOperation(format!(
+                "parameter `{}` (slot {}) not bound",
+                param.name, param.index
+            ))
+        })
+    }
+
+    /// The float in `param`'s slot.
+    pub fn float(&self, param: Param) -> DbResult<f64> {
+        self.int(param).map(|bits| f64::from_bits(bits as u64))
+    }
+}
+
+impl FromIterator<i64> for Params {
+    fn from_iter<I: IntoIterator<Item = i64>>(values: I) -> Self {
+        Self(values.into_iter().collect())
+    }
+}
+
+/// The components of a key shape stored in place (TPC-C's and TM1's
+/// longest keys have three).
+const SHAPE_INLINE: usize = 3;
+
+/// How a step's routing identifier or primary key is made from a
+/// transaction's [`Params`]: either a fixed [`Key`] (an ad-hoc program) or
+/// one integer component per parameter slot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Shape(ShapeRepr);
+
+#[derive(Debug, Clone, PartialEq)]
+enum ShapeRepr {
+    Fixed(Key),
+    Params(InlineVec<Param, SHAPE_INLINE>),
+}
+
+impl Shape {
+    /// The key whose components are the given slots, in order.
+    pub fn of(params: impl IntoIterator<Item = Param>) -> Self {
+        Self(ShapeRepr::Params(params.into_iter().collect()))
+    }
+
+    /// The empty shape: no routing fields (a secondary step).
+    pub fn empty() -> Self {
+        Self(ShapeRepr::Fixed(Key::empty()))
+    }
+
+    /// `true` if the shape has no components.
+    pub fn is_empty(&self) -> bool {
+        match &self.0 {
+            ShapeRepr::Fixed(key) => key.is_empty(),
+            ShapeRepr::Params(params) => params.is_empty(),
+        }
+    }
+
+    /// The key this shape makes from `params`.
+    pub fn bind(&self, params: &Params) -> DbResult<Key> {
+        match &self.0 {
+            ShapeRepr::Fixed(key) => Ok(key.clone()),
+            ShapeRepr::Params(slots) => {
+                let mut key = Key::empty();
+                for param in slots.iter() {
+                    key.push(params.int(*param)?);
+                }
+                Ok(key)
+            }
+        }
+    }
+
+    /// The shape as conflict-template key atoms: a fixed component is a
+    /// [`KeyAtom::Const`], a slot a [`KeyAtom::Param`] under its name.
+    pub fn atoms(&self) -> Vec<KeyAtom> {
+        match &self.0 {
+            ShapeRepr::Fixed(key) => key.values().iter().cloned().map(KeyAtom::Const).collect(),
+            ShapeRepr::Params(slots) => slots.iter().map(|p| KeyAtom::Param(p.name)).collect(),
+        }
+    }
+}
+
+impl From<Key> for Shape {
+    fn from(key: Key) -> Self {
+        Self(ShapeRepr::Fixed(key))
+    }
+}
+
+impl From<Param> for Shape {
+    fn from(param: Param) -> Self {
+        Self::of([param])
+    }
 }
 
 /// Everything a program step may touch while it runs, on either engine.
@@ -104,15 +282,23 @@ pub struct StepCtx<'a> {
     pub txn: &'a TxnHandle,
     /// The per-transaction scratchpad (data hand-off between phases).
     pub scratch: &'a Scratch,
+    params: &'a Params,
     backend: Backend,
 }
 
 impl<'a> StepCtx<'a> {
-    fn new(db: &'a Database, txn: &'a TxnHandle, scratch: &'a Scratch, backend: Backend) -> Self {
+    pub(crate) fn new(
+        db: &'a Database,
+        txn: &'a TxnHandle,
+        scratch: &'a Scratch,
+        params: &'a Params,
+        backend: Backend,
+    ) -> Self {
         Self {
             db,
             txn,
             scratch,
+            params,
             backend,
         }
     }
@@ -139,10 +325,30 @@ impl<'a> StepCtx<'a> {
         }
     }
 
+    /// The transaction's parameters.
+    pub fn params(&self) -> &Params {
+        self.params
+    }
+
+    /// The integer parameter in `param`'s slot.
+    pub fn int(&self, param: Param) -> DbResult<i64> {
+        self.params.int(param)
+    }
+
+    /// The float parameter in `param`'s slot.
+    pub fn float(&self, param: Param) -> DbResult<f64> {
+        self.params.float(param)
+    }
+
+    /// The key `shape` makes from this transaction's parameters.
+    pub fn key(&self, shape: &Shape) -> DbResult<Key> {
+        shape.bind(self.params)
+    }
+
     /// A workload abort (invalid input, missing record, ...) attributed to
     /// this transaction. Aborts roll the whole transaction back on either
     /// engine but are not retried.
-    pub fn abort(&self, reason: impl Into<String>) -> DbError {
+    pub fn abort(&self, reason: impl Into<std::borrow::Cow<'static, str>>) -> DbError {
         DbError::TxnAborted {
             txn: self.txn.id(),
             reason: reason.into(),
@@ -184,18 +390,41 @@ pub enum OnDuplicate {
 
 /// The closure type of a step body. Unlike a raw action body it is `Fn`, not
 /// `FnOnce`: the baseline engine re-runs the whole program when it retries a
-/// deadlock victim.
-pub type StepBody = Box<dyn Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync>;
+/// deadlock victim, and every transaction bound from a plan runs the same
+/// body. Shared, so that extending a shared plan copies the step list
+/// without rebuilding a body.
+pub type StepBody = Arc<dyn Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync>;
+
+/// Which constructor built a step: what it does to its record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepKind {
+    /// [`Step::read`].
+    Read,
+    /// [`Step::update`].
+    Update,
+    /// [`Step::insert`].
+    Insert,
+    /// [`Step::delete`].
+    Delete,
+    /// [`Step::custom`]: anything, under the step's [`LocalMode`].
+    Custom,
+    /// [`Step::secondary`]: unrouted.
+    Secondary,
+}
 
 /// One step of a transaction program: a unit of work against a small set of
 /// records of one table — exactly what DORA calls an *action* (Section
 /// 4.1.2), but engine-agnostic.
+#[derive(Clone)]
 pub struct Step {
     label: &'static str,
     table: TableId,
     /// Routing identifier (the routing-field values of the records the step
     /// touches). Empty for secondary steps.
-    route: Key,
+    route: Shape,
+    /// The primary key a typed read, update or delete addresses.
+    key: Option<Shape>,
+    kind: StepKind,
     mode: LocalMode,
     body: StepBody,
     /// `true` only for steps built with [`Step::secondary`] — the author
@@ -204,11 +433,11 @@ pub struct Step {
     /// silently, which the engine flags once per bind (routing-coverage
     /// warning).
     declared_secondary: bool,
-    /// `true` when the bind-time conflict matrix proved this step's template
-    /// conflicts with nothing in the workload, so it skips the local-lock
-    /// table and its executor and runs on the dispatching thread. Set only by
-    /// [`TxnProgram::with_conflicts`], never by the constructors.
-    elide_probe: bool,
+    /// `true` when the author asserted the step conflicts with nothing
+    /// (a hand-built probe-free [`ActionSpec`](crate::ActionSpec)); the
+    /// bind-time conflict matrix marks steps through the program's stamp
+    /// instead.
+    probe_free: bool,
 }
 
 impl std::fmt::Debug for Step {
@@ -217,6 +446,7 @@ impl std::fmt::Debug for Step {
             .field("label", &self.label)
             .field("table", &self.table)
             .field("route", &self.route)
+            .field("kind", &self.kind)
             .field("mode", &self.mode)
             .finish_non_exhaustive()
     }
@@ -231,18 +461,20 @@ impl Step {
     pub fn custom(
         label: &'static str,
         table: TableId,
-        route: Key,
+        route: impl Into<Shape>,
         mode: LocalMode,
         body: impl Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync + 'static,
     ) -> Self {
         Self {
             label,
             table,
-            route,
+            route: route.into(),
+            key: None,
+            kind: StepKind::Custom,
             mode,
-            body: Box::new(body),
+            body: Arc::new(body),
             declared_secondary: false,
-            elide_probe: false,
+            probe_free: false,
         }
     }
 
@@ -256,8 +488,9 @@ impl Step {
         body: impl Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync + 'static,
     ) -> Self {
         Self {
+            kind: StepKind::Secondary,
             declared_secondary: true,
-            ..Self::custom(label, table, Key::empty(), LocalMode::Shared, body)
+            ..Self::custom(label, table, Shape::empty(), LocalMode::Shared, body)
         }
     }
 
@@ -265,92 +498,117 @@ impl Step {
     pub fn read(
         label: &'static str,
         table: TableId,
-        route: Key,
-        key: Key,
+        route: impl Into<Shape>,
+        key: impl Into<Shape>,
         on_missing: OnMissing,
         on_row: impl Fn(&StepCtx<'_>, &Row) -> DbResult<()> + Send + Sync + 'static,
     ) -> Self {
-        Self::custom(
-            label,
-            table,
-            route,
-            LocalMode::Shared,
-            move |ctx| match ctx
-                .db
-                .probe_primary(ctx.txn, table, &key, false, ctx.cc())?
-            {
-                Some((_, row)) => on_row(ctx, &row),
-                None => Err(on_missing.not_found(ctx, table, &key)),
-            },
-        )
+        let key = key.into();
+        let shape = key.clone();
+        Self {
+            key: Some(key),
+            kind: StepKind::Read,
+            ..Self::custom(label, table, route, LocalMode::Shared, move |ctx| {
+                let key = ctx.key(&shape)?;
+                match ctx
+                    .db
+                    .probe_primary(ctx.txn, table, &key, false, ctx.cc())?
+                {
+                    Some((_, row)) => on_row(ctx, &row),
+                    None => Err(on_missing.not_found(ctx, table, &key)),
+                }
+            })
+        }
     }
 
     /// Updates the record at `key` (primary key) in place through `apply`.
     pub fn update(
         label: &'static str,
         table: TableId,
-        route: Key,
-        key: Key,
+        route: impl Into<Shape>,
+        key: impl Into<Shape>,
         on_missing: OnMissing,
         apply: impl Fn(&StepCtx<'_>, &mut Row) -> DbResult<()> + Send + Sync + 'static,
     ) -> Self {
-        Self::custom(
-            label,
-            table,
-            route,
-            LocalMode::Exclusive,
-            move |ctx| match ctx
-                .db
-                .update_primary(ctx.txn, table, &key, ctx.cc(), |row| apply(ctx, row))
-            {
-                Ok(()) => Ok(()),
-                Err(DbError::NotFound { .. }) => Err(on_missing.not_found(ctx, table, &key)),
-                Err(other) => Err(other),
-            },
-        )
+        let key = key.into();
+        let shape = key.clone();
+        Self {
+            key: Some(key),
+            kind: StepKind::Update,
+            ..Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
+                let key = ctx.key(&shape)?;
+                match ctx
+                    .db
+                    .update_primary(ctx.txn, table, &key, ctx.cc(), |row| apply(ctx, row))
+                {
+                    Ok(()) => Ok(()),
+                    Err(DbError::NotFound { .. }) => Err(on_missing.not_found(ctx, table, &key)),
+                    Err(other) => Err(other),
+                }
+            })
+        }
     }
 
-    /// Inserts the row built by `make_row` (which may read the scratchpad
-    /// and the transaction id).
+    /// Inserts the row built by `make_row` (which may read the parameters,
+    /// the scratchpad and the transaction id).
     pub fn insert(
         label: &'static str,
         table: TableId,
-        route: Key,
+        route: impl Into<Shape>,
         on_duplicate: OnDuplicate,
         make_row: impl Fn(&StepCtx<'_>) -> DbResult<Row> + Send + Sync + 'static,
     ) -> Self {
-        Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
-            let row = make_row(ctx)?;
-            match ctx.db.insert(ctx.txn, table, row, ctx.write_cc()) {
-                Ok(_) => Ok(()),
-                Err(err @ DbError::DuplicateKey { .. }) => match on_duplicate {
-                    OnDuplicate::Abort(reason) => Err(ctx.abort(reason)),
-                    OnDuplicate::Error => Err(err),
-                },
-                Err(other) => Err(other),
-            }
-        })
+        Self {
+            kind: StepKind::Insert,
+            ..Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
+                let row = make_row(ctx)?;
+                match ctx.db.insert(ctx.txn, table, row, ctx.write_cc()) {
+                    Ok(_) => Ok(()),
+                    Err(err @ DbError::DuplicateKey { .. }) => match on_duplicate {
+                        OnDuplicate::Abort(reason) => Err(ctx.abort(reason)),
+                        OnDuplicate::Error => Err(err),
+                    },
+                    Err(other) => Err(other),
+                }
+            })
+        }
     }
 
     /// Deletes the record at `key` (primary key).
     pub fn delete(
         label: &'static str,
         table: TableId,
-        route: Key,
-        key: Key,
+        route: impl Into<Shape>,
+        key: impl Into<Shape>,
         on_missing: OnMissing,
     ) -> Self {
-        Self::custom(
-            label,
-            table,
-            route,
-            LocalMode::Exclusive,
-            move |ctx| match ctx.db.delete_primary(ctx.txn, table, &key, ctx.write_cc()) {
-                Ok(()) => Ok(()),
-                Err(DbError::NotFound { .. }) => Err(on_missing.not_found(ctx, table, &key)),
-                Err(other) => Err(other),
-            },
-        )
+        let key = key.into();
+        let shape = key.clone();
+        Self {
+            key: Some(key),
+            kind: StepKind::Delete,
+            ..Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
+                let key = ctx.key(&shape)?;
+                match ctx.db.delete_primary(ctx.txn, table, &key, ctx.write_cc()) {
+                    Ok(()) => Ok(()),
+                    Err(DbError::NotFound { .. }) => Err(on_missing.not_found(ctx, table, &key)),
+                    Err(other) => Err(other),
+                }
+            })
+        }
+    }
+
+    /// Marks the step probe-free by hand: the author asserts the proof the
+    /// conflict matrix would give (see [`crate::conflict`]).
+    pub(crate) fn assert_probe_free(mut self, probe_free: bool) -> Self {
+        self.probe_free = probe_free;
+        self
+    }
+
+    /// Keeps or drops the author's declaration that the step is secondary.
+    pub(crate) fn declare_secondary(mut self, declared: bool) -> Self {
+        self.declared_secondary = declared;
+        self
     }
 
     /// `true` if this step has no routing identifier (runs as a secondary
@@ -359,20 +617,134 @@ impl Step {
         self.route.is_empty()
     }
 
+    /// `true` if the author declared the step secondary.
+    pub fn is_declared_secondary(&self) -> bool {
+        self.declared_secondary
+    }
+
     /// The step's label (diagnostics, trace output).
     pub fn label(&self) -> &'static str {
         self.label
     }
+
+    /// The table the step touches.
+    pub fn table(&self) -> TableId {
+        self.table
+    }
+
+    /// The routing identifier's shape.
+    pub fn route(&self) -> &Shape {
+        &self.route
+    }
+
+    /// The primary-key shape of a typed read, update or delete.
+    pub fn key(&self) -> Option<&Shape> {
+        self.key.as_ref()
+    }
+
+    /// Which constructor built the step.
+    pub fn kind(&self) -> StepKind {
+        self.kind
+    }
+
+    /// The local-lock mode the step needs on its route.
+    pub fn mode(&self) -> LocalMode {
+        self.mode
+    }
+}
+
+/// The conflict stamp of one plan under one matrix: which steps are
+/// probe-free, and whether the matrix asks for DORA-S. Computed once.
+#[derive(Debug)]
+struct Stamp {
+    matrix: u64,
+    /// `false` when the matrix has no declaration for the plan: the program
+    /// is left as it is.
+    known: bool,
+    probe_free: Vec<bool>,
+    serial: bool,
+}
+
+impl Stamp {
+    fn compute(plan: &Plan, matrix: &ConflictMatrix) -> Self {
+        let known = matrix.knows_program(plan.name);
+        Self {
+            matrix: matrix.id(),
+            known,
+            probe_free: plan
+                .steps
+                .iter()
+                .map(|step| {
+                    known && !step.route.is_empty() && matrix.is_probe_free(plan.name, step.label)
+                })
+                .collect(),
+            serial: known && matrix.should_serialize(plan.name),
+        }
+    }
+}
+
+/// The shared part of a program: everything but the parameters.
+struct Plan {
+    name: &'static str,
+    steps: Vec<Step>,
+    /// Step ranges of the phases, in order. Only the last may be empty.
+    phases: Vec<Range<usize>>,
+    serial: bool,
+    /// The stamp of the first matrix this plan met.
+    stamp: OnceLock<Arc<Stamp>>,
+}
+
+impl Clone for Plan {
+    /// A copy to extend: the stamp is left behind, since it describes the
+    /// original's steps.
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name,
+            steps: self.steps.clone(),
+            phases: self.phases.clone(),
+            serial: self.serial,
+            stamp: OnceLock::new(),
+        }
+    }
+}
+
+impl Plan {
+    /// Number of non-empty phases.
+    fn phase_count(&self) -> usize {
+        let trailing_empty = self.phases.last().is_some_and(|phase| phase.is_empty());
+        self.phases.len() - usize::from(trailing_empty)
+    }
 }
 
 /// A declarative transaction program: the single source of truth for one
-/// transaction, compiled to either execution architecture. See the module
-/// docs for the full story and a runnable example.
-#[derive(Debug)]
+/// transaction, run on either execution architecture — a shared plan plus
+/// this transaction's parameters. See the module docs for the full story and
+/// a runnable example.
 pub struct TxnProgram {
-    name: &'static str,
-    phases: Vec<Vec<Step>>,
-    serial: bool,
+    plan: Arc<Plan>,
+    params: Params,
+    /// Set by [`with_conflicts`](Self::with_conflicts) for a plan the matrix
+    /// knows.
+    stamp: Option<Arc<Stamp>>,
+}
+
+impl std::fmt::Debug for TxnProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TxnProgram")
+            .field("name", &self.plan.name)
+            .field("steps", &self.plan.steps)
+            .field("params", &self.params)
+            .field("serial", &self.is_serialized())
+            .finish()
+    }
+}
+
+/// Source of [`ConflictMatrix`] ids, which key the plans' stamp caches.
+static MATRIX_IDS: AtomicU64 = AtomicU64::new(1);
+
+/// A fresh matrix id.
+pub(crate) fn next_matrix_id() -> u64 {
+    MATRIX_IDS.fetch_add(1, Ordering::Relaxed)
 }
 
 impl TxnProgram {
@@ -380,29 +752,83 @@ impl TxnProgram {
     /// by reports and statistics (e.g. `"tpcc-payment"`).
     pub fn new(name: &'static str) -> Self {
         Self {
-            name,
-            phases: vec![Vec::new()],
-            serial: false,
+            plan: Arc::new(Plan {
+                name,
+                steps: Vec::new(),
+                phases: Vec::new(),
+                serial: false,
+                stamp: OnceLock::new(),
+            }),
+            params: Params::new(),
+            stamp: None,
+        }
+    }
+
+    /// The same plan bound to `params`: the program of one transaction. No
+    /// step is rebuilt — the plan is shared, and so is its conflict stamp.
+    pub fn bind(&self, params: Params) -> TxnProgram {
+        TxnProgram {
+            plan: Arc::clone(&self.plan),
+            params,
+            stamp: self.stamp.clone(),
         }
     }
 
     /// The transaction-type label.
     pub fn name(&self) -> &'static str {
-        self.name
+        self.plan.name
+    }
+
+    /// The bound parameters.
+    pub fn params(&self) -> &Params {
+        &self.params
+    }
+
+    /// The plan's steps, in program order.
+    pub fn steps(&self) -> &[Step] {
+        &self.plan.steps
+    }
+
+    /// The plan, for extending: copied first if another program shares it.
+    /// A stamp describes the steps as they were, so it is dropped.
+    fn plan_mut(&mut self) -> &mut Plan {
+        self.stamp = None;
+        let plan = Arc::make_mut(&mut self.plan);
+        plan.stamp = OnceLock::new();
+        plan
     }
 
     /// Appends a step to the current phase.
     pub fn step(mut self, step: Step) -> Self {
-        self.phases.last_mut().expect("always one phase").push(step);
+        self.push_step(step);
         self
+    }
+
+    pub(crate) fn push_step(&mut self, step: Step) {
+        let plan = self.plan_mut();
+        plan.steps.push(step);
+        let end = plan.steps.len();
+        match plan.phases.last_mut() {
+            Some(phase) => phase.end = end,
+            None => plan.phases.push(end - 1..end),
+        }
     }
 
     /// Marks a rendezvous point: steps added afterwards belong to the next
     /// phase and only start once every step of this phase has finished (an
-    /// explicit data- or control-dependency boundary).
+    /// explicit data- or control-dependency boundary). A boundary with no
+    /// step before it is dropped.
     pub fn rvp(mut self) -> Self {
-        self.phases.push(Vec::new());
+        self.push_rvp();
         self
+    }
+
+    pub(crate) fn push_rvp(&mut self) {
+        let plan = self.plan_mut();
+        let end = plan.steps.len();
+        if plan.phases.last().is_none_or(|phase| !phase.is_empty()) {
+            plan.phases.push(end..end);
+        }
     }
 
     /// Selects the fully serialized execution plan (DORA-S, Appendix A.4):
@@ -410,43 +836,37 @@ impl TxnProgram {
     /// phase, in program order. The baseline compilation is unaffected — it
     /// is sequential either way.
     pub fn serialized(mut self, serial: bool) -> Self {
-        self.serial = serial;
+        self.plan_mut().serial = serial;
         self
     }
 
-    /// `true` if the serialized (DORA-S) plan was selected.
+    /// `true` if the serialized (DORA-S) plan was selected, by hand or by
+    /// the conflict stamp.
     pub fn is_serialized(&self) -> bool {
-        self.serial
+        self.plan.serial || self.stamp.as_ref().is_some_and(|stamp| stamp.serial)
     }
 
     /// Number of steps across all phases.
     pub fn step_count(&self) -> usize {
-        self.phases.iter().map(Vec::len).sum()
+        self.plan.steps.len()
     }
 
     /// Number of non-empty phases (what
     /// [`compile_dora`](Self::compile_dora) will produce for a non-serial
     /// program).
     pub fn phase_count(&self) -> usize {
-        self.phases.iter().filter(|p| !p.is_empty()).count()
+        self.plan.phase_count()
     }
 
     /// Number of secondary (unrouted) steps.
     pub fn secondary_count(&self) -> usize {
-        self.phases
-            .iter()
-            .flatten()
-            .filter(|s| s.is_secondary())
-            .count()
+        self.plan.steps.iter().filter(|s| s.is_secondary()).count()
     }
 
     /// `true` if every step declares [`LocalMode::Shared`] — the program
     /// never writes, so it is eligible for lock-free snapshot execution.
     pub fn is_read_only(&self) -> bool {
-        self.phases
-            .iter()
-            .flatten()
-            .all(|s| s.mode == LocalMode::Shared)
+        self.plan.steps.iter().all(|s| s.mode == LocalMode::Shared)
     }
 
     // ----- typed-step sugar (delegates to the [`Step`] constructors) --------
@@ -456,8 +876,8 @@ impl TxnProgram {
         self,
         label: &'static str,
         table: TableId,
-        route: Key,
-        key: Key,
+        route: impl Into<Shape>,
+        key: impl Into<Shape>,
         on_missing: OnMissing,
         on_row: impl Fn(&StepCtx<'_>, &Row) -> DbResult<()> + Send + Sync + 'static,
     ) -> Self {
@@ -469,8 +889,8 @@ impl TxnProgram {
         self,
         label: &'static str,
         table: TableId,
-        route: Key,
-        key: Key,
+        route: impl Into<Shape>,
+        key: impl Into<Shape>,
         on_missing: OnMissing,
         apply: impl Fn(&StepCtx<'_>, &mut Row) -> DbResult<()> + Send + Sync + 'static,
     ) -> Self {
@@ -482,7 +902,7 @@ impl TxnProgram {
         self,
         label: &'static str,
         table: TableId,
-        route: Key,
+        route: impl Into<Shape>,
         on_duplicate: OnDuplicate,
         make_row: impl Fn(&StepCtx<'_>) -> DbResult<Row> + Send + Sync + 'static,
     ) -> Self {
@@ -494,8 +914,8 @@ impl TxnProgram {
         self,
         label: &'static str,
         table: TableId,
-        route: Key,
-        key: Key,
+        route: impl Into<Shape>,
+        key: impl Into<Shape>,
         on_missing: OnMissing,
     ) -> Self {
         self.step(Step::delete(label, table, route, key, on_missing))
@@ -516,58 +936,99 @@ impl TxnProgram {
         self,
         label: &'static str,
         table: TableId,
-        route: Key,
+        route: impl Into<Shape>,
         mode: LocalMode,
         body: impl Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync + 'static,
     ) -> Self {
         self.step(Step::custom(label, table, route, mode, body))
     }
 
-    /// Applies a bind-time [`ConflictMatrix`](crate::conflict::ConflictMatrix)
-    /// to this program before compilation: steps the matrix proved
-    /// conflict-free are marked probe-free (they run on the thread that
-    /// dispatches their phase, with no local-lock-table acquire, counter
-    /// `LockProbesElided`), and a program
-    /// the matrix flags as high-abort is switched to the DORA-S serialized
-    /// plan (Figure 11) unless the author already hand-set
-    /// [`serialized`](Self::serialized).
+    /// Applies a bind-time [`ConflictMatrix`] to this program: steps the
+    /// matrix proved conflict-free are marked probe-free (they run on the
+    /// thread that dispatches their phase, with no local-lock-table acquire,
+    /// counter `LockProbesElided`), and a program the matrix flags as
+    /// high-abort is switched to the DORA-S serialized plan (Figure 11).
     ///
-    /// Programs the matrix has no declaration for (matched by
-    /// [`name`](Self::name)) are returned unchanged — ad-hoc programs stay
-    /// fully probed.
-    pub fn with_conflicts(mut self, matrix: &crate::conflict::ConflictMatrix) -> Self {
-        if !matrix.knows_program(self.name) {
-            return self;
-        }
-        for step in self.phases.iter_mut().flatten() {
-            if !step.route.is_empty() && matrix.is_probe_free(self.name, step.label) {
-                step.elide_probe = true;
+    /// The stamp is computed the first time a plan meets a matrix and cached
+    /// on the plan, so every later program bound from it is stamped with no
+    /// lookup by name. Programs the matrix has no declaration for (matched
+    /// by [`name`](Self::name)) are returned unchanged — ad-hoc programs
+    /// stay fully probed.
+    pub fn with_conflicts(mut self, matrix: &ConflictMatrix) -> Self {
+        let stamp = match self.plan.stamp.get() {
+            Some(stamp) if stamp.matrix == matrix.id() => Arc::clone(stamp),
+            cached => {
+                let stamp = Arc::new(Stamp::compute(&self.plan, matrix));
+                if cached.is_none() {
+                    let _ = self.plan.stamp.set(Arc::clone(&stamp));
+                }
+                stamp
             }
-        }
-        if !self.serial && matrix.should_serialize(self.name) {
-            self.serial = true;
+        };
+        if stamp.known {
+            self.stamp = Some(stamp);
         }
         self
     }
 
+    /// `true` if step `index` skips the local-lock table: marked by the
+    /// conflict stamp, or by hand.
+    pub(crate) fn is_probe_free(&self, index: usize) -> bool {
+        self.plan
+            .steps
+            .get(index)
+            .is_some_and(|step| step.probe_free)
+            || self
+                .stamp
+                .as_ref()
+                .and_then(|stamp| stamp.probe_free.get(index).copied())
+                .unwrap_or(false)
+    }
+
     /// Number of steps currently marked probe-free (diagnostics/tests).
     pub fn elided_count(&self) -> usize {
-        self.phases
-            .iter()
-            .flatten()
-            .filter(|s| s.elide_probe)
+        (0..self.step_count())
+            .filter(|index| self.is_probe_free(*index))
             .count()
+    }
+
+    /// Number of phases DORA runs: one per step under DORA-S.
+    pub(crate) fn dora_phase_count(&self) -> usize {
+        if self.is_serialized() {
+            self.step_count()
+        } else {
+            self.phase_count()
+        }
+    }
+
+    /// The steps of DORA phase `phase` (empty past the last one).
+    pub(crate) fn dora_phase(&self, phase: usize) -> Range<usize> {
+        if self.is_serialized() {
+            phase.min(self.step_count())..(phase + 1).min(self.step_count())
+        } else {
+            self.plan.phases.get(phase).cloned().unwrap_or(0..0)
+        }
+    }
+
+    /// Runs step `index`, if there is one.
+    pub(crate) fn run_step(&self, index: usize, ctx: &StepCtx<'_>) -> DbResult<()> {
+        match self.plan.steps.get(index) {
+            Some(step) => (step.body)(ctx),
+            None => Err(DbError::InvalidOperation(format!(
+                "program `{}` has no step {index}",
+                self.plan.name
+            ))),
+        }
     }
 
     // ----- compilers ---------------------------------------------------------
 
-    /// Lowers the program to a DORA transaction flow graph: one
-    /// [`ActionSpec`] per step, phases split at the [`rvp`](Self::rvp)
-    /// boundaries (or one step per phase for a
-    /// [`serialized`](Self::serialized) program), secondary steps as
-    /// secondary actions.
+    /// Lowers the program to a DORA transaction flow graph: one action per
+    /// step, phases split at the [`rvp`](Self::rvp) boundaries (or one step
+    /// per phase for a [`serialized`](Self::serialized) program), secondary
+    /// steps as secondary actions. Free: the graph *is* the program.
     pub fn compile_dora(self) -> FlowGraph {
-        self.prepare().flow_graph()
+        FlowGraph::from_program(self)
     }
 
     /// Lowers the program to a sequential transaction body for the
@@ -576,46 +1037,60 @@ impl TxnProgram {
     /// repeatedly (the baseline retries deadlock victims); each call gets a
     /// fresh scratchpad.
     pub fn compile_baseline(self) -> impl Fn(&Database, &TxnHandle) -> DbResult<()> + Send + Sync {
-        let prepared = self.prepare();
-        move |db, txn| prepared.run_baseline(db, txn)
+        move |db, txn| self.run_baseline(db, txn)
     }
 
-    /// Compiles the program once into a [`PreparedProgram`] handle that can
-    /// be executed any number of times, on either engine, without paying the
-    /// lowering cost again. The prepared form is the seam servers and
-    /// drivers should hold on to; [`compile_dora`](Self::compile_dora) /
-    /// [`compile_baseline`](Self::compile_baseline) remain as the
-    /// compile-per-call convenience path.
+    /// Wraps the program into the [`PreparedProgram`] handle the engines
+    /// execute, any number of times, on either engine.
     pub fn prepare(self) -> PreparedProgram {
-        PreparedProgram {
-            name: self.name,
-            phases: Arc::new(self.phases),
-            serial: self.serial,
+        PreparedProgram { program: self }
+    }
+
+    /// Another program with the same plan, parameters and stamp.
+    fn share(&self) -> TxnProgram {
+        TxnProgram {
+            plan: Arc::clone(&self.plan),
+            params: self.params.clone(),
+            stamp: self.stamp.clone(),
         }
+    }
+
+    /// Runs the program sequentially with a fresh scratchpad.
+    fn run_baseline(&self, db: &Database, txn: &TxnHandle) -> DbResult<()> {
+        let scratch = Scratch::new();
+        let ctx = StepCtx::new(db, txn, &scratch, &self.params, Backend::Baseline);
+        self.plan
+            .steps
+            .iter()
+            .try_for_each(|step| (step.body)(&ctx))
     }
 }
 
-/// A [`TxnProgram`] compiled once, executable many times.
+/// A [`TxnProgram`] ready to execute, many times.
 ///
-/// The step list is shared behind an [`Arc`], so cloning a prepared program
-/// (one clone per session, per execution) is a reference-count bump — no
-/// step bodies are rebuilt. Each [`flow_graph`](Self::flow_graph) call
-/// re-materializes only the per-instance [`ActionSpec`] shells around the
-/// shared bodies, and [`run_baseline`](Self::run_baseline) runs the steps
-/// directly with a fresh scratchpad per call.
-#[derive(Clone)]
+/// Cloning one (one clone per session, per execution) bumps the plan's
+/// reference count and copies the parameters — no step body is rebuilt.
+/// Each [`flow_graph`](Self::flow_graph) call is such a clone, and
+/// [`run_baseline`](Self::run_baseline) runs the steps directly with a fresh
+/// scratchpad per call.
 pub struct PreparedProgram {
-    name: &'static str,
-    phases: Arc<Vec<Vec<Step>>>,
-    serial: bool,
+    program: TxnProgram,
+}
+
+impl Clone for PreparedProgram {
+    fn clone(&self) -> Self {
+        Self {
+            program: self.program.share(),
+        }
+    }
 }
 
 impl std::fmt::Debug for PreparedProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedProgram")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("steps", &self.step_count())
-            .field("serial", &self.serial)
+            .field("serial", &self.is_serialized())
             .finish()
     }
 }
@@ -623,87 +1098,41 @@ impl std::fmt::Debug for PreparedProgram {
 impl PreparedProgram {
     /// The transaction-type label.
     pub fn name(&self) -> &'static str {
-        self.name
+        self.program.name()
     }
 
     /// Number of steps across all phases.
     pub fn step_count(&self) -> usize {
-        self.phases.iter().map(Vec::len).sum()
+        self.program.step_count()
     }
 
     /// Number of non-empty phases.
     pub fn phase_count(&self) -> usize {
-        self.phases.iter().filter(|p| !p.is_empty()).count()
+        self.program.phase_count()
     }
 
     /// `true` if the serialized (DORA-S) plan was selected.
     pub fn is_serialized(&self) -> bool {
-        self.serial
+        self.program.is_serialized()
     }
 
-    /// Materializes a DORA transaction flow graph for one execution. The
-    /// action bodies borrow the shared step list; only the spec shells
-    /// (label, table, route, mode) are rebuilt per instance.
+    /// The DORA transaction flow graph of one execution: the same plan and
+    /// parameters, shared.
     pub fn flow_graph(&self) -> FlowGraph {
-        let mut graph = FlowGraph::new();
-        for (phase_idx, phase) in self.phases.iter().enumerate() {
-            if phase.is_empty() {
-                continue;
-            }
-            let actions = phase
-                .iter()
-                .enumerate()
-                .map(|(step_idx, step)| {
-                    let phases = Arc::clone(&self.phases);
-                    let run = move |actx: &crate::action::ActionContext<'_>| {
-                        let ctx = StepCtx::new(actx.db, actx.txn, actx.scratch, Backend::Dora);
-                        (phases[phase_idx][step_idx].body)(&ctx)
-                    };
-                    if step.route.is_empty() {
-                        let mut spec = ActionSpec::secondary(step.label, step.table, run);
-                        spec.declared_secondary = step.declared_secondary;
-                        spec
-                    } else {
-                        let mut spec = ActionSpec::new(
-                            step.label,
-                            step.table,
-                            step.route.clone(),
-                            step.mode,
-                            run,
-                        );
-                        spec.elide_probe = step.elide_probe;
-                        spec
-                    }
-                })
-                .collect();
-            graph = graph.phase_with(actions);
-        }
-        if self.serial {
-            graph.serialized()
-        } else {
-            graph
-        }
+        FlowGraph::from_program(self.program.share())
     }
 
     /// Runs the program sequentially on the conventional engine, with a
     /// fresh scratchpad (safe to call repeatedly — the baseline retries
     /// deadlock victims).
     pub fn run_baseline(&self, db: &Database, txn: &TxnHandle) -> DbResult<()> {
-        let scratch = Scratch::new();
-        let ctx = StepCtx::new(db, txn, &scratch, Backend::Baseline);
-        self.phases
-            .iter()
-            .flatten()
-            .try_for_each(|step| (step.body)(&ctx))
+        self.program.run_baseline(db, txn)
     }
 
     /// `true` if every step declares [`LocalMode::Shared`] — the program
     /// never writes, so it is eligible for lock-free snapshot execution.
     pub fn is_read_only(&self) -> bool {
-        self.phases
-            .iter()
-            .flatten()
-            .all(|s| s.mode == LocalMode::Shared)
+        self.program.is_read_only()
     }
 
     /// Runs the program against a pinned [`Snapshot`]: every read is served
@@ -719,7 +1148,7 @@ impl PreparedProgram {
         if !self.is_read_only() {
             return Err(DbError::InvalidOperation(format!(
                 "program `{}` has write steps; snapshot execution is read-only",
-                self.name
+                self.name()
             )));
         }
         let txn = db.begin_snapshot(Arc::clone(snapshot));
@@ -1047,12 +1476,119 @@ mod tests {
         let db = Database::for_tests();
         let txn = db.begin();
         let scratch = Scratch::new();
-        let base = StepCtx::new(&db, &txn, &scratch, Backend::Baseline);
+        let params = Params::new();
+        let base = StepCtx::new(&db, &txn, &scratch, &params, Backend::Baseline);
         assert_eq!(base.cc(), CcMode::Full);
         assert_eq!(base.write_cc(), CcMode::Full);
-        let dora = StepCtx::new(&db, &txn, &scratch, Backend::Dora);
+        let dora = StepCtx::new(&db, &txn, &scratch, &params, Backend::Dora);
         assert_eq!(dora.cc(), CcMode::None);
         assert_eq!(dora.write_cc(), CcMode::RowOnly);
         db.abort(&txn).unwrap();
+    }
+
+    const ID: Param = Param::new(0, "id");
+
+    fn bump_plan(table: TableId) -> TxnProgram {
+        TxnProgram::new("bump-plan").update("bump", table, ID, ID, OnMissing::Error, |_ctx, row| {
+            let n = row[1].as_int()?;
+            row[1] = Value::Int(n + 1);
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn a_plan_bound_to_parameters_routes_and_runs_on_both_engines() {
+        let (db_base, table) = counter_db();
+        let (db_dora, _) = counter_db();
+        let engine = DoraEngine::new(Arc::clone(&db_dora), DoraConfig::for_tests());
+        engine.bind_table(table, 2, 1, 8).unwrap();
+        let plan = bump_plan(table);
+        for id in [2i64, 2, 7] {
+            let graph = plan.bind(Params::of([id])).compile_dora();
+            assert_eq!(
+                graph.describe(),
+                vec![vec![format!("bump{}", Key::int(id))]]
+            );
+            engine.execute(graph).unwrap();
+            let body = plan.bind(Params::of([id])).compile_baseline();
+            let txn = db_base.begin();
+            body(&db_base, &txn).unwrap();
+            db_base.commit(&txn).unwrap();
+        }
+        for db in [&db_base, &db_dora] {
+            assert_eq!(counter_value(db, table, 2), 2);
+            assert_eq!(counter_value(db, table, 7), 1);
+        }
+        // Binding shares the plan: no step is rebuilt.
+        let bound = plan.bind(Params::of([3]));
+        assert!(std::ptr::eq(bound.steps(), plan.steps()));
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_missing_parameter_is_an_error_not_a_panic() {
+        let (db, table) = counter_db();
+        let body = bump_plan(table).bind(Params::new()).compile_baseline();
+        let txn = db.begin();
+        assert!(matches!(body(&db, &txn), Err(DbError::InvalidOperation(_))));
+        db.abort(&txn).unwrap();
+    }
+
+    #[test]
+    fn params_round_trip_ints_and_floats() {
+        let params = Params::new().with(-4).with_float(12.5);
+        assert_eq!(params.len(), 2);
+        assert_eq!(params.int(Param::new(0, "a")).unwrap(), -4);
+        assert_eq!(params.float(Param::new(1, "b")).unwrap(), 12.5);
+        assert!(params.int(Param::new(2, "c")).is_err());
+        let many: Params = (0..20).collect();
+        assert_eq!(many.int(Param::new(19, "last")).unwrap(), 19);
+    }
+
+    #[test]
+    fn the_stamp_is_computed_once_per_plan_and_shared_by_bindings() {
+        use crate::conflict::{ConflictMatrix, ProgramTemplate, StepTemplate};
+        let (_db, table) = counter_db();
+        let matrix = ConflictMatrix::analyze(
+            &[ProgramTemplate::new("bump-plan").step(StepTemplate::read(
+                "bump",
+                table,
+                vec![KeyAtom::Param("id")],
+            ))],
+            0.1,
+        );
+        let plan = bump_plan(table);
+        let first = plan.bind(Params::of([1])).with_conflicts(&matrix);
+        let second = plan.bind(Params::of([2])).with_conflicts(&matrix);
+        assert_eq!(first.elided_count(), 1);
+        assert!(Arc::ptr_eq(
+            first.stamp.as_ref().unwrap(),
+            second.stamp.as_ref().unwrap()
+        ));
+        // Extending a stamped program drops the stamp: it described the
+        // steps before the extension.
+        let extended = first.rvp().step(bump_step(table, 3));
+        assert_eq!(extended.elided_count(), 0);
+        assert_eq!(
+            plan.step_count(),
+            1,
+            "the shared plan is copied, not changed"
+        );
+    }
+
+    #[test]
+    fn shapes_bind_slots_in_order_and_name_their_atoms() {
+        let a = Param::new(0, "a");
+        let c = Param::new(2, "c");
+        let shape = Shape::of([c, a]);
+        assert_eq!(shape.bind(&Params::of([1, 2, 3])).unwrap(), Key::int2(3, 1));
+        assert_eq!(
+            shape.atoms(),
+            vec![KeyAtom::Param("c"), KeyAtom::Param("a")]
+        );
+        let fixed = Shape::from(Key::int(9));
+        assert_eq!(fixed.bind(&Params::new()).unwrap(), Key::int(9));
+        assert_eq!(fixed.atoms(), vec![KeyAtom::Const(Value::Int(9))]);
+        assert!(Shape::empty().is_empty());
     }
 }

@@ -1,7 +1,8 @@
-//! Per-transaction state for DORA executions: rendezvous points, the
-//! involved-executor set, the abort flag and the client completion signal.
+//! Per-transaction state for DORA executions: the program, the rendezvous
+//! point, the involved-executor set, the abort flag and the client
+//! completion signal — built with one allocation.
 
-use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -9,9 +10,11 @@ use parking_lot::Mutex;
 
 use dora_common::prelude::*;
 use dora_common::sync::OneShot;
+use dora_common::InlineVec;
 use dora_storage::{CommitHandle, TxnHandle};
 
-use crate::action::{ActionSpec, Scratch};
+use crate::action::Scratch;
+use crate::program::TxnProgram;
 
 /// A rendezvous point: a countdown of the actions that still have to report
 /// before the next phase (or the commit, for the terminal RVP) may start.
@@ -28,6 +31,14 @@ impl Rvp {
         }
     }
 
+    /// Re-arms a zeroed RVP for the next phase's `count` reports. Phases run
+    /// one after the other, so one RVP serves them all: the reporter that
+    /// zeroed it re-arms it before it dispatches the next phase, and no
+    /// report of the finished phase is left to arrive.
+    pub fn arm(&self, count: usize) {
+        self.remaining.store(count, Ordering::Release);
+    }
+
     /// Reports one action's completion; returns `true` if this report zeroed
     /// the RVP (and the caller must therefore initiate the next phase).
     pub fn report(&self) -> bool {
@@ -42,17 +53,23 @@ impl Rvp {
     }
 }
 
+/// `(table, executor)` pairs kept in place; a TPC-C NewOrder involves up to
+/// nine.
+const INVOLVED_INLINE: usize = 12;
+
 /// Internal, shared state of one DORA transaction.
 pub struct DoraTxnInner {
     /// The storage-level transaction.
     pub handle: TxnHandle,
     /// The scratchpad shared by the transaction's actions.
     pub scratch: Scratch,
-    /// Phases not yet dispatched (phase 0 is dispatched immediately, so entry
-    /// 0 is always `None` once execution starts).
-    pub pending_phases: Mutex<Vec<Option<Vec<ActionSpec>>>>,
-    /// One RVP per phase.
-    pub rvps: Vec<Rvp>,
+    /// The program: the shared plan whose steps the actions run, and this
+    /// transaction's parameters.
+    pub(crate) program: TxnProgram,
+    /// Number of DORA phases of the program.
+    phases: usize,
+    /// The RVP of the running phase, re-armed for each next one.
+    pub rvp: Rvp,
     /// Set when any action fails; later actions of the transaction are
     /// skipped and the terminal step rolls back instead of committing.
     aborted: AtomicBool,
@@ -60,7 +77,7 @@ pub struct DoraTxnInner {
     abort_reason: Mutex<Option<DbError>>,
     /// Executors (table, executor index) that executed at least one action
     /// and therefore hold local locks to be released at completion.
-    pub involved: Mutex<HashSet<(TableId, usize)>>,
+    involved: Mutex<InlineVec<(TableId, usize), INVOLVED_INLINE>>,
     /// The outcome the submitting client blocks on.
     pub completion: OneShot<DbResult<()>>,
     /// The submitting client blocks for the outcome in the same call that
@@ -75,25 +92,28 @@ impl std::fmt::Debug for DoraTxnInner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DoraTxnInner")
             .field("id", &self.id())
-            .field("phases", &self.rvps.len())
+            .field("program", &self.program.name())
+            .field("phases", &self.phases)
             .field("aborted", &self.is_aborted())
             .finish()
     }
 }
 
 impl DoraTxnInner {
-    /// Builds the per-transaction state from an instantiated flow graph.
-    pub fn new(handle: TxnHandle, phases: Vec<Vec<ActionSpec>>, client_waits: bool) -> Arc<Self> {
-        let rvps = phases.iter().map(|p| Rvp::new(p.len())).collect();
-        let pending_phases = phases.into_iter().map(Some).collect();
+    /// Builds the per-transaction state for `program`, its RVP armed for
+    /// phase 0.
+    pub fn new(handle: TxnHandle, program: TxnProgram, client_waits: bool) -> Arc<Self> {
+        let phases = program.dora_phase_count();
+        let first = program.dora_phase(0).len();
         Arc::new(Self {
             handle,
             scratch: Scratch::new(),
-            pending_phases: Mutex::new(pending_phases),
-            rvps,
+            program,
+            phases,
+            rvp: Rvp::new(first),
             aborted: AtomicBool::new(false),
             abort_reason: Mutex::new(None),
-            involved: Mutex::new(HashSet::new()),
+            involved: Mutex::new(InlineVec::new()),
             completion: OneShot::new(),
             client_waits,
             precommitted: Mutex::new(None),
@@ -107,7 +127,12 @@ impl DoraTxnInner {
 
     /// Number of phases in the flow graph.
     pub fn phase_count(&self) -> usize {
-        self.rvps.len()
+        self.phases
+    }
+
+    /// The program steps of `phase`.
+    pub(crate) fn phase_steps(&self, phase: usize) -> Range<usize> {
+        self.program.dora_phase(phase)
     }
 
     /// Marks the transaction aborted, retaining the first reason.
@@ -122,14 +147,23 @@ impl DoraTxnInner {
         self.aborted.load(Ordering::Acquire)
     }
 
-    /// The first abort reason, if any.
-    pub fn abort_reason(&self) -> Option<DbError> {
-        self.abort_reason.lock().clone()
+    /// Moves the first abort reason out, if any (the terminal RVP hands it
+    /// to the client once).
+    pub fn take_abort_reason(&self) -> Option<DbError> {
+        self.abort_reason.lock().take()
     }
 
     /// Records that an executor participated in the transaction.
     pub fn note_involved(&self, table: TableId, executor: usize) {
-        self.involved.lock().insert((table, executor));
+        let mut involved = self.involved.lock();
+        if !involved.iter().any(|entry| *entry == (table, executor)) {
+            involved.push((table, executor));
+        }
+    }
+
+    /// The executors noted so far.
+    pub(crate) fn involved(&self) -> InlineVec<(TableId, usize), INVOLVED_INLINE> {
+        self.involved.lock().clone()
     }
 }
 
@@ -160,13 +194,21 @@ impl DoraTxn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::LocalMode;
+    use crate::action::{ActionSpec, LocalMode};
+    use crate::flow::FlowGraph;
     use dora_storage::Database;
 
     fn spec(id: i64) -> ActionSpec {
         ActionSpec::new("test", TableId(0), Key::int(id), LocalMode::Shared, |_| {
             Ok(())
         })
+    }
+
+    fn program(phases: Vec<Vec<ActionSpec>>) -> TxnProgram {
+        phases
+            .into_iter()
+            .fold(FlowGraph::new(), FlowGraph::phase_with)
+            .into_program()
     }
 
     #[test]
@@ -176,13 +218,16 @@ mod tests {
         assert!(!rvp.report());
         assert_eq!(rvp.remaining(), 1);
         assert!(rvp.report());
+        rvp.arm(2);
+        assert!(!rvp.report());
+        assert!(rvp.report());
     }
 
     #[test]
     fn completion_wakes_waiter() {
         let db = Database::for_tests();
         let txn = DoraTxn {
-            inner: DoraTxnInner::new(db.begin(), vec![vec![spec(1)]], true),
+            inner: DoraTxnInner::new(db.begin(), program(vec![vec![spec(1)]]), true),
         };
         let waiter = {
             let txn = txn.clone();
@@ -198,7 +243,12 @@ mod tests {
     #[test]
     fn abort_keeps_first_reason() {
         let db = Database::for_tests();
-        let txn = DoraTxnInner::new(db.begin(), vec![vec![spec(1)], vec![spec(2)]], false);
+        let txn = DoraTxnInner::new(
+            db.begin(),
+            program(vec![vec![spec(1)], vec![spec(2)]]),
+            false,
+        );
+        assert_eq!(txn.phase_count(), 2);
         assert!(!txn.is_aborted());
         txn.mark_aborted(DbError::TxnAborted {
             txn: txn.id(),
@@ -209,19 +259,20 @@ mod tests {
             reason: "second".into(),
         });
         assert!(txn.is_aborted());
-        match txn.abort_reason() {
+        match txn.take_abort_reason() {
             Some(DbError::TxnAborted { reason, .. }) => assert_eq!(reason, "first"),
             other => panic!("unexpected reason {other:?}"),
         }
+        assert!(txn.take_abort_reason().is_none(), "moved out once");
     }
 
     #[test]
     fn involved_executors_are_deduplicated() {
         let db = Database::for_tests();
-        let txn = DoraTxnInner::new(db.begin(), vec![vec![spec(1)]], false);
+        let txn = DoraTxnInner::new(db.begin(), program(vec![vec![spec(1)]]), false);
         txn.note_involved(TableId(1), 0);
         txn.note_involved(TableId(1), 0);
         txn.note_involved(TableId(2), 1);
-        assert_eq!(txn.involved.lock().len(), 2);
+        assert_eq!(txn.involved().len(), 2);
     }
 }

@@ -70,6 +70,8 @@ pub trait ExecutionEngine: Send + Sync {
     /// # Panics
     /// Panics if no workload has been bound.
     fn execute_one(&self, rng: &mut SmallRng) -> TxnOutcome {
+        // Invariant (see `# Panics`): a caller binds before it draws; an
+        // unbound engine here is a harness bug, not a run-time condition.
         let workload = self.workload().expect("no workload bound");
         workload
             .next_program(self.db(), rng)
@@ -87,6 +89,8 @@ pub trait ExecutionEngine: Send + Sync {
     /// # Panics
     /// Panics if no workload has been bound.
     fn execute_one_timed(&self, rng: &mut SmallRng, stats: &WorkloadStats) -> TxnOutcome {
+        // Invariant (see `# Panics`): a caller binds before it draws; an
+        // unbound engine here is a harness bug, not a run-time condition.
         let workload = self.workload().expect("no workload bound");
         let Ok(program) = workload.next_program(self.db(), rng) else {
             return TxnOutcome::Aborted;
@@ -101,10 +105,10 @@ pub trait ExecutionEngine: Send + Sync {
         outcome
     }
 
-    /// Compiles `program` once into a reusable [`PreparedProgram`] handle —
-    /// the compile-once/execute-many seam servers hold on to. The default
-    /// just lowers; an architecture may also stamp it (DORA marks the steps
-    /// its conflict analysis proved probe-free).
+    /// Turns `program` into a reusable [`PreparedProgram`] handle — the
+    /// compile-once/execute-many seam servers hold on to. The default just
+    /// wraps it; an architecture may also stamp it (DORA marks the steps its
+    /// conflict analysis proved probe-free).
     fn prepare(&self, program: TxnProgram) -> DbResult<PreparedProgram> {
         Ok(program.prepare())
     }
@@ -277,9 +281,9 @@ impl ExecutionEngine for DoraExecution {
 
     fn prepare(&self, program: TxnProgram) -> DbResult<PreparedProgram> {
         // Stamp the bind-time conflict matrix (probe-free steps, DORA-S
-        // auto-serialization) *before* preparing: the prepared handle shares
-        // its steps behind an `Arc`, so this is the last point the program is
-        // mutable.
+        // auto-serialization). The stamp is cached on the program's plan the
+        // first time the plan meets the matrix, so a transaction bound from a
+        // cached plan shares it: no lookup by name per transaction.
         Ok(match self.conflicts.get() {
             Some(matrix) => program.with_conflicts(matrix),
             None => program,
@@ -288,8 +292,8 @@ impl ExecutionEngine for DoraExecution {
     }
 
     fn execute_prepared_checked(&self, prepared: &PreparedProgram) -> DbResult<TxnOutcome> {
-        // Each attempt re-materializes only the per-instance action shells;
-        // the step bodies are shared behind the handle's `Arc`.
+        // Each attempt's flow graph shares the handle's plan and copies its
+        // parameters; nothing is built per attempt.
         retry_deadlocks(self.engine.db().config().max_retries, || {
             self.engine.execute(prepared.flow_graph())
         })

@@ -1,14 +1,14 @@
 //! Prepared statements: what a client holds after [`prepare`].
 //!
-//! A [`TxnProgram`] bakes its routing keys into its steps when it is
-//! built, so the compile-once/execute-many seam splits naturally in two:
+//! A [`TxnProgram`] is a shared plan bound to one transaction's
+//! parameters, so the compile-once/execute-many seam splits in two:
 //!
-//! * [`Statement::prepared`] — a fixed-parameter program lowered once to a
-//!   [`PreparedProgram`]; every execution reuses the shared step list with
-//!   zero per-call compilation. The right shape for hot singleton
+//! * [`Statement::prepared`] — a fixed-parameter program wrapped once in a
+//!   [`PreparedProgram`]; every execution reuses the shared plan with zero
+//!   per-call work. The right shape for hot singleton
 //!   transactions (a watchdog ping, a fixed maintenance sweep).
 //! * [`Statement::template`] — a parameterized *builder*: each submitted
-//!   parameter binding builds a program for those routing keys and runs it
+//!   parameter binding draws a program for those inputs and runs it
 //!   through the engine's prepare-then-execute path. The template itself
 //!   (mix logic, step bodies, schema lookups) is authored and validated
 //!   once; only the per-binding routing differs.

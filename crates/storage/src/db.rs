@@ -50,15 +50,9 @@ type CommitObserver = Box<dyn Fn(TxnId, u64) + Send + Sync>;
 /// transaction is touched from several executor threads.
 #[derive(Debug, Clone)]
 pub struct TxnHandle {
+    /// The shared transaction state, which also holds the deferred index
+    /// flags and pending heap frees (allocated on first use).
     state: Arc<TxnState>,
-    /// Secondary-index entries whose `deleted` flag must be set after commit
-    /// (the paper's deferred flagging of deleted records).
-    deferred_flags: Arc<parking_lot::Mutex<Vec<(IndexId, Key, Rid)>>>,
-    /// Heap slots this transaction deleted. The slots stay reserved (no
-    /// insert may reuse them) until the commit is decided: precommit frees
-    /// them, abort restores the records into them. This is what makes
-    /// rollback of a delete always possible under concurrency.
-    pending_frees: Arc<parking_lot::Mutex<Vec<(TableId, Rid)>>>,
     /// When set, this is a read-only snapshot transaction: every read is
     /// served at the snapshot's horizon with no locking of any kind, and
     /// writes are rejected.
@@ -284,8 +278,6 @@ impl Database {
         let state = self.txns.begin();
         TxnHandle {
             state,
-            deferred_flags: Arc::new(parking_lot::Mutex::new(Vec::new())),
-            pending_frees: Arc::new(parking_lot::Mutex::new(Vec::new())),
             snapshot: None,
         }
     }
@@ -299,8 +291,6 @@ impl Database {
         let state = self.txns.begin();
         TxnHandle {
             state,
-            deferred_flags: Arc::new(parking_lot::Mutex::new(Vec::new())),
-            pending_frees: Arc::new(parking_lot::Mutex::new(Vec::new())),
             snapshot: Some(snapshot),
         }
     }
@@ -394,7 +384,7 @@ impl Database {
         // The paper: "once the deleting transaction commits, it goes back and
         // sets the flag for each index entry of a deleted record outside of
         // any transaction."
-        let deferred: Vec<_> = std::mem::take(&mut *txn.deferred_flags.lock());
+        let deferred: Vec<_> = std::mem::take(&mut *txn.state.deferred_flags.lock());
         for (index_id, key, rid) in deferred {
             let index = self.secondary(index_id)?;
             // The entry may have been garbage collected already; ignore.
@@ -402,7 +392,7 @@ impl Database {
         }
         // The commit is decided: heap slots this transaction deleted can now
         // be handed back to inserts.
-        let frees: Vec<_> = std::mem::take(&mut *txn.pending_frees.lock());
+        let frees: Vec<_> = std::mem::take(&mut *txn.state.pending_frees.lock());
         for (table, rid) in frees {
             if let Ok(heap) = self.heap(table) {
                 let _ = heap.free_pending(rid);
@@ -548,10 +538,10 @@ impl Database {
                 undo_error.get_or_insert(error);
             }
         }
-        txn.deferred_flags.lock().clear();
+        txn.state.deferred_flags.lock().clear();
         // Undone deletes were restored in place; their slot reservations are
         // consumed by the restore, so there is nothing left to free.
-        txn.pending_frees.lock().clear();
+        txn.state.pending_frees.lock().clear();
         // Only now that every change is undone: a snapshot opener that
         // finds the list empty trusts the heap bytes of these rows.
         txn.state.writes.lock().clear();
@@ -965,14 +955,15 @@ impl Database {
                 unlinked: Some(key.clone()),
             });
         }
-        txn.pending_frees.lock().push((table, rid));
+        txn.state.pending_frees.lock().push((table, rid));
         primary.remove(key, rid)?;
         for index_meta in &meta.secondary_indexes {
             let secondary_key = index_meta.spec.key_of(&row);
             if cc == CcMode::Full {
                 let _ = self.secondary(index_meta.id)?.remove(&secondary_key, rid);
             } else {
-                txn.deferred_flags
+                txn.state
+                    .deferred_flags
                     .lock()
                     .push((index_meta.id, secondary_key, rid));
             }

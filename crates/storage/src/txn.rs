@@ -47,6 +47,16 @@ pub struct TxnState {
     /// entry under this mutex; commit hands the list to the version store,
     /// abort clears it once every change is undone.
     pub(crate) writes: Mutex<WriteList>,
+    /// Secondary-index entries whose `deleted` flag must be set after commit
+    /// (the paper's deferred flagging of deleted records). Empty, and
+    /// unallocated, until the transaction's first deferred delete.
+    pub(crate) deferred_flags: Mutex<Vec<(IndexId, Key, Rid)>>,
+    /// Heap slots this transaction deleted. The slots stay reserved (no
+    /// insert may reuse them) until the commit is decided: precommit frees
+    /// them, abort restores the records into them. This is what makes
+    /// rollback of a delete always possible under concurrency. Unallocated
+    /// until the first delete.
+    pub(crate) pending_frees: Mutex<Vec<(TableId, Rid)>>,
 }
 
 impl TxnState {
@@ -57,6 +67,8 @@ impl TxnState {
             held: Mutex::new(HeldLocks::new()),
             begin_logged: AtomicBool::new(false),
             writes: Mutex::new(WriteList::default()),
+            deferred_flags: Mutex::new(Vec::new()),
+            pending_frees: Mutex::new(Vec::new()),
         }
     }
 

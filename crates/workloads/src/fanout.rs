@@ -17,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use dora_common::prelude::*;
-use dora_core::{DoraEngine, OnMissing, Step, TxnProgram};
+use dora_core::{DoraEngine, OnMissing, Param, Step, TxnProgram};
 use dora_storage::{ColumnDef, Database, TableSchema};
 
 use crate::spec::Workload;
@@ -28,6 +28,8 @@ pub struct FanoutCounters {
     keys: i64,
     fanout: usize,
     table: OnceLock<TableId>,
+    /// The plan of a `fanout`-counter bump, built on first use.
+    plan: OnceLock<TxnProgram>,
 }
 
 impl FanoutCounters {
@@ -42,6 +44,7 @@ impl FanoutCounters {
             keys,
             fanout: fanout.clamp(1, keys as usize),
             table: OnceLock::new(),
+            plan: OnceLock::new(),
         }
     }
 
@@ -85,14 +88,28 @@ impl FanoutCounters {
     /// executor (the fan-out); under the baseline they run sequentially in
     /// the keys' sorted order.
     pub fn bump_program(&self, db: &Database, keys: &[i64]) -> DbResult<TxnProgram> {
+        let params = keys.iter().copied().collect();
+        if keys.len() != self.fanout {
+            return Ok(self.bump_plan(db, keys.len())?.bind(params));
+        }
+        if let Some(plan) = self.plan.get() {
+            return Ok(plan.bind(params));
+        }
+        let plan = self.bump_plan(db, keys.len())?;
+        Ok(self.plan.get_or_init(|| plan).bind(params))
+    }
+
+    /// The plan bumping `keys` counters, the `i`-th from parameter slot `i`.
+    fn bump_plan(&self, db: &Database, keys: usize) -> DbResult<TxnProgram> {
         let table = self.table(db)?;
         let mut program = TxnProgram::new(Self::BUMP);
-        for &key in keys {
+        for slot in 0..keys {
+            let id = Param::new(slot, "id");
             program = program.step(Step::update(
                 Self::BUMP,
                 table,
-                Key::int(key),
-                Key::int(key),
+                id,
+                id,
                 OnMissing::Error,
                 |_ctx, row| {
                     let n = row[1].as_int()?;

@@ -20,7 +20,7 @@ use std::sync::OnceLock;
 use rand::rngs::SmallRng;
 
 use dora_common::prelude::*;
-use dora_core::{DoraEngine, OnMissing, TxnProgram};
+use dora_core::{DoraEngine, OnMissing, Param, Params, TxnProgram};
 use dora_storage::{ColumnDef, Database, TableSchema};
 
 use crate::spec::Workload;
@@ -32,6 +32,8 @@ pub struct SkewedCounters {
     keys: i64,
     generator: DriftingHotSpot,
     table: OnceLock<TableId>,
+    /// The bump plan, built on first use.
+    plan: OnceLock<TxnProgram>,
 }
 
 impl SkewedCounters {
@@ -46,6 +48,7 @@ impl SkewedCounters {
             keys,
             generator: DriftingHotSpot::new(1, keys, theta),
             table: OnceLock::new(),
+            plan: OnceLock::new(),
         }
     }
 
@@ -79,19 +82,24 @@ impl SkewedCounters {
     /// The bump transaction, defined once: a single-phase, single-step
     /// read-modify-write routed on the counter id.
     pub fn bump_program(&self, db: &Database, key: i64) -> DbResult<TxnProgram> {
+        const ID: Param = Param::new(0, "id");
+        if let Some(plan) = self.plan.get() {
+            return Ok(plan.bind(Params::of([key])));
+        }
         let table = self.table(db)?;
-        Ok(TxnProgram::new(Self::BUMP).update(
+        let plan = TxnProgram::new(Self::BUMP).update(
             Self::BUMP,
             table,
-            Key::int(key),
-            Key::int(key),
+            ID,
+            ID,
             OnMissing::Error,
             |_ctx, row| {
                 let n = row[1].as_int()?;
                 row[1] = Value::Int(n + 1);
                 Ok(())
             },
-        ))
+        );
+        Ok(self.plan.get_or_init(|| plan).bind(Params::of([key])))
     }
 }
 

@@ -1,9 +1,10 @@
 //! The common workload interface and shared random-input helpers.
 //!
-//! A workload is a schema, a loader and a *mix* of transactions, each defined
-//! exactly once as a declarative [`TxnProgram`] (see
-//! `dora_core::program`). [`Workload::next_program`] draws one transaction
-//! from the mix; the execution engines prepare it once and run it on their
+//! A workload is a schema, a loader and a *mix* of transactions, each type
+//! defined exactly once as a declarative [`TxnProgram`] plan (see
+//! `dora_core::program`), built on first use and cached.
+//! [`Workload::next_program`] draws one transaction from the mix — its
+//! inputs, bound to its type's plan; the execution engines run it on their
 //! architecture (sequentially for the conventional engine, as a flow graph
 //! for DORA), so no workload ever writes a transaction body twice.
 
@@ -41,9 +42,9 @@ pub trait Workload: Send + Sync {
     /// have stable rows even for types that never fired.
     fn txn_labels(&self) -> &'static [&'static str];
 
-    /// Draws one transaction from the workload's mix (inputs generated from
-    /// `rng`) as a declarative program, defined once and compiled by the
-    /// caller for whichever execution architecture is running it.
+    /// Draws one transaction from the workload's mix: inputs generated from
+    /// `rng`, bound to the transaction type's cached plan, run by the caller
+    /// on whichever execution architecture it uses.
     fn next_program(&self, db: &Database, rng: &mut SmallRng) -> DbResult<TxnProgram>;
 
     /// Static step templates for the bind-time conflict analysis: one
@@ -273,9 +274,6 @@ pub fn nurand(rng: &mut SmallRng, a: i64, x: i64, y: i64) -> i64 {
 /// TPC-C customer last-name generator: concatenates three syllables chosen by
 /// the digits of `num` (0..=999).
 pub fn c_last(num: i64) -> String {
-    const SYLLABLES: [&str; 10] = [
-        "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
-    ];
     let num = num.clamp(0, 999) as usize;
     format!(
         "{}{}{}",
@@ -283,6 +281,24 @@ pub fn c_last(num: i64) -> String {
         SYLLABLES[(num / 10) % 10],
         SYLLABLES[num % 10]
     )
+}
+
+/// The syllables of [`c_last`] names.
+const SYLLABLES: [&str; 10] = [
+    "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
+];
+
+/// The number `n` with `c_last(n) == name`, if there is one. No syllable is
+/// a prefix of another, so the split is unique.
+pub(crate) fn c_last_number(name: &str) -> Option<i64> {
+    let mut rest = name;
+    let mut number = 0;
+    for _ in 0..3 {
+        let digit = SYLLABLES.iter().position(|s| rest.starts_with(s))?;
+        rest = &rest[SYLLABLES[digit].len()..];
+        number = number * 10 + digit as i64;
+    }
+    rest.is_empty().then_some(number)
 }
 
 /// Random TPC-C-style last name for probing (uses NURand(255, 0, 999)).

@@ -8,8 +8,10 @@
 //!
 //! All four tables route on the subscriber id, so in DORA every transaction's
 //! actions carry the subscriber id as their identifier and each executor owns
-//! a contiguous range of subscribers. Every transaction is defined exactly
-//! once as a [`TxnProgram`]; the engines compile it for their architecture.
+//! a contiguous range of subscribers. Every transaction type is defined
+//! exactly once as a [`TxnProgram`] plan, built on first use and cached;
+//! drawing a transaction binds its inputs to the plan, and the engines run
+//! it on their architecture.
 
 use std::sync::OnceLock;
 
@@ -17,7 +19,8 @@ use rand::rngs::SmallRng;
 
 use dora_common::prelude::*;
 use dora_core::{
-    DoraEngine, KeyAtom, OnDuplicate, OnMissing, ProgramTemplate, Step, StepTemplate, TxnProgram,
+    DoraEngine, KeyAtom, OnDuplicate, OnMissing, Param, Params, ProgramTemplate, Shape, Step,
+    StepTemplate, TxnProgram,
 };
 
 use dora_storage::{ColumnDef, Database, IndexSpec, TableSchema};
@@ -54,6 +57,8 @@ pub struct Tm1 {
     /// (DORA-S); otherwise the parallel one (DORA-P). See Figure 11.
     serial_update_plan: bool,
     tables: OnceLock<Tm1Tables>,
+    /// One plan per [`Tm1Plan`], built on first use.
+    plans: [OnceLock<TxnProgram>; TM1_PLANS],
 }
 
 impl Tm1 {
@@ -90,6 +95,7 @@ impl Tm1 {
             mix: Tm1Mix::Full,
             serial_update_plan: false,
             tables: OnceLock::new(),
+            plans: Default::default(),
         }
     }
 
@@ -133,19 +139,190 @@ impl Tm1 {
         uniform(rng, 1, self.subscribers)
     }
 
-    // ----- transaction programs (one definition per transaction) ------------
+    // ----- transaction programs (one plan per transaction type) -------------
+
+    /// The cached plan of `plan`, built on first use, bound to `inputs`.
+    fn bound(&self, db: &Database, plan: Tm1Plan, inputs: Tm1Inputs) -> DbResult<TxnProgram> {
+        let cell = &self.plans[plan as usize];
+        if let Some(plan) = cell.get() {
+            return Ok(plan.bind(inputs.params()));
+        }
+        let built = self.build_plan(db, plan)?;
+        Ok(cell.get_or_init(|| built).bind(inputs.params()))
+    }
+
+    /// Builds the plan of one transaction type. Every TM1 plan reads the
+    /// same parameter slots ([`Tm1Inputs`]).
+    fn build_plan(&self, db: &Database, plan: Tm1Plan) -> DbResult<TxnProgram> {
+        let tables = self.tables(db)?;
+        let facility = || Shape::of([S_ID, SF_TYPE]);
+        let forwarding = || Shape::of([S_ID, SF_TYPE, START_TIME]);
+        Ok(match plan {
+            // A single read-only step on the Subscriber table.
+            Tm1Plan::GetSubscriberData => TxnProgram::new(Self::GET_SUBSCRIBER_DATA).read(
+                "get-subscriber",
+                tables.subscriber,
+                S_ID,
+                S_ID,
+                OnMissing::Abort("subscriber missing"),
+                |_ctx, _row| Ok(()),
+            ),
+            // Probe the SpecialFacility, then (next phase, because of the
+            // control dependency) the CallForwarding record.
+            Tm1Plan::GetNewDestination => TxnProgram::new(Self::GET_NEW_DESTINATION)
+                .read(
+                    "probe-facility",
+                    tables.special_facility,
+                    S_ID,
+                    facility(),
+                    OnMissing::Abort("facility inactive"),
+                    |ctx, row| {
+                        if row[2].as_int()? == 1 {
+                            Ok(())
+                        } else {
+                            Err(ctx.abort("facility inactive"))
+                        }
+                    },
+                )
+                .rvp()
+                .read(
+                    "probe-forwarding",
+                    tables.call_forwarding,
+                    S_ID,
+                    forwarding(),
+                    OnMissing::Abort("no forwarding"),
+                    |_ctx, _row| Ok(()),
+                ),
+            // One read-only step on AccessInfo.
+            Tm1Plan::GetAccessData => TxnProgram::new(Self::GET_ACCESS_DATA).read(
+                "get-access-data",
+                tables.access_info,
+                S_ID,
+                Shape::of([S_ID, AI_TYPE]),
+                OnMissing::Abort("no access info"),
+                |_ctx, _row| Ok(()),
+            ),
+            Tm1Plan::UpdateSubscriberData | Tm1Plan::UpdateSubscriberDataSerial => {
+                let subscriber_step = Step::update(
+                    "update-subscriber",
+                    tables.subscriber,
+                    S_ID,
+                    S_ID,
+                    OnMissing::Error,
+                    |ctx, row| {
+                        row[2] = Value::Int(ctx.int(BIT)?);
+                        Ok(())
+                    },
+                );
+                let facility_step = Step::update(
+                    "update-facility",
+                    tables.special_facility,
+                    S_ID,
+                    facility(),
+                    OnMissing::Abort("no such facility"),
+                    |ctx, row| {
+                        row[4] = Value::Int(ctx.int(DATA_A)?);
+                        Ok(())
+                    },
+                );
+                // The failure-prone step goes first under the serial plan so
+                // the transaction fails before any other work is wasted.
+                let serial = plan == Tm1Plan::UpdateSubscriberDataSerial;
+                let (first, second) = if serial {
+                    (facility_step, subscriber_step)
+                } else {
+                    (subscriber_step, facility_step)
+                };
+                TxnProgram::new(Self::UPDATE_SUBSCRIBER_DATA)
+                    .step(first)
+                    .step(second)
+                    .serialized(serial)
+            }
+            // A secondary step resolves the subscriber through the `sub_nbr`
+            // secondary index (whose leaves carry the routing fields), then
+            // the routed step updates the record through its RID.
+            Tm1Plan::UpdateLocation => TxnProgram::new(Self::UPDATE_LOCATION)
+                .secondary("resolve-sub-nbr", tables.subscriber, move |ctx| {
+                    let s_id = ctx.int(S_ID)?;
+                    let hits = ctx.db.probe_secondary(
+                        ctx.txn,
+                        tables.subscriber_by_nbr,
+                        &Key::from_values([Self::sub_nbr(s_id)]),
+                        ctx.cc(),
+                    )?;
+                    let Some(entry) = hits.first() else {
+                        return Err(ctx.abort("unknown sub_nbr"));
+                    };
+                    // Stash the routing field and RID for the next phase.
+                    ctx.scratch
+                        .put("s_id", entry.routing.leading_int().unwrap_or(s_id));
+                    ctx.scratch.put("rid", entry.rid.pack() as i64);
+                    Ok(())
+                })
+                .rvp()
+                .custom(
+                    "update-location",
+                    tables.subscriber,
+                    S_ID,
+                    dora_core::LocalMode::Exclusive,
+                    move |ctx| {
+                        let rid = Rid::unpack(ctx.scratch.get_int("rid")? as u64);
+                        let location = ctx.int(LOCATION)?;
+                        ctx.db
+                            .update_rid(ctx.txn, tables.subscriber, rid, ctx.cc(), |row| {
+                                row[4] = Value::Int(location);
+                                Ok(())
+                            })
+                    },
+                ),
+            // Probe the facility, then insert the forwarding record. Under
+            // DORA the insert still takes a row-level lock through the
+            // centralized lock manager, as Section 4.2.1 requires.
+            Tm1Plan::InsertCallForwarding => TxnProgram::new(Self::INSERT_CALL_FORWARDING)
+                .read(
+                    "probe-facility",
+                    tables.special_facility,
+                    S_ID,
+                    facility(),
+                    OnMissing::Abort("no such facility"),
+                    |_ctx, _row| Ok(()),
+                )
+                .rvp()
+                .insert(
+                    "insert-forwarding",
+                    tables.call_forwarding,
+                    S_ID,
+                    OnDuplicate::Abort("forwarding exists"),
+                    |ctx| {
+                        let s_id = ctx.int(S_ID)?;
+                        Ok(vec![
+                            Value::Int(s_id),
+                            Value::Int(ctx.int(SF_TYPE)?),
+                            Value::Int(ctx.int(START_TIME)?),
+                            Value::Int(ctx.int(END_TIME)?),
+                            Value::Text(Self::sub_nbr(s_id + 1)),
+                        ])
+                    },
+                ),
+            // A single exclusive step (the delete takes a centralized row
+            // lock inside the storage manager on either engine).
+            Tm1Plan::DeleteCallForwarding => TxnProgram::new(Self::DELETE_CALL_FORWARDING).delete(
+                "delete-forwarding",
+                tables.call_forwarding,
+                S_ID,
+                forwarding(),
+                OnMissing::Abort("no forwarding to delete"),
+            ),
+        })
+    }
 
     /// GetSubscriberData: a single read-only step on the Subscriber table.
     pub fn get_subscriber_data_program(&self, db: &Database, s_id: i64) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::GET_SUBSCRIBER_DATA).read(
-            "get-subscriber",
-            tables.subscriber,
-            Key::int(s_id),
-            Key::int(s_id),
-            OnMissing::Abort("subscriber missing"),
-            |_ctx, _row| Ok(()),
-        ))
+        let inputs = Tm1Inputs {
+            s_id,
+            ..Tm1Inputs::default()
+        };
+        self.bound(db, Tm1Plan::GetSubscriberData, inputs)
     }
 
     /// GetNewDestination: probe the SpecialFacility, then (next phase,
@@ -157,31 +334,13 @@ impl Tm1 {
         sf_type: i64,
         start_time: i64,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::GET_NEW_DESTINATION)
-            .read(
-                "probe-facility",
-                tables.special_facility,
-                Key::int(s_id),
-                Key::int2(s_id, sf_type),
-                OnMissing::Abort("facility inactive"),
-                |ctx, row| {
-                    if row[2].as_int()? == 1 {
-                        Ok(())
-                    } else {
-                        Err(ctx.abort("facility inactive"))
-                    }
-                },
-            )
-            .rvp()
-            .read(
-                "probe-forwarding",
-                tables.call_forwarding,
-                Key::int(s_id),
-                Key::int3(s_id, sf_type, start_time),
-                OnMissing::Abort("no forwarding"),
-                |_ctx, _row| Ok(()),
-            ))
+        let inputs = Tm1Inputs {
+            s_id,
+            sf_type,
+            start_time,
+            ..Tm1Inputs::default()
+        };
+        self.bound(db, Tm1Plan::GetNewDestination, inputs)
     }
 
     /// GetAccessData: one read-only step on AccessInfo.
@@ -191,15 +350,12 @@ impl Tm1 {
         s_id: i64,
         ai_type: i64,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::GET_ACCESS_DATA).read(
-            "get-access-data",
-            tables.access_info,
-            Key::int(s_id),
-            Key::int2(s_id, ai_type),
-            OnMissing::Abort("no access info"),
-            |_ctx, _row| Ok(()),
-        ))
+        let inputs = Tm1Inputs {
+            s_id,
+            ai_type,
+            ..Tm1Inputs::default()
+        };
+        self.bound(db, Tm1Plan::GetAccessData, inputs)
     }
 
     /// UpdateSubscriberData.
@@ -218,40 +374,19 @@ impl Tm1 {
         data_a: i64,
         serial: bool,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        let subscriber_step = Step::update(
-            "update-subscriber",
-            tables.subscriber,
-            Key::int(s_id),
-            Key::int(s_id),
-            OnMissing::Error,
-            move |_ctx, row| {
-                row[2] = Value::Int(bit);
-                Ok(())
-            },
-        );
-        let facility_step = Step::update(
-            "update-facility",
-            tables.special_facility,
-            Key::int(s_id),
-            Key::int2(s_id, sf_type),
-            OnMissing::Abort("no such facility"),
-            move |_ctx, row| {
-                row[4] = Value::Int(data_a);
-                Ok(())
-            },
-        );
-        // The failure-prone step goes first under the serial plan so the
-        // transaction fails before any other work is wasted.
-        let (first, second) = if serial {
-            (facility_step, subscriber_step)
-        } else {
-            (subscriber_step, facility_step)
+        let inputs = Tm1Inputs {
+            s_id,
+            sf_type,
+            bit,
+            data_a,
+            ..Tm1Inputs::default()
         };
-        Ok(TxnProgram::new(Self::UPDATE_SUBSCRIBER_DATA)
-            .step(first)
-            .step(second)
-            .serialized(serial))
+        let plan = if serial {
+            Tm1Plan::UpdateSubscriberDataSerial
+        } else {
+            Tm1Plan::UpdateSubscriberData
+        };
+        self.bound(db, plan, inputs)
     }
 
     /// UpdateLocation: a secondary step resolves the subscriber through the
@@ -263,40 +398,12 @@ impl Tm1 {
         s_id: i64,
         location: i64,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        let nbr = Self::sub_nbr(s_id);
-        Ok(TxnProgram::new(Self::UPDATE_LOCATION)
-            .secondary("resolve-sub-nbr", tables.subscriber, move |ctx| {
-                let hits = ctx.db.probe_secondary(
-                    ctx.txn,
-                    tables.subscriber_by_nbr,
-                    &Key::from_values([nbr.clone()]),
-                    ctx.cc(),
-                )?;
-                let Some(entry) = hits.first() else {
-                    return Err(ctx.abort("unknown sub_nbr"));
-                };
-                // Stash the routing field and RID for the next phase.
-                ctx.scratch
-                    .put("s_id", entry.routing.leading_int().unwrap_or(s_id));
-                ctx.scratch.put("rid", entry.rid.pack() as i64);
-                Ok(())
-            })
-            .rvp()
-            .custom(
-                "update-location",
-                tables.subscriber,
-                Key::int(s_id),
-                dora_core::LocalMode::Exclusive,
-                move |ctx| {
-                    let rid = Rid::unpack(ctx.scratch.get_int("rid")? as u64);
-                    ctx.db
-                        .update_rid(ctx.txn, tables.subscriber, rid, ctx.cc(), |row| {
-                            row[4] = Value::Int(location);
-                            Ok(())
-                        })
-                },
-            ))
+        let inputs = Tm1Inputs {
+            s_id,
+            location,
+            ..Tm1Inputs::default()
+        };
+        self.bound(db, Tm1Plan::UpdateLocation, inputs)
     }
 
     /// InsertCallForwarding: probe the facility, then insert the forwarding
@@ -310,32 +417,14 @@ impl Tm1 {
         start_time: i64,
         end_time: i64,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::INSERT_CALL_FORWARDING)
-            .read(
-                "probe-facility",
-                tables.special_facility,
-                Key::int(s_id),
-                Key::int2(s_id, sf_type),
-                OnMissing::Abort("no such facility"),
-                |_ctx, _row| Ok(()),
-            )
-            .rvp()
-            .insert(
-                "insert-forwarding",
-                tables.call_forwarding,
-                Key::int(s_id),
-                OnDuplicate::Abort("forwarding exists"),
-                move |_ctx| {
-                    Ok(vec![
-                        Value::Int(s_id),
-                        Value::Int(sf_type),
-                        Value::Int(start_time),
-                        Value::Int(end_time),
-                        Value::Text(format!("{:015}", s_id + 1)),
-                    ])
-                },
-            ))
+        let inputs = Tm1Inputs {
+            s_id,
+            sf_type,
+            start_time,
+            end_time,
+            ..Tm1Inputs::default()
+        };
+        self.bound(db, Tm1Plan::InsertCallForwarding, inputs)
     }
 
     /// DeleteCallForwarding: a single exclusive step (the delete takes a
@@ -347,14 +436,13 @@ impl Tm1 {
         sf_type: i64,
         start_time: i64,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::DELETE_CALL_FORWARDING).delete(
-            "delete-forwarding",
-            tables.call_forwarding,
-            Key::int(s_id),
-            Key::int3(s_id, sf_type, start_time),
-            OnMissing::Abort("no forwarding to delete"),
-        ))
+        let inputs = Tm1Inputs {
+            s_id,
+            sf_type,
+            start_time,
+            ..Tm1Inputs::default()
+        };
+        self.bound(db, Tm1Plan::DeleteCallForwarding, inputs)
     }
 
     /// Picks a transaction type according to the TATP mix (percentages are
@@ -375,6 +463,62 @@ impl Tm1 {
             96..=97 => Tm1Txn::InsertCallForwarding,
             _ => Tm1Txn::DeleteCallForwarding,
         }
+    }
+}
+
+/// The plans a TM1 workload caches: one per transaction type, and both
+/// UpdateSubscriberData plans of Figure 11.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tm1Plan {
+    GetSubscriberData,
+    GetNewDestination,
+    GetAccessData,
+    UpdateSubscriberData,
+    UpdateSubscriberDataSerial,
+    UpdateLocation,
+    InsertCallForwarding,
+    DeleteCallForwarding,
+}
+
+const TM1_PLANS: usize = 8;
+
+/// The parameter slots every TM1 plan reads; the names are the conflict
+/// templates' key atoms.
+const S_ID: Param = Param::new(0, "s_id");
+const SF_TYPE: Param = Param::new(1, "sf_type");
+const AI_TYPE: Param = Param::new(2, "ai_type");
+const START_TIME: Param = Param::new(3, "start_time");
+const BIT: Param = Param::new(4, "bit");
+const DATA_A: Param = Param::new(5, "data_a");
+const LOCATION: Param = Param::new(6, "location");
+const END_TIME: Param = Param::new(7, "end_time");
+
+/// One TM1 transaction's inputs, all drawn for every transaction type.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tm1Inputs {
+    s_id: i64,
+    sf_type: i64,
+    ai_type: i64,
+    start_time: i64,
+    bit: i64,
+    data_a: i64,
+    location: i64,
+    end_time: i64,
+}
+
+impl Tm1Inputs {
+    /// The inputs in slot order (the `Param` constants above).
+    fn params(self) -> Params {
+        Params::of([
+            self.s_id,
+            self.sf_type,
+            self.ai_type,
+            self.start_time,
+            self.bit,
+            self.data_a,
+            self.location,
+            self.end_time,
+        ])
     }
 }
 
@@ -544,28 +688,29 @@ impl Workload for Tm1 {
         let data_a = uniform(rng, 0, 255);
         let location = uniform(rng, 0, 1_000_000);
         let end_time = start_time + uniform(rng, 1, 8);
-        match txn_type {
-            Tm1Txn::GetSubscriberData => self.get_subscriber_data_program(db, s_id),
-            Tm1Txn::GetNewDestination => {
-                self.get_new_destination_program(db, s_id, sf_type, start_time)
+        let inputs = Tm1Inputs {
+            s_id,
+            sf_type,
+            ai_type,
+            start_time,
+            bit,
+            data_a,
+            location,
+            end_time,
+        };
+        let plan = match txn_type {
+            Tm1Txn::GetSubscriberData => Tm1Plan::GetSubscriberData,
+            Tm1Txn::GetNewDestination => Tm1Plan::GetNewDestination,
+            Tm1Txn::GetAccessData => Tm1Plan::GetAccessData,
+            Tm1Txn::UpdateSubscriberData if self.serial_update_plan => {
+                Tm1Plan::UpdateSubscriberDataSerial
             }
-            Tm1Txn::GetAccessData => self.get_access_data_program(db, s_id, ai_type),
-            Tm1Txn::UpdateSubscriberData => self.update_subscriber_data_program(
-                db,
-                s_id,
-                sf_type,
-                bit,
-                data_a,
-                self.serial_update_plan,
-            ),
-            Tm1Txn::UpdateLocation => self.update_location_program(db, s_id, location),
-            Tm1Txn::InsertCallForwarding => {
-                self.insert_call_forwarding_program(db, s_id, sf_type, start_time, end_time)
-            }
-            Tm1Txn::DeleteCallForwarding => {
-                self.delete_call_forwarding_program(db, s_id, sf_type, start_time)
-            }
-        }
+            Tm1Txn::UpdateSubscriberData => Tm1Plan::UpdateSubscriberData,
+            Tm1Txn::UpdateLocation => Tm1Plan::UpdateLocation,
+            Tm1Txn::InsertCallForwarding => Tm1Plan::InsertCallForwarding,
+            Tm1Txn::DeleteCallForwarding => Tm1Plan::DeleteCallForwarding,
+        };
+        self.bound(db, plan, inputs)
     }
 
     /// Step templates mirroring the seven programs above, one per program the

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use rand::rngs::SmallRng;
 
 use dora_common::prelude::*;
-use dora_core::{DoraEngine, OnDuplicate, OnMissing, TxnProgram};
+use dora_core::{DoraEngine, OnDuplicate, OnMissing, Param, Params, StepCtx, TxnProgram};
 
 use dora_storage::{ColumnDef, Database, TableSchema};
 
@@ -43,6 +43,8 @@ pub struct TpcB {
     /// customers).
     remote_percent: u32,
     tables: OnceLock<TpcbTables>,
+    /// The account-update plan, built on first use.
+    plan: OnceLock<TxnProgram>,
 }
 
 impl TpcB {
@@ -63,6 +65,7 @@ impl TpcB {
             accounts_per_branch: accounts_per_branch.max(1),
             remote_percent: 15,
             tables: OnceLock::new(),
+            plan: OnceLock::new(),
         }
     }
 
@@ -129,62 +132,74 @@ impl TpcB {
         teller: i64,
         amount: f64,
     ) -> DbResult<TxnProgram> {
+        let params = Params::of([home_branch, account, teller]).with_float(amount);
+        if let Some(plan) = self.plan.get() {
+            return Ok(plan.bind(params));
+        }
+        let plan = self.account_update_plan(db)?;
+        Ok(self.plan.get_or_init(|| plan).bind(params))
+    }
+
+    /// The plan of [`account_update_program`](Self::account_update_program),
+    /// built once.
+    fn account_update_plan(&self, db: &Database) -> DbResult<TxnProgram> {
         let tables = self.tables(db)?;
+        let add_amount = |column: usize| {
+            move |ctx: &StepCtx<'_>, row: &mut Row| {
+                let balance = row[column].as_float()?;
+                row[column] = Value::Float(balance + ctx.float(AMOUNT)?);
+                Ok(())
+            }
+        };
         Ok(TxnProgram::new(Self::ACCOUNT_UPDATE)
             .update(
                 "update-account",
                 tables.account,
-                Key::int(account),
-                Key::int(account),
+                ACCOUNT,
+                ACCOUNT,
                 OnMissing::Error,
-                move |_ctx, row| {
-                    let balance = row[2].as_float()?;
-                    row[2] = Value::Float(balance + amount);
-                    Ok(())
-                },
+                add_amount(2),
             )
             .update(
                 "update-teller",
                 tables.teller,
-                Key::int(teller),
-                Key::int(teller),
+                TELLER,
+                TELLER,
                 OnMissing::Error,
-                move |_ctx, row| {
-                    let balance = row[2].as_float()?;
-                    row[2] = Value::Float(balance + amount);
-                    Ok(())
-                },
+                add_amount(2),
             )
             .update(
                 "update-branch",
                 tables.branch,
-                Key::int(home_branch),
-                Key::int(home_branch),
+                BRANCH,
+                BRANCH,
                 OnMissing::Error,
-                move |_ctx, row| {
-                    let balance = row[1].as_float()?;
-                    row[1] = Value::Float(balance + amount);
-                    Ok(())
-                },
+                add_amount(1),
             )
             .rvp()
             .insert(
                 "insert-history",
                 tables.history,
-                Key::int(home_branch),
+                BRANCH,
                 OnDuplicate::Error,
-                move |ctx| {
+                |ctx| {
                     Ok(vec![
-                        Value::Int(home_branch),
-                        Value::Int(teller),
-                        Value::Int(account),
-                        Value::Float(amount),
+                        Value::Int(ctx.int(BRANCH)?),
+                        Value::Int(ctx.int(TELLER)?),
+                        Value::Int(ctx.int(ACCOUNT)?),
+                        Value::Float(ctx.float(AMOUNT)?),
                         Value::Int(ctx.txn.id().0 as i64),
                     ])
                 },
             ))
     }
 }
+
+/// The parameter slots of the account-update plan.
+const BRANCH: Param = Param::new(0, "b_id");
+const ACCOUNT: Param = Param::new(1, "a_id");
+const TELLER: Param = Param::new(2, "t_id");
+const AMOUNT: Param = Param::new(3, "amount");
 
 impl Workload for TpcB {
     fn name(&self) -> &'static str {

@@ -18,13 +18,13 @@ use rand::rngs::SmallRng;
 
 use dora_common::prelude::*;
 use dora_core::{
-    DoraEngine, KeyAtom, LocalMode, OnDuplicate, OnMissing, ProgramTemplate, Step, StepCtx,
-    StepTemplate, TxnProgram,
+    DoraEngine, KeyAtom, LocalMode, OnDuplicate, OnMissing, Param, Params, ProgramTemplate, Shape,
+    Step, StepCtx, StepTemplate, TxnProgram,
 };
 
 use dora_storage::{ColumnDef, Database, IndexSpec, TableSchema};
 
-use crate::spec::{c_last, chance, nurand, uniform, Workload};
+use crate::spec::{c_last, c_last_number, chance, nurand, uniform, Workload};
 
 /// Districts per warehouse (fixed by the specification).
 pub const DISTRICTS_PER_WAREHOUSE: i64 = 10;
@@ -65,6 +65,8 @@ pub struct Tpcc {
     items: i64,
     mix: TpccMix,
     tables: OnceLock<TpccTables>,
+    /// One plan per [`TpccPlan`] slot, built on first use.
+    plans: [OnceLock<TxnProgram>; TPCC_PLANS],
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +115,7 @@ impl Tpcc {
             items: items.max(1),
             mix: TpccMix::Full,
             tables: OnceLock::new(),
+            plans: Default::default(),
         }
     }
 
@@ -173,26 +176,41 @@ impl Tpcc {
         nurand(rng, 8191, 1, self.items)
     }
 
-    /// Resolves a customer either by id or (60% of the time, as in the
-    /// Payment specification) by last name through the secondary index,
-    /// returning its (rid, c_id). The concurrency-control mode comes from
-    /// the step context, so the same code serves both compilations.
+    /// Resolves the transaction's customer in district `(w, d)` either by
+    /// id or (60% of the time, as in the Payment specification) by last name
+    /// through the secondary index, returning its (rid, c_id). The
+    /// concurrency-control mode comes from the step context, so the same
+    /// code serves both engines.
     fn resolve_customer(
         tables: &TpccTables,
         ctx: &StepCtx<'_>,
-        w_id: i64,
-        d_id: i64,
-        customer: &CustomerSelector,
+        w: Param,
+        d: Param,
     ) -> DbResult<(Rid, i64)> {
-        match customer {
-            CustomerSelector::ByLastName(last) => {
+        let (w_id, d_id) = (ctx.int(w)?, ctx.int(d)?);
+        match ctx.int(C_LAST)? {
+            BY_ID => {
+                let c_id = ctx.int(C_ID)?;
+                match ctx.db.probe_primary(
+                    ctx.txn,
+                    tables.customer,
+                    &Key::int3(w_id, d_id, c_id),
+                    false,
+                    ctx.cc(),
+                )? {
+                    Some((rid, _)) => Ok((rid, c_id)),
+                    None => Err(ctx.abort("no such customer")),
+                }
+            }
+            NO_SUCH_NAME => Err(ctx.abort("no customer with last name")),
+            name => {
                 let hits = ctx.db.probe_secondary(
                     ctx.txn,
                     tables.customer_by_name,
                     &Key::from_values([
                         Value::Int(w_id),
                         Value::Int(d_id),
-                        Value::Text(last.clone()),
+                        Value::Text(c_last(name)),
                     ]),
                     ctx.cc(),
                 )?;
@@ -205,18 +223,6 @@ impl Tpcc {
                     .db
                     .read_rid(ctx.txn, tables.customer, entry.rid, false, ctx.cc())?;
                 Ok((entry.rid, row[2].as_int()?))
-            }
-            CustomerSelector::ById(c_id) => {
-                match ctx.db.probe_primary(
-                    ctx.txn,
-                    tables.customer,
-                    &Key::int3(w_id, d_id, *c_id),
-                    false,
-                    ctx.cc(),
-                )? {
-                    Some((rid, _)) => Ok((rid, *c_id)),
-                    None => Err(ctx.abort("no such customer")),
-                }
             }
         }
     }
@@ -239,6 +245,30 @@ impl Tpcc {
             .range_primary(ctx.txn, tables.order_line, &orders, usize::MAX, ctx.cc())
     }
 
+    /// The cached plan of `plan`, built on first use, bound to `inputs`.
+    fn bound(&self, db: &Database, plan: TpccPlan, inputs: TpccInputs<'_>) -> DbResult<TxnProgram> {
+        let Some(cell) = self.plans.get(plan.slot()) else {
+            // A NewOrder with more items than any generated one.
+            return Ok(self.build_plan(db, plan)?.bind(inputs.params()));
+        };
+        if let Some(plan) = cell.get() {
+            return Ok(plan.bind(inputs.params()));
+        }
+        let built = self.build_plan(db, plan)?;
+        Ok(cell.get_or_init(|| built).bind(inputs.params()))
+    }
+
+    fn build_plan(&self, db: &Database, plan: TpccPlan) -> DbResult<TxnProgram> {
+        let tables = self.tables(db)?;
+        Ok(match plan {
+            TpccPlan::Payment => Self::payment_plan(tables),
+            TpccPlan::OrderStatus => Self::order_status_plan(tables),
+            TpccPlan::NewOrder(items) => Self::new_order_plan(tables, items),
+            TpccPlan::Delivery => Self::delivery_plan(tables),
+            TpccPlan::StockLevel => Self::stock_level_plan(tables),
+        })
+    }
+
     // ----- Payment -----------------------------------------------------------
 
     /// The Payment transaction, defined once — exactly Figure 4: phase one
@@ -258,40 +288,54 @@ impl Tpcc {
         customer: CustomerSelector,
         amount: f64,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::PAYMENT)
+        let (c_id, c_last) = customer.encode();
+        let inputs = TpccInputs {
+            w_id,
+            d_id,
+            c_w_id,
+            c_d_id,
+            c_id,
+            c_last,
+            amount,
+            ..TpccInputs::default()
+        };
+        self.bound(db, TpccPlan::Payment, inputs)
+    }
+
+    fn payment_plan(tables: TpccTables) -> TxnProgram {
+        TxnProgram::new(Self::PAYMENT)
             .update(
                 "payment-warehouse",
                 tables.warehouse,
-                Key::int(w_id),
-                Key::int(w_id),
+                W_ID,
+                W_ID,
                 OnMissing::Error,
-                move |_ctx, row| {
+                |ctx, row| {
                     let ytd = row[2].as_float()?;
-                    row[2] = Value::Float(ytd + amount);
+                    row[2] = Value::Float(ytd + ctx.float(AMOUNT)?);
                     Ok(())
                 },
             )
             .update(
                 "payment-district",
                 tables.district,
-                Key::int2(w_id, d_id),
-                Key::int2(w_id, d_id),
+                Shape::of([W_ID, D_ID]),
+                Shape::of([W_ID, D_ID]),
                 OnMissing::Error,
-                move |_ctx, row| {
+                |ctx, row| {
                     let ytd = row[3].as_float()?;
-                    row[3] = Value::Float(ytd + amount);
+                    row[3] = Value::Float(ytd + ctx.float(AMOUNT)?);
                     Ok(())
                 },
             )
             .custom(
                 "payment-customer",
                 tables.customer,
-                Key::int2(c_w_id, c_d_id),
+                Shape::of([C_W_ID, C_D_ID]),
                 LocalMode::Exclusive,
                 move |ctx| {
-                    let (rid, c_id) =
-                        Self::resolve_customer(&tables, ctx, c_w_id, c_d_id, &customer)?;
+                    let amount = ctx.float(AMOUNT)?;
+                    let (rid, c_id) = Self::resolve_customer(&tables, ctx, C_W_ID, C_D_ID)?;
                     ctx.db
                         .update_rid(ctx.txn, tables.customer, rid, ctx.cc(), |row| {
                             let balance = row[4].as_float()?;
@@ -310,19 +354,19 @@ impl Tpcc {
             .insert(
                 "payment-history",
                 tables.history,
-                Key::int(w_id),
+                W_ID,
                 OnDuplicate::Error,
-                move |ctx| {
+                |ctx| {
                     let c_id = ctx.scratch.get_int("c_id")?;
                     Ok(vec![
-                        Value::Int(w_id),
-                        Value::Int(d_id),
+                        Value::Int(ctx.int(W_ID)?),
+                        Value::Int(ctx.int(D_ID)?),
                         Value::Int(c_id),
-                        Value::Float(amount),
+                        Value::Float(ctx.float(AMOUNT)?),
                         Value::Int(ctx.txn.id().0 as i64),
                     ])
                 },
-            ))
+            )
     }
 
     // ----- OrderStatus -------------------------------------------------------
@@ -338,15 +382,27 @@ impl Tpcc {
         d_id: i64,
         customer: CustomerSelector,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::ORDER_STATUS)
+        let (c_id, c_last) = customer.encode();
+        let inputs = TpccInputs {
+            w_id,
+            d_id,
+            c_id,
+            c_last,
+            ..TpccInputs::default()
+        };
+        self.bound(db, TpccPlan::OrderStatus, inputs)
+    }
+
+    fn order_status_plan(tables: TpccTables) -> TxnProgram {
+        let district = || Shape::of([W_ID, D_ID]);
+        TxnProgram::new(Self::ORDER_STATUS)
             .custom(
                 "orderstatus-customer",
                 tables.customer,
-                Key::int2(w_id, d_id),
+                district(),
                 LocalMode::Shared,
                 move |ctx| {
-                    let (_, c_id) = Self::resolve_customer(&tables, ctx, w_id, d_id, &customer)?;
+                    let (_, c_id) = Self::resolve_customer(&tables, ctx, W_ID, D_ID)?;
                     ctx.scratch.put("c_id", c_id);
                     Ok(())
                 },
@@ -355,14 +411,14 @@ impl Tpcc {
             .custom(
                 "orderstatus-order",
                 tables.orders,
-                Key::int2(w_id, d_id),
+                district(),
                 LocalMode::Shared,
                 move |ctx| {
                     let c_id = ctx.scratch.get_int("c_id")?;
                     let orders = ctx.db.probe_secondary(
                         ctx.txn,
                         tables.orders_by_customer,
-                        &Key::int3(w_id, d_id, c_id),
+                        &Key::int3(ctx.int(W_ID)?, ctx.int(D_ID)?, c_id),
                         ctx.cc(),
                     )?;
                     let Some(latest) = orders.iter().map(|e| e.rid).max_by_key(|rid| rid.pack())
@@ -380,14 +436,15 @@ impl Tpcc {
             .custom(
                 "orderstatus-orderlines",
                 tables.order_line,
-                Key::int2(w_id, d_id),
+                district(),
                 LocalMode::Shared,
                 move |ctx| {
                     let o_id = ctx.scratch.get_int("o_id")?;
+                    let (w_id, d_id) = (ctx.int(W_ID)?, ctx.int(D_ID)?);
                     Self::order_lines(&tables, ctx, w_id, d_id, o_id, o_id + 1)?;
                     Ok(())
                 },
-            ))
+            )
     }
 
     // ----- NewOrder ----------------------------------------------------------
@@ -399,7 +456,8 @@ impl Tpcc {
     /// Phase one reads the customer and the items (item steps route on the
     /// item id — under DORA they fan out to the Item table's executors) and
     /// advances the district's order counter; phase two inserts the order,
-    /// the new-order entry and the order lines and updates the stock.
+    /// the new-order entry and the order lines and updates the stock. There
+    /// is one plan per item count.
     pub fn new_order_program(
         &self,
         db: &Database,
@@ -408,21 +466,32 @@ impl Tpcc {
         c_id: i64,
         items: Vec<(i64, i64)>,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
+        let inputs = TpccInputs {
+            w_id,
+            d_id,
+            c_id,
+            items: &items,
+            ..TpccInputs::default()
+        };
+        self.bound(db, TpccPlan::NewOrder(items.len()), inputs)
+    }
+
+    fn new_order_plan(tables: TpccTables, items: usize) -> TxnProgram {
+        let district = || Shape::of([W_ID, D_ID]);
         let mut program = TxnProgram::new(Self::NEW_ORDER)
             .read(
                 "neworder-customer",
                 tables.customer,
-                Key::int2(w_id, d_id),
-                Key::int3(w_id, d_id, c_id),
+                district(),
+                Shape::of([W_ID, D_ID, C_ID]),
                 OnMissing::Abort("no such customer"),
                 |_ctx, _row| Ok(()),
             )
             .update(
                 "neworder-district",
                 tables.district,
-                Key::int2(w_id, d_id),
-                Key::int2(w_id, d_id),
+                district(),
+                district(),
                 OnMissing::Error,
                 |ctx, row| {
                     let o_id = row[4].as_int()?;
@@ -432,17 +501,15 @@ impl Tpcc {
                 },
             );
         // One read-only step per item, routed on the item id.
-        for (index, (item_id, _)) in items.iter().enumerate() {
-            let item_id = *item_id;
-            let slot = format!("price_{index}");
+        for index in 0..items {
             program = program.step(Step::read(
                 "neworder-item",
                 tables.item,
-                Key::int(item_id),
-                Key::int(item_id),
+                item_id(index),
+                item_id(index),
                 OnMissing::Abort("unused item id"),
                 move |ctx, row| {
-                    ctx.scratch.put(&slot, row[2].as_float()?);
+                    ctx.scratch.put_at("price", index, row[2].as_float()?);
                     Ok(())
                 },
             ));
@@ -451,22 +518,21 @@ impl Tpcc {
         // Phase two: all the inserts plus the stock updates, grouped per
         // table into merged steps keyed by the warehouse (consecutive
         // actions with the same identifier can be merged, Section 4.1.2).
-        let items_for_stock = items.clone();
-        let items_for_lines = items.clone();
-        let item_count = items.len();
-        Ok(program
+        program
             .rvp()
             .custom(
                 "neworder-stock",
                 tables.stock,
-                Key::int(w_id),
+                W_ID,
                 LocalMode::Exclusive,
                 move |ctx| {
-                    for (item_id, quantity) in &items_for_stock {
+                    let w_id = ctx.int(W_ID)?;
+                    for index in 0..items {
+                        let quantity = ctx.int(quantity(index))?;
                         ctx.db.update_primary(
                             ctx.txn,
                             tables.stock,
-                            &Key::int2(w_id, *item_id),
+                            &Key::int2(w_id, ctx.int(item_id(index))?),
                             ctx.cc(),
                             |row| {
                                 let quantity_now = row[2].as_int()?;
@@ -488,39 +554,45 @@ impl Tpcc {
             .insert(
                 "neworder-orders",
                 tables.orders,
-                Key::int(w_id),
+                W_ID,
                 OnDuplicate::Error,
                 move |ctx| {
                     let o_id = ctx.scratch.get_int("o_id")?;
                     Ok(vec![
-                        Value::Int(w_id),
-                        Value::Int(d_id),
+                        Value::Int(ctx.int(W_ID)?),
+                        Value::Int(ctx.int(D_ID)?),
                         Value::Int(o_id),
-                        Value::Int(c_id),
+                        Value::Int(ctx.int(C_ID)?),
                         Value::Int(0),
-                        Value::Int(item_count as i64),
+                        Value::Int(items as i64),
                     ])
                 },
             )
             .insert(
                 "neworder-newordertab",
                 tables.new_order,
-                Key::int(w_id),
+                W_ID,
                 OnDuplicate::Error,
-                move |ctx| {
+                |ctx| {
                     let o_id = ctx.scratch.get_int("o_id")?;
-                    Ok(vec![Value::Int(w_id), Value::Int(d_id), Value::Int(o_id)])
+                    Ok(vec![
+                        Value::Int(ctx.int(W_ID)?),
+                        Value::Int(ctx.int(D_ID)?),
+                        Value::Int(o_id),
+                    ])
                 },
             )
             .custom(
                 "neworder-orderlines",
                 tables.order_line,
-                Key::int(w_id),
+                W_ID,
                 LocalMode::Exclusive,
                 move |ctx| {
                     let o_id = ctx.scratch.get_int("o_id")?;
-                    for (number, (item_id, quantity)) in items_for_lines.iter().enumerate() {
-                        let price = ctx.scratch.get_float(&format!("price_{number}"))?;
+                    let (w_id, d_id) = (ctx.int(W_ID)?, ctx.int(D_ID)?);
+                    for index in 0..items {
+                        let price = ctx.scratch.get_float_at("price", index)?;
+                        let quantity = ctx.int(quantity(index))?;
                         ctx.db.insert(
                             ctx.txn,
                             tables.order_line,
@@ -528,17 +600,17 @@ impl Tpcc {
                                 Value::Int(w_id),
                                 Value::Int(d_id),
                                 Value::Int(o_id),
-                                Value::Int(number as i64 + 1),
-                                Value::Int(*item_id),
-                                Value::Int(*quantity),
-                                Value::Float(price * *quantity as f64),
+                                Value::Int(index as i64 + 1),
+                                Value::Int(ctx.int(item_id(index))?),
+                                Value::Int(quantity),
+                                Value::Float(price * quantity as f64),
                             ],
                             ctx.write_cc(),
                         )?;
                     }
                     Ok(())
                 },
-            ))
+            )
     }
 
     // ----- Delivery ----------------------------------------------------------
@@ -548,24 +620,35 @@ impl Tpcc {
     /// warehouse, so the per-district loops are merged into one step per
     /// table, chained by RVPs for the data dependencies.
     pub fn delivery_program(&self, db: &Database, w_id: i64, carrier: i64) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::DELIVERY)
+        let inputs = TpccInputs {
+            w_id,
+            extra: carrier,
+            ..TpccInputs::default()
+        };
+        self.bound(db, TpccPlan::Delivery, inputs)
+    }
+
+    fn delivery_plan(tables: TpccTables) -> TxnProgram {
+        // Scratchpad entries are indexed by the district id.
+        let district = |d_id: i64| d_id as usize;
+        TxnProgram::new(Self::DELIVERY)
             .custom(
                 "delivery-neworder",
                 tables.new_order,
-                Key::int(w_id),
+                W_ID,
                 LocalMode::Exclusive,
                 move |ctx| {
+                    let w_id = ctx.int(W_ID)?;
                     for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
                         // The district's oldest order is the first key of
                         // its `new_order` range.
-                        let district = KeyRange::new(
+                        let range = KeyRange::new(
                             Some(Key::int2(w_id, d_id)),
                             Some(Key::int2(w_id, d_id + 1)),
                         );
                         let Some((_, oldest)) = ctx
                             .db
-                            .range_primary(ctx.txn, tables.new_order, &district, 1, ctx.cc())?
+                            .range_primary(ctx.txn, tables.new_order, &range, 1, ctx.cc())?
                             .pop()
                         else {
                             continue;
@@ -577,7 +660,7 @@ impl Tpcc {
                             &Key::int3(w_id, d_id, o_id),
                             ctx.write_cc(),
                         )?;
-                        ctx.scratch.put(&format!("deliver_{d_id}"), o_id);
+                        ctx.scratch.put_at("deliver", district(d_id), o_id);
                     }
                     Ok(())
                 },
@@ -586,11 +669,12 @@ impl Tpcc {
             .custom(
                 "delivery-orders",
                 tables.orders,
-                Key::int(w_id),
+                W_ID,
                 LocalMode::Exclusive,
                 move |ctx| {
+                    let (w_id, carrier) = (ctx.int(W_ID)?, ctx.int(CARRIER)?);
                     for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
-                        let Some(o_id) = ctx.scratch.get(&format!("deliver_{d_id}")) else {
+                        let Some(o_id) = ctx.scratch.get_at("deliver", district(d_id)) else {
                             continue;
                         };
                         let o_id = o_id.as_int()?;
@@ -606,7 +690,7 @@ impl Tpcc {
                                 Ok(())
                             },
                         )?;
-                        ctx.scratch.put(&format!("customer_{d_id}"), c_id);
+                        ctx.scratch.put_at("customer", district(d_id), c_id);
                         // Sum the order lines while we are here (the same
                         // warehouse executor owns them under the same routing
                         // field, but they belong to another table).
@@ -616,7 +700,7 @@ impl Tpcc {
                         {
                             amount += line[6].as_float()?;
                         }
-                        ctx.scratch.put(&format!("amount_{d_id}"), amount);
+                        ctx.scratch.put_at("amount", district(d_id), amount);
                     }
                     Ok(())
                 },
@@ -625,17 +709,18 @@ impl Tpcc {
             .custom(
                 "delivery-customer",
                 tables.customer,
-                Key::int(w_id),
+                W_ID,
                 LocalMode::Exclusive,
                 move |ctx| {
+                    let w_id = ctx.int(W_ID)?;
                     for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
-                        let Some(c_id) = ctx.scratch.get(&format!("customer_{d_id}")) else {
+                        let Some(c_id) = ctx.scratch.get_at("customer", district(d_id)) else {
                             continue;
                         };
                         let c_id = c_id.as_int()?;
                         let amount = ctx
                             .scratch
-                            .get_float(&format!("amount_{d_id}"))
+                            .get_float_at("amount", district(d_id))
                             .unwrap_or(0.0);
                         ctx.db.update_primary(
                             ctx.txn,
@@ -651,7 +736,7 @@ impl Tpcc {
                     }
                     Ok(())
                 },
-            ))
+            )
     }
 
     // ----- StockLevel --------------------------------------------------------
@@ -667,13 +752,23 @@ impl Tpcc {
         d_id: i64,
         threshold: i64,
     ) -> DbResult<TxnProgram> {
-        let tables = self.tables(db)?;
-        Ok(TxnProgram::new(Self::STOCK_LEVEL)
+        let inputs = TpccInputs {
+            w_id,
+            d_id,
+            extra: threshold,
+            ..TpccInputs::default()
+        };
+        self.bound(db, TpccPlan::StockLevel, inputs)
+    }
+
+    fn stock_level_plan(tables: TpccTables) -> TxnProgram {
+        let district = || Shape::of([W_ID, D_ID]);
+        TxnProgram::new(Self::STOCK_LEVEL)
             .read(
                 "stocklevel-district",
                 tables.district,
-                Key::int2(w_id, d_id),
-                Key::int2(w_id, d_id),
+                district(),
+                district(),
                 OnMissing::Abort("no such district"),
                 |ctx, row| {
                     ctx.scratch.put("next_o_id", row[4].as_int()?);
@@ -684,15 +779,15 @@ impl Tpcc {
             .custom(
                 "stocklevel-orderlines",
                 tables.order_line,
-                Key::int2(w_id, d_id),
+                district(),
                 LocalMode::Shared,
                 move |ctx| {
                     let next_o_id = ctx.scratch.get_int("next_o_id")?;
                     let lines = Self::order_lines(
                         &tables,
                         ctx,
-                        w_id,
-                        d_id,
+                        ctx.int(W_ID)?,
+                        ctx.int(D_ID)?,
                         (next_o_id - 20).max(0),
                         next_o_id,
                     )?;
@@ -704,7 +799,7 @@ impl Tpcc {
                     item_ids.dedup();
                     ctx.scratch.put("distinct_items", item_ids.len() as i64);
                     for (index, item_id) in item_ids.iter().enumerate() {
-                        ctx.scratch.put(&format!("item_{index}"), *item_id);
+                        ctx.scratch.put_at("item", index, *item_id);
                     }
                     Ok(())
                 },
@@ -713,13 +808,14 @@ impl Tpcc {
             .custom(
                 "stocklevel-stock",
                 tables.stock,
-                Key::int(w_id),
+                W_ID,
                 LocalMode::Shared,
                 move |ctx| {
+                    let (w_id, threshold) = (ctx.int(W_ID)?, ctx.int(THRESHOLD)?);
                     let count = ctx.scratch.get_int("distinct_items")?;
                     let mut low = 0;
-                    for index in 0..count {
-                        let item_id = ctx.scratch.get_int(&format!("item_{index}"))?;
+                    for index in 0..count.max(0) as usize {
+                        let item_id = ctx.scratch.get_int_at("item", index)?;
                         if let Some((_, stock)) = ctx.db.probe_primary(
                             ctx.txn,
                             tables.stock,
@@ -735,7 +831,7 @@ impl Tpcc {
                     let _ = low;
                     Ok(())
                 },
-            ))
+            )
     }
 
     // ----- input generation ---------------------------------------------------
@@ -757,21 +853,21 @@ impl Tpcc {
         } else {
             (w_id, d_id)
         };
-        // 60% of the time the customer is selected by last name.
-        let selector = if chance(rng, 60) {
-            CustomerSelector::ByLastName(self.random_loaded_last_name(rng))
-        } else {
-            CustomerSelector::ById(self.random_customer(rng))
-        };
+        let selector = self.random_selector(rng);
         let amount = uniform(rng, 100, 500_000) as f64 / 100.0;
         (w_id, d_id, c_w_id, c_d_id, selector, amount)
     }
 
-    /// A last name that is guaranteed to exist in the loaded data (the loader
-    /// assigns `c_last(c_id % 1000)`).
-    fn random_loaded_last_name(&self, rng: &mut SmallRng) -> String {
-        let c_id = uniform(rng, 1, self.customers_per_district);
-        c_last(c_id % 1000)
+    /// 60% of the time the customer is selected by last name: one that is
+    /// guaranteed to exist in the loaded data (the loader assigns
+    /// `c_last(c_id % 1000)`).
+    fn random_selector(&self, rng: &mut SmallRng) -> CustomerSelector {
+        if chance(rng, 60) {
+            let c_id = uniform(rng, 1, self.customers_per_district);
+            CustomerSelector::ByLastNumber(c_id % 1000)
+        } else {
+            CustomerSelector::ById(self.random_customer(rng))
+        }
     }
 
     /// Generates NewOrder inputs: (w_id, d_id, c_id, items). Roughly 1% of
@@ -800,6 +896,112 @@ pub enum CustomerSelector {
     ById(i64),
     /// By last name through the `customer_by_name` secondary index.
     ByLastName(String),
+    /// By the last name `c_last(n)` (the loader's names), through the
+    /// secondary index; what the mix draws, since it needs no string.
+    ByLastNumber(i64),
+}
+
+impl CustomerSelector {
+    /// The selector's `(C_ID, C_LAST)` parameter slots.
+    fn encode(&self) -> (i64, i64) {
+        match self {
+            CustomerSelector::ById(c_id) => (*c_id, BY_ID),
+            CustomerSelector::ByLastName(name) => (0, c_last_number(name).unwrap_or(NO_SUCH_NAME)),
+            CustomerSelector::ByLastNumber(number) => (0, (*number).clamp(0, 999)),
+        }
+    }
+}
+
+/// The plans a TPC-C workload caches: one per transaction type, and one per
+/// NewOrder item count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TpccPlan {
+    Payment,
+    OrderStatus,
+    NewOrder(usize),
+    Delivery,
+    StockLevel,
+}
+
+/// Cached NewOrder plans: item counts `0..NEW_ORDER_PLANS` (the mix draws
+/// 5 to 15); a longer order builds its plan on the spot.
+const NEW_ORDER_PLANS: usize = 16;
+const TPCC_PLANS: usize = 4 + NEW_ORDER_PLANS;
+
+impl TpccPlan {
+    /// The plan's cache slot; past the cache for a NewOrder too long for it.
+    fn slot(self) -> usize {
+        match self {
+            TpccPlan::Payment => 0,
+            TpccPlan::OrderStatus => 1,
+            TpccPlan::Delivery => 2,
+            TpccPlan::StockLevel => 3,
+            TpccPlan::NewOrder(items) => 4 + items.min(NEW_ORDER_PLANS),
+        }
+    }
+}
+
+// The parameter slots of the TPC-C plans; the names are the conflict
+// templates' key atoms.
+const W_ID: Param = Param::new(0, "w_id");
+const D_ID: Param = Param::new(1, "d_id");
+const C_W_ID: Param = Param::new(2, "c_w_id");
+const C_D_ID: Param = Param::new(3, "c_d_id");
+const C_ID: Param = Param::new(4, "c_id");
+/// The customer's last-name number (`c_last`), [`BY_ID`] or
+/// [`NO_SUCH_NAME`].
+const C_LAST: Param = Param::new(5, "c_last");
+const AMOUNT: Param = Param::new(6, "amount");
+const CARRIER: Param = Param::new(7, "carrier");
+const THRESHOLD: Param = Param::new(7, "threshold");
+/// `C_LAST` when the customer is selected by id.
+const BY_ID: i64 = -1;
+/// `C_LAST` for a last name the loader never assigns: no customer has it.
+const NO_SUCH_NAME: i64 = -2;
+/// The first slot of NewOrder's item list: item id and quantity per item.
+const ITEMS: usize = 8;
+
+fn item_id(index: usize) -> Param {
+    Param::new(ITEMS + 2 * index, "i_id")
+}
+
+fn quantity(index: usize) -> Param {
+    Param::new(ITEMS + 2 * index + 1, "quantity")
+}
+
+/// One TPC-C transaction's inputs, in the slots above.
+#[derive(Debug, Clone, Copy, Default)]
+struct TpccInputs<'a> {
+    w_id: i64,
+    d_id: i64,
+    c_w_id: i64,
+    c_d_id: i64,
+    c_id: i64,
+    c_last: i64,
+    amount: f64,
+    /// Delivery's carrier or StockLevel's threshold.
+    extra: i64,
+    items: &'a [(i64, i64)],
+}
+
+impl TpccInputs<'_> {
+    fn params(&self) -> Params {
+        let mut params = Params::of([
+            self.w_id,
+            self.d_id,
+            self.c_w_id,
+            self.c_d_id,
+            self.c_id,
+            self.c_last,
+        ])
+        .with_float(self.amount)
+        .with(self.extra);
+        for (item, quantity) in self.items {
+            params.push(*item);
+            params.push(*quantity);
+        }
+        params
+    }
 }
 
 impl Workload for Tpcc {
@@ -1061,11 +1263,7 @@ impl Workload for Tpcc {
             TpccTxn::OrderStatus => {
                 let w_id = uniform(rng, 1, self.warehouses);
                 let d_id = uniform(rng, 1, DISTRICTS_PER_WAREHOUSE);
-                let selector = if chance(rng, 60) {
-                    CustomerSelector::ByLastName(self.random_loaded_last_name(rng))
-                } else {
-                    CustomerSelector::ById(self.random_customer(rng))
-                };
+                let selector = self.random_selector(rng);
                 self.order_status_program(db, w_id, d_id, selector)
             }
             TpccTxn::NewOrder => {
@@ -1102,10 +1300,14 @@ impl Workload for Tpcc {
                 .step(StepTemplate::write("payment-warehouse", tables.warehouse, w()).writes([2]))
                 .step(StepTemplate::write("payment-district", tables.district, wd()).writes([3]))
                 .step(
-                    StepTemplate::write("payment-customer", tables.customer, wd())
-                        .reads([2, 3])
-                        .writes([4, 5, 6])
-                        .abort_rate(0.01),
+                    StepTemplate::write(
+                        "payment-customer",
+                        tables.customer,
+                        vec![KeyAtom::Param("c_w_id"), KeyAtom::Param("c_d_id")],
+                    )
+                    .reads([2, 3])
+                    .writes([4, 5, 6])
+                    .abort_rate(0.01),
                 )
                 .step(
                     StepTemplate::insert("payment-history", tables.history, w())

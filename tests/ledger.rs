@@ -147,56 +147,56 @@ const LEDGER: [Row; 7] = [
         engine: EngineKind::Dora,
         load: Load::Tm1,
         exact: exact(528, 312, 580, 315, 10, 0, 0),
-        alloc_calls: band(30.17, 1.0),
-        alloc_bytes: band(3975.0, 80.0),
+        alloc_calls: band(7.89, 1.0),
+        alloc_bytes: band(3200.0, 64.0),
     },
     Row {
         workload: "tm1_mix",
         engine: EngineKind::Baseline,
         load: Load::Tm1,
         exact: exact(528, 0, 0, 315, 461, 1267, 0),
-        alloc_calls: band(27.23, 1.0),
-        alloc_bytes: band(2988.0, 60.0),
+        alloc_calls: band(16.93, 1.0),
+        alloc_bytes: band(1997.0, 40.0),
     },
     Row {
         workload: "tpcb",
         engine: EngineKind::Dora,
         load: Load::Tpcb,
         exact: exact(400, 3200, 1600, 2400, 400, 0, 0),
-        alloc_calls: band(67.70, 1.0),
-        alloc_bytes: band(11259.0, 225.0),
+        alloc_calls: band(33.70, 1.0),
+        alloc_bytes: band(8147.0, 163.0),
     },
     Row {
         workload: "tpcb",
         engine: EngineKind::Baseline,
         load: Load::Tpcb,
         exact: exact(400, 0, 0, 2400, 1600, 2000, 0),
-        alloc_calls: band(55.69, 1.0),
-        alloc_bytes: band(8657.0, 173.0),
+        alloc_calls: band(44.69, 1.0),
+        alloc_bytes: band(7377.0, 148.0),
     },
     Row {
         workload: "tpcc_mix",
         engine: EngineKind::Dora,
         load: Load::Tpcc,
         exact: exact(401, 3074, 3618, 5871, 2392, 0, 0),
-        alloc_calls: band(200.69, 1.0),
-        alloc_bytes: band(31270.0, 625.0),
+        alloc_calls: band(127.42, 1.0),
+        alloc_bytes: band(24202.0, 484.0),
     },
     Row {
         workload: "tpcc_mix",
         engine: EngineKind::Baseline,
         load: Load::Tpcc,
         exact: exact(401, 0, 0, 5871, 8498, 2888, 0),
-        alloc_calls: band(210.94, 1.0),
-        alloc_bytes: band(31123.0, 622.0),
+        alloc_calls: band(164.40, 1.0),
+        alloc_bytes: band(27233.0, 545.0),
     },
     Row {
         workload: "htap_tpcb",
         engine: EngineKind::Dora,
         load: Load::HtapTpcb,
         exact: exact(400, 3200, 1600, 2400, 400, 0, 2752),
-        alloc_calls: band(91.34, 1.0),
-        alloc_bytes: band(13826.0, 277.0),
+        alloc_calls: band(57.30, 1.0),
+        alloc_bytes: band(10714.0, 214.0),
     },
 ];
 

@@ -7,13 +7,21 @@
 //! * The conflict stamp is pinned the same way: the same draws, stamped with
 //!   the workload's bind-time conflict matrix, mark the same steps
 //!   probe-free and the same programs DORA-S.
+//! * The plans and the hand-written conflict templates agree: every step of
+//!   every TM1 and TPC-C plan matches its template one-to-one on label,
+//!   table, route shape, full-key shape and access kind. The templates are
+//!   declared beside the plans, not derived from them, so this guards the
+//!   gap until they are.
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use dora_repro::dora::{ConflictMatrix, DoraConfig};
+use dora_repro::dora::conflict::TemplateKind;
+use dora_repro::dora::{
+    ConflictMatrix, DoraConfig, LocalMode, ProgramTemplate, StepKind, StepTemplate, TxnProgram,
+};
 use dora_repro::storage::Database;
 use dora_repro::workloads::{Tm1, TpcB, Tpcc, Workload};
 
@@ -104,6 +112,118 @@ fn stamped_draws_mark_the_same_probe_free_steps_and_serial_plans() {
     assert!(
         drift.is_empty(),
         "the conflict stamp changed:\n{}",
+        drift.join("\n")
+    );
+}
+
+/// Why `step` and `template` disagree, if they do.
+fn step_drift(step: &dora_repro::dora::Step, template: &StepTemplate) -> Option<String> {
+    if step.table() != template.table() {
+        return Some(format!("table {} vs {}", step.table(), template.table()));
+    }
+    if step.route().atoms() != template.route() {
+        return Some(format!(
+            "route {:?} vs {:?}",
+            step.route().atoms(),
+            template.route()
+        ));
+    }
+    if let (Some(key), Some(full_key)) = (step.key(), template.full_key_atoms()) {
+        if key.atoms() != full_key {
+            return Some(format!("key {:?} vs {:?}", key.atoms(), full_key));
+        }
+    }
+    let shared = step.mode() == LocalMode::Shared;
+    let kinds_agree = match template.kind() {
+        TemplateKind::Secondary => step.is_declared_secondary(),
+        TemplateKind::Read => matches!(step.kind(), StepKind::Read | StepKind::Custom) && shared,
+        TemplateKind::Write => {
+            matches!(step.kind(), StepKind::Update | StepKind::Custom) && !shared
+        }
+        TemplateKind::Insert => {
+            matches!(step.kind(), StepKind::Insert | StepKind::Custom) && !shared
+        }
+        TemplateKind::Delete => {
+            matches!(step.kind(), StepKind::Delete | StepKind::Custom) && !shared
+        }
+    };
+    (!kinds_agree).then(|| {
+        format!(
+            "access {:?}/{:?} vs {:?}",
+            step.kind(),
+            step.mode(),
+            template.kind()
+        )
+    })
+}
+
+/// Every disagreement between `program` and its template.
+fn plan_drift(program: &TxnProgram, templates: &[ProgramTemplate]) -> Vec<String> {
+    let name = program.name();
+    let Some(template) = templates.iter().find(|t| t.name() == name) else {
+        return vec![format!("{name}: no template")];
+    };
+    let mut drift = Vec::new();
+    for step in program.steps() {
+        let matches: Vec<_> = template
+            .steps()
+            .iter()
+            .filter(|t| t.label() == step.label())
+            .collect();
+        match matches.as_slice() {
+            [one] => {
+                if let Some(why) = step_drift(step, one) {
+                    drift.push(format!("{name}/{}: {why}", step.label()));
+                }
+            }
+            _ => drift.push(format!(
+                "{name}/{}: {} templates with this label",
+                step.label(),
+                matches.len()
+            )),
+        }
+    }
+    for declared in template.steps() {
+        if !program
+            .steps()
+            .iter()
+            .any(|s| s.label() == declared.label())
+        {
+            drift.push(format!(
+                "{name}/{}: template without a step",
+                declared.label()
+            ));
+        }
+    }
+    drift
+}
+
+#[test]
+fn every_plan_agrees_with_its_conflict_template() {
+    let workloads: [Arc<dyn Workload>; 2] = [
+        Arc::new(Tm1::new(1_000)),
+        Arc::new(Tpcc::with_scale(2, 30, 200)),
+    ];
+    let mut drift = Vec::new();
+    for workload in &workloads {
+        let db = Database::for_tests();
+        workload.setup(&db).unwrap();
+        let templates = workload.conflict_templates(&db).unwrap();
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        // Draw until every type (and every NewOrder size) has been checked.
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..2_000 {
+            let program = workload.next_program(&db, &mut rng).unwrap();
+            if seen.insert((program.name(), program.step_count())) {
+                drift.extend(plan_drift(&program, &templates));
+            }
+        }
+        let labels: std::collections::BTreeSet<_> = seen.iter().map(|(name, _)| *name).collect();
+        assert_eq!(labels.len(), workload.txn_labels().len(), "{labels:?}");
+    }
+    assert!(
+        drift.is_empty(),
+        "plans and templates drifted:\n{}",
         drift.join("\n")
     );
 }
