@@ -68,29 +68,11 @@ impl<T, const N: usize> InlineVec<T, N> {
         self.inline.iter().flatten().chain(self.spill.iter())
     }
 
-    /// The elements in order, mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.inline
-            .iter_mut()
-            .flatten()
-            .chain(self.spill.iter_mut())
-    }
-
-    /// Removes every element; a spilled buffer keeps its capacity.
-    pub fn clear(&mut self) {
-        self.inline.iter_mut().for_each(|slot| *slot = None);
-        self.spill.clear();
-        self.len = 0;
-    }
-
     /// Sorts the elements by `key`, keeping the order of equal keys.
     pub fn sort_by_key<K: Ord>(&mut self, mut key: impl FnMut(&T) -> K) {
         if self.spill.is_empty() {
-            self.inline.sort_by_key(|slot| match slot {
-                // Occupied slots first, then by key; empty slots stay last.
-                Some(value) => (false, Some(key(value))),
-                None => (true, None),
-            });
+            // The occupied slots are the first `len`, every one `Some`.
+            self.inline[..self.len].sort_by_key(|slot| slot.as_ref().map(&mut key));
             return;
         }
         let mut all: Vec<T> = std::mem::take(self).into_iter().collect();
@@ -181,12 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_both_parts() {
-        let mut vec: InlineVec<u32, 1> = (0..5).collect();
-        vec.clear();
+    fn an_empty_vector_allocates_nothing_and_collects() {
+        let vec: InlineVec<u32, 1> = InlineVec::new();
         assert!(vec.is_empty());
-        assert_eq!(vec.iter().count(), 0);
-        vec.push(7);
-        assert_eq!(vec.get(0), Some(&7));
+        assert_eq!(vec.spill.capacity(), 0);
+        let vec: InlineVec<u32, 1> = (0..5).collect();
+        assert_eq!(vec.len(), 5);
+        assert_eq!(vec.get(0), Some(&0));
+        assert_eq!(vec.get(4), Some(&4));
     }
 }

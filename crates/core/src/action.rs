@@ -36,9 +36,10 @@ impl LocalMode {
     }
 }
 
-/// Scratchpad entries stored in place: a NewOrder's order id and its
-/// fifteen item prices fit.
-const SCRATCH_INLINE: usize = 16;
+/// Scratchpad entries stored in place: every TM1, TPC-B, Payment and
+/// OrderStatus transaction fits; a NewOrder's prices spill. Kept small so a
+/// DORA transaction's state stays in the allocator's fast size classes.
+const SCRATCH_INLINE: usize = 4;
 
 /// Per-transaction scratchpad used to pass data between actions of different
 /// phases (the "shared objects across actions of the same transaction used to

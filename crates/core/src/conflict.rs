@@ -72,6 +72,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dora_common::prelude::*;
 
@@ -341,12 +342,15 @@ pub struct CoverageGap {
     pub declared: bool,
 }
 
-/// The bind-time result of analyzing a workload's program templates:
-/// which steps are probe-free, which programs should run as DORA-S
-/// serialized plans, and which steps the routing fields cannot cover.
+/// Source of [`ConflictMatrix`] ids.
+static MATRIX_IDS: AtomicU64 = AtomicU64::new(1);
+
 /// A `(program, step label)` pair naming one step template.
 type StepId = (&'static str, &'static str);
 
+/// The bind-time result of analyzing a workload's program templates:
+/// which steps are probe-free, which programs should run as DORA-S
+/// serialized plans, and which steps the routing fields cannot cover.
 #[derive(Debug, Clone)]
 pub struct ConflictMatrix {
     /// Identifies this analysis run: the key of the stamps programs cache.
@@ -416,7 +420,7 @@ impl ConflictMatrix {
         }
 
         ConflictMatrix {
-            id: crate::program::next_matrix_id(),
+            id: MATRIX_IDS.fetch_add(1, Ordering::Relaxed),
             programs: programs.iter().map(|p| p.name).collect(),
             elide,
             serialize,
@@ -428,8 +432,9 @@ impl ConflictMatrix {
         }
     }
 
-    /// This analysis run's id, unique in the process.
-    pub fn id(&self) -> u64 {
+    /// This analysis run's id, unique in the process: the key of the stamp
+    /// a program's plan caches.
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 

@@ -23,9 +23,14 @@ use crate::program::{Backend, StepCtx};
 use crate::routing::{RoutingRule, RoutingTable};
 use crate::txn::{DoraTxn, DoraTxnInner};
 
-/// Actions, destinations and claims of one phase kept on the stack: a TPC-C
-/// NewOrder's first phase routes 17 actions, every other phase fewer.
-const PHASE_INLINE: usize = 16;
+/// Routed actions, destinations and claims of one phase kept on the stack:
+/// no TM1, TPC-B or TPC-C phase routes more than four actions (probe-free
+/// and secondary ones are not routed); a larger phase spills.
+const PHASE_INLINE: usize = 4;
+
+/// Unrouted (secondary and probe-free) steps of one phase kept on the stack:
+/// a TPC-C NewOrder's first phase has sixteen.
+const UNROUTED_INLINE: usize = 16;
 
 /// One phase's routed actions, each beside its destination executor.
 type Routed = InlineVec<(Arc<ExecutorShared>, Action), PHASE_INLINE>;
@@ -94,7 +99,7 @@ impl EngineInner {
     /// An action is the index of its program step plus its bound routing
     /// identifier; the phase's bookkeeping lives on the stack.
     pub(crate) fn dispatch_phase(self: &Arc<Self>, txn: &Arc<DoraTxnInner>, phase: usize) {
-        let mut unrouted: InlineVec<(usize, bool), PHASE_INLINE> = InlineVec::new();
+        let mut unrouted: InlineVec<(usize, bool), UNROUTED_INLINE> = InlineVec::new();
         let mut routed: Routed = InlineVec::new();
         for index in txn.phase_steps(phase) {
             let Some(step) = txn.program.steps().get(index) else {

@@ -86,7 +86,6 @@
 //! ```
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dora_common::prelude::*;
@@ -691,7 +690,7 @@ struct Plan {
     phases: Vec<Range<usize>>,
     serial: bool,
     /// The stamp of the first matrix this plan met.
-    stamp: OnceLock<Arc<Stamp>>,
+    stamp: OnceLock<Stamp>,
 }
 
 impl Clone for Plan {
@@ -716,16 +715,47 @@ impl Plan {
     }
 }
 
+/// Where a program's plan lives.
+#[derive(Clone)]
+enum PlanRef {
+    /// Built for this program, or shared by the programs cloned from it.
+    Owned(Arc<Plan>),
+    /// Kept for the rest of the process ([`TxnProgram::into_static`]):
+    /// binding copies a pointer, so concurrent clients never write a
+    /// reference count they all share.
+    Static(&'static Plan),
+}
+
+impl std::ops::Deref for PlanRef {
+    type Target = Plan;
+
+    fn deref(&self) -> &Plan {
+        match self {
+            PlanRef::Owned(plan) => plan,
+            PlanRef::Static(plan) => plan,
+        }
+    }
+}
+
+/// Which stamp a program carries.
+#[derive(Clone)]
+enum StampRef {
+    /// The one cached on its plan.
+    OfPlan,
+    /// One for a matrix other than the one the plan cached.
+    Own(Arc<Stamp>),
+}
+
 /// A declarative transaction program: the single source of truth for one
 /// transaction, run on either execution architecture — a shared plan plus
 /// this transaction's parameters. See the module docs for the full story and
 /// a runnable example.
 pub struct TxnProgram {
-    plan: Arc<Plan>,
+    plan: PlanRef,
     params: Params,
     /// Set by [`with_conflicts`](Self::with_conflicts) for a plan the matrix
     /// knows.
-    stamp: Option<Arc<Stamp>>,
+    stamp: Option<StampRef>,
 }
 
 impl std::fmt::Debug for TxnProgram {
@@ -739,26 +769,18 @@ impl std::fmt::Debug for TxnProgram {
     }
 }
 
-/// Source of [`ConflictMatrix`] ids, which key the plans' stamp caches.
-static MATRIX_IDS: AtomicU64 = AtomicU64::new(1);
-
-/// A fresh matrix id.
-pub(crate) fn next_matrix_id() -> u64 {
-    MATRIX_IDS.fetch_add(1, Ordering::Relaxed)
-}
-
 impl TxnProgram {
     /// Creates an empty program. `name` is the transaction-type label used
     /// by reports and statistics (e.g. `"tpcc-payment"`).
     pub fn new(name: &'static str) -> Self {
         Self {
-            plan: Arc::new(Plan {
+            plan: PlanRef::Owned(Arc::new(Plan {
                 name,
                 steps: Vec::new(),
                 phases: Vec::new(),
                 serial: false,
                 stamp: OnceLock::new(),
-            }),
+            })),
             params: Params::new(),
             stamp: None,
         }
@@ -768,9 +790,28 @@ impl TxnProgram {
     /// step is rebuilt — the plan is shared, and so is its conflict stamp.
     pub fn bind(&self, params: Params) -> TxnProgram {
         TxnProgram {
-            plan: Arc::clone(&self.plan),
+            plan: self.plan.clone(),
             params,
             stamp: self.stamp.clone(),
+        }
+    }
+
+    /// Keeps this program's plan for the rest of the process, so that
+    /// binding and running it touch no reference count. For the plans a
+    /// workload builds once per transaction type and binds on every call:
+    /// each is leaked once, for the workload's (usually the process's)
+    /// lifetime.
+    pub fn into_static(self) -> TxnProgram {
+        let plan = match self.plan {
+            PlanRef::Static(plan) => plan,
+            PlanRef::Owned(plan) => Box::leak(Box::new(
+                Arc::try_unwrap(plan).unwrap_or_else(|shared| (*shared).clone()),
+            )),
+        };
+        TxnProgram {
+            plan: PlanRef::Static(plan),
+            params: self.params,
+            stamp: None,
         }
     }
 
@@ -793,7 +834,15 @@ impl TxnProgram {
     /// A stamp describes the steps as they were, so it is dropped.
     fn plan_mut(&mut self) -> &mut Plan {
         self.stamp = None;
-        let plan = Arc::make_mut(&mut self.plan);
+        if let PlanRef::Static(plan) = self.plan {
+            self.plan = PlanRef::Owned(Arc::new(plan.clone()));
+        }
+        let plan = match &mut self.plan {
+            PlanRef::Owned(plan) => Arc::make_mut(plan),
+            // Invariant: the `if let` above replaced a static plan with an
+            // owned copy, so this arm never runs.
+            PlanRef::Static(_) => unreachable!("a static plan was just copied"),
+        };
         plan.stamp = OnceLock::new();
         plan
     }
@@ -843,7 +892,7 @@ impl TxnProgram {
     /// `true` if the serialized (DORA-S) plan was selected, by hand or by
     /// the conflict stamp.
     pub fn is_serialized(&self) -> bool {
-        self.plan.serial || self.stamp.as_ref().is_some_and(|stamp| stamp.serial)
+        self.plan.serial || self.stamp().is_some_and(|stamp| stamp.serial)
     }
 
     /// Number of steps across all phases.
@@ -955,20 +1004,28 @@ impl TxnProgram {
     /// by [`name`](Self::name)) are returned unchanged — ad-hoc programs
     /// stay fully probed.
     pub fn with_conflicts(mut self, matrix: &ConflictMatrix) -> Self {
-        let stamp = match self.plan.stamp.get() {
-            Some(stamp) if stamp.matrix == matrix.id() => Arc::clone(stamp),
-            cached => {
-                let stamp = Arc::new(Stamp::compute(&self.plan, matrix));
-                if cached.is_none() {
-                    let _ = self.plan.stamp.set(Arc::clone(&stamp));
-                }
-                stamp
-            }
+        let cached = match self.plan.stamp.get() {
+            Some(stamp) => stamp,
+            None => self
+                .plan
+                .stamp
+                .get_or_init(|| Stamp::compute(&self.plan, matrix)),
         };
-        if stamp.known {
-            self.stamp = Some(stamp);
-        }
+        self.stamp = if cached.matrix == matrix.id() {
+            cached.known.then_some(StampRef::OfPlan)
+        } else {
+            let own = Stamp::compute(&self.plan, matrix);
+            own.known.then(|| StampRef::Own(Arc::new(own)))
+        };
         self
+    }
+
+    /// The conflict stamp this program carries.
+    fn stamp(&self) -> Option<&Stamp> {
+        match self.stamp.as_ref()? {
+            StampRef::OfPlan => self.plan.stamp.get(),
+            StampRef::Own(stamp) => Some(stamp),
+        }
     }
 
     /// `true` if step `index` skips the local-lock table: marked by the
@@ -979,8 +1036,7 @@ impl TxnProgram {
             .get(index)
             .is_some_and(|step| step.probe_free)
             || self
-                .stamp
-                .as_ref()
+                .stamp()
                 .and_then(|stamp| stamp.probe_free.get(index).copied())
                 .unwrap_or(false)
     }
@@ -1049,7 +1105,7 @@ impl TxnProgram {
     /// Another program with the same plan, parameters and stamp.
     fn share(&self) -> TxnProgram {
         TxnProgram {
-            plan: Arc::clone(&self.plan),
+            plan: self.plan.clone(),
             params: self.params.clone(),
             stamp: self.stamp.clone(),
         }
@@ -1561,10 +1617,23 @@ mod tests {
         let first = plan.bind(Params::of([1])).with_conflicts(&matrix);
         let second = plan.bind(Params::of([2])).with_conflicts(&matrix);
         assert_eq!(first.elided_count(), 1);
-        assert!(Arc::ptr_eq(
-            first.stamp.as_ref().unwrap(),
-            second.stamp.as_ref().unwrap()
-        ));
+        assert!(matches!(first.stamp, Some(StampRef::OfPlan)));
+        assert!(matches!(second.stamp, Some(StampRef::OfPlan)));
+        // Another matrix gets a stamp of its own; the cached one stays.
+        let other = ConflictMatrix::analyze(
+            &[ProgramTemplate::new("bump-plan")
+                .step(StepTemplate::write("bump", table, vec![KeyAtom::Param("id")]).writes([1]))],
+            0.1,
+        );
+        let third = plan.bind(Params::of([3])).with_conflicts(&other);
+        assert!(matches!(third.stamp, Some(StampRef::Own(_))));
+        assert_eq!(third.elided_count(), 0);
+        assert_eq!(
+            plan.bind(Params::new())
+                .with_conflicts(&matrix)
+                .elided_count(),
+            1
+        );
         // Extending a stamped program drops the stamp: it described the
         // steps before the extension.
         let extended = first.rvp().step(bump_step(table, 3));

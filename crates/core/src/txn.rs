@@ -53,9 +53,9 @@ impl Rvp {
     }
 }
 
-/// `(table, executor)` pairs kept in place; a TPC-C NewOrder involves up to
-/// nine.
-const INVOLVED_INLINE: usize = 12;
+/// `(table, executor)` pairs kept in place: a TM1 or TPC-B transaction
+/// involves at most three, a TPC-C NewOrder five (which spills).
+const INVOLVED_INLINE: usize = 4;
 
 /// Internal, shared state of one DORA transaction.
 pub struct DoraTxnInner {

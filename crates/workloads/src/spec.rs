@@ -339,6 +339,16 @@ mod tests {
     }
 
     #[test]
+    fn c_last_number_inverts_c_last() {
+        for number in 0..1000 {
+            assert_eq!(c_last_number(&c_last(number)), Some(number));
+        }
+        assert_eq!(c_last_number("SMITH"), None);
+        assert_eq!(c_last_number("BARBARBARX"), None);
+        assert_eq!(c_last_number("BARBAR"), None);
+    }
+
+    #[test]
     fn chance_and_uniform_hold_bounds() {
         let mut rng = SmallRng::seed_from_u64(7);
         let mut hits = 0;

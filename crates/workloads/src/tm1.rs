@@ -148,7 +148,9 @@ impl Tm1 {
             return Ok(plan.bind(inputs.params()));
         }
         let built = self.build_plan(db, plan)?;
-        Ok(cell.get_or_init(|| built).bind(inputs.params()))
+        Ok(cell
+            .get_or_init(|| built.into_static())
+            .bind(inputs.params()))
     }
 
     /// Builds the plan of one transaction type. Every TM1 plan reads the

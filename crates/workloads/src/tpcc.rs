@@ -255,7 +255,9 @@ impl Tpcc {
             return Ok(plan.bind(inputs.params()));
         }
         let built = self.build_plan(db, plan)?;
-        Ok(cell.get_or_init(|| built).bind(inputs.params()))
+        Ok(cell
+            .get_or_init(|| built.into_static())
+            .bind(inputs.params()))
     }
 
     fn build_plan(&self, db: &Database, plan: TpccPlan) -> DbResult<TxnProgram> {

@@ -148,7 +148,7 @@ const LEDGER: [Row; 7] = [
         load: Load::Tm1,
         exact: exact(528, 312, 580, 315, 10, 0, 0),
         alloc_calls: band(7.89, 1.0),
-        alloc_bytes: band(3200.0, 64.0),
+        alloc_bytes: band(2208.0, 44.0),
     },
     Row {
         workload: "tm1_mix",
@@ -164,7 +164,7 @@ const LEDGER: [Row; 7] = [
         load: Load::Tpcb,
         exact: exact(400, 3200, 1600, 2400, 400, 0, 0),
         alloc_calls: band(33.70, 1.0),
-        alloc_bytes: band(8147.0, 163.0),
+        alloc_bytes: band(7395.0, 148.0),
     },
     Row {
         workload: "tpcb",
@@ -179,16 +179,16 @@ const LEDGER: [Row; 7] = [
         engine: EngineKind::Dora,
         load: Load::Tpcc,
         exact: exact(401, 3074, 3618, 5871, 2392, 0, 0),
-        alloc_calls: band(127.42, 1.0),
-        alloc_bytes: band(24202.0, 484.0),
+        alloc_calls: band(129.26, 1.0),
+        alloc_bytes: band(23916.0, 478.0),
     },
     Row {
         workload: "tpcc_mix",
         engine: EngineKind::Baseline,
         load: Load::Tpcc,
         exact: exact(401, 0, 0, 5871, 8498, 2888, 0),
-        alloc_calls: band(164.40, 1.0),
-        alloc_bytes: band(27233.0, 545.0),
+        alloc_calls: band(165.37, 1.0),
+        alloc_bytes: band(27666.0, 553.0),
     },
     Row {
         workload: "htap_tpcb",
@@ -196,7 +196,7 @@ const LEDGER: [Row; 7] = [
         load: Load::HtapTpcb,
         exact: exact(400, 3200, 1600, 2400, 400, 0, 2752),
         alloc_calls: band(57.30, 1.0),
-        alloc_bytes: band(10714.0, 214.0),
+        alloc_bytes: band(9962.0, 199.0),
     },
 ];
 
