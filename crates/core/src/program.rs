@@ -153,11 +153,6 @@ impl Params {
         self.0.push(value);
     }
 
-    /// Appends a float slot.
-    pub fn push_float(&mut self, value: f64) {
-        self.0.push(value.to_bits() as i64);
-    }
-
     /// These parameters with an integer slot appended.
     pub fn with(mut self, value: i64) -> Self {
         self.push(value);
@@ -166,7 +161,7 @@ impl Params {
 
     /// These parameters with a float slot appended.
     pub fn with_float(mut self, value: f64) -> Self {
-        self.push_float(value);
+        self.push(value.to_bits() as i64);
         self
     }
 
@@ -225,7 +220,7 @@ impl Shape {
     }
 
     /// The empty shape: no routing fields (a secondary step).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self(ShapeRepr::Fixed(Key::empty()))
     }
 
@@ -322,11 +317,6 @@ impl<'a> StepCtx<'a> {
             Backend::Baseline => CcMode::Full,
             Backend::Dora => CcMode::RowOnly,
         }
-    }
-
-    /// The transaction's parameters.
-    pub fn params(&self) -> &Params {
-        self.params
     }
 
     /// The integer parameter in `param`'s slot.
