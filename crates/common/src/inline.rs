@@ -47,6 +47,44 @@ impl<T, const N: usize> InlineVec<T, N> {
         self.len += 1;
     }
 
+    /// Inserts `value` at `index` (at the end if `index` is past it),
+    /// shifting the elements after it up by one.
+    pub fn insert(&mut self, index: usize, value: T) {
+        let index = index.min(self.len);
+        if index >= N {
+            self.spill.insert(index - N, value);
+        } else {
+            // The last inline element, if the inline part is full, moves to
+            // the front of the spill; its slot is then the free one that the
+            // rotation brings down to `index`.
+            if let Some(last) = self.inline[N - 1].take() {
+                self.spill.insert(0, last);
+            }
+            self.inline[index..].rotate_right(1);
+            self.inline[index] = Some(value);
+        }
+        self.len += 1;
+    }
+
+    /// Binary search over elements sorted by `compare` (which orders an
+    /// element against the target): `Ok` with the index of a match, or `Err`
+    /// with the index where the target would be inserted to keep the order.
+    pub fn binary_search_by(
+        &self,
+        mut compare: impl FnMut(&T) -> std::cmp::Ordering,
+    ) -> Result<usize, usize> {
+        let (mut low, mut high) = (0, self.len);
+        while low < high {
+            let mid = low + (high - low) / 2;
+            match self.get(mid).map(&mut compare) {
+                Some(std::cmp::Ordering::Less) => low = mid + 1,
+                Some(std::cmp::Ordering::Equal) => return Ok(mid),
+                _ => high = mid,
+            }
+        }
+        Err(low)
+    }
+
     /// The element at `index`, if any.
     pub fn get(&self, index: usize) -> Option<&T> {
         match self.inline.get(index) {
@@ -128,6 +166,37 @@ impl<T, const N: usize> IntoIterator for InlineVec<T, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn insert_keeps_order_across_the_inline_boundary() {
+        let mut vec: InlineVec<u32, 3> = InlineVec::new();
+        let mut model = Vec::new();
+        // Inserts at the front, the middle, the boundary and the end, into
+        // a vector that is first partly inline, then spilled.
+        for (step, value) in (0..40u32).enumerate() {
+            let index = match step % 4 {
+                0 => 0,
+                1 => model.len() / 2,
+                2 => 3.min(model.len()),
+                _ => model.len() + 5,
+            };
+            vec.insert(index, value);
+            model.insert(index.min(model.len()), value);
+            assert!(
+                vec.iter().eq(model.iter()),
+                "after inserting {value} at {index}"
+            );
+        }
+        let sorted: InlineVec<u32, 3> = (0..50).map(|n| n * 2).collect();
+        assert_eq!(sorted.binary_search_by(|n| n.cmp(&0)), Ok(0));
+        assert_eq!(sorted.binary_search_by(|n| n.cmp(&98)), Ok(49));
+        assert_eq!(sorted.binary_search_by(|n| n.cmp(&7)), Err(4));
+        assert_eq!(sorted.binary_search_by(|n| n.cmp(&99)), Err(50));
+        assert_eq!(
+            InlineVec::<u32, 3>::new().binary_search_by(|n| n.cmp(&1)),
+            Err(0)
+        );
+    }
 
     #[test]
     fn elements_past_the_inline_capacity_spill_in_order() {

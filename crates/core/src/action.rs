@@ -47,7 +47,9 @@ const SCRATCH_INLINE: usize = 4;
 ///
 /// An entry is named by a string literal and an index (`("price", 3)`), so
 /// storing one allocates nothing beyond a `Text` value, and the first
-/// entries live in the scratchpad itself.
+/// entries live in the scratchpad itself. Entries are kept sorted by name and
+/// index, so a lookup is a binary search even when a transaction stores a
+/// few hundred (a TPC-C StockLevel's distinct items).
 #[derive(Debug, Default)]
 pub struct Scratch {
     values: Mutex<InlineVec<((&'static str, usize), Value), SCRATCH_INLINE>>,
@@ -69,12 +71,13 @@ impl Scratch {
     pub fn put_at(&self, name: &'static str, index: usize, value: impl Into<Value>) {
         let value = value.into();
         let mut values = self.values.lock();
-        let position = values
-            .iter()
-            .position(|(slot, _)| slot.1 == index && slot.0 == name);
-        match position.and_then(|position| values.get_mut(position)) {
-            Some((_, old)) => *old = value,
-            None => values.push(((name, index), value)),
+        match values.binary_search_by(|(slot, _)| slot.cmp(&(name, index))) {
+            Ok(position) => {
+                if let Some((_, old)) = values.get_mut(position) {
+                    *old = value;
+                }
+            }
+            Err(position) => values.insert(position, ((name, index), value)),
         }
     }
 
@@ -85,11 +88,11 @@ impl Scratch {
 
     /// Reads the value stored under entry `index` of `name`.
     pub fn get_at(&self, name: &str, index: usize) -> Option<Value> {
-        self.values
-            .lock()
-            .iter()
-            .find(|(slot, _)| slot.1 == index && slot.0 == name)
-            .map(|(_, value)| value.clone())
+        let values = self.values.lock();
+        let position = values
+            .binary_search_by(|(slot, _)| slot.cmp(&(name, index)))
+            .ok()?;
+        values.get(position).map(|(_, value)| value.clone())
     }
 
     /// Reads an integer stored under `name`, failing if absent or non-int.
@@ -317,6 +320,32 @@ mod tests {
         assert_eq!(scratch.get_int("item").unwrap(), -1);
         assert!(scratch.get_int_at("item", 40).is_err());
         assert!(scratch.get_at("other", 3).is_none());
+    }
+
+    #[test]
+    fn hundreds_of_entries_under_several_names_stay_addressable() {
+        // StockLevel-sized: a few hundred indexed entries, stored in an
+        // order that is neither sorted nor reversed, beside other names.
+        let scratch = Scratch::new();
+        scratch.put("count", 0i64);
+        for step in 0..300usize {
+            let index = (step * 7) % 300;
+            scratch.put_at("item", index, index as i64);
+            scratch.put_at("amount", 299 - index, index as f64);
+        }
+        scratch.put("zeta", 1i64);
+        scratch.put("count", 300i64);
+        for index in 0..300 {
+            assert_eq!(scratch.get_int_at("item", index).unwrap(), index as i64);
+            assert_eq!(
+                scratch.get_float_at("amount", 299 - index).unwrap(),
+                index as f64
+            );
+        }
+        assert_eq!(scratch.get_int("count").unwrap(), 300);
+        assert_eq!(scratch.get_int("zeta").unwrap(), 1);
+        assert!(scratch.get_at("item", 300).is_none());
+        assert!(scratch.get_at("items", 0).is_none());
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl FanoutCounters {
             return Ok(plan.bind(params));
         }
         let plan = self.bump_plan(db, keys.len())?;
-        Ok(self.plan.get_or_init(|| plan.into_static()).bind(params))
+        Ok(self.plan.get_or_init(|| plan).bind(params))
     }
 
     /// The plan bumping `keys` counters, the `i`-th from parameter slot `i`.

@@ -99,10 +99,7 @@ impl SkewedCounters {
                 Ok(())
             },
         );
-        Ok(self
-            .plan
-            .get_or_init(|| plan.into_static())
-            .bind(Params::of([key])))
+        Ok(self.plan.get_or_init(|| plan).bind(Params::of([key])))
     }
 }
 

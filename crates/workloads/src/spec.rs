@@ -274,6 +274,9 @@ pub fn nurand(rng: &mut SmallRng, a: i64, x: i64, y: i64) -> i64 {
 /// TPC-C customer last-name generator: concatenates three syllables chosen by
 /// the digits of `num` (0..=999).
 pub fn c_last(num: i64) -> String {
+    const SYLLABLES: [&str; 10] = [
+        "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
+    ];
     let num = num.clamp(0, 999) as usize;
     format!(
         "{}{}{}",
@@ -281,24 +284,6 @@ pub fn c_last(num: i64) -> String {
         SYLLABLES[(num / 10) % 10],
         SYLLABLES[num % 10]
     )
-}
-
-/// The syllables of [`c_last`] names.
-const SYLLABLES: [&str; 10] = [
-    "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
-];
-
-/// The number `n` with `c_last(n) == name`, if there is one. No syllable is
-/// a prefix of another, so the split is unique.
-pub(crate) fn c_last_number(name: &str) -> Option<i64> {
-    let mut rest = name;
-    let mut number = 0;
-    for _ in 0..3 {
-        let digit = SYLLABLES.iter().position(|s| rest.starts_with(s))?;
-        rest = &rest[SYLLABLES[digit].len()..];
-        number = number * 10 + digit as i64;
-    }
-    rest.is_empty().then_some(number)
 }
 
 /// Random TPC-C-style last name for probing (uses NURand(255, 0, 999)).
@@ -336,16 +321,6 @@ mod tests {
         assert_eq!(c_last(371), "PRICALLYOUGHT");
         assert_eq!(c_last(999), "EINGEINGEING");
         assert_eq!(c_last(-5), "BARBARBAR", "out-of-range values are clamped");
-    }
-
-    #[test]
-    fn c_last_number_inverts_c_last() {
-        for number in 0..1000 {
-            assert_eq!(c_last_number(&c_last(number)), Some(number));
-        }
-        assert_eq!(c_last_number("SMITH"), None);
-        assert_eq!(c_last_number("BARBARBARX"), None);
-        assert_eq!(c_last_number("BARBAR"), None);
     }
 
     #[test]

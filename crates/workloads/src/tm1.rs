@@ -148,9 +148,7 @@ impl Tm1 {
             return Ok(plan.bind(inputs.params()));
         }
         let built = self.build_plan(db, plan)?;
-        Ok(cell
-            .get_or_init(|| built.into_static())
-            .bind(inputs.params()))
+        Ok(cell.get_or_init(|| built).bind(inputs.params()))
     }
 
     /// Builds the plan of one transaction type. Every TM1 plan reads the

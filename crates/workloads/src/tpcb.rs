@@ -137,7 +137,7 @@ impl TpcB {
             return Ok(plan.bind(params));
         }
         let plan = self.account_update_plan(db)?;
-        Ok(self.plan.get_or_init(|| plan.into_static()).bind(params))
+        Ok(self.plan.get_or_init(|| plan).bind(params))
     }
 
     /// The plan of [`account_update_program`](Self::account_update_program),

@@ -24,7 +24,7 @@ use dora_core::{
 
 use dora_storage::{ColumnDef, Database, IndexSpec, TableSchema};
 
-use crate::spec::{c_last, c_last_number, chance, nurand, uniform, Workload};
+use crate::spec::{c_last, chance, nurand, uniform, Workload};
 
 /// Districts per warehouse (fixed by the specification).
 pub const DISTRICTS_PER_WAREHOUSE: i64 = 10;
@@ -202,7 +202,6 @@ impl Tpcc {
                     None => Err(ctx.abort("no such customer")),
                 }
             }
-            NO_SUCH_NAME => Err(ctx.abort("no customer with last name")),
             name => {
                 let hits = ctx.db.probe_secondary(
                     ctx.txn,
@@ -255,9 +254,7 @@ impl Tpcc {
             return Ok(plan.bind(inputs.params()));
         }
         let built = self.build_plan(db, plan)?;
-        Ok(cell
-            .get_or_init(|| built.into_static())
-            .bind(inputs.params()))
+        Ok(cell.get_or_init(|| built).bind(inputs.params()))
     }
 
     fn build_plan(&self, db: &Database, plan: TpccPlan) -> DbResult<TxnProgram> {
@@ -896,10 +893,8 @@ impl Tpcc {
 pub enum CustomerSelector {
     /// By primary key.
     ById(i64),
-    /// By last name through the `customer_by_name` secondary index.
-    ByLastName(String),
-    /// By the last name `c_last(n)` (the loader's names), through the
-    /// secondary index; what the mix draws, since it needs no string.
+    /// By the last name `c_last(n)` (the loader's names; `n` is clamped to
+    /// `0..=999`) through the `customer_by_name` secondary index.
     ByLastNumber(i64),
 }
 
@@ -908,7 +903,6 @@ impl CustomerSelector {
     fn encode(&self) -> (i64, i64) {
         match self {
             CustomerSelector::ById(c_id) => (*c_id, BY_ID),
-            CustomerSelector::ByLastName(name) => (0, c_last_number(name).unwrap_or(NO_SUCH_NAME)),
             CustomerSelector::ByLastNumber(number) => (0, (*number).clamp(0, 999)),
         }
     }
@@ -950,16 +944,13 @@ const D_ID: Param = Param::new(1, "d_id");
 const C_W_ID: Param = Param::new(2, "c_w_id");
 const C_D_ID: Param = Param::new(3, "c_d_id");
 const C_ID: Param = Param::new(4, "c_id");
-/// The customer's last-name number (`c_last`), [`BY_ID`] or
-/// [`NO_SUCH_NAME`].
+/// The customer's last-name number (`c_last`), or [`BY_ID`].
 const C_LAST: Param = Param::new(5, "c_last");
 const AMOUNT: Param = Param::new(6, "amount");
 const CARRIER: Param = Param::new(7, "carrier");
 const THRESHOLD: Param = Param::new(7, "threshold");
 /// `C_LAST` when the customer is selected by id.
 const BY_ID: i64 = -1;
-/// `C_LAST` for a last name the loader never assigns: no customer has it.
-const NO_SUCH_NAME: i64 = -2;
 /// The first slot of NewOrder's item list: item id and quantity per item.
 const ITEMS: usize = 8;
 
@@ -1644,9 +1635,8 @@ mod tests {
     fn payment_by_last_name_uses_secondary_index() {
         let (db, workload) = small_tpcc();
         // Customer 7's last name under the loader's naming scheme.
-        let last = c_last(7);
         let program = workload
-            .payment_program(&db, 1, 1, 1, 1, CustomerSelector::ByLastName(last), 25.0)
+            .payment_program(&db, 1, 1, 1, 1, CustomerSelector::ByLastNumber(7), 25.0)
             .unwrap();
         assert_eq!(
             run_baseline_once(&db, program).unwrap(),

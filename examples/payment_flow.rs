@@ -26,15 +26,7 @@ fn main() {
     // One declarative definition of Payment, compiled for DORA: the flow
     // graph the paper draws in Figure 4.
     let graph = workload
-        .payment_program(
-            &db,
-            1,
-            4,
-            1,
-            4,
-            CustomerSelector::ByLastName("BARBARBAR".into()),
-            42.0,
-        )
+        .payment_program(&db, 1, 4, 1, 4, CustomerSelector::ByLastNumber(0), 42.0)
         .expect("build program")
         .compile_dora();
     println!("\nPayment transaction flow graph:");
