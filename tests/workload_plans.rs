@@ -7,6 +7,8 @@
 //! * The conflict stamp is pinned the same way: the same draws, stamped with
 //!   the workload's bind-time conflict matrix, mark the same steps
 //!   probe-free and the same programs DORA-S.
+//! * The conflict report is pinned verbatim: the bind-time matrix of the TM1
+//!   and TPC-C full mixes, with table names from the catalog.
 //! * The plans and the hand-written conflict templates agree: every step of
 //!   every TM1 and TPC-C plan matches its template one-to-one on label,
 //!   table, route shape, full-key shape and access kind. The templates are
@@ -35,13 +37,19 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
+/// The bind-time conflict matrix of `workload`, under the default DORA-S
+/// threshold.
+fn conflict_matrix(workload: &dyn Workload, db: &Database) -> ConflictMatrix {
+    ConflictMatrix::analyze(
+        &workload.conflict_templates(db).unwrap(),
+        DoraConfig::default().serialize_abort_threshold,
+    )
+}
+
 fn draw_digest(workload: &dyn Workload, stamped: bool) -> u64 {
     let db = Database::for_tests();
     workload.setup(&db).unwrap();
-    let matrix = ConflictMatrix::analyze(
-        &workload.conflict_templates(&db).unwrap(),
-        DoraConfig::default().serialize_abort_threshold,
-    );
+    let matrix = conflict_matrix(workload, &db);
     let mut rng = SmallRng::seed_from_u64(SEED);
     let mut hash = 0xcbf2_9ce4_8422_2325;
     for _ in 0..DRAWS {
@@ -114,6 +122,47 @@ fn stamped_draws_mark_the_same_probe_free_steps_and_serial_plans() {
         "the conflict stamp changed:\n{}",
         drift.join("\n")
     );
+}
+
+const TM1_REPORT: &str = "\
+conflict analysis: 11 templates (10 routed), 4 probe-free, 9 conflicting pairs
+  probe-free: tm1-get-access-data / get-access-data
+  probe-free: tm1-get-new-destination / probe-facility
+  probe-free: tm1-get-subscriber-data / get-subscriber
+  probe-free: tm1-insert-call-forwarding / probe-facility
+  auto-serialized (DORA-S): tm1-get-new-destination (predicted abort rate 0.72)
+  auto-serialized (DORA-S): tm1-insert-call-forwarding (predicted abort rate 0.56)
+  auto-serialized (DORA-S): tm1-update-subscriber-data (predicted abort rate 0.62)
+  routing coverage: 1 step(s) run unrouted on the submitting thread:
+    tm1-update-location / resolve-sub-nbr on subscriber [declared secondary]
+";
+
+const TPCC_REPORT: &str = "\
+conflict analysis: 20 templates (20 routed), 4 probe-free, 20 conflicting pairs
+  probe-free: tpcc-new-order / neworder-customer
+  probe-free: tpcc-new-order / neworder-item
+  probe-free: tpcc-order-status / orderstatus-customer
+  probe-free: tpcc-payment / payment-history
+  routing coverage: complete
+";
+
+#[test]
+fn the_conflict_report_of_each_full_mix_is_pinned() {
+    let workloads: [(&str, Arc<dyn Workload>, &str); 2] = [
+        ("tm1", Arc::new(Tm1::new(1_000)), TM1_REPORT),
+        ("tpcc", Arc::new(Tpcc::with_scale(2, 30, 200)), TPCC_REPORT),
+    ];
+    for (name, workload, expected) in &workloads {
+        let db = Database::for_tests();
+        workload.setup(&db).unwrap();
+        let report = conflict_matrix(workload.as_ref(), &db).report(&|table| {
+            db.catalog()
+                .table(table)
+                .map(|meta| meta.schema.name.clone())
+                .unwrap_or_else(|_| table.to_string())
+        });
+        assert_eq!(report, *expected, "{name}: the conflict report changed");
+    }
 }
 
 /// Why `step` and `template` disagree, if they do.
