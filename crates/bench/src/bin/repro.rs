@@ -10,30 +10,27 @@
 //! cargo run -p dora-bench --release --bin repro -- saturation --json
 //! cargo run -p dora-bench --release --bin repro -- chaos --json
 //! cargo run -p dora-bench --release --bin repro -- htap --json
-//! cargo run -p dora-bench --release --bin repro -- conflicts --json
 //! ```
 //!
 //! Every figure of the evaluation section (and the appendix) has a
 //! subcommand; `fig9` is validated by the integration test
-//! `payment_twelve_steps` instead of a measurement. Eight experiments are
+//! `payment_twelve_steps` instead of a measurement. Seven experiments are
 //! this reproduction's own: `skew` (adaptive repartitioning under a zipfian
 //! workload), `dispatch` (the executor message path, idle vs busy
 //! executors), `commit` (group commit with and without ELR across log-device
 //! latencies), `recover` (the one recovery path, with and without a
 //! checkpoint), `saturation` (offered load swept
 //! past saturation through the `dora-server` front-end, admission control
-//! on/off) and `chaos` (goodput under a seeded deterministic fault
+//! on/off), `chaos` (goodput under a seeded deterministic fault
 //! schedule — log-device errors, latency spikes, flusher stalls, executor
-//! panics — with the self-healing paths off vs on), `htap` (live
+//! panics — with the self-healing paths off vs on) and `htap` (live
 //! analytical snapshot scans against full-load OLTP: interference,
-//! scan throughput, snapshot staleness and the scans' lock-freedom) and
-//! `conflicts` (static conflict analysis over the declared step templates:
-//! lock-probe elision off vs on, the probe drop and the bind-time report).
+//! scan throughput, snapshot staleness and the scans' lock-freedom).
 //! Each optionally emits a
 //! machine-readable summary for CI's bench-smoke artifacts via
 //! `--json[=path]` (defaults `BENCH_skew.json` / `BENCH_dispatch.json` /
 //! `BENCH_commit.json` / `BENCH_recover.json` / `BENCH_saturation.json` /
-//! `BENCH_chaos.json` / `BENCH_htap.json` / `BENCH_conflicts.json`; an
+//! `BENCH_chaos.json` / `BENCH_htap.json`; an
 //! explicit path applies
 //! when a single JSON-producing experiment is requested, otherwise each
 //! falls back to its default). Reports are printed to stdout; absolute numbers depend on the
@@ -60,7 +57,7 @@ fn main() {
     // explicit --json=path only applies when exactly one of them runs, so
     // two experiments never clobber one file.
     let json_producers_requested = if run_all {
-        8
+        7
     } else {
         [
             "skew",
@@ -70,7 +67,6 @@ fn main() {
             "saturation",
             "chaos",
             "htap",
-            "conflicts",
         ]
         .iter()
         .filter(|name| requested.iter().any(|a| a.as_str() == **name))
@@ -144,13 +140,6 @@ fn main() {
             write_json(&path, summary.to_json());
         }
     };
-    let run_conflicts = |scale: &Scale| {
-        let (report, summary) = experiments::conflicts_with_summary(scale);
-        println!("{report}");
-        if let Some(path) = json_path_for("BENCH_conflicts.json") {
-            write_json(&path, summary.to_json());
-        }
-    };
 
     if run_all {
         println!(
@@ -169,7 +158,6 @@ fn main() {
         run_saturation(&scale);
         run_chaos(&scale);
         run_htap(&scale);
-        run_conflicts(&scale);
         return;
     }
 
@@ -205,10 +193,6 @@ fn main() {
                 run_htap(&scale);
                 ran_json_producer = true;
             }
-            "conflicts" => {
-                run_conflicts(&scale);
-                ran_json_producer = true;
-            }
             other => match experiments::by_name(other, &scale) {
                 Some(report) => println!("{report}"),
                 None => unknown.push(other.to_string()),
@@ -217,12 +201,12 @@ fn main() {
     }
     if json_requested && !ran_json_producer {
         eprintln!(
-            "warning: --json ignored — none of skew/dispatch/commit/recover/saturation/chaos/htap/conflicts was requested"
+            "warning: --json ignored — none of skew/dispatch/commit/recover/saturation/chaos/htap was requested"
         );
     }
     if !unknown.is_empty() {
         eprintln!(
-            "unknown experiment(s): {} (valid: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig10 fig11 skew dispatch commit recover saturation chaos htap conflicts all)",
+            "unknown experiment(s): {} (valid: fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig10 fig11 skew dispatch commit recover saturation chaos htap all)",
             unknown.join(", ")
         );
         std::process::exit(2);

@@ -23,8 +23,7 @@ use rand::SeedableRng;
 
 use crate::report::{breakdown_row, pct, txn_stats_table, Report};
 use crate::setup::{
-    prepare, prepare_with_config, run_clients, sweep, sweep_stats, sweep_with_config, Scale,
-    SystemUnderTest,
+    prepare, run_clients, sweep, sweep_stats, sweep_with_config, Scale, SystemUnderTest,
 };
 use crate::trace::AccessTrace;
 
@@ -2786,296 +2785,6 @@ pub fn htap_with_summary(scale: &Scale) -> (Report, HtapSummary) {
     (report, summary)
 }
 
-/// One measured cell of the `conflicts` experiment: one workload's full mix
-/// driven at 100% offered load on DORA, with conflict-driven probe elision
-/// either off (every routed action probes its local lock table) or on
-/// (bind-time-proved no-conflict steps skip the probe entirely).
-#[derive(Debug, Clone)]
-pub struct ConflictCell {
-    /// Whether `DoraConfig::conflict_elision` was on for this run.
-    pub elision: bool,
-    /// Commits per second over the measured interval.
-    pub tps: f64,
-    /// Transactions committed during the measured interval.
-    pub committed: u64,
-    /// Local-lock-table acquisitions during the measured interval.
-    pub local_lock_acquisitions: u64,
-    /// Probes skipped because the conflict matrix proved the step safe.
-    pub probes_elided: u64,
-    /// Actions that fell back to the submitting thread because no routing
-    /// identifier covered them (counted per dispatch).
-    pub secondary_fallbacks: u64,
-    /// Local-lock acquisitions per committed transaction.
-    pub locks_per_txn: f64,
-    /// Elided probes per committed transaction.
-    pub elided_per_txn: f64,
-}
-
-/// Everything the `conflicts` experiment learned about one workload: the
-/// static bind-time matrix facts plus the off/on measured cells.
-#[derive(Debug, Clone)]
-pub struct ConflictWorkloadResult {
-    /// Workload label ("TM1" / "TPC-C").
-    pub workload: &'static str,
-    /// Step templates declared by the workload.
-    pub templates: usize,
-    /// Routed (non-secondary) templates the solver analyzed.
-    pub routed: usize,
-    /// Templates proved conflict-free (probe-elidable).
-    pub probe_free: usize,
-    /// Conflicting template pairs (including self-pairs).
-    pub conflicting_pairs: usize,
-    /// Programs the matrix auto-derives as DORA-S serialized plans.
-    pub auto_serialized: usize,
-    /// Steps the routing fields cannot cover (bind-time coverage report).
-    pub coverage_gaps: usize,
-    /// The conflict report a DORA bind prints for this workload.
-    pub report: String,
-    /// The measured cells, elision off then on.
-    pub cells: Vec<ConflictCell>,
-}
-
-impl ConflictWorkloadResult {
-    /// The measured cell for the given elision setting.
-    pub fn cell(&self, elision: bool) -> Option<&ConflictCell> {
-        self.cells.iter().find(|c| c.elision == elision)
-    }
-
-    /// Fractional drop in per-transaction local-lock acquisitions with
-    /// elision on vs. off (0.5 = half the probes gone). `None` until both
-    /// cells exist.
-    pub fn probe_drop(&self) -> Option<f64> {
-        let off = self.cell(false)?;
-        let on = self.cell(true)?;
-        if off.locks_per_txn <= 0.0 {
-            return None;
-        }
-        Some(1.0 - on.locks_per_txn / off.locks_per_txn)
-    }
-}
-
-/// Everything the `conflicts` experiment measured; serialized to
-/// `BENCH_conflicts.json` by the CI bench-smoke job.
-#[derive(Debug, Clone)]
-pub struct ConflictsSummary {
-    /// Measured interval length per cell, in milliseconds.
-    pub interval_ms: u64,
-    /// Closed-loop clients per cell.
-    pub clients: usize,
-    /// One entry per workload.
-    pub workloads: Vec<ConflictWorkloadResult>,
-}
-
-impl ConflictsSummary {
-    /// Renders the summary as a small JSON document (hand-rolled like the
-    /// other summaries; no serde in the workspace). The bind-time report
-    /// text stays out of the JSON — it is in the plain-text report.
-    pub fn to_json(&self) -> String {
-        let workloads = self
-            .workloads
-            .iter()
-            .map(|w| {
-                let cells = w
-                    .cells
-                    .iter()
-                    .map(|c| {
-                        format!(
-                            concat!(
-                                "        {{\"elision\": {}, \"tps\": {:.1}, ",
-                                "\"committed\": {}, ",
-                                "\"local_lock_acquisitions\": {}, ",
-                                "\"probes_elided\": {}, ",
-                                "\"secondary_fallbacks\": {}, ",
-                                "\"locks_per_txn\": {:.3}, ",
-                                "\"elided_per_txn\": {:.3}}}"
-                            ),
-                            c.elision,
-                            c.tps,
-                            c.committed,
-                            c.local_lock_acquisitions,
-                            c.probes_elided,
-                            c.secondary_fallbacks,
-                            c.locks_per_txn,
-                            c.elided_per_txn,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!(
-                    concat!(
-                        "    {{\"workload\": \"{}\", \"templates\": {}, ",
-                        "\"routed\": {}, \"probe_free\": {}, ",
-                        "\"conflicting_pairs\": {}, \"auto_serialized\": {}, ",
-                        "\"coverage_gaps\": {}, \"probe_drop\": {:.3}, ",
-                        "\"cells\": [\n{}\n    ]}}"
-                    ),
-                    w.workload,
-                    w.templates,
-                    w.routed,
-                    w.probe_free,
-                    w.conflicting_pairs,
-                    w.auto_serialized,
-                    w.coverage_gaps,
-                    w.probe_drop().unwrap_or(0.0),
-                    cells,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"conflicts\",\n",
-                "  \"interval_ms\": {},\n  \"clients\": {},\n",
-                "  \"workloads\": [\n{}\n  ]\n}}\n"
-            ),
-            self.interval_ms, self.clients, workloads
-        )
-    }
-}
-
-/// Runs one `conflicts` cell.
-fn run_conflicts_cell(scale: &Scale, workload: &'static str, elision: bool) -> ConflictCell {
-    let config = DoraConfig {
-        conflict_elision: elision,
-        ..DoraConfig::default()
-    };
-    let prepared = match workload {
-        "TM1" => prepare_with_config(scale.tm1(), scale, SystemUnderTest::Dora, config),
-        _ => prepare_with_config(scale.tpcc(), scale, SystemUnderTest::Dora, config),
-    };
-    let result = run_clients(&prepared, scale, scale.clients_for(100.0));
-    prepared.shutdown();
-    let committed = result.committed.max(1) as f64;
-    let local_locks = result.metrics.counter(CounterKind::DoraLocalLock);
-    let elided = result.metrics.counter(CounterKind::LockProbesElided);
-    ConflictCell {
-        elision,
-        tps: result.throughput_tps,
-        committed: result.committed,
-        local_lock_acquisitions: local_locks,
-        probes_elided: elided,
-        secondary_fallbacks: result.metrics.counter(CounterKind::SecondaryFallbacks),
-        locks_per_txn: local_locks as f64 / committed,
-        elided_per_txn: elided as f64 / committed,
-    }
-}
-
-/// The `conflicts` experiment: for TM1 and TPC-C (full mixes), run DORA at
-/// 100% offered load with conflict-driven probe elision off and on, and
-/// report the local-lock-probe drop the static analysis buys. The headline
-/// claim: the solver dismisses most TM1 probes (read-dominated mix) at
-/// equal-or-better throughput, because an elided probe is latch work and
-/// Completed-message fan-out that never happens.
-pub fn conflicts(scale: &Scale) -> Report {
-    conflicts_with_summary(scale).0
-}
-
-/// [`conflicts`], also returning the machine-readable summary.
-pub fn conflicts_with_summary(scale: &Scale) -> (Report, ConflictsSummary) {
-    use dora_core::ConflictMatrix;
-
-    let clients = scale.clients_for(100.0);
-    let mut workloads = Vec::new();
-    for workload in ["TM1", "TPC-C"] {
-        let cells = [false, true]
-            .map(|elision| run_conflicts_cell(scale, workload, elision))
-            .to_vec();
-        // Static matrix facts, recomputed from the declared templates so the
-        // summary does not depend on which engine instance survived.
-        let db = Database::new(scale.system_config());
-        let spec = match workload {
-            "TM1" => {
-                let w = scale.tm1();
-                w.setup(&db).expect("set up workload");
-                w.conflict_templates(&db).expect("templates")
-            }
-            _ => {
-                let w = scale.tpcc();
-                w.setup(&db).expect("set up workload");
-                w.conflict_templates(&db).expect("templates")
-            }
-        };
-        let matrix =
-            ConflictMatrix::analyze(&spec, DoraConfig::default().serialize_abort_threshold);
-        workloads.push(ConflictWorkloadResult {
-            workload,
-            templates: spec.iter().map(|p| p.steps().len()).sum(),
-            routed: matrix.routed_count(),
-            probe_free: matrix.probe_free_count(),
-            conflicting_pairs: matrix.conflict_pair_count(),
-            auto_serialized: matrix.serialized_count(),
-            coverage_gaps: matrix.coverage_gaps().len(),
-            report: matrix.report(&|table| {
-                db.catalog()
-                    .table(table)
-                    .map(|meta| meta.schema.name.clone())
-                    .unwrap_or_else(|_| table.to_string())
-            }),
-            cells,
-        });
-    }
-    let summary = ConflictsSummary {
-        interval_ms: scale.duration.as_millis() as u64,
-        clients,
-        workloads,
-    };
-
-    let mut report = Report::new("Conflict analysis: probe elision off vs on (DORA, 100% load)");
-    report.line(format!(
-        "  {} closed-loop clients, {} ms per cell",
-        summary.clients, summary.interval_ms
-    ));
-    report.blank();
-    for w in &summary.workloads {
-        report.line(format!(
-            concat!(
-                "{}: {} templates ({} routed), {} probe-free, ",
-                "{} conflicting pairs, {} auto-serialized, {} coverage gaps"
-            ),
-            w.workload,
-            w.templates,
-            w.routed,
-            w.probe_free,
-            w.conflicting_pairs,
-            w.auto_serialized,
-            w.coverage_gaps,
-        ));
-        report.line(format!(
-            "  {:>8} {:>10} {:>10} {:>12} {:>10} {:>11} {:>9}",
-            "elision", "tps", "txns", "local-locks", "locks/txn", "elided/txn", "sec-fall",
-        ));
-        for cell in &w.cells {
-            report.line(format!(
-                "  {:>8} {:>10.0} {:>10} {:>12} {:>10.2} {:>11.2} {:>9}",
-                if cell.elision { "on" } else { "off" },
-                cell.tps,
-                cell.committed,
-                cell.local_lock_acquisitions,
-                cell.locks_per_txn,
-                cell.elided_per_txn,
-                cell.secondary_fallbacks,
-            ));
-        }
-        if let Some(drop) = w.probe_drop() {
-            report.line(format!(
-                "  probe drop: {} fewer local-lock acquisitions per committed txn",
-                pct(drop)
-            ));
-        }
-        if !w.report.is_empty() {
-            report.line("  bind-time report:");
-            for line in w.report.lines() {
-                report.line(format!("    {line}"));
-            }
-        }
-        report.blank();
-    }
-    report.line("  (local-locks counts LocalLockTable grants during the measured");
-    report.line("   interval; elided probes never reach the table and never join");
-    report.line("   the Completed-message release fan-out)");
-    (report, summary)
-}
-
 /// Runs every paper figure at the given scale, returning the reports.
 /// The `skew` experiment is not included — run it through
 /// [`skew_with_summary`] so its report and machine-readable summary come
@@ -3096,8 +2805,7 @@ pub fn figures(scale: &Scale) -> Vec<Report> {
 }
 
 /// Runs every experiment (paper figures plus `skew`, `dispatch`, `commit`,
-/// `recover`, `saturation`, `chaos`, `htap` and `conflicts`) at the given
-/// scale.
+/// `recover`, `saturation`, `chaos` and `htap`) at the given scale.
 pub fn all(scale: &Scale) -> Vec<Report> {
     let mut reports = figures(scale);
     reports.push(skew(scale));
@@ -3107,7 +2815,6 @@ pub fn all(scale: &Scale) -> Vec<Report> {
     reports.push(saturation(scale));
     reports.push(chaos(scale));
     reports.push(htap(scale));
-    reports.push(conflicts(scale));
     reports
 }
 
@@ -3133,7 +2840,6 @@ pub fn by_name(name: &str, scale: &Scale) -> Option<Report> {
         "saturation" => Some(saturation(scale)),
         "chaos" => Some(chaos(scale)),
         "htap" => Some(htap(scale)),
-        "conflicts" => Some(conflicts(scale)),
         _ => None,
     }
 }
@@ -3287,49 +2993,6 @@ mod tests {
         assert!(json.contains("\"experiment\": \"htap\""), "{json}");
         assert!(json.contains("\"oltp_retention\""), "{json}");
         assert!(json.contains("\"scan_lock_acquisitions\": 0"), "{json}");
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close} in {json}"
-            );
-        }
-    }
-
-    #[test]
-    fn conflicts_reports_both_workloads_and_json_is_well_formed() {
-        let scale = micro_scale();
-        let (report, summary) = conflicts_with_summary(&scale);
-        let text = report.render();
-        assert!(text.contains("TM1"), "{text}");
-        assert!(text.contains("TPC-C"), "{text}");
-        assert!(text.contains("probe-free"), "{text}");
-
-        assert_eq!(summary.workloads.len(), 2, "{{TM1, TPC-C}}");
-        for w in &summary.workloads {
-            assert_eq!(w.cells.len(), 2, "{}: off and on", w.workload);
-            assert!(w.cell(false).is_some() && w.cell(true).is_some());
-            // Static matrix facts are deterministic: both workloads must
-            // prove some probes away, and TM1's read-heavy mix proves most
-            // of its routed templates safe.
-            assert!(w.probe_free > 0, "{}: nothing proved safe", w.workload);
-            assert!(
-                w.probe_free < w.routed,
-                "{}: writers must probe",
-                w.workload
-            );
-            assert!(!w.report.is_empty(), "{}: bind report missing", w.workload);
-            // Counters are process-global, so parallel tests can inflate the
-            // measured deltas — only the sign is asserted here; the strict
-            // off/on comparison lives in tests/conflict_elision.rs.
-            let on = w.cell(true).unwrap();
-            assert!(on.probes_elided > 0, "{}: elision never fired", w.workload);
-        }
-
-        let json = summary.to_json();
-        assert!(json.contains("\"experiment\": \"conflicts\""), "{json}");
-        assert!(json.contains("\"probe_drop\""), "{json}");
-        assert!(json.contains("\"elision\": true"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(
                 json.matches(open).count(),

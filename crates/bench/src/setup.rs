@@ -229,10 +229,9 @@ pub fn prepare(
 }
 
 /// [`prepare`] with an explicit DORA configuration — the hook experiments use
-/// to pin configuration axes (e.g. `conflict_elision` off for the A/B
-/// baseline of the `conflicts` experiment, or for Figure 11, whose hand-built
-/// DORA-P plan must not be silently auto-serialized by the conflict
-/// analyzer).
+/// to pin configuration axes (e.g. `conflict_elision` off for Figure 11,
+/// whose hand-built DORA-P plan must not be silently auto-serialized by the
+/// conflict analyzer).
 pub fn prepare_with_config(
     workload: impl Workload + 'static,
     scale: &Scale,

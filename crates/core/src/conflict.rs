@@ -1,26 +1,32 @@
-//! Static, workload-level conflict analysis over transaction-program
-//! templates.
+//! Static, workload-level conflict analysis over transaction plans.
 //!
 //! DORA routes every action to the executor that owns its routing key and
 //! probes that executor's [`LocalLockTable`](crate::locallock::LocalLockTable)
-//! before running it. For many step templates the probe is provably
-//! pointless: no other template in the workload can ever hold a conflicting
-//! lock on an overlapping key. This module decides that *offline*, in the
-//! spirit of DIBS (`predicate.rs`/`solver.rs`): templates are compared
-//! pairwise once per workload at `bind` time — never per transaction — and
-//! the resulting [`ConflictMatrix`] is threaded through
+//! before running it. For many steps the probe is provably pointless: no
+//! other step in the workload can ever hold a conflicting lock on an
+//! overlapping key. This module decides that *offline*, in the spirit of
+//! DIBS (`predicate.rs`/`solver.rs`): steps are compared pairwise once per
+//! workload at `bind` time — never per transaction — and the resulting
+//! [`ConflictMatrix`] is threaded through
 //! [`TxnProgram::with_conflicts`](crate::program::TxnProgram::with_conflicts)
 //! so compilation marks probe-free steps, which skip the acquire call
 //! entirely (counter `LockProbesElided`) — and with it the executor: a
 //! probe-free action is never routed or queued, and runs on the thread that
 //! dispatches its phase, like a secondary action.
 //!
-//! A template describes a step's *declared* data effects: the table, the
-//! route key expression (constant / parameter / per-transaction-unique
-//! positions), the column sets it reads and writes, whether it changes row
-//! existence (insert/delete), and its expected abort rate. Two templates
-//! **conflict** unless the solver can dismiss the pair by one of three
-//! sound arguments:
+//! The analysis reads the workload's plans, one per transaction type, and
+//! derives one *template* per step from what the step holds: its table, its
+//! route and key shapes (constant / parameter / per-transaction-unique
+//! positions), its local-lock mode, whether it was declared secondary, and
+//! the effects it declares where it is built ([`Step::reads`],
+//! [`Step::writes`], [`Step::inserts_or_deletes`], [`Step::full_key`],
+//! [`Step::abort_rate`]). A step that declares no read set is taken to read
+//! every column, and an exclusive step that declares no write set to write
+//! every column. Steps of one plan that share a label (a TPC-C NewOrder's
+//! per-item reads) are one template, and must declare the same effects.
+//!
+//! Two templates **conflict** unless the solver can dismiss the pair by one
+//! of three sound arguments:
 //!
 //! 1. **Disjoint routes** — the route key expressions can never produce
 //!    overlapping keys (some compared position is constant-vs-different-
@@ -41,9 +47,9 @@
 //!    writer's committed disjoint-column update.
 //!
 //! Insert/delete templates (existence effects) conflict with every
-//! overlapping accessor of the table unless both sides declare full
-//! primary-key templates that are provably disjoint (e.g. a key position
-//! carrying the transaction id).
+//! overlapping accessor of the table unless both sides have full
+//! primary-key shapes that are provably disjoint (e.g. a key position
+//! carrying the transaction id, [`Param::TXN_ID`](crate::program::Param::TXN_ID)).
 //!
 //! **Why a probe-free step may bypass its executor.** An executor runs one
 //! action at a time, so a step that still went through it would also be
@@ -56,8 +62,8 @@
 //! thread at the same time as an executor's actions on the same dataset,
 //! and it runs on the thread that dispatches its phase.
 //!
-//! Secondary (unrouted) templates take part only in the *coverage report*:
-//! they acquire no local locks today, so they neither elide nor block
+//! Declared-secondary (unrouted) steps take part only in the *coverage
+//! report*: they acquire no local locks, so they neither elide nor block
 //! elision — their interaction with routed writers is governed by the
 //! storage layer's concurrency-control mode, exactly as before this
 //! analysis existed.
@@ -65,16 +71,21 @@
 //! **Soundness boundary:** the matrix reasons over the *declared* workload.
 //! Elision is only applied to programs the workload declared (matched by
 //! program name), and it assumes every concurrently running program is an
-//! instance of some declared template. Ad-hoc programs submitted to the
-//! same engine get no elision themselves (conservative for them), but if
-//! they write tables that declared templates were elided on, the analysis'
+//! instance of some declared plan. Ad-hoc programs submitted to the same
+//! engine get no elision themselves (conservative for them), but if they
+//! write tables that declared plans were elided on, the analysis'
 //! closed-world assumption is violated — the same assumption DIBS makes.
+//! The declarations of a `custom` step are its author's word: the analysis
+//! cannot see into its body.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dora_common::prelude::*;
+
+use crate::action::LocalMode;
+use crate::program::{Shape, Step, TxnProgram};
 
 /// One position of a template key expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,157 +122,114 @@ pub fn routes_may_overlap(a: &[KeyAtom], b: &[KeyAtom]) -> bool {
     a.iter().zip(b.iter()).all(|(x, y)| x.may_equal(y))
 }
 
-/// What a template does — display/report flavor only; the conflict decision
-/// reads the declared effects, not the kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TemplateKind {
-    /// Routed read (shared intent).
-    Read,
-    /// Routed update (exclusive intent, no existence change).
-    Write,
-    /// Routed insert (existence effect).
-    Insert,
-    /// Routed delete (existence effect).
-    Delete,
-    /// Unrouted step executed on the submitting thread.
-    Secondary,
+/// A declared column set; `None` stands for every column.
+type Columns = Option<BTreeSet<usize>>;
+
+fn no_columns(columns: &Columns) -> bool {
+    columns.as_ref().is_some_and(BTreeSet::is_empty)
 }
 
-/// The declared access pattern of one step of a transaction program.
-///
-/// Built by the workload alongside the program itself; the `label` must
-/// match the corresponding [`Step`](crate::program::Step) label so the
-/// matrix can be applied back onto compiled programs.
-#[derive(Debug, Clone)]
-pub struct StepTemplate {
-    program: &'static str,
+fn columns_meet(a: &Columns, b: &Columns) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a.intersection(b).next().is_some(),
+        (None, other) | (other, None) => !no_columns(other),
+    }
+}
+
+/// The data effects a [`Step`] declares where it is built, beside what its
+/// table, route, key and mode already say.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Declared {
+    /// Columns whose values the step consumes; `None` if not declared.
+    pub(crate) reads: Columns,
+    /// Columns the step writes; `None` if not declared.
+    pub(crate) writes: Columns,
+    /// `true` if the step inserts or deletes rows.
+    pub(crate) existence: bool,
+    /// Probability that the step aborts its transaction.
+    pub(crate) abort_rate: f64,
+}
+
+impl Declared {
+    /// The effects of a typed insert or delete.
+    pub(crate) fn existence() -> Self {
+        Self {
+            existence: true,
+            ..Self::default()
+        }
+    }
+}
+
+/// What the analysis compares of one step, derived from the step.
+#[derive(Debug, Clone, PartialEq)]
+struct StepTemplate {
     label: &'static str,
     table: TableId,
-    kind: TemplateKind,
     route: Vec<KeyAtom>,
-    reads: BTreeSet<usize>,
-    writes: BTreeSet<usize>,
+    secondary: bool,
+    reads: Columns,
+    writes: Columns,
     existence: bool,
     full_key: Option<Vec<KeyAtom>>,
     abort_rate: f64,
 }
 
 impl StepTemplate {
-    fn new(label: &'static str, table: TableId, kind: TemplateKind, route: Vec<KeyAtom>) -> Self {
-        let existence = matches!(kind, TemplateKind::Insert | TemplateKind::Delete);
+    fn of(step: &Step) -> Self {
+        let declared = step.declared();
+        let writes = match (&declared.writes, step.mode()) {
+            (Some(columns), _) => Some(columns.clone()),
+            (None, LocalMode::Exclusive) => None,
+            (None, LocalMode::Shared) => Some(BTreeSet::new()),
+        };
         StepTemplate {
-            program: "",
-            label,
-            table,
-            kind,
-            route,
-            reads: BTreeSet::new(),
-            writes: BTreeSet::new(),
-            existence,
-            full_key: None,
-            abort_rate: 0.0,
+            label: step.label(),
+            table: step.table(),
+            route: step.route().atoms(),
+            secondary: step.is_declared_secondary(),
+            reads: declared.reads.clone(),
+            writes,
+            existence: declared.existence,
+            full_key: step.key().map(Shape::atoms),
+            abort_rate: declared.abort_rate,
         }
     }
 
-    /// A routed read step.
-    pub fn read(label: &'static str, table: TableId, route: Vec<KeyAtom>) -> Self {
-        Self::new(label, table, TemplateKind::Read, route)
-    }
-
-    /// A routed update step (declare the written columns with
-    /// [`writes`](Self::writes)).
-    pub fn write(label: &'static str, table: TableId, route: Vec<KeyAtom>) -> Self {
-        Self::new(label, table, TemplateKind::Write, route)
-    }
-
-    /// A routed insert: a row-existence effect.
-    pub fn insert(label: &'static str, table: TableId, route: Vec<KeyAtom>) -> Self {
-        Self::new(label, table, TemplateKind::Insert, route)
-    }
-
-    /// A routed delete: a row-existence effect.
-    pub fn delete(label: &'static str, table: TableId, route: Vec<KeyAtom>) -> Self {
-        Self::new(label, table, TemplateKind::Delete, route)
-    }
-
-    /// An unrouted step: no local locks, coverage report only.
-    pub fn secondary(label: &'static str, table: TableId) -> Self {
-        Self::new(label, table, TemplateKind::Secondary, Vec::new())
-    }
-
-    /// Declares the column positions whose *values* the step consumes.
-    /// Checking mere row existence does not count — it is covered by the
-    /// existence-effect rule.
-    pub fn reads(mut self, cols: impl IntoIterator<Item = usize>) -> Self {
-        self.reads.extend(cols);
-        self
-    }
-
-    /// Declares the column positions the step writes.
-    pub fn writes(mut self, cols: impl IntoIterator<Item = usize>) -> Self {
-        self.writes.extend(cols);
-        self
-    }
-
-    /// Declares the full primary-key expression (used to dismiss
-    /// existence-effect pairs whose concrete keys can never collide).
-    pub fn full_key(mut self, atoms: Vec<KeyAtom>) -> Self {
-        self.full_key = Some(atoms);
-        self
-    }
-
-    /// Declares the expected abort probability of this step (drives the
-    /// Figure-11 auto-serialization decision).
-    pub fn abort_rate(mut self, rate: f64) -> Self {
-        self.abort_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// The step label this template describes.
-    pub fn label(&self) -> &'static str {
-        self.label
-    }
-
-    /// The owning program (set by [`ProgramTemplate::step`]).
-    pub fn program(&self) -> &'static str {
-        self.program
-    }
-
-    /// The accessed table.
-    pub fn table(&self) -> TableId {
-        self.table
-    }
-
-    /// What the step does.
-    pub fn kind(&self) -> TemplateKind {
-        self.kind
-    }
-
-    /// The route key expression.
-    pub fn route(&self) -> &[KeyAtom] {
-        &self.route
-    }
-
-    /// The declared full primary-key expression, if any.
-    pub fn full_key_atoms(&self) -> Option<&[KeyAtom]> {
-        self.full_key.as_deref()
-    }
-
-    /// `true` for unrouted templates.
-    pub fn is_secondary(&self) -> bool {
-        self.kind == TemplateKind::Secondary
-    }
-
     fn is_writer(&self) -> bool {
-        !self.writes.is_empty() || self.existence
+        !no_columns(&self.writes) || self.existence
     }
+}
+
+/// The templates of one plan's steps, one per label: steps that share a
+/// label must declare the same effects, under the same local-lock mode.
+fn plan_templates(plan: &TxnProgram) -> DbResult<Vec<StepTemplate>> {
+    let mut templates: Vec<(LocalMode, StepTemplate)> = Vec::new();
+    for step in plan.steps() {
+        let template = (step.mode(), StepTemplate::of(step));
+        match templates.iter().find(|(_, t)| t.label == step.label()) {
+            None => templates.push(template),
+            Some(first) if *first == template => {}
+            Some(first) => {
+                return Err(DbError::InvalidOperation(format!(
+                    "program `{}`: two steps labelled `{}` declare different effects \
+                     ({first:?} and {template:?}); steps that share a label share one declaration",
+                    plan.name(),
+                    step.label()
+                )))
+            }
+        }
+    }
+    Ok(templates
+        .into_iter()
+        .map(|(_, template)| template)
+        .collect())
 }
 
 /// Decides whether two templates (possibly the same one, standing for two
 /// concurrent instances) can ever hold conflicting local locks on
 /// overlapping keys. See the module docs for the three dismissal rules.
-pub fn templates_conflict(a: &StepTemplate, b: &StepTemplate) -> bool {
-    if a.is_secondary() || b.is_secondary() {
+fn templates_conflict(a: &StepTemplate, b: &StepTemplate) -> bool {
+    if a.secondary || b.secondary {
         return false; // secondary steps take no local locks at all
     }
     if a.table != b.table {
@@ -282,48 +250,15 @@ pub fn templates_conflict(a: &StepTemplate, b: &StepTemplate) -> bool {
         }
         return true;
     }
-    if !a.writes.is_empty() && !b.writes.is_empty() {
+    if !no_columns(&a.writes) && !no_columns(&b.writes) {
         return true; // writer-vs-writer: full-row undo forbids dismissal
     }
-    let (writer, reader) = if a.writes.is_empty() { (b, a) } else { (a, b) };
-    writer.writes.intersection(&reader.reads).next().is_some()
-}
-
-/// The declared access patterns of one program's steps.
-#[derive(Debug, Clone, Default)]
-pub struct ProgramTemplate {
-    name: &'static str,
-    steps: Vec<StepTemplate>,
-}
-
-impl ProgramTemplate {
-    /// Starts a template for the program named `name` (must match
-    /// `TxnProgram::name()` for the matrix to apply).
-    pub fn new(name: &'static str) -> Self {
-        ProgramTemplate {
-            name,
-            steps: Vec::new(),
-        }
-    }
-
-    /// Appends a step template, stamping it with this program's name.
-    /// Duplicate labels within one program must share one declaration that
-    /// covers every instance (e.g. TPC-C's per-item reads).
-    pub fn step(mut self, mut step: StepTemplate) -> Self {
-        step.program = self.name;
-        self.steps.push(step);
-        self
-    }
-
-    /// The program name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The declared steps.
-    pub fn steps(&self) -> &[StepTemplate] {
-        &self.steps
-    }
+    let (writer, reader) = if no_columns(&a.writes) {
+        (b, a)
+    } else {
+        (a, b)
+    };
+    columns_meet(&writer.writes, &reader.reads)
 }
 
 /// A step the workload's routing fields cannot cover: it runs unrouted on
@@ -348,9 +283,9 @@ static MATRIX_IDS: AtomicU64 = AtomicU64::new(1);
 /// A `(program, step label)` pair naming one step template.
 type StepId = (&'static str, &'static str);
 
-/// The bind-time result of analyzing a workload's program templates:
-/// which steps are probe-free, which programs should run as DORA-S
-/// serialized plans, and which steps the routing fields cannot cover.
+/// The bind-time result of analyzing a workload's plans: which steps are
+/// probe-free, which programs should run as DORA-S serialized plans, and
+/// which steps the routing fields cannot cover.
 #[derive(Debug, Clone)]
 pub struct ConflictMatrix {
     /// Identifies this analysis run: the key of the stamps programs cache.
@@ -366,21 +301,30 @@ pub struct ConflictMatrix {
 }
 
 impl ConflictMatrix {
-    /// Runs the pairwise analysis (including self-pairs — a template racing
-    /// a second instance of itself) and derives the elision set, the
+    /// Derives the templates of `plans` (one plan per transaction type) and
+    /// runs the pairwise analysis (including self-pairs — a template racing
+    /// a second instance of itself). From it come the elision set, the
     /// auto-serialization set (predicted program abort rate ≥
-    /// `serialize_abort_threshold`, at least two steps, and at least one
-    /// conflicting step — Figure 11's DORA-S criterion), and the coverage
-    /// report.
-    pub fn analyze(programs: &[ProgramTemplate], serialize_abort_threshold: f64) -> Self {
-        let steps: Vec<&StepTemplate> = programs.iter().flat_map(|p| p.steps.iter()).collect();
-        let id = |s: &StepTemplate| (s.program, s.label);
+    /// `serialize_abort_threshold`, at least two templates, and at least one
+    /// conflicting one — Figure 11's DORA-S criterion), and the coverage
+    /// report. An error names a plan whose steps share a label but not
+    /// their declarations.
+    pub fn analyze(plans: &[TxnProgram], serialize_abort_threshold: f64) -> DbResult<Self> {
+        let programs = plans
+            .iter()
+            .map(|plan| Ok((plan.name(), plan_templates(plan)?)))
+            .collect::<DbResult<Vec<_>>>()?;
+        let steps: Vec<(&'static str, &StepTemplate)> = programs
+            .iter()
+            .flat_map(|(name, templates)| templates.iter().map(move |t| (*name, t)))
+            .collect();
+        let id = |(program, template): (&'static str, &StepTemplate)| (program, template.label);
 
-        let mut conflicted: HashSet<(&'static str, &'static str)> = HashSet::new();
+        let mut conflicted: HashSet<StepId> = HashSet::new();
         let mut conflicts = Vec::new();
-        for (i, a) in steps.iter().enumerate() {
-            for b in steps.iter().skip(i) {
-                if templates_conflict(a, b) {
+        for (i, &a) in steps.iter().enumerate() {
+            for &b in steps.iter().skip(i) {
+                if templates_conflict(a.1, b.1) {
                     conflicted.insert(id(a));
                     conflicted.insert(id(b));
                     conflicts.push((id(a), id(b)));
@@ -391,37 +335,39 @@ impl ConflictMatrix {
         let mut elide = HashSet::new();
         let mut coverage = Vec::new();
         let mut routed_templates = 0usize;
-        for step in &steps {
+        for &(program, step) in &steps {
             if step.route.is_empty() {
                 coverage.push(CoverageGap {
-                    program: step.program,
+                    program,
                     label: step.label,
                     table: step.table,
-                    declared: step.is_secondary(),
+                    declared: step.secondary,
                 });
                 continue;
             }
             routed_templates += 1;
-            if !conflicted.contains(&id(step)) {
-                elide.insert(id(step));
+            if !conflicted.contains(&(program, step.label)) {
+                elide.insert((program, step.label));
             }
         }
 
         let mut serialize = HashSet::new();
         let mut abort_estimates = BTreeMap::new();
-        for program in programs {
-            let survive: f64 = program.steps.iter().map(|s| 1.0 - s.abort_rate).product();
+        for (name, templates) in &programs {
+            let survive: f64 = templates.iter().map(|t| 1.0 - t.abort_rate).product();
             let abort_est = 1.0 - survive;
-            abort_estimates.insert(program.name, abort_est);
-            let has_conflict = program.steps.iter().any(|s| conflicted.contains(&id(s)));
-            if abort_est >= serialize_abort_threshold && program.steps.len() >= 2 && has_conflict {
-                serialize.insert(program.name);
+            abort_estimates.insert(*name, abort_est);
+            let has_conflict = templates
+                .iter()
+                .any(|t| conflicted.contains(&(*name, t.label)));
+            if abort_est >= serialize_abort_threshold && templates.len() >= 2 && has_conflict {
+                serialize.insert(*name);
             }
         }
 
-        ConflictMatrix {
+        Ok(ConflictMatrix {
             id: MATRIX_IDS.fetch_add(1, Ordering::Relaxed),
-            programs: programs.iter().map(|p| p.name).collect(),
+            programs: programs.iter().map(|(name, _)| *name).collect(),
             elide,
             serialize,
             conflicts,
@@ -429,7 +375,7 @@ impl ConflictMatrix {
             abort_estimates,
             routed_templates,
             total_templates: steps.len(),
-        }
+        })
     }
 
     /// This analysis run's id, unique in the process: the key of the stamp
@@ -539,102 +485,136 @@ impl ConflictMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{OnDuplicate, Param};
 
-    fn table(n: u32) -> TableId {
-        TableId(n)
+    const X: Param = Param::new(0, "x");
+    const Y: Param = Param::new(1, "y");
+
+    /// A routed step on table `table` that reads under `mode` and does
+    /// nothing.
+    fn step(label: &'static str, table: u32, route: impl Into<Shape>, mode: LocalMode) -> Step {
+        Step::custom(label, TableId(table), route, mode, |_| Ok(()))
+    }
+
+    fn read(label: &'static str, table: u32, route: impl Into<Shape>) -> Step {
+        step(label, table, route, LocalMode::Shared)
+    }
+
+    fn write(label: &'static str, table: u32, route: impl Into<Shape>) -> Step {
+        step(label, table, route, LocalMode::Exclusive)
+    }
+
+    fn insert(label: &'static str, table: u32, route: impl Into<Shape>) -> Step {
+        Step::insert(label, TableId(table), route, OnDuplicate::Error, |_| {
+            Ok(Vec::new())
+        })
+    }
+
+    fn conflict(a: &Step, b: &Step) -> bool {
+        templates_conflict(&StepTemplate::of(a), &StepTemplate::of(b))
+    }
+
+    fn analyze(plans: &[TxnProgram]) -> ConflictMatrix {
+        ConflictMatrix::analyze(plans, 0.1).unwrap()
     }
 
     #[test]
     fn disjoint_routes_dismiss_any_pair() {
-        let a = StepTemplate::write("w", table(1), vec![KeyAtom::Const(Value::Int(1))]).writes([2]);
-        let b = StepTemplate::write("v", table(1), vec![KeyAtom::Const(Value::Int(2))]).writes([2]);
-        assert!(!templates_conflict(&a, &b));
+        let a = write("w", 1, Key::int(1)).writes([2]);
+        let b = write("v", 1, Key::int(2)).writes([2]);
+        assert!(!conflict(&a, &b));
         // Same constant: overlap, writer-vs-writer, conflict.
-        let c = StepTemplate::write("u", table(1), vec![KeyAtom::Const(Value::Int(1))]).writes([3]);
-        assert!(templates_conflict(&a, &c));
+        let c = write("u", 1, Key::int(1)).writes([3]);
+        assert!(conflict(&a, &c));
     }
 
     #[test]
     fn param_positions_overlap_but_unique_positions_never_do() {
-        let a = StepTemplate::write("w", table(1), vec![KeyAtom::Param("x")]).writes([1]);
-        assert!(templates_conflict(&a, &a), "self-pair on a param route");
-        let u = StepTemplate::write("w", table(1), vec![KeyAtom::Unique]).writes([1]);
-        assert!(!templates_conflict(&u, &u), "unique routes never collide");
+        let a = write("w", 1, X).writes([1]);
+        assert!(conflict(&a, &a), "self-pair on a param route");
+        let u = write("w", 1, Param::TXN_ID).writes([1]);
+        assert!(!conflict(&u, &u), "unique routes never collide");
     }
 
     #[test]
     fn prefix_semantics_match_key_overlaps() {
         // A one-atom route covers every two-atom extension of it, exactly
         // like Key::overlaps' prefix rule.
-        let short = StepTemplate::write("w", table(1), vec![KeyAtom::Param("a")]).writes([1]);
-        let long = StepTemplate::read(
-            "r",
-            table(1),
-            vec![KeyAtom::Param("a"), KeyAtom::Param("b")],
-        )
-        .reads([1]);
-        assert!(templates_conflict(&short, &long));
+        let short = write("w", 1, X).writes([1]);
+        let long = read("r", 1, Shape::of([X, Y])).reads([1]);
+        assert!(conflict(&short, &long));
         // Empty route (would-be secondary built as routed) overlaps all.
         assert!(routes_may_overlap(&[], &[KeyAtom::Const(Value::Int(9))]));
     }
 
     #[test]
     fn read_only_pairs_and_cross_table_pairs_never_conflict() {
-        let a = StepTemplate::read("r1", table(1), vec![KeyAtom::Param("x")]).reads([1]);
-        let b = StepTemplate::read("r2", table(1), vec![KeyAtom::Param("x")]).reads([1]);
-        assert!(!templates_conflict(&a, &b));
-        let w = StepTemplate::write("w", table(2), vec![KeyAtom::Param("x")]).writes([1]);
-        assert!(!templates_conflict(&a, &w), "different tables");
+        let a = read("r1", 1, X).reads([1]);
+        let b = read("r2", 1, X).reads([1]);
+        assert!(!conflict(&a, &b));
+        let w = write("w", 2, X).writes([1]);
+        assert!(!conflict(&a, &w), "different tables");
     }
 
     #[test]
     fn column_dismissal_requires_disjoint_reads_and_writes() {
-        let writer = StepTemplate::write("w", table(1), vec![KeyAtom::Param("x")]).writes([2]);
-        let disjoint_reader =
-            StepTemplate::read("r", table(1), vec![KeyAtom::Param("x")]).reads([3]);
-        let touching_reader =
-            StepTemplate::read("r2", table(1), vec![KeyAtom::Param("x")]).reads([2, 3]);
-        let blind_reader = StepTemplate::read("r3", table(1), vec![KeyAtom::Param("x")]);
-        assert!(!templates_conflict(&writer, &disjoint_reader));
-        assert!(templates_conflict(&writer, &touching_reader));
-        assert!(!templates_conflict(&writer, &blind_reader), "reads nothing");
+        let writer = write("w", 1, X).writes([2]);
+        let disjoint_reader = read("r", 1, X).reads([3]);
+        let touching_reader = read("r2", 1, X).reads([2, 3]);
+        let blind_reader = read("r3", 1, X).reads([]);
+        assert!(!conflict(&writer, &disjoint_reader));
+        assert!(conflict(&writer, &touching_reader));
+        assert!(!conflict(&writer, &blind_reader), "reads nothing");
+    }
+
+    #[test]
+    fn undeclared_column_sets_touch_every_column() {
+        // A reader that declares nothing reads every column, and an
+        // exclusive step that declares nothing writes every column.
+        let writer = write("w", 1, X).writes([2]);
+        assert!(conflict(&writer, &read("r", 1, X)));
+        let blind_reader = read("r", 1, X).reads([]);
+        assert!(!conflict(&write("v", 1, X).writes([]), &blind_reader));
+        assert!(conflict(&write("v", 1, X), &read("r", 1, X).reads([7])));
+        assert!(!conflict(&write("v", 1, X), &blind_reader));
     }
 
     #[test]
     fn writer_vs_writer_is_never_column_dismissed() {
         // Disjoint write sets still conflict: an abort restores the full
         // row pre-image and would clobber the other writer's columns.
-        let a = StepTemplate::write("w1", table(1), vec![KeyAtom::Param("x")]).writes([2]);
-        let b = StepTemplate::write("w2", table(1), vec![KeyAtom::Param("x")]).writes([3]);
-        assert!(templates_conflict(&a, &b));
+        let a = write("w1", 1, X).writes([2]);
+        let b = write("w2", 1, X).writes([3]);
+        assert!(conflict(&a, &b));
     }
 
     #[test]
     fn existence_effects_conflict_unless_full_keys_are_disjoint() {
-        let insert = StepTemplate::insert("i", table(1), vec![KeyAtom::Param("x")]);
-        let reader = StepTemplate::read("r", table(1), vec![KeyAtom::Param("x")]).reads([1]);
-        assert!(templates_conflict(&insert, &reader), "phantom risk");
-        assert!(templates_conflict(&insert, &insert));
+        let insert_x = insert("i", 1, X);
+        let reader = read("r", 1, X).reads([1]);
+        assert!(conflict(&insert_x, &reader), "phantom risk");
+        assert!(conflict(&insert_x, &insert_x));
         // Per-transaction-unique key position: two instances can never
         // collide, the self-pair is dismissed.
-        let unique_insert = StepTemplate::insert("i2", table(1), vec![KeyAtom::Param("x")])
-            .full_key(vec![KeyAtom::Param("x"), KeyAtom::Unique]);
-        assert!(!templates_conflict(&unique_insert, &unique_insert));
+        let unique_insert = insert("i2", 1, X).full_key(Shape::of([X, Param::TXN_ID]));
+        assert!(!conflict(&unique_insert, &unique_insert));
         // But against a blind-keyed reader it still conflicts.
-        assert!(templates_conflict(&unique_insert, &reader));
+        assert!(conflict(&unique_insert, &reader));
+        // A custom step declares its existence effect.
+        let custom = write("c", 1, X).writes([]).inserts_or_deletes();
+        assert!(conflict(&custom, &read("r", 1, X).reads([])));
     }
 
     #[test]
     fn secondary_templates_only_feed_the_coverage_report() {
-        let sec = StepTemplate::secondary("scan", table(1));
-        let writer = StepTemplate::write("w", table(1), vec![KeyAtom::Param("x")]).writes([1]);
-        assert!(!templates_conflict(&sec, &writer));
+        let sec = Step::secondary("scan", TableId(1), |_| Ok(()));
+        let writer = write("w", 1, X).writes([1]);
+        assert!(!conflict(&sec, &writer));
 
-        let programs = vec![
-            ProgramTemplate::new("p").step(sec).step(writer.clone()),
-            ProgramTemplate::new("q").step(writer),
-        ];
-        let matrix = ConflictMatrix::analyze(&programs, 0.1);
+        let matrix = analyze(&[
+            TxnProgram::new("p").step(sec).step(writer.clone()),
+            TxnProgram::new("q").step(writer),
+        ]);
         assert_eq!(matrix.coverage_gaps().len(), 1);
         assert!(matrix.coverage_gaps()[0].declared);
         assert!(!matrix.is_probe_free("p", "scan"));
@@ -645,20 +625,12 @@ mod tests {
         // "lookup" reads column 3, the only writer writes column 2 → the
         // read is dismissed against it and (being no writer itself) is
         // probe-free. The writer self-conflicts, so it keeps its probe.
-        let programs = vec![
-            ProgramTemplate::new("reader")
-                .step(StepTemplate::read("lookup", table(1), vec![KeyAtom::Param("k")]).reads([3])),
-            ProgramTemplate::new("writer")
-                .step(
-                    StepTemplate::write("bump", table(1), vec![KeyAtom::Param("k")])
-                        .writes([2])
-                        .abort_rate(0.5),
-                )
-                .step(
-                    StepTemplate::write("bump2", table(2), vec![KeyAtom::Param("k")]).writes([1]),
-                ),
-        ];
-        let matrix = ConflictMatrix::analyze(&programs, 0.1);
+        let matrix = analyze(&[
+            TxnProgram::new("reader").step(read("lookup", 1, X).reads([3])),
+            TxnProgram::new("writer")
+                .step(write("bump", 1, X).writes([2]).abort_rate(0.5))
+                .step(write("bump2", 2, X).writes([1])),
+        ]);
         assert!(matrix.is_probe_free("reader", "lookup"));
         assert!(!matrix.is_probe_free("writer", "bump"));
         assert!(matrix.should_serialize("writer"), "0.5 ≥ 0.1, 2 steps");
@@ -673,25 +645,48 @@ mod tests {
 
     #[test]
     fn single_step_or_conflict_free_programs_are_not_serialized() {
-        let programs = vec![
+        let matrix = analyze(&[
             // High abort rate but only one step: nothing to serialize.
-            ProgramTemplate::new("one").step(
-                StepTemplate::write("w", table(1), vec![KeyAtom::Param("k")])
-                    .writes([1])
-                    .abort_rate(0.9),
-            ),
+            TxnProgram::new("one").step(write("w", 1, X).writes([1]).abort_rate(0.9)),
             // High abort rate but conflict-free: serialization buys nothing.
-            ProgramTemplate::new("free")
-                .step(
-                    StepTemplate::read("a", table(2), vec![KeyAtom::Param("k")])
-                        .reads([1])
-                        .abort_rate(0.5),
-                )
-                .step(StepTemplate::read("b", table(3), vec![KeyAtom::Param("k")]).reads([1])),
-        ];
-        let matrix = ConflictMatrix::analyze(&programs, 0.1);
+            TxnProgram::new("free")
+                .step(read("a", 2, X).reads([1]).abort_rate(0.5))
+                .step(read("b", 3, X).reads([1])),
+        ]);
         assert!(!matrix.should_serialize("one"));
         assert!(!matrix.should_serialize("free"));
         assert!(matrix.is_probe_free("free", "a"));
+    }
+
+    #[test]
+    fn steps_sharing_a_label_are_one_template_and_must_agree() {
+        // Two per-item reads, routed on different slots of the same name:
+        // one template.
+        let item = |slot| read("item", 1, Param::new(slot, "i_id")).reads([2]);
+        let matrix = analyze(&[TxnProgram::new("order").step(item(2)).step(item(3))]);
+        assert_eq!(matrix.routed_count(), 1);
+        assert!(matrix.is_probe_free("order", "item"));
+        // A second step under the label that differs in any declaration is
+        // an error: in columns, mode, table, route or existence effect.
+        for other in [
+            read("item", 1, Param::new(3, "i_id")).reads([1]),
+            write("item", 1, Param::new(3, "i_id"))
+                .writes([])
+                .reads([2]),
+            read("item", 2, Param::new(3, "i_id")).reads([2]),
+            read("item", 1, Param::new(3, "w_id")).reads([2]),
+            read("item", 1, Param::new(3, "i_id"))
+                .reads([2])
+                .inserts_or_deletes(),
+        ] {
+            let plan = TxnProgram::new("order").step(item(2)).step(other);
+            assert!(
+                matches!(
+                    ConflictMatrix::analyze(&[plan], 0.1),
+                    Err(DbError::InvalidOperation(_))
+                ),
+                "a disagreeing step under a shared label must be rejected"
+            );
+        }
     }
 }

@@ -18,10 +18,12 @@
 //! * [`locallock`] — each executor's thread-local lock table with
 //!   shared/exclusive modes and key-prefix conflict semantics
 //!   (Section 4.1.3).
-//! * [`conflict`] — static, DIBS-style conflict analysis over program
-//!   templates, run once per workload at bind time: steps whose template
-//!   conflicts with nothing skip the local-lock-table probe entirely, and
-//!   high-abort programs are auto-derived as DORA-S serialized plans.
+//! * [`conflict`] — static, DIBS-style conflict analysis over the
+//!   workload's plans, run once per workload at bind time: each step's
+//!   template is derived from the step and its declared column effects;
+//!   steps whose template conflicts with nothing skip the local-lock-table
+//!   probe entirely, and high-abort programs are auto-derived as DORA-S
+//!   serialized plans.
 //! * [`executor`] — executors with incoming and completed queues, serving
 //!   actions in FIFO order; a role held by whichever thread claimed the
 //!   inbox (the dispatcher that found it idle, or the resident thread).
@@ -60,10 +62,7 @@ pub mod txn;
 pub use action::{ActionContext, ActionSpec, LocalMode};
 pub use adaptive::{balanced_rule, AdaptiveController, SkewDetector};
 pub use config::DoraConfig;
-pub use conflict::{
-    routes_may_overlap, templates_conflict, ConflictMatrix, CoverageGap, KeyAtom, ProgramTemplate,
-    StepTemplate,
-};
+pub use conflict::{routes_may_overlap, ConflictMatrix, CoverageGap, KeyAtom};
 pub use engine::DoraEngine;
 pub use flow::FlowGraph;
 pub use locallock::LocalLockTable;

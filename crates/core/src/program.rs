@@ -94,7 +94,7 @@ use dora_common::InlineVec;
 use dora_storage::{Database, Snapshot, TxnHandle};
 
 use crate::action::{LocalMode, Scratch};
-use crate::conflict::{ConflictMatrix, KeyAtom};
+use crate::conflict::{ConflictMatrix, Declared, KeyAtom};
 use crate::flow::FlowGraph;
 
 /// Which execution architecture a compiled step is running under. Not public:
@@ -110,7 +110,8 @@ pub(crate) enum Backend {
 }
 
 /// A parameter slot of a plan: its position in the [`Params`] a transaction
-/// binds, and a name (reports and the conflict templates' key atoms).
+/// binds, and a name (reports, and the key atoms of the derived conflict
+/// templates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Param {
     index: usize,
@@ -118,6 +119,12 @@ pub struct Param {
 }
 
 impl Param {
+    /// Not a slot: the id of the storage transaction running the step, which
+    /// no two transactions share. [`StepCtx::int`] reads it; in an insert's
+    /// [`full_key`](Step::full_key) it tells the conflict analysis that two
+    /// transactions never make the same key.
+    pub const TXN_ID: Param = Param::new(usize::MAX, "txn_id");
+
     /// The slot at `index`, called `name`.
     pub const fn new(index: usize, name: &'static str) -> Self {
         Self { index, name }
@@ -130,18 +137,28 @@ impl Param {
 }
 
 /// Slots stored in place; a transaction with more (a TPC-C NewOrder's item
-/// list) spills into one heap buffer.
+/// list) keeps them in one shared buffer.
 const PARAMS_INLINE: usize = 8;
 
 /// The parameters of one transaction: integers in slot order. A float is
 /// stored as its bit pattern ([`Params::with_float`]).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Params(InlineVec<i64, PARAMS_INLINE>);
+///
+/// A list longer than the inline slots is one buffer, allocated once when it
+/// is collected (from an iterator that knows its length) and shared, not
+/// copied, by every attempt of the transaction.
+#[derive(Debug, Clone)]
+pub struct Params(Slots);
+
+#[derive(Debug, Clone)]
+enum Slots {
+    Inline(InlineVec<i64, PARAMS_INLINE>),
+    Shared(Arc<[i64]>),
+}
 
 impl Params {
     /// No parameters.
     pub const fn new() -> Self {
-        Self(InlineVec::new())
+        Self(Slots::Inline(InlineVec::new()))
     }
 
     /// The given integers, slot 0 first.
@@ -149,9 +166,13 @@ impl Params {
         values.into_iter().collect()
     }
 
-    /// Appends an integer slot.
-    pub fn push(&mut self, value: i64) {
-        self.0.push(value);
+    /// Appends an integer slot. Past the inline slots this copies the list:
+    /// collect a long one instead.
+    fn push(&mut self, value: i64) {
+        match &mut self.0 {
+            Slots::Inline(slots) if slots.len() < PARAMS_INLINE => slots.push(value),
+            _ => *self = self.iter().chain([value]).collect(),
+        }
     }
 
     /// These parameters with an integer slot appended.
@@ -168,17 +189,31 @@ impl Params {
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.0.len()
+        match &self.0 {
+            Slots::Inline(slots) => slots.len(),
+            Slots::Shared(slots) => slots.len(),
+        }
     }
 
     /// `true` when there are no slots.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len() == 0
+    }
+
+    fn get(&self, index: usize) -> Option<i64> {
+        match &self.0 {
+            Slots::Inline(slots) => slots.get(index).copied(),
+            Slots::Shared(slots) => slots.get(index).copied(),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = i64> + '_ {
+        (0..self.len()).filter_map(|index| self.get(index))
     }
 
     /// The integer in `param`'s slot.
     pub fn int(&self, param: Param) -> DbResult<i64> {
-        self.0.get(param.index).copied().ok_or_else(|| {
+        self.get(param.index).ok_or_else(|| {
             DbError::InvalidOperation(format!(
                 "parameter `{}` (slot {}) not bound",
                 param.name, param.index
@@ -192,9 +227,22 @@ impl Params {
     }
 }
 
+impl Default for Params {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FromIterator<i64> for Params {
+    /// In place when the iterator's upper bound fits the inline slots;
+    /// otherwise one shared buffer, allocated once when the iterator's length
+    /// is exact.
     fn from_iter<I: IntoIterator<Item = i64>>(values: I) -> Self {
-        Self(values.into_iter().collect())
+        let values = values.into_iter();
+        match values.size_hint() {
+            (_, Some(most)) if most <= PARAMS_INLINE => Self(Slots::Inline(values.collect())),
+            _ => Self(Slots::Shared(values.collect())),
+        }
     }
 }
 
@@ -235,12 +283,17 @@ impl Shape {
 
     /// The key this shape makes from `params`.
     pub fn bind(&self, params: &Params) -> DbResult<Key> {
+        self.bind_with(|param| params.int(param))
+    }
+
+    /// The key this shape makes, each slot read through `int`.
+    fn bind_with(&self, int: impl Fn(Param) -> DbResult<i64>) -> DbResult<Key> {
         match &self.0 {
             ShapeRepr::Fixed(key) => Ok(key.clone()),
             ShapeRepr::Params(slots) => {
                 let mut key = Key::empty();
                 for param in slots.iter() {
-                    key.push(params.int(*param)?);
+                    key.push(int(*param)?);
                 }
                 Ok(key)
             }
@@ -248,11 +301,18 @@ impl Shape {
     }
 
     /// The shape as conflict-template key atoms: a fixed component is a
-    /// [`KeyAtom::Const`], a slot a [`KeyAtom::Param`] under its name.
+    /// [`KeyAtom::Const`], a slot a [`KeyAtom::Param`] under its name, and
+    /// [`Param::TXN_ID`] a [`KeyAtom::Unique`].
     pub fn atoms(&self) -> Vec<KeyAtom> {
         match &self.0 {
             ShapeRepr::Fixed(key) => key.values().iter().cloned().map(KeyAtom::Const).collect(),
-            ShapeRepr::Params(slots) => slots.iter().map(|p| KeyAtom::Param(p.name)).collect(),
+            ShapeRepr::Params(slots) => slots
+                .iter()
+                .map(|param| match *param {
+                    Param::TXN_ID => KeyAtom::Unique,
+                    param => KeyAtom::Param(param.name),
+                })
+                .collect(),
         }
     }
 }
@@ -320,9 +380,13 @@ impl<'a> StepCtx<'a> {
         }
     }
 
-    /// The integer parameter in `param`'s slot.
+    /// The integer parameter in `param`'s slot, or the transaction id for
+    /// [`Param::TXN_ID`].
     pub fn int(&self, param: Param) -> DbResult<i64> {
-        self.params.int(param)
+        match param {
+            Param::TXN_ID => Ok(self.txn.id().0 as i64),
+            param => self.params.int(param),
+        }
     }
 
     /// The float parameter in `param`'s slot.
@@ -332,7 +396,7 @@ impl<'a> StepCtx<'a> {
 
     /// The key `shape` makes from this transaction's parameters.
     pub fn key(&self, shape: &Shape) -> DbResult<Key> {
-        shape.bind(self.params)
+        shape.bind_with(|param| self.int(param))
     }
 
     /// A workload abort (invalid input, missing record, ...) attributed to
@@ -405,6 +469,13 @@ pub enum StepKind {
 /// One step of a transaction program: a unit of work against a small set of
 /// records of one table — exactly what DORA calls an *action* (Section
 /// 4.1.2), but engine-agnostic.
+///
+/// A step also declares its data effects, once, where it is built: the
+/// columns it reads ([`reads`](Self::reads)) and writes
+/// ([`writes`](Self::writes)), whether it inserts or deletes rows, and how
+/// often it aborts. The bind-time conflict analysis ([`crate::conflict`])
+/// derives its templates from these and from the step's table, route, key
+/// and local-lock mode.
 #[derive(Clone)]
 pub struct Step {
     label: &'static str,
@@ -412,7 +483,8 @@ pub struct Step {
     /// Routing identifier (the routing-field values of the records the step
     /// touches). Empty for secondary steps.
     route: Shape,
-    /// The primary key a typed read, update or delete addresses.
+    /// The primary key a typed read, update or delete addresses, or the one
+    /// an insert declares for the rows it makes.
     key: Option<Shape>,
     kind: StepKind,
     mode: LocalMode,
@@ -428,6 +500,7 @@ pub struct Step {
     /// bind-time conflict matrix marks steps through the program's stamp
     /// instead.
     probe_free: bool,
+    declared: Declared,
 }
 
 impl std::fmt::Debug for Step {
@@ -438,6 +511,7 @@ impl std::fmt::Debug for Step {
             .field("route", &self.route)
             .field("kind", &self.kind)
             .field("mode", &self.mode)
+            .field("declared", &self.declared)
             .finish_non_exhaustive()
     }
 }
@@ -465,6 +539,7 @@ impl Step {
             body: Arc::new(body),
             declared_secondary: false,
             probe_free: false,
+            declared: Declared::default(),
         }
     }
 
@@ -550,6 +625,7 @@ impl Step {
     ) -> Self {
         Self {
             kind: StepKind::Insert,
+            declared: Declared::existence(),
             ..Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
                 let row = make_row(ctx)?;
                 match ctx.db.insert(ctx.txn, table, row, ctx.write_cc()) {
@@ -577,6 +653,7 @@ impl Step {
         Self {
             key: Some(key),
             kind: StepKind::Delete,
+            declared: Declared::existence(),
             ..Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
                 let key = ctx.key(&shape)?;
                 match ctx.db.delete_primary(ctx.txn, table, &key, ctx.write_cc()) {
@@ -586,6 +663,51 @@ impl Step {
                 }
             })
         }
+    }
+
+    /// Declares the column positions whose values the step consumes.
+    /// Checking that a row exists does not count: that is covered by the
+    /// existence rule. A routed step that declares none is taken to read
+    /// every column, so a step that reads nothing says so with `reads([])`.
+    pub fn reads(mut self, columns: impl IntoIterator<Item = usize>) -> Self {
+        self.declared.reads = Some(columns.into_iter().collect());
+        self
+    }
+
+    /// Declares the column positions the step writes. An exclusive step that
+    /// declares none is taken to write every column.
+    pub fn writes(mut self, columns: impl IntoIterator<Item = usize>) -> Self {
+        self.declared.writes = Some(columns.into_iter().collect());
+        self
+    }
+
+    /// Declares that the step inserts or deletes rows of its table (a
+    /// row-existence effect). Typed inserts and deletes declare it
+    /// themselves; a custom step that inserts or deletes must.
+    pub fn inserts_or_deletes(mut self) -> Self {
+        self.declared.existence = true;
+        self
+    }
+
+    /// Declares the primary key of the rows an insert makes, so that the
+    /// analysis can dismiss two inserts that never make the same key (a
+    /// component [`Param::TXN_ID`] differs between any two transactions). A
+    /// typed read, update or delete keeps the key it addresses.
+    pub fn full_key(mut self, key: impl Into<Shape>) -> Self {
+        self.key.get_or_insert_with(|| key.into());
+        self
+    }
+
+    /// Declares the probability that the step aborts its transaction (the
+    /// DORA-S decision of Figure 11 adds these up per program).
+    pub fn abort_rate(mut self, rate: f64) -> Self {
+        self.declared.abort_rate = rate.clamp(0.0, 1.0);
+        self
+    }
+
+    /// The declared data effects.
+    pub(crate) fn declared(&self) -> &Declared {
+        &self.declared
     }
 
     /// Marks the step probe-free by hand: the author asserts the proof the
@@ -627,7 +749,8 @@ impl Step {
         &self.route
     }
 
-    /// The primary-key shape of a typed read, update or delete.
+    /// The primary-key shape of a typed read, update or delete, or the one
+    /// an insert declares.
     pub fn key(&self) -> Option<&Shape> {
         self.key.as_ref()
     }
@@ -1423,23 +1546,18 @@ mod tests {
 
     #[test]
     fn with_conflicts_marks_probe_free_steps_and_auto_serializes() {
-        use crate::conflict::{ConflictMatrix, KeyAtom, ProgramTemplate, StepTemplate};
         let (_db, table) = counter_db();
         // "bump" writes column 1 and races itself → keeps its probe, and its
         // 0.5 abort rate pushes the program over the DORA-S threshold.
-        // "peek" declares no column reads → dismissed against every writer.
-        let templates = vec![ProgramTemplate::new("mixed")
+        // "peek" reads no column → dismissed against every writer.
+        let declared = TxnProgram::new("mixed")
             .step(
-                StepTemplate::write("bump", table, vec![KeyAtom::Param("id")])
+                Step::custom("bump", table, ID, LocalMode::Exclusive, |_| Ok(()))
                     .writes([1])
                     .abort_rate(0.5),
             )
-            .step(StepTemplate::read(
-                "peek",
-                table,
-                vec![KeyAtom::Param("id")],
-            ))];
-        let matrix = ConflictMatrix::analyze(&templates, 0.1);
+            .step(Step::custom("peek", table, ID, LocalMode::Shared, |_| Ok(())).reads([]));
+        let matrix = ConflictMatrix::analyze(&[declared], 0.1).unwrap();
 
         let program = TxnProgram::new("mixed")
             .step(bump_step(table, 1))
@@ -1563,20 +1681,25 @@ mod tests {
         assert!(params.int(Param::new(2, "c")).is_err());
         let many: Params = (0..20).collect();
         assert_eq!(many.int(Param::new(19, "last")).unwrap(), 19);
+        // A long list is one buffer that every copy shares.
+        let copy = many.clone();
+        match (&many.0, &copy.0) {
+            (Slots::Shared(a), Slots::Shared(b)) => assert!(Arc::ptr_eq(a, b)),
+            _ => panic!("20 slots are not inline"),
+        }
+        let grown = Params::of([1, 2, 3, 4, 5, 6, 7, 8]).with(9).with_float(0.5);
+        assert_eq!(grown.len(), 10);
+        assert_eq!(grown.int(Param::new(8, "ninth")).unwrap(), 9);
+        assert_eq!(grown.float(Param::new(9, "tenth")).unwrap(), 0.5);
     }
 
     #[test]
     fn the_stamp_is_computed_once_per_plan_and_shared_by_bindings() {
-        use crate::conflict::{ConflictMatrix, ProgramTemplate, StepTemplate};
         let (_db, table) = counter_db();
-        let matrix = ConflictMatrix::analyze(
-            &[ProgramTemplate::new("bump-plan").step(StepTemplate::read(
-                "bump",
-                table,
-                vec![KeyAtom::Param("id")],
-            ))],
-            0.1,
-        );
+        // Declared as a read of nothing, "bump" conflicts with nothing.
+        let reading = TxnProgram::new("bump-plan")
+            .step(Step::custom("bump", table, ID, LocalMode::Shared, |_| Ok(())).reads([]));
+        let matrix = ConflictMatrix::analyze(&[reading], 0.1).unwrap();
         let plan = bump_plan(table);
         let first = plan.bind(Params::of([1])).with_conflicts(&matrix);
         let second = plan.bind(Params::of([2])).with_conflicts(&matrix);
@@ -1584,11 +1707,7 @@ mod tests {
         assert_eq!((first.stamp, second.stamp), (Some(0), Some(0)));
         // Another matrix gets a stamp of its own beside the first, shared
         // by the programs stamped with it.
-        let other = ConflictMatrix::analyze(
-            &[ProgramTemplate::new("bump-plan")
-                .step(StepTemplate::write("bump", table, vec![KeyAtom::Param("id")]).writes([1]))],
-            0.1,
-        );
+        let other = ConflictMatrix::analyze(&[bump_plan(table)], 0.1).unwrap();
         let third = plan.bind(Params::of([3])).with_conflicts(&other);
         let fourth = plan.bind(Params::of([4])).with_conflicts(&other);
         assert_eq!((third.stamp, fourth.stamp), (Some(1), Some(1)));
@@ -1621,5 +1740,17 @@ mod tests {
         assert_eq!(fixed.bind(&Params::new()).unwrap(), Key::int(9));
         assert_eq!(fixed.atoms(), vec![KeyAtom::Const(Value::Int(9))]);
         assert!(Shape::empty().is_empty());
+        // The transaction id is no slot: a unique atom, read from the step's
+        // transaction.
+        let history = Shape::of([a, Param::TXN_ID]);
+        assert_eq!(history.atoms(), vec![KeyAtom::Param("a"), KeyAtom::Unique]);
+        assert!(history.bind(&Params::of([1])).is_err());
+        let db = Database::for_tests();
+        let txn = db.begin();
+        let scratch = Scratch::new();
+        let params = Params::of([4]);
+        let ctx = StepCtx::new(&db, &txn, &scratch, &params, Backend::Dora);
+        assert_eq!(ctx.key(&history).unwrap(), Key::int2(4, txn.id().0 as i64));
+        db.abort(&txn).unwrap();
     }
 }

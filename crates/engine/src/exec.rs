@@ -238,19 +238,19 @@ impl ExecutionEngine for DoraExecution {
             return Err(DbError::InvalidOperation(ALREADY_BOUND.into()));
         }
         workload.bind_dora(&self.engine, executors_per_table)?;
-        // Static conflict analysis, once per workload (DIBS-style): compare
-        // every pair of declared step templates and record which steps can
-        // skip the local-lock probe and which programs should run as DORA-S
-        // serialized plans. Gated by `conflict_elision` so A/B runs (and the
-        // Figure 11 plan comparison, which hand-picks plans) can turn the
-        // whole mechanism off.
+        // Static conflict analysis, once per workload (DIBS-style): derive a
+        // template from every step of the workload's plans, compare every
+        // pair, and record which steps can skip the local-lock probe and
+        // which programs should run as DORA-S serialized plans. Gated by
+        // `conflict_elision` so the Figure 11 plan comparison, which
+        // hand-picks plans, can turn the whole mechanism off.
         if self.engine.config().conflict_elision {
-            let templates = workload.conflict_templates(self.engine.db())?;
-            if !templates.is_empty() {
+            let plans = workload.plans(self.engine.db())?;
+            if !plans.is_empty() {
                 let matrix = ConflictMatrix::analyze(
-                    &templates,
+                    &plans,
                     self.engine.config().serialize_abort_threshold,
-                );
+                )?;
                 let db = self.engine.db();
                 let report = matrix.report(&|table| {
                     db.catalog()

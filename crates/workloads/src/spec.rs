@@ -7,6 +7,9 @@
 //! inputs, bound to its type's plan; the execution engines run it on their
 //! architecture (sequentially for the conventional engine, as a flow graph
 //! for DORA), so no workload ever writes a transaction body twice.
+//! [`Workload::plans`] hands the same plans to DORA's bind-time conflict
+//! analysis, which derives its templates from the steps, so no workload
+//! declares a step's data effects twice either.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use dora_common::prelude::*;
-use dora_core::{DoraEngine, ProgramTemplate, TxnProgram};
+use dora_core::{DoraEngine, TxnProgram};
 use dora_metrics::LatencyHistogram;
 use dora_storage::Database;
 
@@ -47,12 +50,12 @@ pub trait Workload: Send + Sync {
     /// on whichever execution architecture it uses.
     fn next_program(&self, db: &Database, rng: &mut SmallRng) -> DbResult<TxnProgram>;
 
-    /// Static step templates for the bind-time conflict analysis: one
-    /// [`ProgramTemplate`] per program the mix can produce, with each step's
-    /// table, routing-key shape and read/write column sets declared
-    /// abstractly. The default (no templates) disables conflict analysis for
+    /// The cached plan of every transaction type the mix can produce, one
+    /// per [`txn_labels`](Self::txn_labels) entry, in that order: what the
+    /// bind-time conflict analysis reads, each step with the column effects
+    /// it declares. The default (no plans) disables conflict analysis for
     /// the workload — no probes are elided and no program is auto-serialized.
-    fn conflict_templates(&self, _db: &Database) -> DbResult<Vec<ProgramTemplate>> {
+    fn plans(&self, _db: &Database) -> DbResult<Vec<TxnProgram>> {
         Ok(Vec::new())
     }
 

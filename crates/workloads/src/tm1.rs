@@ -18,10 +18,7 @@ use std::sync::OnceLock;
 use rand::rngs::SmallRng;
 
 use dora_common::prelude::*;
-use dora_core::{
-    DoraEngine, KeyAtom, OnDuplicate, OnMissing, Param, Params, ProgramTemplate, Shape, Step,
-    StepTemplate, TxnProgram,
-};
+use dora_core::{DoraEngine, OnDuplicate, OnMissing, Param, Params, Shape, Step, TxnProgram};
 
 use dora_storage::{ColumnDef, Database, IndexSpec, TableSchema};
 
@@ -152,55 +149,72 @@ impl Tm1 {
     }
 
     /// Builds the plan of one transaction type. Every TM1 plan reads the
-    /// same parameter slots ([`Tm1Inputs`]).
+    /// same parameter slots ([`Tm1Inputs`]) and routes on the subscriber id.
+    /// Each step declares the columns its body reads and writes, and its
+    /// abort rate: the TATP invalid-input probabilities the loader induces.
     fn build_plan(&self, db: &Database, plan: Tm1Plan) -> DbResult<TxnProgram> {
         let tables = self.tables(db)?;
         let facility = || Shape::of([S_ID, SF_TYPE]);
         let forwarding = || Shape::of([S_ID, SF_TYPE, START_TIME]);
         Ok(match plan {
             // A single read-only step on the Subscriber table.
-            Tm1Plan::GetSubscriberData => TxnProgram::new(Self::GET_SUBSCRIBER_DATA).read(
-                "get-subscriber",
-                tables.subscriber,
-                S_ID,
-                S_ID,
-                OnMissing::Abort("subscriber missing"),
-                |_ctx, _row| Ok(()),
+            Tm1Plan::GetSubscriberData => TxnProgram::new(Self::GET_SUBSCRIBER_DATA).step(
+                Step::read(
+                    "get-subscriber",
+                    tables.subscriber,
+                    S_ID,
+                    S_ID,
+                    OnMissing::Abort("subscriber missing"),
+                    |_ctx, _row| Ok(()),
+                )
+                .reads([]),
             ),
             // Probe the SpecialFacility, then (next phase, because of the
             // control dependency) the CallForwarding record.
             Tm1Plan::GetNewDestination => TxnProgram::new(Self::GET_NEW_DESTINATION)
-                .read(
-                    "probe-facility",
-                    tables.special_facility,
-                    S_ID,
-                    facility(),
-                    OnMissing::Abort("facility inactive"),
-                    |ctx, row| {
-                        if row[2].as_int()? == 1 {
-                            Ok(())
-                        } else {
-                            Err(ctx.abort("facility inactive"))
-                        }
-                    },
+                .step(
+                    Step::read(
+                        "probe-facility",
+                        tables.special_facility,
+                        S_ID,
+                        facility(),
+                        OnMissing::Abort("facility inactive"),
+                        |ctx, row| {
+                            if row[2].as_int()? == 1 {
+                                Ok(())
+                            } else {
+                                Err(ctx.abort("facility inactive"))
+                            }
+                        },
+                    )
+                    .reads([2])
+                    .abort_rate(0.44),
                 )
                 .rvp()
-                .read(
-                    "probe-forwarding",
-                    tables.call_forwarding,
-                    S_ID,
-                    forwarding(),
-                    OnMissing::Abort("no forwarding"),
-                    |_ctx, _row| Ok(()),
+                .step(
+                    Step::read(
+                        "probe-forwarding",
+                        tables.call_forwarding,
+                        S_ID,
+                        forwarding(),
+                        OnMissing::Abort("no forwarding"),
+                        |_ctx, _row| Ok(()),
+                    )
+                    .reads([])
+                    .abort_rate(0.5),
                 ),
             // One read-only step on AccessInfo.
-            Tm1Plan::GetAccessData => TxnProgram::new(Self::GET_ACCESS_DATA).read(
-                "get-access-data",
-                tables.access_info,
-                S_ID,
-                Shape::of([S_ID, AI_TYPE]),
-                OnMissing::Abort("no access info"),
-                |_ctx, _row| Ok(()),
+            Tm1Plan::GetAccessData => TxnProgram::new(Self::GET_ACCESS_DATA).step(
+                Step::read(
+                    "get-access-data",
+                    tables.access_info,
+                    S_ID,
+                    Shape::of([S_ID, AI_TYPE]),
+                    OnMissing::Abort("no access info"),
+                    |_ctx, _row| Ok(()),
+                )
+                .reads([])
+                .abort_rate(0.375),
             ),
             Tm1Plan::UpdateSubscriberData | Tm1Plan::UpdateSubscriberDataSerial => {
                 let subscriber_step = Step::update(
@@ -213,7 +227,8 @@ impl Tm1 {
                         row[2] = Value::Int(ctx.int(BIT)?);
                         Ok(())
                     },
-                );
+                )
+                .writes([2]);
                 let facility_step = Step::update(
                     "update-facility",
                     tables.special_facility,
@@ -224,7 +239,9 @@ impl Tm1 {
                         row[4] = Value::Int(ctx.int(DATA_A)?);
                         Ok(())
                     },
-                );
+                )
+                .writes([4])
+                .abort_rate(0.625);
                 // The failure-prone step goes first under the serial plan so
                 // the transaction fails before any other work is wasted.
                 let serial = plan == Tm1Plan::UpdateSubscriberDataSerial;
@@ -260,58 +277,72 @@ impl Tm1 {
                     Ok(())
                 })
                 .rvp()
-                .custom(
-                    "update-location",
-                    tables.subscriber,
-                    S_ID,
-                    dora_core::LocalMode::Exclusive,
-                    move |ctx| {
-                        let rid = Rid::unpack(ctx.scratch.get_int("rid")? as u64);
-                        let location = ctx.int(LOCATION)?;
-                        ctx.db
-                            .update_rid(ctx.txn, tables.subscriber, rid, ctx.cc(), |row| {
-                                row[4] = Value::Int(location);
-                                Ok(())
-                            })
-                    },
+                .step(
+                    Step::custom(
+                        "update-location",
+                        tables.subscriber,
+                        S_ID,
+                        dora_core::LocalMode::Exclusive,
+                        move |ctx| {
+                            let rid = Rid::unpack(ctx.scratch.get_int("rid")? as u64);
+                            let location = ctx.int(LOCATION)?;
+                            ctx.db
+                                .update_rid(ctx.txn, tables.subscriber, rid, ctx.cc(), |row| {
+                                    row[4] = Value::Int(location);
+                                    Ok(())
+                                })
+                        },
+                    )
+                    .writes([4]),
                 ),
             // Probe the facility, then insert the forwarding record. Under
             // DORA the insert still takes a row-level lock through the
             // centralized lock manager, as Section 4.2.1 requires.
             Tm1Plan::InsertCallForwarding => TxnProgram::new(Self::INSERT_CALL_FORWARDING)
-                .read(
-                    "probe-facility",
-                    tables.special_facility,
-                    S_ID,
-                    facility(),
-                    OnMissing::Abort("no such facility"),
-                    |_ctx, _row| Ok(()),
+                .step(
+                    Step::read(
+                        "probe-facility",
+                        tables.special_facility,
+                        S_ID,
+                        facility(),
+                        OnMissing::Abort("no such facility"),
+                        |_ctx, _row| Ok(()),
+                    )
+                    .reads([])
+                    .abort_rate(0.375),
                 )
                 .rvp()
-                .insert(
-                    "insert-forwarding",
-                    tables.call_forwarding,
-                    S_ID,
-                    OnDuplicate::Abort("forwarding exists"),
-                    |ctx| {
-                        let s_id = ctx.int(S_ID)?;
-                        Ok(vec![
-                            Value::Int(s_id),
-                            Value::Int(ctx.int(SF_TYPE)?),
-                            Value::Int(ctx.int(START_TIME)?),
-                            Value::Int(ctx.int(END_TIME)?),
-                            Value::Text(Self::sub_nbr(s_id + 1)),
-                        ])
-                    },
+                .step(
+                    Step::insert(
+                        "insert-forwarding",
+                        tables.call_forwarding,
+                        S_ID,
+                        OnDuplicate::Abort("forwarding exists"),
+                        |ctx| {
+                            let s_id = ctx.int(S_ID)?;
+                            Ok(vec![
+                                Value::Int(s_id),
+                                Value::Int(ctx.int(SF_TYPE)?),
+                                Value::Int(ctx.int(START_TIME)?),
+                                Value::Int(ctx.int(END_TIME)?),
+                                Value::Text(Self::sub_nbr(s_id + 1)),
+                            ])
+                        },
+                    )
+                    .full_key(forwarding())
+                    .abort_rate(0.3),
                 ),
             // A single exclusive step (the delete takes a centralized row
             // lock inside the storage manager on either engine).
-            Tm1Plan::DeleteCallForwarding => TxnProgram::new(Self::DELETE_CALL_FORWARDING).delete(
-                "delete-forwarding",
-                tables.call_forwarding,
-                S_ID,
-                forwarding(),
-                OnMissing::Abort("no forwarding to delete"),
+            Tm1Plan::DeleteCallForwarding => TxnProgram::new(Self::DELETE_CALL_FORWARDING).step(
+                Step::delete(
+                    "delete-forwarding",
+                    tables.call_forwarding,
+                    S_ID,
+                    forwarding(),
+                    OnMissing::Abort("no forwarding to delete"),
+                )
+                .abort_rate(0.7),
             ),
         })
     }
@@ -482,8 +513,8 @@ enum Tm1Plan {
 
 const TM1_PLANS: usize = 8;
 
-/// The parameter slots every TM1 plan reads; the names are the conflict
-/// templates' key atoms.
+/// The parameter slots every TM1 plan reads; the names are the key atoms of
+/// the derived conflict templates.
 const S_ID: Param = Param::new(0, "s_id");
 const SF_TYPE: Param = Param::new(1, "sf_type");
 const AI_TYPE: Param = Param::new(2, "ai_type");
@@ -713,78 +744,28 @@ impl Workload for Tm1 {
         self.bound(db, plan, inputs)
     }
 
-    /// Step templates mirroring the seven programs above, one per program the
-    /// active mix can produce. Routes are all `[Param(s_id)]` (every table
-    /// routes on the subscriber id); read/write column sets are exactly what
-    /// each step's body touches, and abort rates follow the TATP invalid-input
-    /// probabilities the loader induces.
-    fn conflict_templates(&self, db: &Database) -> DbResult<Vec<ProgramTemplate>> {
-        let tables = self.tables(db)?;
-        let s_id = || vec![KeyAtom::Param("s_id")];
-        let forwarding_key = || {
-            vec![
-                KeyAtom::Param("s_id"),
-                KeyAtom::Param("sf_type"),
-                KeyAtom::Param("start_time"),
-            ]
+    fn plans(&self, db: &Database) -> DbResult<Vec<TxnProgram>> {
+        let update = if self.serial_update_plan {
+            Tm1Plan::UpdateSubscriberDataSerial
+        } else {
+            Tm1Plan::UpdateSubscriberData
         };
-        let all = [
-            ProgramTemplate::new(Self::GET_SUBSCRIBER_DATA).step(StepTemplate::read(
-                "get-subscriber",
-                tables.subscriber,
-                s_id(),
-            )),
-            ProgramTemplate::new(Self::GET_NEW_DESTINATION)
-                .step(
-                    StepTemplate::read("probe-facility", tables.special_facility, s_id())
-                        .reads([2])
-                        .abort_rate(0.44),
-                )
-                .step(
-                    StepTemplate::read("probe-forwarding", tables.call_forwarding, s_id())
-                        .full_key(forwarding_key())
-                        .abort_rate(0.5),
-                ),
-            ProgramTemplate::new(Self::GET_ACCESS_DATA).step(
-                StepTemplate::read("get-access-data", tables.access_info, s_id()).abort_rate(0.375),
-            ),
-            ProgramTemplate::new(Self::UPDATE_SUBSCRIBER_DATA)
-                .step(
-                    StepTemplate::write("update-subscriber", tables.subscriber, s_id()).writes([2]),
-                )
-                .step(
-                    StepTemplate::write("update-facility", tables.special_facility, s_id())
-                        .writes([4])
-                        .abort_rate(0.625),
-                ),
-            ProgramTemplate::new(Self::UPDATE_LOCATION)
-                .step(StepTemplate::secondary(
-                    "resolve-sub-nbr",
-                    tables.subscriber,
-                ))
-                .step(
-                    StepTemplate::write("update-location", tables.subscriber, s_id()).writes([4]),
-                ),
-            ProgramTemplate::new(Self::INSERT_CALL_FORWARDING)
-                .step(
-                    StepTemplate::read("probe-facility", tables.special_facility, s_id())
-                        .abort_rate(0.375),
-                )
-                .step(
-                    StepTemplate::insert("insert-forwarding", tables.call_forwarding, s_id())
-                        .full_key(forwarding_key())
-                        .abort_rate(0.3),
-                ),
-            ProgramTemplate::new(Self::DELETE_CALL_FORWARDING).step(
-                StepTemplate::delete("delete-forwarding", tables.call_forwarding, s_id())
-                    .full_key(forwarding_key())
-                    .abort_rate(0.7),
-            ),
-        ];
-        Ok(all
-            .into_iter()
-            .filter(|program| self.txn_labels().contains(&program.name()))
-            .collect())
+        let mut plans = Vec::new();
+        for plan in [
+            Tm1Plan::GetSubscriberData,
+            Tm1Plan::GetNewDestination,
+            Tm1Plan::GetAccessData,
+            update,
+            Tm1Plan::UpdateLocation,
+            Tm1Plan::InsertCallForwarding,
+            Tm1Plan::DeleteCallForwarding,
+        ] {
+            let program = self.bound(db, plan, Tm1Inputs::default())?;
+            if self.txn_labels().contains(&program.name()) {
+                plans.push(program);
+            }
+        }
+        Ok(plans)
     }
 }
 

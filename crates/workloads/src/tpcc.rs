@@ -18,8 +18,7 @@ use rand::rngs::SmallRng;
 
 use dora_common::prelude::*;
 use dora_core::{
-    DoraEngine, KeyAtom, LocalMode, OnDuplicate, OnMissing, Param, Params, ProgramTemplate, Shape,
-    Step, StepCtx, StepTemplate, TxnProgram,
+    DoraEngine, LocalMode, OnDuplicate, OnMissing, Param, Params, Shape, Step, StepCtx, TxnProgram,
 };
 
 use dora_storage::{ColumnDef, Database, IndexSpec, TableSchema};
@@ -303,68 +302,83 @@ impl Tpcc {
 
     fn payment_plan(tables: TpccTables) -> TxnProgram {
         TxnProgram::new(Self::PAYMENT)
-            .update(
-                "payment-warehouse",
-                tables.warehouse,
-                W_ID,
-                W_ID,
-                OnMissing::Error,
-                |ctx, row| {
-                    let ytd = row[2].as_float()?;
-                    row[2] = Value::Float(ytd + ctx.float(AMOUNT)?);
-                    Ok(())
-                },
+            .step(
+                Step::update(
+                    "payment-warehouse",
+                    tables.warehouse,
+                    W_ID,
+                    W_ID,
+                    OnMissing::Error,
+                    |ctx, row| {
+                        let ytd = row[2].as_float()?;
+                        row[2] = Value::Float(ytd + ctx.float(AMOUNT)?);
+                        Ok(())
+                    },
+                )
+                .writes([2]),
             )
-            .update(
-                "payment-district",
-                tables.district,
-                Shape::of([W_ID, D_ID]),
-                Shape::of([W_ID, D_ID]),
-                OnMissing::Error,
-                |ctx, row| {
-                    let ytd = row[3].as_float()?;
-                    row[3] = Value::Float(ytd + ctx.float(AMOUNT)?);
-                    Ok(())
-                },
+            .step(
+                Step::update(
+                    "payment-district",
+                    tables.district,
+                    Shape::of([W_ID, D_ID]),
+                    Shape::of([W_ID, D_ID]),
+                    OnMissing::Error,
+                    |ctx, row| {
+                        let ytd = row[3].as_float()?;
+                        row[3] = Value::Float(ytd + ctx.float(AMOUNT)?);
+                        Ok(())
+                    },
+                )
+                .writes([3]),
             )
-            .custom(
-                "payment-customer",
-                tables.customer,
-                Shape::of([C_W_ID, C_D_ID]),
-                LocalMode::Exclusive,
-                move |ctx| {
-                    let amount = ctx.float(AMOUNT)?;
-                    let (rid, c_id) = Self::resolve_customer(&tables, ctx, C_W_ID, C_D_ID)?;
-                    ctx.db
-                        .update_rid(ctx.txn, tables.customer, rid, ctx.cc(), |row| {
-                            let balance = row[4].as_float()?;
-                            let ytd = row[5].as_float()?;
-                            let count = row[6].as_int()?;
-                            row[4] = Value::Float(balance - amount);
-                            row[5] = Value::Float(ytd + amount);
-                            row[6] = Value::Int(count + 1);
-                            Ok(())
-                        })?;
-                    ctx.scratch.put("c_id", c_id);
-                    Ok(())
-                },
+            .step(
+                Step::custom(
+                    "payment-customer",
+                    tables.customer,
+                    Shape::of([C_W_ID, C_D_ID]),
+                    LocalMode::Exclusive,
+                    move |ctx| {
+                        let amount = ctx.float(AMOUNT)?;
+                        let (rid, c_id) = Self::resolve_customer(&tables, ctx, C_W_ID, C_D_ID)?;
+                        ctx.db
+                            .update_rid(ctx.txn, tables.customer, rid, ctx.cc(), |row| {
+                                let balance = row[4].as_float()?;
+                                let ytd = row[5].as_float()?;
+                                let count = row[6].as_int()?;
+                                row[4] = Value::Float(balance - amount);
+                                row[5] = Value::Float(ytd + amount);
+                                row[6] = Value::Int(count + 1);
+                                Ok(())
+                            })?;
+                        ctx.scratch.put("c_id", c_id);
+                        Ok(())
+                    },
+                )
+                .writes([4, 5, 6])
+                .abort_rate(0.01),
             )
             .rvp()
-            .insert(
-                "payment-history",
-                tables.history,
-                W_ID,
-                OnDuplicate::Error,
-                |ctx| {
-                    let c_id = ctx.scratch.get_int("c_id")?;
-                    Ok(vec![
-                        Value::Int(ctx.int(W_ID)?),
-                        Value::Int(ctx.int(D_ID)?),
-                        Value::Int(c_id),
-                        Value::Float(ctx.float(AMOUNT)?),
-                        Value::Int(ctx.txn.id().0 as i64),
-                    ])
-                },
+            // The History key `(h_w_id, h_tid)` carries the transaction id,
+            // so two Payments never insert the same key.
+            .step(
+                Step::insert(
+                    "payment-history",
+                    tables.history,
+                    W_ID,
+                    OnDuplicate::Error,
+                    |ctx| {
+                        let c_id = ctx.scratch.get_int("c_id")?;
+                        Ok(vec![
+                            Value::Int(ctx.int(W_ID)?),
+                            Value::Int(ctx.int(D_ID)?),
+                            Value::Int(c_id),
+                            Value::Float(ctx.float(AMOUNT)?),
+                            Value::Int(ctx.int(Param::TXN_ID)?),
+                        ])
+                    },
+                )
+                .full_key(Shape::of([W_ID, Param::TXN_ID])),
             )
     }
 
@@ -395,54 +409,66 @@ impl Tpcc {
     fn order_status_plan(tables: TpccTables) -> TxnProgram {
         let district = || Shape::of([W_ID, D_ID]);
         TxnProgram::new(Self::ORDER_STATUS)
-            .custom(
-                "orderstatus-customer",
-                tables.customer,
-                district(),
-                LocalMode::Shared,
-                move |ctx| {
-                    let (_, c_id) = Self::resolve_customer(&tables, ctx, W_ID, D_ID)?;
-                    ctx.scratch.put("c_id", c_id);
-                    Ok(())
-                },
+            .step(
+                Step::custom(
+                    "orderstatus-customer",
+                    tables.customer,
+                    district(),
+                    LocalMode::Shared,
+                    move |ctx| {
+                        let (_, c_id) = Self::resolve_customer(&tables, ctx, W_ID, D_ID)?;
+                        ctx.scratch.put("c_id", c_id);
+                        Ok(())
+                    },
+                )
+                .reads([2, 3])
+                .abort_rate(0.01),
             )
             .rvp()
-            .custom(
-                "orderstatus-order",
-                tables.orders,
-                district(),
-                LocalMode::Shared,
-                move |ctx| {
-                    let c_id = ctx.scratch.get_int("c_id")?;
-                    let orders = ctx.db.probe_secondary(
-                        ctx.txn,
-                        tables.orders_by_customer,
-                        &Key::int3(ctx.int(W_ID)?, ctx.int(D_ID)?, c_id),
-                        ctx.cc(),
-                    )?;
-                    let Some(latest) = orders.iter().map(|e| e.rid).max_by_key(|rid| rid.pack())
-                    else {
-                        return Err(ctx.abort("customer has no orders"));
-                    };
-                    let order = ctx
-                        .db
-                        .read_rid(ctx.txn, tables.orders, latest, false, ctx.cc())?;
-                    ctx.scratch.put("o_id", order[2].as_int()?);
-                    Ok(())
-                },
+            .step(
+                Step::custom(
+                    "orderstatus-order",
+                    tables.orders,
+                    district(),
+                    LocalMode::Shared,
+                    move |ctx| {
+                        let c_id = ctx.scratch.get_int("c_id")?;
+                        let orders = ctx.db.probe_secondary(
+                            ctx.txn,
+                            tables.orders_by_customer,
+                            &Key::int3(ctx.int(W_ID)?, ctx.int(D_ID)?, c_id),
+                            ctx.cc(),
+                        )?;
+                        let Some(latest) =
+                            orders.iter().map(|e| e.rid).max_by_key(|rid| rid.pack())
+                        else {
+                            return Err(ctx.abort("customer has no orders"));
+                        };
+                        let order =
+                            ctx.db
+                                .read_rid(ctx.txn, tables.orders, latest, false, ctx.cc())?;
+                        ctx.scratch.put("o_id", order[2].as_int()?);
+                        Ok(())
+                    },
+                )
+                .reads([2, 3])
+                .abort_rate(0.02),
             )
             .rvp()
-            .custom(
-                "orderstatus-orderlines",
-                tables.order_line,
-                district(),
-                LocalMode::Shared,
-                move |ctx| {
-                    let o_id = ctx.scratch.get_int("o_id")?;
-                    let (w_id, d_id) = (ctx.int(W_ID)?, ctx.int(D_ID)?);
-                    Self::order_lines(&tables, ctx, w_id, d_id, o_id, o_id + 1)?;
-                    Ok(())
-                },
+            .step(
+                Step::custom(
+                    "orderstatus-orderlines",
+                    tables.order_line,
+                    district(),
+                    LocalMode::Shared,
+                    move |ctx| {
+                        let o_id = ctx.scratch.get_int("o_id")?;
+                        let (w_id, d_id) = (ctx.int(W_ID)?, ctx.int(D_ID)?);
+                        Self::order_lines(&tables, ctx, w_id, d_id, o_id, o_id + 1)?;
+                        Ok(())
+                    },
+                )
+                .reads([6]),
             )
     }
 
@@ -478,40 +504,51 @@ impl Tpcc {
     fn new_order_plan(tables: TpccTables, items: usize) -> TxnProgram {
         let district = || Shape::of([W_ID, D_ID]);
         let mut program = TxnProgram::new(Self::NEW_ORDER)
-            .read(
-                "neworder-customer",
-                tables.customer,
-                district(),
-                Shape::of([W_ID, D_ID, C_ID]),
-                OnMissing::Abort("no such customer"),
-                |_ctx, _row| Ok(()),
+            .step(
+                Step::read(
+                    "neworder-customer",
+                    tables.customer,
+                    district(),
+                    Shape::of([W_ID, D_ID, C_ID]),
+                    OnMissing::Abort("no such customer"),
+                    |_ctx, _row| Ok(()),
+                )
+                .reads([]),
             )
-            .update(
-                "neworder-district",
-                tables.district,
-                district(),
-                district(),
-                OnMissing::Error,
-                |ctx, row| {
-                    let o_id = row[4].as_int()?;
-                    row[4] = Value::Int(o_id + 1);
-                    ctx.scratch.put("o_id", o_id);
-                    Ok(())
-                },
+            .step(
+                Step::update(
+                    "neworder-district",
+                    tables.district,
+                    district(),
+                    district(),
+                    OnMissing::Error,
+                    |ctx, row| {
+                        let o_id = row[4].as_int()?;
+                        row[4] = Value::Int(o_id + 1);
+                        ctx.scratch.put("o_id", o_id);
+                        Ok(())
+                    },
+                )
+                .writes([4]),
             );
-        // One read-only step per item, routed on the item id.
+        // One read-only step per item, routed on the item id; the steps
+        // share one label, so they are one conflict template.
         for index in 0..items {
-            program = program.step(Step::read(
-                "neworder-item",
-                tables.item,
-                item_id(index),
-                item_id(index),
-                OnMissing::Abort("unused item id"),
-                move |ctx, row| {
-                    ctx.scratch.put_at("price", index, row[2].as_float()?);
-                    Ok(())
-                },
-            ));
+            program = program.step(
+                Step::read(
+                    "neworder-item",
+                    tables.item,
+                    item_id(index),
+                    item_id(index),
+                    OnMissing::Abort("unused item id"),
+                    move |ctx, row| {
+                        ctx.scratch.put_at("price", index, row[2].as_float()?);
+                        Ok(())
+                    },
+                )
+                .reads([2])
+                .abort_rate(0.01),
+            );
         }
 
         // Phase two: all the inserts plus the stock updates, grouped per
@@ -519,36 +556,39 @@ impl Tpcc {
         // actions with the same identifier can be merged, Section 4.1.2).
         program
             .rvp()
-            .custom(
-                "neworder-stock",
-                tables.stock,
-                W_ID,
-                LocalMode::Exclusive,
-                move |ctx| {
-                    let w_id = ctx.int(W_ID)?;
-                    for index in 0..items {
-                        let quantity = ctx.int(quantity(index))?;
-                        ctx.db.update_primary(
-                            ctx.txn,
-                            tables.stock,
-                            &Key::int2(w_id, ctx.int(item_id(index))?),
-                            ctx.cc(),
-                            |row| {
-                                let quantity_now = row[2].as_int()?;
-                                let new_quantity = if quantity_now >= quantity + 10 {
-                                    quantity_now - quantity
-                                } else {
-                                    quantity_now + 91 - quantity
-                                };
-                                row[2] = Value::Int(new_quantity);
-                                row[3] = Value::Int(row[3].as_int()? + quantity);
-                                row[4] = Value::Int(row[4].as_int()? + 1);
-                                Ok(())
-                            },
-                        )?;
-                    }
-                    Ok(())
-                },
+            .step(
+                Step::custom(
+                    "neworder-stock",
+                    tables.stock,
+                    W_ID,
+                    LocalMode::Exclusive,
+                    move |ctx| {
+                        let w_id = ctx.int(W_ID)?;
+                        for index in 0..items {
+                            let quantity = ctx.int(quantity(index))?;
+                            ctx.db.update_primary(
+                                ctx.txn,
+                                tables.stock,
+                                &Key::int2(w_id, ctx.int(item_id(index))?),
+                                ctx.cc(),
+                                |row| {
+                                    let quantity_now = row[2].as_int()?;
+                                    let new_quantity = if quantity_now >= quantity + 10 {
+                                        quantity_now - quantity
+                                    } else {
+                                        quantity_now + 91 - quantity
+                                    };
+                                    row[2] = Value::Int(new_quantity);
+                                    row[3] = Value::Int(row[3].as_int()? + quantity);
+                                    row[4] = Value::Int(row[4].as_int()? + 1);
+                                    Ok(())
+                                },
+                            )?;
+                        }
+                        Ok(())
+                    },
+                )
+                .writes([2, 3, 4]),
             )
             .insert(
                 "neworder-orders",
@@ -581,34 +621,37 @@ impl Tpcc {
                     ])
                 },
             )
-            .custom(
-                "neworder-orderlines",
-                tables.order_line,
-                W_ID,
-                LocalMode::Exclusive,
-                move |ctx| {
-                    let o_id = ctx.scratch.get_int("o_id")?;
-                    let (w_id, d_id) = (ctx.int(W_ID)?, ctx.int(D_ID)?);
-                    for index in 0..items {
-                        let price = ctx.scratch.get_float_at("price", index)?;
-                        let quantity = ctx.int(quantity(index))?;
-                        ctx.db.insert(
-                            ctx.txn,
-                            tables.order_line,
-                            vec![
-                                Value::Int(w_id),
-                                Value::Int(d_id),
-                                Value::Int(o_id),
-                                Value::Int(index as i64 + 1),
-                                Value::Int(ctx.int(item_id(index))?),
-                                Value::Int(quantity),
-                                Value::Float(price * quantity as f64),
-                            ],
-                            ctx.write_cc(),
-                        )?;
-                    }
-                    Ok(())
-                },
+            .step(
+                Step::custom(
+                    "neworder-orderlines",
+                    tables.order_line,
+                    W_ID,
+                    LocalMode::Exclusive,
+                    move |ctx| {
+                        let o_id = ctx.scratch.get_int("o_id")?;
+                        let (w_id, d_id) = (ctx.int(W_ID)?, ctx.int(D_ID)?);
+                        for index in 0..items {
+                            let price = ctx.scratch.get_float_at("price", index)?;
+                            let quantity = ctx.int(quantity(index))?;
+                            ctx.db.insert(
+                                ctx.txn,
+                                tables.order_line,
+                                vec![
+                                    Value::Int(w_id),
+                                    Value::Int(d_id),
+                                    Value::Int(o_id),
+                                    Value::Int(index as i64 + 1),
+                                    Value::Int(ctx.int(item_id(index))?),
+                                    Value::Int(quantity),
+                                    Value::Float(price * quantity as f64),
+                                ],
+                                ctx.write_cc(),
+                            )?;
+                        }
+                        Ok(())
+                    },
+                )
+                .inserts_or_deletes(),
             )
     }
 
@@ -631,110 +674,119 @@ impl Tpcc {
         // Scratchpad entries are indexed by the district id.
         let district = |d_id: i64| d_id as usize;
         TxnProgram::new(Self::DELIVERY)
-            .custom(
-                "delivery-neworder",
-                tables.new_order,
-                W_ID,
-                LocalMode::Exclusive,
-                move |ctx| {
-                    let w_id = ctx.int(W_ID)?;
-                    for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
-                        // The district's oldest order is the first key of
-                        // its `new_order` range.
-                        let range = KeyRange::new(
-                            Some(Key::int2(w_id, d_id)),
-                            Some(Key::int2(w_id, d_id + 1)),
-                        );
-                        let Some((_, oldest)) = ctx
-                            .db
-                            .range_primary(ctx.txn, tables.new_order, &range, 1, ctx.cc())?
-                            .pop()
-                        else {
-                            continue;
-                        };
-                        let o_id = oldest[2].as_int()?;
-                        ctx.db.delete_primary(
-                            ctx.txn,
-                            tables.new_order,
-                            &Key::int3(w_id, d_id, o_id),
-                            ctx.write_cc(),
-                        )?;
-                        ctx.scratch.put_at("deliver", district(d_id), o_id);
-                    }
-                    Ok(())
-                },
-            )
-            .rvp()
-            .custom(
-                "delivery-orders",
-                tables.orders,
-                W_ID,
-                LocalMode::Exclusive,
-                move |ctx| {
-                    let (w_id, carrier) = (ctx.int(W_ID)?, ctx.int(CARRIER)?);
-                    for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
-                        let Some(o_id) = ctx.scratch.get_at("deliver", district(d_id)) else {
-                            continue;
-                        };
-                        let o_id = o_id.as_int()?;
-                        let mut c_id = 0;
-                        ctx.db.update_primary(
-                            ctx.txn,
-                            tables.orders,
-                            &Key::int3(w_id, d_id, o_id),
-                            ctx.cc(),
-                            |row| {
-                                c_id = row[3].as_int()?;
-                                row[4] = Value::Int(carrier);
-                                Ok(())
-                            },
-                        )?;
-                        ctx.scratch.put_at("customer", district(d_id), c_id);
-                        // Sum the order lines while we are here (the same
-                        // warehouse executor owns them under the same routing
-                        // field, but they belong to another table).
-                        let mut amount = 0.0;
-                        for (_, line) in
-                            Self::order_lines(&tables, ctx, w_id, d_id, o_id, o_id + 1)?
-                        {
-                            amount += line[6].as_float()?;
+            .step(
+                Step::custom(
+                    "delivery-neworder",
+                    tables.new_order,
+                    W_ID,
+                    LocalMode::Exclusive,
+                    move |ctx| {
+                        let w_id = ctx.int(W_ID)?;
+                        for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
+                            // The district's oldest order is the first key of
+                            // its `new_order` range.
+                            let range = KeyRange::new(
+                                Some(Key::int2(w_id, d_id)),
+                                Some(Key::int2(w_id, d_id + 1)),
+                            );
+                            let Some((_, oldest)) = ctx
+                                .db
+                                .range_primary(ctx.txn, tables.new_order, &range, 1, ctx.cc())?
+                                .pop()
+                            else {
+                                continue;
+                            };
+                            let o_id = oldest[2].as_int()?;
+                            ctx.db.delete_primary(
+                                ctx.txn,
+                                tables.new_order,
+                                &Key::int3(w_id, d_id, o_id),
+                                ctx.write_cc(),
+                            )?;
+                            ctx.scratch.put_at("deliver", district(d_id), o_id);
                         }
-                        ctx.scratch.put_at("amount", district(d_id), amount);
-                    }
-                    Ok(())
-                },
+                        Ok(())
+                    },
+                )
+                .inserts_or_deletes(),
             )
             .rvp()
-            .custom(
-                "delivery-customer",
-                tables.customer,
-                W_ID,
-                LocalMode::Exclusive,
-                move |ctx| {
-                    let w_id = ctx.int(W_ID)?;
-                    for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
-                        let Some(c_id) = ctx.scratch.get_at("customer", district(d_id)) else {
-                            continue;
-                        };
-                        let c_id = c_id.as_int()?;
-                        let amount = ctx
-                            .scratch
-                            .get_float_at("amount", district(d_id))
-                            .unwrap_or(0.0);
-                        ctx.db.update_primary(
-                            ctx.txn,
-                            tables.customer,
-                            &Key::int3(w_id, d_id, c_id),
-                            ctx.cc(),
-                            |row| {
-                                row[4] = Value::Float(row[4].as_float()? + amount);
-                                row[7] = Value::Int(row[7].as_int()? + 1);
-                                Ok(())
-                            },
-                        )?;
-                    }
-                    Ok(())
-                },
+            .step(
+                Step::custom(
+                    "delivery-orders",
+                    tables.orders,
+                    W_ID,
+                    LocalMode::Exclusive,
+                    move |ctx| {
+                        let (w_id, carrier) = (ctx.int(W_ID)?, ctx.int(CARRIER)?);
+                        for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
+                            let Some(o_id) = ctx.scratch.get_at("deliver", district(d_id)) else {
+                                continue;
+                            };
+                            let o_id = o_id.as_int()?;
+                            let mut c_id = 0;
+                            ctx.db.update_primary(
+                                ctx.txn,
+                                tables.orders,
+                                &Key::int3(w_id, d_id, o_id),
+                                ctx.cc(),
+                                |row| {
+                                    c_id = row[3].as_int()?;
+                                    row[4] = Value::Int(carrier);
+                                    Ok(())
+                                },
+                            )?;
+                            ctx.scratch.put_at("customer", district(d_id), c_id);
+                            // Sum the order lines while we are here (the same
+                            // warehouse executor owns them under the same routing
+                            // field, but they belong to another table).
+                            let mut amount = 0.0;
+                            for (_, line) in
+                                Self::order_lines(&tables, ctx, w_id, d_id, o_id, o_id + 1)?
+                            {
+                                amount += line[6].as_float()?;
+                            }
+                            ctx.scratch.put_at("amount", district(d_id), amount);
+                        }
+                        Ok(())
+                    },
+                )
+                .writes([4]),
+            )
+            .rvp()
+            .step(
+                Step::custom(
+                    "delivery-customer",
+                    tables.customer,
+                    W_ID,
+                    LocalMode::Exclusive,
+                    move |ctx| {
+                        let w_id = ctx.int(W_ID)?;
+                        for d_id in 1..=DISTRICTS_PER_WAREHOUSE {
+                            let Some(c_id) = ctx.scratch.get_at("customer", district(d_id)) else {
+                                continue;
+                            };
+                            let c_id = c_id.as_int()?;
+                            let amount = ctx
+                                .scratch
+                                .get_float_at("amount", district(d_id))
+                                .unwrap_or(0.0);
+                            ctx.db.update_primary(
+                                ctx.txn,
+                                tables.customer,
+                                &Key::int3(w_id, d_id, c_id),
+                                ctx.cc(),
+                                |row| {
+                                    row[4] = Value::Float(row[4].as_float()? + amount);
+                                    row[7] = Value::Int(row[7].as_int()? + 1);
+                                    Ok(())
+                                },
+                            )?;
+                        }
+                        Ok(())
+                    },
+                )
+                .writes([4, 7]),
             )
     }
 
@@ -763,73 +815,82 @@ impl Tpcc {
     fn stock_level_plan(tables: TpccTables) -> TxnProgram {
         let district = || Shape::of([W_ID, D_ID]);
         TxnProgram::new(Self::STOCK_LEVEL)
-            .read(
-                "stocklevel-district",
-                tables.district,
-                district(),
-                district(),
-                OnMissing::Abort("no such district"),
-                |ctx, row| {
-                    ctx.scratch.put("next_o_id", row[4].as_int()?);
-                    Ok(())
-                },
+            .step(
+                Step::read(
+                    "stocklevel-district",
+                    tables.district,
+                    district(),
+                    district(),
+                    OnMissing::Abort("no such district"),
+                    |ctx, row| {
+                        ctx.scratch.put("next_o_id", row[4].as_int()?);
+                        Ok(())
+                    },
+                )
+                .reads([4]),
             )
             .rvp()
-            .custom(
-                "stocklevel-orderlines",
-                tables.order_line,
-                district(),
-                LocalMode::Shared,
-                move |ctx| {
-                    let next_o_id = ctx.scratch.get_int("next_o_id")?;
-                    let lines = Self::order_lines(
-                        &tables,
-                        ctx,
-                        ctx.int(W_ID)?,
-                        ctx.int(D_ID)?,
-                        (next_o_id - 20).max(0),
-                        next_o_id,
-                    )?;
-                    let mut item_ids = lines
-                        .iter()
-                        .map(|(_, line)| line[4].as_int())
-                        .collect::<DbResult<Vec<_>>>()?;
-                    item_ids.sort_unstable();
-                    item_ids.dedup();
-                    ctx.scratch.put("distinct_items", item_ids.len() as i64);
-                    for (index, item_id) in item_ids.iter().enumerate() {
-                        ctx.scratch.put_at("item", index, *item_id);
-                    }
-                    Ok(())
-                },
+            .step(
+                Step::custom(
+                    "stocklevel-orderlines",
+                    tables.order_line,
+                    district(),
+                    LocalMode::Shared,
+                    move |ctx| {
+                        let next_o_id = ctx.scratch.get_int("next_o_id")?;
+                        let lines = Self::order_lines(
+                            &tables,
+                            ctx,
+                            ctx.int(W_ID)?,
+                            ctx.int(D_ID)?,
+                            (next_o_id - 20).max(0),
+                            next_o_id,
+                        )?;
+                        let mut item_ids = lines
+                            .iter()
+                            .map(|(_, line)| line[4].as_int())
+                            .collect::<DbResult<Vec<_>>>()?;
+                        item_ids.sort_unstable();
+                        item_ids.dedup();
+                        ctx.scratch.put("distinct_items", item_ids.len() as i64);
+                        for (index, item_id) in item_ids.iter().enumerate() {
+                            ctx.scratch.put_at("item", index, *item_id);
+                        }
+                        Ok(())
+                    },
+                )
+                .reads([4]),
             )
             .rvp()
-            .custom(
-                "stocklevel-stock",
-                tables.stock,
-                W_ID,
-                LocalMode::Shared,
-                move |ctx| {
-                    let (w_id, threshold) = (ctx.int(W_ID)?, ctx.int(THRESHOLD)?);
-                    let count = ctx.scratch.get_int("distinct_items")?;
-                    let mut low = 0;
-                    for index in 0..count.max(0) as usize {
-                        let item_id = ctx.scratch.get_int_at("item", index)?;
-                        if let Some((_, stock)) = ctx.db.probe_primary(
-                            ctx.txn,
-                            tables.stock,
-                            &Key::int2(w_id, item_id),
-                            false,
-                            ctx.cc(),
-                        )? {
-                            if stock[2].as_int()? < threshold {
-                                low += 1;
+            .step(
+                Step::custom(
+                    "stocklevel-stock",
+                    tables.stock,
+                    W_ID,
+                    LocalMode::Shared,
+                    move |ctx| {
+                        let (w_id, threshold) = (ctx.int(W_ID)?, ctx.int(THRESHOLD)?);
+                        let count = ctx.scratch.get_int("distinct_items")?;
+                        let mut low = 0;
+                        for index in 0..count.max(0) as usize {
+                            let item_id = ctx.scratch.get_int_at("item", index)?;
+                            if let Some((_, stock)) = ctx.db.probe_primary(
+                                ctx.txn,
+                                tables.stock,
+                                &Key::int2(w_id, item_id),
+                                false,
+                                ctx.cc(),
+                            )? {
+                                if stock[2].as_int()? < threshold {
+                                    low += 1;
+                                }
                             }
                         }
-                    }
-                    let _ = low;
-                    Ok(())
-                },
+                        let _ = low;
+                        Ok(())
+                    },
+                )
+                .reads([2]),
             )
     }
 
@@ -937,8 +998,8 @@ impl TpccPlan {
     }
 }
 
-// The parameter slots of the TPC-C plans; the names are the conflict
-// templates' key atoms.
+// The parameter slots of the TPC-C plans; the names are the key atoms of the
+// derived conflict templates.
 const W_ID: Param = Param::new(0, "w_id");
 const D_ID: Param = Param::new(1, "d_id");
 const C_W_ID: Param = Param::new(2, "c_w_id");
@@ -978,22 +1039,26 @@ struct TpccInputs<'a> {
 }
 
 impl TpccInputs<'_> {
+    /// The slots, collected in one go: a NewOrder's item list is one buffer,
+    /// allocated once.
     fn params(&self) -> Params {
-        let mut params = Params::of([
+        let items = self
+            .items
+            .iter()
+            .flat_map(|&(item, quantity)| [item, quantity]);
+        [
             self.w_id,
             self.d_id,
             self.c_w_id,
             self.c_d_id,
             self.c_id,
             self.c_last,
-        ])
-        .with_float(self.amount)
-        .with(self.extra);
-        for (item, quantity) in self.items {
-            params.push(*item);
-            params.push(*quantity);
-        }
-        params
+            self.amount.to_bits() as i64,
+            self.extra,
+        ]
+        .into_iter()
+        .chain(items)
+        .collect()
     }
 }
 
@@ -1277,102 +1342,23 @@ impl Workload for Tpcc {
         }
     }
 
-    /// Step templates mirroring the five programs above. Routes follow the
-    /// identifiers each program builds (warehouse id, warehouse+district, or
-    /// item id); read/write column sets are exactly what each step's body
-    /// touches. Customer-resolution steps declare reads `{2, 3}` (c_id and
-    /// last name) because of the by-last-name path; the History insert's
-    /// primary key is `(w_id, txn-id)`, whose second component is unique per
-    /// transaction, so two instances can never collide.
-    fn conflict_templates(&self, db: &Database) -> DbResult<Vec<ProgramTemplate>> {
-        let tables = self.tables(db)?;
-        let w = || vec![KeyAtom::Param("w_id")];
-        let wd = || vec![KeyAtom::Param("w_id"), KeyAtom::Param("d_id")];
-        let all = [
-            ProgramTemplate::new(Self::PAYMENT)
-                .step(StepTemplate::write("payment-warehouse", tables.warehouse, w()).writes([2]))
-                .step(StepTemplate::write("payment-district", tables.district, wd()).writes([3]))
-                .step(
-                    StepTemplate::write(
-                        "payment-customer",
-                        tables.customer,
-                        vec![KeyAtom::Param("c_w_id"), KeyAtom::Param("c_d_id")],
-                    )
-                    .reads([2, 3])
-                    .writes([4, 5, 6])
-                    .abort_rate(0.01),
-                )
-                .step(
-                    StepTemplate::insert("payment-history", tables.history, w())
-                        .full_key(vec![KeyAtom::Param("w_id"), KeyAtom::Unique]),
-                ),
-            ProgramTemplate::new(Self::ORDER_STATUS)
-                .step(
-                    StepTemplate::read("orderstatus-customer", tables.customer, wd())
-                        .reads([2, 3])
-                        .abort_rate(0.01),
-                )
-                .step(
-                    StepTemplate::read("orderstatus-order", tables.orders, wd())
-                        .reads([2, 3])
-                        .abort_rate(0.02),
-                )
-                .step(
-                    StepTemplate::read("orderstatus-orderlines", tables.order_line, wd())
-                        .reads([6]),
-                ),
-            ProgramTemplate::new(Self::NEW_ORDER)
-                .step(StepTemplate::read(
-                    "neworder-customer",
-                    tables.customer,
-                    wd(),
-                ))
-                .step(
-                    StepTemplate::write("neworder-district", tables.district, wd())
-                        .reads([4])
-                        .writes([4]),
-                )
-                .step(
-                    StepTemplate::read("neworder-item", tables.item, vec![KeyAtom::Param("i_id")])
-                        .reads([2])
-                        .abort_rate(0.01),
-                )
-                .step(StepTemplate::write("neworder-stock", tables.stock, w()).writes([2, 3, 4]))
-                .step(StepTemplate::insert("neworder-orders", tables.orders, w()))
-                .step(StepTemplate::insert(
-                    "neworder-newordertab",
-                    tables.new_order,
-                    w(),
-                ))
-                .step(StepTemplate::insert(
-                    "neworder-orderlines",
-                    tables.order_line,
-                    w(),
-                )),
-            ProgramTemplate::new(Self::DELIVERY)
-                .step(
-                    StepTemplate::delete("delivery-neworder", tables.new_order, w())
-                        .reads([0, 1, 2]),
-                )
-                .step(
-                    StepTemplate::write("delivery-orders", tables.orders, w())
-                        .reads([3])
-                        .writes([4]),
-                )
-                .step(
-                    StepTemplate::write("delivery-customer", tables.customer, w()).writes([4, 7]),
-                ),
-            ProgramTemplate::new(Self::STOCK_LEVEL)
-                .step(StepTemplate::read("stocklevel-district", tables.district, wd()).reads([4]))
-                .step(
-                    StepTemplate::read("stocklevel-orderlines", tables.order_line, wd()).reads([4]),
-                )
-                .step(StepTemplate::read("stocklevel-stock", tables.stock, w()).reads([2])),
-        ];
-        Ok(all
-            .into_iter()
-            .filter(|program| self.txn_labels().contains(&program.name()))
-            .collect())
+    /// A one-item NewOrder stands for every item count: its item steps
+    /// share one label, so every NewOrder plan has the same templates.
+    fn plans(&self, db: &Database) -> DbResult<Vec<TxnProgram>> {
+        let mut plans = Vec::new();
+        for plan in [
+            TpccPlan::NewOrder(1),
+            TpccPlan::Payment,
+            TpccPlan::OrderStatus,
+            TpccPlan::Delivery,
+            TpccPlan::StockLevel,
+        ] {
+            let program = self.bound(db, plan, TpccInputs::default())?;
+            if self.txn_labels().contains(&program.name()) {
+                plans.push(program);
+            }
+        }
+        Ok(plans)
     }
 }
 

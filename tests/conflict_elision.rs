@@ -5,9 +5,9 @@
 //!    force — randomized route templates that the solver declares disjoint
 //!    must never instantiate to overlapping keys, under any parameter
 //!    assignment;
-//! 2. the matrices the real workloads declare prove exactly the steps the
-//!    analysis should prove (TM1's read mix, TPC-C's item/customer reads),
-//!    and never a writer;
+//! 2. the matrices derived from the real workloads' plans prove exactly the
+//!    steps the analysis should prove (TM1's read mix, TPC-C's item/customer
+//!    reads), and never a writer;
 //! 3. a full run under contention with elision off and on leaves identical
 //!    table contents, while the elided run demonstrably skips probes
 //!    (`LockProbesElided` > 0, fewer `DoraLocalLock` acquisitions).
@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use dora_repro::common::prelude::*;
 use dora_repro::dora::{
-    routes_may_overlap, ConflictMatrix, DoraConfig, DoraEngine, KeyAtom, OnMissing,
-    ProgramTemplate, Step, StepTemplate, TxnProgram,
+    routes_may_overlap, ConflictMatrix, DoraConfig, DoraEngine, KeyAtom, OnMissing, Param, Params,
+    Step, TxnProgram,
 };
 use dora_repro::metrics::{global, CounterKind};
 use dora_repro::storage::{ColumnDef, Database, TableSchema};
@@ -95,9 +95,9 @@ fn tm1_matrix_proves_the_read_mix_safe_and_only_it() {
     let db = Database::for_tests();
     let tm1 = Tm1::new(200);
     tm1.setup(&db).unwrap();
-    let templates = tm1.conflict_templates(&db).unwrap();
+    let plans = tm1.plans(&db).unwrap();
     let matrix =
-        ConflictMatrix::analyze(&templates, DoraConfig::default().serialize_abort_threshold);
+        ConflictMatrix::analyze(&plans, DoraConfig::default().serialize_abort_threshold).unwrap();
 
     // The read-dominated bulk of the mix is provably safe: GetSubscriberData
     // and GetAccessData touch tables nothing writes in conflict with them,
@@ -152,9 +152,9 @@ fn tpcc_matrix_dismisses_reads_but_not_stock() {
     let db = Database::for_tests();
     let tpcc = Tpcc::new(2);
     tpcc.setup(&db).unwrap();
-    let templates = tpcc.conflict_templates(&db).unwrap();
+    let plans = tpcc.plans(&db).unwrap();
     let matrix =
-        ConflictMatrix::analyze(&templates, DoraConfig::default().serialize_abort_threshold);
+        ConflictMatrix::analyze(&plans, DoraConfig::default().serialize_abort_threshold).unwrap();
 
     for (program, label) in [
         (Tpcc::NEW_ORDER, "neworder-customer"),
@@ -221,43 +221,55 @@ fn mini_db() -> (Arc<Database>, TableId) {
     (db, table)
 }
 
+const ID: Param = Param::new(0, "id");
+
+/// Bumps column `a` of one counter.
+fn writer_plan(table: TableId) -> TxnProgram {
+    TxnProgram::new("mini-writer").step(
+        Step::update(
+            "bump-a",
+            table,
+            ID,
+            ID,
+            OnMissing::Abort("missing"),
+            |_ctx, row| {
+                let n = row[1].as_int()?;
+                row[1] = Value::Int(n + 1);
+                Ok(())
+            },
+        )
+        .writes([1]),
+    )
+}
+
+/// Reads column `b` of one counter.
+fn reader_plan(table: TableId) -> TxnProgram {
+    TxnProgram::new("mini-reader").step(
+        Step::read(
+            "read-b",
+            table,
+            ID,
+            ID,
+            OnMissing::Abort("missing"),
+            |_ctx, row| {
+                let _ = row[2].as_int()?;
+                Ok(())
+            },
+        )
+        .reads([2]),
+    )
+}
+
 fn writer_program(table: TableId, key: i64) -> TxnProgram {
-    TxnProgram::new("mini-writer").step(Step::update(
-        "bump-a",
-        table,
-        Key::int(key),
-        Key::int(key),
-        OnMissing::Abort("missing"),
-        |_ctx, row| {
-            let n = row[1].as_int()?;
-            row[1] = Value::Int(n + 1);
-            Ok(())
-        },
-    ))
+    writer_plan(table).bind(Params::of([key]))
 }
 
 fn reader_program(table: TableId, key: i64) -> TxnProgram {
-    TxnProgram::new("mini-reader").step(Step::read(
-        "read-b",
-        table,
-        Key::int(key),
-        Key::int(key),
-        OnMissing::Abort("missing"),
-        |_ctx, row| {
-            let _ = row[2].as_int()?;
-            Ok(())
-        },
-    ))
+    reader_plan(table).bind(Params::of([key]))
 }
 
 fn mini_matrix(table: TableId) -> ConflictMatrix {
-    let templates = vec![
-        ProgramTemplate::new("mini-writer")
-            .step(StepTemplate::write("bump-a", table, vec![KeyAtom::Param("id")]).writes([1])),
-        ProgramTemplate::new("mini-reader")
-            .step(StepTemplate::read("read-b", table, vec![KeyAtom::Param("id")]).reads([2])),
-    ];
-    ConflictMatrix::analyze(&templates, 0.1)
+    ConflictMatrix::analyze(&[writer_plan(table), reader_plan(table)], 0.1).unwrap()
 }
 
 fn table_contents(db: &Database, table: TableId) -> Vec<(i64, i64, i64)> {

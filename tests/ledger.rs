@@ -179,16 +179,16 @@ const LEDGER: [Row; 7] = [
         engine: EngineKind::Dora,
         load: Load::Tpcc,
         exact: exact(401, 3074, 3618, 5871, 2392, 0, 0),
-        alloc_calls: band(129.26, 1.0),
-        alloc_bytes: band(23916.0, 478.0),
+        alloc_calls: band(127.69, 1.0),
+        alloc_bytes: band(23779.0, 476.0),
     },
     Row {
         workload: "tpcc_mix",
         engine: EngineKind::Baseline,
         load: Load::Tpcc,
         exact: exact(401, 0, 0, 5871, 8498, 2888, 0),
-        alloc_calls: band(165.37, 1.0),
-        alloc_bytes: band(27666.0, 553.0),
+        alloc_calls: band(164.23, 1.0),
+        alloc_bytes: band(27605.0, 552.0),
     },
     Row {
         workload: "htap_tpcb",

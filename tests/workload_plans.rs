@@ -9,23 +9,17 @@
 //!   probe-free and the same programs DORA-S.
 //! * The conflict report is pinned verbatim: the bind-time matrix of the TM1
 //!   and TPC-C full mixes, with table names from the catalog.
-//! * The plans and the hand-written conflict templates agree: every step of
-//!   every TM1 and TPC-C plan matches its template one-to-one on label,
-//!   table, route shape, full-key shape and access kind. The templates are
-//!   declared beside the plans, not derived from them, so this guards the
-//!   gap until they are.
+//! * The conflict analysis sees every transaction type: `plans()` returns
+//!   one plan per `txn_labels()` entry, for every TM1 and TPC-C mix.
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use dora_repro::dora::conflict::TemplateKind;
-use dora_repro::dora::{
-    ConflictMatrix, DoraConfig, LocalMode, ProgramTemplate, StepKind, StepTemplate, TxnProgram,
-};
+use dora_repro::dora::{ConflictMatrix, DoraConfig};
 use dora_repro::storage::Database;
-use dora_repro::workloads::{Tm1, TpcB, Tpcc, Workload};
+use dora_repro::workloads::{Tm1, Tm1Mix, TpcB, Tpcc, TpccMix, Workload};
 
 const DRAWS: usize = 200;
 const SEED: u64 = 7;
@@ -41,9 +35,10 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// threshold.
 fn conflict_matrix(workload: &dyn Workload, db: &Database) -> ConflictMatrix {
     ConflictMatrix::analyze(
-        &workload.conflict_templates(db).unwrap(),
+        &workload.plans(db).unwrap(),
         DoraConfig::default().serialize_abort_threshold,
     )
+    .unwrap()
 }
 
 fn draw_digest(workload: &dyn Workload, stamped: bool) -> u64 {
@@ -165,114 +160,27 @@ fn the_conflict_report_of_each_full_mix_is_pinned() {
     }
 }
 
-/// Why `step` and `template` disagree, if they do.
-fn step_drift(step: &dora_repro::dora::Step, template: &StepTemplate) -> Option<String> {
-    if step.table() != template.table() {
-        return Some(format!("table {} vs {}", step.table(), template.table()));
-    }
-    if step.route().atoms() != template.route() {
-        return Some(format!(
-            "route {:?} vs {:?}",
-            step.route().atoms(),
-            template.route()
-        ));
-    }
-    if let (Some(key), Some(full_key)) = (step.key(), template.full_key_atoms()) {
-        if key.atoms() != full_key {
-            return Some(format!("key {:?} vs {:?}", key.atoms(), full_key));
-        }
-    }
-    let shared = step.mode() == LocalMode::Shared;
-    let kinds_agree = match template.kind() {
-        TemplateKind::Secondary => step.is_declared_secondary(),
-        TemplateKind::Read => matches!(step.kind(), StepKind::Read | StepKind::Custom) && shared,
-        TemplateKind::Write => {
-            matches!(step.kind(), StepKind::Update | StepKind::Custom) && !shared
-        }
-        TemplateKind::Insert => {
-            matches!(step.kind(), StepKind::Insert | StepKind::Custom) && !shared
-        }
-        TemplateKind::Delete => {
-            matches!(step.kind(), StepKind::Delete | StepKind::Custom) && !shared
-        }
-    };
-    (!kinds_agree).then(|| {
-        format!(
-            "access {:?}/{:?} vs {:?}",
-            step.kind(),
-            step.mode(),
-            template.kind()
-        )
-    })
-}
-
-/// Every disagreement between `program` and its template.
-fn plan_drift(program: &TxnProgram, templates: &[ProgramTemplate]) -> Vec<String> {
-    let name = program.name();
-    let Some(template) = templates.iter().find(|t| t.name() == name) else {
-        return vec![format!("{name}: no template")];
-    };
-    let mut drift = Vec::new();
-    for step in program.steps() {
-        let matches: Vec<_> = template
-            .steps()
-            .iter()
-            .filter(|t| t.label() == step.label())
-            .collect();
-        match matches.as_slice() {
-            [one] => {
-                if let Some(why) = step_drift(step, one) {
-                    drift.push(format!("{name}/{}: {why}", step.label()));
-                }
-            }
-            _ => drift.push(format!(
-                "{name}/{}: {} templates with this label",
-                step.label(),
-                matches.len()
-            )),
-        }
-    }
-    for declared in template.steps() {
-        if !program
-            .steps()
-            .iter()
-            .any(|s| s.label() == declared.label())
-        {
-            drift.push(format!(
-                "{name}/{}: template without a step",
-                declared.label()
-            ));
-        }
-    }
-    drift
-}
-
 #[test]
-fn every_plan_agrees_with_its_conflict_template() {
-    let workloads: [Arc<dyn Workload>; 2] = [
-        Arc::new(Tm1::new(1_000)),
-        Arc::new(Tpcc::with_scale(2, 30, 200)),
+fn every_mix_has_one_plan_per_transaction_label() {
+    let workloads: Vec<Arc<dyn Workload>> = vec![
+        Arc::new(Tm1::new(100)),
+        Arc::new(Tm1::new(100).with_mix(Tm1Mix::GetSubscriberDataOnly)),
+        Arc::new(Tm1::new(100).with_mix(Tm1Mix::UpdateSubscriberDataOnly)),
+        Arc::new(Tm1::new(100).with_serial_update_plan(true)),
+        Arc::new(Tpcc::with_scale(1, 10, 50)),
+        Arc::new(Tpcc::with_scale(1, 10, 50).with_mix(TpccMix::PaymentOnly)),
+        Arc::new(Tpcc::with_scale(1, 10, 50).with_mix(TpccMix::OrderStatusOnly)),
+        Arc::new(Tpcc::with_scale(1, 10, 50).with_mix(TpccMix::NewOrderOnly)),
     ];
-    let mut drift = Vec::new();
     for workload in &workloads {
         let db = Database::for_tests();
-        workload.setup(&db).unwrap();
-        let templates = workload.conflict_templates(&db).unwrap();
-        let mut rng = SmallRng::seed_from_u64(SEED);
-        // Draw until every type (and every NewOrder size) has been checked.
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..2_000 {
-            let program = workload.next_program(&db, &mut rng).unwrap();
-            if seen.insert((program.name(), program.step_count())) {
-                drift.extend(plan_drift(&program, &templates));
-            }
-        }
-        let labels: std::collections::BTreeSet<_> = seen.iter().map(|(name, _)| *name).collect();
-        assert_eq!(labels.len(), workload.txn_labels().len(), "{labels:?}");
+        workload.create_schema(&db).unwrap();
+        let names: Vec<_> = workload
+            .plans(&db)
+            .unwrap()
+            .iter()
+            .map(|plan| plan.name())
+            .collect();
+        assert_eq!(names, workload.txn_labels(), "{}", workload.name());
     }
-    assert!(
-        drift.is_empty(),
-        "plans and templates drifted:\n{}",
-        drift.join("\n")
-    );
 }
