@@ -67,8 +67,7 @@ pub use engine::DoraEngine;
 pub use flow::FlowGraph;
 pub use locallock::LocalLockTable;
 pub use program::{
-    OnDuplicate, OnMissing, Param, Params, PreparedProgram, Shape, Step, StepCtx, StepKind,
-    TxnProgram,
+    OnDuplicate, OnMissing, Param, Params, PreparedProgram, Shape, Step, StepCtx, TxnProgram,
 };
 pub use resource::ResourceManager;
 pub use retry::retry_deadlocks;

@@ -303,7 +303,7 @@ impl Shape {
     /// The shape as conflict-template key atoms: a fixed component is a
     /// [`KeyAtom::Const`], a slot a [`KeyAtom::Param`] under its name, and
     /// [`Param::TXN_ID`] a [`KeyAtom::Unique`].
-    pub fn atoms(&self) -> Vec<KeyAtom> {
+    pub(crate) fn atoms(&self) -> Vec<KeyAtom> {
         match &self.0 {
             ShapeRepr::Fixed(key) => key.values().iter().cloned().map(KeyAtom::Const).collect(),
             ShapeRepr::Params(slots) => slots
@@ -449,23 +449,6 @@ pub enum OnDuplicate {
 /// without rebuilding a body.
 pub type StepBody = Arc<dyn Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync>;
 
-/// Which constructor built a step: what it does to its record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepKind {
-    /// [`Step::read`].
-    Read,
-    /// [`Step::update`].
-    Update,
-    /// [`Step::insert`].
-    Insert,
-    /// [`Step::delete`].
-    Delete,
-    /// [`Step::custom`]: anything, under the step's [`LocalMode`].
-    Custom,
-    /// [`Step::secondary`]: unrouted.
-    Secondary,
-}
-
 /// One step of a transaction program: a unit of work against a small set of
 /// records of one table — exactly what DORA calls an *action* (Section
 /// 4.1.2), but engine-agnostic.
@@ -486,7 +469,6 @@ pub struct Step {
     /// The primary key a typed read, update or delete addresses, or the one
     /// an insert declares for the rows it makes.
     key: Option<Shape>,
-    kind: StepKind,
     mode: LocalMode,
     body: StepBody,
     /// `true` only for steps built with [`Step::secondary`] — the author
@@ -509,7 +491,6 @@ impl std::fmt::Debug for Step {
             .field("label", &self.label)
             .field("table", &self.table)
             .field("route", &self.route)
-            .field("kind", &self.kind)
             .field("mode", &self.mode)
             .field("declared", &self.declared)
             .finish_non_exhaustive()
@@ -534,7 +515,6 @@ impl Step {
             table,
             route: route.into(),
             key: None,
-            kind: StepKind::Custom,
             mode,
             body: Arc::new(body),
             declared_secondary: false,
@@ -553,7 +533,6 @@ impl Step {
         body: impl Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync + 'static,
     ) -> Self {
         Self {
-            kind: StepKind::Secondary,
             declared_secondary: true,
             ..Self::custom(label, table, Shape::empty(), LocalMode::Shared, body)
         }
@@ -572,7 +551,6 @@ impl Step {
         let shape = key.clone();
         Self {
             key: Some(key),
-            kind: StepKind::Read,
             ..Self::custom(label, table, route, LocalMode::Shared, move |ctx| {
                 let key = ctx.key(&shape)?;
                 match ctx
@@ -599,7 +577,6 @@ impl Step {
         let shape = key.clone();
         Self {
             key: Some(key),
-            kind: StepKind::Update,
             ..Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
                 let key = ctx.key(&shape)?;
                 match ctx
@@ -624,7 +601,6 @@ impl Step {
         make_row: impl Fn(&StepCtx<'_>) -> DbResult<Row> + Send + Sync + 'static,
     ) -> Self {
         Self {
-            kind: StepKind::Insert,
             declared: Declared::existence(),
             ..Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
                 let row = make_row(ctx)?;
@@ -652,7 +628,6 @@ impl Step {
         let shape = key.clone();
         Self {
             key: Some(key),
-            kind: StepKind::Delete,
             declared: Declared::existence(),
             ..Self::custom(label, table, route, LocalMode::Exclusive, move |ctx| {
                 let key = ctx.key(&shape)?;
@@ -699,7 +674,7 @@ impl Step {
     }
 
     /// Declares the probability that the step aborts its transaction (the
-    /// DORA-S decision of Figure 11 adds these up per program).
+    /// DORA-S decision of Figure 11 combines these per program).
     pub fn abort_rate(mut self, rate: f64) -> Self {
         self.declared.abort_rate = rate.clamp(0.0, 1.0);
         self
@@ -730,7 +705,7 @@ impl Step {
     }
 
     /// `true` if the author declared the step secondary.
-    pub fn is_declared_secondary(&self) -> bool {
+    pub(crate) fn is_declared_secondary(&self) -> bool {
         self.declared_secondary
     }
 
@@ -751,17 +726,12 @@ impl Step {
 
     /// The primary-key shape of a typed read, update or delete, or the one
     /// an insert declares.
-    pub fn key(&self) -> Option<&Shape> {
+    pub(crate) fn key(&self) -> Option<&Shape> {
         self.key.as_ref()
     }
 
-    /// Which constructor built the step.
-    pub fn kind(&self) -> StepKind {
-        self.kind
-    }
-
     /// The local-lock mode the step needs on its route.
-    pub fn mode(&self) -> LocalMode {
+    pub(crate) fn mode(&self) -> LocalMode {
         self.mode
     }
 }
