@@ -26,9 +26,9 @@ pub struct DoraConfig {
     /// relying on a hand-set `serialized(true)`.
     ///
     /// `false` disables both: every routed action probes its executor's
-    /// local lock table and plans run exactly as authored — the A/B baseline
-    /// of the `conflicts` benchmark, and the right setting for experiments
-    /// that measure hand-set plans (e.g. Figure 11 itself).
+    /// local lock table and plans run exactly as authored — the right
+    /// setting for experiments that measure hand-set plans (e.g. Figure 11
+    /// itself).
     pub conflict_elision: bool,
 }
 

@@ -169,7 +169,7 @@ impl EngineInner {
     /// its key columns don't cover the routing fields). Warned once per
     /// `(table, step label)` per bind so a hot loop cannot flood stderr; the
     /// bind-time conflict-analysis coverage report lists the same steps up
-    /// front for workloads that declare templates, and the
+    /// front for workloads that hand over their plans, and the
     /// `SecondaryFallbacks` counter records every occurrence.
     fn warn_undeclared_secondary(&self, table: TableId, label: &'static str) {
         if self.warned_secondary.lock().insert((table, label)) {

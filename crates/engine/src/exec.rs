@@ -189,8 +189,8 @@ pub struct DoraExecution {
     /// controller must never outlive them).
     adaptive: Mutex<Option<AdaptiveController>>,
     /// The workload's conflict matrix, computed once at bind time when
-    /// `DoraConfig::conflict_elision` is set and the workload declares step
-    /// templates. [`ExecutionEngine::prepare`] stamps every program against
+    /// `DoraConfig::conflict_elision` is set and the workload hands over its
+    /// plans. [`ExecutionEngine::prepare`] stamps every program against
     /// it (probe-free steps, DORA-S auto-serialization).
     conflicts: OnceLock<ConflictMatrix>,
 }
