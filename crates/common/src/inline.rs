@@ -106,6 +106,18 @@ impl<T, const N: usize> InlineVec<T, N> {
         self.inline.iter().flatten().chain(self.spill.iter())
     }
 
+    /// Keeps only the elements `keep` accepts, in order. Allocates only if
+    /// more than `N` are kept.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut kept = Self::new();
+        for value in std::mem::take(self) {
+            if keep(&value) {
+                kept.push(value);
+            }
+        }
+        *self = kept;
+    }
+
     /// Sorts the elements by `key`, keeping the order of equal keys.
     pub fn sort_by_key<K: Ord>(&mut self, mut key: impl FnMut(&T) -> K) {
         if self.spill.is_empty() {
@@ -228,6 +240,17 @@ mod tests {
             expected.sort_by_key(|(k, _)| *k);
             assert_eq!(sorted, expected);
             assert_eq!(vec.len(), n);
+        }
+    }
+
+    #[test]
+    fn retain_keeps_order_inline_and_spilled() {
+        for n in [2u32, 9] {
+            let mut vec: InlineVec<u32, 3> = (0..n).collect();
+            vec.retain(|v| v % 2 == 1);
+            let odd: Vec<_> = vec.iter().copied().collect();
+            assert_eq!(odd, (0..n).filter(|v| v % 2 == 1).collect::<Vec<_>>());
+            assert_eq!(vec.len(), odd.len());
         }
     }
 

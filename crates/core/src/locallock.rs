@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 
 use dora_common::prelude::*;
+use dora_common::InlineVec;
 use dora_metrics::{incr, time_section, CounterKind, TimeCategory};
 
 use crate::action::LocalMode;
@@ -38,16 +39,20 @@ pub enum LocalAcquire {
     Conflict(Vec<TxnId>),
 }
 
+/// Owners of one identifier kept in place; more (shared holders) spill.
+const OWNERS_INLINE: usize = 2;
+
 /// A thread-local lock table.
 #[derive(Debug, Default)]
 pub struct LocalLockTable {
     /// Owner lists indexed by exact identifier (the map key *is* the locked
-    /// identifier — short keys are stored inline, so populating an entry does
-    /// not allocate). Conflict checking scans all entries because key-prefix
-    /// overlap cannot be answered by an exact lookup; the table only ever
-    /// holds entries for in-flight transactions on one executor, so it stays
-    /// small (tens of entries).
-    entries: HashMap<Key, Vec<(TxnId, LocalMode)>>,
+    /// identifier — short keys are stored inline, and so are the first
+    /// [`OWNERS_INLINE`] owners, so populating an entry does not allocate).
+    /// Conflict checking scans all entries because key-prefix overlap cannot
+    /// be answered by an exact lookup; the table only ever holds entries for
+    /// in-flight transactions on one executor, so it stays small (tens of
+    /// entries).
+    entries: HashMap<Key, InlineVec<(TxnId, LocalMode), OWNERS_INLINE>>,
     /// Total number of grants, for Figure 5's thread-local lock counts.
     acquired: u64,
 }
@@ -70,7 +75,7 @@ impl LocalLockTable {
                 if !locked.overlaps(identifier) {
                     continue;
                 }
-                for (owner, owner_mode) in owners {
+                for (owner, owner_mode) in owners.iter() {
                     if *owner == txn {
                         continue;
                     }
@@ -89,7 +94,8 @@ impl LocalLockTable {
                 return LocalAcquire::Conflict(conflicts);
             }
             let owners = self.entries.entry(identifier.clone()).or_default();
-            if let Some(existing) = owners.iter_mut().find(|(owner, _)| *owner == txn) {
+            let existing = owners.iter().position(|(owner, _)| *owner == txn);
+            if let Some(existing) = existing.and_then(|at| owners.get_mut(at)) {
                 // Upgrade in place if needed.
                 if existing.1 == LocalMode::Shared && mode == LocalMode::Exclusive {
                     existing.1 = LocalMode::Exclusive;
@@ -108,7 +114,9 @@ impl LocalLockTable {
     pub fn release_txn(&mut self, txn: TxnId) {
         time_section(TimeCategory::DoraLocal, || {
             self.entries.retain(|_, owners| {
-                owners.retain(|(owner, _)| *owner != txn);
+                if owners.iter().any(|(owner, _)| *owner == txn) {
+                    owners.retain(|(owner, _)| *owner != txn);
+                }
                 !owners.is_empty()
             });
         })

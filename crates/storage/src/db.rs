@@ -417,7 +417,15 @@ impl Database {
         let held = std::mem::take(&mut *txn.state.held.lock());
         self.locks.release_all(txn.id(), held);
         self.txns.finish(&txn.state, TxnStatus::Committed);
-        self.log.forget(txn.id());
+        self.forget_logged(txn);
+    }
+
+    /// Drops the log's per-transaction entry, which only a transaction that
+    /// logged a change has: a read-only one skips the log's mutex.
+    fn forget_logged(&self, txn: &TxnHandle) {
+        if txn.state.has_writes() {
+            self.log.forget(txn.id());
+        }
     }
 
     /// Second half of commit: blocks until the commit record is durable,
@@ -553,7 +561,7 @@ impl Database {
         let held = std::mem::take(&mut *txn.state.held.lock());
         self.locks.release_all(txn.id(), held);
         self.txns.finish(&txn.state, TxnStatus::Aborted);
-        self.log.forget(txn.id());
+        self.forget_logged(txn);
         match undo_error {
             Some(error) => Err(error),
             None => Ok(()),

@@ -4,8 +4,8 @@
 //! scalability collapse of conventional OLTP on multicores, and the component
 //! DORA bypasses. Its structure follows the paper's description of Shore-MT:
 //!
-//! * every logical lock is a data structure holding the lock's mode, a linked
-//!   list of granted/pending requests, and a **latch**;
+//! * every logical lock is a data structure holding the lock's mode, a list
+//!   of granted/pending requests, and a **latch**;
 //! * acquiring a lock first ensures the proper **intention locks** higher up
 //!   the hierarchy (database → table → record) are held, then probes a hash
 //!   table, latches the lock head, and appends the request;
@@ -15,12 +15,24 @@
 //! * deadlock detection runs over a waits-for graph; DORA's thread-local lock
 //!   tables can feed their own waits into the same detector (Section 4.2.3).
 //!
+//! It is still hash → latch → request list, laid out so that an uncontended
+//! acquire or release costs one multiplicative hash of the [`LockId`], one
+//! latch hold and no allocation. The lock heads live inline in their hash
+//! bucket, behind the bucket's latch, which is therefore also each head's
+//! latch: a release unlinks a head it emptied under the latch it already
+//! holds. The request lists of emptied heads stay in their bucket for the
+//! next heads, and a transaction's ledger ([`HeldLocks`]) keeps its first
+//! entries in place. A waiter's edges in the waits-for graph are taken when
+//! it blocks and grown by every later grant it must also wait for, so a
+//! deadlock is found when its cycle closes; a transaction that never waited
+//! finishes without touching the graph's mutex.
+//!
 //! All latch spin time and logical lock wait time is recorded into
 //! [`dora_metrics`] so the harness can reproduce Figures 1–3.
 
-use std::collections::hash_map::DefaultHasher;
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -148,6 +160,21 @@ enum GrantOutcome {
     Timeout,
 }
 
+/// A blocked request's wait: the cell its requester sleeps on, and the
+/// transactions it has an edge to in the waits-for graph.
+#[derive(Debug, Default)]
+struct Wait {
+    /// Set at most once: a grant flips the request's `granted` (or settles
+    /// the upgrade's mode) and a pending request is removed before it is
+    /// told `Deadlock`, so no later sweep reaches it again.
+    outcome: OneShot<GrantOutcome>,
+    /// Taken when the request blocks, and grown by every later grant the
+    /// request then also waits for: a holder's upgrade, or a request admitted
+    /// past a waiting upgrade. The waiter removes them all when it stops
+    /// waiting.
+    blockers: Mutex<Vec<TxnId>>,
+}
+
 /// One entry in a lock head's request list.
 #[derive(Debug)]
 struct LockRequest {
@@ -157,122 +184,172 @@ struct LockRequest {
     /// Mode the request wants (differs from `granted_mode` during upgrades).
     wanted_mode: LockMode,
     granted: bool,
-    /// The cell the requester sleeps on: made for each wait (a fresh
-    /// request that blocks, or an upgrade that does), `None` for a request
-    /// granted on arrival, which nobody ever wakes. Each cell is set at most
-    /// once: a grant flips `granted` (or settles the upgrade's mode) and a
-    /// pending request is removed before it is told `Deadlock`, so no later
-    /// sweep reaches it again.
-    signal: Option<Arc<OneShot<GrantOutcome>>>,
+    /// Made for each wait (a fresh request that blocks, or an upgrade that
+    /// does), `None` for a request granted on arrival, which nobody ever
+    /// wakes.
+    wait: Option<Arc<Wait>>,
 }
 
 impl LockRequest {
     fn notify(&self, outcome: GrantOutcome) {
-        if let Some(signal) = &self.signal {
-            signal.set(outcome);
+        if let Some(wait) = &self.wait {
+            wait.outcome.set(outcome);
         }
+    }
+
+    /// The wait of a request still waiting: pending, or upgrading.
+    fn waiting(&self) -> Option<&Arc<Wait>> {
+        let waits = !self.granted || self.wanted_mode != self.granted_mode;
+        self.wait.as_ref().filter(|_| waits)
     }
 }
 
-/// State behind a lock head's latch.
-#[derive(Debug, Default)]
-struct LockHeadInner {
+/// A lock head: one resource's request list, stored inline in its bucket.
+#[derive(Debug)]
+struct LockHead {
+    id: LockId,
     requests: Vec<LockRequest>,
-    /// Set when the head has been unlinked from its hash bucket; a racer that
-    /// still holds an `Arc` must retry its probe.
-    unlinked: bool,
 }
 
-impl LockHeadInner {
-    /// Transactions whose granted or earlier pending requests are
-    /// incompatible with `mode` (ignoring `except`'s own requests).
-    fn conflicting_txns(&self, mode: LockMode, except: TxnId) -> Vec<TxnId> {
+impl LockHead {
+    /// The transactions the waiting request at `at` waits for: the granted
+    /// requests incompatible with the mode it wants and, for a fresh
+    /// request, every pending request ahead of it in the FIFO queue.
+    fn blockers(&self, at: usize) -> Vec<TxnId> {
+        let waiter = &self.requests[at];
         self.requests
             .iter()
-            .filter(|r| r.txn != except)
-            .filter(|r| {
-                let other = if r.granted {
-                    r.granted_mode
+            .enumerate()
+            .filter(|(other, r)| {
+                if r.txn == waiter.txn {
+                    false
+                } else if r.granted {
+                    !waiter.wanted_mode.compatible(r.granted_mode)
                 } else {
-                    r.wanted_mode
-                };
-                !mode.compatible(other)
+                    !waiter.granted && *other < at
+                }
             })
-            .map(|r| r.txn)
+            .map(|(_, r)| r.txn)
             .collect()
+    }
+
+    /// `true` if `mode` is compatible with every granted request other than
+    /// `txn`'s own.
+    fn compatible_with_granted(&self, mode: LockMode, txn: TxnId) -> bool {
+        self.requests
+            .iter()
+            .filter(|r| r.granted && r.txn != txn)
+            .all(|r| mode.compatible(r.granted_mode))
     }
 
     /// FIFO grant sweep: grants every pending request (in arrival order) that
     /// is compatible with the currently granted group, stopping lock-mode
-    /// upgrades ahead of ordinary requests.
-    fn grant_pending(&mut self) {
+    /// upgrades ahead of ordinary requests. Returns the positions of the
+    /// requests it granted, which the caller must wake.
+    fn grant_pending(&mut self) -> Vec<usize> {
+        let mut granted = Vec::new();
         // Upgrades (granted request whose wanted mode is stronger) first.
         for i in 0..self.requests.len() {
-            if self.requests[i].granted
-                && self.requests[i].wanted_mode != self.requests[i].granted_mode
-            {
-                let wanted = self.requests[i].wanted_mode;
-                let txn = self.requests[i].txn;
-                let compatible = self
-                    .requests
-                    .iter()
-                    .filter(|r| r.granted && r.txn != txn)
-                    .all(|r| wanted.compatible(r.granted_mode));
-                if compatible {
+            let request = &self.requests[i];
+            if request.granted && request.wanted_mode != request.granted_mode {
+                let (wanted, txn) = (request.wanted_mode, request.txn);
+                if self.compatible_with_granted(wanted, txn) {
                     self.requests[i].granted_mode = wanted;
-                    self.requests[i].notify(GrantOutcome::Granted);
+                    granted.push(i);
                 }
             }
         }
         // Then plain pending requests in FIFO order.
         for i in 0..self.requests.len() {
-            if !self.requests[i].granted {
-                let wanted = self.requests[i].wanted_mode;
-                let compatible = self
-                    .requests
-                    .iter()
-                    .take(i)
-                    .chain(self.requests.iter().skip(i + 1))
-                    .filter(|r| r.granted)
-                    .all(|r| wanted.compatible(r.granted_mode));
-                if !compatible {
+            let request = &self.requests[i];
+            if !request.granted {
+                let (wanted, txn) = (request.wanted_mode, request.txn);
+                if !self.compatible_with_granted(wanted, txn) {
                     // Preserve FIFO order: later requests stay blocked behind
                     // this one.
                     break;
                 }
                 self.requests[i].granted = true;
                 self.requests[i].granted_mode = wanted;
-                self.requests[i].notify(GrantOutcome::Granted);
+                granted.push(i);
+            }
+        }
+        granted
+    }
+}
+
+/// Request lists a bucket keeps from heads that emptied, for the next heads
+/// it links.
+const SPARE_LISTS: usize = 4;
+
+/// Room a new bucket makes for heads, and a request list for requests.
+const BUCKET_ROOM: usize = 4;
+
+/// One hash bucket: the heads of the locks whose ids hash here, and the
+/// request lists of heads that emptied. Both live behind the bucket's latch.
+#[derive(Debug)]
+struct Bucket {
+    heads: Vec<LockHead>,
+    spare: Vec<Vec<LockRequest>>,
+}
+
+impl Bucket {
+    /// A bucket with room for a few heads and one spare request list, so
+    /// that the first locks to hash here allocate nothing either.
+    fn new() -> Self {
+        let mut spare = Vec::with_capacity(SPARE_LISTS);
+        spare.push(Vec::with_capacity(BUCKET_ROOM));
+        Self {
+            heads: Vec::with_capacity(BUCKET_ROOM),
+            spare,
+        }
+    }
+
+    fn position(&self, id: LockId) -> Option<usize> {
+        self.heads.iter().position(|head| head.id == id)
+    }
+
+    /// The head of `id`, linked on first use with a spare request list.
+    fn head_mut(&mut self, id: LockId) -> &mut LockHead {
+        let at = match self.position(id) {
+            Some(at) => at,
+            None => {
+                let requests = self.spare.pop().unwrap_or_default();
+                self.heads.push(LockHead { id, requests });
+                self.heads.len() - 1
+            }
+        };
+        &mut self.heads[at]
+    }
+
+    /// Unlinks the head at `at` if no request is left in it, keeping its
+    /// request list for a later head while the spare list has room.
+    fn unlink_if_empty(&mut self, at: usize) {
+        if self.heads[at].requests.is_empty() {
+            let head = self.heads.swap_remove(at);
+            if self.spare.len() < SPARE_LISTS {
+                self.spare.push(head.requests);
             }
         }
     }
 }
 
-/// A lock head: the per-resource structure holding the request list.
-#[derive(Debug)]
-struct LockHead {
-    inner: Latch<LockHeadInner>,
-}
-
-impl LockHead {
-    fn new() -> Self {
-        Self {
-            inner: Latch::new(LockHeadInner::default()),
-        }
-    }
-}
-
-type Bucket = Latch<HashMap<LockId, Arc<LockHead>>>;
+/// `log2` of the number of hash buckets in the lock table.
+const BUCKET_BITS: u32 = 10;
 
 /// The centralized lock manager.
 pub struct LockManager {
-    buckets: Vec<Bucket>,
+    buckets: Box<[Latch<Bucket>]>,
     /// Waits-for graph: waiter → (holder → number of live wait edges). Edges
     /// are *counted* because one transaction can wait at several places at
     /// once — two actions parked at different DORA executors, or a parked
     /// action plus a blocked centralized acquire — and resolving one wait
     /// must not erase the edges the others still need for cycle detection.
     waits_for: Mutex<HashMap<TxnId, HashMap<TxnId, usize>>>,
+    /// The number of waiters in `waits_for`, published after each change
+    /// under its mutex, so that a transaction that never waited finishes
+    /// without taking the mutex.
+    waiters: AtomicUsize,
     deadlock_detection: bool,
     wait_timeout: Duration,
 }
@@ -285,52 +362,153 @@ impl std::fmt::Debug for LockManager {
     }
 }
 
-/// Per-transaction record of held locks; owned by the transaction state and
-/// handed back to the lock manager at commit/abort for release.
-#[derive(Debug, Default)]
-pub struct HeldLocks {
-    /// Acquisition order is preserved so release can run youngest-first.
-    locks: Vec<(LockId, LockMode)>,
-    /// Fast lookup of the strongest mode held per lock.
-    modes: HashMap<LockId, LockMode>,
+/// Ledger entries kept in place; a transaction that takes more spills the
+/// rest.
+const HELD_INLINE: usize = 4;
+
+/// Spilled entries scanned before the spill builds a hash index over them.
+const HELD_SCAN: usize = 8;
+
+thread_local! {
+    /// The spill of a ledger this thread released, kept for its next one.
+    static SPARE_SPILL: RefCell<Option<Box<HeldSpill>>> = const { RefCell::new(None) };
 }
 
-impl HeldLocks {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
+/// Per-transaction record of held locks; owned by the transaction state and
+/// handed back to the lock manager at commit/abort for release.
+///
+/// The first four locks live in place, so a short transaction's
+/// ledger costs no allocation. The rest go to a spill, which indexes its
+/// entries once it holds more than a few, so a lookup in a large ledger (a
+/// TPC-C StockLevel's) stays constant-time. A released spill is kept, cleared,
+/// by the releasing thread for its next transaction that spills: the
+/// conventional engine takes and releases a transaction's locks on one
+/// thread, so its large ledgers allocate nothing either.
+#[derive(Debug)]
+pub struct HeldLocks {
+    /// The first `inline` locks in acquisition order, and the strongest mode
+    /// held on each.
+    ids: [LockId; HELD_INLINE],
+    modes: [LockMode; HELD_INLINE],
+    inline: u8,
+    spill: Option<Box<HeldSpill>>,
+}
+
+/// The ledger entries past the inline ones.
+#[derive(Debug, Default)]
+struct HeldSpill {
+    /// Acquisition order is preserved so release can run youngest-first.
+    locks: Vec<(LockId, LockMode)>,
+    /// Position in `locks` of each lock, built once `locks` outgrows
+    /// [`HELD_SCAN`].
+    index: HashMap<LockId, usize>,
+}
+
+impl HeldSpill {
+    /// This thread's spare spill, or a new one.
+    fn take() -> Box<Self> {
+        SPARE_SPILL
+            .try_with(|spare| spare.borrow_mut().take())
+            .ok()
+            .flatten()
+            .unwrap_or_default()
     }
 
-    /// Strongest mode held on `id`, if any.
-    pub fn mode(&self, id: &LockId) -> Option<LockMode> {
-        self.modes.get(id).copied()
+    /// Clears the spill and keeps it as this thread's spare, if it has none.
+    fn recycle(mut self: Box<Self>) {
+        self.locks.clear();
+        self.index.clear();
+        let _ = SPARE_SPILL.try_with(|spare| {
+            spare.borrow_mut().get_or_insert(self);
+        });
     }
 
-    /// Number of distinct locks held.
-    pub fn len(&self) -> usize {
-        self.modes.len()
+    fn position(&self, id: &LockId) -> Option<usize> {
+        if self.index.is_empty() {
+            self.locks.iter().position(|(held, _)| held == id)
+        } else {
+            self.index.get(id).copied()
+        }
     }
 
-    /// `true` if no locks are held.
-    pub fn is_empty(&self) -> bool {
-        self.modes.is_empty()
-    }
-
-    fn note(&mut self, id: LockId, mode: LockMode) {
-        match self.modes.get_mut(&id) {
-            Some(existing) => {
-                *existing = existing.combine(mode);
-            }
-            None => {
-                self.modes.insert(id, mode);
-                self.locks.push((id, mode));
+    fn push(&mut self, id: LockId, mode: LockMode) {
+        self.locks.push((id, mode));
+        if self.locks.len() > HELD_SCAN {
+            if self.index.is_empty() {
+                let positions = self.locks.iter().enumerate();
+                self.index
+                    .extend(positions.map(|(at, (held, _))| (*held, at)));
+            } else {
+                self.index.insert(id, self.locks.len() - 1);
             }
         }
     }
 }
 
-/// Default number of hash buckets in the lock table.
-const DEFAULT_BUCKETS: usize = 1024;
+impl Default for HeldLocks {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl HeldLocks {
+    /// Creates an empty set; allocates nothing.
+    pub fn new() -> Self {
+        Self {
+            ids: [LockId::Database; HELD_INLINE],
+            modes: [LockMode::IS; HELD_INLINE],
+            inline: 0,
+            spill: None,
+        }
+    }
+
+    /// Strongest mode held on `id`, if any.
+    pub fn mode(&self, id: &LockId) -> Option<LockMode> {
+        let inline = usize::from(self.inline);
+        match self.ids[..inline].iter().position(|held| held == id) {
+            Some(at) => Some(self.modes[at]),
+            None => {
+                let spill = self.spill.as_deref()?;
+                spill.position(id).map(|at| spill.locks[at].1)
+            }
+        }
+    }
+
+    /// Number of distinct locks held.
+    pub fn len(&self) -> usize {
+        usize::from(self.inline) + self.spill.as_ref().map_or(0, |spill| spill.locks.len())
+    }
+
+    /// `true` if no locks are held.
+    pub fn is_empty(&self) -> bool {
+        self.inline == 0
+    }
+
+    fn note(&mut self, id: LockId, mode: LockMode) {
+        let inline = usize::from(self.inline);
+        if let Some(at) = self.ids[..inline].iter().position(|held| *held == id) {
+            self.modes[at] = self.modes[at].combine(mode);
+        } else if inline < HELD_INLINE {
+            self.ids[inline] = id;
+            self.modes[inline] = mode;
+            self.inline += 1;
+        } else {
+            let spill = self.spill.get_or_insert_with(HeldSpill::take);
+            match spill.position(&id) {
+                Some(at) => spill.locks[at].1 = spill.locks[at].1.combine(mode),
+                None => spill.push(id, mode),
+            }
+        }
+    }
+
+    /// The held locks, youngest first.
+    fn youngest_first(&self) -> impl Iterator<Item = LockId> + '_ {
+        let spilled = self.spill.iter().flat_map(|spill| spill.locks.iter().rev());
+        spilled
+            .map(|(id, _)| *id)
+            .chain(self.ids[..usize::from(self.inline)].iter().rev().copied())
+    }
+}
 
 /// How long a blocked request waits before giving up. This is a safety net
 /// (the deadlock detector should fire first); it maps to an abort, like a
@@ -341,10 +519,11 @@ impl LockManager {
     /// Creates a lock manager with deadlock detection enabled.
     pub fn new(deadlock_detection: bool) -> Self {
         Self {
-            buckets: (0..DEFAULT_BUCKETS)
-                .map(|_| Latch::new(HashMap::new()))
+            buckets: (0..1usize << BUCKET_BITS)
+                .map(|_| Latch::new(Bucket::new()))
                 .collect(),
             waits_for: Mutex::new(HashMap::new()),
+            waiters: AtomicUsize::new(0),
             deadlock_detection,
             wait_timeout: DEFAULT_WAIT_TIMEOUT,
         }
@@ -356,33 +535,16 @@ impl LockManager {
         self
     }
 
-    fn bucket(&self, id: &LockId) -> &Bucket {
-        let mut hasher = DefaultHasher::new();
-        id.hash(&mut hasher);
-        &self.buckets[(hasher.finish() as usize) % self.buckets.len()]
-    }
-
-    fn head_for(&self, id: LockId) -> Arc<LockHead> {
-        loop {
-            let head = {
-                let mut bucket = self
-                    .bucket(&id)
-                    .lock(TimeCategory::LockMgrAcquireContention);
-                Arc::clone(
-                    bucket
-                        .entry(id)
-                        .or_insert_with(|| Arc::new(LockHead::new())),
-                )
-            };
-            // The head may have been unlinked between our probe and latch; the
-            // check happens under the head latch in the caller, so hand the
-            // caller a closure-ish contract: we verify here quickly instead.
-            let inner = head.inner.lock(TimeCategory::LockMgrAcquireContention);
-            if !inner.unlinked {
-                drop(inner);
-                return head;
-            }
-        }
+    /// The bucket of `id`: its fields folded into one word, multiplied by
+    /// 2^64/φ, and the top bits of the product taken (Fibonacci hashing).
+    fn bucket(&self, id: LockId) -> &Latch<Bucket> {
+        let word = match id {
+            LockId::Database => u64::MAX,
+            LockId::Table(table) => !u64::from(table.0),
+            LockId::Record(table, row) => u64::from(table.0).rotate_right(16) ^ row,
+        };
+        let hash = word.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.buckets[(hash >> (u64::BITS - BUCKET_BITS)) as usize]
     }
 
     /// Acquires `mode` on `id` for `txn`, blocking if necessary.
@@ -398,132 +560,131 @@ impl LockManager {
         id: LockId,
         mode: LockMode,
     ) -> DbResult<()> {
-        if let Some(existing) = held.mode(&id) {
-            if existing.covers(mode) {
-                return Ok(());
-            }
-        }
-        let mut timer = TimerGuard::new(TimeCategory::LockMgrAcquire);
-
-        let head = self.head_for(id);
-        let mut inner = head.inner.lock(TimeCategory::LockMgrAcquireContention);
-        if inner.unlinked {
-            // Extremely unlikely (checked in head_for); retry.
-            drop(inner);
-            drop(timer);
-            return self.acquire(txn, held, id, mode);
-        }
-        // Upgrade path: the transaction already has a request here.
-        if let Some(pos) = inner.requests.iter().position(|r| r.txn == txn) {
-            let wanted = inner.requests[pos].granted_mode.combine(mode);
-            if inner.requests[pos].granted && inner.requests[pos].granted_mode.covers(mode) {
-                held.note(id, wanted);
-                return Ok(());
-            }
-            let others_compatible = inner
-                .requests
-                .iter()
-                .filter(|r| r.granted && r.txn != txn)
-                .all(|r| wanted.compatible(r.granted_mode));
-            if others_compatible {
-                inner.requests[pos].granted_mode = wanted;
-                inner.requests[pos].wanted_mode = wanted;
-                inner.requests[pos].granted = true;
-                held.note(id, wanted);
-                self.count_acquisition(id);
-                return Ok(());
-            }
-            // Must wait for the conversion, on a cell of its own: one left
-            // from an earlier wait already says `Granted`.
-            let signal = Arc::new(OneShot::new());
-            inner.requests[pos].wanted_mode = wanted;
-            inner.requests[pos].signal = Some(Arc::clone(&signal));
-            let blockers = inner.conflicting_txns(wanted, txn);
-            drop(inner);
-            self.block_on(txn, held, id, wanted, &head, signal, blockers, &mut timer)?;
-            self.count_acquisition(id);
+        if held.mode(&id).is_some_and(|existing| existing.covers(mode)) {
             return Ok(());
         }
-        // Fresh request.
-        let wanted = mode;
-        let compatible_with_granted = inner
-            .requests
-            .iter()
-            .filter(|r| r.granted)
-            .all(|r| wanted.compatible(r.granted_mode));
-        let no_pending = inner.requests.iter().all(|r| r.granted);
-        if compatible_with_granted && no_pending {
-            inner.requests.push(LockRequest {
-                txn,
-                granted_mode: wanted,
-                wanted_mode: wanted,
-                granted: true,
-                signal: None,
-            });
+        let mut timer = TimerGuard::new(TimeCategory::LockMgrAcquire);
+        let mut bucket = self.bucket(id).lock(TimeCategory::LockMgrAcquireContention);
+        let head = bucket.head_mut(id);
+        let at = match head.requests.iter().position(|r| r.txn == txn) {
+            // Upgrade path: the transaction already has a request here.
+            Some(at) => {
+                let request = &head.requests[at];
+                let wanted = request.granted_mode.combine(mode);
+                if request.granted && request.granted_mode.covers(mode) {
+                    held.note(id, wanted);
+                    return Ok(());
+                }
+                let grantable = head.compatible_with_granted(wanted, txn);
+                let request = &mut head.requests[at];
+                request.wanted_mode = wanted;
+                if grantable {
+                    request.granted_mode = wanted;
+                    request.granted = true;
+                } else {
+                    // Must wait for the conversion, on a cell of its own: one
+                    // left from an earlier wait already says `Granted`.
+                    request.wait = Some(Arc::default());
+                }
+                at
+            }
+            // Fresh request.
+            None => {
+                let grantable = head.compatible_with_granted(mode, txn)
+                    && head.requests.iter().all(|r| r.granted);
+                head.requests.push(LockRequest {
+                    txn,
+                    granted_mode: mode,
+                    wanted_mode: mode,
+                    granted: grantable,
+                    wait: (!grantable).then(Arc::default),
+                });
+                head.requests.len() - 1
+            }
+        };
+        let wanted = head.requests[at].wanted_mode;
+        let Some(wait) = head.requests[at].waiting().cloned() else {
+            self.add_new_blockers(head);
             held.note(id, wanted);
             self.count_acquisition(id);
             return Ok(());
-        }
+        };
         // Must block.
-        let signal = Arc::new(OneShot::new());
-        inner.requests.push(LockRequest {
-            txn,
-            granted_mode: wanted,
-            wanted_mode: wanted,
-            granted: false,
-            signal: Some(Arc::clone(&signal)),
-        });
-        let blockers = inner.conflicting_txns(wanted, txn);
-        drop(inner);
-        self.block_on(txn, held, id, wanted, &head, signal, blockers, &mut timer)?;
+        let blockers = head.blockers(at);
+        self.add_waits(txn, &blockers);
+        *wait.blockers.lock() = blockers;
+        drop(bucket);
+        self.block_on(txn, held, id, wanted, &wait, &mut timer)?;
         self.count_acquisition(id);
         Ok(())
     }
 
     /// Shared blocking path for fresh waits and upgrade waits.
-    #[allow(clippy::too_many_arguments)]
     fn block_on(
         &self,
         txn: TxnId,
         held: &mut HeldLocks,
         id: LockId,
         wanted: LockMode,
-        head: &Arc<LockHead>,
-        signal: Arc<OneShot<GrantOutcome>>,
-        blockers: Vec<TxnId>,
+        wait: &Wait,
         timer: &mut TimerGuard,
     ) -> DbResult<()> {
         incr(CounterKind::LockWaits);
-        self.add_waits(txn, &blockers);
-        if self.deadlock_detection && self.creates_cycle(txn) {
-            self.remove_waits(txn, &blockers);
-            self.cancel_request(head, txn, id, held);
-            incr(CounterKind::DeadlockVictim);
-            return Err(DbError::Deadlock { victim: txn });
+        let outcome = if self.deadlock_detection && self.creates_cycle(txn) {
+            GrantOutcome::Deadlock
+        } else {
+            timer.switch(TimeCategory::LockWait);
+            let outcome = wait
+                .outcome
+                .wait_until(Instant::now() + self.wait_timeout)
+                .unwrap_or(GrantOutcome::Timeout);
+            timer.switch(TimeCategory::LockMgrAcquire);
+            outcome
+        };
+        if outcome != GrantOutcome::Granted {
+            self.cancel_request(txn, id, held);
         }
-        timer.switch(TimeCategory::LockWait);
-        let outcome = signal
-            .wait_until(Instant::now() + self.wait_timeout)
-            .unwrap_or(GrantOutcome::Timeout);
-        timer.switch(TimeCategory::LockMgrAcquire);
-        // Drop exactly the edges this wait registered; a concurrent action of
-        // the same transaction parked on a DORA local lock keeps its edges.
+        // Drop exactly the edges this wait had, now that no grant can add
+        // to them; a concurrent action of the same transaction parked on a
+        // DORA local lock keeps its edges.
+        let blockers = std::mem::take(&mut *wait.blockers.lock());
         self.remove_waits(txn, &blockers);
-        match outcome {
-            GrantOutcome::Granted => {
-                held.note(id, wanted);
-                Ok(())
+        if outcome == GrantOutcome::Granted {
+            held.note(id, wanted);
+            return Ok(());
+        }
+        incr(CounterKind::DeadlockVictim);
+        Err(DbError::Deadlock { victim: txn })
+    }
+
+    /// Runs the grant sweep on `head` and wakes whom it granted, after the
+    /// requests still waiting have their edges to them: a woken transaction
+    /// may block elsewhere at once, and its cycle check must see them.
+    fn grant_and_wake(&self, head: &mut LockHead) {
+        let granted = head.grant_pending();
+        if !granted.is_empty() {
+            self.add_new_blockers(head);
+            for at in granted {
+                head.requests[at].notify(GrantOutcome::Granted);
             }
-            GrantOutcome::Deadlock => {
-                self.cancel_request(head, txn, id, held);
-                incr(CounterKind::DeadlockVictim);
-                Err(DbError::Deadlock { victim: txn })
-            }
-            GrantOutcome::Timeout => {
-                self.cancel_request(head, txn, id, held);
-                incr(CounterKind::DeadlockVictim);
-                Err(DbError::Deadlock { victim: txn })
-            }
+        }
+    }
+
+    /// Gives each request still waiting on `head` an edge to every
+    /// transaction it now waits for and has none to yet. A wait takes its
+    /// edges when it blocks; a later grant it must also wait for (a holder's
+    /// upgrade, or a request admitted past a waiting upgrade) would otherwise
+    /// leave a cycle through it unseen.
+    fn add_new_blockers(&self, head: &LockHead) {
+        for (at, request) in head.requests.iter().enumerate() {
+            let Some(wait) = request.waiting() else {
+                continue;
+            };
+            let mut known = wait.blockers.lock();
+            let mut new = head.blockers(at);
+            new.retain(|blocker| !known.contains(blocker));
+            self.add_waits(request.txn, &new);
+            known.extend(new);
         }
     }
 
@@ -531,22 +692,25 @@ impl LockManager {
     /// If the request was granted concurrently with the decision to give up,
     /// it is released instead so no lock leaks: `held`, the transaction's
     /// ledger, never learned of it, so the abort would not release it.
-    fn cancel_request(&self, head: &Arc<LockHead>, txn: TxnId, id: LockId, held: &HeldLocks) {
-        let mut inner = head.inner.lock(TimeCategory::LockMgrAcquireContention);
-        if let Some(pos) = inner.requests.iter().position(|r| r.txn == txn) {
-            let was_upgrade = inner.requests[pos].granted
-                && inner.requests[pos].wanted_mode != inner.requests[pos].granted_mode;
-            if was_upgrade {
+    fn cancel_request(&self, txn: TxnId, id: LockId, held: &HeldLocks) {
+        let mut bucket = self.bucket(id).lock(TimeCategory::LockMgrAcquireContention);
+        let Some(at) = bucket.position(id) else {
+            return;
+        };
+        let head = &mut bucket.heads[at];
+        if let Some(pos) = head.requests.iter().position(|r| r.txn == txn) {
+            let request = &mut head.requests[pos];
+            if request.granted && request.wanted_mode != request.granted_mode {
                 // Keep the originally granted mode; just forget the upgrade.
-                let granted_mode = inner.requests[pos].granted_mode;
-                inner.requests[pos].wanted_mode = granted_mode;
-            } else if !inner.requests[pos].granted || held.mode(&id).is_none() {
-                inner.requests.remove(pos);
+                request.wanted_mode = request.granted_mode;
+            } else if !request.granted || held.mode(&id).is_none() {
+                head.requests.remove(pos);
             } else {
                 // An upgrade granted between timeout and cancellation: the
                 // ledger has the lock, so the abort releases it.
             }
-            inner.grant_pending();
+            self.grant_and_wake(head);
+            bucket.unlink_if_empty(at);
         }
     }
 
@@ -554,53 +718,35 @@ impl LockManager {
     /// that become grantable. The caller passes the transaction's ledger by
     /// value; afterwards the transaction holds nothing.
     pub fn release_all(&self, txn: TxnId, held: HeldLocks) {
-        for (id, _) in held.locks.iter().rev() {
-            self.release_one(txn, *id);
+        if !held.is_empty() {
+            let _timer = TimerGuard::new(TimeCategory::LockMgrRelease);
+            for id in held.youngest_first() {
+                self.release_one(txn, id);
+            }
+        }
+        if let Some(spill) = held.spill {
+            spill.recycle();
         }
         self.clear_waits(txn);
     }
 
     fn release_one(&self, txn: TxnId, id: LockId) {
-        let mut timer = TimerGuard::new(TimeCategory::LockMgrRelease);
-        let head = {
-            let bucket = self
-                .bucket(&id)
-                .lock(TimeCategory::LockMgrReleaseContention);
-            match bucket.get(&id) {
-                Some(head) => Arc::clone(head),
-                None => return,
-            }
+        let mut bucket = self.bucket(id).lock(TimeCategory::LockMgrReleaseContention);
+        let Some(at) = bucket.position(id) else {
+            return;
         };
-        let empty = {
-            let mut inner = head.inner.lock(TimeCategory::LockMgrReleaseContention);
-            if let Some(pos) = inner.requests.iter().position(|r| r.txn == txn) {
-                let request = inner.requests.remove(pos);
-                if !request.granted {
-                    // A pending request released at abort: wake it so the
-                    // waiter (if any) does not hang; it will observe deadlock.
-                    request.notify(GrantOutcome::Deadlock);
-                }
-            }
-            inner.grant_pending();
-            inner.requests.is_empty()
-        };
-        timer.switch(TimeCategory::LockMgrRelease);
-        if empty {
-            // Unlink the now-empty head so record locks do not accumulate.
-            let mut bucket = self
-                .bucket(&id)
-                .lock(TimeCategory::LockMgrReleaseContention);
-            if let Some(candidate) = bucket.get(&id) {
-                if Arc::ptr_eq(candidate, &head) {
-                    let mut inner = head.inner.lock(TimeCategory::LockMgrReleaseContention);
-                    if inner.requests.is_empty() {
-                        inner.unlinked = true;
-                        drop(inner);
-                        bucket.remove(&id);
-                    }
-                }
+        let head = &mut bucket.heads[at];
+        if let Some(pos) = head.requests.iter().position(|r| r.txn == txn) {
+            let request = head.requests.remove(pos);
+            if !request.granted {
+                // A pending request released at abort: wake it so the
+                // waiter (if any) does not hang; it will observe deadlock.
+                request.notify(GrantOutcome::Deadlock);
             }
         }
+        self.grant_and_wake(head);
+        // Unlink the now-empty head so record locks do not accumulate.
+        bucket.unlink_if_empty(at);
     }
 
     fn count_acquisition(&self, id: LockId) {
@@ -622,6 +768,7 @@ impl LockManager {
         for holder in holders {
             *edges.entry(*holder).or_insert(0) += 1;
         }
+        self.waiters.store(graph.len(), Ordering::Release);
     }
 
     /// Removes one wait edge per listed holder. Edges another wait of the
@@ -645,10 +792,20 @@ impl LockManager {
                 graph.remove(&waiter);
             }
         }
+        self.waiters.store(graph.len(), Ordering::Release);
     }
 
+    /// Removes every edge from `waiter`. While no transaction waits (the
+    /// common case: every benchmark workload) this reads one atomic: a
+    /// transaction's own edges are added before it finishes, by its own
+    /// threads, so a finishing transaction always sees them counted.
     fn clear_waits(&self, waiter: TxnId) {
-        self.waits_for.lock().remove(&waiter);
+        if self.waiters.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let mut graph = self.waits_for.lock();
+        graph.remove(&waiter);
+        self.waiters.store(graph.len(), Ordering::Release);
     }
 
     /// Registers a wait edge coming from outside the lock manager — DORA's
@@ -707,7 +864,7 @@ impl LockManager {
     pub fn live_lock_heads(&self) -> usize {
         self.buckets
             .iter()
-            .map(|bucket| bucket.lock(TimeCategory::LockMgrOther).len())
+            .map(|bucket| bucket.lock(TimeCategory::LockMgrOther).heads.len())
             .sum()
     }
 }
@@ -955,28 +1112,38 @@ mod tests {
             .acquire(TxnId(1), &mut held1, id, LockMode::X)
             .unwrap();
         // T2 queues behind T1, as `acquire` does before it sleeps.
-        let head = manager.head_for(id);
-        head.inner
+        manager
+            .bucket(id)
             .lock(TimeCategory::LockMgrAcquireContention)
+            .head_mut(id)
             .requests
             .push(LockRequest {
                 txn: TxnId(2),
                 granted_mode: LockMode::X,
                 wanted_mode: LockMode::X,
                 granted: false,
-                signal: Some(Arc::new(OneShot::new())),
+                wait: Some(Arc::default()),
             });
         // T1's release grants it; T2 has already decided to give up.
         manager.release_all(TxnId(1), held1);
         let held2 = HeldLocks::new();
-        manager.cancel_request(&head, TxnId(2), id, &held2);
+        manager.cancel_request(TxnId(2), id, &held2);
         manager.release_all(TxnId(2), held2);
+        assert_eq!(manager.live_lock_heads(), 0, "the emptied head is unlinked");
 
         let mut held3 = HeldLocks::new();
         manager
             .acquire(TxnId(3), &mut held3, id, LockMode::X)
             .expect("nobody holds the lock");
         manager.release_all(TxnId(3), held3);
+    }
+
+    /// Every transaction's state holds a ledger in place, DORA's too; at 80
+    /// bytes (8 more than a map and a list) that state stays in the size
+    /// class of the system allocator it had.
+    #[test]
+    fn held_lock_ledgers_stay_small() {
+        assert!(std::mem::size_of::<HeldLocks>() <= 80);
     }
 
     #[test]

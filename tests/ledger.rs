@@ -137,66 +137,66 @@ const fn exact(
     }
 }
 
-/// The ledger. Allocation values: the 20-run range of the release and of the
-/// debug build on a 2-vCPU host was at most 0.01 calls and 1 byte wide, and
-/// both builds agreed; the bands are ±1 call and ±2 % of the bytes, for
-/// hosts whose thread scheduling differs.
+/// The ledger. Allocation values: the range over eight runs (five of the
+/// release build, three of the debug build) on a 2-vCPU host was at most
+/// 0.02 calls and 1 byte wide, and both builds agreed; the bands are ±1 call
+/// and ±2 % of the bytes, for hosts whose thread scheduling differs.
 const LEDGER: [Row; 7] = [
     Row {
         workload: "tm1_mix",
         engine: EngineKind::Dora,
         load: Load::Tm1,
         exact: exact(528, 312, 580, 315, 10, 0, 0),
-        alloc_calls: band(7.89, 1.0),
-        alloc_bytes: band(2208.0, 44.0),
+        alloc_calls: band(7.39, 1.0),
+        alloc_bytes: band(2172.0, 43.0),
     },
     Row {
         workload: "tm1_mix",
         engine: EngineKind::Baseline,
         load: Load::Tm1,
         exact: exact(528, 0, 0, 315, 461, 1267, 0),
-        alloc_calls: band(16.93, 1.0),
-        alloc_bytes: band(1997.0, 40.0),
+        alloc_calls: band(5.67, 1.0),
+        alloc_bytes: band(1021.0, 20.0),
     },
     Row {
         workload: "tpcb",
         engine: EngineKind::Dora,
         load: Load::Tpcb,
         exact: exact(400, 3200, 1600, 2400, 400, 0, 0),
-        alloc_calls: band(33.70, 1.0),
-        alloc_bytes: band(7395.0, 148.0),
+        alloc_calls: band(25.09, 1.0),
+        alloc_bytes: band(6703.0, 134.0),
     },
     Row {
         workload: "tpcb",
         engine: EngineKind::Baseline,
         load: Load::Tpcb,
         exact: exact(400, 0, 0, 2400, 1600, 2000, 0),
-        alloc_calls: band(44.69, 1.0),
-        alloc_bytes: band(7377.0, 148.0),
+        alloc_calls: band(20.09, 1.0),
+        alloc_bytes: band(4528.0, 91.0),
     },
     Row {
         workload: "tpcc_mix",
         engine: EngineKind::Dora,
         load: Load::Tpcc,
         exact: exact(401, 3074, 3618, 5871, 2392, 0, 0),
-        alloc_calls: band(127.69, 1.0),
-        alloc_bytes: band(23779.0, 476.0),
+        alloc_calls: band(107.74, 1.0),
+        alloc_bytes: band(21767.0, 435.0),
     },
     Row {
         workload: "tpcc_mix",
         engine: EngineKind::Baseline,
         load: Load::Tpcc,
         exact: exact(401, 0, 0, 5871, 8498, 2888, 0),
-        alloc_calls: band(164.23, 1.0),
-        alloc_bytes: band(27605.0, 552.0),
+        alloc_calls: band(102.16, 1.0),
+        alloc_bytes: band(19623.0, 392.0),
     },
     Row {
         workload: "htap_tpcb",
         engine: EngineKind::Dora,
         load: Load::HtapTpcb,
         exact: exact(400, 3200, 1600, 2400, 400, 0, 2752),
-        alloc_calls: band(57.30, 1.0),
-        alloc_bytes: band(9962.0, 199.0),
+        alloc_calls: band(48.69, 1.0),
+        alloc_bytes: band(9270.0, 185.0),
     },
 ];
 

@@ -225,17 +225,19 @@ fn a_miss_allocates_nothing() {
 /// store (2), and the transaction's first write-list entry (1).
 const UPDATE_NONE: u64 = 1 + (1 + TEXT_COLUMNS) + 1 + 2 + 1;
 
-/// What the conventional engine's `CcMode::Full` adds: three lock heads
-/// (database, table, record), each an `Arc` and a request list, and the
-/// transaction's lock ledger (map and acquisition order).
-const LOCKS_FULL: u64 = 3 * 2 + 2;
+/// What the conventional engine's `CcMode::Full` adds: nothing. Its three
+/// lock heads (database, table, record) live in their hash buckets and take
+/// their request lists from the buckets' spares, and the transaction's lock
+/// ledger keeps its first entries inline.
+const LOCKS_FULL: u64 = 0;
 
 /// One `insert` under DORA's `CcMode::RowOnly`: the image (1) and its copy
-/// shared with the version store (1), the first write-list entry (1), the
-/// record lock (head, request list and ledger: 4), and the secondary key's
-/// text, built once (1). Entering the keys costs nothing: each index stores a
-/// key as normalized bytes in its leaf, with the first entry inline.
-const INSERT_ROW_ONLY: u64 = 1 + 1 + 1 + 4 + 1;
+/// shared with the version store (1), the first write-list entry (1), and
+/// the secondary key's text, built once (1). The record lock costs nothing,
+/// as under `CcMode::Full`. Entering the keys costs nothing either: each
+/// index stores a key as normalized bytes in its leaf, with the first entry
+/// inline.
+const INSERT_ROW_ONLY: u64 = 1 + 1 + 1 + 1;
 
 /// `precommit` of a one-write transaction under `CcMode::None`: nothing. The
 /// commit record is pushed onto the log's buffer, whose growth steps the
@@ -268,10 +270,11 @@ fn update_primary_stays_within_its_budget() {
 #[test]
 fn insert_stays_within_its_budget() {
     let f = fixture();
-    // Full takes the database and table intention locks on top.
+    // Full takes the database and table intention locks on top, which cost
+    // nothing either.
     for (cc, budget) in [
         (CcMode::RowOnly, INSERT_ROW_ONLY),
-        (CcMode::Full, INSERT_ROW_ONLY + 2 * 2),
+        (CcMode::Full, INSERT_ROW_ONLY),
     ] {
         let calls = f.write_budget(|txn| {
             let row = item(1, 1_000);
