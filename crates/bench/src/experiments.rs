@@ -504,12 +504,12 @@ pub fn fig11(scale: &Scale) -> Report {
         "load(%)", "Baseline tps", "DORA-P tps", "DORA-S tps"
     ));
     let loads = scale.load_points();
-    // The plans are hand-picked here — DORA-P *must* stay parallel — so the
-    // conflict analyzer's auto-serialization (which would turn the high-abort
-    // UpdateSubscriberData program into DORA-S on its own) is switched off
-    // for all three arms.
+    // The plans are hand-picked here — DORA-P *must* stay parallel — so no
+    // predicted abort rate reaches the serialization threshold, and the
+    // conflict analyzer never turns the high-abort UpdateSubscriberData
+    // program into DORA-S on its own.
     let hand_picked = DoraConfig {
-        conflict_elision: false,
+        serialize_abort_threshold: f64::INFINITY,
         ..DoraConfig::default()
     };
     let baseline = sweep_with_config(
@@ -711,11 +711,6 @@ fn run_skew_phase(
 /// paper figure — this probes the Appendix A.2.1 machinery the paper only
 /// sketches — so it reports before/after throughput and the per-executor
 /// load spread instead of mirroring a printed plot.
-pub fn skew(scale: &Scale) -> Report {
-    skew_with_summary(scale).0
-}
-
-/// [`skew`], also returning the machine-readable summary.
 pub fn skew_with_summary(scale: &Scale) -> (Report, SkewSummary) {
     // Drift fast enough that the hot range moves several times per measured
     // interval even at quick scale.
@@ -762,192 +757,6 @@ pub fn skew_with_summary(scale: &Scale) -> (Report, SkewSummary) {
     report.blank();
     report.line("  (load ratio = busiest/least-busy executor over the final interval;");
     report.line("   the adaptive rows should show >=1 resize and a ratio near 1)");
-    (report, summary)
-}
-
-/// One cell of the `dispatch` experiment: the fan-out workload driven by a
-/// given number of clients.
-#[derive(Debug, Clone)]
-pub struct DispatchCell {
-    /// Client threads driving load.
-    pub clients: usize,
-    /// Committed tps over the measured interval.
-    pub tps: f64,
-    /// Transactions committed.
-    pub committed: u64,
-    /// Transactions aborted.
-    pub aborted: u64,
-    /// DORA actions executed.
-    pub actions: u64,
-    /// Of those, actions run by the dispatcher under a claim it took.
-    pub actions_inlined: u64,
-    /// Messages sent to executors.
-    pub messages: u64,
-    /// Batches of messages run under a claim (by whichever thread held it).
-    pub inbox_drains: u64,
-}
-
-impl DispatchCell {
-    /// Batches run per executed action: the lower, the more messages each
-    /// claim (and each wake-up, when a thread had to be woken) carried.
-    pub fn drains_per_action(&self) -> f64 {
-        self.inbox_drains as f64 / self.actions.max(1) as f64
-    }
-
-    /// Share of the actions run by their dispatcher instead of a woken
-    /// executor thread.
-    pub fn inlined_share(&self) -> f64 {
-        self.actions_inlined as f64 / self.actions.max(1) as f64
-    }
-}
-
-/// Everything the `dispatch` experiment measured; serialized to
-/// `BENCH_dispatch.json` by the CI bench-smoke job.
-#[derive(Debug, Clone)]
-pub struct DispatchSummary {
-    /// Counter rows.
-    pub keys: i64,
-    /// Actions per transaction (the phase's fan-out).
-    pub fanout: usize,
-    /// Executors on the counters table.
-    pub executors: usize,
-    /// Measured interval length, in milliseconds.
-    pub interval_ms: u64,
-    /// The measured cells, fewest clients first.
-    pub cells: Vec<DispatchCell>,
-}
-
-impl DispatchSummary {
-    /// Renders the summary as a small JSON document (the workspace has no
-    /// serde; the fields are all numbers, so hand-rolling is safe).
-    pub fn to_json(&self) -> String {
-        let cells = self
-            .cells
-            .iter()
-            .map(|cell| {
-                format!(
-                    concat!(
-                        "    {{\"clients\": {}, \"tps\": {:.1}, ",
-                        "\"committed\": {}, \"aborted\": {}, \"actions\": {}, ",
-                        "\"actions_inlined\": {}, \"messages\": {}, ",
-                        "\"inbox_drains\": {}, \"drains_per_action\": {:.4}, ",
-                        "\"inlined_share\": {:.4}}}"
-                    ),
-                    cell.clients,
-                    cell.tps,
-                    cell.committed,
-                    cell.aborted,
-                    cell.actions,
-                    cell.actions_inlined,
-                    cell.messages,
-                    cell.inbox_drains,
-                    cell.drains_per_action(),
-                    cell.inlined_share(),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"dispatch\",\n  \"keys\": {},\n",
-                "  \"fanout\": {},\n  \"executors\": {},\n",
-                "  \"interval_ms\": {},\n  \"cells\": [\n{}\n  ]\n}}\n"
-            ),
-            self.keys, self.fanout, self.executors, self.interval_ms, cells
-        )
-    }
-}
-
-fn run_dispatch_cell(scale: &Scale, clients: usize) -> DispatchCell {
-    let db = Database::new(scale.system_config());
-    let workload = scale.fanout();
-    workload.setup(&db).expect("setup fanout workload");
-    let workload: Arc<dyn Workload> = Arc::new(workload);
-
-    // High executor count: the fan-out workload's point is many partitions,
-    // so it gets at least four executors even at quick scale.
-    let executors = scale.executors_per_table.max(4);
-    let execution = Arc::new(DoraExecution::new(Arc::new(DoraEngine::new(
-        Arc::clone(&db),
-        DoraConfig::default(),
-    ))));
-    execution
-        .bind(Arc::clone(&workload), executors)
-        .expect("bind fanout workload");
-
-    let driver = ClientDriver::new(DriverConfig {
-        clients,
-        duration: scale.duration,
-        warmup: scale.warmup,
-        hardware_contexts: scale.hardware_contexts,
-    });
-    let result = driver.run_engine(Arc::clone(&execution) as _);
-    execution.shutdown();
-
-    // The metric deltas cover exactly the measured interval; experiments run
-    // sequentially, so the executor-path counters are attributable to this
-    // engine.
-    DispatchCell {
-        clients,
-        tps: result.throughput_tps,
-        committed: result.committed,
-        aborted: result.aborted,
-        actions: result.metrics.counter(CounterKind::ActionsExecuted),
-        actions_inlined: result.metrics.counter(CounterKind::ActionsInlined),
-        messages: result.metrics.counter(CounterKind::DoraMessages),
-        inbox_drains: result.metrics.counter(CounterKind::InboxDrains),
-    }
-}
-
-/// The message-path experiment: the high-fan-out counters workload driven by
-/// one client and by a saturating number of clients — one cell on each side
-/// of the selection the claim protocol makes. Not a paper figure — it
-/// quantifies the "additional inter-core communication" the appendix names
-/// as DORA's cost: a lone client finds every executor idle and runs its
-/// actions itself (no thread is woken), many clients find them busy and
-/// queue. The columns are counter-derived, not sampled.
-pub fn dispatch(scale: &Scale) -> Report {
-    dispatch_with_summary(scale).0
-}
-
-/// [`dispatch`], also returning the machine-readable summary.
-pub fn dispatch_with_summary(scale: &Scale) -> (Report, DispatchSummary) {
-    let cells = vec![
-        run_dispatch_cell(scale, 1),
-        run_dispatch_cell(scale, scale.clients_for(100.0)),
-    ];
-    let summary = DispatchSummary {
-        keys: scale.fanout_keys,
-        fanout: scale.fanout_actions,
-        executors: scale.executors_per_table.max(4),
-        interval_ms: scale.duration.as_millis() as u64,
-        cells,
-    };
-
-    let mut report = Report::new("Dispatch: executor message path, idle vs busy executors");
-    report.line(format!(
-        "  {} keys, {} actions/txn, {} executors, {} ms per interval",
-        summary.keys, summary.fanout, summary.executors, summary.interval_ms
-    ));
-    report.blank();
-    report.line(format!(
-        "  {:>8} {:>10} {:>8} {:>10} {:>14} {:>14}",
-        "clients", "tps", "aborts", "actions", "drains/action", "inlined share"
-    ));
-    for cell in &summary.cells {
-        report.line(format!(
-            "  {:>8} {:>10.0} {:>8} {:>10} {:>14.3} {:>14.3}",
-            cell.clients,
-            cell.tps,
-            cell.aborted,
-            cell.actions,
-            cell.drains_per_action(),
-            cell.inlined_share(),
-        ));
-    }
-    report.blank();
-    report.line("  (drains/action = batches run under a claim per executed action;");
-    report.line("   inlined share = actions run by their dispatcher, no thread woken)");
     (report, summary)
 }
 
@@ -1115,11 +924,6 @@ fn run_commit_cell(
 /// figure — it probes the Section 5.4 observation that the log becomes the
 /// next bottleneck once lock contention is gone, and quantifies how far ELR
 /// pushes it back.
-pub fn commit(scale: &Scale) -> Report {
-    commit_with_summary(scale).0
-}
-
-/// [`commit`], also returning the machine-readable summary.
 pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
     let flush_points = scale.commit_flush_points();
     let mut rows = Vec::new();
@@ -1318,11 +1122,6 @@ fn run_recover_cell(scale: &Scale) -> RecoverRow {
 /// its midpoint. Not a paper figure — it quantifies restart cost:
 /// page-sharded replay, and a checkpoint that leaves only the tail past it
 /// to replay.
-pub fn recover(scale: &Scale) -> Report {
-    recover_with_summary(scale).0
-}
-
-/// [`recover`], also returning the machine-readable summary.
 pub fn recover_with_summary(scale: &Scale) -> (Report, RecoverSummary) {
     let summary = RecoverSummary {
         branches: scale.tpcb_branches,
@@ -1715,11 +1514,6 @@ fn run_saturation_series(
 /// gate). The vehicle for the paper's Figure 6 (ungated throughput
 /// collapses past saturation) and Figure 8 (admission control holds the
 /// peak) claims as *measured* rows rather than narrative.
-pub fn saturation(scale: &Scale) -> Report {
-    saturation_with_summary(scale).0
-}
-
-/// [`saturation`], also returning the machine-readable summary.
 pub fn saturation_with_summary(scale: &Scale) -> (Report, SaturationSummary) {
     // One execution slot per hardware context: the gate caps concurrency at
     // the machine's parallelism, which is what "perfect admission control"
@@ -2248,11 +2042,6 @@ fn run_chaos_point(
 /// transactions, and sessions retry aborts under a submit deadline —
 /// goodput should hold near the fault-free level at moderate fault rates
 /// where the unhealed system visibly degrades.
-pub fn chaos(scale: &Scale) -> Report {
-    chaos_with_summary(scale).0
-}
-
-/// [`chaos`], also returning the machine-readable summary.
 pub fn chaos_with_summary(scale: &Scale) -> (Report, ChaosSummary) {
     // The seeded-determinism guarantee, checked live: two plans built from
     // the same config must preview the identical decision sequence at every
@@ -2344,504 +2133,62 @@ pub fn chaos_with_summary(scale: &Scale) -> (Report, ChaosSummary) {
     (report, summary)
 }
 
-/// One measured cell of the `htap` experiment: closed-loop TPC-B OLTP at
-/// 100% offered load with `scan_threads` analytical scan threads running
-/// concurrently, each repeatedly pinning a snapshot and sweeping the whole
-/// account table through the lock-free MVCC read path.
-#[derive(Debug, Clone)]
-pub struct HtapPoint {
-    /// Concurrent analytical scan threads (0 = the scan-free OLTP baseline
-    /// the interference is measured against).
-    pub scan_threads: usize,
-    /// Closed-loop OLTP client threads.
-    pub oltp_clients: usize,
-    /// OLTP transactions committed during the measured interval.
-    pub oltp_committed: u64,
-    /// OLTP commits per second.
-    pub oltp_tps: f64,
-    /// Full-table scans completed during the measured interval (all scan
-    /// threads).
-    pub scans_completed: u64,
-    /// Completed scans per second.
-    pub scans_per_sec: f64,
-    /// Rows the last completed scan visited (sanity: the whole table).
-    pub rows_per_scan: u64,
-    /// Mean snapshot staleness at scan completion, in commit tickets: how
-    /// many transactions committed while the scan was running.
-    pub avg_staleness: f64,
-    /// Worst-case staleness observed (commit tickets).
-    pub max_staleness: u64,
-    /// Centralized + DORA-local lock acquisitions on the scan threads over
-    /// the whole run. The snapshot path's claim is that this is **zero**.
-    pub scan_lock_acquisitions: u64,
-    /// Row versions installed during the measured window (all threads).
-    pub versions_created: u64,
-    /// Row versions reclaimed by the background collector in the window.
-    pub versions_reclaimed: u64,
-    /// Live version-chain count at the end of the cell.
-    pub live_chains: usize,
-    /// Mean live version-chain length at the end of the cell.
-    pub chain_mean: f64,
-    /// Longest live version chain at the end of the cell.
-    pub chain_max: u64,
-}
+/// Runs one paper figure at a scale and renders its report.
+pub type Figure = fn(&Scale) -> Report;
 
-/// One engine's `htap` sweep over the scan-thread counts for one scan
-/// family (TPC-B branch balances or TPC-C stock level).
-#[derive(Debug, Clone)]
-pub struct HtapSeries {
-    /// Engine label ("Baseline" / "DORA").
-    pub system: &'static str,
-    /// Scan family label ("tpcb-branch-balances" / "tpcc-stock-level").
-    pub scan: &'static str,
-    /// One entry per scan-thread count, in sweep order; `points[0]` is the
-    /// scan-free baseline.
-    pub points: Vec<HtapPoint>,
-}
+/// Runs one of this reproduction's own experiments at a scale, returning its
+/// report and its JSON summary.
+pub type Summarized = fn(&Scale) -> (Report, String);
 
-impl HtapSeries {
-    /// OLTP throughput of the scan-free cell.
-    pub fn baseline_tps(&self) -> f64 {
-        self.points.first().map(|p| p.oltp_tps).unwrap_or(0.0)
-    }
-
-    /// `point`'s OLTP throughput as a fraction of the scan-free cell —
-    /// the interference figure of merit: snapshot scans should hold this
-    /// near 1.0 no matter how many scan threads run.
-    pub fn retention(&self, point: &HtapPoint) -> f64 {
-        point.oltp_tps / self.baseline_tps().max(1.0)
-    }
-}
-
-/// Everything the `htap` experiment measured; serialized to
-/// `BENCH_htap.json` by the CI bench-smoke job.
-#[derive(Debug, Clone)]
-pub struct HtapSummary {
-    /// Measured interval length per cell, in milliseconds.
-    pub interval_ms: u64,
-    /// Per-thread scan pacing interval, in milliseconds (one sweep starts
-    /// per interval; back-to-back when a sweep runs longer).
-    pub scan_interval_ms: u64,
-    /// TPC-B branches.
-    pub branches: i64,
-    /// TPC-B accounts per branch (the scanned table has
-    /// `branches × accounts_per_branch` rows).
-    pub accounts_per_branch: i64,
-    /// Closed-loop OLTP clients per cell.
-    pub oltp_clients: usize,
-    /// The scan-thread counts swept.
-    pub scan_points: Vec<usize>,
-    /// The two series: one per engine.
-    pub series: Vec<HtapSeries>,
-}
-
-impl HtapSummary {
-    /// Renders the summary as a small JSON document (hand-rolled like the
-    /// other summaries; no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        let series = self
-            .series
-            .iter()
-            .map(|series| {
-                let points = series
-                    .points
-                    .iter()
-                    .map(|p| {
-                        format!(
-                            concat!(
-                                "        {{\"scan_threads\": {}, \"oltp_clients\": {}, ",
-                                "\"oltp_tps\": {:.1}, \"oltp_retention\": {:.3}, ",
-                                "\"scans_per_sec\": {:.2}, \"scans_completed\": {}, ",
-                                "\"rows_per_scan\": {}, \"avg_staleness\": {:.1}, ",
-                                "\"max_staleness\": {}, \"scan_lock_acquisitions\": {}, ",
-                                "\"versions_created\": {}, \"versions_reclaimed\": {}, ",
-                                "\"live_chains\": {}, \"chain_mean\": {:.2}, ",
-                                "\"chain_max\": {}}}"
-                            ),
-                            p.scan_threads,
-                            p.oltp_clients,
-                            p.oltp_tps,
-                            series.retention(p),
-                            p.scans_per_sec,
-                            p.scans_completed,
-                            p.rows_per_scan,
-                            p.avg_staleness,
-                            p.max_staleness,
-                            p.scan_lock_acquisitions,
-                            p.versions_created,
-                            p.versions_reclaimed,
-                            p.live_chains,
-                            p.chain_mean,
-                            p.chain_max,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!(
-                    concat!(
-                        "    {{\"system\": \"{}\", \"scan\": \"{}\", ",
-                        "\"baseline_tps\": {:.1}, ",
-                        "\"points\": [\n{}\n    ]}}"
-                    ),
-                    series.system,
-                    series.scan,
-                    series.baseline_tps(),
-                    points,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n  \"experiment\": \"htap\",\n  \"interval_ms\": {},\n",
-                "  \"scan_interval_ms\": {},\n",
-                "  \"branches\": {},\n  \"accounts_per_branch\": {},\n",
-                "  \"oltp_clients\": {},\n  \"series\": [\n{}\n  ]\n}}\n"
-            ),
-            self.interval_ms,
-            self.scan_interval_ms,
-            self.branches,
-            self.accounts_per_branch,
-            self.oltp_clients,
-            series
-        )
-    }
-}
-
-/// Which analytical sweep an `htap` cell runs concurrently with OLTP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HtapScanFamily {
-    /// TPC-B OLTP mix + full sweep of the account table (branch balances).
-    TpcbBranchBalances,
-    /// TPC-C OLTP mix + stock-level sweep of the stock table (TPC-C's own
-    /// analytical query, run as a live scan instead of a transaction).
-    TpccStockLevel,
-}
-
-/// Stock-level threshold for the TPC-C htap cells: mid-range of the spec's
-/// 10..20 so roughly half the low-stock candidates count.
-const HTAP_STOCK_THRESHOLD: i64 = 15;
-
-impl HtapScanFamily {
-    fn label(self) -> &'static str {
-        match self {
-            HtapScanFamily::TpcbBranchBalances => "tpcb-branch-balances",
-            HtapScanFamily::TpccStockLevel => "tpcc-stock-level",
-        }
-    }
-}
-
-/// Runs one `htap` cell: OLTP clients and scan threads share one recording
-/// window; the scan threads verify their own lock-freedom through their
-/// thread-local counter slots.
-fn run_htap_point(
-    scale: &Scale,
-    system: SystemUnderTest,
-    family: HtapScanFamily,
-    scan_threads: usize,
-) -> HtapPoint {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    use dora_metrics::current_thread_snapshot;
-    use dora_workloads::AnalyticalScan;
-
-    let prepared = match family {
-        HtapScanFamily::TpcbBranchBalances => prepare(scale.tpcb(), scale, system),
-        HtapScanFamily::TpccStockLevel => prepare(scale.tpcc(), scale, system),
-    };
-    let oltp_clients = scale.clients_for(100.0);
-
-    let recording = Arc::new(AtomicBool::new(false));
-    let stop = Arc::new(AtomicBool::new(false));
-    let before = global().snapshot();
-
-    // Analytical side: each scan thread owns its prepared program and result
-    // sink, and pins a fresh snapshot per sweep. Sweeps are paced — one per
-    // `scale.htap_scan_interval` (back-to-back when a sweep runs longer) —
-    // so the analytical load scales with the thread count without the scan
-    // threads flat-out monopolizing cores; the interference measured against
-    // the scan-free cell is then the lock/latch kind, not CPU starvation.
-    // Lock-freedom is checked per thread: the thread-local counter delta
-    // across the whole loop must contain zero lock acquisitions of any
-    // flavor.
-    let interval = scale.htap_scan_interval;
-    let scanners: Vec<_> = (0..scan_threads)
-        .map(|_| {
-            let engine = Arc::clone(&prepared.engine);
-            let db = Arc::clone(&prepared.db);
-            let recording = Arc::clone(&recording);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let sink = AnalyticalScan::sink();
-                let program = match family {
-                    HtapScanFamily::TpcbBranchBalances => {
-                        AnalyticalScan::tpcb_branch_balances(&db, Arc::clone(&sink))
-                    }
-                    HtapScanFamily::TpccStockLevel => AnalyticalScan::tpcc_stock_level_sweep(
-                        &db,
-                        HTAP_STOCK_THRESHOLD,
-                        Arc::clone(&sink),
-                    ),
-                }
-                .expect("build scan program");
-                let scan = engine.prepare(program).expect("prepare scan program");
-                let thread_before = current_thread_snapshot();
-                let (mut scans, mut rows) = (0u64, 0u64);
-                let (mut staleness_sum, mut staleness_max) = (0u64, 0u64);
-                while !stop.load(Ordering::Relaxed) {
-                    let tick = Instant::now();
-                    let snapshot = Arc::new(engine.snapshot());
-                    engine
-                        .execute_on_snapshot(&scan, &snapshot)
-                        .expect("snapshot scan");
-                    if recording.load(Ordering::Relaxed) {
-                        scans += 1;
-                        let staleness = snapshot.staleness();
-                        staleness_sum += staleness;
-                        staleness_max = staleness_max.max(staleness);
-                        rows = sink.lock().rows_scanned;
-                    }
-                    if let Some(rest) = interval.checked_sub(tick.elapsed()) {
-                        std::thread::sleep(rest);
-                    }
-                }
-                let delta = current_thread_snapshot().since(&thread_before);
-                let locks = delta.counter(CounterKind::RowLevelLock)
-                    + delta.counter(CounterKind::HigherLevelLock)
-                    + delta.counter(CounterKind::DoraLocalLock);
-                (scans, staleness_sum, staleness_max, rows, locks)
-            })
-        })
-        .collect();
-
-    // OLTP side: closed-loop clients at 100% offered load, exactly like the
-    // load-sweep figures.
-    let oltp: Vec<_> = (0..oltp_clients)
-        .map(|client| {
-            let engine = Arc::clone(&prepared.engine);
-            let recording = Arc::clone(&recording);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(0x47a9 + client as u64 * 6007);
-                let mut committed = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let outcome = engine.execute_one(&mut rng);
-                    if recording.load(Ordering::Relaxed) && outcome == TxnOutcome::Committed {
-                        committed += 1;
-                    }
-                }
-                committed
-            })
-        })
-        .collect();
-
-    std::thread::sleep(scale.warmup);
-    recording.store(true, Ordering::Relaxed);
-    let started = Instant::now();
-    std::thread::sleep(scale.duration);
-    recording.store(false, Ordering::Relaxed);
-    let elapsed = started.elapsed();
-    stop.store(true, Ordering::Relaxed);
-
-    let oltp_committed: u64 = oltp
-        .into_iter()
-        .map(|h| h.join().expect("oltp client"))
-        .sum();
-    let (mut scans, mut staleness_sum, mut staleness_max) = (0u64, 0u64, 0u64);
-    let (mut rows_per_scan, mut scan_locks) = (0u64, 0u64);
-    for handle in scanners {
-        let (s, sum, max, rows, locks) = handle.join().expect("scan thread");
-        scans += s;
-        staleness_sum += sum;
-        staleness_max = staleness_max.max(max);
-        rows_per_scan = rows_per_scan.max(rows);
-        scan_locks += locks;
-    }
-
-    let delta = global().snapshot().since(&before);
-    let mvcc = prepared.db.mvcc_stats();
-    prepared.shutdown();
-
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    HtapPoint {
-        scan_threads,
-        oltp_clients,
-        oltp_committed,
-        oltp_tps: oltp_committed as f64 / secs,
-        scans_completed: scans,
-        scans_per_sec: scans as f64 / secs,
-        rows_per_scan,
-        avg_staleness: staleness_sum as f64 / scans.max(1) as f64,
-        max_staleness: staleness_max,
-        scan_lock_acquisitions: scan_locks,
-        versions_created: delta.counter(CounterKind::VersionsCreated),
-        versions_reclaimed: delta.counter(CounterKind::VersionsReclaimed),
-        live_chains: mvcc.chains,
-        chain_mean: mvcc.chain_lengths.mean(),
-        chain_max: mvcc.chain_lengths.max(),
-    }
-}
-
-/// The HTAP experiment: OLTP at full load with live analytical scans
-/// sharing the same database through MVCC snapshots, in two scan families —
-/// TPC-B branch balances over the account table and TPC-C's stock-level
-/// sweep over the stock table. For each engine and family the scan-thread
-/// count is swept from 0 (the interference baseline) upward; the claims
-/// under test are (1) scan throughput scales with scan threads, (2) OLTP
-/// throughput stays near the scan-free baseline, and (3) the scan threads
-/// acquire **zero** locks — centralized or DORA-local — which their own
-/// thread-local counters prove.
-pub fn htap(scale: &Scale) -> Report {
-    htap_with_summary(scale).0
-}
-
-/// The scan-thread counts the `htap` experiment sweeps.
-const HTAP_SCAN_POINTS: [usize; 4] = [0, 1, 2, 4];
-
-/// The scan families the `htap` experiment sweeps.
-const HTAP_SCAN_FAMILIES: [HtapScanFamily; 2] = [
-    HtapScanFamily::TpcbBranchBalances,
-    HtapScanFamily::TpccStockLevel,
+/// The paper's figures, each under the name `repro` runs it by. `fig9` is
+/// the step-by-step Payment execution walk-through, which the integration
+/// test `payment_twelve_steps` validates instead of a measurement.
+pub const FIGURES: &[(&str, Figure)] = &[
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig10", fig10),
+    ("fig11", fig11),
 ];
 
-/// [`htap`], also returning the machine-readable summary.
-pub fn htap_with_summary(scale: &Scale) -> (Report, HtapSummary) {
-    let scan_points: Vec<usize> = HTAP_SCAN_POINTS.to_vec();
-    let mut series = Vec::new();
-    for family in HTAP_SCAN_FAMILIES {
-        for system in SystemUnderTest::ALL {
-            let points = scan_points
-                .iter()
-                .map(|&threads| run_htap_point(scale, system, family, threads))
-                .collect();
-            series.push(HtapSeries {
-                system: system.label(),
-                scan: family.label(),
-                points,
-            });
-        }
-    }
-    let summary = HtapSummary {
-        interval_ms: scale.duration.as_millis() as u64,
-        scan_interval_ms: scale.htap_scan_interval.as_millis() as u64,
-        branches: scale.tpcb_branches,
-        accounts_per_branch: scale.tpcb_accounts_per_branch,
-        oltp_clients: scale.clients_for(100.0),
-        scan_points,
-        series,
-    };
+/// This reproduction's own experiments, each under the name `repro` runs it
+/// by; the name is also the stem of its `BENCH_<name>.json` artifact. The
+/// report and the summary come from one measurement.
+pub const SUMMARIZED: &[(&str, Summarized)] = &[
+    ("skew", |scale| {
+        let (report, summary) = skew_with_summary(scale);
+        (report, summary.to_json())
+    }),
+    ("commit", |scale| {
+        let (report, summary) = commit_with_summary(scale);
+        (report, summary.to_json())
+    }),
+    ("recover", |scale| {
+        let (report, summary) = recover_with_summary(scale);
+        (report, summary.to_json())
+    }),
+    ("saturation", |scale| {
+        let (report, summary) = saturation_with_summary(scale);
+        (report, summary.to_json())
+    }),
+    ("chaos", |scale| {
+        let (report, summary) = chaos_with_summary(scale);
+        (report, summary.to_json())
+    }),
+];
 
-    let mut report = Report::new(
-        "HTAP: OLTP interference vs live snapshot scans (TPC-B balances + TPC-C stock level)",
-    );
-    report.line(format!(
-        concat!(
-            "  {} OLTP clients at 100% load, {} ms per cell, one sweep per ",
-            "{} ms per scan thread; tpcb cells sweep {} x {} accounts, tpcc ",
-            "cells sweep the stock table (threshold {})"
-        ),
-        summary.oltp_clients,
-        summary.interval_ms,
-        summary.scan_interval_ms,
-        summary.branches,
-        summary.accounts_per_branch,
-        HTAP_STOCK_THRESHOLD
-    ));
-    report.blank();
-    for series in &summary.series {
-        report.line(format!("{} / {}:", series.system, series.scan));
-        report.line(format!(
-            "  {:>6} {:>10} {:>8} {:>9} {:>10} {:>10} {:>10} {:>9} {:>9}",
-            "scans",
-            "oltp-tps",
-            "retain",
-            "scans/s",
-            "stale-avg",
-            "stale-max",
-            "scan-lks",
-            "v-made",
-            "v-freed",
-        ));
-        for point in &series.points {
-            report.line(format!(
-                "  {:>6} {:>10.0} {:>8} {:>9.1} {:>10.1} {:>10} {:>10} {:>9} {:>9}",
-                point.scan_threads,
-                point.oltp_tps,
-                pct(series.retention(point)),
-                point.scans_per_sec,
-                point.avg_staleness,
-                point.max_staleness,
-                point.scan_lock_acquisitions,
-                point.versions_created,
-                point.versions_reclaimed,
-            ));
-        }
-        report.blank();
-    }
-    report.line("  (retain = OLTP tps vs the engine's own scan-free cell; stale-* =");
-    report.line("   commit tickets that landed while a scan ran; scan-lks = lock");
-    report.line("   acquisitions on the scan threads, proving the snapshot path");
-    report.line("   never touches the lock manager or the local lock tables)");
-    (report, summary)
-}
-
-/// Runs every paper figure at the given scale, returning the reports.
-/// The `skew` experiment is not included — run it through
-/// [`skew_with_summary`] so its report and machine-readable summary come
-/// from the same measurement.
-pub fn figures(scale: &Scale) -> Vec<Report> {
-    vec![
-        fig1(scale),
-        fig2(scale),
-        fig3(scale),
-        fig4(scale),
-        fig5(scale),
-        fig6(scale),
-        fig7(scale),
-        fig8(scale),
-        fig10(scale),
-        fig11(scale),
-    ]
-}
-
-/// Runs every experiment (paper figures plus `skew`, `dispatch`, `commit`,
-/// `recover`, `saturation`, `chaos` and `htap`) at the given scale.
-pub fn all(scale: &Scale) -> Vec<Report> {
-    let mut reports = figures(scale);
-    reports.push(skew(scale));
-    reports.push(dispatch(scale));
-    reports.push(commit(scale));
-    reports.push(recover(scale));
-    reports.push(saturation(scale));
-    reports.push(chaos(scale));
-    reports.push(htap(scale));
-    reports
-}
-
-/// Looks an experiment up by name (`fig1`, `fig2`, ...). `fig9` is the
-/// step-by-step Payment execution walk-through, which is validated by the
-/// integration test `payment_twelve_steps` rather than by a measurement.
+/// Runs the figure named `name` (`fig1`, `fig2`, ...), or `None` if
+/// [`FIGURES`] has no such name.
 pub fn by_name(name: &str, scale: &Scale) -> Option<Report> {
-    match name {
-        "fig1" => Some(fig1(scale)),
-        "fig2" => Some(fig2(scale)),
-        "fig3" => Some(fig3(scale)),
-        "fig4" => Some(fig4(scale)),
-        "fig5" => Some(fig5(scale)),
-        "fig6" => Some(fig6(scale)),
-        "fig7" => Some(fig7(scale)),
-        "fig8" => Some(fig8(scale)),
-        "fig10" => Some(fig10(scale)),
-        "fig11" => Some(fig11(scale)),
-        "skew" => Some(skew(scale)),
-        "dispatch" => Some(dispatch(scale)),
-        "commit" => Some(commit(scale)),
-        "recover" => Some(recover(scale)),
-        "saturation" => Some(saturation(scale)),
-        "chaos" => Some(chaos(scale)),
-        "htap" => Some(htap(scale)),
-        _ => None,
-    }
+    FIGURES
+        .iter()
+        .find(|(figure, _)| *figure == name)
+        .map(|(_, run)| run(scale))
 }
 
 #[cfg(test)]
@@ -2864,9 +2211,6 @@ mod tests {
             log_flush_micros: 0,
             skew_keys: 100,
             zipf_theta: 0.99,
-            fanout_keys: 64,
-            fanout_actions: 4,
-            htap_scan_interval: Duration::from_millis(5),
             recover_txns: 120,
         }
     }
@@ -2930,69 +2274,6 @@ mod tests {
         assert!(json.contains("\"experiment\": \"saturation\""), "{json}");
         assert!(json.contains("\"admission\": true"), "{json}");
         assert!(json.contains("\"shed_rate\""), "{json}");
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close} in {json}"
-            );
-        }
-    }
-
-    #[test]
-    fn htap_scans_are_lock_free_and_json_is_well_formed() {
-        let scale = micro_scale();
-        let (report, summary) = htap_with_summary(&scale);
-        let text = report.render();
-        assert!(text.contains("Baseline"), "{text}");
-        assert!(text.contains("DORA"), "{text}");
-
-        assert_eq!(
-            summary.series.len(),
-            4,
-            "{{Baseline, DORA}} x {{tpcb, tpcc}}"
-        );
-        for series in &summary.series {
-            let rows = match series.scan {
-                "tpcb-branch-balances" => {
-                    (scale.tpcb_branches * scale.tpcb_accounts_per_branch) as u64
-                }
-                "tpcc-stock-level" => (scale.tpcc_warehouses * scale.tpcc_items) as u64,
-                other => panic!("unknown scan family {other}"),
-            };
-            assert_eq!(series.points.len(), summary.scan_points.len());
-            assert_eq!(series.points[0].scan_threads, 0);
-            assert!(
-                series.baseline_tps() > 0.0,
-                "{}: scan-free cell committed nothing",
-                series.system
-            );
-            for point in &series.points {
-                assert_eq!(
-                    point.scan_lock_acquisitions, 0,
-                    "{}@{} scans: snapshot scans must never lock",
-                    series.system, point.scan_threads
-                );
-                if point.scan_threads > 0 {
-                    assert!(
-                        point.scans_completed > 0,
-                        "{}@{} scans: no sweep finished",
-                        series.system,
-                        point.scan_threads
-                    );
-                    assert_eq!(
-                        point.rows_per_scan, rows,
-                        "{}: a sweep must visit the whole table",
-                        series.system
-                    );
-                }
-            }
-        }
-
-        let json = summary.to_json();
-        assert!(json.contains("\"experiment\": \"htap\""), "{json}");
-        assert!(json.contains("\"oltp_retention\""), "{json}");
-        assert!(json.contains("\"scan_lock_acquisitions\": 0"), "{json}");
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(
                 json.matches(open).count(),
@@ -3161,51 +2442,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_summary_renders_valid_json_shape() {
-        let summary = DispatchSummary {
-            keys: 64,
-            fanout: 4,
-            executors: 2,
-            interval_ms: 80,
-            cells: vec![
-                DispatchCell {
-                    clients: 1,
-                    tps: 1000.0,
-                    committed: 100,
-                    aborted: 1,
-                    actions: 400,
-                    actions_inlined: 400,
-                    messages: 500,
-                    inbox_drains: 500,
-                },
-                DispatchCell {
-                    clients: 8,
-                    tps: 2000.0,
-                    committed: 200,
-                    aborted: 0,
-                    actions: 800,
-                    actions_inlined: 200,
-                    messages: 1000,
-                    inbox_drains: 100,
-                },
-            ],
-        };
-        let json = summary.to_json();
-        assert!(json.contains("\"experiment\": \"dispatch\""), "{json}");
-        assert!(json.contains("\"clients\": 1,"), "{json}");
-        assert!(json.contains("\"clients\": 8,"), "{json}");
-        assert!(json.contains("\"drains_per_action\": 1.2500"), "{json}");
-        assert!(json.contains("\"inlined_share\": 0.2500"), "{json}");
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                json.matches(open).count(),
-                json.matches(close).count(),
-                "unbalanced {open}{close} in {json}"
-            );
-        }
-    }
-
-    #[test]
     fn commit_summary_renders_valid_json_shape() {
         let summary = CommitSummary {
             branches: 8,
@@ -3312,31 +2548,6 @@ mod tests {
         assert_eq!(points.len(), 2);
         assert!(points.iter().all(|&p| p > 0));
         assert!(points[1] > points[0]);
-    }
-
-    #[test]
-    fn dispatch_cell_derived_metrics() {
-        let cell = DispatchCell {
-            clients: 1,
-            tps: 0.0,
-            committed: 0,
-            aborted: 0,
-            actions: 100,
-            actions_inlined: 90,
-            messages: 120,
-            inbox_drains: 20,
-        };
-        assert!((cell.drains_per_action() - 0.2).abs() < 1e-9);
-        assert!((cell.inlined_share() - 0.9).abs() < 1e-9);
-        let zero = DispatchCell {
-            actions: 0,
-            actions_inlined: 0,
-            inbox_drains: 0,
-            ..cell
-        };
-        // Degenerate runs must not divide by zero.
-        assert_eq!(zero.drains_per_action(), 0.0);
-        assert_eq!(zero.inlined_share(), 0.0);
     }
 
     #[test]

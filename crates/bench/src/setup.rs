@@ -46,19 +46,6 @@ pub struct Scale {
     pub skew_keys: i64,
     /// Zipfian skew parameter θ for the skewed-counters workload.
     pub zipf_theta: f64,
-    /// Counter rows for the fan-out workload (the `dispatch` message-path
-    /// experiment).
-    pub fanout_keys: i64,
-    /// Counters bumped per fan-out transaction — the phase's action count,
-    /// i.e. how many messages one dispatch sprays across the executors.
-    pub fanout_actions: usize,
-    /// Pacing interval for the `htap` experiment's analytical clients: each
-    /// scan thread starts one snapshot sweep per interval (back-to-back when
-    /// a sweep runs longer). Pacing makes the analytical load scale with the
-    /// thread count while keeping the scan-side CPU demand bounded, so the
-    /// OLTP-interference measurement isolates lock/latch effects instead of
-    /// raw CPU oversubscription on small hosts.
-    pub htap_scan_interval: Duration,
     /// Transactions logged before the `recover` experiment measures replay.
     pub recover_txns: usize,
 }
@@ -86,9 +73,6 @@ impl Scale {
             log_flush_micros: 20,
             skew_keys: 2_000,
             zipf_theta: 0.99,
-            fanout_keys: 4_096,
-            fanout_actions: 8,
-            htap_scan_interval: Duration::from_millis(50),
             recover_txns: 3_000,
         }
     }
@@ -111,9 +95,6 @@ impl Scale {
             log_flush_micros: 40,
             skew_keys: 50_000,
             zipf_theta: 0.99,
-            fanout_keys: 65_536,
-            fanout_actions: 8,
-            htap_scan_interval: Duration::from_millis(200),
             recover_txns: 30_000,
         }
     }
@@ -175,12 +156,6 @@ impl Scale {
         dora_workloads::SkewedCounters::new(self.skew_keys, self.zipf_theta)
     }
 
-    /// The high-fan-out counters workload at this scale (the `dispatch`
-    /// message-path experiment).
-    pub fn fanout(&self) -> dora_workloads::FanoutCounters {
-        dora_workloads::FanoutCounters::new(self.fanout_keys, self.fanout_actions)
-    }
-
     /// Fault rates swept by the `chaos` experiment: a moderate rate where
     /// the self-healing paths should hold goodput near the fault-free
     /// level, and a harsher one where even the healed system visibly pays.
@@ -229,9 +204,9 @@ pub fn prepare(
 }
 
 /// [`prepare`] with an explicit DORA configuration — the hook experiments use
-/// to pin configuration axes (e.g. `conflict_elision` off for Figure 11,
-/// whose hand-built DORA-P plan must not be silently auto-serialized by the
-/// conflict analyzer).
+/// to pin configuration axes (e.g. an infinite `serialize_abort_threshold`
+/// for Figure 11, whose hand-built DORA-P plan must not be silently
+/// auto-serialized by the conflict analyzer).
 pub fn prepare_with_config(
     workload: impl Workload + 'static,
     scale: &Scale,
@@ -369,9 +344,6 @@ mod tests {
             log_flush_micros: 0,
             skew_keys: 100,
             zipf_theta: 0.99,
-            fanout_keys: 64,
-            fanout_actions: 4,
-            htap_scan_interval: Duration::from_millis(5),
             recover_txns: 120,
         }
     }

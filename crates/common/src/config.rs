@@ -76,8 +76,6 @@ pub struct SystemConfig {
     /// memcpy + fsync-to-tmpfs cost and creates the group-commit pressure the
     /// paper mentions for TPC-C NewOrder/Payment.
     pub log_flush_micros: u64,
-    /// Whether the lock manager runs deadlock detection on conflict.
-    pub deadlock_detection: bool,
     /// Maximum number of retries for transactions aborted by deadlocks.
     pub max_retries: usize,
     /// Commit-path durability knobs: group commit and early lock release.
@@ -94,7 +92,6 @@ impl Default for SystemConfig {
             buffer_pool_pages: 4096,
             page_size: 8192,
             log_flush_micros: 0,
-            deadlock_detection: true,
             max_retries: 10,
             durability: DurabilityConfig::default(),
             faults: FaultConfig::default(),

@@ -407,24 +407,9 @@ impl ConflictMatrix {
         &self.coverage
     }
 
-    /// Number of probe-free templates.
-    pub fn probe_free_count(&self) -> usize {
-        self.elide.len()
-    }
-
     /// Number of routed templates analyzed.
     pub fn routed_count(&self) -> usize {
         self.routed_templates
-    }
-
-    /// Number of programs the matrix auto-derives as serialized plans.
-    pub fn serialized_count(&self) -> usize {
-        self.serialize.len()
-    }
-
-    /// Number of conflicting template pairs (including self-pairs).
-    pub fn conflict_pair_count(&self) -> usize {
-        self.conflicts.len()
     }
 
     /// Human-readable bind-time report: per-step verdicts, conflict pairs,

@@ -188,10 +188,10 @@ pub struct DoraExecution {
     /// [`ExecutionEngine::shutdown`] (a resize drains executors, so the
     /// controller must never outlive them).
     adaptive: Mutex<Option<AdaptiveController>>,
-    /// The workload's conflict matrix, computed once at bind time when
-    /// `DoraConfig::conflict_elision` is set and the workload hands over its
-    /// plans. [`ExecutionEngine::prepare`] stamps every program against
-    /// it (probe-free steps, DORA-S auto-serialization).
+    /// The workload's conflict matrix, computed once at bind time when the
+    /// workload hands over its plans. [`ExecutionEngine::prepare`] stamps
+    /// every program against it (probe-free steps, DORA-S
+    /// auto-serialization).
     conflicts: OnceLock<ConflictMatrix>,
 }
 
@@ -241,26 +241,21 @@ impl ExecutionEngine for DoraExecution {
         // Static conflict analysis, once per workload (DIBS-style): derive a
         // template from every step of the workload's plans, compare every
         // pair, and record which steps can skip the local-lock probe and
-        // which programs should run as DORA-S serialized plans. Gated by
-        // `conflict_elision` so the Figure 11 plan comparison, which
-        // hand-picks plans, can turn the whole mechanism off.
-        if self.engine.config().conflict_elision {
-            let plans = workload.plans(self.engine.db())?;
-            if !plans.is_empty() {
-                let matrix = ConflictMatrix::analyze(
-                    &plans,
-                    self.engine.config().serialize_abort_threshold,
-                )?;
-                let db = self.engine.db();
-                let report = matrix.report(&|table| {
-                    db.catalog()
-                        .table(table)
-                        .map(|meta| meta.schema.name.clone())
-                        .unwrap_or_else(|_| table.to_string())
-                });
-                eprintln!("{report}");
-                let _ = self.conflicts.set(matrix);
-            }
+        // which programs should run as DORA-S serialized plans. A workload
+        // without plans gets no matrix.
+        let plans = workload.plans(self.engine.db())?;
+        if !plans.is_empty() {
+            let matrix =
+                ConflictMatrix::analyze(&plans, self.engine.config().serialize_abort_threshold)?;
+            let db = self.engine.db();
+            let report = matrix.report(&|table| {
+                db.catalog()
+                    .table(table)
+                    .map(|meta| meta.schema.name.clone())
+                    .unwrap_or_else(|_| table.to_string())
+            });
+            eprintln!("{report}");
+            let _ = self.conflicts.set(matrix);
         }
         self.bound
             .set(workload)

@@ -166,7 +166,7 @@ impl Database {
             heaps: RwLock::new(Vec::new()),
             primaries: RwLock::new(Vec::new()),
             secondaries: RwLock::new(Vec::new()),
-            locks: LockManager::new(config.deadlock_detection),
+            locks: LockManager::new(true),
             log: LogManager::with_faults(
                 config.log_flush_micros,
                 config.durability.clone(),

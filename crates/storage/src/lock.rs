@@ -1234,6 +1234,82 @@ mod tests {
         manager.remove_external_wait(TxnId(2));
     }
 
+    /// A waiter keeps its edge to a holder that has since finished until the
+    /// waiter itself wakes. The finished holder has no outgoing edge
+    /// (`release_all` clears them), so the stale edge closes no cycle and a
+    /// live transaction that waits for the waiter is not made a victim, even
+    /// one the finished holder used to wait for.
+    #[test]
+    fn a_stale_edge_to_a_finished_holder_makes_no_victim() {
+        let manager = manager();
+        let a = LockId::record(TableId(1), Rid::new(9, 0));
+        let b = LockId::record(TableId(1), Rid::new(9, 1));
+        let (mut held1, mut held2, mut held3) =
+            (HeldLocks::new(), HeldLocks::new(), HeldLocks::new());
+        manager
+            .acquire(TxnId(1), &mut held1, a, LockMode::S)
+            .unwrap();
+        manager
+            .acquire(TxnId(2), &mut held2, a, LockMode::S)
+            .unwrap();
+        manager
+            .acquire(TxnId(3), &mut held3, b, LockMode::X)
+            .unwrap();
+        // T1 has an edge to T4, as a DORA action parked behind T4 leaves one
+        // until its transaction completes.
+        manager.add_external_wait(TxnId(1), TxnId(4)).unwrap();
+        let waiter = {
+            let manager = Arc::clone(&manager);
+            std::thread::spawn(move || {
+                let result = manager.acquire(TxnId(3), &mut held3, a, LockMode::X);
+                manager.release_all(TxnId(3), held3);
+                result
+            })
+        };
+        let edges_of = |txn| -> Vec<TxnId> {
+            let graph = manager.waits_for.lock();
+            let mut edges: Vec<_> = graph
+                .get(&txn)
+                .into_iter()
+                .flat_map(|e| e.keys())
+                .copied()
+                .collect();
+            edges.sort_by_key(|t| t.0);
+            edges
+        };
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while edges_of(TxnId(3)).len() < 2 {
+            assert!(Instant::now() < deadline, "T3 never blocked on A");
+            std::thread::yield_now();
+        }
+
+        manager.release_all(TxnId(1), held1);
+        assert_eq!(
+            edges_of(TxnId(3)),
+            [TxnId(1), TxnId(2)],
+            "the edge to T1 stays"
+        );
+        assert!(
+            edges_of(TxnId(1)).is_empty(),
+            "a finished holder waits for nothing"
+        );
+
+        // T4 now waits for T3: T4 → T3 → {T1, T2}. Had T1 kept its edge to
+        // T4, the stale edge would close a cycle; neither T1 nor T2 waits.
+        manager
+            .add_external_wait(TxnId(4), TxnId(3))
+            .expect("no cycle runs through a finished holder");
+        manager.remove_external_wait(TxnId(4));
+
+        manager.release_all(TxnId(2), held2);
+        waiter
+            .join()
+            .unwrap()
+            .expect("T3 is granted once T2 finishes");
+        assert!(edges_of(TxnId(3)).is_empty());
+        assert_eq!(manager.live_lock_heads(), 0);
+    }
+
     #[test]
     fn external_wait_edges_are_counted_per_wait() {
         // A transaction parked at two executors registers the same edge

@@ -12,8 +12,8 @@
 //!   thread (still under centralized shared locks);
 //! * on a pinned **snapshot** (`PreparedProgram::run_snapshot`), where it
 //!   reads a consistent commit-ticket horizon from the version chains with
-//!   **no locks of any kind** — the HTAP path the `htap` experiment
-//!   measures.
+//!   **no locks of any kind** — the HTAP path the benchmark's `htap_tpcb`
+//!   workload measures.
 //!
 //! Results land in a caller-supplied [`ScanSink`]; each scan thread owns its
 //! own sink plus prepared program, so concurrent scans never contend.
@@ -33,14 +33,12 @@ use dora_storage::Database;
 pub struct ScanSummary {
     /// Rows visited by the scan.
     pub rows_scanned: u64,
-    /// Aggregate per group: branch id → balance total for the TPC-B scan,
-    /// warehouse id → below-threshold item count for the TPC-C sweep.
+    /// Aggregate per group: branch id → balance total.
     pub group_totals: BTreeMap<i64, f64>,
 }
 
 impl ScanSummary {
-    /// Sum of every group's aggregate (total bank balance / total low-stock
-    /// count).
+    /// Sum of every group's aggregate (the total bank balance).
     pub fn grand_total(&self) -> f64 {
         self.group_totals.values().sum()
     }
@@ -62,8 +60,6 @@ pub struct AnalyticalScan;
 impl AnalyticalScan {
     /// Transaction label of the TPC-B branch-balance aggregation.
     pub const BRANCH_BALANCES: &'static str = "analytics-branch-balances";
-    /// Transaction label of the TPC-C stock-level sweep.
-    pub const STOCK_LEVEL_SWEEP: &'static str = "analytics-stock-level-sweep";
 
     /// Creates a fresh result sink.
     pub fn sink() -> Arc<ScanSink> {
@@ -93,37 +89,6 @@ impl AnalyticalScan {
             },
         )))
     }
-
-    /// Stock-level sweep over TPC-C's `stock` table: sweep every stock row,
-    /// count items with `s_quantity` below `threshold`, grouped by
-    /// warehouse.
-    pub fn tpcc_stock_level_sweep(
-        db: &Database,
-        threshold: i64,
-        sink: Arc<ScanSink>,
-    ) -> DbResult<TxnProgram> {
-        let stock = db.table_id("stock")?;
-        Ok(
-            TxnProgram::new(Self::STOCK_LEVEL_SWEEP).step(Step::secondary(
-                "scan-stock",
-                stock,
-                move |ctx| {
-                    let mut summary = ScanSummary::default();
-                    ctx.db.scan_table(ctx.txn, stock, ctx.cc(), |_, row| {
-                        summary.rows_scanned += 1;
-                        if let (Ok(warehouse), Ok(quantity)) = (row[0].as_int(), row[2].as_int()) {
-                            let entry = summary.group_totals.entry(warehouse).or_insert(0.0);
-                            if quantity < threshold {
-                                *entry += 1.0;
-                            }
-                        }
-                    })?;
-                    *sink.lock() = summary;
-                    Ok(())
-                },
-            )),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +96,6 @@ mod tests {
     use super::*;
     use crate::spec::Workload;
     use crate::tpcb::TpcB;
-    use crate::tpcc::Tpcc;
 
     #[test]
     fn branch_balances_are_conserved_and_read_only() {
@@ -152,25 +116,5 @@ mod tests {
         assert_eq!(summary.groups(), 3);
         // Freshly loaded accounts all carry a zero balance.
         assert_eq!(summary.grand_total(), 0.0);
-    }
-
-    #[test]
-    fn stock_level_sweep_counts_low_stock_per_warehouse() {
-        let db = Database::for_tests();
-        let workload = Tpcc::with_scale(2, 30, 50);
-        workload.setup(&db).unwrap();
-
-        let sink = AnalyticalScan::sink();
-        // Every item's initial quantity is below any generous threshold.
-        let program =
-            AnalyticalScan::tpcc_stock_level_sweep(&db, 10_000, Arc::clone(&sink)).unwrap();
-        let prepared = program.prepare();
-        assert!(prepared.is_read_only());
-
-        let snapshot = Arc::new(db.snapshot());
-        prepared.run_snapshot(&db, &snapshot).unwrap();
-        let summary = sink.lock().clone();
-        assert_eq!(summary.groups(), 2, "one group per warehouse");
-        assert_eq!(summary.grand_total(), summary.rows_scanned as f64);
     }
 }

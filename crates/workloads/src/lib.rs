@@ -17,13 +17,11 @@
 //! Beyond the paper's three benchmarks, [`skewed`] adds a zipfian
 //! counter workload (backed by the [`zipf`] generators) whose hot range can
 //! drift over time — the adversarial distribution the adaptive
-//! repartitioning subsystem is exercised with — and [`fanout`] adds a
-//! high-fan-out counter workload whose every transaction sprays actions
-//! across the whole executor set, the stress test for the batched message
-//! path measured by the `dispatch` benchmark.
+//! repartitioning subsystem is exercised with — and [`analytics`] adds the
+//! read-only scan that sweeps TPC-B's accounts on a snapshot beside the
+//! OLTP load.
 
 pub mod analytics;
-pub mod fanout;
 pub mod skewed;
 pub mod spec;
 pub mod tm1;
@@ -32,7 +30,6 @@ pub mod tpcc;
 pub mod zipf;
 
 pub use analytics::{AnalyticalScan, ScanSink, ScanSummary};
-pub use fanout::FanoutCounters;
 pub use skewed::SkewedCounters;
 pub use spec::{OutcomeCounts, TxnTypeStats, Workload, WorkloadStats};
 pub use tm1::{Tm1, Tm1Mix};

@@ -289,11 +289,6 @@ pub fn c_last(num: i64) -> String {
     )
 }
 
-/// Random TPC-C-style last name for probing (uses NURand(255, 0, 999)).
-pub fn random_c_last(rng: &mut SmallRng) -> String {
-    c_last(nurand(rng, 255, 0, 999))
-}
-
 /// Uniform integer in `[low, high]` (inclusive).
 pub fn uniform(rng: &mut SmallRng, low: i64, high: i64) -> i64 {
     rng.random_range(low..=high)

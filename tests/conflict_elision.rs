@@ -135,6 +135,10 @@ fn tm1_matrix_proves_the_read_mix_safe_and_only_it() {
     assert!(matrix.should_serialize(Tm1::UPDATE_SUBSCRIBER_DATA));
     assert!(!matrix.should_serialize(Tm1::GET_SUBSCRIBER_DATA));
     assert!(!matrix.should_serialize(Tm1::GET_ACCESS_DATA));
+    // An infinite threshold keeps every plan as authored, which is how
+    // Figure 11 runs its hand-picked parallel DORA-P plan.
+    let hand_picked = ConflictMatrix::analyze(&plans, f64::INFINITY).unwrap();
+    assert!(!hand_picked.should_serialize(Tm1::UPDATE_SUBSCRIBER_DATA));
     // UpdateLocation's sub_nbr resolution is a declared secondary: the
     // coverage report must name it instead of warning at runtime.
     assert!(
