@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use dora_common::config::AdaptiveConfig;
 use dora_common::prelude::*;
-use dora_core::{DoraConfig, DoraEngine};
+use dora_core::{DoraConfig, DoraEngine, Params};
 use dora_engine::{
     build_engine, find_peak, BaselineEngine, ClientDriver, DoraExecution, DriverConfig,
     ExecutionEngine,
@@ -1362,14 +1362,9 @@ fn run_saturation_point(
                 let mut latency = LatencyHistogram::new();
                 while !stop.load(Ordering::Relaxed) {
                     let (home_branch, _, account, teller, amount) = workload.inputs(&mut rng);
-                    let params = vec![
-                        Value::Int(home_branch),
-                        Value::Int(account),
-                        Value::Int(teller),
-                        Value::Float(amount),
-                    ];
+                    let params = Params::of([home_branch, account, teller]).with_float(amount);
                     let start = Instant::now();
-                    let outcome = session.execute_with(&statement, &params);
+                    let outcome = session.execute_with(&statement, params);
                     if recording.load(Ordering::Relaxed) {
                         tally[0] += 1;
                         let txn_outcome = match outcome {
@@ -1476,21 +1471,17 @@ fn run_saturation_series(
             session_window: 1,
             submit_deadline: None,
             retry: RetryPolicy::default(),
-            snapshot_reads: true,
         },
     )
     .expect("open server");
-    let spec = Arc::clone(&workload);
-    let statement = server.prepare_template(TpcB::ACCOUNT_UPDATE, move |db, params| {
-        match params.as_slice() {
-            [Value::Int(branch), Value::Int(account), Value::Int(teller), Value::Float(amount)] => {
-                spec.account_update_program(db, *branch, *account, *teller, *amount)
-            }
-            _ => Err(DbError::InvalidOperation(
-                "tpcb binding: [branch, account, teller, amount]".to_string(),
-            )),
-        }
-    });
+    // Prepared once; each submission binds its own inputs.
+    let statement = server
+        .prepare(
+            workload
+                .account_update_program(&db, 1, 1, 1, 0.0)
+                .expect("transfer plan"),
+        )
+        .expect("prepare transfer");
 
     let server = Arc::new(server);
     let points = scale
@@ -1884,7 +1875,6 @@ fn run_chaos_point(
         session_window: 1,
         submit_deadline: None,
         retry: RetryPolicy::default(),
-        snapshot_reads: true,
     };
     if healing {
         // The serving half of self-healing: bounded retries of aborted
@@ -1898,17 +1888,14 @@ fn run_chaos_point(
         config,
     )
     .expect("open server");
-    let spec = Arc::clone(&workload);
-    let statement = server.prepare_template(TpcB::ACCOUNT_UPDATE, move |db, params| {
-        match params.as_slice() {
-            [Value::Int(branch), Value::Int(account), Value::Int(teller), Value::Float(amount)] => {
-                spec.account_update_program(db, *branch, *account, *teller, *amount)
-            }
-            _ => Err(DbError::InvalidOperation(
-                "tpcb binding: [branch, account, teller, amount]".to_string(),
-            )),
-        }
-    });
+    // Prepared once; each submission binds its own inputs.
+    let statement = server
+        .prepare(
+            workload
+                .account_update_program(&db, 1, 1, 1, 0.0)
+                .expect("transfer plan"),
+        )
+        .expect("prepare transfer");
     let server = Arc::new(server);
 
     let clients = scale.clients_for(100.0);
@@ -1935,14 +1922,9 @@ fn run_chaos_point(
                 let mut latency = LatencyHistogram::new();
                 while !stop.load(Ordering::Relaxed) {
                     let (home_branch, _, account, teller, amount) = workload.inputs(&mut rng);
-                    let params = vec![
-                        Value::Int(home_branch),
-                        Value::Int(account),
-                        Value::Int(teller),
-                        Value::Float(amount),
-                    ];
+                    let params = Params::of([home_branch, account, teller]).with_float(amount);
                     let start = Instant::now();
-                    let outcome = session.execute_with(&statement, &params);
+                    let outcome = session.execute_with(&statement, params);
                     if recording.load(Ordering::Relaxed) {
                         tally[0] += 1;
                         let txn_outcome = match outcome {

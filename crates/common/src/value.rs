@@ -2,7 +2,7 @@
 //!
 //! The storage manager stores rows as byte strings inside slotted pages, so
 //! [`Value`] carries its own compact serialization (`encode`/`decode`)
-//! built on the `bytes` crate. The encoding is not meant to be portable; it
+//! in little-endian byte order. The encoding is not meant to be portable; it
 //! only has to round-trip within one process, like Shore-MT's record format.
 //!
 //! The codec copies nothing it does not return. [`Value::decode_row`] reads
@@ -11,7 +11,6 @@
 //! `String` per text value. [`Value::encode_row`] sizes its buffer
 //! exactly, so encoding costs one allocation.
 
-use bytes::{Buf, BufMut};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -37,6 +36,16 @@ pub enum Value {
     Float(f64),
     /// Variable-length UTF-8 string.
     Text(String),
+}
+
+/// The first `N` bytes of `buf`, which then starts past them; `Corruption`
+/// with `what` if it holds fewer.
+fn take<const N: usize>(buf: &mut &[u8], what: &str) -> DbResult<[u8; N]> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or_else(|| DbError::Corruption(what.into()))?;
+    *buf = rest;
+    Ok(*head)
 }
 
 /// A row is simply an ordered list of values matching the table schema.
@@ -88,22 +97,22 @@ impl Value {
         }
     }
 
-    /// Serializes the value into `buf` using a one-byte type tag followed by
+    /// Serializes the value onto `buf` using a one-byte type tag followed by
     /// the payload.
-    pub fn encode(&self, buf: &mut impl BufMut) {
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Value::Int(v) => {
-                buf.put_u8(0);
-                buf.put_i64_le(*v);
+                buf.push(0);
+                buf.extend_from_slice(&v.to_le_bytes());
             }
             Value::Float(v) => {
-                buf.put_u8(1);
-                buf.put_f64_le(*v);
+                buf.push(1);
+                buf.extend_from_slice(&v.to_le_bytes());
             }
             Value::Text(v) => {
-                buf.put_u8(2);
-                buf.put_u32_le(v.len() as u32);
-                buf.put_slice(v.as_bytes());
+                buf.push(2);
+                buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                buf.extend_from_slice(v.as_bytes());
             }
         }
     }
@@ -120,31 +129,22 @@ impl Value {
     /// the value. Borrows nothing: only a text payload is copied, into the
     /// value's own `String`.
     pub fn decode(buf: &mut &[u8]) -> DbResult<Value> {
-        if buf.remaining() < 1 {
-            return Err(DbError::Corruption(
-                "truncated value: missing type tag".into(),
-            ));
-        }
-        let tag = buf.get_u8();
+        let (&tag, rest) = buf
+            .split_first()
+            .ok_or_else(|| DbError::Corruption("truncated value: missing type tag".into()))?;
+        *buf = rest;
         match tag {
-            0 => {
-                if buf.remaining() < 8 {
-                    return Err(DbError::Corruption("truncated int value".into()));
-                }
-                Ok(Value::Int(buf.get_i64_le()))
-            }
-            1 => {
-                if buf.remaining() < 8 {
-                    return Err(DbError::Corruption("truncated float value".into()));
-                }
-                Ok(Value::Float(buf.get_f64_le()))
-            }
+            0 => Ok(Value::Int(i64::from_le_bytes(take(
+                buf,
+                "truncated int value",
+            )?))),
+            1 => Ok(Value::Float(f64::from_le_bytes(take(
+                buf,
+                "truncated float value",
+            )?))),
             2 => {
-                if buf.remaining() < 4 {
-                    return Err(DbError::Corruption("truncated text length".into()));
-                }
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
+                let len = u32::from_le_bytes(take(buf, "truncated text length")?) as usize;
+                if buf.len() < len {
                     return Err(DbError::Corruption("truncated text payload".into()));
                 }
                 let (raw, rest) = buf.split_at(len);
@@ -163,7 +163,7 @@ impl Value {
     pub fn encode_row(row: &[Value]) -> Vec<u8> {
         let len = 2 + row.iter().map(Value::encoded_len).sum::<usize>();
         let mut buf = Vec::with_capacity(len);
-        buf.put_u16_le(row.len() as u16);
+        buf.extend_from_slice(&(row.len() as u16).to_le_bytes());
         for value in row {
             value.encode(&mut buf);
         }
@@ -176,10 +176,7 @@ impl Value {
     /// it allocates the row and one `String` per text value, nothing else.
     /// Malformed input is [`DbError::Corruption`], never a panic.
     pub fn decode_row(mut bytes: &[u8]) -> DbResult<Row> {
-        if bytes.remaining() < 2 {
-            return Err(DbError::Corruption("truncated row header".into()));
-        }
-        let count = bytes.get_u16_le() as usize;
+        let count = u16::from_le_bytes(take(&mut bytes, "truncated row header")?) as usize;
         // The smallest value (an empty text) takes 5 bytes, so a corrupt
         // count cannot reserve more than the input could hold.
         let mut row = Vec::with_capacity(count.min(bytes.len() / 5));
@@ -304,6 +301,21 @@ mod tests {
         let bytes = Value::encode_row(&row);
         let decoded = Value::decode_row(&bytes).unwrap();
         assert_eq!(decoded, row);
+    }
+
+    /// The heap and the log store rows in this format: a changed byte here
+    /// changes both.
+    #[test]
+    fn encode_row_writes_the_pinned_format() {
+        let row: Row = vec![Value::Int(-2), Value::Float(1.5), Value::Text("ab".into())];
+        let expected: &[u8] = &[
+            3, 0, // value count, u16 LE
+            0, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // Int tag, i64 LE
+            1, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F, // Float tag, f64 LE
+            2, 2, 0, 0, 0, b'a', b'b', // Text tag, u32 LE length, UTF-8
+        ];
+        assert_eq!(Value::encode_row(&row), expected);
+        assert_eq!(Value::decode_row(expected).unwrap(), row);
     }
 
     #[test]

@@ -408,7 +408,8 @@ impl ConflictMatrix {
     }
 
     /// Number of routed templates analyzed.
-    pub fn routed_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn routed_count(&self) -> usize {
         self.routed_templates
     }
 

@@ -1229,6 +1229,12 @@ impl PreparedProgram {
         self.program.is_serialized()
     }
 
+    /// The same plan bound to `params` ([`TxnProgram::bind`]): another
+    /// transaction of this type, to prepare and run.
+    pub fn bind(&self, params: Params) -> TxnProgram {
+        self.program.bind(params)
+    }
+
     /// The DORA transaction flow graph of one execution: the same plan and
     /// parameters, shared.
     pub fn flow_graph(&self) -> FlowGraph {

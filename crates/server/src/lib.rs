@@ -6,9 +6,9 @@
 //! 1. [`Server::open`] a database with either execution architecture
 //!    behind it (conventional baseline or data-oriented).
 //! 2. [`Server::prepare`] a transaction program once into a [`Statement`]
-//!    handle — compile-once/execute-many — or register a parameterized
-//!    [`Server::prepare_template`].
-//! 3. Open [`Session`]s and execute parameter batches concurrently. Each
+//!    handle — prepare once, execute many, each execution with the
+//!    statement's own parameters or a new binding of them.
+//! 3. Open [`Session`]s and execute statements concurrently. Each
 //!    session has a bounded in-flight window (client backpressure and
 //!    per-session fairness); every submit then passes the server's
 //!    admission gate, which queues at saturation and sheds past the
@@ -25,6 +25,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use dora_common::prelude::*;
+//! use dora_core::Params;
 //! use dora_server::{Server, ServerConfig};
 //! use dora_workloads::{TpcB, Workload};
 //!
@@ -44,10 +45,13 @@
 //! let program = workload.account_update_program(&db, 1, 1, 1, 7.5).unwrap();
 //! let transfer = server.prepare(program).unwrap();
 //!
-//! // ...execute many.
+//! // ...execute many, as prepared or with other parameters bound in:
+//! // [branch, account, teller] and the amount.
 //! let session = server.session();
-//! for _ in 0..4 {
+//! for account in 1..=4 {
 //!     assert!(session.execute(&transfer).is_committed());
+//!     let params = Params::of([1, account, 1]).with_float(2.5);
+//!     assert!(session.execute_with(&transfer, params).is_committed());
 //! }
 //!
 //! server.close();
@@ -66,13 +70,14 @@ mod statement;
 pub use gate::AdmissionConfig;
 pub use server::{RetryPolicy, Server, ServerConfig, SubmitOutcome};
 pub use session::Session;
-pub use statement::{Params, Statement, TemplateFn};
+pub use statement::Statement;
 
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
 
     use dora_common::prelude::*;
+    use dora_core::Params;
     use dora_storage::Database;
     use dora_workloads::{TpcB, Workload};
 
@@ -98,7 +103,6 @@ mod tests {
     fn prepared_statement_executes_many_times_on_both_engines() {
         for kind in [EngineKind::Baseline, EngineKind::Dora] {
             let (server, statement) = served(kind, None);
-            assert!(statement.is_compiled());
             let session = server.session();
             for _ in 0..8 {
                 assert_eq!(session.execute(&statement), SubmitOutcome::Committed);
@@ -109,52 +113,24 @@ mod tests {
 
     #[test]
     fn template_statement_builds_per_binding() {
-        let tpcb = TpcB::with_accounts(4, 64);
-        let db = Database::for_tests();
-        tpcb.setup(&db).unwrap();
-        let workload = Arc::new(tpcb);
-        let server = Server::open(
-            Arc::clone(&db),
-            Arc::clone(&workload) as Arc<dyn dora_workloads::Workload>,
-            ServerConfig::for_tests(EngineKind::Dora),
-        )
-        .unwrap();
-
-        let spec = Arc::clone(&workload);
-        let transfer = server.prepare_template("tpcb-account-update", move |db, params| {
-            let (branch, account, teller, amount) = match params.as_slice() {
-                [Value::Int(b), Value::Int(a), Value::Int(t), Value::Float(m)] => (*b, *a, *t, *m),
-                _ => {
-                    return Err(DbError::InvalidOperation(
-                        "tpcb params: [branch, account, teller, amount]".to_string(),
-                    ))
-                }
-            };
-            spec.account_update_program(db, branch, account, teller, amount)
-        });
-        assert!(!transfer.is_compiled());
-
-        let session = server.session();
-        let bindings: Vec<Params> = (0..4i64)
-            .map(|i| {
+        for kind in [EngineKind::Baseline, EngineKind::Dora] {
+            let (server, transfer) = served(kind, None);
+            let session = server.session();
+            for i in 0..4i64 {
                 let branch = i % 4 + 1;
-                vec![
-                    Value::Int(branch),
-                    Value::Int((branch - 1) * 64 + 1 + i),
-                    Value::Int((branch - 1) * 10 + 1),
-                    Value::Float(10.0 + i as f64),
-                ]
-            })
-            .collect();
-        let outcomes = session.execute_batch(&transfer, &bindings);
-        assert!(outcomes.iter().all(|o| o.is_committed()));
+                let params = Params::of([branch, (branch - 1) * 64 + 1 + i, (branch - 1) * 10 + 1])
+                    .with_float(10.0 + i as f64);
+                assert!(session.execute_with(&transfer, params).is_committed());
+            }
 
-        // A malformed binding aborts rather than panicking or wedging.
-        assert_eq!(
-            session.execute_with(&transfer, &vec![Value::Int(1)]),
-            SubmitOutcome::Aborted
-        );
-        server.close();
+            // A binding that misses a slot aborts rather than panicking or
+            // wedging.
+            assert_eq!(
+                session.execute_with(&transfer, Params::of([1])),
+                SubmitOutcome::Aborted
+            );
+            server.close();
+        }
     }
 
     #[test]
@@ -191,56 +167,29 @@ mod tests {
             let scan = server
                 .prepare(AnalyticalScan::tpcb_branch_balances(&db, Arc::clone(&sink)).unwrap())
                 .unwrap();
-            assert!(scan.snapshot_eligible());
             let transfer = server
                 .prepare(workload.account_update_program(&db, 1, 1, 1, 7.5).unwrap())
                 .unwrap();
-            assert!(!transfer.snapshot_eligible());
 
-            let before = current_thread_snapshot();
             let session = server.session();
+            let before = current_thread_snapshot();
+            assert_eq!(session.execute(&transfer), SubmitOutcome::Committed);
+            let after = current_thread_snapshot();
+            assert_eq!(
+                after.since(&before).counter(CounterKind::SnapshotsTaken),
+                0,
+                "{kind:?}: a writing statement takes the locked path"
+            );
+            let before = current_thread_snapshot();
             assert_eq!(session.execute(&scan), SubmitOutcome::Committed);
             let after = current_thread_snapshot();
             assert!(
                 after.since(&before).counter(CounterKind::SnapshotsTaken) >= 1,
-                "{kind:?}: eligible statement must pin a snapshot"
+                "{kind:?}: a read-only statement must pin a snapshot"
             );
             assert_eq!(sink.lock().rows_scanned, 4 * 64);
             server.close();
         }
-    }
-
-    #[test]
-    fn snapshot_serving_can_be_disabled() {
-        use dora_metrics::{current_thread_snapshot, CounterKind};
-        use dora_workloads::AnalyticalScan;
-
-        let tpcb = TpcB::with_accounts(2, 32);
-        let db = Database::for_tests();
-        tpcb.setup(&db).unwrap();
-        let workload = Arc::new(tpcb);
-        let server = Server::open(
-            Arc::clone(&db),
-            workload.clone(),
-            ServerConfig::for_tests(EngineKind::Baseline).with_snapshot_reads(false),
-        )
-        .unwrap();
-
-        let sink = AnalyticalScan::sink();
-        let scan = server
-            .prepare(AnalyticalScan::tpcb_branch_balances(&db, Arc::clone(&sink)).unwrap())
-            .unwrap();
-        let before = current_thread_snapshot();
-        let session = server.session();
-        assert_eq!(session.execute(&scan), SubmitOutcome::Committed);
-        let after = current_thread_snapshot();
-        assert_eq!(
-            after.since(&before).counter(CounterKind::SnapshotsTaken),
-            0,
-            "disabled snapshot serving must use the locked path"
-        );
-        assert_eq!(sink.lock().rows_scanned, 2 * 32);
-        server.close();
     }
 
     #[test]

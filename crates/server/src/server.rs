@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dora_common::prelude::*;
-use dora_core::{DoraConfig, TxnProgram};
+use dora_core::{DoraConfig, PreparedProgram, TxnProgram};
 use dora_engine::{build_engine_with, ExecutionEngine};
 use dora_metrics::{incr, CounterKind};
 use dora_storage::Database;
@@ -13,7 +13,7 @@ use dora_workloads::Workload;
 
 use crate::gate::{AdmissionConfig, Gate, GateOutcome};
 use crate::session::Session;
-use crate::statement::{Params, Statement, StatementKind};
+use crate::statement::Statement;
 
 /// How a submitted transaction ended, as reported to the client.
 ///
@@ -89,7 +89,7 @@ impl SubmitOutcome {
 }
 
 /// Bounded, jittered-backoff retry for aborted submissions, applied inside
-/// [`Session::execute_with`](crate::Session::execute_with). Only
+/// [`Session::execute`](crate::Session::execute). Only
 /// [`SubmitOutcome::Aborted`] is retried: shed and timed-out work never ran
 /// (the client decides whether to re-offer load), gave-up already burned an
 /// engine-level retry budget, and failed must never be re-run.
@@ -169,12 +169,6 @@ pub struct ServerConfig {
     pub submit_deadline: Option<Duration>,
     /// Retry policy for aborted submissions (default: off).
     pub retry: RetryPolicy,
-    /// Serve read-only statements from a lock-free MVCC snapshot instead of
-    /// running them through the engine's locked path (default: on). Each
-    /// eligible submission pins a fresh snapshot, so it sees every commit
-    /// published before it started and never blocks — or is blocked by —
-    /// OLTP writers.
-    pub snapshot_reads: bool,
 }
 
 impl ServerConfig {
@@ -190,7 +184,6 @@ impl ServerConfig {
             session_window: 8,
             submit_deadline: None,
             retry: RetryPolicy::default(),
-            snapshot_reads: true,
         }
     }
 
@@ -207,7 +200,6 @@ impl ServerConfig {
             session_window: 4,
             submit_deadline: None,
             retry: RetryPolicy::default(),
-            snapshot_reads: true,
         }
     }
 
@@ -228,15 +220,6 @@ impl ServerConfig {
     pub fn with_retry(self, retry: RetryPolicy) -> Self {
         Self { retry, ..self }
     }
-
-    /// This configuration with snapshot serving of read-only statements
-    /// switched on or off.
-    pub fn with_snapshot_reads(self, snapshot_reads: bool) -> Self {
-        Self {
-            snapshot_reads,
-            ..self
-        }
-    }
 }
 
 /// Shared server internals; sessions keep the core alive even if the
@@ -248,7 +231,6 @@ pub(crate) struct ServerCore {
     session_window: usize,
     submit_deadline: Option<Duration>,
     retry: RetryPolicy,
-    snapshot_reads: bool,
 }
 
 impl ServerCore {
@@ -256,40 +238,25 @@ impl ServerCore {
     /// deadline), the engine executes, the slot is returned. This is the
     /// *only* path work reaches the engine through, so the admission
     /// policy really does govern everything.
-    pub(crate) fn submit(&self, statement: &Statement, params: &Params) -> SubmitOutcome {
+    pub(crate) fn submit(&self, prepared: &PreparedProgram) -> SubmitOutcome {
         match self.gate.admit_within(self.submit_deadline) {
             GateOutcome::Shed => SubmitOutcome::Shed,
             GateOutcome::TimedOut => SubmitOutcome::TimedOut,
             GateOutcome::Run => {
-                let outcome = self.execute(statement, params);
+                let outcome = self.execute(prepared);
                 self.gate.finish();
                 outcome
             }
         }
     }
 
-    fn execute(&self, statement: &Statement, params: &Params) -> SubmitOutcome {
-        let built;
-        let prepared = match &*statement.kind {
-            StatementKind::Prepared(prepared) => prepared,
-            // Per-binding build (routing keys are baked in at build time),
-            // then the engine's prepare. Eligibility for the snapshot path is
-            // decided per build: the program only exists once the parameters
-            // are bound.
-            StatementKind::Template(build) => {
-                match build(self.engine.db(), params).and_then(|p| self.engine.prepare(p)) {
-                    Ok(prepared) => {
-                        built = prepared;
-                        &built
-                    }
-                    Err(_) => return SubmitOutcome::Aborted,
-                }
-            }
-        };
-        let result = if self.snapshot_reads && prepared.is_read_only() {
+    fn execute(&self, prepared: &PreparedProgram) -> SubmitOutcome {
+        let result = if prepared.is_read_only() {
             // Read-only statements skip both engines entirely: they run on
             // this thread against a freshly pinned snapshot, with no DORA
-            // routing and no lock-manager traffic.
+            // routing and no lock-manager traffic. The snapshot sees every
+            // commit published before it was pinned and never blocks — or is
+            // blocked by — OLTP writers.
             let snapshot = Arc::new(self.engine.snapshot());
             self.engine.execute_on_snapshot(prepared, &snapshot)
         } else {
@@ -303,6 +270,11 @@ impl ServerCore {
             Err(DbError::DurabilityLost) => SubmitOutcome::Failed,
             Err(_) => SubmitOutcome::Aborted,
         }
+    }
+
+    /// The engine's prepare of `program` (its conflict stamp, on DORA).
+    pub(crate) fn prepare(&self, program: TxnProgram) -> DbResult<PreparedProgram> {
+        self.engine.prepare(program)
     }
 
     pub(crate) fn session_window(&self) -> usize {
@@ -355,27 +327,16 @@ impl Server {
                 session_window: config.session_window.max(1),
                 submit_deadline: config.submit_deadline,
                 retry: config.retry,
-                snapshot_reads: config.snapshot_reads,
             }),
         })
     }
 
-    /// Compiles `program` once into a reusable fixed-parameter
-    /// [`Statement`]. Every execution of the returned handle reuses the
-    /// compiled form — prepare once, execute many.
+    /// Prepares `program` once into a reusable [`Statement`]: every
+    /// execution of the returned handle shares the prepared plan, and
+    /// [`Session::execute_with`](crate::Session::execute_with) binds other
+    /// parameters into it.
     pub fn prepare(&self, program: TxnProgram) -> DbResult<Statement> {
-        Ok(Statement::prepared(self.core.engine.prepare(program)?))
-    }
-
-    /// Registers a parameterized statement: `build` is invoked per
-    /// parameter binding to produce the program for those routing keys
-    /// (see [`Statement`] for why parameter substitution needs a builder).
-    pub fn prepare_template(
-        &self,
-        name: &'static str,
-        build: impl Fn(&Database, &Params) -> DbResult<TxnProgram> + Send + Sync + 'static,
-    ) -> Statement {
-        Statement::template(name, build)
+        Ok(Statement::new(self.core.prepare(program)?))
     }
 
     /// Opens a client session with the configured in-flight window.

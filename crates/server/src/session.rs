@@ -6,10 +6,11 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
+use dora_core::{Params, PreparedProgram};
 use dora_metrics::{incr, CounterKind};
 
 use crate::server::{ServerCore, SubmitOutcome};
-use crate::statement::{Params, Statement};
+use crate::statement::Statement;
 
 /// The per-session in-flight bound: `acquire` blocks while the window is
 /// full, `release` wakes one blocked submitter. This is client-side
@@ -108,15 +109,8 @@ impl Session {
         x
     }
 
-    /// Executes a fixed-parameter statement (or a template with no
-    /// parameters), blocking first if the session window is full.
-    pub fn execute(&self, statement: &Statement) -> SubmitOutcome {
-        self.execute_with(statement, &Params::new())
-    }
-
-    /// Executes `statement` with one parameter binding, blocking first if
-    /// the session window is full. Fixed-parameter statements ignore
-    /// `params`.
+    /// Executes `statement` as prepared, blocking first if the session
+    /// window is full.
     ///
     /// If the server was configured with a [`RetryPolicy`], aborted
     /// submissions are re-run with jittered backoff, within the submit
@@ -126,18 +120,33 @@ impl Session {
     /// must never be re-run.
     ///
     /// [`RetryPolicy`]: crate::RetryPolicy
-    pub fn execute_with(&self, statement: &Statement, params: &Params) -> SubmitOutcome {
+    pub fn execute(&self, statement: &Statement) -> SubmitOutcome {
+        self.run(statement.prepared())
+    }
+
+    /// Executes `statement`'s plan bound to `params` instead of the
+    /// parameters it was prepared with; otherwise as
+    /// [`execute`](Self::execute). A binding the plan cannot run (a slot
+    /// missing) aborts.
+    pub fn execute_with(&self, statement: &Statement, params: Params) -> SubmitOutcome {
+        match self.core.prepare(statement.bind(params)) {
+            Ok(prepared) => self.run(&prepared),
+            Err(_) => SubmitOutcome::Aborted,
+        }
+    }
+
+    fn run(&self, prepared: &PreparedProgram) -> SubmitOutcome {
         self.window.acquire();
-        let outcome = self.submit_with_retry(statement, params);
+        let outcome = self.submit_with_retry(prepared);
         self.window.release();
         outcome
     }
 
-    fn submit_with_retry(&self, statement: &Statement, params: &Params) -> SubmitOutcome {
+    fn submit_with_retry(&self, prepared: &PreparedProgram) -> SubmitOutcome {
         let policy = self.core.retry_policy();
         let deadline = self.core.submit_deadline();
         let started = Instant::now();
-        let mut outcome = self.core.submit(statement, params);
+        let mut outcome = self.core.submit(prepared);
         for attempt in 0..policy.max_retries {
             if outcome != SubmitOutcome::Aborted {
                 break;
@@ -149,19 +158,9 @@ impl Session {
             }
             incr(CounterKind::TxnRetried);
             std::thread::sleep(policy.backoff_for(attempt, self.next_jitter()));
-            outcome = self.core.submit(statement, params);
+            outcome = self.core.submit(prepared);
         }
         outcome
-    }
-
-    /// Executes one binding after another, returning the per-binding
-    /// outcomes in order. Batches from concurrent threads interleave
-    /// freely subject to the shared window.
-    pub fn execute_batch(&self, statement: &Statement, bindings: &[Params]) -> Vec<SubmitOutcome> {
-        bindings
-            .iter()
-            .map(|params| self.execute_with(statement, params))
-            .collect()
     }
 
     /// Submissions from this session currently inside `execute*` calls.

@@ -9,6 +9,7 @@ use std::thread;
 use std::time::Duration;
 
 use dora_common::prelude::*;
+use dora_core::Step;
 use dora_server::{AdmissionConfig, RetryPolicy, Server, ServerConfig, SubmitOutcome};
 use dora_storage::Database;
 use dora_workloads::{TpcB, Workload};
@@ -198,8 +199,8 @@ fn close_drains_gracefully_under_fire() {
 }
 
 /// Opens a server whose single execution slot can be pinned by a "slow"
-/// template statement (its per-binding build sleeps for `hold`), so tests
-/// can force later submissions into the condvar-FIFO admission queue.
+/// statement (a transfer with one more step that sleeps for `hold`), so
+/// tests can force later submissions into the condvar-FIFO admission queue.
 fn pinned_server(
     config: ServerConfig,
     hold: Duration,
@@ -209,11 +210,15 @@ fn pinned_server(
     tpcb.setup(&db).unwrap();
     let workload = Arc::new(tpcb);
     let server = Server::open(Arc::clone(&db), workload.clone(), config).unwrap();
-    let slow_spec = Arc::clone(&workload);
-    let slow = server.prepare_template("slow-transfer", move |db, _| {
-        thread::sleep(hold);
-        slow_spec.account_update_program(db, 1, 1, 1, 1.0)
-    });
+    let history = db.table_id("history_b").unwrap();
+    let program = workload
+        .account_update_program(&db, 1, 1, 1, 1.0)
+        .unwrap()
+        .step(Step::secondary("hold", history, move |_| {
+            thread::sleep(hold);
+            Ok(())
+        }));
+    let slow = server.prepare(program).unwrap();
     let program = workload
         .account_update_program(&db, 2, 65, 11, 2.0)
         .unwrap();
@@ -313,20 +318,21 @@ fn retry_policy_reruns_aborted_submissions() {
     )
     .unwrap();
 
-    // A statement that aborts twice before building a clean program; with
-    // three retries the session's final answer must be the commit.
+    // A transfer whose extra step aborts its first two attempts; with three
+    // retries the session's final answer must be the commit.
     let attempts = Arc::new(AtomicUsize::new(0));
     let seen = Arc::clone(&attempts);
-    let spec = Arc::clone(&workload);
-    let flaky = server.prepare_template("flaky-transfer", move |db, _| {
-        if seen.fetch_add(1, Ordering::Relaxed) < 2 {
-            return Err(DbError::TxnAborted {
-                txn: TxnId::INVALID,
-                reason: "transient".into(),
-            });
-        }
-        spec.account_update_program(db, 1, 1, 1, 3.0)
-    });
+    let history = db.table_id("history_b").unwrap();
+    let program = workload
+        .account_update_program(&db, 1, 1, 1, 3.0)
+        .unwrap()
+        .step(Step::secondary("flaky", history, move |ctx| {
+            if seen.fetch_add(1, Ordering::Relaxed) < 2 {
+                return Err(ctx.abort("transient"));
+            }
+            Ok(())
+        }));
+    let flaky = server.prepare(program).unwrap();
 
     let session = server.session();
     assert_eq!(session.execute(&flaky), SubmitOutcome::Committed);

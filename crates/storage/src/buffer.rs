@@ -108,13 +108,6 @@ pub struct PinnedFrame {
     frame: Arc<Frame>,
 }
 
-impl PinnedFrame {
-    /// Access the underlying frame (and through it, the page latch).
-    pub fn frame(&self) -> &Frame {
-        &self.frame
-    }
-}
-
 impl std::ops::Deref for PinnedFrame {
     type Target = Frame;
 
@@ -175,7 +168,8 @@ impl BufferPool {
     }
 
     /// Number of frames currently cached.
-    pub fn cached_frames(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cached_frames(&self) -> usize {
         self.state.lock(TimeCategory::OtherContention).frames.len()
     }
 

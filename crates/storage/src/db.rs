@@ -18,7 +18,6 @@
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
 use parking_lot::RwLock;
 
 use dora_common::prelude::*;
@@ -693,7 +692,7 @@ impl Database {
                 table,
                 rid,
                 before: None,
-                after: Some(Bytes::copy_from_slice(&image)),
+                after: Some(Arc::from(&image[..])),
                 unlinked: None,
             });
             rid
@@ -846,7 +845,7 @@ impl Database {
         f(&mut row)?;
         let after = Value::encode_row(&row);
         {
-            let before_image = Bytes::copy_from_slice(&before);
+            let before_image = Arc::from(&before[..]);
             // While a snapshot is open, seed the chain base with the
             // committed pre-image before the heap bytes change, so a snapshot
             // reader racing this update either sees no chain (heap bytes
@@ -861,7 +860,7 @@ impl Database {
                 table,
                 rid,
                 before: Some(before_image),
-                after: Some(Bytes::copy_from_slice(&after)),
+                after: Some(Arc::from(&after[..])),
                 unlinked: None,
             });
         }
@@ -942,7 +941,7 @@ impl Database {
             Value::decode_row(&before)?
         };
         {
-            let before_image = Bytes::copy_from_slice(&before);
+            let before_image = Arc::from(&before[..]);
             // As in update: while a snapshot is open, capture the committed
             // pre-image before the slot goes away, and — the primary entry is
             // about to go physically — leave a breadcrumb so live snapshots

@@ -11,8 +11,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
-
 use dora_common::prelude::*;
 use dora_metrics::TimeCategory;
 
@@ -176,8 +174,8 @@ impl HeapFile {
     }
 
     /// An owned copy of the record at `rid`.
-    pub fn read(&self, rid: Rid) -> DbResult<Bytes> {
-        self.read_with(rid, |record| Ok(Bytes::copy_from_slice(record)))
+    pub fn read(&self, rid: Rid) -> DbResult<Arc<[u8]>> {
+        self.read_with(rid, |record| Ok(Arc::from(record)))
     }
 
     /// Overwrites the record at `rid`.

@@ -89,7 +89,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use dora_common::prelude::*;
@@ -114,7 +113,7 @@ const UNCOMMITTED: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 struct Version {
     seq: u64,
-    row: Option<Bytes>,
+    row: Option<Arc<[u8]>>,
 }
 
 /// A row's version history, ascending by commit ticket. The base entry
@@ -128,7 +127,7 @@ struct VersionChain {
 }
 
 impl VersionChain {
-    fn based_on(before: Option<Bytes>, writer: u64) -> Self {
+    fn based_on(before: Option<Arc<[u8]>>, writer: u64) -> Self {
         Self {
             versions: vec![Version {
                 seq: 0,
@@ -139,7 +138,7 @@ impl VersionChain {
     }
 
     /// Replaces the base with the pre-image of an earlier writer.
-    fn rebase(&mut self, before: Option<&Bytes>, writer: u64) {
+    fn rebase(&mut self, before: Option<&Arc<[u8]>>, writer: u64) {
         if writer < self.based_below {
             if let Some(base) = self.versions.first_mut().filter(|base| base.seq == 0) {
                 base.row = before.cloned();
@@ -150,7 +149,7 @@ impl VersionChain {
 
     /// Installs `row` at `seq`, keeping the chain sorted. A repeated ticket
     /// (several writes by one transaction) keeps only the last write.
-    fn install(&mut self, seq: u64, row: Option<Bytes>) -> bool {
+    fn install(&mut self, seq: u64, row: Option<Arc<[u8]>>) -> bool {
         match self.versions.binary_search_by_key(&seq, |v| v.seq) {
             Ok(i) => {
                 self.versions[i].row = row;
@@ -211,19 +210,19 @@ pub enum ChainRead {
     /// born after it) or the visible version is a delete.
     Invisible,
     /// The visible version's bytes.
-    Visible(Bytes),
+    Visible(Arc<[u8]>),
 }
 
-/// One row write of a running transaction. The images are the `Bytes` the
+/// One row write of a running transaction. The images are the buffers the
 /// write path already holds: pushing a write copies nothing.
 #[derive(Debug)]
 pub(crate) struct RowWrite {
     pub(crate) table: TableId,
     pub(crate) rid: Rid,
     /// The row before the write; `None` for an insert.
-    pub(crate) before: Option<Bytes>,
+    pub(crate) before: Option<Arc<[u8]>>,
     /// The row after it; `None` for a delete.
-    pub(crate) after: Option<Bytes>,
+    pub(crate) after: Option<Arc<[u8]>>,
     /// The primary key a delete took out of the index.
     pub(crate) unlinked: Option<Key>,
 }
@@ -500,7 +499,7 @@ impl VersionStore {
         list: &WriteList,
         table: TableId,
         rid: Rid,
-        before: Option<&Bytes>,
+        before: Option<&Arc<[u8]>>,
         unlinked: Option<&Key>,
     ) {
         if list.period != 0 {
@@ -515,7 +514,7 @@ impl VersionStore {
         period: u64,
         table: TableId,
         rid: Rid,
-        before: Option<&Bytes>,
+        before: Option<&Arc<[u8]>>,
         unlinked: Option<&Key>,
         writer: u64,
     ) {
@@ -631,7 +630,7 @@ impl VersionStore {
         table: TableId,
         horizon: u64,
         skip: &HashSet<Rid>,
-    ) -> Vec<(Rid, Bytes)> {
+    ) -> Vec<(Rid, Arc<[u8]>)> {
         let mut rows = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
@@ -984,13 +983,15 @@ mod tests {
     /// the way (period 0 is the one the shards start in). The protocol that
     /// decides *when* the write path calls them is tested through `Database`
     /// (`tests/versions_on_demand.rs`).
+    type Image = Arc<[u8]>;
+
     impl VersionStore {
         fn seed(&self, table: TableId, rid: Rid, before: Option<&[u8]>) {
-            let before = before.map(Bytes::copy_from_slice);
+            let before = before.map(Arc::from);
             self.seed_base(0, table, rid, before.as_ref(), None, UNCOMMITTED);
         }
 
-        fn publish(&self, seq: u64, writes: &[(TableId, Rid, Option<Bytes>)]) {
+        fn publish(&self, seq: u64, writes: &[(TableId, Rid, Option<Image>)]) {
             for (table, rid, row) in writes {
                 let mut shard = self.shard(*table, *rid).lock();
                 let chain = shard.chains.entry((*table, *rid)).or_default();
@@ -1023,8 +1024,8 @@ mod tests {
         }
     }
 
-    fn bytes(byte: u8) -> Option<Bytes> {
-        Some(Bytes::copy_from_slice(&[byte]))
+    fn bytes(byte: u8) -> Option<Arc<[u8]>> {
+        Some(Arc::from([byte].as_slice()))
     }
 
     #[test]

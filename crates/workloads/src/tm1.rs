@@ -356,39 +356,6 @@ impl Tm1 {
         self.bound(db, Tm1Plan::GetSubscriberData, inputs)
     }
 
-    /// GetNewDestination: probe the SpecialFacility, then (next phase,
-    /// because of the control dependency) the CallForwarding record.
-    pub fn get_new_destination_program(
-        &self,
-        db: &Database,
-        s_id: i64,
-        sf_type: i64,
-        start_time: i64,
-    ) -> DbResult<TxnProgram> {
-        let inputs = Tm1Inputs {
-            s_id,
-            sf_type,
-            start_time,
-            ..Tm1Inputs::default()
-        };
-        self.bound(db, Tm1Plan::GetNewDestination, inputs)
-    }
-
-    /// GetAccessData: one read-only step on AccessInfo.
-    pub fn get_access_data_program(
-        &self,
-        db: &Database,
-        s_id: i64,
-        ai_type: i64,
-    ) -> DbResult<TxnProgram> {
-        let inputs = Tm1Inputs {
-            s_id,
-            ai_type,
-            ..Tm1Inputs::default()
-        };
-        self.bound(db, Tm1Plan::GetAccessData, inputs)
-    }
-
     /// UpdateSubscriberData.
     ///
     /// One definition, two plans: the parallel plan (DORA-P) runs the

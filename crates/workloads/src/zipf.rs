@@ -74,7 +74,8 @@ impl Zipfian {
 
     /// Probability of the hottest rank (diagnostics: how much of the load a
     /// single key attracts).
-    pub fn top_rank_probability(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn top_rank_probability(&self) -> f64 {
         1.0 / self.zetan
     }
 

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::thread;
 
 use dora_repro::common::prelude::*;
+use dora_repro::dora::Params;
 use dora_repro::server::{AdmissionConfig, RetryPolicy, Server, ServerConfig, SubmitOutcome};
 use dora_repro::storage::{Database, LogRecordKind, Lsn};
 use dora_repro::workloads::{TpcB, Workload};
@@ -72,18 +73,19 @@ fn open_server(db: &Arc<Database>, workload: &Arc<TpcB>, kind: EngineKind) -> Se
     .expect("open server")
 }
 
-fn account_update_template(server: &Server, workload: &Arc<TpcB>) -> dora_repro::server::Statement {
-    let spec = Arc::clone(workload);
-    server.prepare_template(TpcB::ACCOUNT_UPDATE, move |db, params| {
-        match params.as_slice() {
-            [Value::Int(branch), Value::Int(account), Value::Int(teller), Value::Float(amount)] => {
-                spec.account_update_program(db, *branch, *account, *teller, *amount)
-            }
-            _ => Err(DbError::InvalidOperation(
-                "tpcb binding: [branch, account, teller, amount]".to_string(),
-            )),
-        }
-    })
+/// The TPC-B transfer, prepared once; each submission binds its own
+/// `[branch, account, teller]` and amount.
+fn account_update_statement(
+    server: &Server,
+    db: &Database,
+    workload: &TpcB,
+) -> dora_repro::server::Statement {
+    let program = workload.account_update_program(db, 1, 1, 1, 0.0).unwrap();
+    server.prepare(program).expect("prepare transfer")
+}
+
+fn transfer(branch: i64, account: i64, teller: i64, amount: f64) -> Params {
+    Params::of([branch, account, teller]).with_float(amount)
 }
 
 fn balance_total(db: &Database, table: &str, column: usize) -> f64 {
@@ -152,7 +154,7 @@ fn chaos_flood_accounts_exactly_and_any_crash_recovers_consistently() {
         let workload = Arc::new(TpcB::with_accounts(BRANCHES, ACCOUNTS));
         workload.setup(&db).unwrap();
         let server = Arc::new(open_server(&db, &workload, kind));
-        let statement = account_update_template(&server, &workload);
+        let statement = account_update_statement(&server, &db, &workload);
 
         // submitted, committed, aborted, gave-up, shed, timed-out, failed.
         let tally: Arc<[AtomicU64; 7]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
@@ -167,13 +169,8 @@ fn chaos_flood_accounts_exactly_and_any_crash_recovers_consistently() {
                     let mut rng = SmallRng::seed_from_u64(0x0DDB411 + client as u64);
                     for _ in 0..TXNS_PER_CLIENT {
                         let (branch, _, account, teller, amount) = workload.inputs(&mut rng);
-                        let params = vec![
-                            Value::Int(branch),
-                            Value::Int(account),
-                            Value::Int(teller),
-                            Value::Float(amount),
-                        ];
-                        let outcome = session.execute_with(&statement, &params);
+                        let params = transfer(branch, account, teller, amount);
+                        let outcome = session.execute_with(&statement, params);
                         tally[0].fetch_add(1, Ordering::Relaxed);
                         let bucket = match outcome {
                             SubmitOutcome::Committed => 1,
@@ -278,20 +275,15 @@ fn both_engines_converge_to_identical_tables_under_the_same_fault_schedule() {
         let workload = Arc::new(TpcB::with_accounts(BRANCHES, ACCOUNTS));
         workload.setup(&db).unwrap();
         let server = open_server(&db, &workload, kind);
-        let statement = account_update_template(&server, &workload);
+        let statement = account_update_statement(&server, &db, &workload);
         let session = server.session();
 
         for &(branch, account, teller, amount) in &bindings {
-            let params = vec![
-                Value::Int(branch),
-                Value::Int(account),
-                Value::Int(teller),
-                Value::Float(amount),
-            ];
+            let params = transfer(branch, account, teller, amount);
             // Resubmit only through outcomes that never executed or rolled
             // back fully; a Failed (ghost commit) must never be re-run, and
             // must never occur under the healing config.
-            let mut outcome = session.execute_with(&statement, &params);
+            let mut outcome = session.execute_with(&statement, params.clone());
             let mut attempts = 0;
             while !outcome.is_committed() {
                 assert!(
@@ -305,7 +297,7 @@ fn both_engines_converge_to_identical_tables_under_the_same_fault_schedule() {
                     "{}: {params:?} refuses to commit",
                     kind.label()
                 );
-                outcome = session.execute_with(&statement, &params);
+                outcome = session.execute_with(&statement, params.clone());
             }
         }
         server.close();

@@ -148,7 +148,7 @@ const LEDGER: [Row; 7] = [
         load: Load::Tm1,
         exact: exact(528, 312, 580, 315, 10, 0, 0),
         alloc_calls: band(7.39, 1.0),
-        alloc_bytes: band(2172.0, 43.0),
+        alloc_bytes: band(2139.0, 43.0),
     },
     Row {
         workload: "tm1_mix",
@@ -156,7 +156,7 @@ const LEDGER: [Row; 7] = [
         load: Load::Tm1,
         exact: exact(528, 0, 0, 315, 461, 1267, 0),
         alloc_calls: band(5.67, 1.0),
-        alloc_bytes: band(1021.0, 20.0),
+        alloc_bytes: band(988.0, 20.0),
     },
     Row {
         workload: "tpcb",
@@ -164,7 +164,7 @@ const LEDGER: [Row; 7] = [
         load: Load::Tpcb,
         exact: exact(400, 3200, 1600, 2400, 400, 0, 0),
         alloc_calls: band(25.09, 1.0),
-        alloc_bytes: band(6703.0, 134.0),
+        alloc_bytes: band(6575.0, 132.0),
     },
     Row {
         workload: "tpcb",
@@ -172,7 +172,7 @@ const LEDGER: [Row; 7] = [
         load: Load::Tpcb,
         exact: exact(400, 0, 0, 2400, 1600, 2000, 0),
         alloc_calls: band(20.09, 1.0),
-        alloc_bytes: band(4528.0, 91.0),
+        alloc_bytes: band(4400.0, 88.0),
     },
     Row {
         workload: "tpcc_mix",
@@ -180,7 +180,7 @@ const LEDGER: [Row; 7] = [
         load: Load::Tpcc,
         exact: exact(401, 3074, 3618, 5871, 2392, 0, 0),
         alloc_calls: band(107.74, 1.0),
-        alloc_bytes: band(21767.0, 435.0),
+        alloc_bytes: band(20845.0, 417.0),
     },
     Row {
         workload: "tpcc_mix",
@@ -188,7 +188,7 @@ const LEDGER: [Row; 7] = [
         load: Load::Tpcc,
         exact: exact(401, 0, 0, 5871, 8498, 2888, 0),
         alloc_calls: band(102.16, 1.0),
-        alloc_bytes: band(19623.0, 392.0),
+        alloc_bytes: band(18701.0, 374.0),
     },
     Row {
         workload: "htap_tpcb",
@@ -196,7 +196,7 @@ const LEDGER: [Row; 7] = [
         load: Load::HtapTpcb,
         exact: exact(400, 3200, 1600, 2400, 400, 0, 2752),
         alloc_calls: band(48.69, 1.0),
-        alloc_bytes: band(9270.0, 185.0),
+        alloc_bytes: band(8882.0, 178.0),
     },
 ];
 
