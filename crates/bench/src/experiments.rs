@@ -1,7 +1,7 @@
 //! One function per figure of the paper's evaluation (Section 5 and the
 //! appendix). Each sets up the workloads at the requested [`Scale`], drives
 //! the baseline and/or DORA engines, and renders the measured series as a
-//! plain-text [`Report`]. `EXPERIMENTS.md` records how each measured shape
+//! plain-text `Report`. `EXPERIMENTS.md` records how each measured shape
 //! compares to the paper's.
 
 use std::sync::Arc;
@@ -29,7 +29,7 @@ use crate::trace::AccessTrace;
 
 /// Figure 1: TM1-GetSubscriberData — throughput per CPU utilization as the
 /// load grows, plus the time breakdown of each system.
-pub fn fig1(scale: &Scale) -> Report {
+pub(crate) fn fig1(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 1: TM1-GetSubscriberData, Baseline vs DORA");
     for system in SystemUnderTest::ALL {
         report.line(format!("{}:", system.label()));
@@ -64,7 +64,7 @@ pub fn fig1(scale: &Scale) -> Report {
 
 /// Figure 2: time breakdown at full utilization for (a) the TM1 mix and
 /// (b) TPC-C OrderStatus, Baseline vs DORA.
-pub fn fig2(scale: &Scale) -> Report {
+pub(crate) fn fig2(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 2: time breakdown at 100% CPU utilization");
     for (label, which) in [("TM1 (full mix)", 0), ("TPC-C OrderStatus", 1)] {
         report.line(format!("{label}:"));
@@ -89,7 +89,7 @@ pub fn fig2(scale: &Scale) -> Report {
 
 /// Figure 3: where the time inside the centralized lock manager goes for the
 /// baseline running TPC-B, as the load grows.
-pub fn fig3(scale: &Scale) -> Report {
+pub(crate) fn fig3(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 3: inside the lock manager (Baseline, TPC-B)");
     let (results, stats) = sweep_stats(
         scale.tpcb(),
@@ -135,7 +135,7 @@ pub fn fig3(scale: &Scale) -> Report {
 
 /// Figure 4: the transaction flow graph of TPC-C Payment (structural, not a
 /// measurement).
-pub fn fig4(scale: &Scale) -> Report {
+pub(crate) fn fig4(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 4: transaction flow graph of TPC-C Payment");
     let db = Database::new(scale.system_config());
     let tpcc = scale.tpcc();
@@ -167,7 +167,7 @@ pub fn fig4(scale: &Scale) -> Report {
 
 /// Figure 5: locks acquired per 100 transactions, by class, for TM1, TPC-B
 /// and TPC-C OrderStatus under both systems.
-pub fn fig5(scale: &Scale) -> Report {
+pub(crate) fn fig5(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 5: locks acquired per 100 transactions");
     report.line(format!(
         "  {:<26} {:<10} {:>12} {:>14} {:>14}",
@@ -206,7 +206,7 @@ pub fn fig5(scale: &Scale) -> Report {
 
 /// Figure 6: throughput as the offered CPU load grows (including past
 /// saturation) for TM1, TPC-B and TPC-C OrderStatus.
-pub fn fig6(scale: &Scale) -> Report {
+pub(crate) fn fig6(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 6: throughput vs offered CPU load");
     for which in 0..3 {
         let name = ["TM1", "TPC-B", "TPC-C OrderStatus"][which];
@@ -252,7 +252,7 @@ pub fn fig6(scale: &Scale) -> Report {
 }
 
 /// Figure 7: single-client response times (intra-transaction parallelism).
-pub fn fig7(scale: &Scale) -> Report {
+pub(crate) fn fig7(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 7: single-client response time (normalized to Baseline)");
     report.line(format!(
         "  {:<26} {:>16} {:>16} {:>12}",
@@ -344,7 +344,7 @@ pub fn fig7(scale: &Scale) -> Report {
 
 /// Figure 8: peak throughput under perfect admission control, with the CPU
 /// utilization at which the peak is reached.
-pub fn fig8(scale: &Scale) -> Report {
+pub(crate) fn fig8(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 8: peak throughput under perfect admission control");
     report.line(format!(
         "  {:<26} {:<10} {:>12} {:>14} {:>18}",
@@ -393,7 +393,7 @@ pub fn fig8(scale: &Scale) -> Report {
 
 /// Figure 10: the District access trace under thread-to-transaction vs
 /// thread-to-data assignment (TPC-C Payment, 10 warehouses).
-pub fn fig10(scale: &Scale) -> Report {
+pub(crate) fn fig10(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 10: District access patterns (TPC-C Payment)");
     let warehouses = 10i64.min(scale.tpcc_warehouses.max(2));
     let districts = (warehouses * 10) as usize;
@@ -497,7 +497,7 @@ pub fn fig10(scale: &Scale) -> Report {
 
 /// Figure 11: TM1-UpdateSubscriberData (a transaction with a ~37.5% abort
 /// rate): Baseline vs the parallel (DORA-P) and serialized (DORA-S) plans.
-pub fn fig11(scale: &Scale) -> Report {
+pub(crate) fn fig11(scale: &Scale) -> Report {
     let mut report = Report::new("Figure 11: TM1-UpdateSubscriberData with a high abort rate");
     report.line(format!(
         "  {:>10} {:>16} {:>16} {:>16}",
@@ -561,7 +561,7 @@ pub fn fig11(scale: &Scale) -> Report {
 /// rule and "after" captures whatever the adaptive controller converged to
 /// during the first interval.
 #[derive(Debug, Clone)]
-pub struct SkewPhase {
+pub(crate) struct SkewPhase {
     /// Scenario label ("static" / "adaptive" / with "+drift").
     pub label: &'static str,
     /// Committed tps over the first interval (cold rule).
@@ -577,7 +577,7 @@ pub struct SkewPhase {
 impl SkewPhase {
     /// Busiest over least-busy executor across the final interval (idle
     /// executors count as one action so the ratio stays finite).
-    pub fn load_ratio(&self) -> f64 {
+    pub(crate) fn load_ratio(&self) -> f64 {
         let max = self.final_loads.iter().copied().max().unwrap_or(0).max(1);
         let min = self.final_loads.iter().copied().min().unwrap_or(0).max(1);
         max as f64 / min as f64
@@ -587,7 +587,7 @@ impl SkewPhase {
 /// Everything the skew experiment measured; serialized to `BENCH_skew.json`
 /// by the CI bench-smoke job so the perf trajectory is tracked per PR.
 #[derive(Debug, Clone)]
-pub struct SkewSummary {
+pub(crate) struct SkewSummary {
     /// Zipfian skew parameter.
     pub theta: f64,
     /// Counter rows.
@@ -605,7 +605,7 @@ pub struct SkewSummary {
 impl SkewSummary {
     /// Renders the summary as a small JSON document (the workspace has no
     /// serde; the fields are all numbers, so hand-rolling is safe).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let phases = self
             .phases
             .iter()
@@ -711,7 +711,7 @@ fn run_skew_phase(
 /// paper figure — this probes the Appendix A.2.1 machinery the paper only
 /// sketches — so it reports before/after throughput and the per-executor
 /// load spread instead of mirroring a printed plot.
-pub fn skew_with_summary(scale: &Scale) -> (Report, SkewSummary) {
+pub(crate) fn skew_with_summary(scale: &Scale) -> (Report, SkewSummary) {
     // Drift fast enough that the hot range moves several times per measured
     // interval even at quick scale.
     let drift = Some((1_000, (scale.skew_keys / 4).max(1)));
@@ -763,7 +763,7 @@ pub fn skew_with_summary(scale: &Scale) -> (Report, SkewSummary) {
 /// One cell of the `commit` durability experiment: one engine × one commit
 /// mode × one simulated log-device latency.
 #[derive(Debug, Clone)]
-pub struct CommitRow {
+pub(crate) struct CommitRow {
     /// Engine label ("Baseline" / "DORA").
     pub engine: &'static str,
     /// Commit-mode label ("group" / "group+elr").
@@ -796,7 +796,7 @@ pub struct CommitRow {
 /// Everything the `commit` experiment measured; serialized to
 /// `BENCH_commit.json` by the CI bench-smoke job.
 #[derive(Debug, Clone)]
-pub struct CommitSummary {
+pub(crate) struct CommitSummary {
     /// TPC-B branches / accounts-per-branch driving the log pressure.
     pub branches: i64,
     /// Client threads driving load.
@@ -812,7 +812,7 @@ pub struct CommitSummary {
 impl CommitSummary {
     /// Renders the summary as a small JSON document (the workspace has no
     /// serde; the fields are all numbers, so hand-rolling is safe).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let rows = self
             .rows
             .iter()
@@ -924,7 +924,7 @@ fn run_commit_cell(
 /// figure — it probes the Section 5.4 observation that the log becomes the
 /// next bottleneck once lock contention is gone, and quantifies how far ELR
 /// pushes it back.
-pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
+pub(crate) fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
     let flush_points = scale.commit_flush_points();
     let mut rows = Vec::new();
     for &flush_us in &flush_points {
@@ -977,7 +977,7 @@ pub fn commit_with_summary(scale: &Scale) -> (Report, CommitSummary) {
 /// What the `recover` experiment measured: the one recovery path timed on
 /// the same history with and without a checkpoint.
 #[derive(Debug, Clone)]
-pub struct RecoverRow {
+pub(crate) struct RecoverRow {
     /// Committed transactions reconstructed by replay.
     pub txns: usize,
     /// Total log records.
@@ -995,7 +995,7 @@ pub struct RecoverRow {
 
 impl RecoverRow {
     /// Committed transactions replayed per second from the whole log.
-    pub fn replay_tps(&self) -> f64 {
+    pub(crate) fn replay_tps(&self) -> f64 {
         if self.full_ms <= 0.0 {
             0.0
         } else {
@@ -1004,7 +1004,7 @@ impl RecoverRow {
     }
 
     /// Whole-log over checkpointed recovery time.
-    pub fn checkpoint_speedup(&self) -> f64 {
+    pub(crate) fn checkpoint_speedup(&self) -> f64 {
         if self.checkpoint_ms <= 0.0 {
             0.0
         } else {
@@ -1016,7 +1016,7 @@ impl RecoverRow {
 /// Everything the `recover` experiment measured; serialized to
 /// `BENCH_recover.json` by the CI bench-smoke job.
 #[derive(Debug, Clone)]
-pub struct RecoverSummary {
+pub(crate) struct RecoverSummary {
     /// TPC-B branches generating the log.
     pub branches: i64,
     /// Transactions logged before measuring replay.
@@ -1028,7 +1028,7 @@ pub struct RecoverSummary {
 impl RecoverSummary {
     /// Renders the summary as a small JSON document (the workspace has no
     /// serde; the fields are all numbers, so hand-rolling is safe).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let row = &self.row;
         format!(
             concat!(
@@ -1122,7 +1122,7 @@ fn run_recover_cell(scale: &Scale) -> RecoverRow {
 /// its midpoint. Not a paper figure — it quantifies restart cost:
 /// page-sharded replay, and a checkpoint that leaves only the tail past it
 /// to replay.
-pub fn recover_with_summary(scale: &Scale) -> (Report, RecoverSummary) {
+pub(crate) fn recover_with_summary(scale: &Scale) -> (Report, RecoverSummary) {
     let summary = RecoverSummary {
         branches: scale.tpcb_branches,
         txns_logged: scale.recover_txns,
@@ -1173,7 +1173,7 @@ pub fn recover_with_summary(scale: &Scale) -> (Report, RecoverSummary) {
 /// times for a fixed offered load, as observed by the clients of the
 /// serving front-end (`dora-server`).
 #[derive(Debug, Clone)]
-pub struct SaturationPoint {
+pub(crate) struct SaturationPoint {
     /// Offered load in percent of the hardware contexts.
     pub load_percent: f64,
     /// Closed-loop client threads (one session each).
@@ -1199,14 +1199,14 @@ pub struct SaturationPoint {
 
 impl SaturationPoint {
     /// Fraction of submissions shed.
-    pub fn shed_rate(&self) -> f64 {
+    pub(crate) fn shed_rate(&self) -> f64 {
         self.shed as f64 / self.submitted.max(1) as f64
     }
 }
 
 /// One system × admission-policy series of the `saturation` experiment.
 #[derive(Debug, Clone)]
-pub struct SaturationSeries {
+pub(crate) struct SaturationSeries {
     /// Engine label ("Baseline" / "DORA").
     pub system: &'static str,
     /// Whether the admission gate was active.
@@ -1217,7 +1217,7 @@ pub struct SaturationSeries {
 
 impl SaturationSeries {
     /// Display label ("DORA+admission").
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         if self.admission {
             format!("{}+admission", self.system)
         } else {
@@ -1226,14 +1226,14 @@ impl SaturationSeries {
     }
 
     /// Best committed tps across the sweep.
-    pub fn peak_tps(&self) -> f64 {
+    pub(crate) fn peak_tps(&self) -> f64 {
         self.points.iter().map(|p| p.tps).fold(0.0, f64::max)
     }
 
     /// Throughput at the last (most oversaturated) point as a fraction of
     /// the peak — the figure of merit: admission control should hold this
     /// near 1.0 while an ungated system degrades.
-    pub fn peak_retention(&self) -> f64 {
+    pub(crate) fn peak_retention(&self) -> f64 {
         match self.points.last() {
             Some(last) => last.tps / self.peak_tps().max(1.0),
             None => 0.0,
@@ -1244,7 +1244,7 @@ impl SaturationSeries {
 /// Everything the `saturation` experiment measured; serialized to
 /// `BENCH_saturation.json` by the CI bench-smoke job.
 #[derive(Debug, Clone)]
-pub struct SaturationSummary {
+pub(crate) struct SaturationSummary {
     /// Measured interval length per load point, in milliseconds.
     pub interval_ms: u64,
     /// Hardware contexts the offered load is normalized against.
@@ -1263,7 +1263,7 @@ impl SaturationSummary {
     /// Renders the summary as a small JSON document (the workspace has no
     /// serde; every field is a number, a bool or a fixed label, so
     /// hand-rolling is safe).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let series = self
             .series
             .iter()
@@ -1505,7 +1505,7 @@ fn run_saturation_series(
 /// gate). The vehicle for the paper's Figure 6 (ungated throughput
 /// collapses past saturation) and Figure 8 (admission control holds the
 /// peak) claims as *measured* rows rather than narrative.
-pub fn saturation_with_summary(scale: &Scale) -> (Report, SaturationSummary) {
+pub(crate) fn saturation_with_summary(scale: &Scale) -> (Report, SaturationSummary) {
     // One execution slot per hardware context: the gate caps concurrency at
     // the machine's parallelism, which is what "perfect admission control"
     // means operationally. The queue is kept shallow — half the slots — so
@@ -1577,7 +1577,7 @@ pub fn saturation_with_summary(scale: &Scale) -> (Report, SaturationSummary) {
 /// Seed of every chaos run's fault plan. Fixed so the experiment is
 /// reproducible: re-running `repro chaos` replays the identical per-site
 /// fault schedule (see `FaultPlan`).
-pub const CHAOS_SEED: u64 = 0xC4A0_5D07;
+pub(crate) const CHAOS_SEED: u64 = 0xC4A0_5D07;
 
 /// The fault knobs of one chaos cell. The log-device error and spike sites
 /// run at `rate`; flusher stalls and executor panics at a quarter of it
@@ -1615,12 +1615,10 @@ fn chaos_system_config(scale: &Scale, rate: f64, healing: bool) -> SystemConfig 
 /// through the serving front-end, with every submission resolved to exactly
 /// one outcome and the fault-path counters recorded alongside.
 #[derive(Debug, Clone)]
-pub struct ChaosPoint {
+pub(crate) struct ChaosPoint {
     /// Per-write fault probability of the simulated log device (error and
     /// spike sites; stalls and panics run at a quarter of this).
     pub fault_rate: f64,
-    /// Closed-loop client threads.
-    pub clients: usize,
     /// Submissions during the measured interval.
     pub submitted: u64,
     /// ... that committed durably.
@@ -1667,7 +1665,7 @@ pub struct ChaosPoint {
 /// point is always the fault-free baseline the retention is computed
 /// against.
 #[derive(Debug, Clone)]
-pub struct ChaosSeries {
+pub(crate) struct ChaosSeries {
     /// Engine label ("Baseline" / "DORA").
     pub system: &'static str,
     /// Whether the self-healing paths were on (flusher write retries,
@@ -1679,7 +1677,7 @@ pub struct ChaosSeries {
 
 impl ChaosSeries {
     /// Display label ("DORA+healing").
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         if self.healing {
             format!("{}+healing", self.system)
         } else {
@@ -1688,14 +1686,14 @@ impl ChaosSeries {
     }
 
     /// Goodput of the fault-free point.
-    pub fn clean_tps(&self) -> f64 {
+    pub(crate) fn clean_tps(&self) -> f64 {
         self.points.first().map(|p| p.goodput_tps).unwrap_or(0.0)
     }
 
     /// `point`'s goodput as a fraction of the fault-free goodput — the
     /// figure of merit: self-healing should hold this near 1.0 at moderate
     /// fault rates while the unhealed system collapses.
-    pub fn retention(&self, point: &ChaosPoint) -> f64 {
+    pub(crate) fn retention(&self, point: &ChaosPoint) -> f64 {
         point.goodput_tps / self.clean_tps().max(1.0)
     }
 }
@@ -1703,7 +1701,7 @@ impl ChaosSeries {
 /// Everything the `chaos` experiment measured; serialized to
 /// `BENCH_chaos.json` by the CI bench-smoke job.
 #[derive(Debug, Clone)]
-pub struct ChaosSummary {
+pub(crate) struct ChaosSummary {
     /// Measured interval length per cell, in milliseconds.
     pub interval_ms: u64,
     /// Closed-loop client threads per cell.
@@ -1724,7 +1722,7 @@ pub struct ChaosSummary {
 impl ChaosSummary {
     /// Renders the summary as a small JSON document (hand-rolled like the
     /// other summaries — every field is a number, a bool or a fixed label).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let fault_points = self
             .fault_points
             .iter()
@@ -1994,7 +1992,6 @@ fn run_chaos_point(
 
     ChaosPoint {
         fault_rate: rate,
-        clients,
         submitted: totals[0],
         committed: totals[1],
         aborted: totals[2],
@@ -2024,7 +2021,7 @@ fn run_chaos_point(
 /// transactions, and sessions retry aborts under a submit deadline —
 /// goodput should hold near the fault-free level at moderate fault rates
 /// where the unhealed system visibly degrades.
-pub fn chaos_with_summary(scale: &Scale) -> (Report, ChaosSummary) {
+pub(crate) fn chaos_with_summary(scale: &Scale) -> (Report, ChaosSummary) {
     // The seeded-determinism guarantee, checked live: two plans built from
     // the same config must preview the identical decision sequence at every
     // site. (Which *operation* consumes decision k depends on thread
@@ -2116,11 +2113,11 @@ pub fn chaos_with_summary(scale: &Scale) -> (Report, ChaosSummary) {
 }
 
 /// Runs one paper figure at a scale and renders its report.
-pub type Figure = fn(&Scale) -> Report;
+pub(crate) type Figure = fn(&Scale) -> Report;
 
 /// Runs one of this reproduction's own experiments at a scale, returning its
 /// report and its JSON summary.
-pub type Summarized = fn(&Scale) -> (Report, String);
+pub(crate) type Summarized = fn(&Scale) -> (Report, String);
 
 /// The paper's figures, each under the name `repro` runs it by. `fig9` is
 /// the step-by-step Payment execution walk-through, which the integration
@@ -2324,7 +2321,6 @@ mod tests {
     fn chaos_summary_renders_valid_json_shape() {
         let point = ChaosPoint {
             fault_rate: 0.02,
-            clients: 4,
             submitted: 100,
             committed: 90,
             aborted: 5,

@@ -7,14 +7,13 @@
 //! them as subcommands (`cargo run -p dora-bench --release --bin repro --
 //! fig1`), and `EXPERIMENTS.md` records paper-vs-measured for each.
 //!
-//! [`setup`] holds the shared scaffolding (database construction, workload
-//! scaling, run helpers) and [`trace`] the access-pattern tracing used for
+//! `setup` holds the shared scaffolding (database construction, workload
+//! scaling, run helpers) and `trace` the access-pattern tracing used for
 //! Figure 10.
 
 pub mod experiments;
-pub mod report;
-pub mod setup;
-pub mod trace;
+mod report;
+mod setup;
+mod trace;
 
-pub use report::Report;
 pub use setup::{Scale, SystemUnderTest};

@@ -12,48 +12,33 @@ pub struct Report {
 
 impl Report {
     /// Creates a report with a title.
-    pub fn new(title: impl Into<String>) -> Self {
+    pub(crate) fn new(title: impl Into<String>) -> Self {
         Self {
             title: title.into(),
             lines: Vec::new(),
         }
     }
 
-    /// The report title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Appends one line.
-    pub fn line(&mut self, line: impl Into<String>) -> &mut Self {
+    pub(crate) fn line(&mut self, line: impl Into<String>) -> &mut Self {
         self.lines.push(line.into());
         self
     }
 
     /// Appends a blank line.
-    pub fn blank(&mut self) -> &mut Self {
+    pub(crate) fn blank(&mut self) -> &mut Self {
         self.lines.push(String::new());
         self
     }
 
     /// Appends a formatted key/value row.
-    pub fn kv(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
+    pub(crate) fn kv(&mut self, key: &str, value: impl std::fmt::Display) -> &mut Self {
         self.lines.push(format!("  {key:<42} {value}"));
         self
     }
 
-    /// Number of content lines.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// `true` if the report has no lines.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
     /// Renders the report to a string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         let bar = "=".repeat(self.title.len().max(8));
         let _ = writeln!(out, "{bar}\n{}\n{bar}", self.title);
@@ -71,14 +56,14 @@ impl std::fmt::Display for Report {
 }
 
 /// Formats a fraction as a percent with one decimal.
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:5.1}%", 100.0 * fraction)
 }
 
 /// Appends the pg_meter-style per-transaction-type summary table: one row
 /// per transaction type of the mix with its commits, aborts, retry
 /// exhaustions, error rate and mean/p99 response time.
-pub fn txn_stats_table(report: &mut Report, stats: &dora_workloads::WorkloadStats) {
+pub(crate) fn txn_stats_table(report: &mut Report, stats: &dora_workloads::WorkloadStats) {
     report.line(format!(
         "    {:<28} {:>9} {:>8} {:>8} {:>7} {:>10} {:>10}",
         "transaction type", "commits", "aborts", "gave-up", "err%", "mean(us)", "p99(us)"
@@ -98,7 +83,7 @@ pub fn txn_stats_table(report: &mut Report, stats: &dora_workloads::WorkloadStat
 }
 
 /// Formats a stacked time-breakdown row the way the paper's figures label it.
-pub fn breakdown_row(label: &str, breakdown: &dora_metrics::TimeBreakdown) -> String {
+pub(crate) fn breakdown_row(label: &str, breakdown: &dora_metrics::TimeBreakdown) -> String {
     format!(
         "  {label:<28} work {} | lockmgr-cont {} | lockmgr {} | other-cont {}",
         pct(breakdown.work_fraction()),
@@ -120,8 +105,7 @@ mod tests {
         assert!(text.contains("Figure 1"));
         assert!(text.contains("hello"));
         assert!(text.contains("throughput"));
-        assert_eq!(report.len(), 3);
-        assert!(!report.is_empty());
+        assert_eq!(report.lines.len(), 3);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use dora_storage::Database;
 use dora_workloads::{Workload, WorkloadStats};
 
 /// Which engine a run exercises. This is the registered engine kind itself:
-/// the harness never branches on it — [`prepare`] hands it to the engine
+/// the harness never branches on it — `prepare` hands it to the engine
 /// factory and everything downstream drives an `Arc<dyn ExecutionEngine>`.
 pub use dora_common::EngineKind as SystemUnderTest;
 
@@ -101,7 +101,7 @@ impl Scale {
 
     /// The offered-CPU-load points (percent) swept by the load-sweep figures,
     /// including one point past saturation like the paper's x-axes.
-    pub fn load_points(&self) -> Vec<f64> {
+    pub(crate) fn load_points(&self) -> Vec<f64> {
         vec![25.0, 50.0, 75.0, 100.0, 110.0]
     }
 
@@ -110,19 +110,19 @@ impl Scale {
     /// show what each system does once arrivals outpace the hardware — the
     /// regime of the paper's Figures 6 and 8 where the conventional system
     /// collapses and admission control is supposed to hold the peak.
-    pub fn saturation_points(&self) -> Vec<f64> {
+    pub(crate) fn saturation_points(&self) -> Vec<f64> {
         vec![50.0, 75.0, 100.0, 150.0, 200.0]
     }
 
     /// Client-thread count producing approximately `percent` offered load.
-    pub fn clients_for(&self, percent: f64) -> usize {
+    pub(crate) fn clients_for(&self, percent: f64) -> usize {
         ((percent / 100.0) * self.hardware_contexts as f64)
             .round()
             .max(1.0) as usize
     }
 
     /// Storage configuration at this scale.
-    pub fn system_config(&self) -> SystemConfig {
+    pub(crate) fn system_config(&self) -> SystemConfig {
         SystemConfig {
             hardware_contexts: self.hardware_contexts,
             log_flush_micros: self.log_flush_micros,
@@ -132,12 +132,12 @@ impl Scale {
     }
 
     /// TM1 at this scale.
-    pub fn tm1(&self) -> dora_workloads::Tm1 {
+    pub(crate) fn tm1(&self) -> dora_workloads::Tm1 {
         dora_workloads::Tm1::new(self.tm1_subscribers)
     }
 
     /// TPC-C at this scale.
-    pub fn tpcc(&self) -> dora_workloads::Tpcc {
+    pub(crate) fn tpcc(&self) -> dora_workloads::Tpcc {
         dora_workloads::Tpcc::with_scale(
             self.tpcc_warehouses,
             self.tpcc_customers_per_district,
@@ -146,13 +146,13 @@ impl Scale {
     }
 
     /// TPC-B at this scale.
-    pub fn tpcb(&self) -> dora_workloads::TpcB {
+    pub(crate) fn tpcb(&self) -> dora_workloads::TpcB {
         dora_workloads::TpcB::with_accounts(self.tpcb_branches, self.tpcb_accounts_per_branch)
     }
 
     /// The zipfian skewed-counters workload at this scale (static hot range;
     /// callers add drift for the migration scenario).
-    pub fn skewed(&self) -> dora_workloads::SkewedCounters {
+    pub(crate) fn skewed(&self) -> dora_workloads::SkewedCounters {
         dora_workloads::SkewedCounters::new(self.skew_keys, self.zipf_theta)
     }
 
@@ -162,7 +162,7 @@ impl Scale {
     /// The fault-free 0.0 every series is normalized against is prepended
     /// by the experiment itself. Rates are probabilities, so the points
     /// are scale-independent.
-    pub fn chaos_fault_points(&self) -> Vec<f64> {
+    pub(crate) fn chaos_fault_points(&self) -> Vec<f64> {
         vec![0.02, 0.08]
     }
 
@@ -170,16 +170,14 @@ impl Scale {
     /// experiment sweeps: the scale's own flush latency and a 4× slower
     /// device, where group commit matters proportionally more. Clamped away
     /// from zero — the experiment's point is a nonzero durability window.
-    pub fn commit_flush_points(&self) -> Vec<u64> {
+    pub(crate) fn commit_flush_points(&self) -> Vec<u64> {
         let base = self.log_flush_micros.max(15);
         vec![base, base * 4]
     }
 }
 
 /// A fully prepared system: database + loaded workload + bound engine.
-pub struct PreparedSystem {
-    /// The storage manager.
-    pub db: Arc<Database>,
+pub(crate) struct PreparedSystem {
     /// The workload (already loaded into `db` and bound to `engine`).
     pub workload: Arc<dyn Workload>,
     /// The engine under test, already bound to `workload`.
@@ -188,14 +186,14 @@ pub struct PreparedSystem {
 
 impl PreparedSystem {
     /// Shuts down any engine-owned threads.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.engine.shutdown();
     }
 }
 
 /// Builds a database, loads `workload` into it and binds it to the requested
 /// engine via the engine factory — no per-architecture code here.
-pub fn prepare(
+pub(crate) fn prepare(
     workload: impl Workload + 'static,
     scale: &Scale,
     system: SystemUnderTest,
@@ -207,7 +205,7 @@ pub fn prepare(
 /// to pin configuration axes (e.g. an infinite `serialize_abort_threshold`
 /// for Figure 11, whose hand-built DORA-P plan must not be silently
 /// auto-serialized by the conflict analyzer).
-pub fn prepare_with_config(
+pub(crate) fn prepare_with_config(
     workload: impl Workload + 'static,
     scale: &Scale,
     system: SystemUnderTest,
@@ -220,16 +218,12 @@ pub fn prepare_with_config(
     engine
         .bind(Arc::clone(&workload), scale.executors_per_table)
         .expect("bind workload");
-    PreparedSystem {
-        db,
-        workload,
-        engine,
-    }
+    PreparedSystem { workload, engine }
 }
 
 /// Runs `clients` closed-loop clients against the prepared system for the
 /// scale's measured interval.
-pub fn run_clients(prepared: &PreparedSystem, scale: &Scale, clients: usize) -> RunResult {
+pub(crate) fn run_clients(prepared: &PreparedSystem, scale: &Scale, clients: usize) -> RunResult {
     let driver = ClientDriver::new(DriverConfig {
         clients,
         duration: scale.duration,
@@ -244,7 +238,7 @@ pub fn run_clients(prepared: &PreparedSystem, scale: &Scale, clients: usize) -> 
 /// recorder (merged at the end) so the tallies add no shared mutex to the
 /// measured hot path. The tallies include the warm-up interval — they
 /// characterize the mix, not the measured window.
-pub fn run_clients_timed(
+pub(crate) fn run_clients_timed(
     prepared: &PreparedSystem,
     scale: &Scale,
     clients: usize,
@@ -271,7 +265,7 @@ pub fn run_clients_timed(
 /// One-call helper: prepare the system, sweep the given offered-load points
 /// and return `(load_percent, RunResult)` pairs. The system is shut down
 /// before returning.
-pub fn sweep(
+pub(crate) fn sweep(
     workload: impl Workload + 'static,
     scale: &Scale,
     system: SystemUnderTest,
@@ -283,7 +277,7 @@ pub fn sweep(
 /// [`sweep`], also returning the per-transaction-type tallies (outcomes and
 /// response times) aggregated across every load point of the sweep — the
 /// rows of the pg_meter-style summary table the reports print.
-pub fn sweep_stats(
+pub(crate) fn sweep_stats(
     workload: impl Workload + 'static,
     scale: &Scale,
     system: SystemUnderTest,
@@ -294,7 +288,7 @@ pub fn sweep_stats(
 
 /// [`sweep`] with an explicit DORA configuration (see
 /// [`prepare_with_config`]). The system is shut down before returning.
-pub fn sweep_with_config(
+pub(crate) fn sweep_with_config(
     workload: impl Workload + 'static,
     scale: &Scale,
     system: SystemUnderTest,
@@ -306,7 +300,7 @@ pub fn sweep_with_config(
 
 /// [`sweep_stats`] with an explicit DORA configuration (see
 /// [`prepare_with_config`]).
-pub fn sweep_stats_with_config(
+pub(crate) fn sweep_stats_with_config(
     workload: impl Workload + 'static,
     scale: &Scale,
     system: SystemUnderTest,

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 
 /// One recorded access.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccessEvent {
+pub(crate) struct AccessEvent {
     /// Time since the trace started.
     pub elapsed: Duration,
     /// Index of the thread (worker or executor) performing the access.
@@ -30,7 +30,7 @@ pub struct AccessEvent {
 
 /// A concurrent trace collector.
 #[derive(Debug, Clone)]
-pub struct AccessTrace {
+pub(crate) struct AccessTrace {
     started: Instant,
     events: Arc<Mutex<Vec<AccessEvent>>>,
 }
@@ -43,7 +43,7 @@ impl Default for AccessTrace {
 
 impl AccessTrace {
     /// Starts an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             started: Instant::now(),
             events: Arc::new(Mutex::new(Vec::new())),
@@ -51,7 +51,7 @@ impl AccessTrace {
     }
 
     /// Records one access.
-    pub fn record(&self, thread: usize, district: usize) {
+    pub(crate) fn record(&self, thread: usize, district: usize) {
         let event = AccessEvent {
             elapsed: self.started.elapsed(),
             thread,
@@ -60,23 +60,8 @@ impl AccessTrace {
         self.events.lock().push(event);
     }
 
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of the recorded events.
-    pub fn events(&self) -> Vec<AccessEvent> {
-        self.events.lock().clone()
-    }
-
     /// Builds the threads × districts access-count matrix.
-    pub fn matrix(&self, threads: usize, districts: usize) -> Vec<Vec<u64>> {
+    pub(crate) fn matrix(&self, threads: usize, districts: usize) -> Vec<Vec<u64>> {
         let mut matrix = vec![vec![0u64; districts]; threads];
         for event in self.events.lock().iter() {
             if event.thread < threads && event.district < districts {
@@ -89,7 +74,11 @@ impl AccessTrace {
     /// For each thread, the number of *distinct* districts it touched. The
     /// paper's qualitative claim is that this is ~all districts for the
     /// conventional system and a small disjoint subset for DORA.
-    pub fn distinct_districts_per_thread(&self, threads: usize, districts: usize) -> Vec<usize> {
+    pub(crate) fn distinct_districts_per_thread(
+        &self,
+        threads: usize,
+        districts: usize,
+    ) -> Vec<usize> {
         self.matrix(threads, districts)
             .iter()
             .map(|row| row.iter().filter(|&&count| count > 0).count())
@@ -98,7 +87,7 @@ impl AccessTrace {
 
     /// Renders a compact ASCII heat map (one row per thread, one column per
     /// district, '.' for zero and digits/'#' for increasing counts).
-    pub fn render_heatmap(&self, threads: usize, districts: usize) -> String {
+    pub(crate) fn render_heatmap(&self, threads: usize, districts: usize) -> String {
         let matrix = self.matrix(threads, districts);
         let mut out = String::new();
         for (thread, row) in matrix.iter().enumerate() {
@@ -128,7 +117,7 @@ mod tests {
         trace.record(0, 1);
         trace.record(0, 1);
         trace.record(1, 5);
-        assert_eq!(trace.len(), 3);
+        assert_eq!(trace.events.lock().len(), 3);
         let matrix = trace.matrix(2, 10);
         assert_eq!(matrix[0][1], 2);
         assert_eq!(matrix[1][5], 1);

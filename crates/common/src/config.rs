@@ -53,13 +53,6 @@ pub enum CcMode {
     None,
 }
 
-impl CcMode {
-    /// `true` if this mode touches the centralized lock manager at all.
-    pub fn uses_lock_manager(self) -> bool {
-        !matches!(self, CcMode::None)
-    }
-}
-
 /// Global knobs for a run. Defaults are sized so that unit and integration
 /// tests finish quickly; the benchmark harness overrides them.
 #[derive(Debug, Clone)]
@@ -106,22 +99,6 @@ impl SystemConfig {
             buffer_pool_pages: 256,
             ..Self::default()
         }
-    }
-
-    /// Offered CPU load (percent) when `threads` client threads run on this
-    /// configuration, following the paper's definition (measured utilization
-    /// plus time spent runnable): with a CPU-bound workload every client
-    /// thread contributes one context worth of demand.
-    pub fn offered_load_percent(&self, threads: usize) -> f64 {
-        100.0 * threads as f64 / self.hardware_contexts as f64
-    }
-
-    /// Number of client threads that produces approximately `percent` offered
-    /// CPU load (at least one).
-    pub fn threads_for_load(&self, percent: f64) -> usize {
-        ((percent / 100.0) * self.hardware_contexts as f64)
-            .round()
-            .max(1.0) as usize
     }
 }
 
@@ -256,25 +233,6 @@ pub fn num_cpus() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cc_mode_lock_manager_usage() {
-        assert!(CcMode::Full.uses_lock_manager());
-        assert!(CcMode::RowOnly.uses_lock_manager());
-        assert!(!CcMode::None.uses_lock_manager());
-    }
-
-    #[test]
-    fn offered_load_round_trips_thread_count() {
-        let config = SystemConfig {
-            hardware_contexts: 8,
-            ..SystemConfig::default()
-        };
-        assert_eq!(config.threads_for_load(100.0), 8);
-        assert_eq!(config.threads_for_load(50.0), 4);
-        assert_eq!(config.threads_for_load(1.0), 1);
-        assert!((config.offered_load_percent(4) - 50.0).abs() < 1e-9);
-    }
 
     #[test]
     fn adaptive_defaults_are_sane() {

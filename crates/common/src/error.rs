@@ -52,14 +52,6 @@ pub enum DbError {
     DurabilityLost,
 }
 
-impl DbError {
-    /// `true` for errors that the engines treat as "abort and retry the
-    /// transaction" rather than as bugs: deadlocks and explicit aborts.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, DbError::Deadlock { .. } | DbError::TxnAborted { .. })
-    }
-}
-
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -90,22 +82,6 @@ impl std::error::Error for DbError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retryable_classification() {
-        assert!(DbError::Deadlock { victim: TxnId(1) }.is_retryable());
-        assert!(DbError::TxnAborted {
-            txn: TxnId(2),
-            reason: "bad input".into()
-        }
-        .is_retryable());
-        assert!(!DbError::Corruption("x".into()).is_retryable());
-        assert!(!DbError::ShuttingDown.is_retryable());
-        assert!(
-            !DbError::DurabilityLost.is_retryable(),
-            "a ghost commit must never be re-run"
-        );
-    }
 
     #[test]
     fn display_is_informative() {

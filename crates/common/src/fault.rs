@@ -145,7 +145,7 @@ impl FaultSite {
 /// A live fault schedule: a [`FaultConfig`] plus one draw counter per site.
 ///
 /// [`Self::should_inject`] consumes the next decision of the site's stream;
-/// [`Self::decision`] previews any decision without consuming anything, which
+/// `Self::decision` previews any decision without consuming anything, which
 /// is how tests and the chaos experiment verify that a fixed seed reproduces
 /// the identical schedule.
 #[derive(Debug)]
@@ -203,7 +203,7 @@ impl FaultPlan {
     /// The decision the `draw`-th consumption of `site`'s stream yields — a
     /// pure function of `(seed, site, draw)`, usable to preview or replay the
     /// schedule without touching the live counters.
-    pub fn decision(&self, site: FaultSite, draw: u64) -> bool {
+    pub(crate) fn decision(&self, site: FaultSite, draw: u64) -> bool {
         let rate = self.config.rate(site);
         if rate <= 0.0 {
             return false;

@@ -5,7 +5,6 @@
 //! page number and a slot number. All identifiers are small `Copy` types.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a transaction.
 ///
@@ -17,49 +16,11 @@ pub struct TxnId(pub u64);
 impl TxnId {
     /// The reserved "no transaction" id.
     pub const INVALID: TxnId = TxnId(0);
-
-    /// Returns `true` if this is a real (allocated) transaction id.
-    pub fn is_valid(self) -> bool {
-        self.0 != 0
-    }
 }
 
 impl fmt::Display for TxnId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "T{}", self.0)
-    }
-}
-
-/// Monotonic allocator for [`TxnId`]s.
-///
-/// The transaction manager owns one of these; tests may create their own.
-#[derive(Debug)]
-pub struct TxnIdGenerator {
-    next: AtomicU64,
-}
-
-impl TxnIdGenerator {
-    /// Creates a generator whose first issued id is `1`.
-    pub fn new() -> Self {
-        Self {
-            next: AtomicU64::new(1),
-        }
-    }
-
-    /// Allocates the next transaction id.
-    pub fn allocate(&self) -> TxnId {
-        TxnId(self.next.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// Returns the id that will be allocated next (for diagnostics only).
-    pub fn peek(&self) -> TxnId {
-        TxnId(self.next.load(Ordering::Relaxed))
-    }
-}
-
-impl Default for TxnIdGenerator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -152,19 +113,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn txn_id_generator_is_monotonic() {
-        let generator = TxnIdGenerator::new();
-        let a = generator.allocate();
-        let b = generator.allocate();
-        let c = generator.allocate();
-        assert!(a < b && b < c);
-        assert!(a.is_valid());
-    }
-
-    #[test]
     fn invalid_txn_id_is_not_valid() {
-        assert!(!TxnId::INVALID.is_valid());
         assert_eq!(TxnId::INVALID, TxnId(0));
+        assert!(
+            TxnId::INVALID < TxnId(1),
+            "every allocated id orders after it"
+        );
     }
 
     #[test]

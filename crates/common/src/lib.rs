@@ -11,14 +11,14 @@
 //! speak the same language.
 
 pub mod config;
-pub mod error;
+mod error;
 pub mod fault;
-pub mod ids;
-pub mod inline;
+mod ids;
+mod inline;
 pub mod key;
 pub mod outcome;
 pub mod sync;
-pub mod value;
+mod value;
 
 pub use config::{AdaptiveConfig, CcMode, DurabilityConfig, EngineKind, SystemConfig};
 pub use error::{DbError, DbResult};

@@ -85,21 +85,9 @@ impl Value {
         }
     }
 
-    /// Extracts a string slice, failing with [`DbError::TypeMismatch`]
-    /// otherwise.
-    pub fn as_text(&self) -> DbResult<&str> {
-        match self {
-            Value::Text(v) => Ok(v.as_str()),
-            other => Err(DbError::TypeMismatch {
-                expected: ValueType::Text,
-                found: other.value_type(),
-            }),
-        }
-    }
-
     /// Serializes the value onto `buf` using a one-byte type tag followed by
     /// the payload.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Value::Int(v) => {
                 buf.push(0);
@@ -128,7 +116,7 @@ impl Value {
     /// Deserializes one value from the front of `buf`, advancing it past
     /// the value. Borrows nothing: only a text payload is copied, into the
     /// value's own `String`.
-    pub fn decode(buf: &mut &[u8]) -> DbResult<Value> {
+    pub(crate) fn decode(buf: &mut &[u8]) -> DbResult<Value> {
         let (&tag, rest) = buf
             .split_first()
             .ok_or_else(|| DbError::Corruption("truncated value: missing type tag".into()))?;
@@ -358,7 +346,6 @@ mod tests {
         assert_eq!(Value::Int(3).as_int().unwrap(), 3);
         assert_eq!(Value::Int(3).as_float().unwrap(), 3.0);
         assert!(Value::Text("x".into()).as_int().is_err());
-        assert_eq!(Value::Text("x".into()).as_text().unwrap(), "x");
     }
 
     #[test]

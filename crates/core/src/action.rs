@@ -31,7 +31,7 @@ pub enum LocalMode {
 
 impl LocalMode {
     /// Compatibility of two local modes.
-    pub fn compatible(self, other: LocalMode) -> bool {
+    pub(crate) fn compatible(self, other: LocalMode) -> bool {
         matches!((self, other), (LocalMode::Shared, LocalMode::Shared))
     }
 }
@@ -57,7 +57,7 @@ pub struct Scratch {
 
 impl Scratch {
     /// Creates an empty scratchpad.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -81,11 +81,6 @@ impl Scratch {
         }
     }
 
-    /// Reads the value stored under `name`.
-    pub fn get(&self, name: &str) -> Option<Value> {
-        self.get_at(name, 0)
-    }
-
     /// Reads the value stored under entry `index` of `name`.
     pub fn get_at(&self, name: &str, index: usize) -> Option<Value> {
         let values = self.values.lock();
@@ -105,11 +100,6 @@ impl Scratch {
         self.get_at(name, index)
             .ok_or_else(|| missing(name, index))?
             .as_int()
-    }
-
-    /// Reads a float stored under `name`, failing if absent or non-numeric.
-    pub fn get_float(&self, name: &str) -> DbResult<f64> {
-        self.get_float_at(name, 0)
     }
 
     /// Reads a float stored under entry `index` of `name`.
@@ -135,7 +125,7 @@ pub struct ActionContext<'a> {
 }
 
 /// The closure type of an action body.
-pub type ActionBody = Box<dyn FnOnce(&ActionContext<'_>) -> DbResult<()> + Send + 'static>;
+pub(crate) type ActionBody = Box<dyn FnOnce(&ActionContext<'_>) -> DbResult<()> + Send + 'static>;
 
 /// A hand-built action for a [`FlowGraph`](crate::FlowGraph): a one-shot
 /// body plus what routes it.
@@ -151,14 +141,14 @@ pub struct ActionSpec {
     /// Local lock mode the action needs on its identifier.
     pub mode: LocalMode,
     /// The code to run.
-    pub body: ActionBody,
+    pub(crate) body: ActionBody,
     /// Human-readable label (used in diagnostics and the execution trace).
     pub label: &'static str,
     /// `true` when the author explicitly built this as a secondary action
-    /// (via [`ActionSpec::secondary`] or `Step::secondary`). An action that
-    /// is [`is_secondary`](Self::is_secondary) *without* this flag fell back
-    /// to the secondary path because its identifier carried no routing
-    /// fields — usually a workload bug the engine warns about at dispatch.
+    /// (via [`ActionSpec::secondary`] or `Step::secondary`). An action with
+    /// an empty identifier *without* this flag fell back to the secondary
+    /// path because its identifier carried no routing fields — usually a
+    /// workload bug the engine warns about at dispatch.
     pub declared_secondary: bool,
     /// `true` when the bind-time conflict matrix proved this step's template
     /// conflicts with nothing in the workload, so no executor has anything
@@ -168,7 +158,7 @@ pub struct ActionSpec {
     /// (counter `LockProbesElided`, one per body run). It still reports to
     /// its phase's RVP. `TxnProgram::with_conflicts` marks program steps
     /// the same way; setting it by hand asserts the same proof, whose
-    /// soundness argument is in [`crate::conflict`].
+    /// soundness argument is in `crate::conflict`.
     pub elide_probe: bool,
 }
 
@@ -221,11 +211,6 @@ impl ActionSpec {
             declared_secondary: true,
             elide_probe: false,
         }
-    }
-
-    /// `true` if this is a secondary action.
-    pub fn is_secondary(&self) -> bool {
-        self.identifier.is_empty()
     }
 
     /// The program step that runs this action: its one-shot body is kept
@@ -302,8 +287,11 @@ mod tests {
         scratch.put("amount", 12.5f64);
         scratch.put("name", "SMITH");
         assert_eq!(scratch.get_int("warehouse").unwrap(), 42);
-        assert_eq!(scratch.get_float("amount").unwrap(), 12.5);
-        assert_eq!(scratch.get("name").unwrap(), Value::Text("SMITH".into()));
+        assert_eq!(scratch.get_float_at("amount", 0).unwrap(), 12.5);
+        assert_eq!(
+            scratch.get_at("name", 0).unwrap(),
+            Value::Text("SMITH".into())
+        );
         assert!(scratch.get_int("missing").is_err());
     }
 
@@ -351,7 +339,7 @@ mod tests {
     #[test]
     fn secondary_actions_have_empty_identifiers() {
         let spec = ActionSpec::secondary("probe-by-name", TableId(1), |_| Ok(()));
-        assert!(spec.is_secondary());
+        assert!(spec.identifier.is_empty());
         let primary = ActionSpec::new(
             "update",
             TableId(1),
@@ -359,7 +347,6 @@ mod tests {
             LocalMode::Exclusive,
             |_| Ok(()),
         );
-        assert!(!primary.is_secondary());
         assert_eq!(primary.identifier, Key::int(3));
     }
 }

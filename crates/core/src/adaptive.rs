@@ -10,7 +10,7 @@
 //!   inside them), cold ranges are merged — by modelling the load as
 //!   piecewise-uniform over the current datasets and cutting the key domain
 //!   at equal-load quantiles.
-//! * [`SkewDetector`] owns the sliding [`LoadMonitor`] window for one table
+//! * `SkewDetector` owns the sliding [`LoadMonitor`] window for one table
 //!   and decides *when* the imbalance justifies paying for a drain.
 //! * [`AdaptiveController`] is the runtime: a background thread that samples
 //!   every eligible table, asks the detector, and drives the
@@ -81,7 +81,7 @@ pub fn balanced_rule(
     }
     let mut segments = Vec::with_capacity(executors);
     for (index, &load) in loads.iter().enumerate() {
-        let (range_low, range_high) = current.range_of(index).expect("range rule, index in range");
+        let (range_low, range_high) = current.range_of(index)?;
         let start = range_low.max(low);
         let end = range_high.min(high);
         if start > end {
@@ -150,7 +150,7 @@ pub fn balanced_rule(
 
 /// Skew detection for one table: a sliding load window plus the trigger
 /// policy (imbalance threshold and resize cooldown).
-pub struct SkewDetector {
+pub(crate) struct SkewDetector {
     config: AdaptiveConfig,
     monitor: LoadMonitor,
     last_resize: Option<Instant>,
@@ -158,7 +158,7 @@ pub struct SkewDetector {
 
 impl SkewDetector {
     /// Creates a detector with the given knobs.
-    pub fn new(config: AdaptiveConfig) -> Self {
+    pub(crate) fn new(config: AdaptiveConfig) -> Self {
         let monitor = LoadMonitor::new(config.window);
         Self {
             config,
@@ -169,23 +169,18 @@ impl SkewDetector {
 
     /// Records one load observation (cumulative served counts and current
     /// queue depths, one entry per executor).
-    pub fn observe(&self, served: Vec<u64>, queue_depth: Vec<usize>) {
+    pub(crate) fn observe(&self, served: Vec<u64>, queue_depth: Vec<usize>) {
         self.monitor.record(LoadSample {
             served,
             queue_depth,
         });
     }
 
-    /// The imbalance ratio over the current window, if measurable.
-    pub fn imbalance(&self) -> Option<f64> {
-        self.monitor.imbalance()
-    }
-
     /// Decides whether the observed window justifies a resize and, if so,
     /// synthesizes the rebalanced rule. Requires a full window (so the
     /// decision never rests on a single noisy delta), an imbalance past the
     /// configured threshold, and an expired cooldown.
-    pub fn propose(&self, current: &RoutingRule, domain: (i64, i64)) -> Option<RoutingRule> {
+    pub(crate) fn propose(&self, current: &RoutingRule, domain: (i64, i64)) -> Option<RoutingRule> {
         if !self.monitor.is_full() {
             return None;
         }
@@ -204,7 +199,7 @@ impl SkewDetector {
     /// Records that a resize was performed: starts the cooldown clock and
     /// clears the window so imbalance is next judged only on samples taken
     /// under the new rule.
-    pub fn note_resized(&mut self) {
+    pub(crate) fn note_resized(&mut self) {
         self.last_resize = Some(Instant::now());
         self.monitor.clear();
     }
@@ -217,7 +212,7 @@ struct ControllerShared {
 
 /// The adaptive repartitioning runtime: a background thread that samples
 /// per-executor load for every eligible table of a [`DoraEngine`] and drives
-/// the dataset-resize protocol when its [`SkewDetector`] fires.
+/// the dataset-resize protocol when its `SkewDetector` fires.
 ///
 /// The controller must be stopped (or dropped) *before* the engine is shut
 /// down: a resize drains executors, which requires them to still be serving.
@@ -237,7 +232,7 @@ impl std::fmt::Debug for AdaptiveController {
 
 impl AdaptiveController {
     /// Spawns the controller over `engine` with the given knobs. Tables are
-    /// discovered on every pass ([`DoraEngine::adaptive_tables`]), so tables
+    /// discovered on every pass (`DoraEngine::adaptive_tables`), so tables
     /// bound after the controller starts are picked up automatically.
     pub fn spawn(engine: Arc<DoraEngine>, config: AdaptiveConfig) -> Self {
         let shared = Arc::new(ControllerShared {
@@ -245,6 +240,8 @@ impl AdaptiveController {
             resizes: AtomicU64::new(0),
         });
         let thread_shared = Arc::clone(&shared);
+        // Spawning fails only when the OS refuses a thread, which is fatal
+        // here as it is for `std::thread::spawn`.
         let handle = std::thread::Builder::new()
             .name("dora-adaptive".into())
             .spawn(move || Self::run(engine, config, thread_shared))
@@ -448,6 +445,6 @@ mod tests {
         // Served counts are even, but executor 0 has a deep backlog.
         detector.observe(vec![0, 0], vec![0, 0]);
         detector.observe(vec![10, 10], vec![100, 0]);
-        assert!(detector.imbalance().unwrap() > 1.5);
+        assert!(detector.monitor.imbalance().unwrap() > 1.5);
     }
 }

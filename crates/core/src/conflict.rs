@@ -386,7 +386,7 @@ impl ConflictMatrix {
 
     /// `true` if the matrix has a declaration for this program name.
     /// Programs it does not know get no elision and no auto-serialization.
-    pub fn knows_program(&self, name: &'static str) -> bool {
+    pub(crate) fn knows_program(&self, name: &'static str) -> bool {
         self.programs.contains(name)
     }
 

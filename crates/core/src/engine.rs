@@ -565,7 +565,7 @@ impl DoraEngine {
 
     /// Binds a table with an explicit routing rule. The rule's executor count
     /// must equal `executors`.
-    pub fn bind_table_with_rule(
+    pub(crate) fn bind_table_with_rule(
         &self,
         table: TableId,
         executors: usize,
@@ -704,7 +704,7 @@ impl DoraEngine {
     /// rule over a known key domain and served by at least two executors.
     ///
     /// [`Range`]: RoutingRule::Range
-    pub fn adaptive_tables(&self) -> Vec<(TableId, (i64, i64))> {
+    pub(crate) fn adaptive_tables(&self) -> Vec<(TableId, (i64, i64))> {
         let domains = self.inner.domains.read();
         domains
             .iter()

@@ -52,7 +52,7 @@ impl FlowGraph {
     /// Opens a new phase; subsequent [`push`](Self::push)es land in it.
     /// Phases left empty are dropped, so an extra `begin_phase` is harmless
     /// rather than an error.
-    pub fn begin_phase(&mut self) -> &mut Self {
+    pub(crate) fn begin_phase(&mut self) -> &mut Self {
         self.program.push_rvp();
         self
     }
@@ -60,7 +60,7 @@ impl FlowGraph {
     /// Appends an action to the current (last-opened) phase, opening phase 0
     /// first if the graph is still empty. Never panics and never indexes by a
     /// caller-supplied phase number — together with
-    /// [`begin_phase`](Self::begin_phase) and
+    /// `begin_phase` and
     /// [`phase_with`](Self::phase_with) this is the whole construction
     /// surface.
     pub fn push(&mut self, action: ActionSpec) -> &mut Self {
@@ -78,14 +78,6 @@ impl FlowGraph {
         self
     }
 
-    /// Puts every action in its own phase, fully serializing the graph:
-    /// phase boundaries are exactly what the resource manager adds when it
-    /// decides a transaction with a high abort rate should run serially
-    /// (Appendix A.4, the DORA-S plan of Figure 11).
-    pub fn serialized(self) -> Self {
-        Self::from_program(self.program.serialized(true))
-    }
-
     /// Number of phases.
     pub fn phase_count(&self) -> usize {
         self.program.dora_phase_count()
@@ -99,11 +91,6 @@ impl FlowGraph {
     /// Total number of actions across all phases.
     pub fn action_count(&self) -> usize {
         self.program.step_count()
-    }
-
-    /// `true` if the graph has no actions.
-    pub fn is_empty(&self) -> bool {
-        self.action_count() == 0
     }
 
     /// Human-readable structure of the graph: one vector per phase, one
@@ -164,7 +151,7 @@ mod tests {
         assert_eq!(graph.actions_in(0), 3);
         assert_eq!(graph.actions_in(1), 1);
         assert_eq!(graph.action_count(), 4);
-        assert!(!graph.is_empty());
+        assert_ne!(graph.action_count(), 0);
     }
 
     #[test]
@@ -172,7 +159,7 @@ mod tests {
         let graph = FlowGraph::new()
             .phase_with(vec![action("a", 1), action("b", 2)])
             .phase_with(vec![action("c", 3)]);
-        let serial = graph.serialized();
+        let serial = FlowGraph::from_program(graph.program.serialized(true));
         assert_eq!(serial.phase_count(), 3);
         assert!((0..3).all(|p| serial.actions_in(p) == 1));
     }

@@ -15,7 +15,7 @@
 //! cost is.
 //!
 //! Even this lightweight probe can be skipped entirely: when the bind-time
-//! conflict analysis ([`crate::conflict`]) proves a step's template conflicts
+//! conflict analysis (`crate::conflict`) proves a step's template conflicts
 //! with nothing in the workload, the action never reaches an executor: the
 //! thread dispatching its phase runs it without touching this table
 //! (counter `LockProbesElided`). Probes that do land here therefore belong to
@@ -122,23 +122,13 @@ impl LocalLockTable {
         })
     }
 
-    /// Number of identifiers currently locked.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// `true` if no locks are held.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Total number of grants since creation.
-    pub fn total_acquired(&self) -> u64 {
-        self.acquired
-    }
-
     /// `true` if `txn` holds at least one lock in this table.
-    pub fn holds_any(&self, txn: TxnId) -> bool {
+    pub(crate) fn holds_any(&self, txn: TxnId) -> bool {
         self.entries
             .values()
             .any(|owners| owners.iter().any(|(owner, _)| *owner == txn))
@@ -160,7 +150,7 @@ mod tests {
             table.acquire(TxnId(2), &Key::int(5), LocalMode::Shared),
             LocalAcquire::Granted
         );
-        assert_eq!(table.len(), 1);
+        assert_eq!(table.entries.len(), 1);
     }
 
     #[test]
@@ -214,7 +204,7 @@ mod tests {
             LocalAcquire::Granted
         );
         // Only one grant is counted for the same (txn, identifier).
-        assert_eq!(table.total_acquired(), 1);
+        assert_eq!(table.acquired, 1);
         // Another transaction now conflicts with the upgraded lock.
         assert_eq!(
             table.acquire(TxnId(2), &Key::int(7), LocalMode::Shared),

@@ -129,11 +129,6 @@ impl Param {
     pub const fn new(index: usize, name: &'static str) -> Self {
         Self { index, name }
     }
-
-    /// The slot's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
 /// Slots stored in place; a transaction with more (a TPC-C NewOrder's item
@@ -157,7 +152,7 @@ enum Slots {
 
 impl Params {
     /// No parameters.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Self(Slots::Inline(InlineVec::new()))
     }
 
@@ -175,12 +170,6 @@ impl Params {
         }
     }
 
-    /// These parameters with an integer slot appended.
-    pub fn with(mut self, value: i64) -> Self {
-        self.push(value);
-        self
-    }
-
     /// These parameters with a float slot appended.
     pub fn with_float(mut self, value: f64) -> Self {
         self.push(value.to_bits() as i64);
@@ -188,16 +177,11 @@ impl Params {
     }
 
     /// Number of slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.0 {
             Slots::Inline(slots) => slots.len(),
             Slots::Shared(slots) => slots.len(),
         }
-    }
-
-    /// `true` when there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn get(&self, index: usize) -> Option<i64> {
@@ -212,7 +196,7 @@ impl Params {
     }
 
     /// The integer in `param`'s slot.
-    pub fn int(&self, param: Param) -> DbResult<i64> {
+    pub(crate) fn int(&self, param: Param) -> DbResult<i64> {
         self.get(param.index).ok_or_else(|| {
             DbError::InvalidOperation(format!(
                 "parameter `{}` (slot {}) not bound",
@@ -222,7 +206,7 @@ impl Params {
     }
 
     /// The float in `param`'s slot.
-    pub fn float(&self, param: Param) -> DbResult<f64> {
+    pub(crate) fn float(&self, param: Param) -> DbResult<f64> {
         self.int(param).map(|bits| f64::from_bits(bits as u64))
     }
 }
@@ -274,7 +258,7 @@ impl Shape {
     }
 
     /// `true` if the shape has no components.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         match &self.0 {
             ShapeRepr::Fixed(key) => key.is_empty(),
             ShapeRepr::Params(params) => params.is_empty(),
@@ -282,7 +266,7 @@ impl Shape {
     }
 
     /// The key this shape makes from `params`.
-    pub fn bind(&self, params: &Params) -> DbResult<Key> {
+    pub(crate) fn bind(&self, params: &Params) -> DbResult<Key> {
         self.bind_with(|param| params.int(param))
     }
 
@@ -395,7 +379,7 @@ impl<'a> StepCtx<'a> {
     }
 
     /// The key `shape` makes from this transaction's parameters.
-    pub fn key(&self, shape: &Shape) -> DbResult<Key> {
+    pub(crate) fn key(&self, shape: &Shape) -> DbResult<Key> {
         shape.bind_with(|param| self.int(param))
     }
 
@@ -447,7 +431,7 @@ pub enum OnDuplicate {
 /// deadlock victim, and every transaction bound from a plan runs the same
 /// body. Shared, so that extending a shared plan copies the step list
 /// without rebuilding a body.
-pub type StepBody = Arc<dyn Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync>;
+pub(crate) type StepBody = Arc<dyn Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync>;
 
 /// One step of a transaction program: a unit of work against a small set of
 /// records of one table — exactly what DORA calls an *action* (Section
@@ -456,7 +440,7 @@ pub type StepBody = Arc<dyn Fn(&StepCtx<'_>) -> DbResult<()> + Send + Sync>;
 /// A step also declares its data effects, once, where it is built: the
 /// columns it reads ([`reads`](Self::reads)) and writes
 /// ([`writes`](Self::writes)), whether it inserts or deletes rows, and how
-/// often it aborts. The bind-time conflict analysis ([`crate::conflict`])
+/// often it aborts. The bind-time conflict analysis (`crate::conflict`)
 /// derives its templates from these and from the step's table, route, key
 /// and local-lock mode.
 #[derive(Clone)]
@@ -700,7 +684,7 @@ impl Step {
 
     /// `true` if this step has no routing identifier (runs as a secondary
     /// action under DORA).
-    pub fn is_secondary(&self) -> bool {
+    pub(crate) fn is_secondary(&self) -> bool {
         self.route.is_empty()
     }
 
@@ -710,17 +694,17 @@ impl Step {
     }
 
     /// The step's label (diagnostics, trace output).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         self.label
     }
 
     /// The table the step touches.
-    pub fn table(&self) -> TableId {
+    pub(crate) fn table(&self) -> TableId {
         self.table
     }
 
     /// The routing identifier's shape.
-    pub fn route(&self) -> &Shape {
+    pub(crate) fn route(&self) -> &Shape {
         &self.route
     }
 
@@ -899,12 +883,12 @@ impl TxnProgram {
     }
 
     /// The bound parameters.
-    pub fn params(&self) -> &Params {
+    pub(crate) fn params(&self) -> &Params {
         &self.params
     }
 
     /// The plan's steps, in program order.
-    pub fn steps(&self) -> &[Step] {
+    pub(crate) fn steps(&self) -> &[Step] {
         &self.plan.steps
     }
 
@@ -961,7 +945,7 @@ impl TxnProgram {
 
     /// `true` if the serialized (DORA-S) plan was selected, by hand or by
     /// the conflict stamp.
-    pub fn is_serialized(&self) -> bool {
+    pub(crate) fn is_serialized(&self) -> bool {
         self.plan.serial || self.stamp().is_some_and(|stamp| stamp.serial)
     }
 
@@ -984,7 +968,7 @@ impl TxnProgram {
 
     /// `true` if every step declares [`LocalMode::Shared`] — the program
     /// never writes, so it is eligible for lock-free snapshot execution.
-    pub fn is_read_only(&self) -> bool {
+    pub(crate) fn is_read_only(&self) -> bool {
         self.plan.steps.iter().all(|s| s.mode == LocalMode::Shared)
     }
 
@@ -1026,18 +1010,6 @@ impl TxnProgram {
         make_row: impl Fn(&StepCtx<'_>) -> DbResult<Row> + Send + Sync + 'static,
     ) -> Self {
         self.step(Step::insert(label, table, route, on_duplicate, make_row))
-    }
-
-    /// Appends a [`Step::delete`] to the current phase.
-    pub fn delete(
-        self,
-        label: &'static str,
-        table: TableId,
-        route: impl Into<Shape>,
-        key: impl Into<Shape>,
-        on_missing: OnMissing,
-    ) -> Self {
-        self.step(Step::delete(label, table, route, key, on_missing))
     }
 
     /// Appends a [`Step::secondary`] to the current phase.
@@ -1096,13 +1068,6 @@ impl TxnProgram {
                 .stamp()
                 .and_then(|stamp| stamp.probe_free.get(index).copied())
                 .unwrap_or(false)
-    }
-
-    /// Number of steps currently marked probe-free (diagnostics/tests).
-    pub fn elided_count(&self) -> usize {
-        (0..self.step_count())
-            .filter(|index| self.is_probe_free(*index))
-            .count()
     }
 
     /// Number of phases DORA runs: one per step under DORA-S.
@@ -1215,17 +1180,12 @@ impl PreparedProgram {
     }
 
     /// Number of steps across all phases.
-    pub fn step_count(&self) -> usize {
+    pub(crate) fn step_count(&self) -> usize {
         self.program.step_count()
     }
 
-    /// Number of non-empty phases.
-    pub fn phase_count(&self) -> usize {
-        self.program.phase_count()
-    }
-
     /// `true` if the serialized (DORA-S) plan was selected.
-    pub fn is_serialized(&self) -> bool {
+    pub(crate) fn is_serialized(&self) -> bool {
         self.program.is_serialized()
     }
 
@@ -1288,6 +1248,13 @@ mod tests {
     use crate::engine::DoraEngine;
     use dora_storage::{ColumnDef, TableSchema};
     use std::sync::Arc;
+
+    /// Steps the bind-time analysis proved conflict-free.
+    fn elided(program: &TxnProgram) -> usize {
+        (0..program.step_count())
+            .filter(|index| program.is_probe_free(*index))
+            .count()
+    }
 
     fn counter_db() -> (Arc<Database>, TableId) {
         let db = Database::for_tests();
@@ -1425,7 +1392,7 @@ mod tests {
         let body = TxnProgram::new("scratch")
             .custom("stash", table, Key::int(1), LocalMode::Shared, |ctx| {
                 // A retry must not see the previous attempt's value.
-                assert!(ctx.scratch.get("seen").is_none());
+                assert!(ctx.scratch.get_at("seen", 0).is_none());
                 ctx.scratch.put("seen", 1i64);
                 Ok(())
             })
@@ -1448,13 +1415,13 @@ mod tests {
             result
         };
         // Missing record: Abort maps to TxnAborted, Error propagates NotFound.
-        let aborted = run(TxnProgram::new("t").delete(
+        let aborted = run(TxnProgram::new("t").step(Step::delete(
             "del",
             table,
             Key::int(99),
             Key::int(99),
             OnMissing::Abort("nothing to delete"),
-        ));
+        )));
         assert!(matches!(aborted, Err(DbError::TxnAborted { .. })));
         let missing = run(TxnProgram::new("t").update(
             "upd",
@@ -1487,7 +1454,7 @@ mod tests {
         let prepared = bump_program(table, 3).prepare();
         assert_eq!(prepared.name(), "bump");
         assert_eq!(prepared.step_count(), 1);
-        assert_eq!(prepared.phase_count(), 1);
+        assert_eq!(prepared.program.phase_count(), 1);
         for _ in 0..5 {
             let txn = db_base.begin();
             prepared.run_baseline(&db_base, &txn).unwrap();
@@ -1546,7 +1513,7 @@ mod tests {
                 |_, _| Ok(()),
             )
             .with_conflicts(&matrix);
-        assert_eq!(program.elided_count(), 1);
+        assert_eq!(elided(&program), 1);
         assert!(program.is_serialized(), "0.5 ≥ 0.1 with a conflicting step");
         let described = program.compile_dora().describe();
         let flat: Vec<_> = described.iter().flatten().collect();
@@ -1559,7 +1526,7 @@ mod tests {
 
         // A program the matrix has no declaration for is returned unchanged.
         let adhoc = bump_program(table, 1).with_conflicts(&matrix);
-        assert_eq!(adhoc.elided_count(), 0);
+        assert_eq!(elided(&adhoc), 0);
         assert!(!adhoc.is_serialized());
 
         // `prepare()` keeps the marks: the re-lowered flow graph still
@@ -1650,7 +1617,9 @@ mod tests {
 
     #[test]
     fn params_round_trip_ints_and_floats() {
-        let params = Params::new().with(-4).with_float(12.5);
+        let mut params = Params::new();
+        params.push(-4);
+        let params = params.with_float(12.5);
         assert_eq!(params.len(), 2);
         assert_eq!(params.int(Param::new(0, "a")).unwrap(), -4);
         assert_eq!(params.float(Param::new(1, "b")).unwrap(), 12.5);
@@ -1663,7 +1632,9 @@ mod tests {
             (Slots::Shared(a), Slots::Shared(b)) => assert!(Arc::ptr_eq(a, b)),
             _ => panic!("20 slots are not inline"),
         }
-        let grown = Params::of([1, 2, 3, 4, 5, 6, 7, 8]).with(9).with_float(0.5);
+        let mut grown = Params::of([1, 2, 3, 4, 5, 6, 7, 8]);
+        grown.push(9);
+        let grown = grown.with_float(0.5);
         assert_eq!(grown.len(), 10);
         assert_eq!(grown.int(Param::new(8, "ninth")).unwrap(), 9);
         assert_eq!(grown.float(Param::new(9, "tenth")).unwrap(), 0.5);
@@ -1679,7 +1650,7 @@ mod tests {
         let plan = bump_plan(table);
         let first = plan.bind(Params::of([1])).with_conflicts(&matrix);
         let second = plan.bind(Params::of([2])).with_conflicts(&matrix);
-        assert_eq!(first.elided_count(), 1);
+        assert_eq!(elided(&first), 1);
         assert_eq!((first.stamp, second.stamp), (Some(0), Some(0)));
         // Another matrix gets a stamp of its own beside the first, shared
         // by the programs stamped with it.
@@ -1687,14 +1658,14 @@ mod tests {
         let third = plan.bind(Params::of([3])).with_conflicts(&other);
         let fourth = plan.bind(Params::of([4])).with_conflicts(&other);
         assert_eq!((third.stamp, fourth.stamp), (Some(1), Some(1)));
-        assert_eq!(third.elided_count(), 0);
-        assert_eq!(first.elided_count(), 1);
+        assert_eq!(elided(&third), 0);
+        assert_eq!(elided(&first), 1);
         let fifth = plan.bind(Params::new()).with_conflicts(&matrix);
-        assert_eq!((fifth.stamp, fifth.elided_count()), (Some(0), 1));
+        assert_eq!((fifth.stamp, elided(&fifth)), (Some(0), 1));
         // Extending a stamped program drops the stamp: it described the
         // steps before the extension.
         let extended = first.rvp().step(bump_step(table, 3));
-        assert_eq!(extended.elided_count(), 0);
+        assert_eq!(elided(&extended), 0);
         assert_eq!(
             plan.step_count(),
             1,

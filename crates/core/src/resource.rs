@@ -36,11 +36,6 @@ impl ResourceManager {
         Self { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DoraConfig {
-        &self.config
-    }
-
     /// Replaces the routing rule of `table` using the drain protocol of
     /// Appendix A.2.1: every executor of the table drains its in-flight
     /// transactions, the rule is swapped, and deferred actions are

@@ -115,12 +115,12 @@ pub struct RoutingTable {
 
 impl RoutingTable {
     /// Creates an empty routing table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Installs (or replaces) the rule for `table`.
-    pub fn set_rule(&self, table: TableId, rule: RoutingRule) {
+    pub(crate) fn set_rule(&self, table: TableId, rule: RoutingRule) {
         let mut rules = self.rules.write();
         let index = table.0 as usize;
         if rules.len() <= index {
@@ -145,7 +145,7 @@ impl RoutingTable {
     }
 
     /// Number of tables with a rule installed.
-    pub fn bound_tables(&self) -> usize {
+    pub(crate) fn bound_tables(&self) -> usize {
         self.rules.read().iter().filter(|r| r.is_some()).count()
     }
 }

@@ -19,13 +19,13 @@ use crate::program::TxnProgram;
 /// A rendezvous point: a countdown of the actions that still have to report
 /// before the next phase (or the commit, for the terminal RVP) may start.
 #[derive(Debug)]
-pub struct Rvp {
+pub(crate) struct Rvp {
     remaining: AtomicUsize,
 }
 
 impl Rvp {
     /// Creates an RVP expecting `count` reports.
-    pub fn new(count: usize) -> Self {
+    pub(crate) fn new(count: usize) -> Self {
         Self {
             remaining: AtomicUsize::new(count),
         }
@@ -35,21 +35,16 @@ impl Rvp {
     /// one after the other, so one RVP serves them all: the reporter that
     /// zeroed it re-arms it before it dispatches the next phase, and no
     /// report of the finished phase is left to arrive.
-    pub fn arm(&self, count: usize) {
+    pub(crate) fn arm(&self, count: usize) {
         self.remaining.store(count, Ordering::Release);
     }
 
     /// Reports one action's completion; returns `true` if this report zeroed
     /// the RVP (and the caller must therefore initiate the next phase).
-    pub fn report(&self) -> bool {
+    pub(crate) fn report(&self) -> bool {
         let previous = self.remaining.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(previous > 0, "RVP reported more times than it has actions");
         previous == 1
-    }
-
-    /// Remaining reports (diagnostics).
-    pub fn remaining(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
     }
 }
 
@@ -58,7 +53,7 @@ impl Rvp {
 const INVOLVED_INLINE: usize = 4;
 
 /// Internal, shared state of one DORA transaction.
-pub struct DoraTxnInner {
+pub(crate) struct DoraTxnInner {
     /// The storage-level transaction.
     pub handle: TxnHandle,
     /// The scratchpad shared by the transaction's actions.
@@ -102,7 +97,7 @@ impl std::fmt::Debug for DoraTxnInner {
 impl DoraTxnInner {
     /// Builds the per-transaction state for `program`, its RVP armed for
     /// phase 0.
-    pub fn new(handle: TxnHandle, program: TxnProgram, client_waits: bool) -> Arc<Self> {
+    pub(crate) fn new(handle: TxnHandle, program: TxnProgram, client_waits: bool) -> Arc<Self> {
         let phases = program.dora_phase_count();
         let first = program.dora_phase(0).len();
         Arc::new(Self {
@@ -121,12 +116,12 @@ impl DoraTxnInner {
     }
 
     /// The storage transaction id.
-    pub fn id(&self) -> TxnId {
+    pub(crate) fn id(&self) -> TxnId {
         self.handle.id()
     }
 
     /// Number of phases in the flow graph.
-    pub fn phase_count(&self) -> usize {
+    pub(crate) fn phase_count(&self) -> usize {
         self.phases
     }
 
@@ -136,25 +131,25 @@ impl DoraTxnInner {
     }
 
     /// Marks the transaction aborted, retaining the first reason.
-    pub fn mark_aborted(&self, reason: DbError) {
+    pub(crate) fn mark_aborted(&self, reason: DbError) {
         if !self.aborted.swap(true, Ordering::AcqRel) {
             *self.abort_reason.lock() = Some(reason);
         }
     }
 
     /// `true` once any action has failed.
-    pub fn is_aborted(&self) -> bool {
+    pub(crate) fn is_aborted(&self) -> bool {
         self.aborted.load(Ordering::Acquire)
     }
 
     /// Moves the first abort reason out, if any (the terminal RVP hands it
     /// to the client once).
-    pub fn take_abort_reason(&self) -> Option<DbError> {
+    pub(crate) fn take_abort_reason(&self) -> Option<DbError> {
         self.abort_reason.lock().take()
     }
 
     /// Records that an executor participated in the transaction.
-    pub fn note_involved(&self, table: TableId, executor: usize) {
+    pub(crate) fn note_involved(&self, table: TableId, executor: usize) {
         let mut involved = self.involved.lock();
         if !involved.iter().any(|entry| *entry == (table, executor)) {
             involved.push((table, executor));
@@ -175,11 +170,6 @@ pub struct DoraTxn {
 }
 
 impl DoraTxn {
-    /// The transaction id.
-    pub fn id(&self) -> TxnId {
-        self.inner.id()
-    }
-
     /// Blocks until the transaction commits or aborts.
     pub fn wait(&self) -> DbResult<()> {
         self.inner.completion.wait()
@@ -216,7 +206,7 @@ mod tests {
         let rvp = Rvp::new(3);
         assert!(!rvp.report());
         assert!(!rvp.report());
-        assert_eq!(rvp.remaining(), 1);
+        assert_eq!(rvp.remaining.load(Ordering::Acquire), 1);
         assert!(rvp.report());
         rvp.arm(2);
         assert!(!rvp.report());

@@ -47,7 +47,7 @@ impl BaselineEngine {
     }
 
     /// The underlying storage manager.
-    pub fn db(&self) -> &Arc<Database> {
+    pub(crate) fn db(&self) -> &Arc<Database> {
         &self.db
     }
 

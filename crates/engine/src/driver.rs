@@ -40,18 +40,6 @@ pub struct DriverConfig {
     pub hardware_contexts: usize,
 }
 
-impl DriverConfig {
-    /// A configuration suitable for quick tests.
-    pub fn quick(clients: usize) -> Self {
-        Self {
-            clients,
-            duration: Duration::from_millis(200),
-            warmup: Duration::from_millis(50),
-            hardware_contexts: dora_common::config::num_cpus(),
-        }
-    }
-}
-
 /// Everything measured during one driver run.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -119,18 +107,6 @@ impl RunResult {
         Duration::from_nanos(self.metrics.nanos(TimeCategory::CommitWait) / self.committed)
     }
 
-    /// Mean execute latency: the client-observed mean latency minus the mean
-    /// commit wait (floored at zero) — the time a transaction spends doing
-    /// work and waiting on locks rather than on the log.
-    ///
-    /// Under asynchronous DORA commit the commit wait is spent on the
-    /// flusher thread, not the client's; it is still subtracted here because
-    /// the client's observed latency includes waiting for its completion
-    /// signal, which fires from the flusher.
-    pub fn mean_execute_latency(&self) -> Duration {
-        self.latency.mean().saturating_sub(self.mean_commit_wait())
-    }
-
     /// Abort rate over the measured interval (workload aborts plus retry
     /// give-ups, over all finished transactions).
     pub fn abort_rate(&self) -> f64 {
@@ -139,16 +115,6 @@ impl RunResult {
             0.0
         } else {
             (self.aborted + self.gave_up) as f64 / total as f64
-        }
-    }
-
-    /// Share of finished transactions that exhausted their retry budget.
-    pub fn give_up_rate(&self) -> f64 {
-        let total = self.committed + self.aborted + self.gave_up;
-        if total == 0 {
-            0.0
-        } else {
-            self.gave_up as f64 / total as f64
         }
     }
 }
@@ -171,7 +137,7 @@ impl Drop for ClientExit {
 
 /// Reads the process's accumulated CPU time from `/proc/self/stat`
 /// (user + system). Returns `None` on platforms without procfs.
-pub fn process_cpu_time() -> Option<Duration> {
+pub(crate) fn process_cpu_time() -> Option<Duration> {
     let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
     // The command field may contain spaces but is wrapped in parentheses;
     // split after the closing parenthesis.
@@ -334,7 +300,7 @@ impl ClientDriver {
     /// Runs `job` exactly once on a single client and reports the observed
     /// latency — the single-transaction response-time methodology of
     /// Figure 7.
-    pub fn measure_single<J>(&self, iterations: usize, mut job: J) -> LatencyHistogram
+    pub(crate) fn measure_single<J>(&self, iterations: usize, mut job: J) -> LatencyHistogram
     where
         J: FnMut(&mut SmallRng) -> TxnOutcome,
     {
@@ -376,7 +342,6 @@ mod tests {
         assert!(result.gave_up > 0, "give-ups must be counted distinctly");
         assert!(result.throughput_tps > 0.0);
         assert!(result.abort_rate() > 0.0 && result.abort_rate() < 1.0);
-        assert!(result.give_up_rate() > 0.0 && result.give_up_rate() < result.abort_rate());
         assert_eq!(result.clients, 2);
         assert!((result.offered_load_percent - 50.0).abs() < 1e-9);
         assert!(result.latency.count() == result.committed + result.aborted + result.gave_up);
@@ -433,12 +398,17 @@ mod tests {
         // Other tests in this process may add CommitWait time concurrently,
         // so only the lower bound is exact.
         assert!(result.mean_commit_wait() >= Duration::from_micros(150));
-        assert!(result.mean_execute_latency() <= result.latency.mean());
+        assert!(result.mean_commit_wait() <= result.latency.mean());
     }
 
     #[test]
     fn measure_single_records_every_iteration() {
-        let driver = ClientDriver::new(DriverConfig::quick(1));
+        let driver = ClientDriver::new(DriverConfig {
+            clients: 1,
+            duration: Duration::from_millis(200),
+            warmup: Duration::from_millis(50),
+            hardware_contexts: 1,
+        });
         let histogram = driver.measure_single(10, |_| TxnOutcome::Committed);
         assert_eq!(histogram.count(), 10);
     }

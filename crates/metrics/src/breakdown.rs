@@ -79,7 +79,7 @@ impl TimeBreakdown {
     }
 
     /// Total accounted time.
-    pub fn total_nanos(&self) -> u64 {
+    pub(crate) fn total_nanos(&self) -> u64 {
         self.work_nanos
             + self.lock_mgr_contention_nanos
             + self.lock_mgr_work_nanos

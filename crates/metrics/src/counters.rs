@@ -160,10 +160,10 @@ pub enum CounterKind {
 }
 
 /// Number of [`CounterKind`] variants; sizes the per-thread arrays.
-pub const COUNTER_KIND_COUNT: usize = 45;
+pub(crate) const COUNTER_KIND_COUNT: usize = 45;
 
 /// All counters, in `repr` order.
-pub const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
+pub(crate) const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
     CounterKind::RowLevelLock,
     CounterKind::HigherLevelLock,
     CounterKind::DoraLocalLock,
@@ -213,7 +213,7 @@ pub const ALL_COUNTER_KINDS: [CounterKind; COUNTER_KIND_COUNT] = [
 
 impl CounterKind {
     /// Stable index into the per-thread arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 

@@ -78,17 +78,8 @@ impl LatencyHistogram {
         }
     }
 
-    /// Smallest recorded latency, or zero when empty.
-    pub fn min(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_micros(self.min_micros)
-        }
-    }
-
     /// Largest recorded latency.
-    pub fn max(&self) -> Duration {
+    pub(crate) fn max(&self) -> Duration {
         Duration::from_micros(self.max_micros)
     }
 
@@ -179,19 +170,6 @@ impl ValueHistogram {
     pub fn max(&self) -> u64 {
         self.max
     }
-
-    /// Samples per power-of-two bucket, for text rendering: entry `i` counts
-    /// samples whose highest set bit is `i` (i.e. values in `[2^(i-1), 2^i)`,
-    /// with values 0 and 1 both in entry 1). Trailing empty buckets are
-    /// trimmed.
-    pub fn buckets(&self) -> Vec<u64> {
-        let last = self
-            .buckets
-            .iter()
-            .rposition(|&n| n > 0)
-            .map_or(0, |i| i + 1);
-        self.buckets[..last].to_vec()
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +183,7 @@ mod tests {
         histogram.record(Duration::from_micros(300));
         assert_eq!(histogram.count(), 2);
         assert_eq!(histogram.mean(), Duration::from_micros(200));
-        assert_eq!(histogram.min(), Duration::from_micros(100));
+        assert_eq!(histogram.min_micros, 100);
         assert_eq!(histogram.max(), Duration::from_micros(300));
     }
 
@@ -224,7 +202,7 @@ mod tests {
         b.record(Duration::from_micros(1000));
         a.merge(&b);
         assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), Duration::from_micros(10));
+        assert_eq!(a.min_micros, 10);
         assert_eq!(a.max(), Duration::from_micros(1000));
     }
 
@@ -232,7 +210,7 @@ mod tests {
     fn value_histogram_tracks_mean_and_max() {
         let mut histogram = ValueHistogram::new();
         assert_eq!(histogram.mean(), 0.0);
-        assert!(histogram.buckets().is_empty());
+        assert!(histogram.buckets.iter().all(|&n| n == 0));
         for value in [1u64, 2, 4, 9] {
             histogram.record(value);
         }
@@ -241,7 +219,7 @@ mod tests {
         assert_eq!(histogram.mean(), 4.0);
         assert_eq!(histogram.max(), 9);
         // 1 -> bucket 1, 2 -> bucket 2, 4 -> bucket 3, 9 -> bucket 4.
-        assert_eq!(histogram.buckets(), vec![0, 1, 1, 1, 1]);
+        assert_eq!(histogram.buckets[..6], [0, 1, 1, 1, 1, 0]);
     }
 
     #[test]

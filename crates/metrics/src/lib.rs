@@ -18,12 +18,12 @@
 //! * [`TimeBreakdown`] — rolls the fine-grained categories up into the
 //!   stacked-bar categories the paper's figures use.
 
-pub mod breakdown;
-pub mod counters;
-pub mod histogram;
-pub mod load;
-pub mod registry;
-pub mod timing;
+mod breakdown;
+mod counters;
+mod histogram;
+mod load;
+mod registry;
+mod timing;
 
 pub use breakdown::TimeBreakdown;
 pub use counters::CounterKind;

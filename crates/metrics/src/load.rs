@@ -42,11 +42,6 @@ impl LoadMonitor {
         }
     }
 
-    /// Number of samples the window holds when full.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Records one observation. A sample whose executor count differs from
     /// the window's (the table was re-bound) resets the window.
     pub fn record(&self, sample: LoadSample) {
@@ -64,13 +59,8 @@ impl LoadMonitor {
     }
 
     /// Number of samples currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.lock().len()
-    }
-
-    /// `true` when no samples have been recorded since the last clear.
-    pub fn is_empty(&self) -> bool {
-        self.samples.lock().is_empty()
     }
 
     /// `true` once the window holds its full complement of samples.
@@ -185,6 +175,6 @@ mod tests {
         let monitor = LoadMonitor::new(2);
         monitor.record(sample(&[1], &[0]));
         monitor.clear();
-        assert!(monitor.is_empty());
+        assert_eq!(monitor.len(), 0);
     }
 }

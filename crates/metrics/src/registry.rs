@@ -1,6 +1,6 @@
 //! Per-thread metric slots and the global registry aggregating them.
 //!
-//! Each thread that records metrics gets a [`ThreadSlot`] full of relaxed
+//! Each thread that records metrics gets a `ThreadSlot` full of relaxed
 //! atomics; the slot is registered with the global [`MetricsRegistry`] on
 //! first use and stays alive (via `Arc`) even after the thread exits, so a
 //! benchmark can join its worker threads and still read their totals.
@@ -19,7 +19,7 @@ use crate::timing::{TimeCategory, ALL_TIME_CATEGORIES, TIME_CATEGORY_COUNT};
 /// Per-thread metric storage. All fields are written by the owning thread
 /// with relaxed atomics and read by aggregators.
 #[derive(Debug)]
-pub struct ThreadSlot {
+pub(crate) struct ThreadSlot {
     time_nanos: [AtomicU64; TIME_CATEGORY_COUNT],
     counters: [AtomicU64; COUNTER_KIND_COUNT],
 }
@@ -33,12 +33,12 @@ impl ThreadSlot {
     }
 
     /// Adds `nanos` to the given time category.
-    pub fn add_time(&self, category: TimeCategory, nanos: u64) {
+    pub(crate) fn add_time(&self, category: TimeCategory, nanos: u64) {
         self.time_nanos[category.index()].fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Adds `delta` to the given counter.
-    pub fn incr(&self, kind: CounterKind, delta: u64) {
+    pub(crate) fn incr(&self, kind: CounterKind, delta: u64) {
         self.counters[kind.index()].fetch_add(delta, Ordering::Relaxed);
     }
 }
@@ -49,7 +49,7 @@ thread_local! {
 
 /// Runs `f` with the calling thread's slot, creating and registering it on
 /// first use.
-pub fn with_thread_slot<R>(f: impl FnOnce(&ThreadSlot) -> R) -> R {
+pub(crate) fn with_thread_slot<R>(f: impl FnOnce(&ThreadSlot) -> R) -> R {
     THREAD_SLOT.with(|cell| {
         let mut slot = cell.borrow_mut();
         if slot.is_none() {
@@ -69,7 +69,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Creates an empty registry. Most callers use [`global`] instead.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -91,11 +91,6 @@ impl MetricsRegistry {
             }
         }
         snap
-    }
-
-    /// Number of threads that have recorded at least one metric.
-    pub fn thread_count(&self) -> usize {
-        self.slots.lock().len()
     }
 }
 
@@ -164,12 +159,6 @@ impl Snapshot {
         }
         delta
     }
-
-    /// Total nanoseconds across every category (the denominator for the
-    /// paper's percentage breakdowns).
-    pub fn total_nanos(&self) -> u64 {
-        self.time_nanos.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -198,19 +187,11 @@ mod tests {
 
     #[test]
     fn registry_registers_each_thread_once() {
-        let before = global().thread_count();
+        let before = global().slots.lock().len();
         with_thread_slot(|_| {});
         with_thread_slot(|_| {});
-        let after = global().thread_count();
+        let after = global().slots.lock().len();
         // At most one new registration for this thread, never two.
         assert!(after <= before + 1);
-    }
-
-    #[test]
-    fn total_nanos_sums_all_categories() {
-        let mut snap = Snapshot::default();
-        snap.time_nanos[TimeCategory::Work.index()] = 5;
-        snap.time_nanos[TimeCategory::LockWait.index()] = 7;
-        assert_eq!(snap.total_nanos(), 12);
     }
 }

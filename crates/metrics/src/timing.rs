@@ -56,10 +56,10 @@ pub enum TimeCategory {
 }
 
 /// Number of [`TimeCategory`] variants; sizes the per-thread arrays.
-pub const TIME_CATEGORY_COUNT: usize = 13;
+pub(crate) const TIME_CATEGORY_COUNT: usize = 13;
 
 /// All categories, in `repr` order. Useful for iteration and reporting.
-pub const ALL_TIME_CATEGORIES: [TimeCategory; TIME_CATEGORY_COUNT] = [
+pub(crate) const ALL_TIME_CATEGORIES: [TimeCategory; TIME_CATEGORY_COUNT] = [
     TimeCategory::Work,
     TimeCategory::LockMgrAcquire,
     TimeCategory::LockMgrAcquireContention,
@@ -77,7 +77,7 @@ pub const ALL_TIME_CATEGORIES: [TimeCategory; TIME_CATEGORY_COUNT] = [
 
 impl TimeCategory {
     /// Stable index into the per-thread arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self as usize
     }
 
@@ -143,11 +143,6 @@ impl TimerGuard {
         record_time(self.category, now.duration_since(self.start));
         self.category = next;
         self.start = now;
-    }
-
-    /// Stops the timer early, charging the elapsed time now.
-    pub fn stop(mut self) {
-        self.finish();
     }
 
     fn finish(&mut self) {

@@ -352,16 +352,6 @@ impl Server {
         Session::new(Arc::clone(&self.core), window.max(1))
     }
 
-    /// The underlying storage manager.
-    pub fn db(&self) -> &Arc<Database> {
-        self.core.engine.db()
-    }
-
-    /// The serving architecture.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.core.engine.kind()
-    }
-
     /// Transactions currently executing.
     pub fn in_flight(&self) -> usize {
         self.core.gate.active()

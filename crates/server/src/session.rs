@@ -164,12 +164,14 @@ impl Session {
     }
 
     /// Submissions from this session currently inside `execute*` calls.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
         self.window.occupancy()
     }
 
     /// The session's in-flight window limit.
-    pub fn window(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn window(&self) -> usize {
         self.window.limit
     }
 }

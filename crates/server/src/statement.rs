@@ -43,7 +43,7 @@ impl Statement {
     }
 
     /// The statement's transaction-type label.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.prepared.name()
     }
 

@@ -54,7 +54,7 @@
 //! unique insert into a leaf with room. [`BTreeIndex::get_rid`] and
 //! [`BTreeIndex::range_rids`] decode nothing; the calls that return
 //! [`IndexEntry`]s decode the routing fields, which allocates only for text,
-//! and [`BTreeIndex::range_with`] decodes each key once.
+//! and `BTreeIndex::range_with` decodes each key once.
 //!
 //! Concurrency: the tree is protected by a single readers-writer latch. This
 //! is coarser than a production latch-crabbing scheme, and measured to be
@@ -128,7 +128,8 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-/// Decodes bytes this module normalized.
+/// Decodes bytes this module normalized. Every stored key was written by
+/// `Key::normalized`, so decoding cannot fail.
 fn decode(bytes: &[u8]) -> Key {
     Key::from_normalized(bytes).expect("an index stores only normalized keys")
 }
@@ -712,6 +713,8 @@ impl Node {
 
     // ----- internal nodes --------------------------------------------------
 
+    // Every key of an internal node has its child: only the slots past the
+    // node's length are `None` in the fixed array.
     fn child(&self, i: usize) -> &Node {
         match &self.items {
             Items::Internal(children) => children[i].as_deref().expect("a child per key"),
@@ -1001,7 +1004,12 @@ impl BTreeIndex {
 
     /// [`Self::range`] without the result list: hands each live entry to `f`
     /// in place, under the tree's read latch. Decodes each key once.
-    pub fn range_with(&self, range: &KeyRange, limit: usize, mut f: impl FnMut(&Key, &IndexEntry)) {
+    pub(crate) fn range_with(
+        &self,
+        range: &KeyRange,
+        limit: usize,
+        mut f: impl FnMut(&Key, &IndexEntry),
+    ) {
         if limit == 0 {
             return;
         }

@@ -23,7 +23,7 @@ use crate::page::Page;
 /// Key of a page across the whole database: which table's heap file it
 /// belongs to and its page number within that file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PageKey {
+pub(crate) struct PageKey {
     /// Owning table.
     pub table: TableId,
     /// Page number within the table's heap file.
@@ -47,56 +47,44 @@ impl PageStore {
     }
 
     /// Writes a page image back to the store.
-    pub fn write(&self, key: PageKey, page: Page) {
+    pub(crate) fn write(&self, key: PageKey, page: Page) {
         self.pages.lock().insert(key, page);
     }
 
     /// Reads a page image, if the page has ever been written back.
-    pub fn read(&self, key: PageKey) -> Option<Page> {
+    pub(crate) fn read(&self, key: PageKey) -> Option<Page> {
         self.pages.lock().get(&key).cloned()
     }
 
     /// Number of page images in the store.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pages.lock().len()
-    }
-
-    /// `true` if no page was ever written back.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 /// A buffer-pool frame: a page plus replacement metadata. The page itself is
 /// behind an `RwLock` acting as the page latch.
 #[derive(Debug)]
-pub struct Frame {
+pub(crate) struct Frame {
     /// The cached page. Readers take the lock shared, writers exclusive.
     pub page: RwLock<Page>,
     /// Number of active pins; a pinned frame cannot be evicted.
     pins: std::sync::atomic::AtomicU32,
     /// CLOCK reference bit.
     referenced: std::sync::atomic::AtomicBool,
-    key: PageKey,
 }
 
 impl Frame {
-    fn new(key: PageKey, page: Page) -> Self {
+    fn new(page: Page) -> Self {
         Self {
             page: RwLock::new(page),
             pins: std::sync::atomic::AtomicU32::new(0),
             referenced: std::sync::atomic::AtomicBool::new(true),
-            key,
         }
     }
 
-    /// The page key this frame caches.
-    pub fn key(&self) -> PageKey {
-        self.key
-    }
-
     /// Current pin count.
-    pub fn pin_count(&self) -> u32 {
+    pub(crate) fn pin_count(&self) -> u32 {
         self.pins.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
@@ -104,7 +92,7 @@ impl Frame {
 /// A pinned frame. The pin is released when the guard drops, making the frame
 /// evictable again.
 #[derive(Debug)]
-pub struct PinnedFrame {
+pub(crate) struct PinnedFrame {
     frame: Arc<Frame>,
 }
 
@@ -162,11 +150,6 @@ impl BufferPool {
         }
     }
 
-    /// Page size used for newly allocated pages.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Number of frames currently cached.
     #[cfg(test)]
     pub(crate) fn cached_frames(&self) -> usize {
@@ -175,7 +158,7 @@ impl BufferPool {
 
     /// Fetches (pinning) the frame for `key`, materializing it from the store
     /// or creating a fresh page if it was never written.
-    pub fn pin(&self, key: PageKey) -> DbResult<PinnedFrame> {
+    pub(crate) fn pin(&self, key: PageKey) -> DbResult<PinnedFrame> {
         let mut state = self.state.lock(TimeCategory::OtherContention);
         if let Some(frame) = state.frames.get(&key) {
             incr(CounterKind::BufferHits);
@@ -197,7 +180,7 @@ impl BufferPool {
             .store
             .read(key)
             .unwrap_or_else(|| Page::new(key.page, self.page_size));
-        let frame = Arc::new(Frame::new(key, page));
+        let frame = Arc::new(Frame::new(page));
         frame
             .pins
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -207,7 +190,7 @@ impl BufferPool {
     }
 
     /// Writes every dirty cached page back to the store (checkpoint helper).
-    pub fn flush_all(&self) {
+    pub(crate) fn flush_all(&self) {
         let state = self.state.lock(TimeCategory::OtherContention);
         for (key, frame) in state.frames.iter() {
             let mut page = frame.page.write();
@@ -288,7 +271,7 @@ mod tests {
         }
         let pinned = pool.pin(key(1, 0)).unwrap();
         let page = pinned.page.read();
-        assert_eq!(page.live_count(), 1);
+        assert_eq!(page.live_slots().count(), 1);
     }
 
     #[test]
@@ -306,10 +289,10 @@ mod tests {
         // Third page forces an eviction of one of the first two.
         let _pinned = pool.pin(key(1, 2)).unwrap();
         assert!(pool.cached_frames() <= 2);
-        assert!(!store.is_empty());
+        assert_ne!(store.len(), 0);
         // Whatever was evicted can be read back with its contents intact.
         let p0 = pool.pin(key(1, 0)).unwrap();
-        assert_eq!(p0.page.read().live_count(), 1);
+        assert_eq!(p0.page.read().live_slots().count(), 1);
     }
 
     #[test]
@@ -333,10 +316,10 @@ mod tests {
             let pinned = pool.pin(key(3, 7)).unwrap();
             pinned.page.write().insert(b"x").unwrap();
         }
-        assert!(store.is_empty());
+        assert_eq!(store.len(), 0);
         pool.flush_all();
         assert_eq!(store.len(), 1);
-        assert_eq!(store.read(key(3, 7)).unwrap().live_count(), 1);
+        assert_eq!(store.read(key(3, 7)).unwrap().live_slots().count(), 1);
     }
 
     #[test]
@@ -350,7 +333,7 @@ mod tests {
                     for _ in 0..100 {
                         let pinned = pool.pin(key(1, 0)).unwrap();
                         let mut page = pinned.page.write();
-                        if page.live_count() == 0 {
+                        if page.live_slots().count() == 0 {
                             page.insert(b"seed").unwrap();
                         }
                     }
@@ -361,6 +344,6 @@ mod tests {
             handle.join().unwrap();
         }
         let pinned = pool.pin(key(1, 0)).unwrap();
-        assert_eq!(pinned.page.read().live_count(), 1);
+        assert_eq!(pinned.page.read().live_slots().count(), 1);
     }
 }

@@ -68,27 +68,21 @@ impl TableSchema {
         }
     }
 
-    /// Overrides the routing fields.
-    pub fn with_routing_fields(mut self, routing_fields: Vec<usize>) -> Self {
-        self.routing_fields = routing_fields;
-        self
-    }
-
     /// Extracts the primary key of a row. Allocation-free for keys of up to
     /// [`Key::INLINE_LEN`] columns.
-    pub fn primary_key_of(&self, row: &Row) -> Key {
+    pub(crate) fn primary_key_of(&self, row: &Row) -> Key {
         Key::from_values(self.primary_key.iter().map(|&i| row[i].clone()))
     }
 
     /// Extracts the routing-field values of a row (the key DORA's routing
     /// rule consumes). Allocation-free for keys of up to [`Key::INLINE_LEN`]
     /// columns.
-    pub fn routing_key_of(&self, row: &Row) -> Key {
+    pub(crate) fn routing_key_of(&self, row: &Row) -> Key {
         Key::from_values(self.routing_fields.iter().map(|&i| row[i].clone()))
     }
 
     /// Validates that a row matches the schema (arity and column types).
-    pub fn validate(&self, row: &Row) -> DbResult<()> {
+    pub(crate) fn validate(&self, row: &Row) -> DbResult<()> {
         if row.len() != self.columns.len() {
             return Err(DbError::InvalidOperation(format!(
                 "row has {} values but {} has {} columns",
@@ -125,7 +119,7 @@ pub struct IndexSpec {
 impl IndexSpec {
     /// Extracts this index's key from a row. Allocation-free for keys of up
     /// to [`Key::INLINE_LEN`] columns.
-    pub fn key_of(&self, row: &Row) -> Key {
+    pub(crate) fn key_of(&self, row: &Row) -> Key {
         Key::from_values(self.key_columns.iter().map(|&c| row[c].clone()))
     }
 }
@@ -166,12 +160,12 @@ struct CatalogInner {
 
 impl Catalog {
     /// Creates an empty catalog.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers a table, returning its id.
-    pub fn add_table(&self, schema: TableSchema) -> DbResult<TableId> {
+    pub(crate) fn add_table(&self, schema: TableSchema) -> DbResult<TableId> {
         let mut inner = self.inner.write();
         if inner.table_names.contains_key(&schema.name) {
             return Err(DbError::InvalidOperation(format!(
@@ -190,7 +184,7 @@ impl Catalog {
     }
 
     /// Registers a secondary index, returning its id.
-    pub fn add_index(&self, spec: IndexSpec) -> DbResult<IndexId> {
+    pub(crate) fn add_index(&self, spec: IndexSpec) -> DbResult<IndexId> {
         let mut inner = self.inner.write();
         if inner.index_names.contains_key(&spec.name) {
             return Err(DbError::InvalidOperation(format!(
@@ -223,7 +217,7 @@ impl Catalog {
     }
 
     /// Table id by name.
-    pub fn table_id(&self, name: &str) -> DbResult<TableId> {
+    pub(crate) fn table_id(&self, name: &str) -> DbResult<TableId> {
         self.inner
             .read()
             .table_names
@@ -243,7 +237,7 @@ impl Catalog {
     }
 
     /// Index id by name.
-    pub fn index_id(&self, name: &str) -> DbResult<IndexId> {
+    pub(crate) fn index_id(&self, name: &str) -> DbResult<IndexId> {
         self.inner
             .read()
             .index_names
@@ -252,13 +246,8 @@ impl Catalog {
             .ok_or_else(|| DbError::NoSuchObject(name.to_string()))
     }
 
-    /// All tables currently defined.
-    pub fn tables(&self) -> Vec<Arc<TableMeta>> {
-        self.inner.read().tables.clone()
-    }
-
     /// Number of tables.
-    pub fn table_count(&self) -> usize {
+    pub(crate) fn table_count(&self) -> usize {
         self.inner.read().tables.len()
     }
 }
@@ -369,7 +358,8 @@ mod tests {
 
     #[test]
     fn routing_fields_can_be_overridden() {
-        let schema = sample_schema().with_routing_fields(vec![0, 1]);
+        let mut schema = sample_schema();
+        schema.routing_fields = vec![0, 1];
         let row: Row = vec![
             Value::Int(7),
             Value::Int(3),

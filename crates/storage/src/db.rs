@@ -35,7 +35,7 @@ use crate::txn::{TxnManager, TxnState, TxnStatus};
 /// An entry returned by a secondary-index probe: the record's RID plus the
 /// routing fields DORA needs to route the subsequent record access
 /// (Section 4.2.2).
-pub type SecondaryEntry = IndexEntry;
+pub(crate) type SecondaryEntry = IndexEntry;
 
 /// Replay records each recovery worker must have before one more is worth a
 /// thread spawn (a page run applies a record in about a microsecond).
@@ -64,28 +64,18 @@ impl TxnHandle {
         self.state.id
     }
 
-    /// Current status.
-    pub fn status(&self) -> TxnStatus {
-        self.state.status()
-    }
-
     /// `true` while the transaction is still running.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.state.is_active()
     }
 
-    /// Number of centralized locks currently held (diagnostics).
-    pub fn held_lock_count(&self) -> usize {
-        self.state.held_lock_count()
-    }
-
     /// The snapshot this transaction reads at, if it is a snapshot reader.
-    pub fn snapshot(&self) -> Option<&Arc<Snapshot>> {
+    pub(crate) fn snapshot(&self) -> Option<&Arc<Snapshot>> {
         self.snapshot.as_ref()
     }
 
     /// `true` if this is a lock-free snapshot reader.
-    pub fn is_snapshot(&self) -> bool {
+    pub(crate) fn is_snapshot(&self) -> bool {
         self.snapshot.is_some()
     }
 }
@@ -105,13 +95,6 @@ pub struct CommitHandle {
 }
 
 impl CommitHandle {
-    /// The commit record's LSN (`None` for read-only transactions, which
-    /// have nothing to make durable). The transaction is durable once the
-    /// log is flushed up to it.
-    pub fn commit_lsn(&self) -> Option<Lsn> {
-        self.commit.map(|(_, lsn)| lsn)
-    }
-
     /// `true` if precommit released the transaction's locks early (ELR).
     pub fn early_released(&self) -> bool {
         self.early_released
@@ -429,15 +412,13 @@ impl Database {
 
     /// Second half of commit: blocks until the commit record is durable,
     /// then releases locks if precommit did not already. The calling thread
-    /// drives the log itself ([`LogManager::flush`]): it performs the device
+    /// drives the log itself (`LogManager::flush`): it performs the device
     /// write if nobody else is writing, and otherwise follows the thread
     /// that is — no flusher thread is woken for a commit somebody waits on.
     /// Call it where a device write may run: not under a latch, not while
     /// holding a DORA executor's claim. The wall-clock wait
     /// is charged to [`TimeCategory::CommitWait`] so the driver can report
     /// commit latency separately from execute latency.
-    ///
-    /// [`LogManager::flush`]: crate::LogManager::flush
     pub fn commit_wait(&self, txn: &TxnHandle, handle: CommitHandle) -> DbResult<()> {
         let durable = handle
             .commit
@@ -1235,7 +1216,9 @@ impl Database {
                 .map(|shard| scope.spawn(move || Self::replay_shard(fresh, shard)))
                 .collect();
             for handle in handles {
-                handle.join().expect("replay worker panicked")?;
+                handle
+                    .join()
+                    .map_err(|_| DbError::Corruption("a replay worker panicked".into()))??;
             }
             Ok(())
         })
@@ -2008,18 +1991,16 @@ mod tests {
         let txn = db.begin();
         db.insert(&txn, table, account_row(1, "alice", 1.0), CcMode::Full)
             .unwrap();
-        assert!(txn.held_lock_count() > 0);
+        assert!(!txn.state.held.lock().is_empty());
         let handle = db.precommit(&txn).unwrap();
         assert!(handle.early_released());
-        let lsn = handle
-            .commit_lsn()
-            .expect("data change must log a commit record");
+        let (_, lsn) = handle.commit.expect("data change must log a commit record");
         assert_eq!(
-            txn.held_lock_count(),
+            txn.state.held.lock().len(),
             0,
             "ELR must release locks at precommit"
         );
-        assert_eq!(txn.status(), TxnStatus::Committed);
+        assert_eq!(txn.state.status(), TxnStatus::Committed);
         assert!(
             db.log_manager().flushed_lsn() < lsn,
             "commit record must not be durable yet"
@@ -2038,13 +2019,13 @@ mod tests {
         let handle = db.precommit(&txn).unwrap();
         assert!(!handle.early_released());
         assert!(
-            txn.held_lock_count() > 0,
+            !txn.state.held.lock().is_empty(),
             "without ELR, locks outlive precommit"
         );
-        assert_eq!(txn.status(), TxnStatus::Active);
+        assert_eq!(txn.state.status(), TxnStatus::Active);
         db.commit_wait(&txn, handle).unwrap();
-        assert_eq!(txn.held_lock_count(), 0);
-        assert_eq!(txn.status(), TxnStatus::Committed);
+        assert_eq!(txn.state.held.lock().len(), 0);
+        assert_eq!(txn.state.status(), TxnStatus::Committed);
     }
 
     #[test]
@@ -2054,7 +2035,7 @@ mod tests {
         db.insert(&txn, table, account_row(1, "alice", 1.0), CcMode::Full)
             .unwrap();
         let handle = db.precommit(&txn).unwrap();
-        let lsn = handle.commit_lsn().expect("a write logs a commit record");
+        let (_, lsn) = handle.commit.expect("a write logs a commit record");
         let done = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
         let done2 = Arc::clone(&done);
         let db2 = Arc::clone(&db);
@@ -2069,7 +2050,7 @@ mod tests {
         while !*flag {
             done.1.wait(&mut flag);
         }
-        assert_eq!(txn.status(), TxnStatus::Committed);
+        assert_eq!(txn.state.status(), TxnStatus::Committed);
     }
 
     #[test]
@@ -2213,7 +2194,11 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(row[2], Value::Float(100.0));
-        assert_eq!(reader.held_lock_count(), 0, "snapshot reads take no locks");
+        assert_eq!(
+            reader.state.held.lock().len(),
+            0,
+            "snapshot reads take no locks"
+        );
         db.commit(&reader).unwrap();
 
         // A fresh snapshot observes the newer commit.
@@ -2450,7 +2435,7 @@ mod tests {
         let txn = db.begin();
         db.range_primary(&txn, table, &w_range(1, 1, 3), usize::MAX, CcMode::Full)
             .unwrap();
-        assert_eq!(txn.held_lock_count(), 2, "database IS and table S");
+        assert_eq!(txn.state.held.lock().len(), 2, "database IS and table S");
         assert_eq!(
             txn.state.held.lock().mode(&LockId::Table(table)),
             Some(LockMode::S)
@@ -2466,7 +2451,7 @@ mod tests {
             .range_primary(&txn, table, &w_range(2, 9, 100), usize::MAX, CcMode::None)
             .unwrap();
         assert_eq!(orders_of(&rows), vec![(2, 9), (2, 10)]);
-        assert_eq!(txn.held_lock_count(), 0);
+        assert_eq!(txn.state.held.lock().len(), 0);
         let crossing = [
             KeyRange::new(Some(Key::int2(1, 9)), Some(Key::int2(2, 2))),
             KeyRange::new(Some(Key::int2(1, 9)), None),
@@ -2521,7 +2506,7 @@ mod tests {
             orders_of(&seen),
             (1..=10).map(|o| (1, o)).collect::<Vec<_>>()
         );
-        assert_eq!(reader.held_lock_count(), 0);
+        assert_eq!(reader.state.held.lock().len(), 0);
         db.commit(&reader).unwrap();
         let now = orders_of(&locked(usize::MAX));
         assert!(now.contains(&(1, 50)) && !now.contains(&(1, 5)));

@@ -5,7 +5,7 @@
 //! buffer pool; per-page `RwLock`s act as page latches.
 //!
 //! Reads hand the record to the caller in place, under the page's read
-//! latch ([`HeapFile::read_with`], [`HeapFile::scan`]), so the row codec
+//! latch (`HeapFile::read_with`, `HeapFile::scan`), so the row codec
 //! decodes straight from the page. [`HeapFile::read`] is the owned-copy
 //! wrapper for callers that keep the bytes.
 
@@ -27,7 +27,7 @@ struct HeapState {
 /// One slot-level operation of a batched page run
 /// (see [`HeapFile::apply_page_ops`]).
 #[derive(Debug, Clone, Copy)]
-pub enum PageOp<'a> {
+pub(crate) enum PageOp<'a> {
     /// Restore a record at a specific slot (redo of an insert).
     InsertAt(SlotId, &'a [u8]),
     /// Overwrite the record in a slot.
@@ -64,13 +64,8 @@ impl HeapFile {
         }
     }
 
-    /// The owning table.
-    pub fn table(&self) -> TableId {
-        self.table
-    }
-
     /// Number of pages allocated so far.
-    pub fn page_count(&self) -> u32 {
+    pub(crate) fn page_count(&self) -> u32 {
         self.state.lock(TimeCategory::OtherContention).page_count
     }
 
@@ -96,7 +91,7 @@ impl HeapFile {
     /// snapshot reader can observe the slot: a reader's page latch
     /// acquisition happens-after the latch release, so by the time it can
     /// read the bytes the chain already says whether they are visible.
-    pub fn insert_with(&self, record: &[u8], on_insert: impl FnOnce(Rid)) -> DbResult<Rid> {
+    pub(crate) fn insert_with(&self, record: &[u8], on_insert: impl FnOnce(Rid)) -> DbResult<Rid> {
         let mut on_insert = Some(on_insert);
         // Try candidate pages with space first, newest candidates last so
         // inserts cluster.
@@ -164,7 +159,11 @@ impl HeapFile {
     /// latch, and returns what `f` made of it. Every single-record read
     /// goes through here; callers decode the bytes instead of copying them
     /// out.
-    pub fn read_with<R>(&self, rid: Rid, f: impl FnOnce(&[u8]) -> DbResult<R>) -> DbResult<R> {
+    pub(crate) fn read_with<R>(
+        &self,
+        rid: Rid,
+        f: impl FnOnce(&[u8]) -> DbResult<R>,
+    ) -> DbResult<R> {
         let pinned = self.pool.pin(PageKey {
             table: self.table,
             page: rid.page,
@@ -192,7 +191,7 @@ impl HeapFile {
     /// later inserts. This is the non-transactional flavour: rollback of a
     /// same-transaction insert and recovery replay, where no concurrent
     /// transaction can race for the slot.
-    pub fn delete(&self, rid: Rid) -> DbResult<()> {
+    pub(crate) fn delete(&self, rid: Rid) -> DbResult<()> {
         let pinned = self.pool.pin(PageKey {
             table: self.table,
             page: rid.page,
@@ -215,7 +214,7 @@ impl HeapFile {
     /// insert could occupy the slot and make the delete's rollback
     /// impossible — which is also why deletes additionally lock the RID
     /// through the centralized manager even under DORA (Section 4.2.1).
-    pub fn delete_pending(&self, rid: Rid) -> DbResult<()> {
+    pub(crate) fn delete_pending(&self, rid: Rid) -> DbResult<()> {
         let pinned = self.pool.pin(PageKey {
             table: self.table,
             page: rid.page,
@@ -226,7 +225,7 @@ impl HeapFile {
 
     /// Commit-time counterpart of [`Self::delete_pending`]: drops the slot
     /// reservation and re-offers the page to inserts.
-    pub fn free_pending(&self, rid: Rid) -> DbResult<()> {
+    pub(crate) fn free_pending(&self, rid: Rid) -> DbResult<()> {
         let pinned = self.pool.pin(PageKey {
             table: self.table,
             page: rid.page,
@@ -243,7 +242,7 @@ impl HeapFile {
 
     /// Restores a record at a specific RID (transaction rollback of a delete,
     /// or recovery redo of an insert).
-    pub fn insert_at(&self, rid: Rid, record: &[u8]) -> DbResult<()> {
+    pub(crate) fn insert_at(&self, rid: Rid, record: &[u8]) -> DbResult<()> {
         {
             let mut state = self.state.lock(TimeCategory::OtherContention);
             if rid.page.0 >= state.page_count {
@@ -264,7 +263,7 @@ impl HeapFile {
     /// arrives as one run; applying it in one shot amortizes the buffer-pool
     /// lookup and keeps replay workers from ever touching a shared latch
     /// per record.
-    pub fn apply_page_ops(&self, page_id: PageId, ops: &[PageOp<'_>]) -> DbResult<()> {
+    pub(crate) fn apply_page_ops(&self, page_id: PageId, ops: &[PageOp<'_>]) -> DbResult<()> {
         if ops.is_empty() {
             return Ok(());
         }
@@ -299,19 +298,9 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Returns `true` if `rid` points at a live record.
-    pub fn is_live(&self, rid: Rid) -> DbResult<bool> {
-        let pinned = self.pool.pin(PageKey {
-            table: self.table,
-            page: rid.page,
-        })?;
-        let page = pinned.page.read();
-        Ok(page.is_live(rid.slot))
-    }
-
     /// Full scan: calls `f` for every live record, in place under the page's
     /// read latch. Used by table scans and by consistency checks in tests.
-    pub fn scan(&self, mut f: impl FnMut(Rid, &[u8])) -> DbResult<()> {
+    pub(crate) fn scan(&self, mut f: impl FnMut(Rid, &[u8])) -> DbResult<()> {
         let page_count = self.page_count();
         for page_number in 0..page_count {
             let page_id = PageId(page_number);
@@ -355,7 +344,6 @@ mod tests {
         assert_eq!(heap.read(rid).unwrap().as_ref(), b"updated");
         heap.delete(rid).unwrap();
         assert!(heap.read(rid).is_err());
-        assert!(!heap.is_live(rid).unwrap());
     }
 
     #[test]

@@ -42,7 +42,7 @@ unsafe impl<T: Send> Sync for Latch<T> {}
 
 impl<T> Latch<T> {
     /// Creates a latch protecting `value`.
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         Self {
             locked: AtomicBool::new(false),
             data: UnsafeCell::new(value),
@@ -54,7 +54,7 @@ impl<T> Latch<T> {
     /// The fast path (latch free, single compare-and-swap) performs no timing
     /// at all so that un-contended acquisitions stay cheap, mirroring how
     /// latch costs only become visible under contention.
-    pub fn lock(&self, contention_category: TimeCategory) -> LatchGuard<'_, T> {
+    pub(crate) fn lock(&self, contention_category: TimeCategory) -> LatchGuard<'_, T> {
         if self
             .locked
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -92,31 +92,12 @@ impl<T> Latch<T> {
             }
         }
     }
-
-    /// Attempts to acquire the latch without spinning.
-    pub fn try_lock(&self) -> Option<LatchGuard<'_, T>> {
-        if self
-            .locked
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            incr(CounterKind::LatchFastPath);
-            Some(LatchGuard { latch: self })
-        } else {
-            None
-        }
-    }
-
-    /// Consumes the latch and returns the protected value.
-    pub fn into_inner(self) -> T {
-        self.data.into_inner()
-    }
 }
 
 /// RAII guard for a held [`Latch`]. Dereferences to the protected value and
 /// releases the latch on drop.
 #[derive(Debug)]
-pub struct LatchGuard<'a, T> {
+pub(crate) struct LatchGuard<'a, T> {
     latch: &'a Latch<T>,
 }
 
@@ -173,15 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_fails_while_held() {
-        let latch = Latch::new(1);
-        let guard = latch.lock(TimeCategory::OtherContention);
-        assert!(latch.try_lock().is_none());
-        drop(guard);
-        assert!(latch.try_lock().is_some());
-    }
-
-    #[test]
     fn contention_is_recorded() {
         use dora_metrics::global;
         let before = global().snapshot();
@@ -197,11 +169,5 @@ mod tests {
         let delta = global().snapshot().since(&before);
         assert!(delta.nanos(TimeCategory::LockMgrAcquireContention) >= 1_000_000);
         assert!(delta.counter(CounterKind::LatchContended) >= 1);
-    }
-
-    #[test]
-    fn into_inner_returns_value() {
-        let latch = Latch::new(vec![1, 2, 3]);
-        assert_eq!(latch.into_inner(), vec![1, 2, 3]);
     }
 }

@@ -80,7 +80,7 @@ impl LockMode {
     /// Least upper bound of two modes in the lock lattice: the mode a
     /// transaction must hold to cover both. Used for lock upgrades
     /// (e.g. S + IX = SIX, S + X = X).
-    pub fn combine(self, other: LockMode) -> LockMode {
+    pub(crate) fn combine(self, other: LockMode) -> LockMode {
         use LockMode::*;
         if self == other {
             return self;
@@ -104,7 +104,7 @@ impl LockMode {
 
     /// The intention mode a parent in the hierarchy must be held in before
     /// requesting `self` on a child.
-    pub fn intention(self) -> LockMode {
+    pub(crate) fn intention(self) -> LockMode {
         use LockMode::*;
         match self {
             IS | S => IS,
@@ -136,18 +136,9 @@ impl LockId {
         LockId::Record(table, rid.pack())
     }
 
-    /// The parent resource in the hierarchy, if any.
-    pub fn parent(self) -> Option<LockId> {
-        match self {
-            LockId::Database => None,
-            LockId::Table(_) => Some(LockId::Database),
-            LockId::Record(table, _) => Some(LockId::Table(table)),
-        }
-    }
-
     /// `true` if this is a row-level (record) lock. Figure 5 of the paper
     /// splits lock counts into row-level and higher-level.
-    pub fn is_row_level(self) -> bool {
+    pub(crate) fn is_row_level(self) -> bool {
         matches!(self, LockId::Record(_, _))
     }
 }

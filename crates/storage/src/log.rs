@@ -10,7 +10,7 @@
 //! device.
 //!
 //! **Commit order is log order.** A committing transaction appends one
-//! commit record ([`LogManager::append_commit`]) carrying its **commit
+//! commit record (`LogManager::append_commit`) carrying its **commit
 //! sequence**, drawn under the same mutex that assigns the record's LSN, so
 //! sequences increase with LSN and every prefix of the log holds exactly the
 //! sequences `1..=k` for some `k`. The record is appended while the
@@ -32,7 +32,7 @@
 //!   One that finds the claim held is a *follower*: it returns as soon as a
 //!   leader's horizon covers its LSN, and otherwise takes the claim when it
 //!   frees (yield-polling for about one device latency, then parking).
-//! * A commit **nobody blocks on** ([`LogManager::submit_commit`], which
+//! * A commit **nobody blocks on** (`LogManager::submit_commit`, which
 //!   fires a callback once the commit record is durable) is queued for
 //!   whoever hardens it next, and the `log-flusher` daemon — spawned by the
 //!   first such commit — makes sure somebody does, by the same
@@ -46,7 +46,7 @@
 //! low-water mark asks for records that no longer exist. A checkpoint is
 //! background work:
 //!
-//! * *Who builds.* The precommit path ([`LogManager::maybe_checkpoint`])
+//! * *Who builds.* The precommit path (`LogManager::maybe_checkpoint`)
 //!   compares a counter; the one committer per
 //!   [`DurabilityConfig::checkpoint_interval`] records that resets it wakes
 //!   the `log-checkpointer` thread (spawned at the first crossing, joined on
@@ -139,7 +139,7 @@ impl LogRecordKind {
     }
 
     /// The row a data-change record touches (`None` for begin/commit/abort).
-    pub fn row_key(&self) -> Option<(TableId, Rid)> {
+    pub(crate) fn row_key(&self) -> Option<(TableId, Rid)> {
         match self {
             LogRecordKind::Insert { table, rid, .. }
             | LogRecordKind::Update { table, rid, .. }
@@ -169,7 +169,7 @@ pub struct LogRecord {
 /// whichever thread hardens the commit record — a committer leading the
 /// device write, or the daemon — or inline on the submitter when the fate is
 /// already known; must not block on the log.
-pub type DurableCallback = Box<dyn FnOnce(bool) + Send + 'static>;
+pub(crate) type DurableCallback = Box<dyn FnOnce(bool) + Send + 'static>;
 
 /// One commit nobody blocks on, waiting for its completion callback.
 struct PendingCommit {
@@ -541,6 +541,8 @@ impl LogCore {
         {
             let mut flusher = self.flusher.lock();
             if flusher.is_none() {
+                // Spawning fails only when the OS refuses a thread, which is
+                // fatal here as it is for `std::thread::spawn`.
                 let log = Arc::clone(self);
                 *flusher = Some(
                     std::thread::Builder::new()
@@ -703,6 +705,8 @@ fn fold_row(slot: &mut Vec<LogRecord>, record: LogRecord) {
         }
         _ => Action::Push,
     };
+    // `ReplaceKind` and `ReplaceRecord` are chosen only when `slot.last()`
+    // is `Some`.
     match action {
         Action::Push => slot.push(record),
         Action::Pop => {
@@ -822,6 +826,7 @@ impl Checkpointer {
         committed.sort_by_key(|&(seq, _)| seq);
         let folded = committed.len() as u64;
         for (_, record) in committed {
+            // `committed` holds only data changes, and each names a row.
             let key = record.kind.row_key().expect("data record has a row");
             let slot = checkpoint.rows.entry(key).or_default();
             fold_row(slot, record);
@@ -904,13 +909,15 @@ impl LogManager {
     /// callbacks are queued but the horizon stopped advancing, re-nudges the
     /// log's condvars (and counts the nudge) — the safety net against a
     /// stalled or wakeup-starved writer wedging every committer behind it.
-    pub fn with_faults(
+    pub(crate) fn with_faults(
         flush_latency_micros: u64,
         durability: DurabilityConfig,
         faults: Arc<FaultPlan>,
     ) -> Self {
         let log = Arc::new(LogCore::new(flush_latency_micros, Arc::clone(&faults)));
         let watchdog_stop = Arc::new(AtomicBool::new(false));
+        // Spawning fails only when the OS refuses a thread, which is fatal
+        // here as it is for `std::thread::spawn`.
         let watchdog = if faults.enabled() {
             let watched = Arc::clone(&log);
             let stop = Arc::clone(&watchdog_stop);
@@ -941,7 +948,7 @@ impl LogManager {
     }
 
     /// The fault schedule this log's device draws from.
-    pub fn faults(&self) -> &Arc<FaultPlan> {
+    pub(crate) fn faults(&self) -> &Arc<FaultPlan> {
         &self.log.faults
     }
 
@@ -950,13 +957,8 @@ impl LogManager {
         self.log.failed.load(Ordering::Acquire)
     }
 
-    /// The durability knobs this log runs with.
-    pub fn durability(&self) -> &DurabilityConfig {
-        &self.durability
-    }
-
     /// Appends a record for `txn`, returning its LSN. Commit records go
-    /// through [`Self::append_commit`], which draws their sequence.
+    /// through `Self::append_commit`, which draws their sequence.
     pub fn append(&self, txn: TxnId, kind: LogRecordKind) -> Lsn {
         debug_assert!(
             !matches!(kind, LogRecordKind::Commit { .. }),
@@ -974,7 +976,7 @@ impl LogManager {
     /// sequence order is log order and every log prefix holds a dense run of
     /// sequences. Must be called while the transaction's locks are still
     /// held, so dependents commit at strictly larger LSNs.
-    pub fn append_commit(&self, txn: TxnId) -> (u64, Lsn) {
+    pub(crate) fn append_commit(&self, txn: TxnId) -> (u64, Lsn) {
         let mut records = self.log.records.lock();
         records.commits += 1;
         let seq = records.commits;
@@ -989,7 +991,7 @@ impl LogManager {
         (seq, lsn)
     }
 
-    /// [`Self::append_commit`] under its former multi-stream signature, kept
+    /// `Self::append_commit` under its former multi-stream signature, kept
     /// for the repository's benchmark harness (`benchmark/src/sut.rs`), which
     /// probes the commit path through it. `_streams` is ignored: the log has
     /// one stream. Nothing else may call this.
@@ -1006,11 +1008,11 @@ impl LogManager {
     /// nobody on the way in or out; if somebody is, it follows — that write
     /// covers `lsn`, or the caller leads the next one. Threads that find
     /// their LSN already flushed return immediately.
-    pub fn flush(&self, lsn: Lsn) -> bool {
+    pub(crate) fn flush(&self, lsn: Lsn) -> bool {
         self.log.flush(lsn, true)
     }
 
-    /// [`Self::flush`] under its former multi-stream signature, kept for the
+    /// `Self::flush` under its former multi-stream signature, kept for the
     /// repository's benchmark harness (`benchmark/src/sut.rs`), which flushes
     /// what [`Self::append_commit_fences`] returned. Nothing else may call
     /// this.
@@ -1025,7 +1027,7 @@ impl LogManager {
     /// covering it, or the caller itself if it is already durable.
     ///
     /// [`Database::commit_async`]: crate::Database::commit_async
-    pub fn submit_commit(&self, lsn: Lsn, callback: DurableCallback) {
+    pub(crate) fn submit_commit(&self, lsn: Lsn, callback: DurableCallback) {
         self.log.submit_commit(lsn, callback);
     }
 
@@ -1072,7 +1074,7 @@ impl LogManager {
     /// Returns the records of `txn` in undo order: the transaction's
     /// `prev_lsn` chain walked backwards from its last record — O(records of
     /// `txn`), not a full-log scan.
-    pub fn records_for_undo(&self, txn: TxnId) -> Vec<LogRecord> {
+    pub(crate) fn records_for_undo(&self, txn: TxnId) -> Vec<LogRecord> {
         let last = self
             .log
             .last_lsn_per_txn
@@ -1185,7 +1187,7 @@ impl LogManager {
     /// wake-up of the `log-checkpointer` thread (spawned here the first
     /// time). No committer ever builds; with
     /// [`DurabilityConfig::checkpoint_interval`] = 0 the thread never exists.
-    pub fn maybe_checkpoint(&self) {
+    pub(crate) fn maybe_checkpoint(&self) {
         let interval = self.durability.checkpoint_interval;
         if interval == 0
             || self.records_since_checkpoint.load(Ordering::Relaxed) < interval
@@ -1195,6 +1197,8 @@ impl LogManager {
         }
         let mut thread = self.checkpointer_thread.lock();
         if thread.is_none() {
+            // Spawning fails only when the OS refuses a thread, which is
+            // fatal here as it is for `std::thread::spawn`.
             let checkpointer = Arc::clone(&self.checkpointer);
             *thread = Some(
                 std::thread::Builder::new()
@@ -1255,7 +1259,7 @@ impl LogManager {
     }
 
     /// Forgets per-transaction bookkeeping for a finished transaction.
-    pub fn forget(&self, txn: TxnId) {
+    pub(crate) fn forget(&self, txn: TxnId) {
         self.log.last_lsn_per_txn.lock().remove(&txn);
     }
 }

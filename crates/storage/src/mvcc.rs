@@ -24,7 +24,7 @@
 //! push `(table, rid, pre-image, after-image)` to the transaction's
 //! `WriteList`]* under that list's mutex (`VersionStore::seed_write`
 //! is the first step). The list carries the versioning *period* the
-//! transaction belongs to, stamped by [`TxnManager::begin`] under the mutex it
+//! transaction belongs to, stamped by `TxnManager::begin` under the mutex it
 //! takes anyway. Period 0 — no snapshot was open — makes the seed a branch not
 //! taken: no shard, no hash probe, no allocation, no copy. In a period the
 //! seed stores the pre-image as the row's chain base (ticket 0) before the
@@ -78,7 +78,7 @@
 //!   ticket below it has been published, closing the race where a ticket has
 //!   been drawn but its writes are not in the chains yet.
 //! * `durable` — advanced only when a commit's record actually hardened.
-//!   [`VersionStore::durable_horizon`] therefore provably excludes ELR
+//!   `VersionStore::durable_horizon` therefore provably excludes ELR
 //!   ghost commits (applied in memory, never durable): a ghost never
 //!   advances the clock, so neither it nor anything after it on that clock
 //!   is below the durable horizon. The price is the one the chains used to
@@ -201,7 +201,7 @@ impl VersionChain {
 
 /// What a chain lookup said about a row at a horizon.
 #[derive(Debug)]
-pub enum ChainRead {
+pub(crate) enum ChainRead {
     /// The row has no chain: nobody wrote it while a snapshot could need its
     /// history, so the heap bytes are committed and visible to every live
     /// snapshot.
@@ -301,8 +301,7 @@ impl WatermarkClock {
         }
         Self::slot(&mut ahead, frontier, seq).marked = true;
         let mut passed = Vec::new();
-        while ahead.front().is_some_and(|slot| slot.marked) {
-            let slot = ahead.pop_front().expect("front was just seen");
+        while let Some(slot) = ahead.pop_front_if(|slot| slot.marked) {
             // Usually one slot passes: its list moves out, nothing is copied.
             if passed.is_empty() {
                 passed = slot.writes;
@@ -454,14 +453,14 @@ impl Default for VersionStore {
 
 impl VersionStore {
     /// Creates an empty store over a transaction manager of its own.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::over(Arc::new(TxnManager::new()), Arc::new(FaultPlan::disabled()))
     }
 
     /// Creates an empty store for the transactions of `txns`. The collector
     /// thread is spawned by the first snapshot, so databases that never
     /// snapshot never pay for it.
-    pub fn over(txns: Arc<TxnManager>, faults: Arc<FaultPlan>) -> Self {
+    pub(crate) fn over(txns: Arc<TxnManager>, faults: Arc<FaultPlan>) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             unlinked: Mutex::new(HashMap::new()),
@@ -587,30 +586,30 @@ impl VersionStore {
     /// are never marked, so the durable horizon stalls below the first
     /// ghost — exactly the conservative bound [`Self::durable_horizon`]
     /// promises.
-    pub fn mark_durable(&self, seq: u64) {
+    pub(crate) fn mark_durable(&self, seq: u64) {
         self.durable.mark(seq);
     }
 
     /// The rid a snapshot probe should consult when the primary index no
     /// longer has an entry for `key`.
-    pub fn unlinked_rid(&self, table: TableId, key: &Key) -> Option<Rid> {
+    pub(crate) fn unlinked_rid(&self, table: TableId, key: &Key) -> Option<Rid> {
         self.unlinked.lock().get(&(table, key.clone())).copied()
     }
 
     // ----- read side --------------------------------------------------------
 
     /// The published ticket horizon: what a fresh snapshot would see.
-    pub fn published_horizon(&self) -> u64 {
+    pub(crate) fn published_horizon(&self) -> u64 {
         self.published.frontier()
     }
 
     /// The horizon at which every ticket is both published *and* durable.
-    pub fn durable_horizon(&self) -> u64 {
+    pub(crate) fn durable_horizon(&self) -> u64 {
         self.published.frontier().min(self.durable.frontier())
     }
 
     /// Looks up `rid`'s visible state at `horizon`.
-    pub fn read_at(&self, table: TableId, rid: Rid, horizon: u64) -> ChainRead {
+    pub(crate) fn read_at(&self, table: TableId, rid: Rid, horizon: u64) -> ChainRead {
         let shard = self.shard(table, rid).lock();
         match shard.chains.get(&(table, rid)) {
             None => ChainRead::Primordial,
@@ -625,7 +624,7 @@ impl VersionStore {
     /// version at `horizon`, excluding rids in `skip`. This is the scan's
     /// second pass: rows whose heap slot is gone (deleted after the
     /// horizon) or whose heap bytes are newer than the horizon.
-    pub fn visible_chain_rows(
+    pub(crate) fn visible_chain_rows(
         &self,
         table: TableId,
         horizon: u64,
@@ -778,7 +777,7 @@ impl VersionStore {
     }
 
     /// Horizon of the oldest live snapshot, if any.
-    pub fn oldest_snapshot(&self) -> Option<u64> {
+    pub(crate) fn oldest_snapshot(&self) -> Option<u64> {
         self.snapshots.lock().live.keys().next().copied()
     }
 
@@ -851,7 +850,7 @@ impl VersionStore {
     }
 
     /// Aggregate store health for reports and tests.
-    pub fn stats(&self) -> MvccStats {
+    pub(crate) fn stats(&self) -> MvccStats {
         let mut chains = 0usize;
         let mut versions = 0usize;
         let mut chain_lengths = ValueHistogram::new();

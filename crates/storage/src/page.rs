@@ -30,7 +30,7 @@ struct Slot {
 /// sits between the end of the (conceptual) slot directory and
 /// `free_space_end`, the start of the payload area.
 #[derive(Debug, Clone)]
-pub struct Page {
+pub(crate) struct Page {
     /// The page's id within its heap file.
     pub id: PageId,
     data: Vec<u8>,
@@ -52,7 +52,7 @@ const SLOT_OVERHEAD: usize = 8;
 
 impl Page {
     /// Creates an empty page of `size` bytes.
-    pub fn new(id: PageId, size: usize) -> Self {
+    pub(crate) fn new(id: PageId, size: usize) -> Self {
         Self {
             id,
             data: vec![0; size],
@@ -64,48 +64,43 @@ impl Page {
     }
 
     /// Total capacity of the page in bytes.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.data.len()
     }
 
-    /// Number of live records on the page.
-    pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.live).count()
-    }
-
     /// Whether the page has been modified since the last write-back.
-    pub fn is_dirty(&self) -> bool {
+    pub(crate) fn is_dirty(&self) -> bool {
         self.dirty
     }
 
     /// Clears the dirty flag (called by the buffer pool after write-back).
-    pub fn mark_clean(&mut self) {
+    pub(crate) fn mark_clean(&mut self) {
         self.dirty = false;
     }
 
     /// Contiguous free bytes available without compaction, accounting for the
     /// slot directory entry a new record would need.
-    pub fn contiguous_free(&self) -> usize {
+    pub(crate) fn contiguous_free(&self) -> usize {
         let directory = self.slots.len() * SLOT_OVERHEAD + SLOT_OVERHEAD;
         self.free_space_end.saturating_sub(directory)
     }
 
     /// Free bytes that would be available after compaction.
-    pub fn reclaimable_free(&self) -> usize {
+    pub(crate) fn reclaimable_free(&self) -> usize {
         let directory = self.slots.len() * SLOT_OVERHEAD + SLOT_OVERHEAD;
         self.capacity().saturating_sub(self.live_bytes + directory)
     }
 
     /// Returns `true` if a record of `len` bytes fits on this page (possibly
     /// after compaction).
-    pub fn fits(&self, len: usize) -> bool {
+    pub(crate) fn fits(&self, len: usize) -> bool {
         self.reclaimable_free() >= len
     }
 
     /// Inserts a record, returning its slot id. Reuses dead slots when
     /// possible so that slot ids stay dense; compacts the payload area when
     /// fragmentation prevents an otherwise-possible insert.
-    pub fn insert(&mut self, record: &[u8]) -> DbResult<SlotId> {
+    pub(crate) fn insert(&mut self, record: &[u8]) -> DbResult<SlotId> {
         if !self.fits(record.len()) {
             return Err(DbError::PageFull { table: TableId(0) });
         }
@@ -139,7 +134,7 @@ impl Page {
 
     /// The record in `slot`, in place: valid while the page is borrowed, so
     /// a caller holding the page latch can decode it without a copy.
-    pub fn read(&self, slot: SlotId) -> DbResult<&[u8]> {
+    pub(crate) fn read(&self, slot: SlotId) -> DbResult<&[u8]> {
         let entry = self.slot(slot)?;
         if !entry.live {
             return Err(DbError::InvalidRid {
@@ -158,7 +153,7 @@ impl Page {
     /// Overwrites the record in `slot` with `record`, in place when it fits
     /// in the old payload slot and by re-allocation within the page
     /// otherwise.
-    pub fn update(&mut self, slot: SlotId, record: &[u8]) -> DbResult<()> {
+    pub(crate) fn update(&mut self, slot: SlotId, record: &[u8]) -> DbResult<()> {
         let entry = *self.slot(slot)?;
         if !entry.live {
             return Err(DbError::InvalidRid {
@@ -201,7 +196,7 @@ impl Page {
     }
 
     /// Deletes the record in `slot`, freeing its slot for reuse.
-    pub fn delete(&mut self, slot: SlotId) -> DbResult<()> {
+    pub(crate) fn delete(&mut self, slot: SlotId) -> DbResult<()> {
         self.delete_inner(slot, false)
     }
 
@@ -211,7 +206,7 @@ impl Page {
     /// record there (at its abort). This closes the window where a concurrent
     /// insert steals the slot of an uncommitted delete and makes its rollback
     /// impossible.
-    pub fn delete_reserve(&mut self, slot: SlotId) -> DbResult<()> {
+    pub(crate) fn delete_reserve(&mut self, slot: SlotId) -> DbResult<()> {
         self.delete_inner(slot, true)
     }
 
@@ -233,11 +228,11 @@ impl Page {
         Ok(())
     }
 
-    /// Drops the reservation left by [`Self::delete_reserve`], making the
+    /// Drops the reservation left by `Self::delete_reserve`, making the
     /// slot reusable by inserts. Called once the deleting transaction's
     /// commit is decided. Errors if the slot is live (the delete was rolled
     /// back — releasing would free an occupied slot).
-    pub fn release(&mut self, slot: SlotId) -> DbResult<()> {
+    pub(crate) fn release(&mut self, slot: SlotId) -> DbResult<()> {
         let entry = *self.slot(slot)?;
         if entry.live {
             return Err(DbError::InvalidOperation(format!(
@@ -253,7 +248,7 @@ impl Page {
     /// Re-inserts a record into a specific (currently dead) slot. Used by
     /// transaction rollback and by recovery redo, which must restore a record
     /// at its original RID.
-    pub fn insert_at(&mut self, slot: SlotId, record: &[u8]) -> DbResult<()> {
+    pub(crate) fn insert_at(&mut self, slot: SlotId, record: &[u8]) -> DbResult<()> {
         let idx = slot.0 as usize;
         if idx >= self.slots.len() {
             // Slot directory must grow to reach this slot (recovery into a
@@ -296,16 +291,8 @@ impl Page {
         Ok(())
     }
 
-    /// Returns `true` if `slot` exists and currently holds a live record.
-    pub fn is_live(&self, slot: SlotId) -> bool {
-        self.slots
-            .get(slot.0 as usize)
-            .map(|s| s.live)
-            .unwrap_or(false)
-    }
-
     /// Iterates over the live slots of the page.
-    pub fn live_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
+    pub(crate) fn live_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
         self.slots
             .iter()
             .enumerate()
@@ -356,7 +343,7 @@ mod tests {
         let mut p = page();
         let slot = p.insert(b"hello").unwrap();
         assert_eq!(p.read(slot).unwrap(), b"hello");
-        assert_eq!(p.live_count(), 1);
+        assert_eq!(p.live_slots().count(), 1);
         assert!(p.is_dirty());
     }
 

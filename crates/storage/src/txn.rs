@@ -21,7 +21,7 @@ use crate::mvcc::WriteList;
 
 /// Lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnStatus {
+pub(crate) enum TxnStatus {
     /// Running; may still acquire locks and write log records.
     Active,
     /// Successfully committed.
@@ -32,7 +32,7 @@ pub enum TxnStatus {
 
 /// Shared state of one transaction.
 #[derive(Debug)]
-pub struct TxnState {
+pub(crate) struct TxnState {
     /// Transaction id.
     pub id: TxnId,
     status: Mutex<TxnStatus>,
@@ -73,24 +73,19 @@ impl TxnState {
     }
 
     /// Current status.
-    pub fn status(&self) -> TxnStatus {
+    pub(crate) fn status(&self) -> TxnStatus {
         *self.status.lock()
     }
 
     /// `true` while the transaction can still do work.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.status() == TxnStatus::Active
     }
 
     /// `true` once the transaction has logged any data-change record
     /// (commit must then append and flush a commit record).
-    pub fn has_writes(&self) -> bool {
+    pub(crate) fn has_writes(&self) -> bool {
         self.begin_logged.load(Ordering::Acquire)
-    }
-
-    /// Number of centralized locks currently held (diagnostics / tests).
-    pub fn held_lock_count(&self) -> usize {
-        self.held.lock().len()
     }
 
     pub(crate) fn set_status(&self, status: TxnStatus) {
@@ -107,7 +102,7 @@ impl TxnState {
 }
 
 /// Allocates transaction ids and tracks active transactions.
-pub struct TxnManager {
+pub(crate) struct TxnManager {
     next_id: AtomicU64,
     active: Mutex<Active>,
 }
@@ -138,7 +133,7 @@ impl Default for TxnManager {
 
 impl TxnManager {
     /// Creates a transaction manager.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             next_id: AtomicU64::new(1),
             active: Mutex::new(Active::default()),
@@ -146,7 +141,7 @@ impl TxnManager {
     }
 
     /// Starts a new transaction.
-    pub fn begin(&self) -> Arc<TxnState> {
+    pub(crate) fn begin(&self) -> Arc<TxnState> {
         let id = TxnId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let state = Arc::new(TxnState::new(id));
         let mut active = self.active.lock();
@@ -176,7 +171,7 @@ impl TxnManager {
     }
 
     /// Marks a transaction finished and forgets it.
-    pub fn finish(&self, txn: &TxnState, status: TxnStatus) {
+    pub(crate) fn finish(&self, txn: &TxnState, status: TxnStatus) {
         txn.set_status(status);
         self.active.lock().txns.remove(&txn.id);
         match status {
@@ -187,13 +182,8 @@ impl TxnManager {
     }
 
     /// Number of transactions currently active.
-    pub fn active_count(&self) -> usize {
+    pub(crate) fn active_count(&self) -> usize {
         self.active.lock().txns.len()
-    }
-
-    /// Looks up an active transaction by id.
-    pub fn get(&self, id: TxnId) -> Option<Arc<TxnState>> {
-        self.active.lock().txns.get(&id).cloned()
     }
 }
 
@@ -207,11 +197,11 @@ mod tests {
         let txn = manager.begin();
         assert!(txn.is_active());
         assert_eq!(manager.active_count(), 1);
-        assert!(manager.get(txn.id).is_some());
+        assert!(manager.active.lock().txns.contains_key(&txn.id));
         manager.finish(&txn, TxnStatus::Committed);
         assert_eq!(txn.status(), TxnStatus::Committed);
         assert_eq!(manager.active_count(), 0);
-        assert!(manager.get(txn.id).is_none());
+        assert!(!manager.active.lock().txns.contains_key(&txn.id));
     }
 
     #[test]

@@ -42,15 +42,10 @@ impl ScanSummary {
     pub fn grand_total(&self) -> f64 {
         self.group_totals.values().sum()
     }
-
-    /// Number of distinct groups seen.
-    pub fn groups(&self) -> usize {
-        self.group_totals.len()
-    }
 }
 
 /// Shared landing pad for scan results: the program writes the latest
-/// execution's [`ScanSummary`] into it, the owner reads it between runs.
+/// execution's `ScanSummary` into it, the owner reads it between runs.
 pub type ScanSink = Mutex<ScanSummary>;
 
 /// Factory for the analytical scan programs.
@@ -59,7 +54,7 @@ pub struct AnalyticalScan;
 
 impl AnalyticalScan {
     /// Transaction label of the TPC-B branch-balance aggregation.
-    pub const BRANCH_BALANCES: &'static str = "analytics-branch-balances";
+    pub(crate) const BRANCH_BALANCES: &'static str = "analytics-branch-balances";
 
     /// Creates a fresh result sink.
     pub fn sink() -> Arc<ScanSink> {
@@ -113,7 +108,7 @@ mod tests {
         prepared.run_snapshot(&db, &snapshot).unwrap();
         let summary = sink.lock().clone();
         assert_eq!(summary.rows_scanned, 3 * 40);
-        assert_eq!(summary.groups(), 3);
+        assert_eq!(summary.group_totals.len(), 3);
         // Freshly loaded accounts all carry a zero balance.
         assert_eq!(summary.grand_total(), 0.0);
     }

@@ -14,25 +14,25 @@
 //! All workloads route on the leading primary-key column (subscriber id,
 //! warehouse id, branch id, counter id), the choice the paper recommends.
 //!
-//! Beyond the paper's three benchmarks, [`skewed`] adds a zipfian
-//! counter workload (backed by the [`zipf`] generators) whose hot range can
+//! Beyond the paper's three benchmarks, `skewed` adds a zipfian
+//! counter workload (backed by the `zipf` generators) whose hot range can
 //! drift over time — the adversarial distribution the adaptive
-//! repartitioning subsystem is exercised with — and [`analytics`] adds the
+//! repartitioning subsystem is exercised with — and `analytics` adds the
 //! read-only scan that sweeps TPC-B's accounts on a snapshot beside the
 //! OLTP load.
 
-pub mod analytics;
-pub mod skewed;
-pub mod spec;
-pub mod tm1;
-pub mod tpcb;
+mod analytics;
+mod skewed;
+mod spec;
+mod tm1;
+mod tpcb;
 pub mod tpcc;
-pub mod zipf;
+mod zipf;
 
-pub use analytics::{AnalyticalScan, ScanSink, ScanSummary};
+pub use analytics::{AnalyticalScan, ScanSink};
 pub use skewed::SkewedCounters;
-pub use spec::{OutcomeCounts, TxnTypeStats, Workload, WorkloadStats};
+pub use spec::{Workload, WorkloadStats};
 pub use tm1::{Tm1, Tm1Mix};
 pub use tpcb::TpcB;
 pub use tpcc::{Tpcc, TpccMix};
-pub use zipf::{DriftingHotSpot, Zipfian};
+pub use zipf::Zipfian;

@@ -123,9 +123,9 @@ impl WorkloadStats {
     }
 
     /// Creates statistics with every label of `workload`'s mix
-    /// pre-registered (all-zero tallies), so
-    /// [`all_counts`](Self::all_counts) lists a row per transaction type
-    /// even before — or without — the type ever firing.
+    /// pre-registered (all-zero tallies), so [`all_stats`](Self::all_stats)
+    /// lists a row per transaction type even before — or without — the type
+    /// ever firing.
     pub fn for_workload(workload: &dyn Workload) -> Self {
         let stats = Self::new();
         {
@@ -135,18 +135,6 @@ impl WorkloadStats {
             }
         }
         stats
-    }
-
-    /// Every registered transaction type with its tallies, sorted by label.
-    pub fn all_counts(&self) -> Vec<(&'static str, OutcomeCounts)> {
-        let mut rows: Vec<_> = self
-            .inner
-            .lock()
-            .iter()
-            .map(|(label, stats)| (*label, stats.counts))
-            .collect();
-        rows.sort_unstable_by_key(|(label, _)| *label);
-        rows
     }
 
     /// Every registered transaction type with its full per-type statistics
@@ -161,17 +149,6 @@ impl WorkloadStats {
             .collect();
         rows.sort_unstable_by_key(|(label, _)| *label);
         rows
-    }
-
-    /// Records an outcome for a transaction type.
-    pub fn record(&self, txn_type: &'static str, outcome: TxnOutcome) {
-        let mut inner = self.inner.lock();
-        let entry = inner.entry(txn_type).or_default();
-        match outcome {
-            TxnOutcome::Committed => entry.counts.committed += 1,
-            TxnOutcome::Aborted => entry.counts.aborted += 1,
-            TxnOutcome::GaveUp => entry.counts.gave_up += 1,
-        }
     }
 
     /// Records an outcome *and* its response time for a transaction type.
@@ -269,14 +246,14 @@ pub(crate) fn run_dora_mix(
 }
 
 /// TPC-C's non-uniform random distribution NURand(A, x, y).
-pub fn nurand(rng: &mut SmallRng, a: i64, x: i64, y: i64) -> i64 {
+pub(crate) fn nurand(rng: &mut SmallRng, a: i64, x: i64, y: i64) -> i64 {
     let c = 42; // constant C, fixed for the run as the spec allows
     ((((rng.random_range(0..=a)) | (rng.random_range(x..=y))) + c) % (y - x + 1)) + x
 }
 
 /// TPC-C customer last-name generator: concatenates three syllables chosen by
 /// the digits of `num` (0..=999).
-pub fn c_last(num: i64) -> String {
+pub(crate) fn c_last(num: i64) -> String {
     const SYLLABLES: [&str; 10] = [
         "BAR", "OUGHT", "ABLE", "PRI", "PRES", "ESE", "ANTI", "CALLY", "ATION", "EING",
     ];
@@ -290,12 +267,12 @@ pub fn c_last(num: i64) -> String {
 }
 
 /// Uniform integer in `[low, high]` (inclusive).
-pub fn uniform(rng: &mut SmallRng, low: i64, high: i64) -> i64 {
+pub(crate) fn uniform(rng: &mut SmallRng, low: i64, high: i64) -> i64 {
     rng.random_range(low..=high)
 }
 
 /// `true` with probability `percent` (0..=100).
-pub fn chance(rng: &mut SmallRng, percent: u32) -> bool {
+pub(crate) fn chance(rng: &mut SmallRng, percent: u32) -> bool {
     rng.random_range(0..100u32) < percent
 }
 
@@ -338,10 +315,10 @@ mod tests {
     #[test]
     fn workload_stats_accumulate_three_way() {
         let stats = WorkloadStats::new();
-        stats.record("payment", TxnOutcome::Committed);
-        stats.record("payment", TxnOutcome::Committed);
-        stats.record("payment", TxnOutcome::Aborted);
-        stats.record("payment", TxnOutcome::GaveUp);
+        stats.record_timed("payment", TxnOutcome::Committed, Duration::ZERO);
+        stats.record_timed("payment", TxnOutcome::Committed, Duration::ZERO);
+        stats.record_timed("payment", TxnOutcome::Aborted, Duration::ZERO);
+        stats.record_timed("payment", TxnOutcome::GaveUp, Duration::ZERO);
         assert_eq!(
             stats.outcome_counts("payment"),
             OutcomeCounts {
@@ -364,17 +341,16 @@ mod tests {
         assert_eq!(row.error_rate(), 0.5);
         assert_eq!(row.latency.count(), 2);
         assert_eq!(row.latency.mean(), Duration::from_micros(200));
-        // Untimed records still tally outcomes without latency samples.
-        stats.record("payment", TxnOutcome::GaveUp);
+        stats.record_timed("payment", TxnOutcome::GaveUp, Duration::from_micros(200));
         assert_eq!(stats.type_stats("payment").total(), 3);
-        assert_eq!(stats.type_stats("payment").latency.count(), 2);
+        assert_eq!(stats.type_stats("payment").latency.count(), 3);
         // Merging a second per-thread recorder combines both dimensions.
         let other = WorkloadStats::new();
         other.record_timed("payment", TxnOutcome::Committed, Duration::from_micros(500));
         other.record_timed("deposit", TxnOutcome::Committed, Duration::from_micros(50));
         stats.merge(&other);
         assert_eq!(stats.type_stats("payment").total(), 4);
-        assert_eq!(stats.type_stats("payment").latency.count(), 3);
+        assert_eq!(stats.type_stats("payment").latency.count(), 4);
         assert_eq!(stats.type_stats("deposit").counts.committed, 1);
         // Self-merge is a no-op, not a deadlock or a double-count.
         stats.merge(&stats.clone());
@@ -386,14 +362,18 @@ mod tests {
     fn for_workload_preregisters_every_mix_label() {
         let workload = crate::tm1::Tm1::new(10);
         let stats = WorkloadStats::for_workload(&workload);
-        let rows = stats.all_counts();
+        let rows = stats.all_stats();
         assert_eq!(rows.len(), workload.txn_labels().len());
         assert!(rows
             .iter()
-            .all(|(_, counts)| *counts == OutcomeCounts::default()));
+            .all(|(_, stats)| stats.counts == OutcomeCounts::default()));
         // Labels stay present (and sorted) alongside recorded types.
-        stats.record(crate::tm1::Tm1::GET_SUBSCRIBER_DATA, TxnOutcome::Committed);
-        let rows = stats.all_counts();
+        stats.record_timed(
+            crate::tm1::Tm1::GET_SUBSCRIBER_DATA,
+            TxnOutcome::Committed,
+            Duration::ZERO,
+        );
+        let rows = stats.all_stats();
         assert_eq!(rows.len(), workload.txn_labels().len());
         assert!(rows.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(

@@ -108,11 +108,6 @@ impl Tm1 {
         self
     }
 
-    /// Number of subscribers loaded.
-    pub fn subscribers(&self) -> i64 {
-        self.subscribers
-    }
-
     fn tables(&self, db: &Database) -> DbResult<Tm1Tables> {
         if let Some(tables) = self.tables.get() {
             return Ok(*tables);
@@ -354,93 +349,6 @@ impl Tm1 {
             ..Tm1Inputs::default()
         };
         self.bound(db, Tm1Plan::GetSubscriberData, inputs)
-    }
-
-    /// UpdateSubscriberData.
-    ///
-    /// One definition, two plans: the parallel plan (DORA-P) runs the
-    /// Subscriber update and the SpecialFacility update in the same phase;
-    /// the serial plan (DORA-S, Appendix A.4) orders the SpecialFacility
-    /// update — which fails for 62.5% of inputs — first and serializes the
-    /// graph, exactly the two plans Figure 11 compares.
-    pub fn update_subscriber_data_program(
-        &self,
-        db: &Database,
-        s_id: i64,
-        sf_type: i64,
-        bit: i64,
-        data_a: i64,
-        serial: bool,
-    ) -> DbResult<TxnProgram> {
-        let inputs = Tm1Inputs {
-            s_id,
-            sf_type,
-            bit,
-            data_a,
-            ..Tm1Inputs::default()
-        };
-        let plan = if serial {
-            Tm1Plan::UpdateSubscriberDataSerial
-        } else {
-            Tm1Plan::UpdateSubscriberData
-        };
-        self.bound(db, plan, inputs)
-    }
-
-    /// UpdateLocation: a secondary step resolves the subscriber through the
-    /// `sub_nbr` secondary index (whose leaves carry the routing fields),
-    /// then the routed step updates the record through its RID.
-    pub fn update_location_program(
-        &self,
-        db: &Database,
-        s_id: i64,
-        location: i64,
-    ) -> DbResult<TxnProgram> {
-        let inputs = Tm1Inputs {
-            s_id,
-            location,
-            ..Tm1Inputs::default()
-        };
-        self.bound(db, Tm1Plan::UpdateLocation, inputs)
-    }
-
-    /// InsertCallForwarding: probe the facility, then insert the forwarding
-    /// record. Under DORA the insert still takes a row-level lock through the
-    /// centralized lock manager, as Section 4.2.1 requires.
-    pub fn insert_call_forwarding_program(
-        &self,
-        db: &Database,
-        s_id: i64,
-        sf_type: i64,
-        start_time: i64,
-        end_time: i64,
-    ) -> DbResult<TxnProgram> {
-        let inputs = Tm1Inputs {
-            s_id,
-            sf_type,
-            start_time,
-            end_time,
-            ..Tm1Inputs::default()
-        };
-        self.bound(db, Tm1Plan::InsertCallForwarding, inputs)
-    }
-
-    /// DeleteCallForwarding: a single exclusive step (the delete takes a
-    /// centralized row lock inside the storage manager on either engine).
-    pub fn delete_call_forwarding_program(
-        &self,
-        db: &Database,
-        s_id: i64,
-        sf_type: i64,
-        start_time: i64,
-    ) -> DbResult<TxnProgram> {
-        let inputs = Tm1Inputs {
-            s_id,
-            sf_type,
-            start_time,
-            ..Tm1Inputs::default()
-        };
-        self.bound(db, Tm1Plan::DeleteCallForwarding, inputs)
     }
 
     /// Picks a transaction type according to the TATP mix (percentages are
@@ -751,6 +659,17 @@ mod tests {
         (db, workload)
     }
 
+    /// Inputs of an UpdateSubscriberData transaction.
+    fn facility_update(s_id: i64, sf_type: i64, bit: i64, data_a: i64) -> Tm1Inputs {
+        Tm1Inputs {
+            s_id,
+            sf_type,
+            bit,
+            data_a,
+            ..Tm1Inputs::default()
+        }
+    }
+
     #[test]
     fn schema_and_load_populate_all_tables() {
         let (db, workload) = small_tm1();
@@ -818,15 +737,20 @@ mod tests {
 
         for s_id in 1..=50i64 {
             let location = s_id * 1000;
+            let inputs = Tm1Inputs {
+                s_id,
+                location,
+                ..Tm1Inputs::default()
+            };
             let program = workload_base
-                .update_location_program(&db_base, s_id, location)
+                .bound(&db_base, Tm1Plan::UpdateLocation, inputs)
                 .unwrap();
             assert_eq!(
                 run_baseline_once(&db_base, program).unwrap(),
                 TxnOutcome::Committed
             );
             let program = workload_dora
-                .update_location_program(&db_dora, s_id, location)
+                .bound(&db_dora, Tm1Plan::UpdateLocation, inputs)
                 .unwrap();
             dora.execute(program.compile_dora()).unwrap();
         }
@@ -876,11 +800,19 @@ mod tests {
         // exists (parallel plan commits) and sf_type 4 does not (any plan
         // aborts and leaves no partial update).
         let program = workload
-            .update_subscriber_data_program(&db, 3, 1, 1, 42, false)
+            .bound(
+                &db,
+                Tm1Plan::UpdateSubscriberData,
+                facility_update(3, 1, 1, 42),
+            )
             .unwrap();
         engine.execute(program.compile_dora()).unwrap();
         let program = workload
-            .update_subscriber_data_program(&db, 3, 4, 0, 99, true)
+            .bound(
+                &db,
+                Tm1Plan::UpdateSubscriberDataSerial,
+                facility_update(3, 4, 0, 99),
+            )
             .unwrap();
         assert!(engine.execute(program.compile_dora()).is_err());
 
@@ -914,13 +846,21 @@ mod tests {
     fn serial_plan_orders_the_failure_prone_step_first() {
         let (db, workload) = small_tm1();
         let parallel = workload
-            .update_subscriber_data_program(&db, 3, 1, 1, 42, false)
+            .bound(
+                &db,
+                Tm1Plan::UpdateSubscriberData,
+                facility_update(3, 1, 1, 42),
+            )
             .unwrap()
             .compile_dora();
         assert_eq!(parallel.phase_count(), 1);
         assert_eq!(parallel.actions_in(0), 2);
         let serial = workload
-            .update_subscriber_data_program(&db, 3, 1, 1, 42, true)
+            .bound(
+                &db,
+                Tm1Plan::UpdateSubscriberDataSerial,
+                facility_update(3, 1, 1, 42),
+            )
             .unwrap()
             .compile_dora();
         assert_eq!(serial.phase_count(), 2, "DORA-S: one action per phase");
@@ -939,8 +879,15 @@ mod tests {
         let tables = workload.tables(&db).unwrap();
         // Subscriber 10 has sf_type 1; use an unusual start time to avoid
         // colliding with loaded rows.
+        let forwarding = Tm1Inputs {
+            s_id: 10,
+            sf_type: 1,
+            start_time: 99,
+            end_time: 120,
+            ..Tm1Inputs::default()
+        };
         let program = workload
-            .insert_call_forwarding_program(&db, 10, 1, 99, 120)
+            .bound(&db, Tm1Plan::InsertCallForwarding, forwarding)
             .unwrap();
         engine.execute(program.compile_dora()).unwrap();
         let check = db.begin();
@@ -956,17 +903,24 @@ mod tests {
             .is_some());
         db.commit(&check).unwrap();
         // Duplicate insert aborts.
+        let forwarding = Tm1Inputs {
+            s_id: 10,
+            sf_type: 1,
+            start_time: 99,
+            end_time: 120,
+            ..Tm1Inputs::default()
+        };
         let program = workload
-            .insert_call_forwarding_program(&db, 10, 1, 99, 120)
+            .bound(&db, Tm1Plan::InsertCallForwarding, forwarding)
             .unwrap();
         assert!(engine.execute(program.compile_dora()).is_err());
         // Delete removes it; a second delete aborts.
         let program = workload
-            .delete_call_forwarding_program(&db, 10, 1, 99)
+            .bound(&db, Tm1Plan::DeleteCallForwarding, forwarding)
             .unwrap();
         engine.execute(program.compile_dora()).unwrap();
         let program = workload
-            .delete_call_forwarding_program(&db, 10, 1, 99)
+            .bound(&db, Tm1Plan::DeleteCallForwarding, forwarding)
             .unwrap();
         assert!(engine.execute(program.compile_dora()).is_err());
         engine.shutdown();

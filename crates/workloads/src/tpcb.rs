@@ -23,7 +23,7 @@ use dora_storage::{ColumnDef, Database, TableSchema};
 use crate::spec::{chance, uniform, Workload};
 
 /// Tellers per branch (fixed by the TPC-B specification).
-pub const TELLERS_PER_BRANCH: i64 = 10;
+pub(crate) const TELLERS_PER_BRANCH: i64 = 10;
 
 #[derive(Debug, Clone, Copy)]
 struct TpcbTables {
@@ -67,11 +67,6 @@ impl TpcB {
             tables: OnceLock::new(),
             plan: OnceLock::new(),
         }
-    }
-
-    /// Number of branches.
-    pub fn branches(&self) -> i64 {
-        self.branches
     }
 
     fn tables(&self, db: &Database) -> DbResult<TpcbTables> {

@@ -26,7 +26,7 @@ use dora_storage::{ColumnDef, Database, IndexSpec, TableSchema};
 use crate::spec::{c_last, chance, nurand, uniform, Workload};
 
 /// Districts per warehouse (fixed by the specification).
-pub const DISTRICTS_PER_WAREHOUSE: i64 = 10;
+pub(crate) const DISTRICTS_PER_WAREHOUSE: i64 = 10;
 
 /// Which part of the TPC-C mix to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,11 +122,6 @@ impl Tpcc {
     pub fn with_mix(mut self, mix: TpccMix) -> Self {
         self.mix = mix;
         self
-    }
-
-    /// Number of warehouses.
-    pub fn warehouses(&self) -> i64 {
-        self.warehouses
     }
 
     fn tables(&self, db: &Database) -> DbResult<TpccTables> {
@@ -388,7 +383,7 @@ impl Tpcc {
     /// the latest order, then its order lines — three phases chained by data
     /// dependencies, all of whose steps are routable because every
     /// identifier starts with the warehouse id.
-    pub fn order_status_program(
+    pub(crate) fn order_status_program(
         &self,
         db: &Database,
         w_id: i64,
@@ -483,7 +478,7 @@ impl Tpcc {
     /// advances the district's order counter; phase two inserts the order,
     /// the new-order entry and the order lines and updates the stock. There
     /// is one plan per item count.
-    pub fn new_order_program(
+    pub(crate) fn new_order_program(
         &self,
         db: &Database,
         w_id: i64,
@@ -661,7 +656,12 @@ impl Tpcc {
     /// deliver the oldest undelivered order. All steps are keyed by the
     /// warehouse, so the per-district loops are merged into one step per
     /// table, chained by RVPs for the data dependencies.
-    pub fn delivery_program(&self, db: &Database, w_id: i64, carrier: i64) -> DbResult<TxnProgram> {
+    pub(crate) fn delivery_program(
+        &self,
+        db: &Database,
+        w_id: i64,
+        carrier: i64,
+    ) -> DbResult<TxnProgram> {
         let inputs = TpccInputs {
             w_id,
             extra: carrier,
@@ -796,7 +796,7 @@ impl Tpcc {
     /// among the items of the district's 20 most recent orders — district
     /// read, then order-line collection, then the stock count, three phases
     /// chained by data dependencies, all keyed by the warehouse id.
-    pub fn stock_level_program(
+    pub(crate) fn stock_level_program(
         &self,
         db: &Database,
         w_id: i64,
@@ -932,7 +932,7 @@ impl Tpcc {
 
     /// Generates NewOrder inputs: (w_id, d_id, c_id, items). Roughly 1% of
     /// the generated orders contain an invalid item id and must abort.
-    pub fn new_order_inputs(&self, rng: &mut SmallRng) -> (i64, i64, i64, Vec<(i64, i64)>) {
+    pub(crate) fn new_order_inputs(&self, rng: &mut SmallRng) -> (i64, i64, i64, Vec<(i64, i64)>) {
         let w_id = uniform(rng, 1, self.warehouses);
         let d_id = uniform(rng, 1, DISTRICTS_PER_WAREHOUSE);
         let c_id = self.random_customer(rng);

@@ -10,7 +10,7 @@
 //!   generating billion-record synthetic databases", SIGMOD '94), the same
 //!   algorithm YCSB uses. `θ = 0` degenerates to uniform; `θ ≈ 1` is the
 //!   classic harsh web skew.
-//! * [`DriftingHotSpot`] — maps zipfian ranks onto a *contiguous* key range
+//! * `DriftingHotSpot` — maps zipfian ranks onto a *contiguous* key range
 //!   whose start drifts over time, so the hot range migrates across the
 //!   domain and yesterday's balanced routing rule becomes today's hot spot.
 //!   Ranks are deliberately *not* scrambled (unlike YCSB): keeping the hot
@@ -36,7 +36,7 @@ impl Zipfian {
     /// Creates a generator over `1..=n` ranks with skew `theta >= 0`.
     /// `theta` is nudged off exactly `1.0`, where the closed form has a
     /// pole.
-    pub fn new(n: u64, theta: f64) -> Self {
+    pub(crate) fn new(n: u64, theta: f64) -> Self {
         assert!(n >= 1, "need at least one rank");
         assert!(theta >= 0.0, "theta must be non-negative");
         let theta = if (theta - 1.0).abs() < 1e-9 {
@@ -62,13 +62,8 @@ impl Zipfian {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> u64 {
-        self.n
-    }
-
     /// The effective skew parameter.
-    pub fn theta(&self) -> f64 {
+    pub(crate) fn theta(&self) -> f64 {
         self.theta
     }
 
@@ -80,7 +75,7 @@ impl Zipfian {
     }
 
     /// Draws one rank in `1..=n`; rank 1 is the hottest.
-    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SmallRng) -> u64 {
         if self.n == 1 {
             return 1;
         }
@@ -107,7 +102,7 @@ impl Zipfian {
 /// The draw counter is atomic, so one generator can be shared by every
 /// client thread and the hot spot drifts coherently across all of them.
 #[derive(Debug)]
-pub struct DriftingHotSpot {
+pub(crate) struct DriftingHotSpot {
     zipf: Zipfian,
     low: i64,
     span: i64,
@@ -121,7 +116,7 @@ pub struct DriftingHotSpot {
 impl DriftingHotSpot {
     /// Creates a generator over the inclusive key domain `[low, high]` with
     /// zipfian skew `theta` and no drift.
-    pub fn new(low: i64, high: i64, theta: f64) -> Self {
+    pub(crate) fn new(low: i64, high: i64, theta: f64) -> Self {
         assert!(high >= low, "invalid key domain");
         let span = high - low + 1;
         Self {
@@ -136,24 +131,19 @@ impl DriftingHotSpot {
 
     /// Enables drift: every `drift_every` draws the hot range advances by
     /// `drift_step` keys (wrapping around the domain).
-    pub fn with_drift(mut self, drift_every: u64, drift_step: i64) -> Self {
+    pub(crate) fn with_drift(mut self, drift_every: u64, drift_step: i64) -> Self {
         self.drift_every = drift_every;
         self.drift_step = drift_step;
         self
     }
 
     /// The underlying zipfian generator.
-    pub fn zipfian(&self) -> &Zipfian {
+    pub(crate) fn zipfian(&self) -> &Zipfian {
         &self.zipf
     }
 
-    /// The key the hottest rank currently maps to.
-    pub fn hottest_key(&self) -> i64 {
-        self.key_for_rank(1, self.draws.load(Ordering::Relaxed))
-    }
-
     /// Draws one key from the domain.
-    pub fn key(&self, rng: &mut SmallRng) -> i64 {
+    pub(crate) fn key(&self, rng: &mut SmallRng) -> i64 {
         let draw = self.draws.fetch_add(1, Ordering::Relaxed);
         self.key_for_rank(self.zipf.sample(rng), draw)
     }
@@ -254,16 +244,24 @@ mod tests {
     #[test]
     fn drift_moves_the_hot_spot() {
         let hot = DriftingHotSpot::new(1, 100, 0.99).with_drift(1_000, 25);
-        assert_eq!(hot.hottest_key(), 1);
+        assert_eq!(hot.key_for_rank(1, hot.draws.load(Ordering::Relaxed)), 1);
         let mut rng = SmallRng::seed_from_u64(5);
         for _ in 0..1_000 {
             hot.key(&mut rng);
         }
-        assert_eq!(hot.hottest_key(), 26, "one drift step of 25 keys");
+        assert_eq!(
+            hot.key_for_rank(1, hot.draws.load(Ordering::Relaxed)),
+            26,
+            "one drift step of 25 keys"
+        );
         for _ in 0..3_000 {
             hot.key(&mut rng);
         }
-        assert_eq!(hot.hottest_key(), 1, "drift wraps around the domain");
+        assert_eq!(
+            hot.key_for_rank(1, hot.draws.load(Ordering::Relaxed)),
+            1,
+            "drift wraps around the domain"
+        );
     }
 
     #[test]
